@@ -310,9 +310,8 @@ def cmd_search(args):
               **result.as_dict()}
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
-        reps = sorted({se.canonical_class(G, s) for s in result.sets})
         files = []
-        for i, rep_set in enumerate(reps):
+        for i, rep_set in enumerate(result.class_reps):
             D = ds.DifferenceSet(G, rep_set, ds.Params(G.order, spec.k, spec.lam),
                                  verified=True)
             path = os.path.join(args.out_dir, f"class_{i:03d}.dset")
@@ -346,7 +345,17 @@ def cmd_scan(args):
 
 # -- argument parsing -----------------------------------------------------------------
 
+def _default_workers() -> int:
+    raw = os.environ.get("DIFFSET_WORKERS", "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(
+            f"DIFFSET_WORKERS must be an integer, got {raw!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
+    workers = _default_workers()
     parser = argparse.ArgumentParser(
         prog="diffset",
         description="Construct, verify, and dissect abelian difference sets "
@@ -360,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="tower exponent (d = 4 presentation)")
         p.add_argument("--json", action="store_true", help="JSON output")
         p.add_argument("--workers", type=int,
-                       default=int(os.environ.get("DIFFSET_WORKERS", "1")))
+                       default=workers)
         p.add_argument("--ceiling", type=int, default=0,
                        help="override size guards (field order bound)")
         p.add_argument("--no-timestamps", action="store_true")
@@ -419,7 +428,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    parser = build_parser()
+    try:
+        parser = build_parser()
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     args = parser.parse_args(argv)
     try:
         code, report = args.func(args)

@@ -3,8 +3,10 @@
 A normalized difference set is fixed setwise by any numerical
 multiplier, so for a known multiplier m the search space collapses to
 unions of orbits of x -> m*x.  Candidates are grown orbit by orbit with
-an incremental difference counter and an early abort as soon as any
-non-identity difference is counted more than lambda times.
+one difference count per orbit, read off a precomputed orbit-pair table,
+and an early abort as soon as any non-identity difference is counted
+more than lambda times.  Classes are told apart by a cheap invariant and
+their canonical forms computed once per class.
 
 brute_force_search tests every k-subset and is the ground-truth oracle
 the orbit search is validated against.
@@ -16,9 +18,16 @@ import time
 from dataclasses import dataclass, field
 from math import comb, gcd
 
+import numpy as np
+
 from . import dset as ds
-from .groups import AbelianGroup, multiplier_orbits, subgroups_of_order
+from .groups import (AbelianGroup, GroupSizeError, multiplier_orbits,
+                     subgroups_of_order)
 from .numth import is_prime_power
+
+#: The orbit-pair table holds 4*r^3 bytes for r multiplier orbits
+#: (r = v for the multiplier 1).
+ORBIT_TABLE_BYTE_LIMIT = 1 << 26
 
 
 class BudgetExceeded(RuntimeError):
@@ -46,46 +55,123 @@ class SearchSpec:
 
 @dataclass
 class SearchResult:
-    spec: object
+    spec: SearchSpec
     sets: list                 # sorted rank tuples, lexicographic order
-    classes: int               # up to translation and numerical multipliers
+    class_reps: list           # sorted canonical_class form of each class
     nodes: int
     seconds: float
     complete: bool = True      # False when the node budget was exhausted
 
+    @property
+    def classes(self) -> int:
+        """Classes up to translation and numerical multipliers."""
+        return len(self.class_reps)
+
     def as_dict(self):
-        return {"k": getattr(self.spec, "k", None),
-                "lam": getattr(self.spec, "lam", None),
+        return {"k": self.spec.k, "lam": self.spec.lam,
                 "sets_found": len(self.sets), "classes": self.classes,
                 "nodes": self.nodes, "seconds": self.seconds,
                 "complete": self.complete}
 
 
+def _units(v: int) -> list[int]:
+    return [m for m in range(1, max(v, 2)) if gcd(m, v) == 1]
+
+
 def canonical_class(G: AbelianGroup, elements) -> tuple[int, ...]:
     """Lexicographically least image under all translates and power maps."""
-    v = G.order
+    if not elements:
+        return ()
+    # The least image contains 0, so only the k translates of m*D by -m*e
+    # compete, and m*x - m*e = m*(x - e): row e of `diffs` maps onto one.
+    diffs = [[G.sub(x, e) for x in elements] for e in elements]
     best = None
-    for m in range(1, v):
-        if gcd(m, v) != 1:
-            continue
-        mapped = sorted(G.scale(m, e) for e in elements)
-        for g in range(v):
-            cand = tuple(sorted(G.add(e, g) for e in mapped))
+    for m in _units(G.order):
+        image = [G.scale(m, x) for x in range(G.order)]
+        for row in diffs:
+            cand = tuple(sorted([image[d] for d in row]))
             if best is None or cand < best:
                 best = cand
     return best
 
 
-def _dedupe_classes(G: AbelianGroup, sets) -> int:
-    return len({canonical_class(G, s) for s in sets})
+def _class_keys(G: AbelianGroup, sets) -> list[tuple[int, ...]]:
+    """Least power-map image of the normalized translate N of each set.
+
+    Needs gcd(k, v) = 1.  N is unique and N(m*D + g) = m*N(D), so two
+    sets share a key exactly when they share a class.
+    """
+    bases = []
+    for s in sets:
+        g = ds.normalizing_shift(G, s)
+        bases.append([G.add(e, g) for e in s])
+    support = set().union(*bases)
+    keys = [None] * len(bases)
+    for m in _units(G.order):
+        image = {x: G.scale(m, x) for x in support}
+        for i, base in enumerate(bases):
+            cand = tuple(sorted([image[x] for x in base]))
+            if keys[i] is None or cand < keys[i]:
+                keys[i] = cand
+    return keys
+
+
+def _class_representatives(G: AbelianGroup, sets) -> list:
+    """Sorted canonical_class forms of the classes met by k-subsets `sets`,
+    computing each form once per class when gcd(k, v) = 1."""
+    if not sets:
+        return []
+    if gcd(len(sets[0]), G.order) != 1:
+        return sorted({canonical_class(G, s) for s in sets})
+    members = {}
+    for key, s in zip(_class_keys(G, sets), sets):
+        members.setdefault(key, s)
+    return sorted(canonical_class(G, s) for s in members.values())
+
+
+def _orbit_pair_table(G: AbelianGroup, orbits) -> np.ndarray:
+    """table[i, j, t]: how many times the representative of orbit t
+    (its least element) occurs as a difference between orbits i and j.
+
+    Differences are counted both ways, a - b and b - a for a in orbit i
+    and b in orbit j, when j != i; table[i, i] counts the ordered pairs
+    of distinct elements of orbit i.  Costs v*r calls of G.sub.
+    """
+    r = len(orbits)
+    nbytes = 4 * r**3
+    if nbytes > ORBIT_TABLE_BYTE_LIMIT:
+        raise GroupSizeError(
+            f"orbit-pair table for {r} multiplier orbits needs {nbytes} bytes "
+            f"> limit {ORBIT_TABLE_BYTE_LIMIT}; choose a multiplier with "
+            "fewer orbits")
+    orbit_of = [0] * G.order
+    for i, o in enumerate(orbits):
+        for x in o:
+            orbit_of[x] = i
+    table = np.zeros((r, r, r), dtype=np.int32)
+    for t in range(1, r):
+        rep = orbits[t][0]
+        for a in range(G.order):
+            i, j = orbit_of[a], orbit_of[G.sub(a, rep)]
+            table[i, j, t] += 1
+            if i != j:
+                table[j, i, t] += 1
+    return table
 
 
 def orbit_union_search(spec: SearchSpec) -> SearchResult:
-    """All unions of multiplier orbits of size k with difference counts lambda."""
+    """All unions of multiplier orbits of size k with difference counts lambda.
+
+    A union of m-orbits has difference counts that are constant on
+    m-orbits, so the search keeps one count per orbit.  pending[i] holds
+    what adding orbit i would add to those counts; counts only grow, so a
+    branch dies as soon as one exceeds lambda.
+    """
     G = spec.group
-    v = G.order
     k, lam = spec.k, spec.lam
+    t0 = time.perf_counter()
     orbits = multiplier_orbits(G, spec.multiplier)
+    table = _orbit_pair_table(G, orbits)
     sizes = [len(o) for o in orbits]
     # reachable subset sums of the orbit-size suffix, for pruning
     reachable = [set() for _ in range(len(orbits) + 1)]
@@ -95,75 +181,52 @@ def orbit_union_search(spec: SearchSpec) -> SearchResult:
         reachable[i] = {s for s in prev if s <= k} | \
                        {s + sizes[i] for s in prev if s + sizes[i] <= k}
 
-    counts = [0] * v
-    chosen: list[int] = []          # chosen element ranks, unsorted
+    diag = np.arange(len(orbits))
+    pending = table[diag, diag]         # a copy; row i is table[i, i]
+    chosen: list[int] = []              # indices of the chosen orbits
     results = []
-    state = {"nodes": 0}
-    t0 = time.perf_counter()
-    sub = G.sub
+    nodes = 0
 
-    def add_orbit(orbit):
-        """Apply difference updates; returns (ok, applied-list, elements-added)."""
-        applied = []
-        for a in orbit:
-            for b in chosen:
-                for d in (sub(a, b), sub(b, a)):
-                    counts[d] += 1
-                    applied.append(d)
-                    if d and counts[d] > lam:
-                        return False, applied, 0
-        for i, a in enumerate(orbit):
-            for b in orbit[i + 1:]:
-                for d in (sub(a, b), sub(b, a)):
-                    counts[d] += 1
-                    applied.append(d)
-                    if d and counts[d] > lam:
-                        return False, applied, 0
-        chosen.extend(orbit)
-        return True, applied, len(orbit)
-
-    def undo(applied, added):
-        for d in applied:
-            counts[d] -= 1
-        if added:
-            del chosen[-added:]
-
-    def dfs(i, size):
-        state["nodes"] += 1
-        if state["nodes"] > spec.node_budget:
+    def dfs(i, size, counts):
+        nonlocal nodes, pending
+        nodes += 1
+        if nodes > spec.node_budget:
             raise BudgetExceeded
         if size == k:
-            if all(c == lam for c in counts[1:]):
-                results.append(tuple(sorted(chosen)))
+            if (counts[1:] == lam).all():
+                results.append(tuple(sorted(
+                    e for j in chosen for e in orbits[j])))
             return
         if i == len(orbits) or (k - size) not in reachable[i]:
             return
-        o = orbits[i]
         if size + sizes[i] <= k:
-            ok, applied, added = add_orbit(o)
-            if ok:
-                dfs(i + 1, size + sizes[i])
-            undo(applied, added)
-        dfs(i + 1, size)
+            grown = counts + pending[i]
+            if grown.max() <= lam:
+                pending += table[i]
+                chosen.append(i)
+                dfs(i + 1, size + sizes[i], grown)
+                chosen.pop()
+                pending -= table[i]
+        dfs(i + 1, size, counts)
 
     complete = True
     try:
-        dfs(0, 0)
+        dfs(0, 0, np.zeros(len(orbits), dtype=np.int32))
     except BudgetExceeded:
         complete = False
     results.sort()
     if len(results) > spec.result_cap:
         results = results[:spec.result_cap]
         complete = False
-    classes = _dedupe_classes(G, results) if results else 0
-    return SearchResult(spec, results, classes, state["nodes"],
-                        time.perf_counter() - t0, complete)
+    return SearchResult(spec, results, _class_representatives(G, results),
+                        nodes, time.perf_counter() - t0, complete)
 
 
 def brute_force_search(G: AbelianGroup, k: int, lam: int,
                        budget: int = 10_000_000) -> SearchResult:
     """Oracle: test every k-subset of G by direct difference counting."""
     v = G.order
+    spec = SearchSpec(G, k, lam, node_budget=budget)
     if comb(v, k) > budget:
         raise BudgetExceeded(
             f"C({v},{k}) = {comb(v, k)} subsets exceeds budget {budget}")
@@ -188,9 +251,8 @@ def brute_force_search(G: AbelianGroup, k: int, lam: int,
                 break
         if ok and (k == v or all(c == lam for c in counts[1:])):
             results.append(cand)
-    classes = _dedupe_classes(G, results) if results else 0
-    return SearchResult(("brute", v, k, lam), results, classes, nodes,
-                        time.perf_counter() - t0)
+    return SearchResult(spec, results, _class_representatives(G, results),
+                        nodes, time.perf_counter() - t0)
 
 
 def multiplier_fixed(G: AbelianGroup, elements, m: int) -> bool:
@@ -218,7 +280,7 @@ class ScanRow:
 def conjecture_scan(q: int, s_list, ceiling=None) -> list[ScanRow]:
     """For each s, does the Singer set restrict to a minimal difference set
     on some subgroup of order (q+1)(q^2+1)?"""
-    from .field import SIZE_CEILING
+    from .field import SIZE_CEILING, FieldSizeError
     from .singer import singer_construct_streamed
     if ceiling is None:
         ceiling = SIZE_CEILING
@@ -229,7 +291,7 @@ def conjecture_scan(q: int, s_list, ceiling=None) -> list[ScanRow]:
     for s in s_list:
         try:
             D = singer_construct_streamed(q, s, ceiling=ceiling)
-        except Exception as e:
+        except (FieldSizeError, GroupSizeError, MemoryError) as e:
             rows.append(ScanRow(q, s, 0, target, f"error: {e}"))
             continue
         v = D.params.v

@@ -20,19 +20,6 @@ from .groups import AbelianGroup, cyclic_subgroup_of_order
 from .numth import is_prime_power
 
 
-@dataclass(frozen=True)
-class SingerSpec:
-    p: int
-    e: int                 # q = p^e
-    d: int                 # projective dimension parameter
-    s: int | None          # tower exponent for the d = 4 presentation
-    field_descriptor: str
-
-    @property
-    def q(self) -> int:
-        return self.p**self.e
-
-
 def _trace_zero_exponents(F: FiniteField, sub_degree: int, v: int) -> list[int]:
     """Indices i in [0, v) with Tr(g^i) = 0 onto the degree-sub_degree subfield."""
     if F.p == 2:

@@ -138,6 +138,14 @@ def test_env_var_sets_workers(capsys, monkeypatch):
     assert code == 0 and rep["verified"]
 
 
+def test_env_var_workers_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("DIFFSET_WORKERS", "abc")
+    code = run(["search", "--group", "Z_7", "--k", "3", "--lambda", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: DIFFSET_WORKERS must be an integer, got 'abc'\n"
+
+
 def test_resource_guard_exit_code(capsys):
     # GF(2^40) exceeds the default field-size ceiling
     assert run(["construct", "--q", "2", "--s", "10"]) == 1

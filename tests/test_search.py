@@ -1,9 +1,15 @@
 import itertools
+import json
+import os
+import random
+import tracemalloc
+from math import gcd
 
 import pytest
 
-from diffsets.dset import verify
-from diffsets.groups import AbelianGroup
+from diffsets.cli import run
+from diffsets.dset import read_set_file, verify
+from diffsets.groups import AbelianGroup, GroupSizeError
 from diffsets.search import (SearchSpec, brute_force_search, canonical_class,
                              conjecture_scan, multiplier_fixed,
                              orbit_union_search)
@@ -20,6 +26,20 @@ def hand_enumerate(G, k, lam):
         if all(c == lam for c in counts[1:]):
             found.append(combo)
     return found
+
+
+def naive_canonical_class(G, elements):
+    """Oracle: least sorted image over every unit m and all v translates."""
+    best = None
+    for m in range(1, G.order):
+        if gcd(m, G.order) != 1:
+            continue
+        mapped = sorted(G.scale(m, e) for e in elements)
+        for g in range(G.order):
+            cand = tuple(sorted(G.add(e, g) for e in mapped))
+            if best is None or cand < best:
+                best = cand
+    return best
 
 
 def test_spec_rejects_infeasible():
@@ -105,3 +125,86 @@ def test_conjecture_scan_small():
     assert [r.status for r in rows] == ["embedded", "embedded"]
     assert rows[0].v == 15 and rows[1].v == 585
     assert all(r.subgroup_order == 15 for r in rows)
+
+
+def test_conjecture_scan_over_ceiling_is_error_row():
+    rows = conjecture_scan(2, [1, 3], ceiling=1 << 8)
+    assert rows[0].status == "embedded"
+    assert rows[1].status.startswith("error:") and rows[1].v == 0
+
+
+def test_conjecture_scan_does_not_mask_bad_input():
+    with pytest.raises(ValueError, match="not a prime power"):
+        conjecture_scan(6, [1])
+
+
+def test_orbit_search_matches_brute_on_noncyclic_group():
+    # gcd(k, v) = 2: classes come from canonical_class on every set
+    G = AbelianGroup([4, 4])
+    orbit = orbit_union_search(SearchSpec(G, 6, 2))
+    brute = brute_force_search(G, 6, 2)
+    assert orbit.sets == brute.sets and len(orbit.sets) == 192
+    assert orbit.class_reps == brute.class_reps
+    assert orbit.classes == 10
+    assert orbit.class_reps == sorted({naive_canonical_class(G, s)
+                                       for s in brute.sets})
+
+
+def test_canonical_class_matches_naive_reference():
+    rng = random.Random(7)
+    for factors in ([15], [16], [21], [4, 4], [2, 6], [3, 3, 2]):
+        G = AbelianGroup(factors)
+        for k in (1, 2, 5, G.order // 2):
+            for _ in range(4):
+                s = tuple(sorted(rng.sample(range(G.order), k)))
+                assert canonical_class(G, s) == naive_canonical_class(G, s)
+
+
+def test_brute_force_result_carries_spec():
+    G = AbelianGroup([7])
+    res = brute_force_search(G, 3, 1)
+    assert isinstance(res.spec, SearchSpec)
+    assert (res.spec.group, res.spec.k, res.spec.lam) == (G, 3, 1)
+    assert res.as_dict()["k"] == 3 and res.as_dict()["lam"] == 1
+
+
+def test_orbit_table_guard_raises_before_allocating():
+    # m = 1 on Z_1023 would need a 1023^3 int32 table (about 4.3 GB)
+    spec = SearchSpec(AbelianGroup([1023]), 511, 255)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GroupSizeError, match="orbit-pair table"):
+            orbit_union_search(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_cli_orbit_table_guard(capsys):
+    code = run(["search", "--group", "Z_1023", "--k", "511",
+                "--lambda", "255"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("resource limit:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("group,k,lam,m", [
+    ("Z_31", 15, 7, 2),          # gcd(k, v) = 1: class keys
+    ("Z_4xZ_4", 6, 2, 1),        # gcd(k, v) = 2: canonical_class per set
+])
+def test_cli_class_files_match_naive_classes(capsys, tmp_path, group, k, lam, m):
+    out_dir = str(tmp_path / "out")
+    code = run(["search", "--group", group, "--k", str(k), "--lambda",
+                str(lam), "--m", str(m), "--out-dir", out_dir, "--json",
+                "--no-timestamps"])
+    capsys.readouterr()
+    assert code == 0
+    with open(os.path.join(out_dir, "summary.json")) as fh:
+        summary = json.load(fh)
+    G = read_set_file(os.path.join(out_dir, "class_000.dset")).group
+    expected = sorted({naive_canonical_class(G, s) for s in summary["sets"]})
+    names = sorted(n for n in os.listdir(out_dir) if n.endswith(".dset"))
+    assert len(names) == summary["classes"] == len(expected)
+    got = [read_set_file(os.path.join(out_dir, n)).elements for n in names]
+    assert got == expected
