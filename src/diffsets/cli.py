@@ -26,10 +26,6 @@ EXIT_USAGE = 1
 EXIT_HYPOTHESIS = 2
 EXIT_FALSIFIED = 3
 
-CHECK_IDS = ("thm2.2", "lem4.1", "lem4.2", "thm4.3", "thm5.1", "cor5.2",
-             "thm6.1", "jv", "ho", "thm3.1", "cor3.2", "hall")
-
-
 def _status_exit(status: str) -> int:
     if status == "verified":
         return EXIT_OK
@@ -83,10 +79,9 @@ def _construct(args, q=None, d=None, s=None, full_verify=None):
     if s is not None or (d is None and getattr(args, "s", None) is not None):
         s = s if s is not None else args.s
         return si.singer_construct_streamed(q, s, full_verify=full_verify,
-                                            ceiling=ceiling, workers=args.workers)
+                                            ceiling=ceiling)
     d = d if d is not None else (getattr(args, "d", None) or 4)
-    return si.singer_construct(q, d, full_verify=full_verify,
-                               ceiling=ceiling, workers=args.workers)
+    return si.singer_construct(q, d, full_verify=full_verify, ceiling=ceiling)
 
 
 def _load_or_construct(args):
@@ -131,14 +126,7 @@ def cmd_construct(args):
 
 def cmd_verify(args):
     D = ds.read_set_file(args.set, verify_now=False)
-    if args.ceiling or (D.params.k**2 <= ds.AUTO_VERIFY_PAIR_LIMIT
-                        and D.group.order <= ds.FULL_VERIFY_ORDER_LIMIT):
-        rep = ds.verify(D.group, D.elements, workers=args.workers)
-    else:
-        sample = sorted(set(range(min(D.group.order, 64))) |
-                        set(range(0, D.group.order,
-                                  max(1, D.group.order // 64))))
-        rep = ds.verify_sampled(D.group, D.elements, sample)
+    rep = ds.auto_verify(D.group, D.elements, True if args.ceiling else None)
     report = {"command": "verify", "set_file": args.set,
               "group": D.group.descriptor(),
               "params": list(D.params.as_tuple()), **rep.as_dict()}
@@ -180,15 +168,9 @@ def cmd_mann(args):
 
 def cmd_check(args):
     tid = args.theorem
-    if tid not in CHECK_IDS:
-        raise SystemExit(f"unknown theorem id {tid!r}; choose from {CHECK_IDS}")
-    handler = {
-        "thm2.2": _check_thm22, "lem4.1": _check_lem41, "lem4.2": _check_lem42,
-        "thm4.3": _check_thm43, "thm5.1": _check_thm51, "cor5.2": _check_cor52,
-        "thm6.1": _check_thm61, "jv": _check_jv, "ho": _check_ho,
-        "thm3.1": _check_thm31, "cor3.2": _check_cor32, "hall": _check_hall,
-    }[tid]
-    rep = handler(args)
+    if tid not in CHECKS:
+        raise SystemExit(f"unknown theorem id {tid!r}; choose from {tuple(CHECKS)}")
+    rep = CHECKS[tid](args)
     report = {"command": f"check {tid}", **rep.as_dict()}
     return _status_exit(rep.status), report
 
@@ -281,7 +263,7 @@ def _check_cor32(args):
     if not rep.hyp("s odd", args.s % 2 == 1, args.s):
         return rep
     D, res, vrep, expected = si.singer_restriction_check(
-        args.q, args.s, ceiling=ceiling, workers=args.workers)
+        args.q, args.s, ceiling=ceiling)
     rep.instance["params"] = list(D.params.as_tuple())
     rep.instance["field_descriptor"] = D.meta.get("field_descriptor")
     rep.con("D ∩ R verifies as the small Singer parameters",
@@ -293,6 +275,15 @@ def _check_cor32(args):
 def _check_hall(args):
     D = _load_or_construct(args)
     return an.hall_check(D)
+
+
+#: Checker id -> handler, in the order the help text lists them.
+CHECKS = {
+    "thm2.2": _check_thm22, "lem4.1": _check_lem41, "lem4.2": _check_lem42,
+    "thm4.3": _check_thm43, "thm5.1": _check_thm51, "cor5.2": _check_cor52,
+    "thm6.1": _check_thm61, "jv": _check_jv, "ho": _check_ho,
+    "thm3.1": _check_thm31, "cor3.2": _check_cor32, "hall": _check_hall,
+}
 
 
 def cmd_search(args):
@@ -354,9 +345,18 @@ def _default_workers() -> int:
             f"DIFFSET_WORKERS must be an integer, got {raw!r}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises on a malformed command line, so that `run` reports it as one
+    `error:` line with exit 1 instead of a usage block with exit 2, which
+    means "hypothesis not met"."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     workers = _default_workers()
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="diffset",
         description="Construct, verify, and dissect abelian difference sets "
                     "with PG(3,q) parameters.")
@@ -368,8 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--s", type=int,
                            help="tower exponent (d = 4 presentation)")
         p.add_argument("--json", action="store_true", help="JSON output")
-        p.add_argument("--workers", type=int,
-                       default=workers)
+        p.add_argument("--workers", type=int, default=workers,
+                       help="accepted for compatibility; has no effect "
+                            "(default: $DIFFSET_WORKERS or 1)")
         p.add_argument("--ceiling", type=int, default=0,
                        help="override size guards (field order bound)")
         p.add_argument("--no-timestamps", action="store_true")
@@ -401,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mann)
 
     p = sub.add_parser("check", help="check one theorem on one instance")
-    p.add_argument("theorem", help=f"one of {', '.join(CHECK_IDS)}")
+    p.add_argument("theorem", help=f"one of {', '.join(CHECKS)}")
     common(p, needs_set=True)
     p.add_argument("--d", type=int)
     p.add_argument("--m", type=int, help="planar order parameter")
@@ -429,11 +430,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv) -> int:
     try:
-        parser = build_parser()
+        args = build_parser().parse_args(argv)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    args = parser.parse_args(argv)
     try:
         code, report = args.func(args)
     except SystemExit as e:

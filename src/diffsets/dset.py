@@ -20,8 +20,8 @@ from .numth import is_prime_power
 #: Full difference counting keeps a dense length-v counter.
 FULL_VERIFY_ORDER_LIMIT = 1 << 26
 
-#: Above this many ordered pairs, constructions fall back to sampled
-#: verification unless explicitly overridden.
+#: Above this many ordered pairs, automatic verification falls back to
+#: the spot check unless full verification is asked for.
 AUTO_VERIFY_PAIR_LIMIT = 4_000_000
 
 
@@ -132,7 +132,7 @@ def difference_counts(G: AbelianGroup, elements) -> np.ndarray:
     return counts
 
 
-def verify(G: AbelianGroup, elements, workers: int = 1) -> VerificationReport:
+def verify(G: AbelianGroup, elements) -> VerificationReport:
     """Full group-ring verification of a candidate element set."""
     counts = difference_counts(G, elements)
     k = len(set(elements))
@@ -178,10 +178,29 @@ def verify_sampled(G: AbelianGroup, elements, sample) -> VerificationReport:
                               mode="sampled")
 
 
-def make_difference_set(G: AbelianGroup, elements, workers: int = 1,
+def _full_verify_affordable(v: int, k: int) -> bool:
+    """The automatic verification policy: count all k^2 differences exactly
+    when that fits the pair and dense-counter limits."""
+    return k * k <= AUTO_VERIFY_PAIR_LIMIT and v <= FULL_VERIFY_ORDER_LIMIT
+
+
+def auto_verify(G: AbelianGroup, elements, full: bool | None = None) -> VerificationReport:
+    """Full verification if `full` is true, or if it is None and affordable;
+    otherwise a spot check of the first 64 elements and about 64 more
+    spread evenly over G (mode "sampled", never a proof)."""
+    v = G.order
+    if full is None:
+        full = _full_verify_affordable(v, len(elements))
+    if full:
+        return verify(G, elements)
+    sample = sorted(set(range(min(v, 64))) | set(range(0, v, max(1, v // 64))))
+    return verify_sampled(G, elements, sample)
+
+
+def make_difference_set(G: AbelianGroup, elements,
                         meta: dict | None = None) -> DifferenceSet:
     """Verify an element set and wrap it; raises if it is not a difference set."""
-    rep = verify(G, elements, workers=workers)
+    rep = verify(G, elements)
     if not rep.ok:
         raise ValueError("element set is not a difference set: "
                          f"{rep.as_dict()}")
@@ -385,7 +404,7 @@ def read_set_file(path, verify_now: bool = True) -> DifferenceSet:
     if len(els) != k:
         raise SetFileError(path, len(raw), f"expected {k} elements, found {len(els)}")
     params = Params(v, k, lam)
-    if verify_now and v <= FULL_VERIFY_ORDER_LIMIT and k * k <= AUTO_VERIFY_PAIR_LIMIT:
+    if verify_now and _full_verify_affordable(v, k):
         rep = verify(G, els)
         verified = rep.ok and rep.lambda_observed == lam
     else:

@@ -16,16 +16,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from math import isqrt
 
 from .numth import is_prime, prime_divisors
 
 #: Largest field order constructible without an explicit override.
 SIZE_CEILING = 1 << 28
-
-#: Full discrete-log tables are built up to this order; baby-step
-#: giant-step is used beyond it.
-LOG_TABLE_LIMIT = 1 << 20
 
 
 class FieldSizeError(ValueError):
@@ -173,12 +168,6 @@ class LinearMap:
                 break
         return acc
 
-    def matrix(self) -> list[list[int]]:
-        """Rows of the n x n matrix over Z_p."""
-        F = self.field
-        colv = [F.coeffs(c) for c in self.cols]
-        return [[colv[j][i] for j in range(F.n)] for i in range(F.n)]
-
 
 class FiniteField:
     """GF(p^n) with a deterministic primitive modulus.
@@ -205,9 +194,6 @@ class FiniteField:
                 self._modmask |= c << i
         self._ppow = [p**i for i in range(n + 1)]
         self._trace_maps: dict[int, LinearMap] = {}
-        self._frobenius_maps: dict[int, LinearMap] = {}
-        self._log_table: list[int] | None = None
-        self._bsgs_baby: dict[int, int] | None = None
 
     # -- representation -----------------------------------------------------
 
@@ -327,20 +313,6 @@ class FiniteField:
 
     # -- Galois structure ----------------------------------------------------
 
-    def frobenius(self, e: int) -> LinearMap:
-        """The Z_p-linear map x -> x^(p^e) as a precomputed matrix."""
-        e %= self.n
-        if e not in self._frobenius_maps:
-            q = self.p**e
-            cols = [self.pow(self.gen, (j * q) % self.mult_order) if j else 1
-                    for j in range(self.n)]
-            # basis element x^j maps to x^(j*p^e); for n == 1 gen power
-            # bookkeeping collapses to the identity on constants
-            if self.n == 1:
-                cols = [1]
-            self._frobenius_maps[e] = LinearMap(self, cols)
-        return self._frobenius_maps[e]
-
     def trace_map(self, m: int) -> LinearMap:
         """Tr_{F/M} onto the degree-m subfield, as a single linear map."""
         if self.n % m != 0:
@@ -364,43 +336,6 @@ class FiniteField:
         """Tr_{F/M}(x) = sum of the Galois conjugates of x over M."""
         self._check(x)
         return self.trace_map(m)(x)
-
-    # -- discrete logarithms ---------------------------------------------------
-
-    def discrete_log(self, x: int) -> int:
-        """i in [0, p^n - 1) with g^i = x; x must be nonzero."""
-        if x == 0:
-            raise ZeroDivisionError(f"discrete_log of zero in {self!r}")
-        self._check(x)
-        if self.order <= LOG_TABLE_LIMIT:
-            if self._log_table is None:
-                table = [0] * self.order
-                t = 1
-                for i in range(self.mult_order):
-                    table[t] = i
-                    t = self.mul_by_gen(t)
-                self._log_table = table
-            return self._log_table[x]
-        return self._bsgs(x)
-
-    def _bsgs(self, x: int) -> int:
-        m = isqrt(self.mult_order) + 1
-        if self._bsgs_baby is None:
-            baby = {}
-            t = 1
-            for j in range(m):
-                baby.setdefault(t, j)
-                t = self.mul_by_gen(t)
-            self._bsgs_baby = baby
-            self._bsgs_stride = self.inv(self.pow(self.gen, m))
-        baby = self._bsgs_baby
-        t = x
-        for i in range(m + 1):
-            j = baby.get(t)
-            if j is not None:
-                return (i * m + j) % self.mult_order
-            t = self.mul(t, self._bsgs_stride)
-        raise RuntimeError("baby-step giant-step failed")  # unreachable
 
     def elements(self):
         """Iterate over all field elements (packed form)."""

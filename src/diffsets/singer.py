@@ -3,111 +3,80 @@
 The quotient F*/K* is identified with Z_v (v = (q^d-1)/(q-1)) through
 discrete-log indices: the coset of g^i maps to i mod v.  Trace-zero
 membership is K*-invariant because the relative trace is K-linear, so
-the construction streams x <- x*g with one multiplication per step and
-never materializes a log table.
+the construction reads the zeros of the linear recurring sequence
+Tr(g^t) and never materializes a log table or a field element per index.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd as _gcd
+from math import isqrt
 
 import numpy as np
 
 from . import dset
 from .dset import DifferenceSet, Params, classical_params, normalize, restrict
-from .field import SIZE_CEILING, FieldSizeError, FiniteField, make_field
+from .field import SIZE_CEILING, FiniteField, make_field
 from .groups import AbelianGroup, cyclic_subgroup_of_order
 from .numth import is_prime_power
 
 
+#: Rows of the block-value product computed at once; bounds its temporaries.
+_BLOCK_ROWS = 64
+
+
 def _trace_zero_exponents(F: FiniteField, sub_degree: int, v: int) -> list[int]:
-    """Indices i in [0, v) with Tr(g^i) = 0 onto the degree-sub_degree subfield."""
-    if F.p == 2:
-        return _trace_zero_exponents_gf2(F, sub_degree, v)
-    return _trace_zero_exponents_generic(F, sub_degree, v)
+    """Indices i in [0, v) with Tr(g^i) = 0 onto the degree-sub_degree subfield.
 
-
-def _trace_zero_exponents_gf2(F: FiniteField, sub_degree: int, v: int) -> list[int]:
-    n = F.n
-    modmask = F._modmask
-    cols = F.trace_map(sub_degree).cols
-    tabs = []
-    for c in range((n + 7) // 8):
-        tab = [0] * 256
-        for byte in range(1, 256):
-            acc = 0
-            b, bit = byte, 0
-            while b:
-                if b & 1:
-                    j = c * 8 + bit
-                    if j < n:
-                        acc ^= cols[j]
-                b >>= 1
-                bit += 1
-            tab[byte] = acc
-        tabs.append(tab)
-    while len(tabs) < 4:
-        tabs.append([0] * 256)
-    t0, t1, t2, t3 = tabs[:4]
-    if n > 32:
-        raise FieldSizeError("GF(2) streamed path supports degrees up to 32")
-    out = []
-    push = out.append
-    x = 1
-    for i in range(v):
-        if not (t0[x & 255] ^ t1[(x >> 8) & 255] ^ t2[(x >> 16) & 255]
-                ^ t3[(x >> 24) & 255]):
-            push(i)
-        x <<= 1
-        if (x >> n) & 1:
-            x ^= modmask
-    return out
-
-
-def _trace_zero_exponents_generic(F: FiniteField, sub_degree: int, v: int) -> list[int]:
-    n, p = F.n, F.p
-    tmat = np.array(F.trace_map(sub_degree).matrix(), dtype=np.int64)
-    mod = F.modulus
-    rows = np.empty((v, n), dtype=np.int16)
-    x = [1] + [0] * (n - 1)
-    for i in range(v):
-        rows[i] = x
-        c = x[n - 1]
-        x = [(-c * mod[0]) % p] + [(x[j - 1] - c * mod[j]) % p for j in range(1, n)]
-    img = (rows.astype(np.int64) @ tmat.T) % p
-    return np.nonzero(~img.any(axis=1))[0].tolist()
+    With m = sub_degree, g^v is primitive in M = GF(p^m), so the powers
+    g^(jv), j < m, form a GF(p)-basis of M and Tr_{F/M}(g^i) = 0 exactly
+    when a_(i+jv) = 0 for every j < m, where a_t = Tr_{F/GF(p)}(g^t).  The
+    sequence a_t obeys the recurrence of F.modulus.  It is evaluated for
+    t < m*v in blocks of L ~ sqrt(m*v) terms: row r of C holds x^r mod the
+    modulus, so a_(s+r) = C[r] . (a_s, ..., a_(s+n-1)), and C's last n rows
+    step that window from one block start to the next.  Integer numpy
+    only; memory is O(L*n + m*v).
+    """
+    n, p, m = F.n, F.p, sub_degree
+    total = m * v
+    L = isqrt(total) + 1
+    mod = np.array(F.modulus[:n], dtype=np.int64)
+    C = np.zeros((L + n, n), dtype=np.int64)
+    C[:n] = np.eye(n, dtype=np.int64)
+    for r in range(n, L + n):
+        C[r, 1:] = C[r - 1, :-1]
+        C[r] = (C[r] - C[r - 1, -1] * mod) % p
+    blocks = -(-total // L)
+    W = np.empty((blocks, n), dtype=np.int64)
+    W[0] = F.trace_map(1).cols
+    step = C[L:]
+    for b in range(1, blocks):
+        W[b] = step @ W[b - 1] % p
+    head = C[:L].T
+    nz = np.empty(blocks * L, dtype=bool)
+    for r in range(0, blocks, _BLOCK_ROWS):
+        nz[r * L:(r + _BLOCK_ROWS) * L] = (W[r:r + _BLOCK_ROWS] @ head % p).ravel() != 0
+    return np.flatnonzero(~nz[:total].reshape(m, v).any(0)).tolist()
 
 
 def _finish(G: AbelianGroup, indices, params: Params, meta: dict,
-            full_verify: bool | None, workers: int = 1) -> DifferenceSet:
+            full_verify: bool | None) -> DifferenceSet:
     """Verify (fully or sampled), wrap, and normalize a constructed set."""
     k = len(indices)
     if k != params.k:
         raise RuntimeError(f"construction produced {k} elements, expected {params.k}")
-    if full_verify is None:
-        full_verify = (k * k <= dset.AUTO_VERIFY_PAIR_LIMIT
-                       and G.order <= dset.FULL_VERIFY_ORDER_LIMIT)
-    if full_verify:
-        rep = dset.verify(G, indices, workers=workers)
-        if not rep.ok or rep.lambda_observed != params.lam:
-            raise RuntimeError(f"constructed set failed verification: {rep.as_dict()}")
-        verified = True
-    else:
-        sample = list(range(min(G.order, 64)))
-        sample += list(range(64, G.order, max(1, G.order // 64)))[:64]
-        rep = dset.verify_sampled(G, indices, sorted(set(sample)))
-        if not rep.ok or rep.lambda_observed != params.lam:
-            raise RuntimeError(f"constructed set failed sampled verification: "
-                               f"{rep.as_dict()}")
-        verified = False
+    rep = dset.auto_verify(G, indices, full_verify)
+    if not rep.ok or rep.lambda_observed != params.lam:
+        raise RuntimeError(f"constructed set failed {rep.mode} verification: "
+                           f"{rep.as_dict()}")
     meta = dict(meta)
     meta["verification_mode"] = rep.mode
-    D = DifferenceSet(G, tuple(sorted(indices)), params, verified, meta)
+    D = DifferenceSet(G, tuple(sorted(indices)), params, rep.mode == "full", meta)
     return normalize(D)
 
 
 def singer_construct(q: int, d: int, full_verify: bool | None = None,
-                     ceiling: int = SIZE_CEILING, workers: int = 1) -> DifferenceSet:
+                     ceiling: int = SIZE_CEILING) -> DifferenceSet:
     """The Singer difference set of PG(d-1, q) in Z_v, v = (q^d-1)/(q-1)."""
     pe = is_prime_power(q)
     if pe is None:
@@ -119,12 +88,11 @@ def singer_construct(q: int, d: int, full_verify: bool | None = None,
     indices = _trace_zero_exponents(F, e, params.v)
     meta = {"construction": "singer", "q": q, "d": d,
             "field_descriptor": F.descriptor()}
-    return _finish(G, indices, params, meta, full_verify, workers)
+    return _finish(G, indices, params, meta, full_verify)
 
 
 def singer_construct_streamed(q: int, s: int, full_verify: bool | None = None,
-                              ceiling: int = SIZE_CEILING,
-                              workers: int = 1) -> DifferenceSet:
+                              ceiling: int = SIZE_CEILING) -> DifferenceSet:
     """Same set as singer_construct(q^s, 4), built over GF(q^s) streamed."""
     pe = is_prime_power(q)
     if pe is None:
@@ -136,7 +104,7 @@ def singer_construct_streamed(q: int, s: int, full_verify: bool | None = None,
     indices = _trace_zero_exponents(F, e * s, params.v)
     meta = {"construction": "singer-streamed", "q": q, "s": s,
             "field_descriptor": F.descriptor()}
-    return _finish(G, indices, params, meta, full_verify, workers)
+    return _finish(G, indices, params, meta, full_verify)
 
 
 @dataclass(frozen=True)
@@ -197,8 +165,7 @@ def hyperplane_containment(q: int, a: int, b: int,
                              F.descriptor())
 
 
-def singer_restriction_check(q: int, s: int, ceiling: int = SIZE_CEILING,
-                             workers: int = 1):
+def singer_restriction_check(q: int, s: int, ceiling: int = SIZE_CEILING):
     """Restrict the streamed d=4 Singer set to the subgroup of order
     (q^4-1)/(q-1) and verify the small Singer parameters there.
 
@@ -206,7 +173,7 @@ def singer_restriction_check(q: int, s: int, ceiling: int = SIZE_CEILING,
     """
     if s % 2 == 0:
         raise ValueError("the restriction theorem requires odd s")
-    D = singer_construct_streamed(q, s, ceiling=ceiling, workers=workers)
+    D = singer_construct_streamed(q, s, ceiling=ceiling)
     r0 = (q**4 - 1) // (q - 1)
     if D.params.v % r0 != 0:
         raise ValueError(f"no subgroup of order {r0} in Z_{D.params.v}")

@@ -167,8 +167,7 @@ def test_a6_gf2_28(big_q2_s7, capsys):
     checks["thm4.3 verified (D cap M is (15,7,3))"] = rep.status == "verified"
     if os.environ.get("DIFFSETS_FULL_VERIFY"):
         from diffsets.dset import verify
-        vfull, t_full = timed(verify, D.group, D.elements,
-                              int(os.environ.get("DIFFSET_WORKERS", "4")))
+        vfull, t_full = timed(verify, D.group, D.elements)
         checks["optional full verification"] = vfull.ok and t_full < 600.0
     gate("A6", all(checks.values()), checks, capsys=capsys)
 

@@ -146,6 +146,16 @@ def test_env_var_workers_not_an_integer(capsys, monkeypatch):
     assert err == "error: DIFFSET_WORKERS must be an integer, got 'abc'\n"
 
 
+def test_malformed_flag_is_one_line_usage_error(capsys):
+    code = run(["search", "--group", "Z_7", "--k", "abc", "--lambda", "1"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == "error: argument --k: invalid int value: 'abc'\n"
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"])
+    assert exc.value.code == 0
+
+
 def test_resource_guard_exit_code(capsys):
     # GF(2^40) exceeds the default field-size ceiling
     assert run(["construct", "--q", "2", "--s", "10"]) == 1

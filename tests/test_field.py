@@ -160,41 +160,10 @@ def test_relative_trace_tower():
         assert F.pow(tr2(a), 4) == tr2(a)
 
 
-def test_frobenius_is_field_automorphism():
-    F = make_field(3, 3)
-    fr = F.frobenius(1)
-    for a in range(27):
-        assert fr(a) == F.pow(a, 3)
-        for b in range(27):
-            assert fr(F.add(a, b)) == F.add(fr(a), fr(b))
-    fixed = [a for a in range(27) if fr(a) == a]
-    assert sorted(fixed) == [0, 1, 2]       # prime subfield
-
-
 def test_coeffs_roundtrip():
     F = make_field(5, 3)
     for a in range(0, 125, 7):
         assert F.from_coeffs(F.coeffs(a)) == a
-
-
-def test_discrete_log_table_path():
-    F = make_field(2, 6)
-    x = 1
-    for i in range(63):
-        assert F.discrete_log(x) == i
-        x = F.mul(x, F.gen)
-
-
-def test_discrete_log_bsgs_path():
-    F = make_field(2, 21)                   # order - 1 > table limit
-    assert F.mult_order > (1 << 20)
-    for e in (0, 1, 2, 1000, 123456, F.mult_order - 1):
-        assert F.discrete_log(F.pow(F.gen, e)) == e
-
-
-def test_discrete_log_rejects_zero(gf16):
-    with pytest.raises(ZeroDivisionError):
-        gf16.discrete_log(0)
 
 
 def test_size_ceiling_enforced():

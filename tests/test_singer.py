@@ -1,9 +1,11 @@
+import tracemalloc
+
 import pytest
 
-from diffsets.dset import classical_params, verify
+from diffsets.dset import classical_params, normalizing_shift, verify
 from diffsets.field import make_field
-from diffsets.singer import (hyperplane_containment, singer_construct,
-                             singer_construct_streamed,
+from diffsets.singer import (_trace_zero_exponents, hyperplane_containment,
+                             singer_construct, singer_construct_streamed,
                              singer_restriction_check)
 
 
@@ -41,15 +43,38 @@ def test_q4_d3_frozen():
     assert D.elements == (7, 9, 14, 15, 18)
 
 
-@pytest.mark.parametrize("q,d", [(2, 4), (3, 4), (4, 4), (5, 3), (8, 3), (9, 3)])
-def test_matches_naive_trace_oracle(q, d):
-    D = singer_construct(q, d)
-    from diffsets.dset import normalizing_shift
-    # undo normalization before comparing with the raw trace-zero indices
-    raw = brute_singer(q, d)
+def assert_matches_oracle(D, raw):
+    # normalize the raw trace-zero indices before comparing
     shift = normalizing_shift(D.group, raw)
     assert sorted((e + shift) % D.group.order for e in raw) == list(D.elements)
     assert verify(D.group, D.elements).ok
+
+
+@pytest.mark.parametrize("q,d", [(2, 4), (3, 4), (4, 4), (5, 3), (8, 3), (9, 3)])
+def test_matches_naive_trace_oracle(q, d):
+    assert_matches_oracle(singer_construct(q, d), brute_singer(q, d))
+
+
+@pytest.mark.parametrize("q,s", [(2, 3), (2, 5)])
+def test_streamed_matches_naive_trace_oracle(q, s):
+    # GF(q^(4s)) traced onto GF(q^s): subfield degree s > 1
+    assert_matches_oracle(singer_construct_streamed(q, s),
+                          brute_singer(q**s, 4))
+
+
+def test_enumeration_memory_below_dense_matrix():
+    # q = 3, d = 11: a v x n int16 matrix alone would take v * 11 * 2 bytes
+    F = make_field(3, 11)
+    v = classical_params(3, 11).v
+    F.trace_map(1)                  # cached: the peak counts enumeration only
+    tracemalloc.start()
+    try:
+        indices = _trace_zero_exponents(F, 1, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(indices) == classical_params(3, 11).k
+    assert peak < v * 11 * 2
 
 
 @pytest.mark.parametrize("q,s", [(2, 1), (2, 3), (3, 1), (4, 1)])
