@@ -14,7 +14,7 @@ from math import gcd
 from . import dset as ds
 from .dset import DifferenceSet, apply_power_map, intersection_profile, restrict
 from .groups import (AbelianGroup, Subgroup, fixed_subgroup, generated_subgroup,
-                     multiplier_orbits, subgroups_of_order, sylow)
+                     subgroups_of_order, sylow)
 from .numth import (factorize, is_prime, is_prime_power, multiplicative_order,
                     prime_divisors)
 

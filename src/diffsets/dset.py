@@ -1,10 +1,17 @@
 """Difference-set core: parameters, verification, translates, profiles.
 
-Verification computes the full difference multiset {a - b : a, b in D}
-into a dense length-v counter (the group-ring vector of D D^(-1)) and
-succeeds iff the identity coefficient is k and every other coefficient
-is a common lambda.  All bound checks are done in cleared-denominator
-integer arithmetic; no floating point anywhere.
+Verification computes the coefficient vector of D D^(-1) in the group
+ring, a dense length-v counter of the differences a - b with a, b in D,
+and succeeds iff the identity coefficient is k and every other
+coefficient is a common lambda.  In Z_v, when a prime t | k - lambda
+fixes D (t*D = D, checked, never assumed: Hall's multiplier theorem
+predicts it), the counter is constant on the orbits of x -> t*x, and
+only the pairs whose first element is an orbit representative of D are
+counted, about k^2/e of them for e = ord_v(t).  That path is taken when
+its cost, about v*ceil(log2 e) + k^2/e, is below k^2; otherwise, and in
+groups written as products, all k^2 pairs are counted.  All bound
+checks are done in cleared-denominator integer arithmetic; no floating
+point anywhere.
 """
 from __future__ import annotations
 
@@ -13,9 +20,9 @@ from math import gcd
 
 import numpy as np
 
-from .groups import (AbelianGroup, CosetDecomposition, Subgroup, cosets,
-                     subgroup_as_group)
-from .numth import is_prime_power
+from .groups import (AbelianGroup, CosetDecomposition, Subgroup,
+                     _multiplier_orbit_key, cosets, subgroup_as_group)
+from .numth import is_prime_power, multiplicative_order, prime_divisors
 
 #: Full difference counting keeps a dense length-v counter.
 FULL_VERIFY_ORDER_LIMIT = 1 << 26
@@ -106,12 +113,26 @@ class VerificationReport:
 
 
 def difference_counts(G: AbelianGroup, elements) -> np.ndarray:
-    """Coefficient vector of D D^(-1) in the group ring, indexed by rank."""
+    """Coefficient vector of D D^(-1) in the group ring, indexed by rank.
+
+    Counts once per multiplier orbit when a numerical multiplier fixes D
+    and that is cheaper (`_fixing_multiplier`), otherwise all k^2 pairs.
+    """
     v = G.order
     if v > FULL_VERIFY_ORDER_LIMIT:
         raise MemoryError(
             f"full difference counting limited to group order {FULL_VERIFY_ORDER_LIMIT}")
     ranks = np.asarray(sorted(elements), dtype=np.int64)
+    t = _fixing_multiplier(G, ranks)
+    if t is None:
+        return _pair_counts(G, ranks)
+    return _orbit_counts(G, ranks, t)
+
+
+def _pair_counts(G: AbelianGroup, ranks: np.ndarray) -> np.ndarray:
+    """difference_counts by counting all k^2 ordered pairs of the sorted
+    ranks; the fallback and the oracle of `_orbit_counts`."""
+    v = G.order
     k = len(ranks)
     counts = np.zeros(v, dtype=np.int64)
     if k == 0:
@@ -130,6 +151,72 @@ def difference_counts(G: AbelianGroup, elements) -> np.ndarray:
         dr = (d * weights).sum(axis=2).ravel()
         counts += np.bincount(dr, minlength=v)
     return counts
+
+
+def _fixing_multiplier(G: AbelianGroup, ranks: np.ndarray) -> int | None:
+    """A prime t with t*D = D for which counting per t-orbit is cheaper
+    than counting all k^2 pairs, or None.
+
+    Candidates are the primes t | n = k - lambda, lambda = k(k-1)/(v-1),
+    with gcd(t, v) = 1 (the first multiplier theorem's candidates); each
+    is checked, not assumed.  With e = ord_v(t) the orbit count costs
+    about v*ceil(log2 e) for the orbit key plus k^2/e pairs, so t = 1
+    mod v (e = 1) never wins.  Only for G = Z_v written with one factor,
+    where t acts on ranks as multiplication mod v.
+    """
+    v, k = G.order, len(ranks)
+    if len(G.factors) != 1 or v < 3 or k * (k - 1) % (v - 1):
+        return None
+    n = k - k * (k - 1) // (v - 1)
+    best, best_cost = None, k * k
+    for t in prime_divisors(n) if n > 1 else ():
+        if gcd(t, v) != 1:
+            continue
+        e = multiplicative_order(t, v)
+        cost = v * (e - 1).bit_length() + k * k // e
+        if cost < best_cost and np.array_equal(np.sort(ranks * t % v), ranks):
+            best, best_cost = t, cost
+    return best
+
+
+#: Ordered pairs per block in `_orbit_counts` (int64 temporaries of this length).
+_ORBIT_PAIR_CHUNK = 1 << 20
+
+
+def _orbit_counts(G: AbelianGroup, ranks: np.ndarray, t: int) -> np.ndarray:
+    """difference_counts for sorted ranks of D in G = Z_v with t*D = D.
+
+    Then N(x) = #{(a, b) in D^2 : a - b = x} is constant on t-orbits, and
+    |O| N(rep O) = sum over orbit representatives a in D of |orbit(a)|
+    times #{b in D : a - b in O}.  So only about k^2/e pairs are counted,
+    weighted, summed per orbit key, and divided by |O|.  The orbit of x
+    has ord_(v/gcd(x, v))(t) elements.
+    """
+    v = G.order
+    key = _multiplier_orbit_key(G, t)
+    reps = ranks[key[ranks] == ranks]
+
+    def orbit_sizes(xs):
+        gs, which = np.unique(np.gcd(xs, v), return_inverse=True)
+        return np.array([multiplicative_order(t, v // g) for g in gs.tolist()],
+                        dtype=np.int64)[which]
+
+    rep_sizes = orbit_sizes(reps)
+    weighted = np.zeros(v, dtype=np.int64)
+    chunk = max(1, _ORBIT_PAIR_CHUNK // max(1, len(ranks)))
+    for size in np.unique(rep_sizes):
+        group = reps[rep_sizes == size]
+        for i in range(0, len(group), chunk):
+            d = group[i:i + chunk, None] - ranks[None, :]
+            d %= v
+            weighted += np.bincount(key[d.ravel()], minlength=v) * size
+    orbit_keys = np.flatnonzero(weighted)
+    per_orbit, rest = np.divmod(weighted[orbit_keys], orbit_sizes(orbit_keys))
+    if rest.any():
+        raise RuntimeError("orbit counts not divisible by orbit sizes: "
+                           f"t={t} does not fix D")
+    weighted[orbit_keys] = per_orbit
+    return weighted[key]
 
 
 def verify(G: AbelianGroup, elements) -> VerificationReport:

@@ -271,28 +271,6 @@ class FiniteField:
         rv = _pmul_mod(self.p, self.n, self.modulus, av, bv)
         return self.from_coeffs(rv)
 
-    def mul_by_gen(self, a: int) -> int:
-        """a * g where g is the residue of x; one shift-and-reduce."""
-        if self.p == 2:
-            a <<= 1
-            if (a >> self.n) & 1:
-                a ^= self._modmask
-            return a
-        if self.n == 1:
-            return a * self.gen % self.p
-        top, rem = divmod(a, self._ppow[self.n - 1])
-        shifted = rem * self.p
-        if top == 0:
-            return shifted
-        # subtract top * (modulus minus leading term)
-        p = self.p
-        out = 0
-        s = shifted
-        for i in range(self.n):
-            out += ((s % p) - top * self.modulus[i]) % p * self._ppow[i]
-            s //= p
-        return out
-
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError(f"inversion of zero in {self!r}")

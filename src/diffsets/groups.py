@@ -15,10 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd, lcm
 
-from .numth import divisors, factorize
+import numpy as np
+
+from .numth import divisors, factorize, multiplicative_order
 
 #: Orders up to this are safe to materialize element-by-element.
 MATERIALIZE_LIMIT = 1 << 24
+
+#: Elements per slice in the orbit-key passes; each slice makes a few
+#: int64 temporaries of this length.
+_KEY_SLICE = 1 << 18
 
 #: Exhaustive subgroup enumeration is only attempted below this order
 #: for non-cyclic groups.
@@ -538,21 +544,47 @@ def subgroup_as_group(H: Subgroup) -> SubgroupPresentation:
     return SubgroupPresentation(H, group, to_sub, from_sub)
 
 
-def multiplier_orbits(G: AbelianGroup, m: int) -> list[list[int]]:
-    """Orbits of x -> m*x on G, each sorted, ordered by minimal element."""
+def _scale_ranks(G: AbelianGroup, m: int, x: np.ndarray) -> np.ndarray:
+    """G.scale(m, .) on an int64 array of ranks."""
+    if len(G.factors) == 1:
+        return x * (m % G.order) % G.order
+    out = np.zeros_like(x)
+    for d, w in zip(G.factors, G._weights):
+        out += (x // w % d) * (m % d) % d * w
+    return out
+
+
+def _multiplier_orbit_key(G: AbelianGroup, m: int) -> np.ndarray:
+    """int32 array whose entry x is the least element of the orbit of x
+    under x -> m*x.
+
+    With e the order of m modulo the exponent of G, ceil(log2 e) doubling
+    passes key(x) = min(key(x), key(m^j x)), j = 1, 2, 4, ..., cover
+    x, m x, ..., m^(e-1) x.  Updating in place only lowers an entry to
+    another element of the same orbit, so the passes may run over fixed
+    slices.  Needs an order below 2^31.
+    """
     if gcd(m, G.order) != 1:
         raise ValueError(f"gcd({m}, {G.order}) != 1: not an automorphism")
+    v = G.order
+    key = np.arange(v, dtype=np.int32)
+    e = multiplicative_order(m % G.exponent, G.exponent)
+    step = 1
+    while step < e:
+        mj = pow(m, step, G.exponent)
+        for lo in range(0, v, _KEY_SLICE):
+            seg = key[lo:lo + _KEY_SLICE]
+            x = np.arange(lo, lo + len(seg), dtype=np.int64)
+            np.minimum(seg, key[_scale_ranks(G, mj, x)], out=seg)
+        step *= 2
+    return key
+
+
+def multiplier_orbits(G: AbelianGroup, m: int) -> list[list[int]]:
+    """Orbits of x -> m*x on G, each sorted, ordered by minimal element."""
     if G.order > MATERIALIZE_LIMIT:
         raise GroupSizeError("orbit decomposition needs a materializable group")
-    seen = bytearray(G.order)
-    orbits = []
-    for x in range(G.order):
-        if not seen[x]:
-            orb = []
-            t = x
-            while not seen[t]:
-                seen[t] = 1
-                orb.append(t)
-                t = G.scale(m, t)
-            orbits.append(sorted(orb))
-    return orbits
+    key = _multiplier_orbit_key(G, m)
+    members = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[members])) + 1
+    return [o.tolist() for o in np.split(members, starts)]

@@ -56,19 +56,24 @@ def divisors(n: int) -> list[int]:
 
 
 def multiplicative_order(a: int, m: int) -> int:
-    """Order of a in (Z/m)^*; m = 1 gives 1."""
+    """Order of a in (Z/m)^*; m = 1 gives 1.
+
+    The least divisor of phi(m) that kills a: start from phi(m) and strip
+    each prime factor while a^(order/p) stays 1, so O(log m) calls of pow.
+    """
     if m == 1:
         return 1
     if gcd(a, m) != 1:
         raise ValueError(f"{a} is not a unit mod {m}")
-    t = 1
-    x = a % m
-    while x != 1:
-        x = x * a % m
-        t += 1
-        if t > m:
-            raise RuntimeError("order computation overran the modulus")
-    return t
+    order = m
+    for p in factorize(m):
+        order -= order // p
+    for p, e in factorize(order).items():
+        for _ in range(e):
+            if pow(a, order // p, m) != 1:
+                break
+            order //= p
+    return order
 
 
 def is_prime_power(n: int) -> tuple[int, int] | None:

@@ -1,8 +1,10 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
+from diffsets import dset
 from diffsets.cli import run
 from diffsets.dset import read_set_file
 
@@ -51,6 +53,30 @@ def test_verify_detects_tampering(capsys, tmp_path):
     open(out, "w").write("\n".join(text) + "\n")
     code, rep = invoke_json(capsys, "verify", "--set", out)
     assert code == 3 and not rep["verified"]
+
+
+def test_full_verify_rejects_one_element_corruption(capsys, tmp_path):
+    # The q=2, s=5 Singer set is fixed by x -> 2x, so its exact check counts
+    # per 2-orbit; one replaced element breaks that symmetry, and the exact
+    # check must fall back to counting all pairs and reject the set.
+    out = str(tmp_path / "d.dset")
+    code, rep = invoke_json(capsys, "construct", "--q", "2", "--s", "5",
+                            "--out", out)
+    assert code == 0 and rep["params"] == [33825, 1057, 33]
+
+    def fixing_multiplier():
+        D = read_set_file(out, verify_now=False)
+        return dset._fixing_multiplier(D.group, np.asarray(D.elements))
+
+    assert fixing_multiplier() == 2
+    lines = open(out).read().splitlines()
+    members = {int(x) for x in lines[2:]}
+    lines[-1] = str(min(set(range(33825)) - members))
+    open(out, "w").write("\n".join(lines) + "\n")
+    assert fixing_multiplier() is None
+    code, rep = invoke_json(capsys, "verify", "--set", out,
+                            "--ceiling", "268435456")
+    assert code == 3 and not rep["verified"] and rep["mode"] == "full"
 
 
 def test_profile(capsys):

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffsets import dset
 from diffsets.dset import (DifferenceSet, Params, SetFileError,
                            classical_params, difference_counts,
                            distribution_bound_check, element_sum,
@@ -10,7 +12,9 @@ from diffsets.dset import (DifferenceSet, Params, SetFileError,
                            restrict, translate, verify, verify_sampled,
                            write_set_file)
 from diffsets.groups import (AbelianGroup, cyclic_subgroup_of_order,
-                             generated_subgroup)
+                             generated_subgroup, multiplier_orbits)
+from diffsets.numth import multiplicative_order
+from diffsets.singer import singer_construct
 
 FANO = (1, 2, 4)                            # (7,3,1) in Z_7
 PG32 = (0, 5, 7, 10, 11, 13, 14)            # (15,7,3) in Z_15
@@ -42,6 +46,75 @@ def test_difference_counts_match_brute(factors, data):
     els = data.draw(st.lists(st.integers(min_value=0, max_value=G.order - 1),
                              min_size=size, max_size=size, unique=True))
     assert list(difference_counts(G, sorted(els))) == brute_counts(G, els)
+
+
+def _orbit_and_pair_counts(G, elements, t):
+    ranks = np.asarray(sorted(elements), dtype=np.int64)
+    return dset._orbit_counts(G, ranks, t), dset._pair_counts(G, ranks)
+
+
+@pytest.mark.parametrize("q, d, t", [(2, 4, 2), (4, 3, 2), (3, 4, 3),
+                                     (9, 3, 3), (4, 4, 2), (2, 6, 2)])
+def test_orbit_counts_match_pair_counts_on_singer_sets(q, d, t):
+    D = singer_construct(q, d)
+    G, v = D.group, D.group.order
+    assert sorted(t * x % v for x in D.elements) == list(D.elements)
+    e = multiplicative_order(t, v)
+    short = [o for o in multiplier_orbits(G, t)
+             if o[0] in D.element_set and len(o) < e]
+    assert short                          # orbits shorter than ord_v(t) occur
+    orbit, pair = _orbit_and_pair_counts(G, D.elements, t)
+    assert np.array_equal(orbit, pair)
+
+
+def test_orbit_path_on_orbit_union_that_is_not_a_difference_set(monkeypatch):
+    # {0} and five 2-orbits of Z_127: k = 36, so lambda = 36*35/126 = 10 and
+    # n = 26 are integers, t = 2 | n fixes the set, and the cost model
+    # picks the orbit path (e = 7).
+    G = AbelianGroup([127])
+    orbits = multiplier_orbits(G, 2)
+    els = sorted([0] + [x for o in orbits[1:6] for x in o])
+    assert len(els) == 36
+    ranks = np.asarray(els, dtype=np.int64)
+    assert dset._fixing_multiplier(G, ranks) == 2
+    orbit, pair = _orbit_and_pair_counts(G, els, 2)
+    assert np.array_equal(orbit, pair)
+    by_orbits = verify(G, els)
+    monkeypatch.setattr(dset, "_fixing_multiplier", lambda G, ranks: None)
+    by_pairs = verify(G, els)
+    assert by_orbits == by_pairs and not by_pairs.ok
+
+
+def test_orbit_counts_with_duplicate_elements():
+    # PG32's 2-orbits are {0}, {5, 10}, {7, 11, 13, 14}; repeating whole
+    # orbits keeps the multiset fixed by 2
+    G = AbelianGroup([15])
+    for extra in [(0,), (5, 10), (0, 7, 11, 13, 14, 7, 11, 13, 14)]:
+        orbit, pair = _orbit_and_pair_counts(G, PG32 + extra, 2)
+        assert np.array_equal(orbit, pair)
+        assert list(pair) == brute_counts(G, PG32 + extra)
+
+
+def test_orbit_counts_reject_a_multiplier_that_does_not_fix_the_set():
+    # {1, 5} is not fixed by 2 in Z_15: the orbit {1, 2, 4, 8} collects a
+    # weighted count of 2, which its size 4 does not divide
+    with pytest.raises(RuntimeError):
+        dset._orbit_counts(AbelianGroup([15]), np.array([1, 5]), 2)
+
+
+@pytest.mark.parametrize("factors, els, lam", [
+    ([4, 4], (0, 1, 2, 4, 9, 14), 2),
+    # Z_3 x Z_5 is cyclic, but its ranks are mixed-radix, so x -> 2x is
+    # not multiplication of ranks mod 15; the second set is fixed by that
+    # multiplication and has k(k-1)/(v-1) = 3
+    ([3, 5], (0, 5, 6, 9, 10, 12, 13), 3),
+    ([3, 5], (0, 1, 2, 4, 5, 8, 10), None)])
+def test_product_presentations_use_pair_count(factors, els, lam):
+    G = AbelianGroup(factors)
+    rep = verify(G, els)
+    assert rep.ok == (lam is not None) and rep.lambda_observed == lam
+    assert dset._fixing_multiplier(G, np.asarray(els, dtype=np.int64)) is None
+    assert list(difference_counts(G, els)) == brute_counts(G, els)
 
 
 def test_verify_fano():

@@ -121,12 +121,6 @@ def test_generator_order_gf16(gf16):
     assert len(seen) == 15 and x == 1
 
 
-def test_mul_by_gen_matches_mul(gf16):
-    F = gf16
-    for a in range(16):
-        assert F.mul_by_gen(a) == F.mul(a, F.gen)
-
-
 def test_pow_against_repeated_mul(gf16):
     F = gf16
     for a in range(1, 16):

@@ -195,6 +195,27 @@ def test_multiplier_orbits_z15():
                       frozenset({7, 14, 13, 11})}
 
 
+def naive_orbits(G, m):
+    seen, orbits = set(), []
+    for x in range(G.order):
+        if x not in seen:
+            orb, y = [], x
+            while y not in seen:
+                seen.add(y)
+                orb.append(y)
+                y = G.scale(m, y)
+            orbits.append(sorted(orb))
+    return orbits
+
+
+@pytest.mark.parametrize("factors, m", [([15], 2), ([1], 1), ([585], 2),
+                                        ([4, 4], 3), ([2, 8], 5), ([3, 15], 2),
+                                        ([2, 2, 2, 2], 1), ([40], -1)])
+def test_multiplier_orbits_match_naive_walk(factors, m):
+    G = AbelianGroup(factors)
+    assert multiplier_orbits(G, m) == naive_orbits(G, m)
+
+
 def test_multiplier_orbits_require_unit():
     with pytest.raises(ValueError):
         multiplier_orbits(AbelianGroup([15]), 3)

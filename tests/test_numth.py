@@ -51,6 +51,15 @@ def test_multiplicative_order_brute(m):
         assert multiplicative_order(a, m) == t
 
 
+def test_multiplicative_order_large_against_pow():
+    # v of PG(3, 3^4) and of PG(3, 2^7); the order of 2 mod 1000003 is large
+    for a, m in [(3, 538084), (2, 2113665), (2, 1000003), (7, 67108863)]:
+        t = multiplicative_order(a, m)
+        assert pow(a, t, m) == 1
+        assert all(pow(a, t // p, m) != 1 for p in prime_divisors(t))
+    assert multiplicative_order(2, 2113665) == 28
+
+
 def test_is_prime_power_small():
     expected = {}
     for p in sorted(PRIMES_1000):
