@@ -3,7 +3,11 @@
 Verification computes the coefficient vector of D D^(-1) in the group
 ring, a dense length-v counter of the differences a - b with a, b in D,
 and succeeds iff the identity coefficient is k and every other
-coefficient is a common lambda.  In Z_v, when a prime t | k - lambda
+coefficient is a common lambda.  In Z_v a set is first read through its
+images in the quotients Z_m, m | v, m^2 <= k: a difference set maps to
+c with c c^(-1) = n + lambda*(v/m)*Z_m, so a failed image (or a repeated
+element, or a non-integral lambda) rejects it exactly in O(k) time.
+Acceptance always takes the full count.  In Z_v, when a prime t | k - lambda
 fixes D (t*D = D, checked, never assumed: Hall's multiplier theorem
 predicts it), the counter is constant on the orbits of x -> t*x, and
 only the pairs whose first element is an orbit representative of D are
@@ -22,7 +26,8 @@ import numpy as np
 
 from .groups import (AbelianGroup, CosetDecomposition, Subgroup,
                      _multiplier_orbit_key, cosets, subgroup_as_group)
-from .numth import is_prime_power, multiplicative_order, prime_divisors
+from .numth import (divisors, is_prime_power, multiplicative_order,
+                    prime_divisors)
 
 #: Full difference counting keeps a dense length-v counter.
 FULL_VERIFY_ORDER_LIMIT = 1 << 26
@@ -137,19 +142,28 @@ def _pair_counts(G: AbelianGroup, ranks: np.ndarray) -> np.ndarray:
     counts = np.zeros(v, dtype=np.int64)
     if k == 0:
         return counts
-    chunk = max(1, 4_000_000 // k)
+    chunk = min(k, 4_000_000 // k) or 1
+    block = np.empty((chunk, k), dtype=np.int64)   # reused by every row block
     if len(G.factors) == 1:
         for i in range(0, k, chunk):
-            d = (ranks[i:i + chunk, None] - ranks[None, :]) % v
+            d = block[:min(chunk, k - i)]
+            np.subtract(ranks[i:i + chunk, None], ranks, out=d)
+            d %= v
             counts += np.bincount(d.ravel(), minlength=v)
         return counts
-    factors = np.array(G.factors, dtype=np.int64)
-    weights = np.array(G._weights, dtype=np.int64)
-    coords = (ranks[:, None] // weights[None, :]) % factors[None, :]
+    # product: add up the rank differences one coordinate at a time
+    coords = [(ranks // w % f, f, w) for f, w in zip(G.factors, G._weights)]
+    total = np.empty_like(block)
     for i in range(0, k, chunk):
-        d = (coords[i:i + chunk, None, :] - coords[None, :, :]) % factors
-        dr = (d * weights).sum(axis=2).ravel()
-        counts += np.bincount(dr, minlength=v)
+        rows = min(chunk, k - i)
+        d, dr = block[:rows], total[:rows]
+        dr.fill(0)
+        for c, f, w in coords:
+            np.subtract(c[i:i + rows, None], c, out=d)
+            d %= f
+            d *= w
+            dr += d
+        counts += np.bincount(dr.ravel(), minlength=v)
     return counts
 
 
@@ -219,8 +233,49 @@ def _orbit_counts(G: AbelianGroup, ranks: np.ndarray, t: int) -> np.ndarray:
     return weighted[key]
 
 
+def _quotient_obstruction(G: AbelianGroup, elements) -> VerificationReport | None:
+    """The report of `verify` when small images of D already prove that it
+    is not a difference set, else None; never a proof that it is one.
+
+    A (v, k, lambda) difference set has D D^(-1) = n + lambda*G.  So the
+    identity coefficient sum(mult^2) is k, lambda = k(k-1)/(v-1) is an
+    integer, and for m | v the image c = bincount(D mod m) has cyclic
+    autocorrelation n*delta_0 + lambda*(v/m): the intersection numbers
+    of D with the cosets of the subgroup of order v/m.  Each divisor
+    2 <= m with m^2 <= k costs at most k.  Only for G = Z_v written with
+    one factor, up to the dense-counter limit where `verify` would count.
+    """
+    v = G.order
+    if len(G.factors) != 1 or not 2 <= v <= FULL_VERIFY_ORDER_LIMIT:
+        return None
+    ranks = np.asarray(elements, dtype=np.int64) % v
+    k = len(set(elements))
+    mult = np.unique(ranks, return_counts=True)[1]
+    identity_count = int(mult @ mult)
+    rejected = VerificationReport(False, v, k, None, identity_count, False)
+    if identity_count != k or k * (k - 1) % (v - 1):
+        return rejected
+    lam = k * (k - 1) // (v - 1)
+    for m in divisors(v)[1:]:
+        if m * m > k:
+            break
+        c = np.bincount(ranks % m, minlength=m)
+        auto = c[(np.arange(m)[:, None] + np.arange(m)) % m] @ c
+        auto[0] -= k - lam
+        if (auto != lam * (v // m)).any():
+            return rejected
+    return None
+
+
 def verify(G: AbelianGroup, elements) -> VerificationReport:
-    """Full group-ring verification of a candidate element set."""
+    """Full group-ring verification of a candidate element set.
+
+    Rejects from `_quotient_obstruction` when that suffices; accepts only
+    after counting every difference.
+    """
+    rejected = _quotient_obstruction(G, elements)
+    if rejected is not None:
+        return rejected
     counts = difference_counts(G, elements)
     k = len(set(elements))
     v = G.order

@@ -55,10 +55,19 @@ def test_verify_detects_tampering(capsys, tmp_path):
     assert code == 3 and not rep["verified"]
 
 
+def _replace_last_element(path, v):
+    """Replace the last element of a set file by the least non-member."""
+    lines = open(path).read().splitlines()
+    members = {int(x) for x in lines[2:]}
+    lines[-1] = str(min(set(range(v)) - members))
+    open(path, "w").write("\n".join(lines) + "\n")
+
+
 def test_full_verify_rejects_one_element_corruption(capsys, tmp_path):
     # The q=2, s=5 Singer set is fixed by x -> 2x, so its exact check counts
-    # per 2-orbit; one replaced element breaks that symmetry, and the exact
-    # check must fall back to counting all pairs and reject the set.
+    # per 2-orbit; one replaced element breaks that symmetry, so no
+    # multiplier fixes the corrupted set, and the exact check rejects it
+    # (from its images in small quotients Z_m, see the next test).
     out = str(tmp_path / "d.dset")
     code, rep = invoke_json(capsys, "construct", "--q", "2", "--s", "5",
                             "--out", out)
@@ -69,14 +78,34 @@ def test_full_verify_rejects_one_element_corruption(capsys, tmp_path):
         return dset._fixing_multiplier(D.group, np.asarray(D.elements))
 
     assert fixing_multiplier() == 2
-    lines = open(out).read().splitlines()
-    members = {int(x) for x in lines[2:]}
-    lines[-1] = str(min(set(range(33825)) - members))
-    open(out, "w").write("\n".join(lines) + "\n")
+    _replace_last_element(out, 33825)
     assert fixing_multiplier() is None
     code, rep = invoke_json(capsys, "verify", "--set", out,
                             "--ceiling", "268435456")
     assert code == 3 and not rep["verified"] and rep["mode"] == "full"
+
+
+def test_quotient_image_rejects_without_counting_pairs(capsys, tmp_path,
+                                                       monkeypatch):
+    out = str(tmp_path / "d.dset")
+    code, _ = invoke_json(capsys, "construct", "--q", "2", "--s", "5",
+                          "--out", out)
+    assert code == 0
+    _replace_last_element(out, 33825)
+
+    def no_counting(*args):
+        raise AssertionError("difference counting ran")
+
+    monkeypatch.setattr(dset, "_pair_counts", no_counting)
+    monkeypatch.setattr(dset, "_orbit_counts", no_counting)
+    code, rep = invoke_json(capsys, "verify", "--set", out,
+                            "--ceiling", "268435456")
+    assert code == 3
+    assert rep == {"command": "verify", "set_file": out, "group": "Z_33825",
+                   "params": [33825, 1057, 33], "verified": False,
+                   "v": 33825, "k": 1057, "lambda_observed": None,
+                   "identity_count": 1057, "fundamental_ok": False,
+                   "mode": "full"}
 
 
 def test_profile(capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from diffsets import dset
 from diffsets.dset import (DifferenceSet, Params, SetFileError,
-                           classical_params, difference_counts,
+                           VerificationReport, classical_params, difference_counts,
                            distribution_bound_check, element_sum,
                            intersection_profile, is_normalized,
                            make_difference_set, normalize, read_set_file,
@@ -14,7 +16,8 @@ from diffsets.dset import (DifferenceSet, Params, SetFileError,
 from diffsets.groups import (AbelianGroup, cyclic_subgroup_of_order,
                              generated_subgroup, multiplier_orbits)
 from diffsets.numth import multiplicative_order
-from diffsets.singer import singer_construct
+from diffsets.search import SearchSpec, orbit_union_search
+from diffsets.singer import singer_construct, singer_construct_streamed
 
 FANO = (1, 2, 4)                            # (7,3,1) in Z_7
 PG32 = (0, 5, 7, 10, 11, 13, 14)            # (15,7,3) in Z_15
@@ -114,7 +117,101 @@ def test_product_presentations_use_pair_count(factors, els, lam):
     rep = verify(G, els)
     assert rep.ok == (lam is not None) and rep.lambda_observed == lam
     assert dset._fixing_multiplier(G, np.asarray(els, dtype=np.int64)) is None
+    assert dset._quotient_obstruction(G, els) is None
     assert list(difference_counts(G, els)) == brute_counts(G, els)
+
+
+@pytest.mark.parametrize("factors, blocks", [([10007], 1), ([97, 103], 2)])
+def test_pair_counts_reuse_their_blocks(factors, blocks):
+    # k = 2100 needs two row blocks of about 4M int64 differences each;
+    # the one-factor count holds one block, the product count two
+    G = AbelianGroup(factors)
+    rng = np.random.default_rng(7)
+    ranks = np.sort(rng.choice(G.order, 2100, replace=False)).astype(np.int64)
+    tracemalloc.start()
+    try:
+        counts = dset._pair_counts(G, ranks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts[0] == 2100 and counts.sum() == 2100**2
+    assert peak < (blocks + 0.25) * 4_000_000 * 8
+
+
+# -- the quotient certificate against the pair count -------------------------------
+
+def pair_count_report(G, elements):
+    """The report of `verify`, read off all k^2 pair counts (the oracle)."""
+    counts = dset._pair_counts(G, np.asarray(elements, dtype=np.int64))
+    k, v = len(set(elements)), G.order
+    lam = int(counts[1])
+    if counts[0] == k and (counts[1:] == lam).all():
+        return VerificationReport(True, v, k, lam, k, Params(v, k, lam).fundamental_ok())
+    return VerificationReport(False, v, k, None, int(counts[0]), False)
+
+
+def test_quotient_obstruction_passes_every_genuine_set():
+    # every kind of difference set the suite builds
+    sets = [(D.group, D.elements) for D in
+            [singer_construct(2, 4), singer_construct(3, 4), singer_construct(4, 3),
+             singer_construct(2, 6), singer_construct_streamed(2, 5)]]
+    for v, k, lam, m in [(127, 63, 31, 2), (133, 12, 1, 11)]:
+        G = AbelianGroup([v])
+        found = orbit_union_search(SearchSpec(G, k, lam, m)).sets
+        assert found
+        sets += [(G, els) for els in found]
+    for G, els in sets:
+        assert dset._quotient_obstruction(G, els) is None
+    G, els = sets[4]                            # the q=2 s=5 tower
+    assert G.order == 33825 and verify(G, els).ok
+
+
+def test_quotient_obstruction_steps():
+    D = singer_construct(2, 6)                  # (63,31,15), image in Z_3
+    G, els = D.group, list(D.elements)
+    # 1: a repeated element, so the identity coefficient is 29 + 4 != 30
+    assert dset._quotient_obstruction(G, els[:-1] + els[:1]).identity_count == 33
+    # 2: k = 30 and 30*29 is not a multiple of 62
+    assert dset._quotient_obstruction(G, els[:-1]) == verify(G, els[:-1])
+    # 3: the image in Z_3 counts (13, 9, 9) elements per class; moving one
+    # element to another class changes its autocorrelation at 0
+    x = els[-1]
+    outside = [y for y in range(63) if y not in D.element_set]
+    moved = els[:-1] + [next(y for y in outside if (y - x) % 3)]
+    rep = dset._quotient_obstruction(G, moved)
+    assert rep == verify(G, moved) == pair_count_report(G, moved)
+    assert not rep.ok and rep.identity_count == 31
+    # staying in its class leaves every image as it was: no certificate,
+    # and only the full count rejects the set
+    kept = els[:-1] + [next(y for y in outside if (y - x) % 3 == 0)]
+    assert dset._quotient_obstruction(G, kept) is None
+    assert verify(G, kept) == pair_count_report(G, kept)
+    assert not verify(G, kept).ok
+
+
+#: Singer sets whose v has divisors m with m^2 <= k, so a one-element
+#: corruption keeps lambda integral and leaves step 3 to decide.
+CORRUPTIBLE = [(3, 4), (2, 6), (2, 8)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_verify_equals_pair_count_oracle(data):
+    if data.draw(st.booleans(), label="corrupt a Singer set"):
+        D = singer_construct(*data.draw(st.sampled_from(CORRUPTIBLE)))
+        G, v = D.group, D.group.order
+        els = list(D.elements)
+        i = data.draw(st.integers(0, len(els) - 1), label="position")
+        els[i] = data.draw(st.integers(0, v - 1).filter(
+            lambda x: x not in D.element_set), label="new element")
+    else:
+        v = data.draw(st.sampled_from([4, 6, 8, 9, 12, 15, 16, 21, 25, 40, 45, 63]))
+        G = AbelianGroup([v])
+        els = data.draw(st.lists(st.integers(0, v - 1), max_size=v + 4))
+    rep = verify(G, els)
+    assert rep == pair_count_report(G, els)
+    rejected = dset._quotient_obstruction(G, els)
+    assert rejected is None or rejected == rep
 
 
 def test_verify_fano():
