@@ -6,7 +6,8 @@ from .analysis import (MannWitness, MultiplierReport, TheoremReport,
                        check_dintk, check_hk, check_lemma_mfix,
                        check_lemma_size, check_main, check_minimal_embedding,
                        check_ho, check_planar_subset,
-                       check_thm_classical_profile, hall_check, is_multiplier,
+                       check_thm_classical_profile, check_tower_restriction,
+                       conjecture_scan, hall_check, is_multiplier,
                        main_theorem_hypotheses, mann_test)
 from .dset import (DifferenceSet, Params, Restriction, VerificationReport,
                    classical_params, difference_counts,
@@ -19,9 +20,8 @@ from .groups import (AbelianGroup, GroupSizeError, Subgroup,
                      multiplier_orbits, parse_group, subgroup_as_group,
                      subgroups_of_order, sylow)
 from .search import (SearchResult, SearchSpec, brute_force_search,
-                     canonical_class, conjecture_scan, orbit_union_search)
-from .singer import (hyperplane_containment, singer_construct,
-                     singer_construct_streamed, singer_restriction_check)
+                     canonical_class, orbit_union_search)
+from .singer import hyperplane_containment, singer_construct
 
 __version__ = "1.0.0"
 
@@ -32,14 +32,14 @@ __all__ = [
     "VerificationReport", "brute_force_search", "canonical_class",
     "check_dintk", "check_hk", "check_ho", "check_lemma_mfix",
     "check_lemma_size", "check_main", "check_minimal_embedding",
-    "check_planar_subset", "check_thm_classical_profile", "classical_params",
+    "check_planar_subset", "check_thm_classical_profile",
+    "check_tower_restriction", "classical_params",
     "conjecture_scan", "cyclic_subgroup_of_order", "difference_counts",
     "distribution_bound_check", "generated_subgroup", "hall_check",
     "hyperplane_containment", "intersection_profile", "is_multiplier",
     "main_theorem_hypotheses", "make_difference_set", "make_field",
     "mann_test", "multiplier_orbits", "normalize", "orbit_union_search",
     "parse_group", "read_set_file", "restrict", "singer_construct",
-    "singer_construct_streamed", "singer_restriction_check",
     "subgroup_as_group", "subgroups_of_order", "sylow", "translate",
     "verify", "verify_sampled", "write_set_file",
 ]

@@ -1,4 +1,5 @@
-"""Multiplier machinery, the Mann test, and per-theorem instance checkers.
+"""Multiplier machinery, the Mann test, per-theorem instance checkers and
+the conjecture evidence scan.
 
 Every checker produces a TheoremReport with named hypothesis and
 conclusion checks.  A failed hypothesis short-circuits to
@@ -13,10 +14,12 @@ from math import gcd
 
 from . import dset as ds
 from .dset import DifferenceSet, apply_power_map, intersection_profile, restrict
-from .groups import (AbelianGroup, Subgroup, fixed_subgroup, generated_subgroup,
-                     subgroups_of_order, sylow)
+from .field import FieldSizeError
+from .groups import (AbelianGroup, GroupSizeError, Subgroup, fixed_subgroup,
+                     generated_subgroup, subgroups_of_order, sylow)
 from .numth import (factorize, is_prime, is_prime_power, multiplicative_order,
                     prime_divisors)
+from .singer import singer_construct, tower_base
 
 
 @dataclass(frozen=True)
@@ -213,6 +216,15 @@ def _unique_subgroup(G: AbelianGroup, order: int):
     return subs[0], len(subs) == 1
 
 
+def _restriction(D: DifferenceSet, M: Subgroup, expected: tuple):
+    """(D ∩ M, its exact VerificationReport, ok): ok when D ∩ M verifies
+    in M with (v, k, lambda) == expected."""
+    res = restrict(D, M)
+    vrep = ds.verify(res.group, res.elements)
+    ok = vrep.ok and (vrep.v, vrep.k, vrep.lambda_observed) == expected
+    return res, vrep, ok
+
+
 def check_thm_classical_profile(D: DifferenceSet, q: int, s: int) -> TheoremReport:
     """Two-valued H-coset profile of a classical d=4 difference set.
 
@@ -318,17 +330,28 @@ def check_main(D: DifferenceSet, q: int, s: int) -> TheoremReport:
         return rep
     m_order = (q + 1) * (q * q + 1)
     M, _ = _unique_subgroup(D.group, m_order)
-    res = restrict(D, M)
-    vrep = ds.verify(res.group, res.elements)
-    small = ds.classical_params(q, 4)
-    rep.con("D ∩ M verifies with classical parameters",
-            vrep.ok and (vrep.v, vrep.k, vrep.lambda_observed) == small.as_tuple(),
-            vrep.as_dict())
+    res, vrep, ok = _restriction(D, M, ds.classical_params(q, 4).as_tuple())
+    rep.con("D ∩ M verifies with classical parameters", ok, vrep.as_dict())
     rep.con("D ∩ M is normalized in M",
             ds.is_normalized(res.group, res.elements))
     rep.con("lambda = q^s + 1 = q + 1 mod s",
             (q**s + 1) % s == (q + 1) % s,
             {"lambda": q**s + 1, "mod": s})
+    return rep
+
+
+def check_tower_restriction(D: DifferenceSet | None, q: int, s: int) -> TheoremReport:
+    """Corollary 3.2: for odd s, the PG(3, q^s) Singer set D meets the
+    subgroup R of order (q^4-1)/(q-1) in a set with the PG(3, q) Singer
+    parameters.  D is not read when s is even."""
+    rep = TheoremReport("cor3.2", {"q": q, "s": s})
+    if not rep.hyp("s odd", s % 2 == 1, s):
+        return rep
+    rep.instance["params"] = list(D.params.as_tuple())
+    rep.instance["field_descriptor"] = D.meta.get("field_descriptor")
+    R, _ = _unique_subgroup(D.group, (q**4 - 1) // (q - 1))
+    _, vrep, ok = _restriction(D, R, ds.classical_params(q, 4).as_tuple())
+    rep.con("D ∩ R verifies as the small Singer parameters", ok, vrep.as_dict())
     return rep
 
 
@@ -440,11 +463,8 @@ def check_minimal_embedding(D: DifferenceSet) -> TheoremReport:
     rep.con("M = <hk> has order 15", M.order == 15, M.order)
     if M.order != 15:
         return rep
-    res = restrict(D, M)
-    vrep = ds.verify(res.group, res.elements)
-    rep.con("D ∩ M verifies as (15,7,3)",
-            vrep.ok and (vrep.v, vrep.k, vrep.lambda_observed) == (15, 7, 3),
-            vrep.as_dict())
+    res, vrep, ok = _restriction(D, M, (15, 7, 3))
+    rep.con("D ∩ M verifies as (15,7,3)", ok, vrep.as_dict())
     structure = {0, h, G.scale(2, h),
                  d, G.scale(2, d), G.scale(4, d), G.scale(8, d)}
     rep.con("D ∩ M = {1, h, h^2, hk, h^2k^2, hk^4, h^2k^3}",
@@ -464,11 +484,8 @@ def check_planar_subset(D: DifferenceSet, m: int) -> TheoremReport:
     h_order = m * m + m + 1
     H, unique = _unique_subgroup(D.group, h_order)
     rep.con("unique subgroup of order m^2+m+1", unique)
-    res = restrict(D, H)
-    vrep = ds.verify(res.group, res.elements)
-    rep.con("D ∩ H is a planar difference set of order m",
-            vrep.ok and (vrep.v, vrep.k, vrep.lambda_observed)
-            == (h_order, m + 1, 1), vrep.as_dict())
+    res, vrep, ok = _restriction(D, H, (h_order, m + 1, 1))
+    rep.con("D ∩ H is a planar difference set of order m", ok, vrep.as_dict())
     rep.con("D ∩ H is normalized in H",
             ds.is_normalized(res.group, res.elements))
     return rep
@@ -491,12 +508,52 @@ def check_ho(D: DifferenceSet, m: int, s: int) -> TheoremReport:
                          "the theorem's premise names a subgroup that does not exist")
         return rep
     H, _ = _unique_subgroup(D.group, h_order)
-    res = restrict(D, H)
-    vrep = ds.verify(res.group, res.elements)
-    contained = vrep.ok and (vrep.v, vrep.k, vrep.lambda_observed) == \
-        (h_order, m + 1, 1)
+    _, _, contained = _restriction(D, H, (h_order, m + 1, 1))
     expected = s % 3 != 0
     rep.con("containment outcome matches the 3 ∤ s criterion",
             contained == expected,
             {"contained": contained, "expected": expected})
     return rep
+
+
+# -- conjecture evidence -------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ScanRow:
+    q: int
+    s: int
+    v: int
+    subgroup_order: int
+    status: str                # "embedded", "not-embedded", or an error note
+    detail: dict = field(default_factory=dict)
+
+    def as_dict(self):
+        return {"q": self.q, "s": self.s, "v": self.v,
+                "subgroup_order": self.subgroup_order,
+                "status": self.status, "detail": dict(self.detail)}
+
+
+def conjecture_scan(q: int, s_list, ceiling: int | None = None) -> list[ScanRow]:
+    """For each s, does the PG(3, q^s) Singer set restrict to a minimal
+    difference set on the subgroup M of order (q+1)(q^2+1)?
+
+    M exists for every s, since (q^4-1)/(q-1) divides (q^(4s)-1)/(q-1).
+    `ceiling` is passed to singer_construct; a field over it gives an
+    error row.
+    """
+    target = (q + 1) * (q * q + 1)
+    pe = is_prime_power(q)
+    rows = []
+    for s in s_list:
+        try:
+            D = singer_construct(tower_base(q, s), 4, ceiling=ceiling)
+        except (FieldSizeError, GroupSizeError, MemoryError) as e:
+            rows.append(ScanRow(q, s, 0, target, f"error: {e}"))
+            continue
+        M, _ = _unique_subgroup(D.group, target)
+        _, vrep, ok = _restriction(D, M, ds.classical_params(q, 4).as_tuple())
+        detail = {"restriction": vrep.as_dict(),
+                  "q_is_p^(2^i)": (pe[1] & (pe[1] - 1)) == 0} if ok else {}
+        rows.append(ScanRow(q, s, D.params.v, target,
+                            "embedded" if ok else "not-embedded", detail))
+    return rows

@@ -18,8 +18,7 @@ from . import dset as ds
 from . import search as se
 from . import singer as si
 from .field import SIZE_CEILING, FieldSizeError
-from .groups import (GroupSizeError, cyclic_subgroup_of_order, parse_group,
-                     subgroups_of_order)
+from .groups import GroupSizeError, parse_group
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -70,18 +69,19 @@ def emit(report: dict, args) -> None:
         print("\n".join(lines))
 
 
-def _construct(args, q=None, d=None, s=None, full_verify=None):
-    """Build a Singer set from CLI options; returns the normalized set."""
+def _construct(args, q=None, d=None, s=None):
+    """Build a Singer set from CLI options; returns the normalized set.
+
+    --s builds PG(3, q^s); --ceiling forces exact verification.
+    """
     q = q if q is not None else args.q
-    ceiling = args.ceiling if args.ceiling else SIZE_CEILING
-    if args.ceiling and full_verify is None:
-        full_verify = True
-    if s is not None or (d is None and getattr(args, "s", None) is not None):
-        s = s if s is not None else args.s
-        return si.singer_construct_streamed(q, s, full_verify=full_verify,
-                                            ceiling=ceiling)
-    d = d if d is not None else (getattr(args, "d", None) or 4)
-    return si.singer_construct(q, d, full_verify=full_verify, ceiling=ceiling)
+    if s is None and d is None:
+        s = getattr(args, "s", None)
+    if s is not None:
+        q, d = si.tower_base(q, s), 4
+    elif d is None:
+        d = getattr(args, "d", None) or 4
+    return si.singer_construct(q, d, ceiling=args.ceiling or None)
 
 
 def _load_or_construct(args):
@@ -137,7 +137,7 @@ def cmd_profile(args):
     D = _load_or_construct(args)
     if args.subgroup_order is None:
         raise SystemExit("--subgroup-order is required for profile")
-    H = _subgroup_of_order(D.group, args.subgroup_order)
+    H, _ = an._unique_subgroup(D.group, args.subgroup_order)
     prof = ds.intersection_profile(D, H)
     bound = ds.distribution_bound_check(D, H)
     ok = prof.sum_ok() and prof.sum_sq_ok() and bound.ok
@@ -147,20 +147,11 @@ def cmd_profile(args):
     return (EXIT_OK if ok else EXIT_FALSIFIED), report
 
 
-def _subgroup_of_order(G, order):
-    if G.is_cyclic:
-        return cyclic_subgroup_of_order(G, order)
-    subs = subgroups_of_order(G, order)
-    if not subs:
-        raise SystemExit(f"no subgroup of order {order}")
-    return subs[0]
-
-
 def cmd_mann(args):
     D = _load_or_construct(args)
     if args.subgroup_order is None:
         raise SystemExit("--subgroup-order is required for mann")
-    U = _subgroup_of_order(D.group, args.subgroup_order)
+    U, _ = an._unique_subgroup(D.group, args.subgroup_order)
     rep = an.mann_test(D, U)
     report = {"command": "mann", **_set_report(D), **rep.as_dict()}
     return _status_exit(rep.status), report
@@ -233,13 +224,13 @@ def _check_thm61(args):
 
 def _check_jv(args):
     _require(args, "m")
-    D = _construct(args, q=args.m**2, d=3, full_verify=True)
+    D = _construct(args, q=args.m**2, d=3)
     return an.check_planar_subset(D, args.m)
 
 
 def _check_ho(args):
     _require(args, "m", "s")
-    D = _construct(args, q=args.m**args.s, d=3, full_verify=True)
+    D = _construct(args, q=args.m**args.s, d=3)
     return an.check_ho(D, args.m, args.s)
 
 
@@ -258,18 +249,9 @@ def _check_thm31(args):
 
 def _check_cor32(args):
     _require(args, "q", "s")
-    ceiling = args.ceiling if args.ceiling else SIZE_CEILING
-    rep = an.TheoremReport("cor3.2", {"q": args.q, "s": args.s})
-    if not rep.hyp("s odd", args.s % 2 == 1, args.s):
-        return rep
-    D, res, vrep, expected = si.singer_restriction_check(
-        args.q, args.s, ceiling=ceiling)
-    rep.instance["params"] = list(D.params.as_tuple())
-    rep.instance["field_descriptor"] = D.meta.get("field_descriptor")
-    rep.con("D ∩ R verifies as the small Singer parameters",
-            vrep.ok and (vrep.v, vrep.k, vrep.lambda_observed)
-            == expected.as_tuple(), vrep.as_dict())
-    return rep
+    # an even s fails the hypothesis on s alone: report it without building D
+    D = _construct(args) if args.s % 2 == 1 else None
+    return an.check_tower_restriction(D, args.q, args.s)
 
 
 def _check_hall(args):
@@ -326,8 +308,7 @@ def cmd_scan(args):
     if args.q is None or not args.s_list:
         raise SystemExit("--q and --s LIST are required for scan")
     s_values = [int(x) for x in str(args.s_list).split(",")]
-    ceiling = args.ceiling if args.ceiling else SIZE_CEILING
-    rows = se.conjecture_scan(args.q, s_values, ceiling=ceiling)
+    rows = an.conjecture_scan(args.q, s_values, ceiling=args.ceiling or None)
     report = {"command": "scan", "q": args.q,
               "rows": [r.as_dict() for r in rows]}
     bad = [r for r in rows if r.status not in ("embedded",)]

@@ -15,15 +15,13 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb, gcd
 
 import numpy as np
 
 from . import dset as ds
-from .groups import (AbelianGroup, GroupSizeError, multiplier_orbits,
-                     subgroups_of_order)
-from .numth import is_prime_power
+from .groups import AbelianGroup, GroupSizeError, multiplier_orbits
 
 #: The orbit-pair table holds 4*r^3 bytes for r multiplier orbits
 #: (r = v for the multiplier 1).
@@ -258,57 +256,3 @@ def brute_force_search(G: AbelianGroup, k: int, lam: int,
 def multiplier_fixed(G: AbelianGroup, elements, m: int) -> bool:
     es = set(elements)
     return all(G.scale(m, e) in es for e in elements)
-
-
-# -- conjecture evidence -------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ScanRow:
-    q: int
-    s: int
-    v: int
-    subgroup_order: int
-    status: str                # "embedded", "not-embedded", or an error note
-    detail: dict = field(default_factory=dict)
-
-    def as_dict(self):
-        return {"q": self.q, "s": self.s, "v": self.v,
-                "subgroup_order": self.subgroup_order,
-                "status": self.status, "detail": dict(self.detail)}
-
-
-def conjecture_scan(q: int, s_list, ceiling=None) -> list[ScanRow]:
-    """For each s, does the Singer set restrict to a minimal difference set
-    on some subgroup of order (q+1)(q^2+1)?"""
-    from .field import SIZE_CEILING, FieldSizeError
-    from .singer import singer_construct_streamed
-    if ceiling is None:
-        ceiling = SIZE_CEILING
-    target = (q + 1) * (q * q + 1)
-    minimal_params = ((q + 1) * (q * q + 1), q * q + q + 1, q + 1)
-    pe = is_prime_power(q)
-    rows = []
-    for s in s_list:
-        try:
-            D = singer_construct_streamed(q, s, ceiling=ceiling)
-        except (FieldSizeError, GroupSizeError, MemoryError) as e:
-            rows.append(ScanRow(q, s, 0, target, f"error: {e}"))
-            continue
-        v = D.params.v
-        if v % target != 0:
-            rows.append(ScanRow(q, s, v, target, "subgroup-absent"))
-            continue
-        embedded = False
-        detail = {}
-        for S in subgroups_of_order(D.group, target):
-            res = ds.restrict(D, S)
-            rep = ds.verify(res.group, res.elements)
-            if rep.ok and (rep.v, rep.k, rep.lambda_observed) == minimal_params:
-                embedded = True
-                detail = {"restriction": rep.as_dict(),
-                          "q_is_p^(2^i)": pe is not None and
-                          (pe[1] & (pe[1] - 1)) == 0}
-                break
-        rows.append(ScanRow(q, s, v, target,
-                            "embedded" if embedded else "not-embedded", detail))
-    return rows

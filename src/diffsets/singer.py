@@ -5,6 +5,10 @@ discrete-log indices: the coset of g^i maps to i mod v.  Trace-zero
 membership is K*-invariant because the relative trace is K-linear, so
 the construction reads the zeros of the linear recurring sequence
 Tr(g^t) and never materializes a log table or a field element per index.
+
+The tower family of the paper, PG(3, q^s) over GF(q), is
+singer_construct(q^s, 4): the field is GF(q^(4s)) and the trace goes onto
+GF(q^s).  tower_base(q, s) checks q and s and returns q^s.
 """
 from __future__ import annotations
 
@@ -15,9 +19,9 @@ from math import isqrt
 import numpy as np
 
 from . import dset
-from .dset import DifferenceSet, Params, classical_params, normalize, restrict
+from .dset import DifferenceSet, classical_params, normalize
 from .field import SIZE_CEILING, FiniteField, make_field
-from .groups import AbelianGroup, cyclic_subgroup_of_order
+from .groups import AbelianGroup
 from .numth import is_prime_power
 
 
@@ -59,52 +63,44 @@ def _trace_zero_exponents(F: FiniteField, sub_degree: int, v: int) -> list[int]:
     return np.flatnonzero(~nz[:total].reshape(m, v).any(0)).tolist()
 
 
-def _finish(G: AbelianGroup, indices, params: Params, meta: dict,
-            full_verify: bool | None) -> DifferenceSet:
-    """Verify (fully or sampled), wrap, and normalize a constructed set."""
-    k = len(indices)
-    if k != params.k:
-        raise RuntimeError(f"construction produced {k} elements, expected {params.k}")
-    rep = dset.auto_verify(G, indices, full_verify)
-    if not rep.ok or rep.lambda_observed != params.lam:
-        raise RuntimeError(f"constructed set failed {rep.mode} verification: "
-                           f"{rep.as_dict()}")
-    meta = dict(meta)
-    meta["verification_mode"] = rep.mode
-    D = DifferenceSet(G, tuple(sorted(indices)), params, rep.mode == "full", meta)
-    return normalize(D)
+def singer_construct(q: int, d: int, ceiling: int | None = None) -> DifferenceSet:
+    """The Singer difference set of PG(d-1, q) in Z_v, v = (q^d-1)/(q-1),
+    verified and normalized.
 
-
-def singer_construct(q: int, d: int, full_verify: bool | None = None,
-                     ceiling: int = SIZE_CEILING) -> DifferenceSet:
-    """The Singer difference set of PG(d-1, q) in Z_v, v = (q^d-1)/(q-1)."""
+    `ceiling` overrides the field-order bound SIZE_CEILING and forces exact
+    verification; without it dset.auto_verify chooses the check.
+    """
     pe = is_prime_power(q)
     if pe is None:
         raise ValueError(f"{q} is not a prime power")
     p, e = pe
-    F = make_field(p, e * d, ceiling=ceiling)
+    F = make_field(p, e * d, ceiling=SIZE_CEILING if ceiling is None else ceiling)
     params = classical_params(q, d)
     G = AbelianGroup([params.v])
     indices = _trace_zero_exponents(F, e, params.v)
-    meta = {"construction": "singer", "q": q, "d": d,
-            "field_descriptor": F.descriptor()}
-    return _finish(G, indices, params, meta, full_verify)
+    if len(indices) != params.k:
+        raise RuntimeError(f"construction produced {len(indices)} elements, "
+                           f"expected {params.k}")
+    rep = dset.auto_verify(G, indices, True if ceiling is not None else None)
+    if not rep.ok or rep.lambda_observed != params.lam:
+        raise RuntimeError(f"constructed set failed {rep.mode} verification: "
+                           f"{rep.as_dict()}")
+    meta = {"field_descriptor": F.descriptor(), "verification_mode": rep.mode}
+    return normalize(DifferenceSet(G, tuple(sorted(indices)), params,
+                                   rep.mode == "full", meta))
 
 
-def singer_construct_streamed(q: int, s: int, full_verify: bool | None = None,
-                              ceiling: int = SIZE_CEILING) -> DifferenceSet:
-    """Same set as singer_construct(q^s, 4), built over GF(q^s) streamed."""
-    pe = is_prime_power(q)
-    if pe is None:
+def tower_base(q: int, s: int) -> int:
+    """q^s, the q of the PG(3, q^s) Singer set in the tower over GF(q).
+
+    Checks q and s the way singer_construct checks q and its field degree,
+    so that an error names the q and s given here.
+    """
+    if is_prime_power(q) is None:
         raise ValueError(f"{q} is not a prime power")
-    p, e = pe
-    F = make_field(p, 4 * e * s, ceiling=ceiling)
-    params = classical_params(q**s, 4)
-    G = AbelianGroup([params.v])
-    indices = _trace_zero_exponents(F, e * s, params.v)
-    meta = {"construction": "singer-streamed", "q": q, "s": s,
-            "field_descriptor": F.descriptor()}
-    return _finish(G, indices, params, meta, full_verify)
+    if s < 1:
+        raise ValueError("field degree must be positive")
+    return q**s
 
 
 @dataclass(frozen=True)
@@ -163,22 +159,3 @@ def hyperplane_containment(q: int, a: int, b: int,
     # zero is in both hyperplanes, nothing to test there
     return ContainmentReport(q, a, b, _gcd(a, b), contained, witness,
                              F.descriptor())
-
-
-def singer_restriction_check(q: int, s: int, ceiling: int = SIZE_CEILING):
-    """Restrict the streamed d=4 Singer set to the subgroup of order
-    (q^4-1)/(q-1) and verify the small Singer parameters there.
-
-    Returns (D, restriction, VerificationReport, expected Params).
-    """
-    if s % 2 == 0:
-        raise ValueError("the restriction theorem requires odd s")
-    D = singer_construct_streamed(q, s, ceiling=ceiling)
-    r0 = (q**4 - 1) // (q - 1)
-    if D.params.v % r0 != 0:
-        raise ValueError(f"no subgroup of order {r0} in Z_{D.params.v}")
-    R = cyclic_subgroup_of_order(D.group, r0)
-    res = restrict(D, R)
-    rep = dset.verify(res.group, res.elements)
-    expected = classical_params(q, 4)
-    return D, res, rep, expected

@@ -19,7 +19,7 @@ from diffsets.groups import cyclic_subgroup_of_order
 from diffsets.numth import divisors
 from diffsets.search import (SearchSpec, brute_force_search, multiplier_fixed,
                              orbit_union_search)
-from diffsets.singer import singer_construct, singer_construct_streamed
+from diffsets.singer import singer_construct
 
 
 def gate(name, ok, detail="", capsys=None):
@@ -54,17 +54,17 @@ def d85():
 
 @pytest.fixture(scope="module")
 def d585():
-    return singer_construct_streamed(2, 3)
+    return singer_construct(2**3, 4)
 
 
 @pytest.fixture(scope="module")
 def d33825():
-    return singer_construct_streamed(2, 5)
+    return singer_construct(2**5, 4)
 
 
 @pytest.fixture(scope="module")
 def big_q2_s7():
-    return timed(singer_construct_streamed, 2, 7)
+    return timed(singer_construct, 2**7, 4)
 
 
 def test_a1_q2_construction(d15, capsys):

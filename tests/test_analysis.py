@@ -8,7 +8,7 @@ from diffsets.analysis import (check_dintk, check_hk, check_ho,
                                mann_test)
 from diffsets.dset import DifferenceSet, Params, make_difference_set
 from diffsets.groups import AbelianGroup, cyclic_subgroup_of_order
-from diffsets.singer import singer_construct, singer_construct_streamed
+from diffsets.singer import singer_construct
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +23,7 @@ def d40():
 
 @pytest.fixture(scope="module")
 def d585():
-    return singer_construct_streamed(2, 3)
+    return singer_construct(2**3, 4)
 
 
 def test_is_multiplier_powers_of_two(d15):

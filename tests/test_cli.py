@@ -108,6 +108,30 @@ def test_quotient_image_rejects_without_counting_pairs(capsys, tmp_path,
                    "mode": "full"}
 
 
+@pytest.mark.parametrize("verb", [["scan", "--q", "4", "--s", "3"],
+                                  ["check", "cor3.2", "--q", "4", "--s", "3"]],
+                         ids=["scan", "cor3.2"])
+def test_ceiling_forces_exact_verification(capsys, monkeypatch, verb):
+    # PG(3, 4^3) has k = 4161, so k^2 is over AUTO_VERIFY_PAIR_LIMIT and the
+    # automatic policy alone would spot-check the constructed set
+    def no_sampling(*args):
+        raise AssertionError("sampled verification ran")
+
+    monkeypatch.setattr(dset, "verify_sampled", no_sampling)
+    code, rep = invoke_json(capsys, *verb, "--ceiling", "268435456")
+    assert code == 0
+
+
+def test_tower_errors_name_the_given_q_and_s(capsys):
+    for argv, err in [(["--q", "6", "--s", "2"], "error: 6 is not a prime power\n"),
+                      (["--q", "2", "--s", "0"],
+                       "error: field degree must be positive\n")]:
+        assert run(["construct", *argv]) == 1
+        assert capsys.readouterr().err == err
+        assert run(["scan", *argv]) == 1
+        assert capsys.readouterr().err == err
+
+
 def test_profile(capsys):
     code, rep = invoke_json(capsys, "profile", "--q", "2",
                             "--subgroup-order", "5")

@@ -7,12 +7,12 @@ from math import gcd
 
 import pytest
 
+from diffsets.analysis import conjecture_scan
 from diffsets.cli import run
 from diffsets.dset import read_set_file, verify
 from diffsets.groups import AbelianGroup, GroupSizeError
 from diffsets.search import (SearchSpec, brute_force_search, canonical_class,
-                             conjecture_scan, multiplier_fixed,
-                             orbit_union_search)
+                             multiplier_fixed, orbit_union_search)
 
 
 def hand_enumerate(G, k, lam):

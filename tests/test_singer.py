@@ -1,12 +1,15 @@
+import json
 import tracemalloc
 
 import pytest
 
+from diffsets.analysis import _restriction, check_tower_restriction
+from diffsets.cli import run
 from diffsets.dset import classical_params, normalizing_shift, verify
 from diffsets.field import make_field
+from diffsets.groups import cyclic_subgroup_of_order
 from diffsets.singer import (_trace_zero_exponents, hyperplane_containment,
-                             singer_construct, singer_construct_streamed,
-                             singer_restriction_check)
+                             singer_construct)
 
 
 def brute_singer(q, d):
@@ -58,8 +61,7 @@ def test_matches_naive_trace_oracle(q, d):
 @pytest.mark.parametrize("q,s", [(2, 3), (2, 5)])
 def test_streamed_matches_naive_trace_oracle(q, s):
     # GF(q^(4s)) traced onto GF(q^s): subfield degree s > 1
-    assert_matches_oracle(singer_construct_streamed(q, s),
-                          brute_singer(q**s, 4))
+    assert_matches_oracle(singer_construct(q**s, 4), brute_singer(q**s, 4))
 
 
 def test_enumeration_memory_below_dense_matrix():
@@ -77,16 +79,8 @@ def test_enumeration_memory_below_dense_matrix():
     assert peak < v * 11 * 2
 
 
-@pytest.mark.parametrize("q,s", [(2, 1), (2, 3), (3, 1), (4, 1)])
-def test_streamed_equals_direct(q, s):
-    A = singer_construct_streamed(q, s)
-    B = singer_construct(q**s, 4)
-    assert A.elements == B.elements
-    assert A.params == B.params == classical_params(q**s, 4)
-
-
 def test_streamed_gf2_path_is_large_capable():
-    D = singer_construct_streamed(2, 5)     # GF(2^20), v = 33825
+    D = singer_construct(2**5, 4)           # GF(2^20), v = 33825
     assert D.params.as_tuple() == (33825, 1057, 33)
     assert D.verified
 
@@ -112,13 +106,25 @@ def test_hyperplane_containment_non_coprime():
 
 
 def test_restriction_check_q2_s3():
-    D, res, rep, expected = singer_restriction_check(2, 3)
+    # cor3.2 on the PG(3, 2^3) set: R has order (2^4-1)/(2-1) = 15
+    D = singer_construct(2**3, 4)
     assert D.params.as_tuple() == (585, 73, 9)
+    expected = classical_params(2, 4)
     assert expected.as_tuple() == (15, 7, 3)
-    assert rep.ok and (rep.v, rep.k, rep.lambda_observed) == (15, 7, 3)
+    rep = check_tower_restriction(D, 2, 3)
+    assert rep.status == "verified"
+    w = rep.conclusions[0].witness
+    assert w["verified"] and (w["v"], w["k"], w["lambda_observed"]) == (15, 7, 3)
+    R = cyclic_subgroup_of_order(D.group, 15)
+    res, vrep, ok = _restriction(D, R, expected.as_tuple())
+    assert ok and vrep.as_dict() == w
     assert res.elements == (0, 1, 2, 4, 5, 8, 10)
 
 
-def test_restriction_check_requires_odd_s():
-    with pytest.raises(ValueError):
-        singer_restriction_check(2, 2)
+def test_restriction_check_requires_odd_s(capsys):
+    code = run(["check", "cor3.2", "--q", "2", "--s", "2", "--json",
+                "--no-timestamps"])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 2 and rep["status"] == "hypothesis-not-met"
+    assert rep["hypotheses"] == [{"name": "s odd", "ok": False, "witness": 2}]
+    assert rep["conclusions"] == [] and "params" not in rep["instance"]
