@@ -1,9 +1,9 @@
 """Exact arithmetic in GF(p^n) with a fixed primitive element.
 
 A field element is a plain Python int encoding its coefficient vector
-(c0, c1, ..., c_{n-1}) in the power basis as sum(c_i * p**i); for p = 2
-this is the familiar bit-packed form.  Use :meth:`FiniteField.coeffs`
-and :meth:`FiniteField.from_coeffs` to convert.
+(c0, c1, ..., c_{n-1}) in the power basis as sum(c_i * p**i).  One
+digit-wise arithmetic serves every p, GF(2^n) included.  Use
+:meth:`FiniteField.coeffs` and :meth:`FiniteField.from_coeffs` to convert.
 
 The modulus is the lexicographically smallest primitive monic polynomial
 of degree n over Z_p (coefficients compared constant-term first), found
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Sequence
 
 from .numth import is_prime, prime_divisors
 
@@ -28,22 +29,21 @@ class FieldSizeError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# polynomial arithmetic used by the primitivity search (list coefficients,
-# constant term first)
+# polynomial arithmetic over Z_p (list coefficients, constant term first),
+# shared by the primitivity search and FiniteField.mul
 
-def _pmul_mod(p: int, n: int, mod: tuple[int, ...], a: list[int], b: list[int]) -> list[int]:
+def _pmul_mod(p: int, n: int, mod: Sequence[int], a: Sequence[int],
+              b: Sequence[int]) -> list[int]:
+    """a*b modulo the monic degree-n polynomial mod, over Z_p."""
     res = [0] * (2 * n - 1)
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
+            res[i:i + n] = [r + ai * bj for r, bj in zip(res[i:i + n], b)]
     for d in range(2 * n - 2, n - 1, -1):
-        c = res[d]
+        c = res[d] % p
         if c:
-            res[d] = 0
-            for i in range(n):
-                res[d - n + i] = (res[d - n + i] - c * mod[i]) % p
-    return res[:n]
+            res[d - n:d] = [r - c * m for r, m in zip(res[d - n:d], mod)]
+    return [r % p for r in res[:n]]
 
 
 def _ppow_x_mod(p: int, n: int, mod: tuple[int, ...], e: int) -> list[int]:
@@ -59,28 +59,20 @@ def _ppow_x_mod(p: int, n: int, mod: tuple[int, ...], e: int) -> list[int]:
     return result
 
 
-def _mul2_mod(n: int, modmask: int, a: int, b: int) -> int:
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
-        if (a >> n) & 1:
-            a ^= modmask
-    return r
+def _basis_traces(modulus: tuple[int, ...], p: int) -> list[int]:
+    """Tr(x^j) for j < n, where x is a root of the monic modulus over Z_p.
 
-
-def _pow2_x_mod(n: int, modmask: int, e: int) -> int:
-    result = 1
-    base = 2 if n > 1 else modmask & 1
-    while e:
-        if e & 1:
-            result = _mul2_mod(n, modmask, result, base)
-        e >>= 1
-        if e:
-            base = _mul2_mod(n, modmask, base, base)
-    return result
+    These are the power sums of the roots of the modulus, so Newton's
+    identities give them from its coefficients: with
+    f = x^n + c_(n-1) x^(n-1) + ... + c_0,
+    s_k = -(k c_(n-k) + sum_(i<k) c_(n-i) s_(k-i)) and s_0 = n.
+    """
+    n = len(modulus) - 1
+    s = [n % p]
+    for k in range(1, n):
+        t = k * modulus[n - k] + sum(modulus[n - i] * s[k - i] for i in range(1, k))
+        s.append(-t % p)
+    return s
 
 
 def _is_primitive(p: int, n: int, f: tuple[int, ...], mult_order: int,
@@ -95,13 +87,6 @@ def _is_primitive(p: int, n: int, f: tuple[int, ...], mult_order: int,
         for a in range(p):
             if sum(c * a**i for i, c in enumerate(f)) % p == 0:
                 return False
-    if p == 2:
-        modmask = 0
-        for i, c in enumerate(f):
-            modmask |= c << i
-        if _pow2_x_mod(n, modmask, mult_order) != 1:
-            return False
-        return all(_pow2_x_mod(n, modmask, e) != 1 for e in cofactors)
     one = [1] + [0] * (n - 1)
     if _ppow_x_mod(p, n, f, mult_order) != one:
         return False
@@ -138,42 +123,31 @@ class LinearMap:
     """Z_p-linear map on a field, stored columnwise.
 
     cols[j] is the (packed) image of the basis element x^j, so applying
-    the map costs one matrix-vector product.
+    the map costs one matrix-vector product over Z_p.
     """
 
-    __slots__ = ("field", "cols")
+    __slots__ = ("field", "cols", "_rows")
 
     def __init__(self, field: "FiniteField", cols: list[int]):
         self.field = field
         self.cols = cols
+        self._rows = [field.coeffs(col) for col in cols]
 
     def __call__(self, x: int) -> int:
         F = self.field
-        if F.p == 2:
-            acc = 0
-            for col in self.cols:
-                if x & 1:
-                    acc ^= col
-                x >>= 1
-                if not x:
-                    break
-            return acc
-        acc = 0
-        for col in self.cols:
-            c = x % F.p
-            x //= F.p
+        acc = [0] * F.n
+        for c, row in zip(F.coeffs(x), self._rows):
             if c:
-                acc = F.add(acc, F.scalar_mul(c, col))
-            if not x:
-                break
-        return acc
+                acc = [a + c * r for a, r in zip(acc, row)]
+        return F.from_coeffs(acc)
 
 
 class FiniteField:
     """GF(p^n) with a deterministic primitive modulus.
 
-    Immutable after construction; every operation is a pure function of
-    its inputs, so instances are safe to share across workers.
+    Immutable after construction apart from a cache of trace maps; every
+    operation is a pure function of its inputs.  One arithmetic serves
+    every characteristic.
     """
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...]):
@@ -188,11 +162,6 @@ class FiniteField:
             self.gen = p                            # residue of x
         else:
             self.gen = (-modulus[0]) % p
-        if p == 2:
-            self._modmask = 0
-            for i, c in enumerate(modulus):
-                self._modmask |= c << i
-        self._ppow = [p**i for i in range(n + 1)]
         self._trace_maps: dict[int, LinearMap] = {}
 
     # -- representation -----------------------------------------------------
@@ -208,11 +177,8 @@ class FiniteField:
         if len(cs) != self.n:
             raise ValueError(f"expected {self.n} coefficients, got {len(cs)}")
         a = 0
-        for c, pw in zip(cs, self._ppow):
-            c %= self.p
-            if not 0 <= c < self.p:
-                raise ValueError("coefficient out of range")
-            a += c * pw
+        for c in reversed(cs):
+            a = a * self.p + c % self.p
         return a
 
     def descriptor(self) -> str:
@@ -229,47 +195,17 @@ class FiniteField:
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        p = self.p
-        out = 0
-        for pw in self._ppow[:-1]:
-            out += ((a + b) % p) * pw
-            a //= p
-            b //= p
-        return out
+        return self.from_coeffs([x + y for x, y in zip(self.coeffs(a), self.coeffs(b))])
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        p = self.p
-        out = 0
-        for pw in self._ppow[:-1]:
-            out += ((-a) % p) * pw
-            a //= p
-        return out
+        return self.from_coeffs([-x for x in self.coeffs(a)])
 
     def sub(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        return self.add(a, self.neg(b))
-
-    def scalar_mul(self, c: int, a: int) -> int:
-        p = self.p
-        c %= p
-        out = 0
-        for pw in self._ppow[:-1]:
-            out += (c * (a % p) % p) * pw
-            a //= p
-        return out
+        return self.from_coeffs([x - y for x, y in zip(self.coeffs(a), self.coeffs(b))])
 
     def mul(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return _mul2_mod(self.n, self._modmask, a, b)
-        av = list(self.coeffs(a))
-        bv = list(self.coeffs(b))
-        rv = _pmul_mod(self.p, self.n, self.modulus, av, bv)
-        return self.from_coeffs(rv)
+        return self.from_coeffs(_pmul_mod(self.p, self.n, self.modulus,
+                                          self.coeffs(a), self.coeffs(b)))
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -291,23 +227,29 @@ class FiniteField:
 
     # -- Galois structure ----------------------------------------------------
 
+    def conjugate_sum_map(self, m: int, count: int) -> LinearMap:
+        """x -> x + x^(p^m) + ... + x^(p^(m*(count-1))), as a linear map.
+
+        Column j is the sum of the powers y^j over the conjugates y of the
+        generator, so the map costs count pows and count*n multiplications.
+        """
+        conj = [self.pow(self.gen, self.p**(m * i)) for i in range(count)]
+        powers = [1] * count
+        cols = []
+        for _ in range(self.n):
+            acc = 0
+            for i, y in enumerate(conj):
+                acc = self.add(acc, powers[i])
+                powers[i] = self.mul(powers[i], y)
+            cols.append(acc)
+        return LinearMap(self, cols)
+
     def trace_map(self, m: int) -> LinearMap:
         """Tr_{F/M} onto the degree-m subfield, as a single linear map."""
         if self.n % m != 0:
             raise ValueError(f"{m} does not divide the field degree {self.n}")
         if m not in self._trace_maps:
-            b = self.n // m
-            cols = []
-            for j in range(self.n):
-                x = self.pow(self.gen, j) if j else 1
-                acc = 0
-                t = x
-                for i in range(b):
-                    acc = self.add(acc, t)
-                    if i + 1 < b:
-                        t = self.pow(t, self.p**m)
-                cols.append(acc)
-            self._trace_maps[m] = LinearMap(self, cols)
+            self._trace_maps[m] = self.conjugate_sum_map(m, self.n // m)
         return self._trace_maps[m]
 
     def rel_trace(self, m: int, x: int) -> int:

@@ -13,7 +13,7 @@ invariant-factor presentation via Smith normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -223,38 +223,40 @@ def generated_subgroup(G: AbelianGroup, gens) -> Subgroup:
     return Subgroup(G, _closure(G, gens))
 
 
-def cyclic_subgroup_of_order(G: AbelianGroup, m: int) -> Subgroup:
-    """The unique subgroup of order m of a cyclic group."""
-    if not G.is_cyclic:
-        raise ValueError("group is not cyclic")
+def _check_order(G: AbelianGroup, m: int):
+    if m < 1:
+        raise ValueError(f"subgroup order must be positive, got {m}")
     if G.order % m != 0:
         raise ValueError(f"{m} does not divide the group order {G.order}")
-    # generic cyclic group = Z_{d1} x ... with lcm = order; reduce to the
-    # plain Z_v case through a generator
-    if len(G.factors) == 1:
-        step = G.order // m
-        return Subgroup(G, tuple(range(0, G.order, step)))
-    gen = _cyclic_generator(G)
-    step = G.order // m
-    els = []
-    t = 0
-    for _ in range(m):
-        els.append(t)
-        t = G.add(t, G.scale(step, gen))
-    return Subgroup(G, tuple(sorted(els)))
 
 
-def _cyclic_generator(G: AbelianGroup) -> int:
-    for r in range(1, G.order):
-        if G.element_order(r) == G.order:
-            return r
-    raise ValueError("no generator found")
+def _torsion(G: AbelianGroup, m: int, guard: str | None = None) -> Subgroup:
+    """{x : m*x = 0}, built per factor Z_d from the multiples of d/gcd(m, d).
+
+    With a guard name, raises GroupSizeError before materializing more
+    than MATERIALIZE_LIMIT elements.
+    """
+    steps = [d // gcd(m, d) for d in G.factors]
+    if guard is not None and G.order // prod(steps) > MATERIALIZE_LIMIT:
+        raise GroupSizeError(f"{guard} too large to materialize")
+    els = [0]
+    for d, step, w in zip(G.factors, steps, G._weights):
+        els = [e + c * w for e in els for c in range(0, d, step)]
+    # mixed-radix order, most significant factor first: already ascending
+    return Subgroup(G, tuple(els))
+
+
+def cyclic_subgroup_of_order(G: AbelianGroup, m: int) -> Subgroup:
+    """The unique subgroup of order m of a cyclic group: its m-torsion."""
+    if not G.is_cyclic:
+        raise ValueError("group is not cyclic")
+    _check_order(G, m)
+    return _torsion(G, m)
 
 
 def subgroups_of_order(G: AbelianGroup, m: int) -> list[Subgroup]:
     """All subgroups of order m; exactly one for cyclic G."""
-    if G.order % m != 0:
-        raise ValueError(f"{m} does not divide the group order {G.order}")
+    _check_order(G, m)
     if G.is_cyclic:
         return [cyclic_subgroup_of_order(G, m)]
     if G.order > ENUMERATION_LIMIT:
@@ -323,25 +325,14 @@ def quotient_exponent(G: AbelianGroup, U: Subgroup) -> int:
 
 def sylow(G: AbelianGroup, p: int):
     """The Sylow p-subgroup, a cyclicity flag, and a generator when cyclic."""
-    parts = []
-    for d in G.factors:
-        pe = 1
-        while d % p == 0:
-            pe *= p
-            d //= p
-        parts.append(pe)
-    order = 1
-    for pe in parts:
-        order *= pe
-    cyclic = sum(1 for pe in parts if pe > 1) <= 1
-    if order > MATERIALIZE_LIMIT:
-        raise GroupSizeError("Sylow subgroup too large to materialize")
-    gens = [G._weights[i] * (G.factors[i] // parts[i])
-            for i in range(len(parts)) if parts[i] > 1]
-    S = generated_subgroup(G, gens)
+    pe = 1
+    while G.exponent % (pe * p) == 0:
+        pe *= p
+    S = _torsion(G, pe, "Sylow subgroup")
+    cyclic = sum(1 for d in G.factors if d % p == 0) <= 1
     generator = None
-    if cyclic and order > 1:
-        generator = min(e for e in S.elements if G.element_order(e) == order)
+    if cyclic and S.order > 1:
+        generator = min(e for e in S.elements if G.element_order(e) == S.order)
     return S, cyclic, generator
 
 
@@ -349,18 +340,7 @@ def fixed_subgroup(G: AbelianGroup, m: int) -> Subgroup:
     """Fixed points of the power map x -> m*x; requires gcd(m, v) = 1."""
     if gcd(m, G.order) != 1:
         raise ValueError(f"x -> {m}x is not an automorphism of {G.descriptor()}")
-    order = 1
-    steps = []
-    for d in G.factors:
-        g = gcd(m - 1, d)
-        order *= g
-        steps.append(d // g)
-    if order > MATERIALIZE_LIMIT:
-        raise GroupSizeError("fixed-point subgroup too large to materialize")
-    els = [0]
-    for d, step, w in zip(G.factors, steps, G._weights):
-        els = [e + c * w for e in els for c in range(0, d, step)]
-    return Subgroup(G, tuple(sorted(els)))
+    return _torsion(G, m - 1, "fixed-point subgroup")
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import dset
 from .dset import DifferenceSet, classical_params, normalize
-from .field import SIZE_CEILING, FiniteField, make_field
+from .field import SIZE_CEILING, FiniteField, _basis_traces, make_field
 from .groups import AbelianGroup
 from .numth import is_prime_power
 
@@ -35,11 +35,13 @@ def _trace_zero_exponents(F: FiniteField, sub_degree: int, v: int) -> list[int]:
     With m = sub_degree, g^v is primitive in M = GF(p^m), so the powers
     g^(jv), j < m, form a GF(p)-basis of M and Tr_{F/M}(g^i) = 0 exactly
     when a_(i+jv) = 0 for every j < m, where a_t = Tr_{F/GF(p)}(g^t).  The
-    sequence a_t obeys the recurrence of F.modulus.  It is evaluated for
-    t < m*v in blocks of L ~ sqrt(m*v) terms: row r of C holds x^r mod the
-    modulus, so a_(s+r) = C[r] . (a_s, ..., a_(s+n-1)), and C's last n rows
-    step that window from one block start to the next.  Integer numpy
-    only; memory is O(L*n + m*v).
+    sequence a_t obeys the recurrence of F.modulus and starts with the basis
+    traces a_0, ..., a_(n-1), which Newton's identities read off the
+    modulus.  It is evaluated for t < m*v in blocks of L ~ sqrt(m*v) terms:
+    row r of C holds x^r mod the modulus, so a_(s+r) = C[r] . (a_s, ...,
+    a_(s+n-1)), and C's last n rows step that window from one block start
+    to the next.  Integer numpy only, and no field-element arithmetic;
+    memory is O(L*n + m*v).
     """
     n, p, m = F.n, F.p, sub_degree
     total = m * v
@@ -52,7 +54,7 @@ def _trace_zero_exponents(F: FiniteField, sub_degree: int, v: int) -> list[int]:
         C[r] = (C[r] - C[r - 1, -1] * mod) % p
     blocks = -(-total // L)
     W = np.empty((blocks, n), dtype=np.int64)
-    W[0] = F.trace_map(1).cols
+    W[0] = _basis_traces(F.modulus, p)
     step = C[L:]
     for b in range(1, blocks):
         W[b] = step @ W[b - 1] % p
@@ -132,18 +134,8 @@ def hyperplane_containment(q: int, a: int, b: int,
         raise ValueError(f"{q} is not a prime power")
     p, e = pe
     F = make_field(p, e * a * b, ceiling=ceiling)
-    big_trace = F.trace_map(e * a)           # Tr_{F/M}
-    qq = q
-
-    def trace_n_over_k(x: int) -> int:
-        acc = 0
-        t = x
-        for i in range(b):
-            acc = F.add(acc, t)
-            if i + 1 < b:
-                t = F.pow(t, qq)
-        return acc
-
+    big_trace = F.trace_map(e * a)                  # Tr_{F/M}
+    small_trace = F.conjugate_sum_map(e, b)         # Tr_{N/K} on N
     # enumerate N* = the subgroup of F* of order q^b - 1
     stride = (F.mult_order) // (q**b - 1)
     gstride = F.pow(F.gen, stride)
@@ -151,7 +143,7 @@ def hyperplane_containment(q: int, a: int, b: int,
     contained = True
     x = 1
     for _ in range(q**b - 1):
-        if trace_n_over_k(x) == 0 and big_trace(x) != 0:
+        if small_trace(x) == 0 and big_trace(x) != 0:
             contained = False
             witness = x
             break

@@ -148,6 +148,15 @@ def test_mann(capsys):
     assert (w["p"], w["f"], w["j"]) == (3, 1, 1)
 
 
+@pytest.mark.parametrize("verb", ["profile", "mann"])
+@pytest.mark.parametrize("order", ["0", "-3"])
+def test_nonpositive_subgroup_order_is_one_line_error(capsys, verb, order):
+    code = run([verb, "--q", "2", "--d", "4", "--subgroup-order", order])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == f"error: subgroup order must be positive, got {order}\n"
+
+
 def test_check_verified(capsys):
     code, rep = invoke_json(capsys, "check", "thm5.1", "--q", "2")
     assert code == 0 and rep["status"] == "verified"

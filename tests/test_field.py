@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffsets.field import (SIZE_CEILING, FieldSizeError, FiniteField,
-                            make_field)
+                            _basis_traces, make_field)
 
 
 # -- brute-force polynomial oracle over GF(p) ------------------------------------
@@ -179,3 +179,23 @@ def test_gf343_oracle_mul(a, b):
     F = make_field(7, 3)
     assert F.coeffs(F.mul(a, b)) == tuple(
         poly_mul_mod(7, list(F.modulus), list(F.coeffs(a)), list(F.coeffs(b))))
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 4), (2, 12), (2, 20), (2, 28),
+                                 (3, 11), (3, 16), (5, 6),
+                                 (3, 1), (7, 1), (13, 1)])
+def test_basis_traces_match_trace_map(p, n):
+    # Newton's identities on the modulus against the conjugate-sum columns
+    F = make_field(p, n)
+    assert _basis_traces(F.modulus, p) == list(F.trace_map(1).cols)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_gf2n_mul_oracle(data):
+    n = data.draw(st.integers(min_value=1, max_value=28))
+    F = make_field(2, n)
+    a = data.draw(st.integers(min_value=0, max_value=F.order - 1))
+    b = data.draw(st.integers(min_value=0, max_value=F.order - 1))
+    assert F.coeffs(F.mul(a, b)) == tuple(
+        poly_mul_mod(2, list(F.modulus), list(F.coeffs(a)), list(F.coeffs(b))))

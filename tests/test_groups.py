@@ -152,6 +152,27 @@ def test_sylow():
     assert S3.order == 3 and cyc3 and G.element_order(g3) == 3
 
 
+@pytest.mark.parametrize("factors", [[3, 5], [4, 9], [2, 3, 5]])
+def test_cyclic_subgroup_of_order_on_several_factors(factors):
+    # cyclic groups written with more than one factor
+    G = AbelianGroup(factors)
+    assert G.is_cyclic
+    for m in range(1, G.order + 1):
+        if G.order % m == 0:
+            brute = tuple(r for r in range(G.order) if G.scale(m, r) == 0)
+            assert cyclic_subgroup_of_order(G, m).elements == brute
+            assert len(brute) == m
+
+
+@pytest.mark.parametrize("m", [0, -3])
+def test_subgroup_order_must_be_positive(m):
+    for G in (AbelianGroup([12]), AbelianGroup([2, 4])):
+        with pytest.raises(ValueError, match="must be positive"):
+            subgroups_of_order(G, m)
+    with pytest.raises(ValueError, match="must be positive"):
+        cyclic_subgroup_of_order(AbelianGroup([12]), m)
+
+
 def test_fixed_subgroup_brute():
     for factors, m in [([15], 2), ([15], 4), ([21], 2), ([2, 4], 3), ([9, 3], 4)]:
         G = AbelianGroup(factors)

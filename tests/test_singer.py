@@ -68,7 +68,6 @@ def test_enumeration_memory_below_dense_matrix():
     # q = 3, d = 11: a v x n int16 matrix alone would take v * 11 * 2 bytes
     F = make_field(3, 11)
     v = classical_params(3, 11).v
-    F.trace_map(1)                  # cached: the peak counts enumeration only
     tracemalloc.start()
     try:
         indices = _trace_zero_exponents(F, 1, v)
@@ -103,6 +102,38 @@ def test_hyperplane_containment_non_coprime():
         F = make_field(2, 4)
         assert F.rel_trace(2, rep.witness) == 0       # in E's hyperplane
         assert F.rel_trace(1, rep.witness) != 0       # not in D's
+
+
+def naive_containment(q, a, b):
+    """(contained, witness) by scanning N* in generator order, with the
+    traces written out as explicit sums of conjugates."""
+    from diffsets.numth import is_prime_power
+    p, e = is_prime_power(q)
+    F = make_field(p, e * a * b)
+
+    def conj_sum(x, step, count):
+        acc = 0
+        for i in range(count):
+            acc = F.add(acc, F.pow(x, step**i))
+        return acc
+
+    stride = F.mult_order // (q**b - 1)
+    for i in range(q**b - 1):
+        x = F.pow(F.gen, stride * i)
+        big = conj_sum(x, q**a, b)                  # Tr_{F/M}
+        assert big == F.rel_trace(e * a, x)
+        if conj_sum(x, q, b) == 0 and big != 0:     # Tr_{N/K}
+            return False, x
+    return True, None
+
+
+@pytest.mark.parametrize("q,a,b,contained,witness", [
+    (2, 3, 3, False, 238), (3, 2, 2, False, 47),
+    (2, 4, 3, True, None), (2, 2, 2, True, None)])
+def test_hyperplane_containment_pins(q, a, b, contained, witness):
+    rep = hyperplane_containment(q, a, b)
+    assert (rep.contained, rep.witness) == (contained, witness)
+    assert naive_containment(q, a, b) == (contained, witness)
 
 
 def test_restriction_check_q2_s3():
