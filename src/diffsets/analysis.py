@@ -258,6 +258,15 @@ def check_thm_classical_profile(D: DifferenceSet, q: int, s: int) -> TheoremRepo
     return rep
 
 
+def _sylow_side_condition(G: AbelianGroup, q: int, s: int):
+    """b = gcd(q+1, s), c = gcd(q^2+1, s), and whether Syl_r(G) is cyclic
+    for every prime r dividing b or c (the side condition of lem4.1 and
+    lem4.2)."""
+    b, c = gcd(q + 1, s), gcd(q * q + 1, s)
+    side = all(sylow(G, r)[1] for r in set(prime_divisors(b) + prime_divisors(c)))
+    return b, c, side
+
+
 def check_lemma_mfix(G: AbelianGroup, q: int, s: int) -> TheoremReport:
     """Fixed points of x -> x^(q^4) contain (and often equal) the subgroup
     of order (q+1)(q^2+1)."""
@@ -272,10 +281,8 @@ def check_lemma_mfix(G: AbelianGroup, q: int, s: int) -> TheoremReport:
     rep.con("M <= fixed points of x -> x^(q^4)",
             set(M.elements) <= set(fixed.elements),
             {"|M|": M.order, "|fixed|": fixed.order})
-    b = gcd(q + 1, s)
-    c = gcd(q * q + 1, s)
     rep.notes.append("using c = gcd(q^2+1, s)")
-    side = all(sylow(G, r)[1] for r in set(prime_divisors(b) + prime_divisors(c)))
+    _, _, side = _sylow_side_condition(G, q, s)
     rep.instance["side_conditions_hold"] = side
     if side:
         rep.con("M equals the fixed-point subgroup",
@@ -292,12 +299,9 @@ def check_lemma_size(D: DifferenceSet, q: int, s: int) -> TheoremReport:
     rep.hyp("|G| = (q^s+1)(q^2s+1)", G.order == (q**s + 1) * (q**(2 * s) + 1))
     rep.hyp("s odd", s % 2 == 1)
     rep.hyp("difference set normalized", ds.is_normalized(G, D.elements))
-    b = gcd(q + 1, s)
-    c = gcd(q * q + 1, s)
     rep.notes.append("using c = gcd(q^2+1, s) for the side conditions")
     if rep.hypotheses_ok:
-        side = all(sylow(G, r)[1]
-                   for r in set(prime_divisors(b) + prime_divisors(c)))
+        b, c, side = _sylow_side_condition(G, q, s)
         rep.hyp("Syl_r(G) cyclic for r | b or r | c", side,
                 {"b": b, "c": c})
     if not rep.hypotheses_ok:

@@ -17,7 +17,7 @@ from . import analysis as an
 from . import dset as ds
 from . import search as se
 from . import singer as si
-from .field import SIZE_CEILING, FieldSizeError
+from .field import FieldSizeError
 from .groups import GroupSizeError, parse_group
 
 EXIT_OK = 0
@@ -69,27 +69,25 @@ def emit(report: dict, args) -> None:
         print("\n".join(lines))
 
 
-def _construct(args, q=None, d=None, s=None):
-    """Build a Singer set from CLI options; returns the normalized set.
-
-    --s builds PG(3, q^s); --ceiling forces exact verification.
-    """
-    q = q if q is not None else args.q
-    if s is None and d is None:
-        s = getattr(args, "s", None)
-    if s is not None:
-        q, d = si.tower_base(q, s), 4
-    elif d is None:
-        d = getattr(args, "d", None) or 4
-    return si.singer_construct(q, d, ceiling=args.ceiling or None)
+def _construct(args):
+    """The Singer set named by --q with --s (PG(3, q^s)) or --d (PG(d-1, q),
+    d = 4 by default); --ceiling forces exact verification."""
+    if args.s is not None:
+        return si.singer_construct(si.tower_base(args.q, args.s), 4,
+                                   ceiling=args.ceiling)
+    return si.singer_construct(args.q, 4 if args.d is None else args.d,
+                               ceiling=args.ceiling)
 
 
 def _load_or_construct(args):
-    if getattr(args, "set", None):
-        return ds.read_set_file(args.set)
-    if args.q is None:
-        raise SystemExit("either --set FILE or --q is required")
-    return _construct(args)
+    """The set in --set, or the one _construct builds from --q."""
+    if args.set is None:
+        if args.q is None:
+            raise ValueError("either --set FILE or --q is required")
+        return _construct(args)
+    if (args.q, args.s, args.d) != (None, None, None):
+        raise ValueError("--set cannot be combined with --q, --s or --d")
+    return ds.read_set_file(args.set)
 
 
 def _set_report(D) -> dict:
@@ -115,7 +113,7 @@ def cmd_construct(args):
     out = args.out
     if out is None:
         tag = f"q{args.q}_s{args.s}" if args.s is not None else \
-            f"q{args.q}_d{args.d or 4}"
+            f"q{args.q}_d{4 if args.d is None else args.d}"
         out = f"singer_{tag}.dset"
     ds.write_set_file(out, D)
     report["set_file"] = out
@@ -126,7 +124,9 @@ def cmd_construct(args):
 
 def cmd_verify(args):
     D = ds.read_set_file(args.set, verify_now=False)
-    rep = ds.auto_verify(D.group, D.elements, True if args.ceiling else None)
+    # a ceiling forces the exact check, as it does where a set is built
+    rep = ds.auto_verify(D.group, D.elements,
+                         None if args.ceiling is None else True)
     report = {"command": "verify", "set_file": args.set,
               "group": D.group.descriptor(),
               "params": list(D.params.as_tuple()), **rep.as_dict()}
@@ -135,8 +135,6 @@ def cmd_verify(args):
 
 def cmd_profile(args):
     D = _load_or_construct(args)
-    if args.subgroup_order is None:
-        raise SystemExit("--subgroup-order is required for profile")
     H, _ = an._unique_subgroup(D.group, args.subgroup_order)
     prof = ds.intersection_profile(D, H)
     bound = ds.distribution_bound_check(D, H)
@@ -149,8 +147,6 @@ def cmd_profile(args):
 
 def cmd_mann(args):
     D = _load_or_construct(args)
-    if args.subgroup_order is None:
-        raise SystemExit("--subgroup-order is required for mann")
     U, _ = an._unique_subgroup(D.group, args.subgroup_order)
     rep = an.mann_test(D, U)
     report = {"command": "mann", **_set_report(D), **rep.as_dict()}
@@ -158,86 +154,72 @@ def cmd_mann(args):
 
 
 def cmd_check(args):
-    tid = args.theorem
-    if tid not in CHECKS:
-        raise SystemExit(f"unknown theorem id {tid!r}; choose from {tuple(CHECKS)}")
-    rep = CHECKS[tid](args)
-    report = {"command": f"check {tid}", **rep.as_dict()}
+    check_instance_flags(args)
+    rep = CHECKS[args.theorem][0](args)
+    report = {"command": f"check {args.theorem}", **rep.as_dict()}
     return _status_exit(rep.status), report
 
 
-def _require(args, *names):
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise SystemExit(f"--{name} is required for this check")
+def check_instance_flags(args) -> None:
+    """Reject a missing instance flag that the check id requires, or a given
+    one that it does not read."""
+    _, needs, takes = CHECKS[args.theorem]
+    for flag in INSTANCE_FLAGS:
+        given = getattr(args, flag) is not None
+        if flag in needs and not given:
+            raise ValueError(f"check {args.theorem} requires --{flag}")
+        if given and flag not in needs and flag not in takes:
+            raise ValueError(f"check {args.theorem} does not read --{flag}")
 
 
 def _check_thm22(args):
-    _require(args, "q")
-    s = args.s if args.s is not None else 1
-    D = _construct(args, s=s)
-    return an.check_thm_classical_profile(D, args.q, s)
+    s = 1 if args.s is None else args.s
+    return an.check_thm_classical_profile(_construct(args), args.q, s)
 
 
 def _check_lem41(args):
-    _require(args, "q", "s")
-    D = _construct(args)
-    return an.check_lemma_mfix(D.group, args.q, args.s)
+    return an.check_lemma_mfix(_construct(args).group, args.q, args.s)
 
 
 def _check_lem42(args):
-    _require(args, "q", "s")
-    D = _construct(args)
-    return an.check_lemma_size(D, args.q, args.s)
+    return an.check_lemma_size(_construct(args), args.q, args.s)
 
 
 def _check_thm43(args):
-    _require(args, "q", "s")
     hyps = an.main_theorem_hypotheses(args.q, args.s)
     if not all(c.ok for c in hyps):
         rep = an.TheoremReport("thm4.3", {"q": args.q, "s": args.s})
         rep.hypotheses.extend(hyps)
         rep.notes.append("construction skipped: hypotheses fail on (q, s) alone")
         return rep
-    D = _construct(args)
-    return an.check_main(D, args.q, args.s)
+    return an.check_main(_construct(args), args.q, args.s)
 
 
 def _check_thm51(args):
-    _require(args, "q")
-    D = _construct(args, d=4) if not getattr(args, "set", None) \
-        else ds.read_set_file(args.set)
+    D = _construct(args) if args.set is None else ds.read_set_file(args.set)
     return an.check_dintk(D, args.q)
 
 
 def _check_cor52(args):
-    _require(args, "q", "s")
-    D = _construct(args)
-    return an.check_hk(D, args.q, args.s)
+    return an.check_hk(_construct(args), args.q, args.s)
 
 
 def _check_thm61(args):
-    _require(args, "q", "s")
-    D = _construct(args)
-    return an.check_minimal_embedding(D)
+    return an.check_minimal_embedding(_construct(args))
 
 
 def _check_jv(args):
-    _require(args, "m")
-    D = _construct(args, q=args.m**2, d=3)
+    D = si.singer_construct(args.m**2, 3, ceiling=args.ceiling)
     return an.check_planar_subset(D, args.m)
 
 
 def _check_ho(args):
-    _require(args, "m", "s")
-    D = _construct(args, q=args.m**args.s, d=3)
+    D = si.singer_construct(args.m**args.s, 3, ceiling=args.ceiling)
     return an.check_ho(D, args.m, args.s)
 
 
 def _check_thm31(args):
-    _require(args, "q", "a", "b")
-    ceiling = args.ceiling if args.ceiling else SIZE_CEILING
-    crep = si.hyperplane_containment(args.q, args.a, args.b, ceiling=ceiling)
+    crep = si.hyperplane_containment(args.q, args.a, args.b, ceiling=args.ceiling)
     rep = an.TheoremReport("thm3.1", crep.as_dict())
     rep.hyp("gcd(a, b) = 1", crep.gcd_ab == 1, crep.gcd_ab)
     rep.con("E contained in D", crep.contained, crep.witness)
@@ -248,34 +230,42 @@ def _check_thm31(args):
 
 
 def _check_cor32(args):
-    _require(args, "q", "s")
     # an even s fails the hypothesis on s alone: report it without building D
     D = _construct(args) if args.s % 2 == 1 else None
     return an.check_tower_restriction(D, args.q, args.s)
 
 
 def _check_hall(args):
-    D = _load_or_construct(args)
-    return an.hall_check(D)
+    return an.hall_check(_load_or_construct(args))
 
 
-#: Checker id -> handler, in the order the help text lists them.
+#: The flags that name a check instance.
+INSTANCE_FLAGS = ("q", "s", "set", "d", "m", "a", "b")
+
+#: Check id -> (handler, instance flags it requires, instance flags it may
+#: also take), in the order the help text lists them.  Any other instance
+#: flag is an error.  hall takes --set alone or --q with --s or --d, which
+#: _load_or_construct enforces.
 CHECKS = {
-    "thm2.2": _check_thm22, "lem4.1": _check_lem41, "lem4.2": _check_lem42,
-    "thm4.3": _check_thm43, "thm5.1": _check_thm51, "cor5.2": _check_cor52,
-    "thm6.1": _check_thm61, "jv": _check_jv, "ho": _check_ho,
-    "thm3.1": _check_thm31, "cor3.2": _check_cor32, "hall": _check_hall,
+    "thm2.2": (_check_thm22, ("q",), ("s",)),
+    "lem4.1": (_check_lem41, ("q", "s"), ()),
+    "lem4.2": (_check_lem42, ("q", "s"), ()),
+    "thm4.3": (_check_thm43, ("q", "s"), ()),
+    "thm5.1": (_check_thm51, ("q",), ("set",)),
+    "cor5.2": (_check_cor52, ("q", "s"), ()),
+    "thm6.1": (_check_thm61, ("q", "s"), ()),
+    "jv": (_check_jv, ("m",), ()),
+    "ho": (_check_ho, ("m", "s"), ()),
+    "thm3.1": (_check_thm31, ("q", "a", "b"), ()),
+    "cor3.2": (_check_cor32, ("q", "s"), ()),
+    "hall": (_check_hall, (), ("q", "s", "d", "set")),
 }
 
 
 def cmd_search(args):
-    if args.group is None:
-        raise SystemExit("--group is required for search")
     G = parse_group(args.group)
-    if args.k is None or args.lam is None:
-        raise SystemExit("--k and --lambda are required for search")
-    spec = se.SearchSpec(G, args.k, args.lam, multiplier=args.m or 1,
-                         node_budget=args.budget or 50_000_000)
+    spec = se.SearchSpec(G, args.k, args.lam, multiplier=args.m,
+                         node_budget=args.budget)
     result = se.orbit_union_search(spec)
     report = {"command": "search", "group": G.descriptor(),
               "spec": {"k": spec.k, "lambda": spec.lam,
@@ -305,10 +295,8 @@ def cmd_search(args):
 
 
 def cmd_scan(args):
-    if args.q is None or not args.s_list:
-        raise SystemExit("--q and --s LIST are required for scan")
-    s_values = [int(x) for x in str(args.s_list).split(",")]
-    rows = an.conjecture_scan(args.q, s_values, ceiling=args.ceiling or None)
+    s_values = [int(x) for x in args.s_list.split(",")]
+    rows = an.conjecture_scan(args.q, s_values, ceiling=args.ceiling)
     report = {"command": "scan", "q": args.q,
               "rows": [r.as_dict() for r in rows]}
     bad = [r for r in rows if r.status not in ("embedded",)]
@@ -316,15 +304,6 @@ def cmd_scan(args):
 
 
 # -- argument parsing -----------------------------------------------------------------
-
-def _default_workers() -> int:
-    raw = os.environ.get("DIFFSET_WORKERS", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(
-            f"DIFFSET_WORKERS must be an integer, got {raw!r}") from None
-
 
 class _Parser(argparse.ArgumentParser):
     """Raises on a malformed command line, so that `run` reports it as one
@@ -336,75 +315,75 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    workers = _default_workers()
+    """The one declaration of the flags each verb reads; a flag a verb does
+    not declare is an error."""
     parser = _Parser(
         prog="diffset",
         description="Construct, verify, and dissect abelian difference sets "
                     "with PG(3,q) parameters.")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, needs_set=False, add_s=True):
-        p.add_argument("--q", type=int, help="base prime power")
-        if add_s:
-            p.add_argument("--s", type=int,
-                           help="tower exponent (d = 4 presentation)")
+    def verb(name, func, summary, **kw):
+        p = sub.add_parser(name, help=summary, **kw)
         p.add_argument("--json", action="store_true", help="JSON output")
-        p.add_argument("--workers", type=int, default=workers,
-                       help="accepted for compatibility; has no effect "
-                            "(default: $DIFFSET_WORKERS or 1)")
-        p.add_argument("--ceiling", type=int, default=0,
-                       help="override size guards (field order bound)")
-        p.add_argument("--no-timestamps", action="store_true")
-        if needs_set:
-            p.add_argument("--set", help="difference-set file")
+        p.add_argument("--ceiling", type=int,
+                       help="field-order bound in place of 2^28; also "
+                            "forces exact verification")
+        p.add_argument("--no-timestamps", action="store_true",
+                       help="leave the timestamp out of the report")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("construct", help="build a Singer difference set")
-    common(p)
-    p.add_argument("--d", type=int, help="projective dimension parameter")
+    def instance(p, q_required=False):
+        p.add_argument("--q", type=int, required=q_required,
+                       help="base prime power")
+        sd = p.add_mutually_exclusive_group()
+        sd.add_argument("--s", type=int, help="tower exponent: build PG(3, q^s)")
+        sd.add_argument("--d", type=int, help="build PG(d-1, q) (default: 4)")
+
+    p = verb("construct", cmd_construct, "build a Singer difference set")
+    instance(p, q_required=True)
     p.add_argument("--out", help="output set file")
     p.add_argument("--elements", action="store_true",
                    help="list elements in the report regardless of size")
-    p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("verify", help="verify a difference-set file")
-    common(p, needs_set=True)
-    p.set_defaults(func=cmd_verify)
+    p = verb("verify", cmd_verify, "verify a difference-set file")
+    p.add_argument("--set", required=True, help="difference-set file")
 
-    p = sub.add_parser("profile", help="coset intersection profile and bound")
-    common(p, needs_set=True)
-    p.add_argument("--d", type=int)
-    p.add_argument("--subgroup-order", type=int)
-    p.set_defaults(func=cmd_profile)
+    for name, func, summary in (
+            ("profile", cmd_profile, "coset intersection profile and bound"),
+            ("mann", cmd_mann, "run the Mann test against a subgroup")):
+        p = verb(name, func, summary)
+        instance(p)
+        p.add_argument("--set", help="difference-set file, in place of --q")
+        p.add_argument("--subgroup-order", type=int, required=True)
 
-    p = sub.add_parser("mann", help="run the Mann test against a subgroup")
-    common(p, needs_set=True)
-    p.add_argument("--d", type=int)
-    p.add_argument("--subgroup-order", type=int)
-    p.set_defaults(func=cmd_mann)
-
-    p = sub.add_parser("check", help="check one theorem on one instance")
-    p.add_argument("theorem", help=f"one of {', '.join(CHECKS)}")
-    common(p, needs_set=True)
-    p.add_argument("--d", type=int)
+    p = verb("check", cmd_check, "check one theorem on one instance",
+             description="Each check id requires and accepts only the "
+                         "instance flags it reads, as README lists them; "
+                         "any other one is an error.")
+    p.add_argument("theorem", choices=CHECKS, help="check id")
+    instance(p)
+    p.add_argument("--set", help="difference-set file")
     p.add_argument("--m", type=int, help="planar order parameter")
     p.add_argument("--a", type=int, help="intermediate field degree a")
     p.add_argument("--b", type=int, help="intermediate field degree b")
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("search", help="multiplier-orbit pruned search")
-    common(p)
-    p.add_argument("--group", help='group descriptor, e.g. "Z_15"')
-    p.add_argument("--k", type=int)
-    p.add_argument("--lambda", dest="lam", type=int)
-    p.add_argument("--m", type=int, help="numerical multiplier to prune with")
-    p.add_argument("--budget", type=int, help="search node budget")
+    p = verb("search", cmd_search, "multiplier-orbit pruned search")
+    p.add_argument("--group", required=True,
+                   help='group descriptor, e.g. "Z_15"')
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--lambda", dest="lam", type=int, required=True)
+    p.add_argument("--m", type=int, default=se.SearchSpec.multiplier,
+                   help="numerical multiplier to prune with (default: %(default)s)")
+    p.add_argument("--budget", type=int, default=se.SearchSpec.node_budget,
+                   help="search node budget (default: %(default)s)")
     p.add_argument("--out-dir", help="write one set file per class here")
-    p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("scan", help="conjecture evidence scan over s values")
-    common(p, add_s=False)
-    p.add_argument("--s", dest="s_list", help="comma-separated s values")
-    p.set_defaults(func=cmd_scan)
+    p = verb("scan", cmd_scan, "conjecture evidence scan over s values")
+    p.add_argument("--q", type=int, required=True, help="base prime power")
+    p.add_argument("--s", dest="s_list", required=True,
+                   help="comma-separated s values")
 
     return parser
 
@@ -417,11 +396,6 @@ def run(argv) -> int:
         return EXIT_USAGE
     try:
         code, report = args.func(args)
-    except SystemExit as e:
-        if isinstance(e.code, str):
-            print(e.code, file=sys.stderr)
-            return EXIT_USAGE
-        raise
     except (FieldSizeError, GroupSizeError, MemoryError, se.BudgetExceeded) as e:
         print(f"resource limit: {e}", file=sys.stderr)
         return EXIT_USAGE

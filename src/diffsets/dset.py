@@ -339,16 +339,14 @@ def auto_verify(G: AbelianGroup, elements, full: bool | None = None) -> Verifica
     return verify_sampled(G, elements, sample)
 
 
-def make_difference_set(G: AbelianGroup, elements,
-                        meta: dict | None = None) -> DifferenceSet:
+def make_difference_set(G: AbelianGroup, elements) -> DifferenceSet:
     """Verify an element set and wrap it; raises if it is not a difference set."""
     rep = verify(G, elements)
     if not rep.ok:
         raise ValueError("element set is not a difference set: "
                          f"{rep.as_dict()}")
     return DifferenceSet(G, tuple(sorted(set(elements))),
-                         Params(rep.v, rep.k, rep.lambda_observed), True,
-                         dict(meta or {}))
+                         Params(rep.v, rep.k, rep.lambda_observed), True)
 
 
 # -- translates and power maps -------------------------------------------------

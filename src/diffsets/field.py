@@ -267,8 +267,11 @@ def _make_field_cached(p: int, n: int) -> FiniteField:
     return FiniteField(p, n, _lex_smallest_primitive(p, n))
 
 
-def make_field(p: int, n: int, ceiling: int = SIZE_CEILING) -> FiniteField:
-    """The deterministic field GF(p^n) for this toolkit."""
+def make_field(p: int, n: int, ceiling: int | None = None) -> FiniteField:
+    """The deterministic field GF(p^n) for this toolkit, refused above
+    `ceiling` (SIZE_CEILING when None)."""
+    if ceiling is None:
+        ceiling = SIZE_CEILING
     if not is_prime(p):
         raise ValueError(f"characteristic {p} is not prime")
     if n < 1:

@@ -27,6 +27,13 @@ from .groups import AbelianGroup, GroupSizeError, multiplier_orbits
 #: (r = v for the multiplier 1).
 ORBIT_TABLE_BYTE_LIMIT = 1 << 26
 
+#: orbit_union_search keeps at most this many sets and reports the rest
+#: as incomplete.
+RESULT_CAP = 100_000
+
+#: brute_force_search refuses more k-subsets than this.
+BRUTE_FORCE_BUDGET = 10_000_000
+
 
 class BudgetExceeded(RuntimeError):
     pass
@@ -39,7 +46,6 @@ class SearchSpec:
     lam: int
     multiplier: int = 1
     node_budget: int = 50_000_000
-    result_cap: int = 100_000
 
     def __post_init__(self):
         v = self.group.order
@@ -213,21 +219,20 @@ def orbit_union_search(spec: SearchSpec) -> SearchResult:
     except BudgetExceeded:
         complete = False
     results.sort()
-    if len(results) > spec.result_cap:
-        results = results[:spec.result_cap]
+    if len(results) > RESULT_CAP:
+        results = results[:RESULT_CAP]
         complete = False
     return SearchResult(spec, results, _class_representatives(G, results),
                         nodes, time.perf_counter() - t0, complete)
 
 
-def brute_force_search(G: AbelianGroup, k: int, lam: int,
-                       budget: int = 10_000_000) -> SearchResult:
+def brute_force_search(G: AbelianGroup, k: int, lam: int) -> SearchResult:
     """Oracle: test every k-subset of G by direct difference counting."""
     v = G.order
-    spec = SearchSpec(G, k, lam, node_budget=budget)
-    if comb(v, k) > budget:
-        raise BudgetExceeded(
-            f"C({v},{k}) = {comb(v, k)} subsets exceeds budget {budget}")
+    spec = SearchSpec(G, k, lam, node_budget=BRUTE_FORCE_BUDGET)
+    if comb(v, k) > BRUTE_FORCE_BUDGET:
+        raise BudgetExceeded(f"C({v},{k}) = {comb(v, k)} subsets exceeds "
+                             f"budget {BRUTE_FORCE_BUDGET}")
     sub = G.sub
     t0 = time.perf_counter()
     results = []

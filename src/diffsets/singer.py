@@ -20,7 +20,7 @@ import numpy as np
 
 from . import dset
 from .dset import DifferenceSet, classical_params, normalize
-from .field import SIZE_CEILING, FiniteField, _basis_traces, make_field
+from .field import FiniteField, _basis_traces, make_field
 from .groups import AbelianGroup
 from .numth import is_prime_power
 
@@ -76,7 +76,7 @@ def singer_construct(q: int, d: int, ceiling: int | None = None) -> DifferenceSe
     if pe is None:
         raise ValueError(f"{q} is not a prime power")
     p, e = pe
-    F = make_field(p, e * d, ceiling=SIZE_CEILING if ceiling is None else ceiling)
+    F = make_field(p, e * d, ceiling=ceiling)
     params = classical_params(q, d)
     G = AbelianGroup([params.v])
     indices = _trace_zero_exponents(F, e, params.v)
@@ -122,7 +122,7 @@ class ContainmentReport:
 
 
 def hyperplane_containment(q: int, a: int, b: int,
-                           ceiling: int = SIZE_CEILING) -> ContainmentReport:
+                           ceiling: int | None = None) -> ContainmentReport:
     """Is the K-trace-zero hyperplane of N inside the M-trace-zero hyperplane of F?
 
     F = GF(q^(ab)); M and N are the intermediate fields of degree a and b

@@ -1,11 +1,13 @@
 import json
 import os
+import re
+import shlex
 
 import numpy as np
 import pytest
 
 from diffsets import dset
-from diffsets.cli import run
+from diffsets.cli import build_parser, check_instance_flags, run
 from diffsets.dset import read_set_file
 
 
@@ -162,6 +164,22 @@ def test_check_verified(capsys):
     assert code == 0 and rep["status"] == "verified"
 
 
+@pytest.mark.parametrize("argv, code, status, hyps, cons", [
+    (["thm2.2", "--q", "2"], 0, "verified", [True] * 2, [True] * 4),
+    (["lem4.1", "--q", "2", "--s", "3"], 0, "verified", [True] * 2, [True] * 2),
+    (["lem4.2", "--q", "2", "--s", "3"], 0, "verified", [True] * 4, [True]),
+    (["cor5.2", "--q", "2", "--s", "3"], 0, "verified", [True] * 3, [True] * 4),
+    (["thm4.3", "--q", "2", "--s", "3"], 0, "verified", [True] * 5, [True] * 3),
+    (["ho", "--m", "2", "--s", "2"], 0, "verified", [True] * 4, [True]),
+    (["ho", "--m", "2", "--s", "3"], 2, "subgroup-absent", [True] * 4, []),
+], ids=["thm2.2", "lem4.1", "lem4.2", "cor5.2", "thm4.3", "ho-s2", "ho-s3"])
+def test_check_applicable_instance(capsys, argv, code, status, hyps, cons):
+    got, rep = invoke_json(capsys, "check", *argv)
+    assert (got, rep["status"]) == (code, status)
+    assert [h["ok"] for h in rep["hypotheses"]] == hyps
+    assert [c["ok"] for c in rep["conclusions"]] == cons
+
+
 def test_check_hypothesis_short_circuit(capsys):
     code, rep = invoke_json(capsys, "check", "thm4.3", "--q", "2", "--s", "5")
     assert code == 2 and rep["status"] == "hypothesis-not-met"
@@ -178,6 +196,43 @@ def test_check_missing_flag(capsys):
     assert run(["check", "cor5.2", "--q", "2"]) == 1   # --s missing
 
 
+@pytest.mark.parametrize("argv", [
+    "construct",
+    "construct --d 4",
+    "verify",
+    "construct --q 2 --s 3 --d 5",
+    "construct --q 2 --d 4 --workers 2",
+    "check thm4.3 --q 2 --s 3 --set x.dset",
+    "check thm5.1 --q 2 --s 3",
+    "profile --q 2 --set x.dset --subgroup-order 5",
+    "search --group Z_7 --k 3 --lambda 1 --q 5",
+    "search --group Z_7 --k 3 --lambda 1 --m 0",
+])
+def test_misuse_is_one_line_error(capsys, tmp_path, monkeypatch, argv):
+    # a missing flag, or one the verb or check id does not read, is an error
+    # before any work is done, never a traceback or a silently ignored flag
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.dset").write_text("group Z_7\n7 3 1\n1\n2\n4\n")
+    code = run(argv.split())
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_readme_commands_parse():
+    # every `diffset` line of README's sh blocks names flags its verb (and
+    # check id) reads, so a removed or renamed flag cannot leave stale docs
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    blocks = re.findall(r"```sh\n(.*?)```", readme, re.S)
+    lines = [ln.split("#")[0] for b in blocks for ln in b.splitlines()
+             if ln.startswith("diffset ")]
+    assert len(lines) >= 9
+    for line in lines:
+        args = build_parser().parse_args(shlex.split(line)[1:])
+        if args.verb == "check":
+            check_instance_flags(args)
+
+
 def test_search_writes_class_files(capsys, tmp_path):
     out_dir = str(tmp_path / "res")
     code, rep = invoke_json(capsys, "search", "--group", "Z_7", "--k", "3",
@@ -188,20 +243,6 @@ def test_search_writes_class_files(capsys, tmp_path):
     assert summary["classes"] == 1
     D = read_set_file(os.path.join(out_dir, "class_000.dset"))
     assert D.params.as_tuple() == (7, 3, 1)
-
-
-def test_search_worker_counts_byte_identical(capsys, tmp_path):
-    dirs = []
-    for w in ("1", "8"):
-        d = str(tmp_path / f"w{w}")
-        invoke_json(capsys, "search", "--group", "Z_15", "--k", "7",
-                    "--lambda", "3", "--m", "2", "--out-dir", d,
-                    "--workers", w)
-        dirs.append(d)
-    for name in sorted(os.listdir(dirs[0])):
-        a = open(os.path.join(dirs[0], name), "rb").read()
-        b = open(os.path.join(dirs[1], name), "rb").read()
-        assert a == b, name
 
 
 def test_scan(capsys):
@@ -217,21 +258,6 @@ def test_text_and_json_agree(capsys):
     assert code_t == code_j == 0
     assert f"status: {rep['status']}" in text
     assert "theorem: hall" in text
-
-
-def test_env_var_sets_workers(capsys, monkeypatch):
-    monkeypatch.setenv("DIFFSET_WORKERS", "4")
-    code, rep = invoke_json(capsys, "construct", "--q", "2", "--d", "4",
-                            "--out", os.devnull)
-    assert code == 0 and rep["verified"]
-
-
-def test_env_var_workers_not_an_integer(capsys, monkeypatch):
-    monkeypatch.setenv("DIFFSET_WORKERS", "abc")
-    code = run(["search", "--group", "Z_7", "--k", "3", "--lambda", "1"])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err == "error: DIFFSET_WORKERS must be an integer, got 'abc'\n"
 
 
 def test_malformed_flag_is_one_line_usage_error(capsys):

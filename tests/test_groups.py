@@ -208,6 +208,28 @@ def test_subgroup_as_group_noncyclic():
                 == pres.to_sub[G.add(a, b)]
 
 
+@pytest.mark.parametrize("factors", [[9, 3], [8, 4, 2], [6, 4], [10, 15],
+                                     [2, 4], [3, 3, 3], [3, 5]],
+                         ids=lambda f: "x".join(map(str, f)))
+def test_subgroup_as_group_every_subgroup(factors):
+    # every subgroup maps one-to-one and homomorphically onto a group in
+    # invariant-factor form; the first four factor lists are not in that
+    # form, which exercises the Smith normal form pivot, sign and
+    # divisibility-fixup steps
+    G = AbelianGroup(factors)
+    for H in all_subgroups(G):
+        pres = subgroup_as_group(H)
+        S = pres.group
+        assert all(b % a == 0 for a, b in zip(S.factors, S.factors[1:]))
+        assert sorted(pres.to_sub) == list(H.elements)
+        assert sorted(pres.to_sub.values()) == list(range(S.order))
+        assert all(pres.from_sub[pres.to_sub[a]] == a for a in H.elements)
+        for a in H.elements:
+            for b in H.elements:
+                assert S.add(pres.to_sub[a], pres.to_sub[b]) \
+                    == pres.to_sub[G.add(a, b)]
+
+
 def test_multiplier_orbits_z15():
     G = AbelianGroup([15])
     orbits = {frozenset(o) for o in multiplier_orbits(G, 2)}
