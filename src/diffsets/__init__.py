@@ -13,7 +13,7 @@ from .dset import (DifferenceSet, Params, Restriction, VerificationReport,
                    classical_params, difference_counts,
                    distribution_bound_check, intersection_profile,
                    make_difference_set, normalize, read_set_file, restrict,
-                   translate, verify, verify_sampled, write_set_file)
+                   translate, verify, write_set_file)
 from .field import FieldSizeError, FiniteField, make_field
 from .groups import (AbelianGroup, GroupSizeError, Subgroup,
                      cyclic_subgroup_of_order, generated_subgroup,
@@ -41,5 +41,5 @@ __all__ = [
     "mann_test", "multiplier_orbits", "normalize", "orbit_union_search",
     "parse_group", "read_set_file", "restrict", "singer_construct",
     "subgroup_as_group", "subgroups_of_order", "sylow", "translate",
-    "verify", "verify_sampled", "write_set_file",
+    "verify", "write_set_file",
 ]

@@ -119,6 +119,7 @@ def hall_check(D: DifferenceSet) -> TheoremReport:
     then x -> x^p is a multiplier, fixing the normalized translate."""
     n = D.params.n
     rep = TheoremReport("hall", {"params": D.params.as_tuple(), "n": n})
+    rep.hyp("difference set verified", D.verified)
     pe = is_prime_power(n)
     rep.hyp("n is a prime power", pe is not None, n)
     if pe is None:
@@ -365,6 +366,7 @@ def check_dintk(D: DifferenceSet, q: int) -> TheoremReport:
     rep = TheoremReport("thm5.1", {"q": q, "params": D.params.as_tuple()})
     G = D.group
     v = (q + 1) * (q * q + 1)
+    rep.hyp("difference set verified", D.verified)
     rep.hyp("|G| = (q+1)(q^2+1)", G.order == v)
     rep.hyp("classical parameters", D.params == ds.classical_params(q, 4))
     rep.hyp("difference set normalized", ds.is_normalized(G, D.elements))

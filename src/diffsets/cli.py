@@ -71,7 +71,7 @@ def emit(report: dict, args) -> None:
 
 def _construct(args):
     """The Singer set named by --q with --s (PG(3, q^s)) or --d (PG(d-1, q),
-    d = 4 by default); --ceiling forces exact verification."""
+    d = 4 by default)."""
     if args.s is not None:
         return si.singer_construct(si.tower_base(args.q, args.s), 4,
                                    ceiling=args.ceiling)
@@ -124,9 +124,7 @@ def cmd_construct(args):
 
 def cmd_verify(args):
     D = ds.read_set_file(args.set, verify_now=False)
-    # a ceiling forces the exact check, as it does where a set is built
-    rep = ds.auto_verify(D.group, D.elements,
-                         None if args.ceiling is None else True)
+    rep = ds.verify(D.group, D.elements)
     report = {"command": "verify", "set_file": args.set,
               "group": D.group.descriptor(),
               "params": list(D.params.as_tuple()), **rep.as_dict()}
@@ -314,6 +312,14 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def positive_int(text: str) -> int:
+    """The argparse type of an integer flag that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The one declaration of the flags each verb reads; a flag a verb does
     not declare is an error."""
@@ -327,8 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary, **kw)
         p.add_argument("--json", action="store_true", help="JSON output")
         p.add_argument("--ceiling", type=int,
-                       help="field-order bound in place of 2^28; also "
-                            "forces exact verification")
+                       help="field-order bound in place of 2^28")
         p.add_argument("--no-timestamps", action="store_true",
                        help="leave the timestamp out of the report")
         p.set_defaults(func=func)
@@ -365,9 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("theorem", choices=CHECKS, help="check id")
     instance(p)
     p.add_argument("--set", help="difference-set file")
-    p.add_argument("--m", type=int, help="planar order parameter")
-    p.add_argument("--a", type=int, help="intermediate field degree a")
-    p.add_argument("--b", type=int, help="intermediate field degree b")
+    p.add_argument("--m", type=positive_int, help="planar order parameter")
+    p.add_argument("--a", type=positive_int, help="intermediate field degree a")
+    p.add_argument("--b", type=positive_int, help="intermediate field degree b")
 
     p = verb("search", cmd_search, "multiplier-orbit pruned search")
     p.add_argument("--group", required=True,

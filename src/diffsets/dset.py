@@ -32,10 +32,6 @@ from .numth import (divisors, is_prime_power, multiplicative_order,
 #: Full difference counting keeps a dense length-v counter.
 FULL_VERIFY_ORDER_LIMIT = 1 << 26
 
-#: Above this many ordered pairs, automatic verification falls back to
-#: the spot check unless full verification is asked for.
-AUTO_VERIFY_PAIR_LIMIT = 4_000_000
-
 
 @dataclass(frozen=True)
 class Params:
@@ -103,7 +99,7 @@ class VerificationReport:
     lambda_observed: int | None
     identity_count: int
     fundamental_ok: bool
-    mode: str = "full"                  # "full" or "sampled"
+    mode: str = "full"                  # the one mode: every difference counted
 
     def as_dict(self):
         return {
@@ -289,54 +285,6 @@ def verify(G: AbelianGroup, elements) -> VerificationReport:
     if v == 1:
         return VerificationReport(True, 1, k, k, identity_count, True)
     return VerificationReport(False, v, k, None, identity_count, False)
-
-
-def verify_sampled(G: AbelianGroup, elements, sample) -> VerificationReport:
-    """Check D D^(-1) coefficients on a caller-specified set of group elements.
-
-    Uses O(k) set membership per sampled element, so it scales past the
-    dense-counter guard.
-    """
-    eset = set(elements)
-    k = len(eset)
-    lam = None
-    identity_count = None
-    ok = True
-    for t in sample:
-        c = sum(1 for a in eset if G.sub(a, t) in eset)
-        if t == 0:
-            identity_count = c
-            ok = ok and c == k
-        elif lam is None:
-            lam = c
-        elif c != lam:
-            ok = False
-            break
-    if identity_count is None:
-        identity_count = k
-    p = Params(G.order, k, lam if lam is not None else 0)
-    return VerificationReport(ok, G.order, k, lam if ok else None,
-                              identity_count, p.fundamental_ok() if ok else False,
-                              mode="sampled")
-
-
-def _full_verify_affordable(v: int, k: int) -> bool:
-    """The automatic verification policy: count all k^2 differences exactly
-    when that fits the pair and dense-counter limits."""
-    return k * k <= AUTO_VERIFY_PAIR_LIMIT and v <= FULL_VERIFY_ORDER_LIMIT
-
-
-def auto_verify(G: AbelianGroup, elements, full: bool | None = None) -> VerificationReport:
-    """Full verification if `full` is true, or if it is None and affordable;
-    otherwise a spot check of the first 64 elements and about 64 more
-    spread evenly over G (mode "sampled", never a proof)."""
-    v = G.order
-    if full is None:
-        full = _full_verify_affordable(v, len(elements))
-    if full:
-        return verify(G, elements)
-    sample = sorted(set(range(min(v, 64))) | set(range(0, v, max(1, v // 64))))
-    return verify_sampled(G, elements, sample)
 
 
 def make_difference_set(G: AbelianGroup, elements) -> DifferenceSet:
@@ -543,10 +491,8 @@ def read_set_file(path, verify_now: bool = True) -> DifferenceSet:
         els.append(e)
     if len(els) != k:
         raise SetFileError(path, len(raw), f"expected {k} elements, found {len(els)}")
-    params = Params(v, k, lam)
-    if verify_now and _full_verify_affordable(v, k):
+    verified = False
+    if verify_now:
         rep = verify(G, els)
         verified = rep.ok and rep.lambda_observed == lam
-    else:
-        verified = False
-    return DifferenceSet(G, tuple(sorted(els)), params, verified)
+    return DifferenceSet(G, tuple(sorted(els)), Params(v, k, lam), verified)

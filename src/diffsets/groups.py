@@ -347,16 +347,15 @@ def fixed_subgroup(G: AbelianGroup, m: int) -> Subgroup:
 # invariant-factor presentation of a subgroup (Smith normal form over Z)
 
 def _snf_with_transforms(A):
-    """Smith normal form S = P A Q of a small integer matrix."""
+    """Smith normal form S = P A Q of a small integer matrix, as (S, Q);
+    the row transform P is not kept."""
     A = [row[:] for row in A]
     n = len(A)
     m = len(A[0])
-    P = [[int(i == j) for j in range(n)] for i in range(n)]
     Q = [[int(i == j) for j in range(m)] for i in range(m)]
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
-        P[i], P[j] = P[j], P[i]
 
     def swap_cols(i, j):
         for row in A:
@@ -366,7 +365,6 @@ def _snf_with_transforms(A):
 
     def add_row(src, dst, c):
         A[dst] = [a + c * b for a, b in zip(A[dst], A[src])]
-        P[dst] = [a + c * b for a, b in zip(P[dst], P[src])]
 
     def add_col(src, dst, c):
         for row in A:
@@ -420,7 +418,7 @@ def _snf_with_transforms(A):
             add_row(bad, t, 1)
             continue
         t += 1
-    return A, P, Q
+    return A, Q
 
 
 def _hnf_basis(rows, t):
@@ -505,7 +503,7 @@ def subgroup_as_group(H: Subgroup) -> SubgroupPresentation:
     # A with A @ U = diag(factors)
     A = [_solve_triangular(U, [G.factors[i] if i == j else 0 for j in range(t)])
          for i in range(t)]
-    S, _P, Q = _snf_with_transforms(A)
+    S, Q = _snf_with_transforms(A)
     invariants = [S[i][i] for i in range(t)]
     kept = [i for i, s in enumerate(invariants) if s > 1]
     if not kept:

@@ -67,29 +67,31 @@ def _trace_zero_exponents(F: FiniteField, sub_degree: int, v: int) -> list[int]:
 
 def singer_construct(q: int, d: int, ceiling: int | None = None) -> DifferenceSet:
     """The Singer difference set of PG(d-1, q) in Z_v, v = (q^d-1)/(q-1),
-    verified and normalized.
+    verified exactly and normalized.
 
-    `ceiling` overrides the field-order bound SIZE_CEILING and forces exact
-    verification; without it dset.auto_verify chooses the check.
+    `ceiling` overrides the field-order bound SIZE_CEILING.  A v above
+    dset.FULL_VERIFY_ORDER_LIMIT, where the exact check cannot run, is
+    refused before the field is built.
     """
     pe = is_prime_power(q)
     if pe is None:
         raise ValueError(f"{q} is not a prime power")
     p, e = pe
-    F = make_field(p, e * d, ceiling=ceiling)
     params = classical_params(q, d)
+    if params.v > dset.FULL_VERIFY_ORDER_LIMIT:
+        raise MemoryError("full difference counting limited to group order "
+                          f"{dset.FULL_VERIFY_ORDER_LIMIT}; v = {params.v}")
+    F = make_field(p, e * d, ceiling=ceiling)
     G = AbelianGroup([params.v])
     indices = _trace_zero_exponents(F, e, params.v)
     if len(indices) != params.k:
         raise RuntimeError(f"construction produced {len(indices)} elements, "
                            f"expected {params.k}")
-    rep = dset.auto_verify(G, indices, True if ceiling is not None else None)
+    rep = dset.verify(G, indices)
     if not rep.ok or rep.lambda_observed != params.lam:
-        raise RuntimeError(f"constructed set failed {rep.mode} verification: "
-                           f"{rep.as_dict()}")
+        raise RuntimeError(f"constructed set failed verification: {rep.as_dict()}")
     meta = {"field_descriptor": F.descriptor(), "verification_mode": rep.mode}
-    return normalize(DifferenceSet(G, tuple(sorted(indices)), params,
-                                   rep.mode == "full", meta))
+    return normalize(DifferenceSet(G, tuple(sorted(indices)), params, True, meta))
 
 
 def tower_base(q: int, s: int) -> int:

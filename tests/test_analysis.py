@@ -60,9 +60,10 @@ def test_hall_check_fano():
 
 
 def test_hall_check_falsified_on_fake_set():
-    # (13,4,1) parameters but not a difference set: Hall conclusion fails
+    # (13,4,1) parameters but not a difference set; hall_check takes the
+    # verified flag on trust, so the Hall conclusion is checked and fails
     D = DifferenceSet(AbelianGroup([13]), (0, 1, 2, 5), Params(13, 4, 1),
-                      verified=False)
+                      verified=True)
     rep = hall_check(D)
     assert rep.status == "FALSIFIED"
 

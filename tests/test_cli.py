@@ -6,9 +6,10 @@ import shlex
 import numpy as np
 import pytest
 
-from diffsets import dset
+from diffsets import dset, singer
 from diffsets.cli import build_parser, check_instance_flags, run
 from diffsets.dset import read_set_file
+from diffsets.singer import singer_construct
 
 
 def invoke(capsys, *argv):
@@ -114,14 +115,71 @@ def test_quotient_image_rejects_without_counting_pairs(capsys, tmp_path,
                                   ["check", "cor3.2", "--q", "4", "--s", "3"]],
                          ids=["scan", "cor3.2"])
 def test_ceiling_forces_exact_verification(capsys, monkeypatch, verb):
-    # PG(3, 4^3) has k = 4161, so k^2 is over AUTO_VERIFY_PAIR_LIMIT and the
-    # automatic policy alone would spot-check the constructed set
-    def no_sampling(*args):
-        raise AssertionError("sampled verification ran")
+    # PG(3, 4^3) has k = 4161, so k^2 is over 4M ordered pairs; the
+    # constructed set is counted exactly whether or not --ceiling is given,
+    # and the ceiling changes no report
+    exact, verify = [], dset.verify
 
-    monkeypatch.setattr(dset, "verify_sampled", no_sampling)
-    code, rep = invoke_json(capsys, *verb, "--ceiling", "268435456")
-    assert code == 0
+    def counted(G, elements):
+        rep = verify(G, elements)
+        exact.append((G.order, rep.mode, rep.ok))
+        return rep
+
+    monkeypatch.setattr(dset, "verify", counted)
+    reports = []
+    for ceiling in ([], ["--ceiling", "268435456"]):
+        exact.clear()
+        code, rep = invoke_json(capsys, *verb, *ceiling)
+        assert code == 0 and (266305, "full", True) in exact
+        reports.append(rep)
+    assert reports[0] == reports[1]
+
+
+def test_verify_rejects_corruption_off_the_sample_points(capsys, tmp_path):
+    # The former spot check counted differences at the ranks below 64, the
+    # multiples of v // 64, and the negatives of both.  Replace a in D by
+    # b not in D so that no changed difference a - x, x - a, b - x, x - b
+    # (x in D) is such a point: the coefficients of D D^(-1) there are
+    # unchanged, so the spot check passed the set.  It is not a difference
+    # set, and verify counts every difference.
+    D = singer_construct(4**3, 4)
+    v, ranks = D.params.v, np.asarray(D.elements)
+    base = np.array(sorted(set(range(64)) | set(range(0, v, v // 64))))
+    hit = np.zeros(v, dtype=bool)
+    hit[base] = hit[-base % v] = True
+
+    def off_samples(c, xs):
+        return not (hit[(c - xs) % v].any() or hit[(xs - c) % v].any())
+
+    a = next(a for a in D.elements if off_samples(a, ranks[ranks != a]))
+    b = next(b for b in range(v)
+             if b not in D.element_set and off_samples(b, ranks))
+    bad = str(tmp_path / "bad.dset")
+    els = sorted(set(D.elements) - {a} | {b})
+    dset.write_set_file(bad, dset.DifferenceSet(D.group, tuple(els), D.params))
+    code, rep = invoke_json(capsys, "verify", "--set", bad)
+    assert code == 3 and rep["verified"] is False and rep["mode"] == "full"
+
+
+@pytest.mark.parametrize("ceiling", [[], ["--ceiling", "268435456"]],
+                         ids=["default", "ceiling"])
+def test_mann_on_q4_s3_verified(capsys, ceiling):
+    code, rep = invoke_json(capsys, "mann", "--q", "4", "--s", "3",
+                            "--subgroup-order", "65", *ceiling)
+    assert code == 0 and rep["verified"] and rep["verification_mode"] == "full"
+
+
+def test_construct_over_verify_limit_fails_before_building(capsys, monkeypatch):
+    # v = 2^27 - 1 is over dset.FULL_VERIFY_ORDER_LIMIT, where the exact
+    # check cannot run, although GF(2^27) is under the field ceiling
+    def no_building(*args, **kw):
+        raise AssertionError("field built or enumerated")
+
+    monkeypatch.setattr(singer, "make_field", no_building)
+    monkeypatch.setattr(singer, "_trace_zero_exponents", no_building)
+    assert run(["construct", "--q", "2", "--d", "27"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("resource limit:") and err.count("\n") == 1
 
 
 def test_tower_errors_name_the_given_q_and_s(capsys):
@@ -180,6 +238,27 @@ def test_check_applicable_instance(capsys, argv, code, status, hyps, cons):
     assert [c["ok"] for c in rep["conclusions"]] == cons
 
 
+def test_hall_on_unverified_set_is_not_falsified(capsys, tmp_path):
+    out = str(tmp_path / "bad.dset")
+    invoke_json(capsys, "construct", "--q", "2", "--s", "3", "--out", out)
+    _replace_last_element(out, 585)
+    assert not read_set_file(out).verified
+    code, rep = invoke_json(capsys, "check", "hall", "--set", out)
+    assert code == 2 and rep["status"] == "hypothesis-not-met"
+    assert rep["hypotheses"][0] == {"name": "difference set verified",
+                                    "ok": False}
+
+
+def test_thm51_on_unverified_set_is_not_falsified(capsys, tmp_path):
+    # a normalized 7-subset of Z_15 that is not a (15,7,3) difference set
+    path = tmp_path / "fake.dset"
+    path.write_text("group Z_15\n15 7 3\n1\n4\n7\n10\n11\n13\n14\n")
+    code, rep = invoke_json(capsys, "check", "thm5.1", "--q", "2",
+                            "--set", str(path))
+    assert code == 2 and rep["status"] == "hypothesis-not-met"
+    assert [h["ok"] for h in rep["hypotheses"]] == [False, True, True, True]
+
+
 def test_check_hypothesis_short_circuit(capsys):
     code, rep = invoke_json(capsys, "check", "thm4.3", "--q", "2", "--s", "5")
     assert code == 2 and rep["status"] == "hypothesis-not-met"
@@ -207,6 +286,9 @@ def test_check_missing_flag(capsys):
     "profile --q 2 --set x.dset --subgroup-order 5",
     "search --group Z_7 --k 3 --lambda 1 --q 5",
     "search --group Z_7 --k 3 --lambda 1 --m 0",
+    "check jv --m -2",
+    "check ho --m -2 --s 2",
+    "check thm3.1 --q 2 --a -1 --b -3",
 ])
 def test_misuse_is_one_line_error(capsys, tmp_path, monkeypatch, argv):
     # a missing flag, or one the verb or check id does not read, is an error
@@ -217,6 +299,12 @@ def test_misuse_is_one_line_error(capsys, tmp_path, monkeypatch, argv):
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_package_exports_exist():
+    import diffsets
+    assert [name for name in diffsets.__all__
+            if not hasattr(diffsets, name)] == []
 
 
 def test_readme_commands_parse():

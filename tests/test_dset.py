@@ -11,8 +11,7 @@ from diffsets.dset import (DifferenceSet, Params, SetFileError,
                            distribution_bound_check, element_sum,
                            intersection_profile, is_normalized,
                            make_difference_set, normalize, read_set_file,
-                           restrict, translate, verify, verify_sampled,
-                           write_set_file)
+                           restrict, translate, verify, write_set_file)
 from diffsets.groups import (AbelianGroup, cyclic_subgroup_of_order,
                              generated_subgroup, multiplier_orbits)
 from diffsets.numth import multiplicative_order
@@ -230,14 +229,6 @@ def test_verify_mixed_coordinates():
 def test_verify_rejects_non_difference_set():
     rep = verify(AbelianGroup([7]), (0, 1, 2))
     assert not rep.ok
-
-
-def test_verify_sampled_consistent():
-    G = AbelianGroup([15])
-    full = verify(G, PG32)
-    samp = verify_sampled(G, PG32, range(15))
-    assert samp.ok == full.ok and samp.mode == "sampled"
-    assert not verify_sampled(G, (0, 1, 2, 3, 4, 5, 6), range(15)).ok
 
 
 def test_make_difference_set_verifies():
