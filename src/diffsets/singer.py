@@ -22,11 +22,15 @@ from . import dset
 from .dset import DifferenceSet, classical_params, normalize
 from .field import FiniteField, _basis_traces, make_field
 from .groups import AbelianGroup
-from .numth import is_prime_power
+from .numth import is_prime_power, multiplicative_order
 
 
 #: Rows of the block-value product computed at once; bounds its temporaries.
 _BLOCK_ROWS = 64
+
+#: Estimated peak bytes (`_construct_bytes`) above which singer_construct
+#: refuses to start.
+CONSTRUCT_BYTE_LIMIT = 1 << 31
 
 
 def _trace_zero_exponents(F: FiniteField, sub_degree: int, v: int) -> list[int]:
@@ -65,13 +69,24 @@ def _trace_zero_exponents(F: FiniteField, sub_degree: int, v: int) -> list[int]:
     return np.flatnonzero(~nz[:total].reshape(m, v).any(0)).tolist()
 
 
+def _construct_bytes(p: int, sub_degree: int, v: int, k: int) -> int:
+    """Estimated peak bytes of singer_construct over GF(p): the trace-zero
+    flags of `_trace_zero_exponents` (about 2*m*v + v bytes, m =
+    sub_degree), its index list (Python ints, about 96 bytes an element
+    with the sorted and the normalized copies), and `dset.verify` by the
+    strategy it will pick, as the set is fixed by the multiplier p."""
+    strategy = dset._strategy(v, k, multiplicative_order(p, v))
+    return (2 * sub_degree * v + v) + 96 * k + dset._verify_bytes(v, k, strategy)
+
+
 def singer_construct(q: int, d: int, ceiling: int | None = None) -> DifferenceSet:
     """The Singer difference set of PG(d-1, q) in Z_v, v = (q^d-1)/(q-1),
     verified exactly and normalized.
 
     `ceiling` overrides the field-order bound SIZE_CEILING.  A v above
-    dset.FULL_VERIFY_ORDER_LIMIT, where the exact check cannot run, is
-    refused before the field is built.
+    dset.FULL_VERIFY_ORDER_LIMIT, where the exact check cannot run, or an
+    estimate above CONSTRUCT_BYTE_LIMIT is refused before the field is
+    built.
     """
     pe = is_prime_power(q)
     if pe is None:
@@ -81,6 +96,11 @@ def singer_construct(q: int, d: int, ceiling: int | None = None) -> DifferenceSe
     if params.v > dset.FULL_VERIFY_ORDER_LIMIT:
         raise MemoryError("full difference counting limited to group order "
                           f"{dset.FULL_VERIFY_ORDER_LIMIT}; v = {params.v}")
+    need = _construct_bytes(p, e, params.v, params.k)
+    if need > CONSTRUCT_BYTE_LIMIT:
+        raise MemoryError(f"construction of v = {params.v} needs about "
+                          f"{need >> 20} MiB, over the "
+                          f"{CONSTRUCT_BYTE_LIMIT >> 20} MiB limit")
     F = make_field(p, e * d, ceiling=ceiling)
     G = AbelianGroup([params.v])
     indices = _trace_zero_exponents(F, e, params.v)

@@ -101,6 +101,7 @@ def test_quotient_image_rejects_without_counting_pairs(capsys, tmp_path,
 
     monkeypatch.setattr(dset, "_pair_counts", no_counting)
     monkeypatch.setattr(dset, "_orbit_counts", no_counting)
+    monkeypatch.setattr(dset, "_ntt_counts", no_counting)
     code, rep = invoke_json(capsys, "verify", "--set", out,
                             "--ceiling", "268435456")
     assert code == 3
@@ -180,6 +181,25 @@ def test_construct_over_verify_limit_fails_before_building(capsys, monkeypatch):
     assert run(["construct", "--q", "2", "--d", "27"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("resource limit:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("q, d, limit", [(3, 17, "MiB limit"), (2, 26, "MiB limit"),
+                                         (2, 28, "group order")])
+def test_construct_over_byte_limit_fails_before_building(capsys, monkeypatch,
+                                                         q, d, limit):
+    # v = 64570081 for (3, 17) and 2^26 - 1 for (2, 26) are under the order
+    # limit, but their exact NTT check alone needs 2^27-word buffers; the
+    # byte estimate refuses them before the field is built, as the order
+    # limit refuses (2, 28)
+    def no_building(*args, **kw):
+        raise AssertionError("field built or enumerated")
+
+    monkeypatch.setattr(singer, "make_field", no_building)
+    monkeypatch.setattr(singer, "_trace_zero_exponents", no_building)
+    assert run(["construct", "--q", str(q), "--d", str(d)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("resource limit:") and err.count("\n") == 1
+    assert limit in err
 
 
 def test_tower_errors_name_the_given_q_and_s(capsys):

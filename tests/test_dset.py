@@ -137,6 +137,112 @@ def test_pair_counts_reuse_their_blocks(factors, blocks):
     assert peak < (blocks + 0.25) * 4_000_000 * 8
 
 
+# -- the NTT counter and the cost-chosen strategy ----------------------------------
+
+#: Orders next to powers of two, where the transform length L = 2^ceil(log2(2v-1))
+#: is tight or loose.
+EDGE_ORDERS = sorted({max(1, 2**j + s) for j in range(12) for s in (-1, 0, 1)})
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_ntt_counts_match_pair_counts(data):
+    v = data.draw(st.one_of(st.sampled_from(EDGE_ORDERS), st.integers(1, 3000)),
+                  label="v")
+    if data.draw(st.booleans(), label="D = G"):
+        els = list(range(v))
+    else:
+        els = data.draw(st.lists(st.integers(0, v - 1), max_size=300), label="multiset")
+        els += els[:data.draw(st.integers(0, 20), label="repeats")]
+    ranks = np.sort(np.asarray(els, dtype=np.int64))
+    assert dset._ntt_exact(ranks)
+    assert np.array_equal(dset._ntt_counts(v, ranks),
+                          dset._pair_counts(AbelianGroup([v]), ranks))
+
+
+@pytest.mark.parametrize("q, d", [(2, 12), (5, 6)])
+def test_ntt_counts_match_pair_counts_on_singer_sets(q, d):
+    D = singer_construct(q, d)
+    ranks = np.asarray(D.elements, dtype=np.int64)
+    assert np.array_equal(dset._ntt_counts(D.group.order, ranks),
+                          dset._pair_counts(D.group, ranks))
+
+
+def test_ntt_counts_on_the_pg10_3_set():
+    # k^2 = 8.7e8 pairs would take seconds, so the orbit count (checked
+    # against the pair count above) and the Singer parameters are the oracle
+    D = singer_construct(3, 11)
+    G, (v, k, lam) = D.group, D.params.as_tuple()
+    ranks = np.asarray(D.elements, dtype=np.int64)
+    counts = dset._ntt_counts(v, ranks)
+    assert counts[0] == k and (counts[1:] == lam).all()
+    assert np.array_equal(counts, dset._orbit_counts(G, ranks, 3))
+
+
+def test_ntt_exact_below_the_prime():
+    # one rank repeated r times has identity count r^2, and 44869^2 <
+    # 2013265921 < 44870^2
+    assert dset._ntt_exact(np.zeros(44869, dtype=np.int64))
+    assert not dset._ntt_exact(np.zeros(44870, dtype=np.int64))
+
+
+@pytest.mark.parametrize("v, k, e, strategy", [
+    (2113665, 16513, 28, "orbit"),      # the q=2 s=7 tower
+    (538084, 6643, 16, "orbit"),        # the q=3 s=4 tower
+    (88573, 29524, 11, "ntt"),          # PG(10, 3)
+    (797161, 265720, 13, "ntt"),        # PG(12, 3)
+    (127, 63, 7, "orbit"),              # the search sizes
+    (127, 63, None, "pair"),
+    (133, 12, 3, "pair"),
+    (15, 7, 4, "orbit"),
+    (7, 3, None, "pair")])
+def test_strategy_from_the_cost_model(v, k, e, strategy):
+    assert dset._strategy(v, k, e) == strategy
+
+
+def _forbid(monkeypatch, *names):
+    def no_counting(*args):
+        raise AssertionError("this counter must not run")
+
+    for name in names:
+        monkeypatch.setattr(dset, name, no_counting)
+
+
+def test_product_groups_take_the_pair_count(monkeypatch):
+    # dense enough that Z_4096 would take the NTT
+    G = AbelianGroup([64, 64])
+    assert dset._strategy(G.order, 2048) == "ntt"
+    els = np.random.default_rng(3).choice(G.order, 2048, replace=False)
+    expected = dset._pair_counts(G, np.sort(els))
+    _forbid(monkeypatch, "_ntt_counts", "_orbit_counts")
+    assert np.array_equal(difference_counts(G, els.tolist()), expected)
+
+
+def test_verify_by_ntt_accepts_and_rejects_unfixed_sets(monkeypatch):
+    # PG(12, 2) in Z_8191: v is prime, so no quotient image decides, and
+    # neither a translate nor a one-element corruption is fixed by 2, so
+    # both are counted by the NTT
+    D = singer_construct(2, 13)
+    G = D.group
+    shifted = translate(D, 1).elements
+    bad = D.elements[1:] + (next(x for x in range(G.order) if x not in D.element_set),)
+    expected = [verify(G, shifted), pair_count_report(G, bad)]
+    assert expected[0].ok and not expected[1].ok
+    _forbid(monkeypatch, "_pair_counts", "_orbit_counts")
+    assert [verify(G, shifted), verify(G, bad)] == expected
+
+
+@pytest.mark.parametrize("factors, els", [([7], [8, 9, 11]), ([7], [-1, 1, 3]),
+                                          ([2, 2], [0, 5, 6]), ([7], [2**70])])
+def test_ranks_outside_the_group_are_refused(factors, els):
+    # reduced mod v, [8, 9, 11] would be (7,3,1) and [0, 5, 6] the (4,3,2)
+    # set {0, 1, 2} of Z_2 x Z_2
+    G = AbelianGroup(factors)
+    for check in (verify, make_difference_set, difference_counts):
+        with pytest.raises(ValueError, match="outside"):
+            check(G, els)
+
+
 # -- the quotient certificate against the pair count -------------------------------
 
 def pair_count_report(G, elements):
