@@ -156,8 +156,6 @@ class FiniteField:
         self.order = p**n
         self.mult_order = self.order - 1
         self.modulus = modulus                      # length n+1, monic
-        self.zero = 0
-        self.one = 1
         if n > 1:
             self.gen = p                            # residue of x
         else:
@@ -199,9 +197,6 @@ class FiniteField:
 
     def neg(self, a: int) -> int:
         return self.from_coeffs([-x for x in self.coeffs(a)])
-
-    def sub(self, a: int, b: int) -> int:
-        return self.from_coeffs([x - y for x, y in zip(self.coeffs(a), self.coeffs(b))])
 
     def mul(self, a: int, b: int) -> int:
         return self.from_coeffs(_pmul_mod(self.p, self.n, self.modulus,
@@ -256,11 +251,6 @@ class FiniteField:
         """Tr_{F/M}(x) = sum of the Galois conjugates of x over M."""
         self._check(x)
         return self.trace_map(m)(x)
-
-    def elements(self):
-        """Iterate over all field elements (packed form)."""
-        return range(self.order)
-
 
 @functools.lru_cache(maxsize=None)
 def _make_field_cached(p: int, n: int) -> FiniteField:

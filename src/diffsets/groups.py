@@ -8,7 +8,7 @@ multiplicative language for difference sets maps onto this as
 
 Factor lists are not required to be in invariant-factor form (Z_3 x Z_5
 is accepted as written); :func:`subgroup_as_group` always emits a proper
-invariant-factor presentation via Smith normal form.
+invariant-factor presentation, from a greedy basis of maximal orders.
 """
 from __future__ import annotations
 
@@ -203,17 +203,13 @@ class CosetDecomposition:
 
 def _closure(G: AbelianGroup, gens) -> tuple[int, ...]:
     seen = {0}
-    frontier = [0]
     for g in gens:
         if g not in seen:
-            new = []
             for s in list(seen):
                 t = G.add(s, g)
                 while t not in seen:
                     seen.add(t)
-                    new.append(t)
                     t = G.add(t, g)
-            frontier.extend(new)
         if len(seen) > MATERIALIZE_LIMIT:
             raise GroupSizeError("subgroup closure exceeds materialization guard")
     return tuple(sorted(seen))
@@ -344,182 +340,54 @@ def fixed_subgroup(G: AbelianGroup, m: int) -> Subgroup:
 
 
 # ---------------------------------------------------------------------------
-# invariant-factor presentation of a subgroup (Smith normal form over Z)
-
-def _snf_with_transforms(A):
-    """Smith normal form S = P A Q of a small integer matrix, as (S, Q);
-    the row transform P is not kept."""
-    A = [row[:] for row in A]
-    n = len(A)
-    m = len(A[0])
-    Q = [[int(i == j) for j in range(m)] for i in range(m)]
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in Q:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, c):
-        A[dst] = [a + c * b for a, b in zip(A[dst], A[src])]
-
-    def add_col(src, dst, c):
-        for row in A:
-            row[dst] += c * row[src]
-        for row in Q:
-            row[dst] += c * row[src]
-
-    t = 0
-    while t < min(n, m):
-        # find a nonzero pivot of minimal absolute value
-        pivot = None
-        best = None
-        for i in range(t, n):
-            for j in range(t, m):
-                a = abs(A[i][j])
-                if a and (best is None or a < best):
-                    best = a
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        i, j = pivot
-        swap_rows(t, i)
-        swap_cols(t, j)
-        if A[t][t] < 0:
-            add_row(t, t, -2)  # negate row via A[t] += -2*A[t]
-        dirty = False
-        for i in range(t + 1, n):
-            if A[i][t]:
-                q = A[i][t] // A[t][t]
-                add_row(t, i, -q)
-                if A[i][t]:
-                    dirty = True
-        for j in range(t + 1, m):
-            if A[t][j]:
-                q = A[t][j] // A[t][t]
-                add_col(t, j, -q)
-                if A[t][j]:
-                    dirty = True
-        if dirty:
-            continue
-        # divisibility fixup
-        bad = None
-        for i in range(t + 1, n):
-            for j in range(t + 1, m):
-                if A[i][j] % A[t][t]:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            add_row(bad, t, 1)
-            continue
-        t += 1
-    return A, Q
-
-
-def _hnf_basis(rows, t):
-    """Row-echelon integer basis (t x t) of the lattice spanned by rows."""
-    mat = [row[:] for row in rows]
-    basis = []
-    for col in range(t):
-        pivot_rows = [r for r in mat if r[col] != 0]
-        while len(pivot_rows) > 1:
-            pivot_rows.sort(key=lambda r: abs(r[col]))
-            a = pivot_rows[0]
-            for r in pivot_rows[1:]:
-                q = r[col] // a[col]
-                for i in range(t):
-                    r[i] -= q * a[i]
-            pivot_rows = [r for r in mat if r[col] != 0]
-        if not pivot_rows:
-            raise ValueError("lattice not of full rank")
-        piv = pivot_rows[0]
-        if piv[col] < 0:
-            piv[:] = [-x for x in piv]
-        basis.append(piv[:])
-        mat = [r for r in mat if r is not piv and any(r)]
-        for r in mat:
-            if r[col]:
-                q = r[col] // piv[col]
-                for i in range(t):
-                    r[i] -= q * piv[i]
-        mat = [r for r in mat if any(r)]
-    return basis
-
-
-def _solve_triangular(U, target):
-    """Integer z with z @ U = target, U lower-triangular-by-column order."""
-    t = len(U)
-    z = [0] * t
-    rem = list(target)
-    for col in range(t):
-        # U rows are echelon with pivot at position col for row col
-        piv = U[col][col]
-        q, r = divmod(rem[col], piv)
-        if r:
-            raise ValueError("target not in the lattice")
-        z[col] = q
-        for i in range(t):
-            rem[i] -= q * U[col][i]
-    if any(rem):
-        raise ValueError("target not in the lattice")
-    return z
-
+# invariant-factor presentation of a subgroup (greedy basis of maximal orders)
 
 @dataclass(frozen=True)
 class SubgroupPresentation:
     """A subgroup re-coordinatized as its own abelian group."""
 
-    subgroup: Subgroup
     group: AbelianGroup                       # invariant-factor form
     to_sub: dict = field(repr=False)          # rank in parent -> rank here
-    from_sub: dict = field(repr=False)
 
 
 def subgroup_as_group(H: Subgroup) -> SubgroupPresentation:
-    """Present H in invariant-factor form with an explicit isomorphism."""
-    G = H.group
-    t = len(G.factors)
-    if G.is_cyclic:
-        m = H.order
-        # all subgroups of a cyclic group are standard: find a generator
-        gen = min((e for e in H.elements if G.element_order(e) == m), default=0)
-        group = AbelianGroup([m])
-        to_sub = {}
-        r = 0
-        for j in range(m):
-            to_sub[r] = j
-            r = G.add(r, gen)
-        from_sub = {j: r for r, j in to_sub.items()}
-        return SubgroupPresentation(H, group, to_sub, from_sub)
+    """Present H in invariant-factor form with an explicit isomorphism.
 
-    rows = [list(G.unrank(e)) for e in H.elements]
-    rows += [[G.factors[i] if i == j else 0 for j in range(t)] for i in range(t)]
-    U = _hnf_basis(rows, t)
-    # A with A @ U = diag(factors)
-    A = [_solve_triangular(U, [G.factors[i] if i == j else 0 for j in range(t)])
-         for i in range(t)]
-    S, Q = _snf_with_transforms(A)
-    invariants = [S[i][i] for i in range(t)]
-    kept = [i for i, s in enumerate(invariants) if s > 1]
-    if not kept:
-        kept = [t - 1]  # trivial subgroup -> Z_1
-    factors = [invariants[i] for i in kept]
-    group = AbelianGroup(factors)
-    to_sub = {}
-    for e in H.elements:
-        target = list(G.unrank(e))
-        z = _solve_triangular(U, target)
-        w = [sum(z[i] * Q[i][j] for i in range(t)) % invariants[j] for j in range(t)]
-        to_sub[e] = group.rank([w[i] for i in kept])
-    if len(set(to_sub.values())) != H.order:
-        raise RuntimeError("subgroup re-coordinatization is not injective")
-    from_sub = {j: r for r, j in to_sub.items()}
-    return SubgroupPresentation(H, group, to_sub, from_sub)
+    The basis comes from the proof of the structure theorem (Lang,
+    *Algebra*, I.8).  With S the span of the basis so far, take the
+    least-rank y in H whose order f modulo S is largest.  f divides every
+    earlier order, so f*y = sum a_i x_i with f | a_i, and
+    y - sum (a_i/f) x_i has order exactly f and meets S only in 0.  A new
+    basis element gets the weight |S|, so the coordinate of f*y divided by
+    f is the coordinate of sum (a_i/f) x_i, and the orders read backwards
+    are the invariant factors.  On a cyclic H the first pick is the
+    least-rank generator and rank j*gen maps to j.
+    """
+    G = H.group
+    members = [0]               # members[c] is the element of S at coordinate c
+    to_sub = {0: 0}
+    orders = []
+    while len(members) < H.order:
+        bound = H.order // len(members)     # no order modulo S exceeds |H/S|
+        best, f_best = None, 1
+        for y in H.elements:
+            f = G.element_order(y)
+            for p in factorize(f):
+                while f % p == 0 and G.scale(f // p, y) in to_sub:
+                    f //= p
+            if f > f_best:
+                best, f_best = y, f
+                if f == bound:
+                    break
+        x = G.sub(best, members[to_sub[G.scale(f_best, best)] // f_best])
+        multiples = [G.scale(c, x) for c in range(f_best)]
+        members = [G.add(s, t) for t in multiples for s in members]
+        to_sub = {r: c for c, r in enumerate(members)}
+        if G.scale(f_best, x) or len(to_sub) != len(members):
+            raise RuntimeError(
+                "subgroup re-coordinatization is not an isomorphism onto H")
+        orders.append(f_best)
+    return SubgroupPresentation(AbelianGroup(orders[::-1] or [1]), to_sub)
 
 
 def _scale_ranks(G: AbelianGroup, m: int, x: np.ndarray) -> np.ndarray:

@@ -49,6 +49,8 @@ class SearchSpec:
 
     def __post_init__(self):
         v = self.group.order
+        if not 0 <= self.k <= v:
+            raise ValueError(f"k = {self.k} is outside [0, {v}]")
         if self.lam * (v - 1) != self.k * (self.k - 1):
             raise ValueError(
                 f"infeasible parameters ({v},{self.k},{self.lam}): "

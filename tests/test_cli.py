@@ -309,6 +309,9 @@ def test_check_missing_flag(capsys):
     "check jv --m -2",
     "check ho --m -2 --s 2",
     "check thm3.1 --q 2 --a -1 --b -3",
+    "search --group Z_3 --k -1 --lambda 1",
+    "search --group Z_7 --k -2 --lambda 1",
+    "search --group Z_3 --k 4 --lambda 6",
 ])
 def test_misuse_is_one_line_error(capsys, tmp_path, monkeypatch, argv):
     # a missing flag, or one the verb or check id does not read, is an error

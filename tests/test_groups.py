@@ -10,6 +10,7 @@ from diffsets.groups import (AbelianGroup, GroupSizeError, Subgroup,
                              fixed_subgroup, generated_subgroup,
                              multiplier_orbits, parse_group, quotient_exponent,
                              subgroup_as_group, subgroups_of_order, sylow)
+from diffsets.numth import divisors
 
 SMALL_FACTORS = st.lists(st.integers(min_value=2, max_value=12),
                          min_size=1, max_size=3)
@@ -194,7 +195,17 @@ def test_subgroup_as_group_cyclic():
             # to_sub is an isomorphism onto Z_5
             assert pres.group.add(pres.to_sub[a], pres.to_sub[b]) \
                 == pres.to_sub[G.add(a, b)]
-        assert pres.from_sub[pres.to_sub[a]] == a
+
+
+def test_subgroup_as_group_cyclic_coordinates():
+    # on a cyclic parent the least-rank generator of the order-m subgroup
+    # is v/m, and its multiple j*(v/m) gets coordinate j
+    G = AbelianGroup([585])
+    for m in divisors(585):
+        pres = subgroup_as_group(cyclic_subgroup_of_order(G, m))
+        assert pres.group.factors == (m,)
+        assert pres.to_sub == {e: e // (585 // m)
+                               for e in range(0, 585, 585 // m)}
 
 
 def test_subgroup_as_group_noncyclic():
@@ -209,13 +220,14 @@ def test_subgroup_as_group_noncyclic():
 
 
 @pytest.mark.parametrize("factors", [[9, 3], [8, 4, 2], [6, 4], [10, 15],
-                                     [2, 4], [3, 3, 3], [3, 5]],
+                                     [12, 6, 2], [2, 4], [3, 3, 3], [3, 5]],
                          ids=lambda f: "x".join(map(str, f)))
 def test_subgroup_as_group_every_subgroup(factors):
     # every subgroup maps one-to-one and homomorphically onto a group in
-    # invariant-factor form; the first four factor lists are not in that
-    # form, which exercises the Smith normal form pivot, sign and
-    # divisibility-fixup steps
+    # invariant-factor form; in [6, 4], [10, 15] and [12, 6, 2] some
+    # least-rank element of largest order modulo the basis so far is not
+    # itself of that order, so the greedy basis must lift it by a
+    # non-zero combination of the earlier basis elements
     G = AbelianGroup(factors)
     for H in all_subgroups(G):
         pres = subgroup_as_group(H)
@@ -223,7 +235,6 @@ def test_subgroup_as_group_every_subgroup(factors):
         assert all(b % a == 0 for a, b in zip(S.factors, S.factors[1:]))
         assert sorted(pres.to_sub) == list(H.elements)
         assert sorted(pres.to_sub.values()) == list(range(S.order))
-        assert all(pres.from_sub[pres.to_sub[a]] == a for a in H.elements)
         for a in H.elements:
             for b in H.elements:
                 assert S.add(pres.to_sub[a], pres.to_sub[b]) \
