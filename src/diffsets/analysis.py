@@ -92,21 +92,14 @@ class MultiplierReport:
 
 
 def is_multiplier(D: DifferenceSet, m: int) -> MultiplierReport:
-    """Does x -> m*x map D onto a translate of itself?"""
+    """Does x -> m*x map D onto a translate D + g of itself?  g is one of
+    the differences image[0] - d0, d0 in D; it is unique, as a nontrivial
+    difference set has no nontrivial period."""
     G = D.group
-    image = apply_power_map(D, m)
-    if image == D.elements:
+    image = apply_power_map(G, D.elements, m)
+    if image == D.elements:             # also the empty set
         return MultiplierReport(m, True, 0, True)
-    k = D.params.k
     img_set = set(image)
-    if all(gcd(k, d) == 1 for d in G.factors):
-        # the translator is pinned down by element sums
-        diff = G.sub(ds.element_sum(G, image), ds.element_sum(G, D.elements))
-        dc = G.unrank(diff)
-        g = G.rank([c * pow(k % d, -1, d) % d for c, d in zip(dc, G.factors)])
-        ok = all(G.add(e, g) in img_set for e in D.elements)
-        return MultiplierReport(m, ok, g if ok else None, False)
-    # fall back: g must send the first image element onto some element of D
     for d0 in D.elements:
         g = G.sub(image[0], d0)
         if all(G.add(e, g) in img_set for e in D.elements):
@@ -193,9 +186,7 @@ def mann_test(D: DifferenceSet, U: Subgroup) -> TheoremReport:
                 {"p": p, "v_p(n)": vp})
         prof = intersection_profile(D, U)
         mod = p**j
-        residues = {s % mod for _, s in prof.pairs}
-        if len(prof.pairs) < prof.index:
-            residues.add(0)
+        residues = {s % mod for s in prof.counts}
         rep.con("intersection numbers congruent mod p^j", len(residues) <= 1,
                 {"mod": mod, "profile": prof.multiset()})
         rep.con("p^j <= |U|", mod <= U.order, {"p^j": mod, "|U|": U.order})
@@ -210,10 +201,8 @@ def mann_test(D: DifferenceSet, U: Subgroup) -> TheoremReport:
 
 
 def _unique_subgroup(G: AbelianGroup, order: int):
-    """(subgroup, unique flag); raises if no subgroup of that order exists."""
+    """(subgroup, unique flag); ValueError when order does not divide |G|."""
     subs = subgroups_of_order(G, order)
-    if not subs:
-        raise ValueError(f"no subgroup of order {order}")
     return subs[0], len(subs) == 1
 
 
@@ -222,8 +211,7 @@ def _restriction(D: DifferenceSet, M: Subgroup, expected: tuple):
     in M with (v, k, lambda) == expected."""
     res = restrict(D, M)
     vrep = ds.verify(res.group, res.elements)
-    ok = vrep.ok and (vrep.v, vrep.k, vrep.lambda_observed) == expected
-    return res, vrep, ok
+    return res, vrep, vrep.confirms(expected)
 
 
 def check_thm_classical_profile(D: DifferenceSet, q: int, s: int) -> TheoremReport:
@@ -249,13 +237,12 @@ def check_thm_classical_profile(D: DifferenceSet, q: int, s: int) -> TheoremRepo
     expected_profile = sorted([Q + 1] + [1] * (Q * Q))
     rep.con("profile is {q^s+1, 1, ..., 1}", prof.multiset() == expected_profile,
             prof.multiset() if prof.index <= 64 else None)
-    eset = D.element_set
+    # a coset of H lies in D when D meets it |H| times
     if q % 2 == 0:
-        rep.con("H contained in D", all(h in eset for h in H.elements))
+        rep.con("H contained in D", prof.counts[0] == H.order)
     else:
-        coset = [G.add(h, z) for h in H.elements]
-        rep.con("Hz contained in D", all(x in eset for x in coset),
-                {"z": z})
+        z_coset = prof.decomposition.coset_index(z)
+        rep.con("Hz contained in D", prof.counts[z_coset] == H.order, {"z": z})
     return rep
 
 
@@ -378,29 +365,22 @@ def check_dintk(D: DifferenceSet, q: int) -> TheoremReport:
     expected = sorted([1] + [q + 1] * q)
     rep.con("profile is {1, q+1, ..., q+1}", prof.multiset() == expected,
             prof.multiset())
-    ones = [rep_rank for rep_rank, s_i in prof.pairs if s_i == 1]
-    if len(prof.pairs) < prof.index:
-        rep.con("distinguished coset exists", False, prof.multiset())
-        return rep
+    dec = prof.decomposition
+    ones = [x for x, s_i in zip(dec.representatives, prof.counts) if s_i == 1]
     if len(ones) != 1:
         rep.con("distinguished coset exists", False, ones)
         return rep
     x_star = ones[0]
-    dec = prof.decomposition
     in_k = dec.coset_index(x_star) == dec.coset_index(0)
     if q % 2 == 0:
         rep.con("distinguished coset is K itself (q even)", in_k, x_star)
         hits = sorted(set(D.elements) & K._element_set)
         rep.con("D ∩ K = {identity}", hits == [0], hits)
     else:
-        ok = in_k
-        if not ok:
-            # any order-4 element w with w^2 in K marks the other fixed coset
-            for w in G.elements():
-                if G.element_order(w) == 4 and G.scale(2, w) in K:
-                    if dec.coset_index(x_star) == dec.coset_index(w):
-                        ok = True
-                        break
+        # any order-4 element w with w^2 in K marks the other fixed coset
+        ok = in_k or any(G.element_order(w) == 4 and G.scale(2, w) in K and
+                         dec.coset_index(w) == dec.coset_index(x_star)
+                         for w in G.elements())
         rep.con("distinguished coset is K or Kw with w of order 4", ok, x_star)
     return rep
 
@@ -418,9 +398,8 @@ def check_hk(D: DifferenceSet, q: int, s: int) -> TheoremReport:
         return rep
     H, _ = _unique_subgroup(G, Q + 1)
     K, _ = _unique_subgroup(G, Q * Q + 1)
-    eset = D.element_set
-    rep.con("H contained in D", all(h in eset for h in H.elements))
     hprof = intersection_profile(D, H)
+    rep.con("H contained in D", hprof.counts[0] == H.order)
     rep.con("other H-cosets meet D once",
             hprof.multiset() == sorted([Q + 1] + [1] * (Q * Q)))
     hits = sorted(set(D.elements) & K._element_set)
@@ -530,7 +509,7 @@ class ScanRow:
     s: int
     v: int
     subgroup_order: int
-    status: str                # "embedded", "not-embedded", or an error note
+    status: str                # "(not-)embedded", "subgroup-absent" or an error
     detail: dict = field(default_factory=dict)
 
     def as_dict(self):
@@ -543,16 +522,22 @@ def conjecture_scan(q: int, s_list, ceiling: int | None = None) -> list[ScanRow]
     """For each s, does the PG(3, q^s) Singer set restrict to a minimal
     difference set on the subgroup M of order (q+1)(q^2+1)?
 
-    M exists for every s, since (q^4-1)/(q-1) divides (q^(4s)-1)/(q-1).
-    `ceiling` is passed to singer_construct; a field over it gives an
-    error row.
+    One row per s.  M exists when (q+1)(q^2+1) divides v = (q^s+1)(q^(2s)+1),
+    as for odd s; otherwise (q = 2, s = 2: v = 85) the row is
+    "subgroup-absent" and D is not built.  `ceiling` is passed to
+    singer_construct; a field over it gives an error row.
     """
     target = (q + 1) * (q * q + 1)
     pe = is_prime_power(q)
     rows = []
     for s in s_list:
+        Q = tower_base(q, s)
+        v = ds.classical_params(Q, 4).v
+        if v % target:
+            rows.append(ScanRow(q, s, v, target, "subgroup-absent"))
+            continue
         try:
-            D = singer_construct(tower_base(q, s), 4, ceiling=ceiling)
+            D = singer_construct(Q, 4, ceiling=ceiling)
         except (FieldSizeError, GroupSizeError, MemoryError) as e:
             rows.append(ScanRow(q, s, 0, target, f"error: {e}"))
             continue

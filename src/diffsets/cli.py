@@ -123,12 +123,12 @@ def cmd_construct(args):
 
 
 def cmd_verify(args):
-    D = ds.read_set_file(args.set, verify_now=False)
-    rep = ds.verify(D.group, D.elements)
+    D = ds.read_set_file(args.set)
     report = {"command": "verify", "set_file": args.set,
               "group": D.group.descriptor(),
-              "params": list(D.params.as_tuple()), **rep.as_dict()}
-    return (EXIT_OK if rep.ok else EXIT_FALSIFIED), report
+              "params": list(D.params.as_tuple()),
+              **D.meta["verification"].as_dict(), "verified": D.verified}
+    return (EXIT_OK if D.verified else EXIT_FALSIFIED), report
 
 
 def cmd_profile(args):
@@ -281,11 +281,10 @@ def cmd_search(args):
         summary = {"spec": report["spec"], "group": G.descriptor(),
                    "classes": result.classes,
                    "sets": [list(s) for s in result.sets],
-                   "nodes": result.nodes, "seconds": result.seconds}
+                   "nodes": result.nodes}
         spath = os.path.join(args.out_dir, "summary.json")
         with open(spath, "w") as fh:
-            json.dump({k: v for k, v in summary.items() if k != "seconds"},
-                      fh, indent=1, sort_keys=True)
+            json.dump(summary, fh, indent=1, sort_keys=True)
             fh.write("\n")
         report["result_files"] = files + [spath]
     report["sets"] = [list(s) for s in result.sets[:64]]
@@ -297,8 +296,10 @@ def cmd_scan(args):
     rows = an.conjecture_scan(args.q, s_values, ceiling=args.ceiling)
     report = {"command": "scan", "q": args.q,
               "rows": [r.as_dict() for r in rows]}
-    bad = [r for r in rows if r.status not in ("embedded",)]
-    return (EXIT_OK if not bad else EXIT_FALSIFIED), report
+    # 3 for a not-embedded or error row, else 2 for a subgroup-absent one
+    codes = [EXIT_OK if r.status == "embedded" else _status_exit(r.status)
+             for r in rows]
+    return max(codes), report
 
 
 # -- argument parsing -----------------------------------------------------------------

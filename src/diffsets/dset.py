@@ -34,7 +34,8 @@ from math import gcd
 import numpy as np
 
 from .groups import (AbelianGroup, CosetDecomposition, Subgroup,
-                     _multiplier_orbit_key, cosets, subgroup_as_group)
+                     _multiplier_orbit_key, _scale_ranks, cosets,
+                     subgroup_as_group)
 from .numth import (divisors, is_prime_power, multiplicative_order,
                     prime_divisors)
 
@@ -109,6 +110,10 @@ class VerificationReport:
     identity_count: int
     fundamental_ok: bool
     mode: str = "full"                  # the one mode: every difference counted
+
+    def confirms(self, expected: tuple) -> bool:
+        """Whether the set verified with exactly these (v, k, lambda)."""
+        return self.ok and (self.v, self.k, self.lambda_observed) == expected
 
     def as_dict(self):
         return {
@@ -242,7 +247,7 @@ def _fixing_multiplier(G: AbelianGroup, ranks: np.ndarray) -> int | None:
         if gcd(t, v) != 1:
             continue
         cost = _costs(v, k, multiplicative_order(t, v))["orbit"]
-        if cost < best_cost and np.array_equal(np.sort(ranks * t % v), ranks):
+        if cost < best_cost and (np.sort(_scale_ranks(G, t, ranks)) == ranks).all():
             best, best_cost = t, cost
     return best
 
@@ -462,12 +467,12 @@ def translate(D: DifferenceSet, g: int) -> DifferenceSet:
     return DifferenceSet(D.group, els, D.params, D.verified, dict(D.meta))
 
 
-def apply_power_map(D: DifferenceSet, m: int) -> tuple[int, ...]:
-    """Image of D under the numerical multiplier x -> m*x, as a sorted tuple."""
-    G = D.group
+def apply_power_map(G: AbelianGroup, elements, m: int) -> tuple[int, ...]:
+    """Image of elements under the numerical multiplier x -> m*x, sorted."""
     if gcd(m, G.order) != 1:
         raise ValueError(f"gcd({m}, {G.order}) != 1: not an automorphism")
-    return tuple(sorted(G.scale(m, e) for e in D.elements))
+    image = _scale_ranks(G, m, np.asarray(elements, dtype=np.int64))
+    return tuple(np.sort(image).tolist())
 
 
 def element_sum(G: AbelianGroup, elements) -> int:
@@ -505,32 +510,29 @@ def is_normalized(G: AbelianGroup, elements) -> bool:
 
 @dataclass(frozen=True)
 class IntersectionProfile:
+    """The intersection numbers of D with the cosets of H: counts[i] is
+    s_i = |D ∩ (x_i + H)| for the i-th coset of `decomposition`, zeros
+    included."""
     subgroup: Subgroup
     decomposition: CosetDecomposition
-    pairs: tuple[tuple[int, int], ...]   # (coset representative rank, s_i), nonzero only
-    index: int                           # number of cosets r
+    counts: tuple[int, ...]
     k: int
     lam: int
     n: int
 
     @property
-    def sum_si(self) -> int:
-        return sum(s for _, s in self.pairs)
-
-    @property
-    def sum_si_sq(self) -> int:
-        return sum(s * s for _, s in self.pairs)
+    def index(self) -> int:
+        return len(self.counts)
 
     def multiset(self) -> list[int]:
         """All r intersection numbers, sorted (zeros included)."""
-        vals = sorted(s for _, s in self.pairs)
-        return sorted(vals + [0] * (self.index - len(self.pairs)))
+        return sorted(self.counts)
 
     def sum_ok(self) -> bool:
-        return self.sum_si == self.k
+        return sum(self.counts) == self.k
 
     def sum_sq_ok(self) -> bool:
-        return self.sum_si_sq == self.lam * self.subgroup.order + self.n
+        return sum(s * s for s in self.counts) == self.lam * self.subgroup.order + self.n
 
     def as_dict(self):
         return {
@@ -543,14 +545,10 @@ class IntersectionProfile:
 
 
 def intersection_profile(D: DifferenceSet, H: Subgroup) -> IntersectionProfile:
-    G = D.group
-    dec = cosets(G, H)
-    counts: dict[int, int] = {}
-    for e in D.elements:
-        i = dec.coset_index(e)
-        counts[i] = counts.get(i, 0) + 1
-    pairs = tuple(sorted((dec.representatives[i], s) for i, s in counts.items()))
-    return IntersectionProfile(H, dec, pairs, dec.index, D.params.k,
+    dec = cosets(D.group, H)
+    which = dec.coset_index(np.asarray(D.elements, dtype=np.int64))
+    counts = np.bincount(which, minlength=dec.index)
+    return IntersectionProfile(H, dec, tuple(counts.tolist()), D.params.k,
                                D.params.lam, D.params.n)
 
 
@@ -575,8 +573,9 @@ def distribution_bound_check(D: DifferenceSet, H: Subgroup) -> BoundCheck:
     k = D.params.k
     n = D.params.n
     rhs = n * (r - 1) * (r - 1)
-    bad = [(rep, s) for rep, s in prof.pairs if (r * s - k) ** 2 > rhs]
-    if len(prof.pairs) < r and k * k > rhs:
+    bad = [(rep, s) for rep, s in zip(prof.decomposition.representatives,
+                                      prof.counts) if s and (r * s - k) ** 2 > rhs]
+    if 0 in prof.counts and k * k > rhs:
         bad.append((-1, 0))               # some coset misses D entirely
     return BoundCheck(not bad, r, tuple(bad))
 
@@ -616,7 +615,9 @@ class SetFileError(ValueError):
         self.line = line
 
 
-def read_set_file(path, verify_now: bool = True) -> DifferenceSet:
+def read_set_file(path) -> DifferenceSet:
+    """The set in a set file, `verified` when it verifies with the declared
+    (v, k, lambda); meta["verification"] holds the VerificationReport."""
     from .groups import parse_group
     with open(path) as fh:
         raw = fh.read().splitlines()
@@ -649,8 +650,6 @@ def read_set_file(path, verify_now: bool = True) -> DifferenceSet:
         els.append(e)
     if len(els) != k:
         raise SetFileError(path, len(raw), f"expected {k} elements, found {len(els)}")
-    verified = False
-    if verify_now:
-        rep = verify(G, els)
-        verified = rep.ok and rep.lambda_observed == lam
-    return DifferenceSet(G, tuple(sorted(els)), Params(v, k, lam), verified)
+    rep = verify(G, els)
+    return DifferenceSet(G, tuple(sorted(els)), Params(v, k, lam),
+                         rep.confirms((v, k, lam)), {"verification": rep})

@@ -175,30 +175,22 @@ class Subgroup:
 
 @dataclass(frozen=True)
 class CosetDecomposition:
+    """The cosets representatives[i] + H; x is in coset x mod the index in
+    Z_v, and in coset coset_of[x] in a product."""
+
     subgroup: Subgroup
     representatives: tuple[int, ...]   # minimal rank per coset, ascending
+    coset_of: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def index(self) -> int:
         return len(self.representatives)
 
-    def coset_index(self, r: int) -> int:
-        G = self.subgroup.group
-        if len(G.factors) == 1:
-            return r % (G.order // self.subgroup.order)
-        return self._lookup[r]
-
-    @property
-    def _lookup(self):
-        lk = self.__dict__.get("_lk")
-        if lk is None:
-            G = self.subgroup.group
-            lk = {}
-            for i, rep in enumerate(self.representatives):
-                for h in self.subgroup.elements:
-                    lk[G.add(rep, h)] = i
-            self.__dict__["_lk"] = lk
-        return lk
+    def coset_index(self, r):
+        """The coset index of a rank, or of an int64 array of ranks."""
+        if self.coset_of is None:
+            return r % self.index
+        return self.coset_of[r]
 
 
 def _closure(G: AbelianGroup, gens) -> tuple[int, ...]:
@@ -282,7 +274,8 @@ def all_subgroups(G: AbelianGroup) -> list[Subgroup]:
 
 
 def cosets(G: AbelianGroup, H: Subgroup) -> CosetDecomposition:
-    """Coset decomposition with minimal-rank representatives, ascending."""
+    """Coset decomposition with minimal-rank representatives, ascending;
+    for a product, the scan that finds them also fills `coset_of`."""
     if H.group != G:
         raise ValueError("subgroup belongs to a different group")
     r = G.order // H.order
@@ -291,30 +284,23 @@ def cosets(G: AbelianGroup, H: Subgroup) -> CosetDecomposition:
         return CosetDecomposition(H, tuple(range(r)))
     if G.order > MATERIALIZE_LIMIT:
         raise GroupSizeError("coset decomposition needs a materializable group")
-    seen = bytearray(G.order)
+    coset_of = np.full(G.order, -1, dtype=np.int32)
     reps = []
-    hset = H.elements
     for x in range(G.order):
-        if not seen[x]:
+        if coset_of[x] < 0:
+            coset_of[[G.add(x, h) for h in H.elements]] = len(reps)
             reps.append(x)
-            for h in hset:
-                seen[G.add(x, h)] = 1
             if len(reps) == r:
                 break
-    return CosetDecomposition(H, tuple(reps))
+    return CosetDecomposition(H, tuple(reps), coset_of)
 
 
 def quotient_exponent(G: AbelianGroup, U: Subgroup) -> int:
     """Least m >= 1 with m*x in U for every x in G."""
     uset = U._element_set
-    m = 1
     for d in divisors(G.exponent):
-        ok = True
-        for w in G._weights:            # generators of the direct factors
-            if G.scale(d, w) not in uset:
-                ok = False
-                break
-        if ok:
+        # G._weights are the generators of the direct factors
+        if all(G.scale(d, w) in uset for w in G._weights):
             return d
     return G.exponent
 

@@ -21,7 +21,7 @@ from math import comb, gcd
 import numpy as np
 
 from . import dset as ds
-from .groups import AbelianGroup, GroupSizeError, multiplier_orbits
+from .groups import AbelianGroup, GroupSizeError, _scale_ranks, multiplier_orbits
 
 #: The orbit-pair table holds 4*r^3 bytes for r multiplier orbits
 #: (r = v for the multiplier 1).
@@ -84,6 +84,21 @@ def _units(v: int) -> list[int]:
     return [m for m in range(1, max(v, 2)) if gcd(m, v) == 1]
 
 
+def _least_images(G: AbelianGroup, rows) -> list[tuple[int, ...]]:
+    """Each row's least image under the power maps x -> m*x, m a unit, as
+    a sorted tuple; a unit's sorted images replace the best rows that are
+    larger at the first column where the two differ."""
+    rows = np.asarray(rows, dtype=np.int64)
+    units = _units(G.order)
+    best = np.sort(_scale_ranks(G, units[0], rows), axis=1)
+    for m in units[1:]:
+        image = np.sort(_scale_ranks(G, m, rows), axis=1)
+        first = (image != best).argmax(axis=1)[:, None]
+        smaller = np.take_along_axis(image < best, first, axis=1)[:, 0]
+        best[smaller] = image[smaller]
+    return [tuple(row) for row in best.tolist()]
+
+
 def canonical_class(G: AbelianGroup, elements) -> tuple[int, ...]:
     """Lexicographically least image under all translates and power maps."""
     if not elements:
@@ -91,14 +106,7 @@ def canonical_class(G: AbelianGroup, elements) -> tuple[int, ...]:
     # The least image contains 0, so only the k translates of m*D by -m*e
     # compete, and m*x - m*e = m*(x - e): row e of `diffs` maps onto one.
     diffs = [[G.sub(x, e) for x in elements] for e in elements]
-    best = None
-    for m in _units(G.order):
-        image = [G.scale(m, x) for x in range(G.order)]
-        for row in diffs:
-            cand = tuple(sorted([image[d] for d in row]))
-            if best is None or cand < best:
-                best = cand
-    return best
+    return min(_least_images(G, diffs))
 
 
 def _class_keys(G: AbelianGroup, sets) -> list[tuple[int, ...]]:
@@ -111,15 +119,7 @@ def _class_keys(G: AbelianGroup, sets) -> list[tuple[int, ...]]:
     for s in sets:
         g = ds.normalizing_shift(G, s)
         bases.append([G.add(e, g) for e in s])
-    support = set().union(*bases)
-    keys = [None] * len(bases)
-    for m in _units(G.order):
-        image = {x: G.scale(m, x) for x in support}
-        for i, base in enumerate(bases):
-            cand = tuple(sorted([image[x] for x in base]))
-            if keys[i] is None or cand < keys[i]:
-                keys[i] = cand
-    return keys
+    return _least_images(G, bases)
 
 
 def _class_representatives(G: AbelianGroup, sets) -> list:
@@ -259,7 +259,3 @@ def brute_force_search(G: AbelianGroup, k: int, lam: int) -> SearchResult:
     return SearchResult(spec, results, _class_representatives(G, results),
                         nodes, time.perf_counter() - t0)
 
-
-def multiplier_fixed(G: AbelianGroup, elements, m: int) -> bool:
-    es = set(elements)
-    return all(G.scale(m, e) in es for e in elements)

@@ -35,21 +35,44 @@ def test_is_multiplier_powers_of_two(d15):
     from diffsets.dset import apply_power_map, translate
     translates = {translate(d15, g).elements for g in range(15)}
     for m in range(1, 15):
-        if m % 3 and m % 5 and apply_power_map(d15, m) in translates:
+        if m % 3 and m % 5 and \
+                apply_power_map(d15.group, d15.elements, m) in translates:
             brute_multipliers.add(m)
     assert brute_multipliers == {1, 2, 4, 8}
     assert not is_multiplier(d15, 7).is_multiplier
 
 
 def test_is_multiplier_non_coprime_k():
-    # v = 7, k = 3 is coprime, so force the fallback via a group where
-    # gcd(k, factor) > 1: (16,6,2) design in Z_2 x Z_8
+    # gcd(k, factor) > 1: the (16,6,2) design in Z_2 x Z_8.  For every unit
+    # m, is_multiplier agrees with "m*D is a translate of D" by brute force,
+    # and its translator g gives D + g = m*D.
+    from diffsets.dset import apply_power_map, translate
     G = AbelianGroup([2, 8])
     D = make_difference_set(G, (G.rank((0, 0)), G.rank((0, 1)),
                                 G.rank((0, 2)), G.rank((0, 5)),
                                 G.rank((1, 0)), G.rank((1, 6))))
-    rep = is_multiplier(D, 3)
-    assert rep.is_multiplier in (True, False)   # fallback path executes
+    translates = {translate(D, g).elements: g for g in range(16)}
+    for m in range(1, 16, 2):
+        image = apply_power_map(G, D.elements, m)
+        rep = is_multiplier(D, m)
+        assert rep.is_multiplier == (image in translates), m
+        if rep.is_multiplier:
+            assert translate(D, rep.translator).elements == image
+            assert rep.fixes_set == (rep.translator == 0)
+        else:
+            assert rep.translator is None
+
+
+@pytest.mark.parametrize("q, g", [(2, 4), (2, 11), (3, 7), (3, 30)])
+def test_is_multiplier_translator_of_translate(q, g):
+    # gcd(k, v) = 1 for (15,7,3) and (40,13,4).  The normalized Singer set
+    # N is fixed by p = q, so p*(N + g) = (N + g) + (p - 1)g.
+    from diffsets.dset import translate
+    N = singer_construct(q, 4)
+    v = N.params.v
+    rep = is_multiplier(translate(N, g), q)
+    assert rep.is_multiplier and not rep.fixes_set
+    assert rep.translator == (q - 1) * g % v
 
 
 def test_hall_check_fano():
@@ -66,6 +89,18 @@ def test_hall_check_falsified_on_fake_set():
                       verified=True)
     rep = hall_check(D)
     assert rep.status == "FALSIFIED"
+
+
+def test_mann_counts_empty_cosets():
+    # (15,5,1) parameters, all of D in one coset of the order-5 subgroup:
+    # the profile {5, 0, 0} is not congruent mod 2 (p = 2, u* = 3, j = 1)
+    D = DifferenceSet(AbelianGroup([15]), (0, 3, 6, 9, 12), Params(15, 5, 1),
+                      verified=True)
+    rep = mann_test(D, cyclic_subgroup_of_order(D.group, 5))
+    assert rep.status == "FALSIFIED"
+    congruent = rep.conclusions[1]
+    assert congruent.name == "intersection numbers congruent mod p^j"
+    assert not congruent.ok and congruent.witness["profile"] == [0, 0, 5]
 
 
 def test_mann_q3_witness(d40):
@@ -159,3 +194,36 @@ def test_ho_identity_case():
     D = singer_construct(3, 3)
     rep = check_ho(D, 3, 1)
     assert rep.status == "verified"
+
+
+def test_product_group_profile_mann_and_bound():
+    # The (16,6,2) design in Z_2 x Z_8 against every subgroup of order 2, 4
+    # and 8: the coset counts from the one-pass coset map, the Mann test
+    # and the distribution bound agree with cosets listed by brute force.
+    from diffsets.dset import distribution_bound_check, intersection_profile
+    from diffsets.groups import subgroups_of_order
+    G = AbelianGroup([2, 8])
+    D = make_difference_set(G, (0, 1, 2, 5, 8, 14))
+    k, n = D.params.k, D.params.n
+    for order in (2, 4, 8):
+        for H in subgroups_of_order(G, order):
+            classes = {frozenset(G.add(x, h) for h in H.elements)
+                       for x in range(G.order)}
+            brute = sorted((min(c), len(c & D.element_set)) for c in classes)
+            prof = intersection_profile(D, H)
+            assert list(zip(prof.decomposition.representatives,
+                            prof.counts)) == brute
+            assert prof.sum_ok() and prof.sum_sq_ok()
+            r = len(brute)
+            rhs = n * (r - 1) ** 2
+            bad = [(x, s) for x, s in brute if s and (r * s - k) ** 2 > rhs]
+            if any(s == 0 for _, s in brute) and k * k > rhs:
+                bad.append((-1, 0))
+            chk = distribution_bound_check(D, H)
+            assert chk.violations == tuple(bad) and chk.ok == (not bad)
+            u_star = min(m for m in range(1, 9)
+                         if all(G.scale(m, x) in H for x in range(G.order)))
+            rep = mann_test(D, H)
+            assert rep.instance["u_star"] == u_star
+            # n = 4 and u* is a power of 2 above 1: no prime p | n applies
+            assert rep.status == "no-applicable-prime"

@@ -58,6 +58,23 @@ def test_verify_detects_tampering(capsys, tmp_path):
     assert code == 3 and not rep["verified"]
 
 
+def test_verify_rejects_a_wrong_declared_lambda(capsys, tmp_path):
+    # a genuine (15,7,3) set declared as (15,7,5): verify, profile, mann and
+    # the checks that need a verified set all read it as unverified
+    out = str(tmp_path / "d.dset")
+    invoke_json(capsys, "construct", "--q", "2", "--d", "4", "--out", out)
+    text = open(out).read().replace("\n15 7 3\n", "\n15 7 5\n")
+    open(out, "w").write(text)
+    code, rep = invoke_json(capsys, "verify", "--set", out)
+    assert code == 3 and not rep["verified"]
+    assert rep["lambda_observed"] == 3 and rep["params"] == [15, 7, 5]
+    code, rep = invoke_json(capsys, "profile", "--set", out,
+                            "--subgroup-order", "5")
+    assert not rep["verified"]
+    code, rep = invoke_json(capsys, "check", "hall", "--set", out)
+    assert code == 2 and rep["status"] == "hypothesis-not-met"
+
+
 def _replace_last_element(path, v):
     """Replace the last element of a set file by the least non-member."""
     lines = open(path).read().splitlines()
@@ -77,7 +94,7 @@ def test_full_verify_rejects_one_element_corruption(capsys, tmp_path):
     assert code == 0 and rep["params"] == [33825, 1057, 33]
 
     def fixing_multiplier():
-        D = read_set_file(out, verify_now=False)
+        D = read_set_file(out)
         return dset._fixing_multiplier(D.group, np.asarray(D.elements))
 
     assert fixing_multiplier() == 2
@@ -360,6 +377,14 @@ def test_scan(capsys):
     code, rep = invoke_json(capsys, "scan", "--q", "2", "--s", "1,3")
     assert code == 0
     assert [r["status"] for r in rep["rows"]] == ["embedded", "embedded"]
+
+
+def test_scan_even_s_is_one_subgroup_absent_row(capsys):
+    # 15 does not divide v = 85 at s = 2: that row alone says so, exit 2
+    code, rep = invoke_json(capsys, "scan", "--q", "2", "--s", "1,2,3")
+    assert code == 2
+    assert [(r["s"], r["v"], r["status"]) for r in rep["rows"]] == \
+        [(1, 15, "embedded"), (2, 85, "subgroup-absent"), (3, 585, "embedded")]
 
 
 def test_text_and_json_agree(capsys):

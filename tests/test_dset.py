@@ -378,14 +378,14 @@ def test_intersection_profile_order5(d15):
     assert prof.multiset() == [1, 3, 3]
     assert prof.sum_ok() and prof.sum_sq_ok()
     # sum s_i^2 = lambda*|H| + n = 3*5 + 4 = 19
-    assert prof.sum_si_sq == 19
+    assert sum(s * s for s in prof.counts) == 19
 
 
 def test_intersection_profile_order3(d15):
     H = cyclic_subgroup_of_order(d15.group, 3)
     prof = intersection_profile(d15, H)
     assert sum(prof.multiset()) == 7
-    assert prof.sum_si_sq == 3 * 3 + 4
+    assert sum(s * s for s in prof.counts) == 3 * 3 + 4
 
 
 def test_distribution_bound(d15):
@@ -401,7 +401,9 @@ def test_distribution_bound_flags_violation():
     D = DifferenceSet(G, (0, 3, 6, 9, 12), Params(15, 5, 1), verified=False)
     H = cyclic_subgroup_of_order(G, 5)
     chk = distribution_bound_check(D, H)
-    assert not chk.ok and chk.violations
+    assert not chk.ok
+    # the full coset, then one entry for the empty cosets
+    assert chk.violations == ((0, 5), (-1, 0))
 
 
 def test_restrict_to_subgroup(d15):

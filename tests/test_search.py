@@ -9,10 +9,10 @@ import pytest
 
 from diffsets.analysis import conjecture_scan
 from diffsets.cli import run
-from diffsets.dset import read_set_file, verify
+from diffsets.dset import apply_power_map, read_set_file, verify
 from diffsets.groups import AbelianGroup, GroupSizeError
 from diffsets.search import (SearchSpec, brute_force_search, canonical_class,
-                             multiplier_fixed, orbit_union_search)
+                             orbit_union_search)
 
 
 def hand_enumerate(G, k, lam):
@@ -65,7 +65,7 @@ def test_fano_orbit_search_m2():
     assert res.complete
     # exactly the multiplier-fixed subsets of the full enumeration
     brute = brute_force_search(G, 3, 1)
-    fixed = [s for s in brute.sets if multiplier_fixed(G, s, 2)]
+    fixed = [s for s in brute.sets if apply_power_map(G, s, 2) == s]
     assert fixed == res.sets
 
 
@@ -75,7 +75,7 @@ def test_pg32_orbit_search_m2():
     assert res.sets == [(0, 1, 2, 4, 5, 8, 10), (0, 5, 7, 10, 11, 13, 14)]
     brute = brute_force_search(G, 7, 3)
     assert len(brute.sets) == 30
-    assert [s for s in brute.sets if multiplier_fixed(G, s, 2)] == res.sets
+    assert [s for s in brute.sets if apply_power_map(G, s, 2) == s] == res.sets
     assert all(verify(G, s).ok for s in res.sets)
 
 
@@ -131,6 +131,18 @@ def test_conjecture_scan_over_ceiling_is_error_row():
     rows = conjecture_scan(2, [1, 3], ceiling=1 << 8)
     assert rows[0].status == "embedded"
     assert rows[1].status.startswith("error:") and rows[1].v == 0
+
+
+def test_conjecture_scan_subgroup_absent_builds_nothing(monkeypatch):
+    # M of order 15 is no subgroup of Z_85 (q = 2, s = 2): the row says so
+    # without building D
+    def no_construction(*args, **kwargs):
+        raise AssertionError("D was built")
+
+    monkeypatch.setattr("diffsets.analysis.singer_construct", no_construction)
+    rows = conjecture_scan(2, [2])
+    assert [(r.s, r.v, r.subgroup_order, r.status) for r in rows] == \
+        [(2, 85, 15, "subgroup-absent")]
 
 
 def test_conjecture_scan_does_not_mask_bad_input():
