@@ -131,23 +131,32 @@ def cmd_verify(args):
     return (EXIT_OK if D.verified else EXIT_FALSIFIED), report
 
 
+def _dissected_subgroup(D, order):
+    """(H, keys): the subgroup of `order` that profile and mann dissect, and
+    the report keys naming it when it is not the only one of its order."""
+    H, unique = an._unique_subgroup(D.group, order)
+    if unique:
+        return H, {}
+    return H, {"subgroup_unique": False, "subgroup_elements": list(H.elements)}
+
+
 def cmd_profile(args):
     D = _load_or_construct(args)
-    H, _ = an._unique_subgroup(D.group, args.subgroup_order)
+    H, named = _dissected_subgroup(D, args.subgroup_order)
     prof = ds.intersection_profile(D, H)
     bound = ds.distribution_bound_check(D, H)
     ok = prof.sum_ok() and prof.sum_sq_ok() and bound.ok
     report = {"command": "profile", **_set_report(D),
-              "subgroup_order": H.order,
+              "subgroup_order": H.order, **named,
               "profile": prof.as_dict(), "distribution_bound": bound.as_dict()}
     return (EXIT_OK if ok else EXIT_FALSIFIED), report
 
 
 def cmd_mann(args):
     D = _load_or_construct(args)
-    U, _ = an._unique_subgroup(D.group, args.subgroup_order)
+    U, named = _dissected_subgroup(D, args.subgroup_order)
     rep = an.mann_test(D, U)
-    report = {"command": "mann", **_set_report(D), **rep.as_dict()}
+    report = {"command": "mann", **_set_report(D), **named, **rep.as_dict()}
     return _status_exit(rep.status), report
 
 

@@ -5,6 +5,10 @@ discrete-log indices: the coset of g^i maps to i mod v.  Trace-zero
 membership is K*-invariant because the relative trace is K-linear, so
 the construction reads the zeros of the linear recurring sequence
 Tr(g^t) and never materializes a log table or a field element per index.
+The sequence is read in blocks of L ~ sqrt(m*v) terms (m the subfield
+degree), each block as a sum of rows of chunked digit tables; memory is
+O(ceil(n/c) * p^c * L + m*v), c the digits of a chunk, and
+_enumeration_bytes prices it before anything is built.
 
 The tower family of the paper, PG(3, q^s) over GF(q), is
 singer_construct(q^s, 4): the field is GF(q^(4s)) and the trace goes onto
@@ -25,12 +29,25 @@ from .groups import AbelianGroup
 from .numth import is_prime_power, multiplicative_order
 
 
-#: Rows of the block-value product computed at once; bounds its temporaries.
+#: Blocks whose values are looked up at once; bounds the accumulator.
 _BLOCK_ROWS = 64
 
 #: Estimated peak bytes (`_construct_bytes`) above which singer_construct
 #: refuses to start.
 CONSTRUCT_BYTE_LIMIT = 1 << 31
+
+
+def _lookup_layout(p: int, n: int) -> tuple[int, np.dtype]:
+    """(c, dtype) of the block lookup over GF(p^n): c digits a chunk, the
+    largest c <= n with p^c <= 256 (at least 1), and the narrowest unsigned
+    dtype that holds a sum of max(ceil(n/c), 2) residues mod p."""
+    c = 1
+    while c < n and p ** (c + 1) <= 256:
+        c += 1
+    top = max(-(-n // c), 2) * (p - 1)
+    dtype = next(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                 if top <= np.iinfo(t).max)
+    return c, dtype
 
 
 def _trace_zero_exponents(F: FiniteField, sub_degree: int, v: int) -> list[int]:
@@ -43,9 +60,17 @@ def _trace_zero_exponents(F: FiniteField, sub_degree: int, v: int) -> list[int]:
     traces a_0, ..., a_(n-1), which Newton's identities read off the
     modulus.  It is evaluated for t < m*v in blocks of L ~ sqrt(m*v) terms:
     row r of C holds x^r mod the modulus, so a_(s+r) = C[r] . (a_s, ...,
-    a_(s+n-1)), and C's last n rows step that window from one block start
-    to the next.  Integer numpy only, and no field-element arithmetic;
-    memory is O(L*n + m*v).
+    a_(s+n-1)), and C's last n rows step that window W[b] from one block
+    start to the next.
+
+    The block values W[b] . C[r], r < L, are read from tables (the method
+    of Four Russians): the n window coordinates fall into chunks of c
+    digits (`_lookup_layout`), and the table of a chunk holds, for each of
+    its p^c digit values w, the L partial sums sum_i w_i * C[r, lo+i] mod p.
+    A block's values are then the sum of one table row per chunk, mod p.
+    Integer numpy only, no field-element arithmetic, and a block costs
+    ceil(n/c) row gathers instead of n*L multiply-adds; memory is
+    O(ceil(n/c) * p^c * L + m*v), priced by `_enumeration_bytes`.
     """
     n, p, m = F.n, F.p, sub_degree
     total = m * v
@@ -62,21 +87,59 @@ def _trace_zero_exponents(F: FiniteField, sub_degree: int, v: int) -> list[int]:
     step = C[L:]
     for b in range(1, blocks):
         W[b] = step @ W[b - 1] % p
-    head = C[:L].T
+    c, acc = _lookup_layout(p, n)
+    digits = np.arange(p, dtype=np.int64)[:, None]
+    tables, rows = [], []
+    for lo in range(0, n, c):
+        T = np.zeros((1, L), dtype=acc)
+        w = np.zeros(blocks, dtype=np.int64)
+        for i in range(lo, min(lo + c, n)):
+            # digit i is the most significant so far: row d * p^(i-lo) + w
+            T = T[None] + (digits * C[:L, i] % p).astype(acc)[:, None]
+            T %= p
+            T = T.reshape(-1, L)
+            w += W[:, i] * p ** (i - lo)
+        tables.append(T)
+        rows.append(w)
+    assert len(tables) * (p - 1) <= np.iinfo(acc).max
     nz = np.empty(blocks * L, dtype=bool)
     for r in range(0, blocks, _BLOCK_ROWS):
-        nz[r * L:(r + _BLOCK_ROWS) * L] = (W[r:r + _BLOCK_ROWS] @ head % p).ravel() != 0
+        s = tables[0][rows[0][r:r + _BLOCK_ROWS]]
+        for T, w in zip(tables[1:], rows[1:]):
+            s += T[w[r:r + _BLOCK_ROWS]]
+        s %= p
+        nz[r * L:(r + _BLOCK_ROWS) * L] = s.ravel() != 0
     return np.flatnonzero(~nz[:total].reshape(m, v).any(0)).tolist()
 
 
-def _construct_bytes(p: int, sub_degree: int, v: int, k: int) -> int:
-    """Estimated peak bytes of singer_construct over GF(p): the trace-zero
-    flags of `_trace_zero_exponents` (about 2*m*v + v bytes, m =
-    sub_degree), its index list (Python ints, about 96 bytes an element
-    with the sorted and the normalized copies), and `dset.verify` by the
-    strategy it will pick, as the set is fixed by the multiplier p."""
+def _enumeration_bytes(p: int, n: int, sub_degree: int, v: int, k: int) -> int:
+    """Estimated peak bytes of `_trace_zero_exponents` over GF(p^n): the
+    tables (ceil(n/c) * p^c * L entries at the accumulator width, plus the
+    table being built and two p * L int64 digit products), the lookup
+    accumulator and its gathered rows, the int64 rows C and windows W with
+    their chunk row indices, the trace-zero flags (about 2*m*v + v bytes,
+    m = sub_degree) and the k returned indices (an int64 array and a list
+    of Python ints)."""
+    m = sub_degree
+    L = isqrt(m * v) + 1
+    blocks = -(-m * v // L)
+    c, acc = _lookup_layout(p, n)
+    chunks = -(-n // c)
+    tables = (chunks + 1) * p**c * L * acc.itemsize + 16 * p * L
+    lookup = _BLOCK_ROWS * L * (3 * acc.itemsize + 1)
+    windows = 8 * ((L + n) * n + blocks * (n + chunks))
+    return tables + lookup + windows + (2 * m * v + v) + 48 * k
+
+
+def _construct_bytes(p: int, n: int, sub_degree: int, v: int, k: int) -> int:
+    """Estimated peak bytes of singer_construct over GF(p^n): the
+    enumeration (`_enumeration_bytes`), the sorted and normalized copies of
+    its index list (Python ints, about 96 bytes an element), and
+    `dset.verify` by the strategy it will pick, as the set is fixed by the
+    multiplier p."""
     strategy = dset._strategy(v, k, multiplicative_order(p, v))
-    return (2 * sub_degree * v + v) + 96 * k + dset._verify_bytes(v, k, strategy)
+    return (_enumeration_bytes(p, n, sub_degree, v, k) + 96 * k
+            + dset._verify_bytes(v, k, strategy))
 
 
 def singer_construct(q: int, d: int, ceiling: int | None = None) -> DifferenceSet:
@@ -96,7 +159,7 @@ def singer_construct(q: int, d: int, ceiling: int | None = None) -> DifferenceSe
     if params.v > dset.FULL_VERIFY_ORDER_LIMIT:
         raise MemoryError("full difference counting limited to group order "
                           f"{dset.FULL_VERIFY_ORDER_LIMIT}; v = {params.v}")
-    need = _construct_bytes(p, e, params.v, params.k)
+    need = _construct_bytes(p, e * d, e, params.v, params.k)
     if need > CONSTRUCT_BYTE_LIMIT:
         raise MemoryError(f"construction of v = {params.v} needs about "
                           f"{need >> 20} MiB, over the "

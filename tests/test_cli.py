@@ -245,6 +245,23 @@ def test_mann(capsys):
     assert (w["p"], w["f"], w["j"]) == (3, 1, 1)
 
 
+def test_profile_and_mann_name_a_subgroup_that_is_not_unique(capsys, tmp_path):
+    # Z_2 x Z_8 has three subgroups of order 2; the report names the one it
+    # dissected.  A cyclic group has one, and its reports gain no key.
+    out = str(tmp_path / "d.dset")
+    with open(out, "w") as fh:
+        fh.write("group Z_2xZ_8\n16 6 2\n0\n1\n2\n5\n8\n14\n")
+    for verb in ("profile", "mann"):
+        code, rep = invoke_json(capsys, verb, "--set", out, "--subgroup-order", "2")
+        assert rep["subgroup_unique"] is False
+        assert rep["subgroup_elements"] == [0, 4]
+    code, rep = invoke_json(capsys, "profile", "--set", out, "--subgroup-order", "2")
+    assert code == 0 and rep["profile"]["profile"] == [0, 0, 0, 1, 1, 1, 1, 2]
+    for verb in ("profile", "mann"):
+        code, rep = invoke_json(capsys, verb, "--q", "2", "--subgroup-order", "5")
+        assert "subgroup_unique" not in rep and "subgroup_elements" not in rep
+
+
 @pytest.mark.parametrize("verb", ["profile", "mann"])
 @pytest.mark.parametrize("order", ["0", "-3"])
 def test_nonpositive_subgroup_order_is_one_line_error(capsys, verb, order):

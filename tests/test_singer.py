@@ -8,8 +8,9 @@ from diffsets.cli import run
 from diffsets.dset import classical_params, normalizing_shift, verify
 from diffsets.field import make_field
 from diffsets.groups import cyclic_subgroup_of_order
-from diffsets.singer import (_trace_zero_exponents, hyperplane_containment,
-                             singer_construct)
+from diffsets import singer
+from diffsets.singer import (_enumeration_bytes, _trace_zero_exponents,
+                             hyperplane_containment, singer_construct)
 
 
 def brute_singer(q, d):
@@ -53,8 +54,20 @@ def assert_matches_oracle(D, raw):
     assert verify(D.group, D.elements).ok
 
 
-@pytest.mark.parametrize("q,d", [(2, 4), (3, 4), (4, 4), (5, 3), (8, 3), (9, 3)])
+@pytest.mark.parametrize("q,d", [(2, 4), (3, 4), (4, 4), (5, 3), (8, 3), (9, 3),
+                                 (131, 3), (257, 3)])
 def test_matches_naive_trace_oracle(q, d):
+    # at p = 131 three chunk sums reach 390 and at p = 257 one table entry
+    # reaches 256: neither fits a byte
+    assert_matches_oracle(singer_construct(q, d), brute_singer(q, d))
+
+
+@pytest.mark.parametrize("rows", [1, 5])
+@pytest.mark.parametrize("q,d", [(2**3, 4), (9, 3)])
+def test_lookup_block_and_chunk_boundaries(monkeypatch, rows, q, d):
+    # n = 12 falls into chunks of 8 + 4 digits and n = 6 into 5 + 1; with
+    # 5 blocks a group the last group is partial
+    monkeypatch.setattr(singer, "_BLOCK_ROWS", rows)
     assert_matches_oracle(singer_construct(q, d), brute_singer(q, d))
 
 
@@ -76,6 +89,20 @@ def test_enumeration_memory_below_dense_matrix():
         tracemalloc.stop()
     assert len(indices) == classical_params(3, 11).k
     assert peak < v * 11 * 2
+
+
+@pytest.mark.parametrize("p,e,d", [(2, 5, 4), (3, 1, 11), (131, 1, 3)])
+def test_enumeration_estimate_bounds_traced_peak(p, e, d):
+    params = classical_params(p**e, d)
+    F = make_field(p, e * d)
+    tracemalloc.start()
+    try:
+        indices = _trace_zero_exponents(F, e, params.v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(indices) == params.k
+    assert peak <= _enumeration_bytes(p, e * d, e, params.v, params.k)
 
 
 def test_streamed_gf2_path_is_large_capable():
