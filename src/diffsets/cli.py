@@ -18,7 +18,7 @@ from . import dset as ds
 from . import search as se
 from . import singer as si
 from .field import FieldSizeError
-from .groups import GroupSizeError, parse_group
+from .groups import AbelianGroup, GroupSizeError, parse_group
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -185,7 +185,9 @@ def _check_thm22(args):
 
 
 def _check_lem41(args):
-    return an.check_lemma_mfix(_construct(args).group, args.q, args.s)
+    # the lemma is about the group alone: build Z_v, not the set
+    v = ds.classical_params(si.tower_base(args.q, args.s), 4).v
+    return an.check_lemma_mfix(AbelianGroup([v]), args.q, args.s)
 
 
 def _check_lem42(args):
@@ -391,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=int, required=True)
     p.add_argument("--m", type=int, default=se.SearchSpec.multiplier,
                    help="numerical multiplier to prune with (default: %(default)s)")
-    p.add_argument("--budget", type=int, default=se.SearchSpec.node_budget,
+    p.add_argument("--budget", type=positive_int, default=se.SearchSpec.node_budget,
                    help="search node budget (default: %(default)s)")
     p.add_argument("--out-dir", help="write one set file per class here")
 

@@ -34,8 +34,7 @@ from math import gcd
 import numpy as np
 
 from .groups import (AbelianGroup, CosetDecomposition, Subgroup,
-                     _multiplier_orbit_key, _scale_ranks, cosets,
-                     subgroup_as_group)
+                     _multiplier_orbit_key, cosets, subgroup_as_group)
 from .numth import (divisors, is_prime_power, multiplicative_order,
                     prime_divisors)
 
@@ -195,36 +194,21 @@ def _strategy(v: int, k: int, e: int | None = None) -> str:
     return min(costs, key=costs.get)
 
 
+#: Ordered pairs per row block in `_pair_counts`; a block makes at most
+#: three int64 temporaries of this length.
+_PAIR_BLOCK = 1 << 20
+
+
 def _pair_counts(G: AbelianGroup, ranks: np.ndarray) -> np.ndarray:
     """difference_counts by counting all k^2 ordered pairs of the sorted
-    ranks; the fallback and the oracle of `_orbit_counts`."""
-    v = G.order
-    k = len(ranks)
+    ranks, a row block at a time; the fallback and the oracle of
+    `_orbit_counts` and `_ntt_counts`."""
+    v, k = G.order, len(ranks)
     counts = np.zeros(v, dtype=np.int64)
-    if k == 0:
-        return counts
-    chunk = min(k, 4_000_000 // k) or 1
-    block = np.empty((chunk, k), dtype=np.int64)   # reused by every row block
-    if len(G.factors) == 1:
-        for i in range(0, k, chunk):
-            d = block[:min(chunk, k - i)]
-            np.subtract(ranks[i:i + chunk, None], ranks, out=d)
-            d %= v
-            counts += np.bincount(d.ravel(), minlength=v)
-        return counts
-    # product: add up the rank differences one coordinate at a time
-    coords = [(ranks // w % f, f, w) for f, w in zip(G.factors, G._weights)]
-    total = np.empty_like(block)
+    chunk = max(1, _PAIR_BLOCK // max(1, k))
     for i in range(0, k, chunk):
-        rows = min(chunk, k - i)
-        d, dr = block[:rows], total[:rows]
-        dr.fill(0)
-        for c, f, w in coords:
-            np.subtract(c[i:i + rows, None], c, out=d)
-            d %= f
-            d *= w
-            dr += d
-        counts += np.bincount(dr.ravel(), minlength=v)
+        counts += np.bincount(G.sub(ranks[i:i + chunk, None], ranks).ravel(),
+                              minlength=v)
     return counts
 
 
@@ -247,7 +231,7 @@ def _fixing_multiplier(G: AbelianGroup, ranks: np.ndarray) -> int | None:
         if gcd(t, v) != 1:
             continue
         cost = _costs(v, k, multiplicative_order(t, v))["orbit"]
-        if cost < best_cost and (np.sort(_scale_ranks(G, t, ranks)) == ranks).all():
+        if cost < best_cost and (np.sort(G.scale(t, ranks)) == ranks).all():
             best, best_cost = t, cost
     return best
 
@@ -308,9 +292,10 @@ def _ntt_length(v: int) -> int:
 def _verify_bytes(v: int, k: int, strategy: str) -> int:
     """Estimated peak bytes of `verify` on k distinct ranks of Z_v by
     `strategy`: the rank arrays, the length-v counter and its copy, and
-    the strategy's own buffers (a 4M-pair block, the orbit key and a
-    2^20-pair chunk, or four NTT buffers of L words)."""
-    own = {"pair": 8 * 4_000_000, "orbit": 12 * v + 24 * _ORBIT_PAIR_CHUNK,
+    the strategy's own buffers (three int64 temporaries of a row block,
+    the orbit key and a 2^20-pair chunk, or four NTT buffers of L words)."""
+    own = {"pair": 24 * max(_PAIR_BLOCK, k),
+           "orbit": 12 * v + 24 * _ORBIT_PAIR_CHUNK,
            "ntt": 32 * _ntt_length(v)}[strategy]
     return 48 * k + 16 * v + own
 
@@ -463,7 +448,8 @@ def make_difference_set(G: AbelianGroup, elements) -> DifferenceSet:
 # -- translates and power maps -------------------------------------------------
 
 def translate(D: DifferenceSet, g: int) -> DifferenceSet:
-    els = tuple(sorted(D.group.add(e, g) for e in D.elements))
+    image = D.group.add(np.asarray(D.elements, dtype=np.int64), g)
+    els = tuple(np.sort(image).tolist())
     return DifferenceSet(D.group, els, D.params, D.verified, dict(D.meta))
 
 
@@ -471,7 +457,7 @@ def apply_power_map(G: AbelianGroup, elements, m: int) -> tuple[int, ...]:
     """Image of elements under the numerical multiplier x -> m*x, sorted."""
     if gcd(m, G.order) != 1:
         raise ValueError(f"gcd({m}, {G.order}) != 1: not an automorphism")
-    image = _scale_ranks(G, m, np.asarray(elements, dtype=np.int64))
+    image = G.scale(m, np.asarray(elements, dtype=np.int64))
     return tuple(np.sort(image).tolist())
 
 

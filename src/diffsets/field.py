@@ -18,7 +18,7 @@ import functools
 import itertools
 from collections.abc import Sequence
 
-from .numth import is_prime, prime_divisors
+from .numth import is_prime, multiplicative_order, prime_divisors
 
 #: Largest field order constructible without an explicit override.
 SIZE_CEILING = 1 << 28
@@ -112,11 +112,7 @@ def _lex_smallest_primitive(p: int, n: int) -> tuple[int, ...]:
 
 
 def _is_primitive_root(a: int, p: int) -> bool:
-    if p == 2:
-        return a == 1
-    if a % p == 0:
-        return False
-    return all(pow(a, (p - 1) // r, p) != 1 for r in prime_divisors(p - 1))
+    return a % p != 0 and multiplicative_order(a % p, p) == p - 1
 
 
 class LinearMap:

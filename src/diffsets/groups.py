@@ -6,6 +6,11 @@ keeps subgroup element lists compact and hashable.  The usual
 multiplicative language for difference sets maps onto this as
 "product of elements = 1" <-> "coordinate sum = 0".
 
+The rank encoding is known only here: `AbelianGroup.add`, `sub`, `neg`
+and `scale` are one group law on ranks, written once for Python ints
+and int64 arrays alike, so pair counts, power maps, translates and coset
+scans elsewhere broadcast it over whole rank arrays.
+
 Factor lists are not required to be in invariant-factor form (Z_3 x Z_5
 is accepted as written); :func:`subgroup_as_group` always emits a proper
 invariant-factor presentation, from a greedy basis of maximal orders.
@@ -94,37 +99,30 @@ class AbelianGroup:
 
     # -- group law on ranks ----------------------------------------------------
 
-    def add(self, r1: int, r2: int) -> int:
+    # Each operation takes Python ints or int64 arrays of ranks, which
+    # broadcast against each other; on ints it returns an int.
+
+    def add(self, r1, r2):
         if len(self.factors) == 1:
             return (r1 + r2) % self.order
-        out = 0
-        for d, w in zip(self.factors, self._weights):
-            c1, r1 = divmod(r1, w)
-            c2, r2 = divmod(r2, w)
-            out += ((c1 + c2) % d) * w
-        return out
+        return sum((r1 // w % d + r2 // w % d) % d * w
+                   for d, w in zip(self.factors, self._weights))
 
-    def neg(self, r: int) -> int:
+    def sub(self, r1, r2):
         if len(self.factors) == 1:
-            return (-r) % self.order
-        out = 0
-        for d, w in zip(self.factors, self._weights):
-            c, r = divmod(r, w)
-            out += ((-c) % d) * w
-        return out
+            return (r1 - r2) % self.order
+        return sum((r1 // w % d - r2 // w % d) % d * w
+                   for d, w in zip(self.factors, self._weights))
 
-    def sub(self, r1: int, r2: int) -> int:
-        return self.add(r1, self.neg(r2))
-
-    def scale(self, m: int, r: int) -> int:
+    def scale(self, m: int, r):
         """m-fold sum of the element of rank r (the power map x -> x^m)."""
         if len(self.factors) == 1:
-            return (m * r) % self.order
-        out = 0
-        for d, w in zip(self.factors, self._weights):
-            c, r = divmod(r, w)
-            out += (m * c % d) * w
-        return out
+            return m % self.order * r % self.order
+        return sum(m % d * (r // w % d) % d * w
+                   for d, w in zip(self.factors, self._weights))
+
+    def neg(self, r):
+        return self.scale(-1, r)
 
     def element_order(self, r: int) -> int:
         o = 1
@@ -218,15 +216,17 @@ def _check_order(G: AbelianGroup, m: int):
         raise ValueError(f"{m} does not divide the group order {G.order}")
 
 
-def _torsion(G: AbelianGroup, m: int, guard: str | None = None) -> Subgroup:
+def _torsion(G: AbelianGroup, m: int) -> Subgroup:
     """{x : m*x = 0}, built per factor Z_d from the multiples of d/gcd(m, d).
 
-    With a guard name, raises GroupSizeError before materializing more
-    than MATERIALIZE_LIMIT elements.
+    Raises GroupSizeError before materializing more than
+    MATERIALIZE_LIMIT elements.
     """
     steps = [d // gcd(m, d) for d in G.factors]
-    if guard is not None and G.order // prod(steps) > MATERIALIZE_LIMIT:
-        raise GroupSizeError(f"{guard} too large to materialize")
+    order = G.order // prod(steps)
+    if order > MATERIALIZE_LIMIT:
+        raise GroupSizeError(f"subgroup of order {order} exceeds the "
+                             f"materialization limit {MATERIALIZE_LIMIT}")
     els = [0]
     for d, step, w in zip(G.factors, steps, G._weights):
         els = [e + c * w for e in els for c in range(0, d, step)]
@@ -285,10 +285,11 @@ def cosets(G: AbelianGroup, H: Subgroup) -> CosetDecomposition:
     if G.order > MATERIALIZE_LIMIT:
         raise GroupSizeError("coset decomposition needs a materializable group")
     coset_of = np.full(G.order, -1, dtype=np.int32)
+    h = np.asarray(H.elements, dtype=np.int64)
     reps = []
     for x in range(G.order):
         if coset_of[x] < 0:
-            coset_of[[G.add(x, h) for h in H.elements]] = len(reps)
+            coset_of[G.add(x, h)] = len(reps)
             reps.append(x)
             if len(reps) == r:
                 break
@@ -310,7 +311,7 @@ def sylow(G: AbelianGroup, p: int):
     pe = 1
     while G.exponent % (pe * p) == 0:
         pe *= p
-    S = _torsion(G, pe, "Sylow subgroup")
+    S = _torsion(G, pe)
     cyclic = sum(1 for d in G.factors if d % p == 0) <= 1
     generator = None
     if cyclic and S.order > 1:
@@ -322,7 +323,7 @@ def fixed_subgroup(G: AbelianGroup, m: int) -> Subgroup:
     """Fixed points of the power map x -> m*x; requires gcd(m, v) = 1."""
     if gcd(m, G.order) != 1:
         raise ValueError(f"x -> {m}x is not an automorphism of {G.descriptor()}")
-    return _torsion(G, m - 1, "fixed-point subgroup")
+    return _torsion(G, m - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -376,16 +377,6 @@ def subgroup_as_group(H: Subgroup) -> SubgroupPresentation:
     return SubgroupPresentation(AbelianGroup(orders[::-1] or [1]), to_sub)
 
 
-def _scale_ranks(G: AbelianGroup, m: int, x: np.ndarray) -> np.ndarray:
-    """G.scale(m, .) on an int64 array of ranks."""
-    if len(G.factors) == 1:
-        return x * (m % G.order) % G.order
-    out = np.zeros_like(x)
-    for d, w in zip(G.factors, G._weights):
-        out += (x // w % d) * (m % d) % d * w
-    return out
-
-
 def _multiplier_orbit_key(G: AbelianGroup, m: int) -> np.ndarray:
     """int32 array whose entry x is the least element of the orbit of x
     under x -> m*x.
@@ -407,7 +398,7 @@ def _multiplier_orbit_key(G: AbelianGroup, m: int) -> np.ndarray:
         for lo in range(0, v, _KEY_SLICE):
             seg = key[lo:lo + _KEY_SLICE]
             x = np.arange(lo, lo + len(seg), dtype=np.int64)
-            np.minimum(seg, key[_scale_ranks(G, mj, x)], out=seg)
+            np.minimum(seg, key[G.scale(mj, x)], out=seg)
         step *= 2
     return key
 

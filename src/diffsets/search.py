@@ -21,7 +21,7 @@ from math import comb, gcd
 import numpy as np
 
 from . import dset as ds
-from .groups import AbelianGroup, GroupSizeError, _scale_ranks, multiplier_orbits
+from .groups import AbelianGroup, GroupSizeError, multiplier_orbits
 
 #: The orbit-pair table holds 4*r^3 bytes for r multiplier orbits
 #: (r = v for the multiplier 1).
@@ -90,9 +90,9 @@ def _least_images(G: AbelianGroup, rows) -> list[tuple[int, ...]]:
     larger at the first column where the two differ."""
     rows = np.asarray(rows, dtype=np.int64)
     units = _units(G.order)
-    best = np.sort(_scale_ranks(G, units[0], rows), axis=1)
+    best = np.sort(G.scale(units[0], rows), axis=1)
     for m in units[1:]:
-        image = np.sort(_scale_ranks(G, m, rows), axis=1)
+        image = np.sort(G.scale(m, rows), axis=1)
         first = (image != best).argmax(axis=1)[:, None]
         smaller = np.take_along_axis(image < best, first, axis=1)[:, 0]
         best[smaller] = image[smaller]
@@ -104,9 +104,9 @@ def canonical_class(G: AbelianGroup, elements) -> tuple[int, ...]:
     if not elements:
         return ()
     # The least image contains 0, so only the k translates of m*D by -m*e
-    # compete, and m*x - m*e = m*(x - e): row e of `diffs` maps onto one.
-    diffs = [[G.sub(x, e) for x in elements] for e in elements]
-    return min(_least_images(G, diffs))
+    # compete, and m*x - m*e = m*(x - e): the row D - e maps onto one.
+    els = np.asarray(elements, dtype=np.int64)
+    return min(_least_images(G, G.sub(els, els[:, None])))
 
 
 def _class_keys(G: AbelianGroup, sets) -> list[tuple[int, ...]]:
@@ -115,11 +115,9 @@ def _class_keys(G: AbelianGroup, sets) -> list[tuple[int, ...]]:
     Needs gcd(k, v) = 1.  N is unique and N(m*D + g) = m*N(D), so two
     sets share a key exactly when they share a class.
     """
-    bases = []
-    for s in sets:
-        g = ds.normalizing_shift(G, s)
-        bases.append([G.add(e, g) for e in s])
-    return _least_images(G, bases)
+    shifts = np.array([ds.normalizing_shift(G, s) for s in sets], dtype=np.int64)
+    return _least_images(G, G.add(np.asarray(sets, dtype=np.int64),
+                                  shifts[:, None]))
 
 
 def _class_representatives(G: AbelianGroup, sets) -> list:
@@ -141,7 +139,8 @@ def _orbit_pair_table(G: AbelianGroup, orbits) -> np.ndarray:
 
     Differences are counted both ways, a - b and b - a for a in orbit i
     and b in orbit j, when j != i; table[i, i] counts the ordered pairs
-    of distinct elements of orbit i.  Costs v*r calls of G.sub.
+    of distinct elements of orbit i.  One bincount of the orbit pairs
+    (a, a - rep) over all a per representative rep.
     """
     r = len(orbits)
     nbytes = 4 * r**3
@@ -150,18 +149,16 @@ def _orbit_pair_table(G: AbelianGroup, orbits) -> np.ndarray:
             f"orbit-pair table for {r} multiplier orbits needs {nbytes} bytes "
             f"> limit {ORBIT_TABLE_BYTE_LIMIT}; choose a multiplier with "
             "fewer orbits")
-    orbit_of = [0] * G.order
+    orbit_of = np.empty(G.order, dtype=np.int64)
     for i, o in enumerate(orbits):
-        for x in o:
-            orbit_of[x] = i
+        orbit_of[o] = i
+    a = np.arange(G.order, dtype=np.int64)
+    first = orbit_of * r
     table = np.zeros((r, r, r), dtype=np.int32)
     for t in range(1, r):
-        rep = orbits[t][0]
-        for a in range(G.order):
-            i, j = orbit_of[a], orbit_of[G.sub(a, rep)]
-            table[i, j, t] += 1
-            if i != j:
-                table[j, i, t] += 1
+        pairs = first + orbit_of[G.sub(a, orbits[t][0])]
+        counts = np.bincount(pairs, minlength=r * r).reshape(r, r)
+        table[:, :, t] = counts + counts.T - np.diag(counts.diagonal())
     return table
 
 

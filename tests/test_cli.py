@@ -292,6 +292,20 @@ def test_check_applicable_instance(capsys, argv, code, status, hyps, cons):
     assert [c["ok"] for c in rep["conclusions"]] == cons
 
 
+def test_lem41_builds_no_set(capsys, monkeypatch):
+    # the lemma reads only the group Z_v, v = (q^s + 1)(q^2s + 1)
+    def no_set(*args, **kw):
+        raise AssertionError("check lem4.1 must not construct the set")
+
+    monkeypatch.setattr(singer, "singer_construct", no_set)
+    code, rep = invoke_json(capsys, "check", "lem4.1", "--q", "2", "--s", "3")
+    assert code == 0 and rep["status"] == "verified"
+    assert rep["instance"] == {"q": 2, "s": 3, "group": "Z_585",
+                               "side_conditions_hold": True}
+    assert [c["ok"] for c in rep["conclusions"]] == [True, True]
+    assert rep["conclusions"][0]["witness"] == {"|M|": 15, "|fixed|": 15}
+
+
 def test_hall_on_unverified_set_is_not_falsified(capsys, tmp_path):
     out = str(tmp_path / "bad.dset")
     invoke_json(capsys, "construct", "--q", "2", "--s", "3", "--out", out)
@@ -346,6 +360,8 @@ def test_check_missing_flag(capsys):
     "search --group Z_3 --k -1 --lambda 1",
     "search --group Z_7 --k -2 --lambda 1",
     "search --group Z_3 --k 4 --lambda 6",
+    "search --group Z_7 --k 3 --lambda 1 --budget 0",
+    "search --group Z_7 --k 3 --lambda 1 --budget -5",
 ])
 def test_misuse_is_one_line_error(capsys, tmp_path, monkeypatch, argv):
     # a missing flag, or one the verb or check id does not read, is an error

@@ -137,6 +137,25 @@ def test_pair_counts_reuse_their_blocks(factors, blocks):
     assert peak < (blocks + 0.25) * 4_000_000 * 8
 
 
+@pytest.mark.parametrize("factors", [[10007], [97, 103]])
+def test_pair_verify_peak_within_estimate(monkeypatch, factors):
+    # verify forced onto the pair count: 2100 random ranks of Z_10007 fail
+    # the O(k) lambda test and would otherwise choose the transform
+    monkeypatch.setattr(dset, "_quotient_obstruction", lambda G, ranks: None)
+    monkeypatch.setattr(dset, "_strategy", lambda v, k, e=None: "pair")
+    G = AbelianGroup(factors)
+    rng = np.random.default_rng(7)
+    els = rng.choice(G.order, 2100, replace=False).tolist()
+    tracemalloc.start()
+    try:
+        rep = verify(G, els)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.identity_count == 2100 and not rep.ok
+    assert peak <= dset._verify_bytes(G.order, 2100, "pair")
+
+
 # -- the NTT counter and the cost-chosen strategy ----------------------------------
 
 #: Orders next to powers of two, where the transform length L = 2^ceil(log2(2v-1))

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffsets.field import (SIZE_CEILING, FieldSizeError, FiniteField,
-                            _basis_traces, make_field)
+                            _basis_traces, _is_primitive_root, make_field)
+from diffsets.numth import is_prime
 
 
 # -- brute-force polynomial oracle over GF(p) ------------------------------------
@@ -56,6 +57,17 @@ def is_irreducible_brute(p, mod):
             if not any(rem[:d]):
                 return False
     return True
+
+
+def test_primitive_root_matches_power_walk():
+    # a generates Z_p^* iff its powers a, a^2, ... reach p - 1 residues
+    for p in filter(is_prime, range(200)):
+        for a in range(p):
+            powers, x = set(), a
+            while x and x not in powers:
+                powers.add(x)
+                x = x * a % p
+            assert _is_primitive_root(a, p) == (len(powers) == p - 1), (a, p)
 
 
 def test_modulus_is_lex_smallest_primitive_gf16():

@@ -1,10 +1,12 @@
 import itertools
 from math import gcd, prod
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from diffsets import groups
 from diffsets.groups import (AbelianGroup, GroupSizeError, Subgroup,
                              all_subgroups, cosets, cyclic_subgroup_of_order,
                              fixed_subgroup, generated_subgroup,
@@ -47,6 +49,27 @@ def test_arithmetic_matches_coordinates(factors, data):
     assert G.sub(r1, r2) == G.add(r1, G.neg(r2))
     assert G.unrank(G.scale(m, r1)) == tuple((m * c) % d
                                              for c, d in zip(x, factors))
+
+
+@given(SMALL_FACTORS, st.data())
+def test_array_law_matches_scalar_law(factors, data):
+    # on int64 arrays the law broadcasts and agrees with the scalar calls,
+    # which still return Python ints
+    G = AbelianGroup(factors)
+    ranks = st.lists(st.integers(min_value=0, max_value=G.order - 1),
+                     min_size=1, max_size=6)
+    xs, ys = data.draw(ranks), data.draw(ranks)
+    m = data.draw(st.integers(min_value=-10**20, max_value=10**20))
+    col = np.array(xs, dtype=np.int64)[:, None]
+    row = np.array(ys, dtype=np.int64)
+    for got, want in [
+            (G.add(col, row), [[G.add(x, y) for y in ys] for x in xs]),
+            (G.sub(col, row), [[G.sub(x, y) for y in ys] for x in xs]),
+            (G.neg(row), [G.neg(y) for y in ys]),
+            (G.scale(m, col), [[G.scale(m, x)] for x in xs])]:
+        assert got.dtype == np.int64 and got.tolist() == want
+    assert all(type(r) is int for r in (G.add(xs[0], ys[0]), G.sub(xs[0], ys[0]),
+                                        G.neg(xs[0]), G.scale(m, xs[0])))
 
 
 @given(SMALL_FACTORS, st.integers(min_value=0, max_value=10**6))
@@ -278,3 +301,12 @@ def test_multiplier_orbits_require_unit():
 def test_group_size_guard():
     with pytest.raises(GroupSizeError):
         multiplier_orbits(AbelianGroup([1 << 25]), 3)
+
+
+def test_torsion_guard_covers_cyclic_subgroups(monkeypatch):
+    # the cyclic-group path materializes its subgroup through the same guard
+    monkeypatch.setattr(groups, "MATERIALIZE_LIMIT", 1024)
+    G = AbelianGroup([4096])
+    assert subgroups_of_order(G, 1024)[0].order == 1024
+    with pytest.raises(GroupSizeError, match="materialization limit"):
+        subgroups_of_order(G, 2048)

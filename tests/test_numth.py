@@ -21,8 +21,9 @@ PRIMES_1000 = sieve(1000)
 
 
 def test_is_prime_against_sieve():
-    for n in range(1001):
-        assert is_prime(n) == (n in PRIMES_1000)
+    primes = sieve(20000)
+    for n in range(20001):
+        assert is_prime(n) == (n in primes)
 
 
 @given(st.integers(min_value=2, max_value=10**6))

@@ -10,9 +10,9 @@ import pytest
 from diffsets.analysis import conjecture_scan
 from diffsets.cli import run
 from diffsets.dset import apply_power_map, read_set_file, verify
-from diffsets.groups import AbelianGroup, GroupSizeError
-from diffsets.search import (SearchSpec, brute_force_search, canonical_class,
-                             orbit_union_search)
+from diffsets.groups import AbelianGroup, GroupSizeError, multiplier_orbits
+from diffsets.search import (SearchSpec, _orbit_pair_table, brute_force_search,
+                             canonical_class, orbit_union_search)
 
 
 def hand_enumerate(G, k, lam):
@@ -178,6 +178,29 @@ def test_brute_force_result_carries_spec():
     assert isinstance(res.spec, SearchSpec)
     assert (res.spec.group, res.spec.k, res.spec.lam) == (G, 3, 1)
     assert res.as_dict()["k"] == 3 and res.as_dict()["lam"] == 1
+
+
+def scalar_orbit_pair_table(G, orbits):
+    """Oracle: the table by one scalar G.sub per element and representative."""
+    r = len(orbits)
+    orbit_of = {x: i for i, o in enumerate(orbits) for x in o}
+    table = [[[0] * r for _ in range(r)] for _ in range(r)]
+    for t in range(1, r):
+        for a in range(G.order):
+            i, j = orbit_of[a], orbit_of[G.sub(a, orbits[t][0])]
+            table[i][j][t] += 1
+            if i != j:
+                table[j][i][t] += 1
+    return table
+
+
+@pytest.mark.parametrize("factors, m", [([4, 4], 5), ([4, 4], 3), ([2, 8], 3),
+                                        ([15], 2)])
+def test_orbit_pair_table_matches_scalar_reference(factors, m):
+    G = AbelianGroup(factors)
+    orbits = multiplier_orbits(G, m)
+    assert _orbit_pair_table(G, orbits).tolist() == \
+        scalar_orbit_pair_table(G, orbits)
 
 
 def test_orbit_table_guard_raises_before_allocating():
