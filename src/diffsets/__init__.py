@@ -21,7 +21,7 @@ from .groups import (AbelianGroup, GroupSizeError, Subgroup,
                      subgroups_of_order, sylow)
 from .search import (SearchResult, SearchSpec, brute_force_search,
                      canonical_class, orbit_union_search)
-from .singer import hyperplane_containment, singer_construct
+from .singer import hyperplane_containment, singer_construct, singer_restriction
 
 __version__ = "1.0.0"
 
@@ -40,6 +40,6 @@ __all__ = [
     "main_theorem_hypotheses", "make_difference_set", "make_field",
     "mann_test", "multiplier_orbits", "normalize", "orbit_union_search",
     "parse_group", "read_set_file", "restrict", "singer_construct",
-    "subgroup_as_group", "subgroups_of_order", "sylow", "translate",
+    "singer_restriction", "subgroup_as_group", "subgroups_of_order", "sylow", "translate",
     "verify", "write_set_file",
 ]

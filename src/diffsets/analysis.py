@@ -15,11 +15,11 @@ from math import gcd
 from . import dset as ds
 from .dset import DifferenceSet, apply_power_map, intersection_profile, restrict
 from .field import FieldSizeError
-from .groups import (AbelianGroup, GroupSizeError, Subgroup, fixed_subgroup,
+from .groups import (AbelianGroup, Subgroup, fixed_subgroup,
                      generated_subgroup, subgroups_of_order, sylow)
 from .numth import (factorize, is_prime, is_prime_power, multiplicative_order,
                     prime_divisors)
-from .singer import singer_construct, tower_base
+from .singer import singer_restriction, tower_base, tower_shift
 
 
 @dataclass(frozen=True)
@@ -214,6 +214,22 @@ def _restriction(D: DifferenceSet, M: Subgroup, expected: tuple):
     return res, vrep, vrep.confirms(expected)
 
 
+def _tower_restriction(q: int, s: int, ceiling: int | None):
+    """(R, its exact VerificationReport, ok) for R = singer_restriction(q,
+    s, ceiling), the normalized PG(3, q^s) Singer set met with M of order
+    (q+1)(q^2+1): ok when R verifies in M with the PG(3, q) parameters."""
+    R = singer_restriction(q, s, ceiling)
+    vrep = ds.verify(R.group, R.elements)
+    return R, vrep, vrep.confirms(ds.classical_params(q, 4).as_tuple())
+
+
+#: The note of the checks that read D through singer_restriction: their
+#: hypotheses on D hold by construction, not by a count.
+_CONSTRUCTION_FACTS = ("classical d=4 parameters and difference set normalized "
+                       "are facts of the Singer construction and its "
+                       "closed-form normalizing shift t (the witness, in Z_v)")
+
+
 def check_thm_classical_profile(D: DifferenceSet, q: int, s: int) -> TheoremReport:
     """Two-valued H-coset profile of a classical d=4 difference set.
 
@@ -247,11 +263,12 @@ def check_thm_classical_profile(D: DifferenceSet, q: int, s: int) -> TheoremRepo
 
 
 def _sylow_side_condition(G: AbelianGroup, q: int, s: int):
-    """b = gcd(q+1, s), c = gcd(q^2+1, s), and whether Syl_r(G) is cyclic
-    for every prime r dividing b or c (the side condition of lem4.1 and
-    lem4.2)."""
+    """b = gcd(q+1, s), c = gcd(q^2+1, s), and whether Syl_r(G) is cyclic,
+    i.e. at most one factor of G is divisible by r, for every prime r
+    dividing b or c (the side condition of lem4.1 and lem4.2)."""
     b, c = gcd(q + 1, s), gcd(q * q + 1, s)
-    side = all(sylow(G, r)[1] for r in set(prime_divisors(b) + prime_divisors(c)))
+    side = all(sum(d % r == 0 for d in G.factors) <= 1
+               for r in set(prime_divisors(b) + prime_divisors(c)))
     return b, c, side
 
 
@@ -280,22 +297,24 @@ def check_lemma_mfix(G: AbelianGroup, q: int, s: int) -> TheoremReport:
     return rep
 
 
-def check_lemma_size(D: DifferenceSet, q: int, s: int) -> TheoremReport:
-    """|D intersect M| = q^2 + q + 1 for M of order (q+1)(q^2+1)."""
-    rep = TheoremReport("lem4.2", {"q": q, "s": s, "params": D.params.as_tuple()})
-    G = D.group
-    rep.hyp("|G| = (q^s+1)(q^2s+1)", G.order == (q**s + 1) * (q**(2 * s) + 1))
+def check_lemma_size(q: int, s: int, ceiling: int | None = None) -> TheoremReport:
+    """|D ∩ M| = q^2 + q + 1 for D the normalized PG(3, q^s) Singer set in
+    G = Z_v and M of order (q+1)(q^2+1), read by singer_restriction."""
+    params = ds.classical_params(tower_base(q, s), 4)
+    v = params.v
+    rep = TheoremReport("lem4.2", {"q": q, "s": s, "params": params.as_tuple()})
+    rep.hyp("|G| = (q^s+1)(q^2s+1)", v == (q**s + 1) * (q**(2 * s) + 1))
     rep.hyp("s odd", s % 2 == 1)
-    rep.hyp("difference set normalized", ds.is_normalized(G, D.elements))
+    rep.hyp("difference set normalized", True, tower_shift(q, s))
     rep.notes.append("using c = gcd(q^2+1, s) for the side conditions")
+    rep.notes.append(_CONSTRUCTION_FACTS)
     if rep.hypotheses_ok:
-        b, c, side = _sylow_side_condition(G, q, s)
+        b, c, side = _sylow_side_condition(AbelianGroup([v]), q, s)
         rep.hyp("Syl_r(G) cyclic for r | b or r | c", side,
                 {"b": b, "c": c})
     if not rep.hypotheses_ok:
         return rep
-    M, _ = _unique_subgroup(G, (q + 1) * (q * q + 1))
-    hits = len(set(D.elements) & M._element_set)
+    hits = len(singer_restriction(q, s, ceiling).elements)
     rep.con("|D ∩ M| = q^2 + q + 1", hits == q * q + q + 1, hits)
     return rep
 
@@ -310,39 +329,40 @@ def main_theorem_hypotheses(q: int, s: int) -> list[Check]:
     ]
 
 
-def check_main(D: DifferenceSet, q: int, s: int) -> TheoremReport:
+def check_main(q: int, s: int, ceiling: int | None = None) -> TheoremReport:
     """Headline theorem: D ∩ M is a normalized classical difference set in
-    the subgroup M of order (q+1)(q^2+1)."""
-    rep = TheoremReport("thm4.3", {"q": q, "s": s, "params": D.params.as_tuple()})
+    the subgroup M of order (q+1)(q^2+1), for D the normalized PG(3, q^s)
+    Singer set, read by singer_restriction.  Nothing is built when the
+    hypotheses fail on (q, s) alone."""
+    rep = TheoremReport("thm4.3", {"q": q, "s": s})
     rep.hypotheses.extend(main_theorem_hypotheses(q, s))
-    expected = ds.classical_params(q**s, 4)
-    rep.hyp("classical d=4 parameters", D.params == expected, str(expected))
-    rep.hyp("difference set normalized", ds.is_normalized(D.group, D.elements))
     if not rep.hypotheses_ok:
+        rep.notes.append("construction skipped: hypotheses fail on (q, s) alone")
         return rep
-    m_order = (q + 1) * (q * q + 1)
-    M, _ = _unique_subgroup(D.group, m_order)
-    res, vrep, ok = _restriction(D, M, ds.classical_params(q, 4).as_tuple())
+    R, vrep, ok = _tower_restriction(q, s, ceiling)
+    rep.instance["params"] = R.params.as_tuple()
+    rep.hyp("classical d=4 parameters", True, str(R.params))
+    rep.hyp("difference set normalized", True, R.shift)
+    rep.notes.append(_CONSTRUCTION_FACTS)
     rep.con("D ∩ M verifies with classical parameters", ok, vrep.as_dict())
-    rep.con("D ∩ M is normalized in M",
-            ds.is_normalized(res.group, res.elements))
+    rep.con("D ∩ M is normalized in M", ds.is_normalized(R.group, R.elements))
     rep.con("lambda = q^s + 1 = q + 1 mod s",
             (q**s + 1) % s == (q + 1) % s,
             {"lambda": q**s + 1, "mod": s})
     return rep
 
 
-def check_tower_restriction(D: DifferenceSet | None, q: int, s: int) -> TheoremReport:
+def check_tower_restriction(q: int, s: int,
+                            ceiling: int | None = None) -> TheoremReport:
     """Corollary 3.2: for odd s, the PG(3, q^s) Singer set D meets the
-    subgroup R of order (q^4-1)/(q-1) in a set with the PG(3, q) Singer
-    parameters.  D is not read when s is even."""
+    subgroup R of order (q^4-1)/(q-1) = (q+1)(q^2+1) in a set with the
+    PG(3, q) Singer parameters.  Nothing is built when s is even."""
     rep = TheoremReport("cor3.2", {"q": q, "s": s})
     if not rep.hyp("s odd", s % 2 == 1, s):
         return rep
-    rep.instance["params"] = list(D.params.as_tuple())
-    rep.instance["field_descriptor"] = D.meta.get("field_descriptor")
-    R, _ = _unique_subgroup(D.group, (q**4 - 1) // (q - 1))
-    _, vrep, ok = _restriction(D, R, ds.classical_params(q, 4).as_tuple())
+    R, vrep, ok = _tower_restriction(q, s, ceiling)
+    rep.instance["params"] = list(R.params.as_tuple())
+    rep.instance["field_descriptor"] = R.field_descriptor
     rep.con("D ∩ R verifies as the small Singer parameters", ok, vrep.as_dict())
     return rep
 
@@ -522,29 +542,27 @@ def conjecture_scan(q: int, s_list, ceiling: int | None = None) -> list[ScanRow]
     """For each s, does the PG(3, q^s) Singer set restrict to a minimal
     difference set on the subgroup M of order (q+1)(q^2+1)?
 
-    One row per s.  M exists when (q+1)(q^2+1) divides v = (q^s+1)(q^(2s)+1),
-    as for odd s; otherwise (q = 2, s = 2: v = 85) the row is
-    "subgroup-absent" and D is not built.  `ceiling` is passed to
-    singer_construct; a field over it gives an error row.
+    One row per s, read by singer_restriction.  M exists when
+    (q+1)(q^2+1) divides v = (q^s+1)(q^(2s)+1), as for odd s; otherwise
+    (q = 2, s = 2: v = 85) the row is "subgroup-absent" and nothing is
+    built.  `ceiling` bounds the field order; a field over it gives an
+    error row.
     """
     target = (q + 1) * (q * q + 1)
     pe = is_prime_power(q)
     rows = []
     for s in s_list:
-        Q = tower_base(q, s)
-        v = ds.classical_params(Q, 4).v
+        v = ds.classical_params(tower_base(q, s), 4).v
         if v % target:
             rows.append(ScanRow(q, s, v, target, "subgroup-absent"))
             continue
         try:
-            D = singer_construct(Q, 4, ceiling=ceiling)
-        except (FieldSizeError, GroupSizeError, MemoryError) as e:
+            _, vrep, ok = _tower_restriction(q, s, ceiling)
+        except (FieldSizeError, MemoryError) as e:
             rows.append(ScanRow(q, s, 0, target, f"error: {e}"))
             continue
-        M, _ = _unique_subgroup(D.group, target)
-        _, vrep, ok = _restriction(D, M, ds.classical_params(q, 4).as_tuple())
         detail = {"restriction": vrep.as_dict(),
                   "q_is_p^(2^i)": (pe[1] & (pe[1] - 1)) == 0} if ok else {}
-        rows.append(ScanRow(q, s, D.params.v, target,
+        rows.append(ScanRow(q, s, v, target,
                             "embedded" if ok else "not-embedded", detail))
     return rows

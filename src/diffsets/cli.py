@@ -191,17 +191,11 @@ def _check_lem41(args):
 
 
 def _check_lem42(args):
-    return an.check_lemma_size(_construct(args), args.q, args.s)
+    return an.check_lemma_size(args.q, args.s, args.ceiling)
 
 
 def _check_thm43(args):
-    hyps = an.main_theorem_hypotheses(args.q, args.s)
-    if not all(c.ok for c in hyps):
-        rep = an.TheoremReport("thm4.3", {"q": args.q, "s": args.s})
-        rep.hypotheses.extend(hyps)
-        rep.notes.append("construction skipped: hypotheses fail on (q, s) alone")
-        return rep
-    return an.check_main(_construct(args), args.q, args.s)
+    return an.check_main(args.q, args.s, args.ceiling)
 
 
 def _check_thm51(args):
@@ -239,9 +233,7 @@ def _check_thm31(args):
 
 
 def _check_cor32(args):
-    # an even s fails the hypothesis on s alone: report it without building D
-    D = _construct(args) if args.s % 2 == 1 else None
-    return an.check_tower_restriction(D, args.q, args.s)
+    return an.check_tower_restriction(args.q, args.s, args.ceiling)
 
 
 def _check_hall(args):
@@ -419,7 +411,16 @@ def run(argv) -> int:
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    emit(report, args)
+    try:
+        emit(report, args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`): send what is still
+        # buffered to devnull, so the interpreter's last flush cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_USAGE
     return code
 
 

@@ -13,6 +13,8 @@ _enumeration_bytes prices it before anything is built.
 The tower family of the paper, PG(3, q^s) over GF(q), is
 singer_construct(q^s, 4): the field is GF(q^(4s)) and the trace goes onto
 GF(q^s).  tower_base(q, s) checks q and s and returns q^s.
+singer_restriction(q, s) reads the normalized tower set only on the
+subgroup M of order (q+1)(q^2+1), from |M| traces, and never builds Z_v.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from math import isqrt
 import numpy as np
 
 from . import dset
-from .dset import DifferenceSet, classical_params, normalize
+from .dset import DifferenceSet, Params, classical_params, normalize
 from .field import FiniteField, _basis_traces, make_field
 from .groups import AbelianGroup
 from .numth import is_prime_power, multiplicative_order
@@ -188,6 +190,68 @@ def tower_base(q: int, s: int) -> int:
     if s < 1:
         raise ValueError("field degree must be positive")
     return q**s
+
+
+@dataclass(frozen=True)
+class TowerRestriction:
+    """The normalized PG(3, q^s) Singer set D in Z_v met with the subgroup
+    M of order (q+1)(q^2+1), in M = Z_|M| coordinates: the element
+    j*(v/|M|) of Z_v is j here."""
+    params: Params                  # of D in Z_v
+    group: AbelianGroup             # M
+    elements: tuple[int, ...]       # D ∩ M, sorted ranks in M
+    shift: int                      # D's normalizing shift t, in Z_v
+    field_descriptor: str
+
+
+def tower_shift(q: int, s: int) -> int:
+    """The normalizing shift t of the raw PG(3, q^s) Singer set D in Z_v
+    (`dset.normalizing_shift` of its trace-zero indices): 0 for p = 2 and
+    v/2 for odd p.
+
+    With Q = q^s, Tr(X) = X^(Q^3) + X^(Q^2) + X^Q + X has the kernel of
+    the trace onto GF(Q) as its root set and X-coefficient 1, so the
+    Q^3 - 1 nonzero kernel elements multiply to (-1)^(Q^3-1) = 1.  They
+    are g^(i + jv), i in D, j < Q-1, as GF(Q)* = <g^v>; summing exponents
+    mod Q^4 - 1 = (Q-1)v gives (Q-1)*sum(D) + k*v*(Q-1)(Q-2)/2 = 0.  So
+    sum(D) = 0 mod v for even Q, and v/2 for odd Q, where k = Q^2+Q+1 and
+    Q-2 are odd.  Since k*t = -sum(D), k is odd and gcd(k, v) = 1, t is 0
+    or v/2.
+    """
+    Q = tower_base(q, s)
+    return 0 if Q % 2 == 0 else classical_params(Q, 4).v // 2
+
+
+def singer_restriction(q: int, s: int,
+                       ceiling: int | None = None) -> TowerRestriction:
+    """D ∩ M for D = normalize(singer_construct(q^s, 4)), from |M| traces.
+
+    With g the generator of F = GF(q^(4s)) and h = g^(v/|M|), the raw D
+    meets M in E = {j < |M| : Tr(h^j) = 0}, Tr onto GF(q^s): |M|
+    multiplications and trace maps in F.  Neither D nor Z_v is built, and
+    `ceiling` bounds the field order alone.  The shift t = tower_shift(q,
+    s) lies in M: for odd q, |M| is even and t = v/2 = (|M|/2)(v/|M|).
+    So (D + t) ∩ M = E + t, which is E + |M|/2 in M's coordinates.
+    """
+    Q = tower_base(q, s)
+    p, e = is_prime_power(q)
+    params = classical_params(Q, 4)
+    order = (q + 1) * (q * q + 1)
+    if params.v % order:
+        raise ValueError(f"no subgroup of order {order} in Z_{params.v}")
+    F = make_field(p, 4 * e * s, ceiling=ceiling)
+    trace = F.trace_map(e * s)
+    h = F.pow(F.gen, params.v // order)
+    raw, x = [], 1
+    for j in range(order):
+        if trace(x) == 0:
+            raw.append(j)
+        x = F.mul(x, h)
+    shift = tower_shift(q, s)
+    t = shift // (params.v // order)
+    return TowerRestriction(params, AbelianGroup([order]),
+                            tuple(sorted((j + t) % order for j in raw)),
+                            shift, F.descriptor())
 
 
 @dataclass(frozen=True)

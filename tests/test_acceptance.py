@@ -14,11 +14,12 @@ import pytest
 from diffsets.analysis import check_hk, check_main, hall_check, mann_test
 from diffsets.cli import run as cli_run
 from diffsets.dset import (apply_power_map, distribution_bound_check,
-                           intersection_profile, normalize, read_set_file)
+                           intersection_profile, normalize, read_set_file,
+                           restrict)
 from diffsets.groups import cyclic_subgroup_of_order
 from diffsets.numth import divisors
 from diffsets.search import SearchSpec, brute_force_search, orbit_union_search
-from diffsets.singer import singer_construct
+from diffsets.singer import singer_construct, singer_restriction
 
 
 def gate(name, ok, detail="", capsys=None):
@@ -162,8 +163,11 @@ def test_a6_gf2_28(big_q2_s7, capsys):
               "construction <60s": elapsed < 60.0,
               "exact verification by default":
                   D.verified and D.meta["verification_mode"] == "full"}
-    rep = check_main(D, 2, 7)
+    rep = check_main(2, 7)
     checks["thm4.3 verified (D cap M is (15,7,3))"] = rep.status == "verified"
+    M = cyclic_subgroup_of_order(D.group, 15)
+    checks["D cap M read from 15 traces = restriction of D"] = \
+        singer_restriction(2, 7).elements == restrict(D, M).elements
     gate("A6", all(checks.values()), checks, capsys=capsys)
 
 

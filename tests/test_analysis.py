@@ -6,7 +6,8 @@ from diffsets.analysis import (check_dintk, check_hk, check_ho,
                                check_thm_classical_profile, hall_check,
                                is_multiplier, main_theorem_hypotheses,
                                mann_test)
-from diffsets.dset import DifferenceSet, Params, make_difference_set
+from diffsets.dset import (DifferenceSet, Params, make_difference_set,
+                           restrict, verify)
 from diffsets.groups import AbelianGroup, cyclic_subgroup_of_order
 from diffsets.singer import singer_construct
 
@@ -140,8 +141,11 @@ def test_fixed_subgroup_lemma(d585):
 
 
 def test_size_lemma(d585):
-    rep = check_lemma_size(d585, 2, 3)
+    rep = check_lemma_size(2, 3)
     assert rep.status == "verified"
+    # oracle: the built set meets M in the counted q^2 + q + 1 elements
+    M = cyclic_subgroup_of_order(d585.group, 15)
+    assert rep.conclusions[0].witness == len(set(d585.elements) & set(M.elements))
 
 
 def test_main_theorem_hypotheses_precheck():
@@ -153,8 +157,12 @@ def test_main_theorem_hypotheses_precheck():
 
 
 def test_main_theorem_q2_s3(d585):
-    rep = check_main(d585, 2, 3)
+    rep = check_main(2, 3)
     assert rep.status == "verified"
+    # oracle: D ∩ M of the built set verifies to the same report
+    M = cyclic_subgroup_of_order(d585.group, 15)
+    res = restrict(d585, M)
+    assert rep.conclusions[0].witness == verify(res.group, res.elements).as_dict()
 
 
 def test_dintk(d15, d40):

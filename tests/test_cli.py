@@ -2,6 +2,8 @@ import json
 import os
 import re
 import shlex
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -133,8 +135,8 @@ def test_quotient_image_rejects_without_counting_pairs(capsys, tmp_path,
                                   ["check", "cor3.2", "--q", "4", "--s", "3"]],
                          ids=["scan", "cor3.2"])
 def test_ceiling_forces_exact_verification(capsys, monkeypatch, verb):
-    # PG(3, 4^3) has k = 4161, so k^2 is over 4M ordered pairs; the
-    # constructed set is counted exactly whether or not --ceiling is given,
+    # PG(3, 4^3) has v = 266305; D ∩ M, M of order 85, is counted exactly
+    # whether or not --ceiling is given, nothing of order v is counted,
     # and the ceiling changes no report
     exact, verify = [], dset.verify
 
@@ -148,7 +150,7 @@ def test_ceiling_forces_exact_verification(capsys, monkeypatch, verb):
     for ceiling in ([], ["--ceiling", "268435456"]):
         exact.clear()
         code, rep = invoke_json(capsys, *verb, *ceiling)
-        assert code == 0 and (266305, "full", True) in exact
+        assert code == 0 and exact == [(85, "full", True)]
         reports.append(rep)
     assert reports[0] == reports[1]
 
@@ -304,6 +306,75 @@ def test_lem41_builds_no_set(capsys, monkeypatch):
                                "side_conditions_hold": True}
     assert [c["ok"] for c in rep["conclusions"]] == [True, True]
     assert rep["conclusions"][0]["witness"] == {"|M|": 15, "|fixed|": 15}
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (["check", "thm4.3", "--q", "2", "--s", "3"], None),
+    (["check", "cor3.2", "--q", "2", "--s", "3"], None),
+    (["check", "lem4.2", "--q", "2", "--s", "3"], None),
+    (["scan", "--q", "2", "--s", "1,2,3"],
+     [(1, 15, "embedded"), (2, 85, "subgroup-absent"), (3, 585, "embedded")]),
+], ids=["thm4.3", "cor3.2", "lem4.2", "scan"])
+def test_tower_checks_build_no_set(capsys, monkeypatch, argv, rows):
+    # thm4.3, cor3.2, lem4.2 and scan read D ∩ M from |M| = 15 traces:
+    # neither the Singer set nor any group of order v is built or counted
+    def no_set(*args, **kw):
+        raise AssertionError(f"{argv[:2]} must not construct the set")
+
+    orders, verify = [], dset.verify
+
+    def counted(G, elements):
+        orders.append(G.order)
+        return verify(G, elements)
+
+    monkeypatch.setattr(singer, "singer_construct", no_set)
+    monkeypatch.setattr(singer, "_trace_zero_exponents", no_set)
+    monkeypatch.setattr(dset, "verify", counted)
+    code, rep = invoke_json(capsys, *argv)
+    assert set(orders) <= {15}
+    if rows is not None:
+        assert code == 2
+        assert [(r["s"], r["v"], r["status"]) for r in rep["rows"]] == rows
+        assert [r["detail"]["restriction"]["verified"] for r in rep["rows"]
+                if r["status"] == "embedded"] == [True, True]
+        return
+    assert code == 0 and rep["status"] == "verified"
+    assert rep["instance"]["params"] == [585, 73, 9]
+    witness = rep["conclusions"][0]["witness"]
+    if argv[1] == "lem4.2":
+        assert witness == 7
+    else:
+        assert (witness["v"], witness["k"], witness["lambda_observed"]) == (15, 7, 3)
+
+
+@pytest.mark.parametrize("argv, params", [
+    (["thm4.3", "--q", "2", "--s", "11", "--ceiling", "17592186044416"],
+     [8594130945, 4196353, 2049]),
+    (["cor3.2", "--q", "3", "--s", "5", "--ceiling", "3486784401"],
+     [14408200, 59293, 244]),
+], ids=["thm4.3-q2-s11", "cor3.2-q3-s5"])
+def test_tower_checks_past_the_counting_limit(capsys, argv, params):
+    # v = 8594130945 is over dset.FULL_VERIFY_ORDER_LIMIT, where D itself
+    # cannot be verified; D ∩ M is, in M of order 15 or 40
+    code, rep = invoke_json(capsys, "check", *argv)
+    assert code == 0 and rep["status"] == "verified"
+    assert rep["instance"]["params"] == params
+    assert all(c["ok"] for c in rep["hypotheses"] + rep["conclusions"])
+
+
+def test_closed_stdout_is_a_quiet_exit(tmp_path):
+    # a reader that takes one line and closes the pipe (`| head -1`): the
+    # report is longer than the pipe holds, so the write fails mid-way
+    env = {**os.environ, "PYTHONPATH": os.path.join(
+        os.path.dirname(__file__), "..", "src")}
+    with subprocess.Popen(
+            [sys.executable, "-m", "diffsets.cli", "construct", "--q", "2",
+             "--d", "16", "--elements", "--json", "--out", str(tmp_path / "d.dset")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1 and err == b""
 
 
 def test_hall_on_unverified_set_is_not_falsified(capsys, tmp_path):

@@ -1,4 +1,6 @@
 import math
+import random
+import time
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -74,3 +76,54 @@ def test_is_prime_power_small():
         assert is_prime_power(n) == expected.get(n)
     assert is_prime_power(1) is None
     assert is_prime_power(0) is None
+
+
+def trial_division(n):
+    """The oracle of factorize: plain trial division."""
+    out, f = {}, 2
+    while f * f <= n:
+        while n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
+        f += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def test_factorize_matches_trial_division_below_20000():
+    for n in range(1, 20000):
+        assert factorize(n) == trial_division(n)
+
+
+def test_factorize_splits_products_of_two_primes_by_rho():
+    # both primes are above the trial bound of factorize, so Pollard's rho
+    # splits the product; squares included
+    rng = random.Random(2007)
+    primes = [p for p in (rng.randrange(1 << 10, 1 << 20) for _ in range(400))
+              if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    pairs = list(zip(primes[::2], primes[1::2])) + [(p, p) for p in primes[:5]]
+    assert len(pairs) > 20
+    for a, b in pairs:
+        assert factorize(a * b) == trial_division(a * b)
+
+
+def test_factorize_2_124_minus_1_is_fast():
+    # 2^62 - 1 = 3 * 715827883 * 2147483647 stalls trial division; the
+    # field GF(2^124) of the tower q = 2, s = 31 needs this factorization
+    n = 2**124 - 1
+    t0 = time.perf_counter()
+    f = factorize(n)
+    assert time.perf_counter() - t0 < 1.0
+    assert math.prod(p**e for p, e in f.items()) == n
+    assert all(trial_division(p) == {p: 1} for p in f)
+    assert {715827883, 2147483647} <= set(f)
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # the least strong pseudoprimes to the first 1, 4, 11 and 12 prime
+    # bases (2 alone, 2..7, 2..31, 2..37); base 41 rejects the last one
+    for n in (2047, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    for p in (2147483647, 2**61 - 1):
+        assert is_prime(p)

@@ -135,11 +135,11 @@ def test_conjecture_scan_over_ceiling_is_error_row():
 
 def test_conjecture_scan_subgroup_absent_builds_nothing(monkeypatch):
     # M of order 15 is no subgroup of Z_85 (q = 2, s = 2): the row says so
-    # without building D
+    # without reading D
     def no_construction(*args, **kwargs):
-        raise AssertionError("D was built")
+        raise AssertionError("D was read")
 
-    monkeypatch.setattr("diffsets.analysis.singer_construct", no_construction)
+    monkeypatch.setattr("diffsets.analysis.singer_restriction", no_construction)
     rows = conjecture_scan(2, [2])
     assert [(r.s, r.v, r.subgroup_order, r.status) for r in rows] == \
         [(2, 85, 15, "subgroup-absent")]

@@ -5,12 +5,14 @@ import pytest
 
 from diffsets.analysis import _restriction, check_tower_restriction
 from diffsets.cli import run
-from diffsets.dset import classical_params, normalizing_shift, verify
+from diffsets.dset import classical_params, normalizing_shift, restrict, verify
 from diffsets.field import make_field
-from diffsets.groups import cyclic_subgroup_of_order
+from diffsets.groups import AbelianGroup, cyclic_subgroup_of_order
+from diffsets.numth import is_prime_power
 from diffsets import singer
 from diffsets.singer import (_enumeration_bytes, _trace_zero_exponents,
-                             hyperplane_containment, singer_construct)
+                             hyperplane_containment, singer_construct,
+                             singer_restriction, tower_shift)
 
 
 def brute_singer(q, d):
@@ -169,7 +171,7 @@ def test_restriction_check_q2_s3():
     assert D.params.as_tuple() == (585, 73, 9)
     expected = classical_params(2, 4)
     assert expected.as_tuple() == (15, 7, 3)
-    rep = check_tower_restriction(D, 2, 3)
+    rep = check_tower_restriction(2, 3)
     assert rep.status == "verified"
     w = rep.conclusions[0].witness
     assert w["verified"] and (w["v"], w["k"], w["lambda_observed"]) == (15, 7, 3)
@@ -177,6 +179,41 @@ def test_restriction_check_q2_s3():
     res, vrep, ok = _restriction(D, R, expected.as_tuple())
     assert ok and vrep.as_dict() == w
     assert res.elements == (0, 1, 2, 4, 5, 8, 10)
+
+
+@pytest.mark.parametrize("q,s", [(2, 1), (2, 3), (2, 5), (2, 7), (3, 1), (3, 3),
+                                 (4, 1), (4, 3), (5, 1), (5, 3), (7, 1), (8, 1),
+                                 (9, 1)])
+def test_singer_restriction_matches_full_construction(q, s):
+    # E + t from |M| traces is the restriction of the normalized Singer set
+    # built and verified in all of Z_v, in the same M coordinates
+    R = singer_restriction(q, s)
+    D = singer_construct(q**s, 4)
+    M = cyclic_subgroup_of_order(D.group, (q + 1) * (q * q + 1))
+    assert R.elements == restrict(D, M).elements
+    assert R.group == AbelianGroup([M.order])
+    assert R.params == D.params
+    assert R.field_descriptor == D.meta["field_descriptor"]
+
+
+@pytest.mark.parametrize("q,s", [(2, 1), (2, 3), (2, 5), (3, 1), (3, 2), (3, 3),
+                                 (4, 1), (4, 3), (5, 1), (5, 2), (5, 3), (7, 1),
+                                 (8, 1), (9, 1), (11, 1), (13, 1)])
+def test_tower_shift_is_the_normalizing_shift(q, s):
+    # the closed form 0 (p = 2) or v/2 (odd p) against the shift that
+    # dset computes from the raw trace-zero list, even s included
+    p, e = is_prime_power(q)
+    v = classical_params(q**s, 4).v
+    raw = _trace_zero_exponents(make_field(p, 4 * e * s), e * s, v)
+    t = tower_shift(q, s)
+    assert t == normalizing_shift(AbelianGroup([v]), raw)
+    assert t == (0 if p == 2 else v // 2)
+
+
+def test_singer_restriction_needs_the_subgroup():
+    # q = 2, s = 2: v = 85 has no subgroup of order 15
+    with pytest.raises(ValueError, match="no subgroup of order 15"):
+        singer_restriction(2, 2)
 
 
 def test_restriction_check_requires_odd_s(capsys):
