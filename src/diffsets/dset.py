@@ -1,13 +1,13 @@
 """Difference-set core: parameters, verification, translates, profiles.
 
-Verification computes the coefficient vector of D D^(-1) in the group
-ring, a dense length-v counter of the differences a - b with a, b in D,
-and succeeds iff the identity coefficient is k and every other
-coefficient is a common lambda.  Ranks outside [0, v) are refused, never
-reduced.  In Z_v a set is first read through its images in the
-quotients Z_m, m | v, m^2 <= k: a difference set maps to c with
-c c^(-1) = n + lambda*(v/m)*Z_m, so a failed image (or a repeated
-element, or a non-integral lambda) rejects it exactly in O(k) time.
+Verification computes the coefficients of D D^(-1) in the group ring,
+the numbers of differences a - b with a, b in D, and succeeds iff the
+identity coefficient is k and every other coefficient is a common
+lambda.  Ranks outside [0, v) are refused, never reduced.  In Z_v a set
+is first read through its images in the quotients Z_m, m | v,
+m^2 <= k: a difference set maps to c with c c^(-1) = n +
+lambda*(v/m)*Z_m, so a failed image (or a repeated element, or a
+non-integral lambda) rejects it exactly in O(k) time.
 Acceptance always takes the full count, by one of three exact
 strategies, whichever `_costs` prices lowest in ordered pairs counted:
 
@@ -15,9 +15,11 @@ strategies, whichever `_costs` prices lowest in ordered pairs counted:
   as products, and the oracle of the other two;
 - orbit counting in Z_v, when a prime t | k - lambda fixes D (t*D = D,
   checked, never assumed: Hall's multiplier theorem predicts it): the
-  counter is constant on the orbits of x -> t*x, so only the ~k^2/e
-  pairs whose first element is an orbit representative are counted,
-  e = ord_v(t) (v*ceil(log2 e) + k^2/e);
+  coefficients are constant on the orbits of x -> t*x, so only the
+  ~k^2/e pairs whose first element is an orbit representative are
+  counted, e = ord_v(t), into one counter per orbit, from which the
+  verdict is read without expanding to one count per group element
+  (v*ceil(log2 e) + k^2/e);
 - the cyclic autocorrelation in Z_v by a number-theoretic transform of
   length L = 2^ceil(log2(2v - 1)) modulo the prime 15*2^27 + 1
   (8/5*L*log2(L) + 40000, calibrated against the pair cost), taken
@@ -33,8 +35,8 @@ from math import gcd
 
 import numpy as np
 
-from .groups import (AbelianGroup, CosetDecomposition, Subgroup,
-                     _multiplier_orbit_key, cosets, subgroup_as_group)
+from .groups import (_KEY_SLICE, AbelianGroup, CosetDecomposition, Subgroup,
+                     _multiplier_orbit_ids, cosets, subgroup_as_group)
 from .numth import (divisors, is_prime_power, multiplicative_order,
                     prime_divisors)
 
@@ -131,12 +133,14 @@ def difference_counts(G: AbelianGroup, elements) -> np.ndarray:
 
     Raises ValueError for a rank outside [0, v); elements may repeat.
     """
-    return _counts(G, _ranks(G, elements))
+    counts, ids = _counts(G, *_ranks(G, elements))
+    return counts if ids is None else counts[ids]
 
 
-def _ranks(G: AbelianGroup, elements) -> np.ndarray:
-    """The element ranks as a sorted int64 array; ValueError for a rank
-    outside [0, v), which no counting strategy may reduce or wrap."""
+def _ranks(G: AbelianGroup, elements) -> tuple[np.ndarray, np.ndarray]:
+    """The element ranks as a sorted int64 array, and the multiplicity of
+    each distinct rank; ValueError for a rank outside [0, v), which no
+    counting strategy may reduce or wrap."""
     try:
         ranks = np.sort(np.asarray(list(elements), dtype=np.int64))
     except OverflowError:
@@ -144,24 +148,28 @@ def _ranks(G: AbelianGroup, elements) -> np.ndarray:
     if len(ranks) and (ranks[0] < 0 or ranks[-1] >= G.order):
         bad = ranks[0] if ranks[0] < 0 else ranks[-1]
         raise ValueError(f"element rank {bad} outside [0, {G.order})")
-    return ranks
+    return ranks, np.unique(ranks, return_counts=True)[1]
 
 
-def _counts(G: AbelianGroup, ranks: np.ndarray) -> np.ndarray:
-    """difference_counts of sorted in-range ranks by the cheapest exact
-    strategy (`_strategy`); products keep the pair count."""
+def _counts(G: AbelianGroup, ranks: np.ndarray, mult: np.ndarray):
+    """The coefficients of D D^(-1) for sorted in-range ranks with
+    multiplicities `mult`, by the cheapest exact strategy (`_strategy`;
+    products keep the pair count), as (counts, ids): the coefficient of
+    x is counts[ids[x]], or counts[x] when ids is None.  Only the orbit
+    count has ids; either way counts[0] is the identity coefficient
+    alone."""
     v = G.order
     if v > FULL_VERIFY_ORDER_LIMIT:
         raise MemoryError(
             f"full difference counting limited to group order {FULL_VERIFY_ORDER_LIMIT}")
     if len(G.factors) != 1:
-        return _pair_counts(G, ranks)
+        return _pair_counts(G, ranks), None
     t = _fixing_multiplier(G, ranks)
     if t is not None:
         return _orbit_counts(G, ranks, t)
-    if _strategy(v, len(ranks)) == "ntt" and _ntt_exact(ranks):
-        return _ntt_counts(v, ranks)
-    return _pair_counts(G, ranks)
+    if _strategy(v, len(ranks)) == "ntt" and _ntt_exact(mult):
+        return _ntt_counts(v, ranks), None
+    return _pair_counts(G, ranks), None
 
 
 #: `_ntt_counts` cost per call, in ordered pairs (see `_costs`).
@@ -172,13 +180,19 @@ def _costs(v: int, k: int, e: int | None = None) -> dict[str, int]:
     """Estimated cost of each exact strategy for k elements of Z_v, in
     ordered pairs counted: "pair" k^2; "ntt" 8/5*L*log2(L) for the
     transform length L plus _NTT_CALL_COST; and, when a multiplier of
-    order e fixes D, "orbit" v*ceil(log2 e) for the orbit key plus k^2/e
-    pairs.
+    order e fixes D, "orbit" v*ceil(log2 e) for the orbit numbers plus
+    k^2/e pairs.
 
     Calibrated on a 2 vCPU Intel Xeon (Python 3.11, numpy 2.4.6): the
-    pair and orbit counters take 8-13 ns per unit of their cost, the NTT
+    pair and orbit counters took 8-13 ns per unit of their cost, the NTT
     14-20 ns per L*log2(L) for L = 2^14 to 2^22 and 0.1-0.4 ms per call
-    for L up to 2^8.
+    for L up to 2^8.  Since the counters reuse their block buffers and
+    the orbit count keeps one counter entry per orbit, the same machine
+    measures, warm, 4-10 ns per unit for the orbit counter (the Singer
+    sets of v = 3906 to 2113665), 4-8 ns for the pair counter and 6-13
+    ns for the NTT (random sets of v = 10007 to 1000003).  The constants
+    are kept, so a unit of pair or orbit cost now takes about half the
+    time of a unit of NTT cost.
     """
     L = _ntt_length(v)
     costs = {"pair": k * k,
@@ -194,9 +208,44 @@ def _strategy(v: int, k: int, e: int | None = None) -> str:
     return min(costs, key=costs.get)
 
 
-#: Ordered pairs per row block in `_pair_counts`; a block makes at most
-#: three int64 temporaries of this length.
-_PAIR_BLOCK = 1 << 20
+#: Least ordered pairs per row block of differences: `_difference_blocks`
+#: reuses 16 bytes a pair, and the product presentations' `G.sub` makes
+#: at most three int64 temporaries of a block.
+_PAIR_BLOCK = 1 << 18
+
+
+def _block_pairs(k: int, bins: int) -> int:
+    """Ordered pairs per row block of k columns binned into a counter of
+    `bins` entries: at least _PAIR_BLOCK, k and bins/2, so that a block's
+    bincount spends at most as much on the counter as on its pairs."""
+    return max(_PAIR_BLOCK, k, bins // 2)
+
+
+def _difference_blocks(v: int, firsts: np.ndarray, ranks: np.ndarray, bins: int):
+    """Pairs (diffs, spare) for row blocks of `_block_pairs(k, bins)`
+    ordered pairs: diffs is the int64 array of (a - b) mod v for a in the
+    block of `firsts` and b in `ranks`, and spare an int32 array of its
+    shape; both are buffers reused from one block to the next.
+
+    The differences are formed in int32: v <= FULL_VERIFY_ORDER_LIMIT =
+    2^26 < 2^31 keeps a - b in (-2^31, 2^31), so d += (d >> 31) & v adds v
+    exactly to the negative ones.
+    """
+    k = len(ranks)
+    rows = _block_pairs(k, bins) // max(1, k)
+    shape = (min(rows, len(firsts)), k)
+    d, spare = np.empty(shape, dtype=np.int32), np.empty(shape, dtype=np.int32)
+    diffs = np.empty(shape, dtype=np.int64)
+    firsts, cols = firsts.astype(np.int32), ranks.astype(np.int32)
+    for i in range(0, len(firsts), rows):
+        a = firsts[i:i + rows, None]
+        block, low, out = d[:len(a)], spare[:len(a)], diffs[:len(a)]
+        np.subtract(a, cols, out=block)
+        np.right_shift(block, 31, out=low)      # -1 where a - b < 0, else 0
+        low &= v
+        block += low                            # the wrap: a - b mod v
+        np.copyto(out, block)
+        yield out, low
 
 
 def _pair_counts(G: AbelianGroup, ranks: np.ndarray) -> np.ndarray:
@@ -205,9 +254,13 @@ def _pair_counts(G: AbelianGroup, ranks: np.ndarray) -> np.ndarray:
     `_orbit_counts` and `_ntt_counts`."""
     v, k = G.order, len(ranks)
     counts = np.zeros(v, dtype=np.int64)
-    chunk = max(1, _PAIR_BLOCK // max(1, k))
-    for i in range(0, k, chunk):
-        counts += np.bincount(G.sub(ranks[i:i + chunk, None], ranks).ravel(),
+    if len(G.factors) == 1:
+        for diffs, _ in _difference_blocks(v, ranks, ranks, v):
+            counts += np.bincount(diffs.ravel(), minlength=v)
+        return counts
+    rows = _block_pairs(k, v) // max(1, k)
+    for i in range(0, k, rows):
+        counts += np.bincount(G.sub(ranks[i:i + rows, None], ranks).ravel(),
                               minlength=v)
     return counts
 
@@ -236,44 +289,42 @@ def _fixing_multiplier(G: AbelianGroup, ranks: np.ndarray) -> int | None:
     return best
 
 
-#: Ordered pairs per block in `_orbit_counts` (int64 temporaries of this length).
-_ORBIT_PAIR_CHUNK = 1 << 20
+def _orbit_counts(G: AbelianGroup, ranks: np.ndarray, t: int):
+    """The coefficients of D D^(-1) per t-orbit, for sorted ranks of D in
+    G = Z_v with t*D = D: (counts, ids), ids the int32 orbit numbers of
+    `_multiplier_orbit_ids` (the identity alone is orbit 0) and counts[i]
+    the coefficient of every x in orbit i, so difference_counts is
+    counts[ids].
 
-
-def _orbit_counts(G: AbelianGroup, ranks: np.ndarray, t: int) -> np.ndarray:
-    """difference_counts for sorted ranks of D in G = Z_v with t*D = D.
-
-    Then N(x) = #{(a, b) in D^2 : a - b = x} is constant on t-orbits, and
-    |O| N(rep O) = sum over orbit representatives a in D of |orbit(a)|
-    times #{b in D : a - b in O}.  So only about k^2/e pairs are counted,
-    weighted, summed per orbit key, and divided by |O|.  The orbit of x
-    has ord_(v/gcd(x, v))(t) elements.
+    N(x) = #{(a, b) in D^2 : a - b = x} is constant on t-orbits, and
+    |O| N(O) = sum over orbit representatives a in D (the least rank of D
+    in each orbit, with its multiplicity) of |orbit(a)| times
+    #{b in D : a - b in O}.  So only about k^2/e pairs are counted, a
+    block of int32 differences at a time (`_difference_blocks`), into one
+    int64 counter entry per orbit; the counter of each representative
+    size class is weighted by that size once, and the sum is divided by
+    |O|.  RuntimeError if t does not fix D.
     """
     v = G.order
-    key = _multiplier_orbit_key(G, t)
-    reps = ranks[key[ranks] == ranks]
-
-    def orbit_sizes(xs):
-        gs, which = np.unique(np.gcd(xs, v), return_inverse=True)
-        return np.array([multiplicative_order(t, v // g) for g in gs.tolist()],
-                        dtype=np.int64)[which]
-
-    rep_sizes = orbit_sizes(reps)
-    weighted = np.zeros(v, dtype=np.int64)
-    chunk = max(1, _ORBIT_PAIR_CHUNK // max(1, len(ranks)))
-    for size in np.unique(rep_sizes):
-        group = reps[rep_sizes == size]
-        for i in range(0, len(group), chunk):
-            d = group[i:i + chunk, None] - ranks[None, :]
-            d %= v
-            weighted += np.bincount(key[d.ravel()], minlength=v) * size
-    orbit_keys = np.flatnonzero(weighted)
-    per_orbit, rest = np.divmod(weighted[orbit_keys], orbit_sizes(orbit_keys))
-    if rest.any():
+    ids, sizes = _multiplier_orbit_ids(G, t)
+    _, first, which = np.unique(ids[ranks], return_index=True, return_inverse=True)
+    reps = ranks[ranks == ranks[first][which]]
+    rep_sizes = sizes[ids[reps]]
+    orbits = len(sizes)
+    counts = np.zeros(orbits, dtype=np.int64)
+    for size in np.unique(rep_sizes).tolist():
+        of_size, firsts = np.zeros(orbits, dtype=np.int64), reps[rep_sizes == size]
+        for diffs, spare in _difference_blocks(v, firsts, ranks, orbits):
+            np.take(ids, diffs, out=spare, mode="wrap")     # "wrap": no copy
+            np.copyto(diffs, spare)
+            of_size += np.bincount(diffs.ravel(), minlength=orbits)
+        of_size *= size
+        counts += of_size
+    if (counts % sizes).any():
         raise RuntimeError("orbit counts not divisible by orbit sizes: "
                            f"t={t} does not fix D")
-    weighted[orbit_keys] = per_orbit
-    return weighted[key]
+    counts //= sizes
+    return counts, ids
 
 
 #: The NTT prime 15*2^27 + 1 and a primitive root: transform lengths up
@@ -289,22 +340,49 @@ def _ntt_length(v: int) -> int:
     return 2 << (v - 1).bit_length()
 
 
-def _verify_bytes(v: int, k: int, strategy: str) -> int:
+def _verify_bytes(v: int, k: int, strategy: str, t: int | None = None) -> int:
     """Estimated peak bytes of `verify` on k distinct ranks of Z_v by
-    `strategy`: the rank arrays, the length-v counter and its copy, and
-    the strategy's own buffers (three int64 temporaries of a row block,
-    the orbit key and a 2^20-pair chunk, or four NTT buffers of L words)."""
-    own = {"pair": 24 * max(_PAIR_BLOCK, k),
-           "orbit": 12 * v + 24 * _ORBIT_PAIR_CHUNK,
-           "ntt": 32 * _ntt_length(v)}[strategy]
-    return 48 * k + 16 * v + own
+    `strategy` (for "orbit", with the multiplier t): the rank arrays and
+    the strategy's own buffers.
+
+    - pair: the length-v counter and a block's bincount, and three int64
+      temporaries of a row block (`G.sub` on a product presentation; the
+      int32 block buffers of one factor take 16 bytes a pair);
+    - orbit: the int32 orbit numbers and the slice buffers of
+      `_multiplier_orbit_ids` (37 bytes a slice element), four int64
+      arrays of one entry per orbit (the sizes, the counter, a size
+      class's counter and a block's bincount) and 16 bytes a pair of a
+      block;
+    - ntt: four NTT buffers of L words and the length-v fold.
+    """
+    if strategy == "orbit":
+        orbits = _orbit_number(v, t)
+        own = (4 * v + 37 * min(v, _KEY_SLICE) + 32 * orbits
+               + 16 * _block_pairs(k, orbits))
+    else:
+        own = {"pair": 16 * v + 24 * _block_pairs(k, v),
+               "ntt": 16 * v + 32 * _ntt_length(v)}[strategy]
+    return 48 * k + own
 
 
-def _ntt_exact(ranks: np.ndarray) -> bool:
-    """Whether `_ntt_counts` is exact: by Cauchy-Schwarz no correlation
-    coefficient exceeds the identity count sum(mult^2), which must stay
-    below the prime; for distinct ranks it is k <= v."""
-    mult = np.unique(ranks, return_counts=True)[1]
+def _orbit_number(v: int, t: int) -> int:
+    """The number of orbits of x -> t*x on Z_v, gcd(t, v) = 1: the phi(d)
+    elements of order d are the units of the subgroup of order d, on
+    which t acts by multiplication in orbits of ord_d(t) elements."""
+    total = 0
+    for d in divisors(v):
+        phi = d
+        for p in prime_divisors(d):
+            phi -= phi // p
+        total += phi // multiplicative_order(t, d)
+    return total
+
+
+def _ntt_exact(mult: np.ndarray) -> bool:
+    """Whether `_ntt_counts` is exact for ranks of multiplicities `mult`:
+    by Cauchy-Schwarz no correlation coefficient exceeds the identity
+    count sum(mult^2), which must stay below the prime; for distinct ranks
+    it is k <= v."""
     return int(mult @ mult) < _NTT_PRIME
 
 
@@ -374,7 +452,8 @@ def _ntt_counts(v: int, ranks: np.ndarray) -> np.ndarray:
     return c[:v] + c[v:0:-1]
 
 
-def _quotient_obstruction(G: AbelianGroup, ranks) -> VerificationReport | None:
+def _quotient_obstruction(G: AbelianGroup, ranks: np.ndarray,
+                          mult: np.ndarray) -> VerificationReport | None:
     """The report of `verify` when small images of D already prove that it
     is not a difference set, else None; never a proof that it is one.
 
@@ -385,13 +464,11 @@ def _quotient_obstruction(G: AbelianGroup, ranks) -> VerificationReport | None:
     of D with the cosets of the subgroup of order v/m.  Each divisor
     2 <= m with m^2 <= k costs at most k.  Only for G = Z_v written with
     one factor, up to the dense-counter limit where `verify` would count,
-    and for ranks in [0, v) (`_ranks`).
+    and for ranks in [0, v) with multiplicities `mult` (`_ranks`).
     """
     v = G.order
     if len(G.factors) != 1 or not 2 <= v <= FULL_VERIFY_ORDER_LIMIT:
         return None
-    ranks = np.asarray(ranks, dtype=np.int64)
-    mult = np.unique(ranks, return_counts=True)[1]
     k = len(mult)
     identity_count = int(mult @ mult)
     rejected = VerificationReport(False, v, k, None, identity_count, False)
@@ -414,24 +491,23 @@ def verify(G: AbelianGroup, elements) -> VerificationReport:
 
     Raises ValueError for a rank outside [0, v).  Rejects from
     `_quotient_obstruction` when that suffices; accepts only after
-    counting every difference.
+    counting every difference.  The verdict reads the counts as `_counts`
+    returns them, per orbit on the orbit path: the identity's count
+    counts[0] must be k and every other entry one common lambda.
     """
-    ranks = _ranks(G, elements)
-    rejected = _quotient_obstruction(G, ranks)
+    ranks, mult = _ranks(G, elements)
+    rejected = _quotient_obstruction(G, ranks, mult)
     if rejected is not None:
         return rejected
-    counts = _counts(G, ranks)
-    k = len(np.unique(ranks))
-    v = G.order
+    counts, _ = _counts(G, ranks, mult)
+    v, k = G.order, len(mult)
     identity_count = int(counts[0])
-    rest = np.delete(counts, 0) if v > 1 else np.array([], dtype=np.int64)
-    if v > 1 and rest.min() == rest.max() and identity_count == k:
-        lam = int(rest[0])
-        p = Params(v, k, lam)
-        return VerificationReport(True, v, k, lam, identity_count,
-                                  p.fundamental_ok())
     if v == 1:
         return VerificationReport(True, 1, k, k, identity_count, True)
+    lam = int(counts[1])
+    if identity_count == k and (counts[1:] == lam).all():
+        return VerificationReport(True, v, k, lam, identity_count,
+                                  Params(v, k, lam).fundamental_ok())
     return VerificationReport(False, v, k, None, identity_count, False)
 
 

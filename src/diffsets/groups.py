@@ -27,9 +27,9 @@ from .numth import divisors, factorize, multiplicative_order
 #: Orders up to this are safe to materialize element-by-element.
 MATERIALIZE_LIMIT = 1 << 24
 
-#: Elements per slice in the orbit-key passes; each slice makes a few
-#: int64 temporaries of this length.
-_KEY_SLICE = 1 << 18
+#: Elements per slice in the orbit-number passes, which reuse a few
+#: buffers of this length.
+_KEY_SLICE = 1 << 16
 
 #: Exhaustive subgroup enumeration is only attempted below this order
 #: for non-cyclic groups.
@@ -377,37 +377,89 @@ def subgroup_as_group(H: Subgroup) -> SubgroupPresentation:
     return SubgroupPresentation(AbelianGroup(orders[::-1] or [1]), to_sub)
 
 
-def _multiplier_orbit_key(G: AbelianGroup, m: int) -> np.ndarray:
-    """int32 array whose entry x is the least element of the orbit of x
-    under x -> m*x.
+def _scaled_slices(G: AbelianGroup, m: int):
+    """Pairs (lo, image) over consecutive slices of the ranks of G, with
+    image[i] in [0, 2v) the rank of m*(lo + i) or that plus v, as int64
+    in a buffer reused from one slice to the next; np.take(..., mode=
+    "wrap") reads it mod v without a copy.
+
+    In Z_v written with one factor the images of a slice are the
+    progression (m*lo mod v) + (m*i mod v): one addition per element
+    instead of a product and a remainder.
+    """
+    v = G.order
+    n = min(v, _KEY_SLICE)
+    if len(G.factors) != 1:
+        for lo in range(0, v, n):
+            yield lo, G.scale(m, np.arange(lo, min(v, lo + n), dtype=np.int64))
+        return
+    steps = np.arange(n, dtype=np.int64)
+    steps *= m % v
+    steps %= v
+    image = np.empty(n, dtype=np.int64)
+    for lo in range(0, v, n):
+        s = slice(0, min(n, v - lo))
+        np.add(steps[s], m * lo % v, out=image[s])
+        yield lo, image[s]
+
+
+def _multiplier_orbit_ids(G: AbelianGroup, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The orbits of x -> m*x on G, numbered in the order of their least
+    elements: an int32 array whose entry x is the number of the orbit of
+    x, and the int64 array of orbit sizes.  The identity is orbit 0,
+    alone.
 
     With e the order of m modulo the exponent of G, ceil(log2 e) doubling
     passes key(x) = min(key(x), key(m^j x)), j = 1, 2, 4, ..., cover
-    x, m x, ..., m^(e-1) x.  Updating in place only lowers an entry to
-    another element of the same orbit, so the passes may run over fixed
-    slices.  Needs an order below 2^31.
+    x, m x, ..., m^(e-1) x, so key(x) ends as the least element of the
+    orbit of x.  Updating in place only lowers an entry to another element
+    of the same orbit, so the passes may run over fixed slices.  A last
+    pass, slice by slice in increasing order, numbers the least elements
+    (key(x) = x) and then replaces each entry x by the number already
+    written at key(x) <= x, so the numbers overwrite the key; one more
+    pass counts them.  Every slice pass reuses the same buffers, and the
+    gathers are np.take(mode="wrap"), which unlike the default mode makes
+    no copy.  Needs an order below 2^31.
     """
     if gcd(m, G.order) != 1:
         raise ValueError(f"gcd({m}, {G.order}) != 1: not an automorphism")
     v = G.order
     key = np.arange(v, dtype=np.int32)
+    n = min(v, _KEY_SLICE)
+    low = np.empty(n, dtype=np.int32)
     e = multiplicative_order(m % G.exponent, G.exponent)
     step = 1
     while step < e:
-        mj = pow(m, step, G.exponent)
-        for lo in range(0, v, _KEY_SLICE):
-            seg = key[lo:lo + _KEY_SLICE]
-            x = np.arange(lo, lo + len(seg), dtype=np.int64)
-            np.minimum(seg, key[G.scale(mj, x)], out=seg)
+        for lo, image in _scaled_slices(G, pow(m, step, G.exponent)):
+            seg, s = key[lo:lo + n], slice(0, len(image))
+            np.take(key, image, out=low[s], mode="wrap")
+            np.minimum(seg, low[s], out=seg)
         step *= 2
-    return key
+    offsets = np.arange(n, dtype=np.int32)
+    is_least, index = np.empty(n, dtype=bool), np.empty(n, dtype=np.int64)
+    count = 0
+    for lo in range(0, v, n):
+        seg, s = key[lo:lo + n], slice(0, min(n, v - lo))
+        np.subtract(seg, lo, out=low[s])
+        np.equal(low[s], offsets[s], out=is_least[s])
+        np.copyto(index[s], seg)
+        firsts = np.flatnonzero(is_least[s])
+        seg[firsts] = np.arange(count, count + len(firsts), dtype=np.int32)
+        count += len(firsts)
+        np.take(key, index[s], out=low[s], mode="wrap")
+        seg[:] = low[s]
+    sizes = np.zeros(count, dtype=np.int64)
+    for lo in range(0, v, n):
+        s = slice(0, min(n, v - lo))
+        np.copyto(index[s], key[lo:lo + n])
+        sizes += np.bincount(index[s], minlength=count)
+    return key, sizes
 
 
 def multiplier_orbits(G: AbelianGroup, m: int) -> list[list[int]]:
     """Orbits of x -> m*x on G, each sorted, ordered by minimal element."""
     if G.order > MATERIALIZE_LIMIT:
         raise GroupSizeError("orbit decomposition needs a materializable group")
-    key = _multiplier_orbit_key(G, m)
-    members = np.argsort(key, kind="stable")
-    starts = np.flatnonzero(np.diff(key[members])) + 1
-    return [o.tolist() for o in np.split(members, starts)]
+    ids, sizes = _multiplier_orbit_ids(G, m)
+    members = np.argsort(ids, kind="stable")
+    return [o.tolist() for o in np.split(members, np.cumsum(sizes)[:-1])]

@@ -141,7 +141,7 @@ def _construct_bytes(p: int, n: int, sub_degree: int, v: int, k: int) -> int:
     multiplier p."""
     strategy = dset._strategy(v, k, multiplicative_order(p, v))
     return (_enumeration_bytes(p, n, sub_degree, v, k) + 96 * k
-            + dset._verify_bytes(v, k, strategy))
+            + dset._verify_bytes(v, k, strategy, p))
 
 
 def singer_construct(q: int, d: int, ceiling: int | None = None) -> DifferenceSet:

@@ -1,4 +1,5 @@
 import tracemalloc
+from math import gcd
 
 import numpy as np
 import pytest
@@ -50,9 +51,19 @@ def test_difference_counts_match_brute(factors, data):
     assert list(difference_counts(G, sorted(els))) == brute_counts(G, els)
 
 
+def orbit_counts(G, ranks, t):
+    """`_orbit_counts` expanded to one count a group element."""
+    counts, ids = dset._orbit_counts(G, ranks, t)
+    return counts[ids]
+
+
 def _orbit_and_pair_counts(G, elements, t):
     ranks = np.asarray(sorted(elements), dtype=np.int64)
-    return dset._orbit_counts(G, ranks, t), dset._pair_counts(G, ranks)
+    return orbit_counts(G, ranks, t), dset._pair_counts(G, ranks)
+
+
+def quotient_obstruction(G, elements):
+    return dset._quotient_obstruction(G, *dset._ranks(G, elements))
 
 
 @pytest.mark.parametrize("q, d, t", [(2, 4, 2), (4, 3, 2), (3, 4, 3),
@@ -104,6 +115,88 @@ def test_orbit_counts_reject_a_multiplier_that_does_not_fix_the_set():
         dset._orbit_counts(AbelianGroup([15]), np.array([1, 5]), 2)
 
 
+SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+
+def forced_reports(G, elements, t):
+    """`verify` forced onto the orbit count with the multiplier t and onto
+    the pair count, with the quotient certificate off in both."""
+    reports = []
+    for fixing, strategy in [(lambda G, ranks: t, dset._strategy),
+                             (lambda G, ranks: None, lambda v, k, e=None: "pair")]:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dset, "_quotient_obstruction", lambda G, ranks, mult: None)
+            mp.setattr(dset, "_fixing_multiplier", fixing)
+            mp.setattr(dset, "_strategy", strategy)
+            reports.append(verify(G, elements))
+    return reports
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_orbit_kernel_matches_pair_counts(data):
+    # D is a union of t-orbits: always {0}, random orbits, one short orbit
+    # of elements with gcd(x, v) > 1 when there is one, and whole orbits
+    # repeated, which keeps the multiset fixed by t
+    v = data.draw(st.one_of(st.sampled_from([x for x in EDGE_ORDERS if x >= 2]),
+                            st.integers(2, 3000)), label="v")
+    t = data.draw(st.sampled_from([p for p in SMALL_PRIMES if v % p]), label="t")
+    G = AbelianGroup([v])
+    orbits = multiplier_orbits(G, t)
+    picked = data.draw(st.lists(st.integers(1, len(orbits) - 1), max_size=12)
+                       if len(orbits) > 1 else st.just([]), label="orbits")
+    shared = [i for i, o in enumerate(orbits) if i and gcd(o[0], v) > 1]
+    if shared:
+        picked.append(data.draw(st.sampled_from(shared), label="short orbit"))
+    kept = []
+    for i in picked:                        # at most 600 elements
+        if sum(len(orbits[j]) for j in kept) + len(orbits[i]) < 600:
+            kept.append(i)
+    kept += kept[:data.draw(st.integers(0, 2), label="repeats")]
+    els = [0] + [x for i in kept for x in orbits[i]]
+    ranks = np.sort(np.asarray(els, dtype=np.int64))
+    counts, ids = dset._orbit_counts(G, ranks, t)
+    assert ids[0] == 0 and (ids[1:] != 0).all()
+    assert len(counts) == len(orbits) == dset._orbit_number(v, t)
+    assert np.array_equal(counts[ids], dset._pair_counts(G, ranks))
+    by_orbits, by_pairs = forced_reports(G, els, t)
+    assert by_orbits == by_pairs
+
+
+@pytest.mark.parametrize("v, t, els, off", [
+    (6, 5, [0, 2, 4], 2),                   # per orbit (3, 0, 3, 0)
+    (8, 7, [0, 1, 3, 4, 5, 7], 4),          # (6, 4, 4, 4, 6): the last orbit
+    (13, 5, [0, 4, 6, 7, 9], 1),            # (5, 1, 2, 2): the first one
+    (8, 3, [0, 1, 3], 3)])                  # (3, 1, 1, 0, 1), {4} missed
+def test_orbit_verdict_sees_one_orbit_off(v, t, els, off):
+    # t-fixed sets whose non-identity orbit counts agree except at the
+    # orbit numbered `off`, so only the whole per-orbit comparison rejects
+    G = AbelianGroup([v])
+    counts, ids = dset._orbit_counts(G, np.asarray(els, dtype=np.int64), t)
+    others = np.delete(counts, [0, off])
+    assert (others == others[0]).all() and counts[off] != others[0]
+    by_orbits, by_pairs = forced_reports(G, els, t)
+    assert by_orbits == by_pairs == pair_count_report(G, els)
+    assert not by_orbits.ok and by_orbits.identity_count == len(els)
+
+
+@pytest.mark.parametrize("q, s", [(2, 5), (3, 3)])
+def test_orbit_verify_peak_within_estimate(q, s):
+    # the towers PG(3, 32) in Z_33825 and PG(3, 27) in Z_20440, fixed by p
+    D = singer_construct(q**s, 4)
+    G, (v, k, _) = D.group, D.params.as_tuple()
+    els = list(D.elements)
+    assert dset._fixing_multiplier(G, np.asarray(els, dtype=np.int64)) == q
+    tracemalloc.start()
+    try:
+        rep = verify(G, els)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and rep.identity_count == k
+    assert peak <= dset._verify_bytes(v, k, "orbit", q)
+
+
 @pytest.mark.parametrize("factors, els, lam", [
     ([4, 4], (0, 1, 2, 4, 9, 14), 2),
     # Z_3 x Z_5 is cyclic, but its ranks are mixed-radix, so x -> 2x is
@@ -116,7 +209,7 @@ def test_product_presentations_use_pair_count(factors, els, lam):
     rep = verify(G, els)
     assert rep.ok == (lam is not None) and rep.lambda_observed == lam
     assert dset._fixing_multiplier(G, np.asarray(els, dtype=np.int64)) is None
-    assert dset._quotient_obstruction(G, els) is None
+    assert quotient_obstruction(G, els) is None
     assert list(difference_counts(G, els)) == brute_counts(G, els)
 
 
@@ -141,7 +234,7 @@ def test_pair_counts_reuse_their_blocks(factors, blocks):
 def test_pair_verify_peak_within_estimate(monkeypatch, factors):
     # verify forced onto the pair count: 2100 random ranks of Z_10007 fail
     # the O(k) lambda test and would otherwise choose the transform
-    monkeypatch.setattr(dset, "_quotient_obstruction", lambda G, ranks: None)
+    monkeypatch.setattr(dset, "_quotient_obstruction", lambda G, ranks, mult: None)
     monkeypatch.setattr(dset, "_strategy", lambda v, k, e=None: "pair")
     G = AbelianGroup(factors)
     rng = np.random.default_rng(7)
@@ -174,7 +267,7 @@ def test_ntt_counts_match_pair_counts(data):
         els = data.draw(st.lists(st.integers(0, v - 1), max_size=300), label="multiset")
         els += els[:data.draw(st.integers(0, 20), label="repeats")]
     ranks = np.sort(np.asarray(els, dtype=np.int64))
-    assert dset._ntt_exact(ranks)
+    assert dset._ntt_exact(dset._ranks(AbelianGroup([v]), els)[1])
     assert np.array_equal(dset._ntt_counts(v, ranks),
                           dset._pair_counts(AbelianGroup([v]), ranks))
 
@@ -195,14 +288,14 @@ def test_ntt_counts_on_the_pg10_3_set():
     ranks = np.asarray(D.elements, dtype=np.int64)
     counts = dset._ntt_counts(v, ranks)
     assert counts[0] == k and (counts[1:] == lam).all()
-    assert np.array_equal(counts, dset._orbit_counts(G, ranks, 3))
+    assert np.array_equal(counts, orbit_counts(G, ranks, 3))
 
 
 def test_ntt_exact_below_the_prime():
     # one rank repeated r times has identity count r^2, and 44869^2 <
     # 2013265921 < 44870^2
-    assert dset._ntt_exact(np.zeros(44869, dtype=np.int64))
-    assert not dset._ntt_exact(np.zeros(44870, dtype=np.int64))
+    assert dset._ntt_exact(np.array([44869]))
+    assert not dset._ntt_exact(np.array([44870]))
 
 
 @pytest.mark.parametrize("v, k, e, strategy", [
@@ -285,7 +378,7 @@ def test_quotient_obstruction_passes_every_genuine_set():
         assert found
         sets += [(G, els) for els in found]
     for G, els in sets:
-        assert dset._quotient_obstruction(G, els) is None
+        assert quotient_obstruction(G, els) is None
     G, els = sets[4]                            # the q=2 s=5 tower
     assert G.order == 33825 and verify(G, els).ok
 
@@ -294,21 +387,21 @@ def test_quotient_obstruction_steps():
     D = singer_construct(2, 6)                  # (63,31,15), image in Z_3
     G, els = D.group, list(D.elements)
     # 1: a repeated element, so the identity coefficient is 29 + 4 != 30
-    assert dset._quotient_obstruction(G, els[:-1] + els[:1]).identity_count == 33
+    assert quotient_obstruction(G, els[:-1] + els[:1]).identity_count == 33
     # 2: k = 30 and 30*29 is not a multiple of 62
-    assert dset._quotient_obstruction(G, els[:-1]) == verify(G, els[:-1])
+    assert quotient_obstruction(G, els[:-1]) == verify(G, els[:-1])
     # 3: the image in Z_3 counts (13, 9, 9) elements per class; moving one
     # element to another class changes its autocorrelation at 0
     x = els[-1]
     outside = [y for y in range(63) if y not in D.element_set]
     moved = els[:-1] + [next(y for y in outside if (y - x) % 3)]
-    rep = dset._quotient_obstruction(G, moved)
+    rep = quotient_obstruction(G, moved)
     assert rep == verify(G, moved) == pair_count_report(G, moved)
     assert not rep.ok and rep.identity_count == 31
     # staying in its class leaves every image as it was: no certificate,
     # and only the full count rejects the set
     kept = els[:-1] + [next(y for y in outside if (y - x) % 3 == 0)]
-    assert dset._quotient_obstruction(G, kept) is None
+    assert quotient_obstruction(G, kept) is None
     assert verify(G, kept) == pair_count_report(G, kept)
     assert not verify(G, kept).ok
 
@@ -334,7 +427,7 @@ def test_verify_equals_pair_count_oracle(data):
         els = data.draw(st.lists(st.integers(0, v - 1), max_size=v + 4))
     rep = verify(G, els)
     assert rep == pair_count_report(G, els)
-    rejected = dset._quotient_obstruction(G, els)
+    rejected = quotient_obstruction(G, els)
     assert rejected is None or rejected == rep
 
 

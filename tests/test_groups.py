@@ -293,6 +293,22 @@ def test_multiplier_orbits_match_naive_walk(factors, m):
     assert multiplier_orbits(G, m) == naive_orbits(G, m)
 
 
+@pytest.mark.parametrize("factors, m", [([585], 2), ([585], 7), ([1000], 3),
+                                        ([997], 5), ([3, 15], 2), ([40], -1)])
+def test_orbit_ids_across_slices(monkeypatch, factors, m):
+    # slices of 7 elements: the progression of m*x wraps past v inside
+    # most slices, a least element may sit in an earlier slice or in the
+    # same one, and the last slice is partial
+    monkeypatch.setattr(groups, "_KEY_SLICE", 7)
+    G = AbelianGroup(factors)
+    ids, sizes = groups._multiplier_orbit_ids(G, m)
+    orbits = naive_orbits(G, m)
+    assert ids.dtype == np.int32
+    assert [ids[o].tolist() for o in orbits] == [[i] * len(o)
+                                                 for i, o in enumerate(orbits)]
+    assert sizes.tolist() == [len(o) for o in orbits]
+
+
 def test_multiplier_orbits_require_unit():
     with pytest.raises(ValueError):
         multiplier_orbits(AbelianGroup([15]), 3)
