@@ -334,6 +334,7 @@ def check_main(q: int, s: int, ceiling: int | None = None) -> TheoremReport:
     the subgroup M of order (q+1)(q^2+1), for D the normalized PG(3, q^s)
     Singer set, read by singer_restriction.  Nothing is built when the
     hypotheses fail on (q, s) alone."""
+    tower_base(q, s)
     rep = TheoremReport("thm4.3", {"q": q, "s": s})
     rep.hypotheses.extend(main_theorem_hypotheses(q, s))
     if not rep.hypotheses_ok:
@@ -357,6 +358,7 @@ def check_tower_restriction(q: int, s: int,
     """Corollary 3.2: for odd s, the PG(3, q^s) Singer set D meets the
     subgroup R of order (q^4-1)/(q-1) = (q+1)(q^2+1) in a set with the
     PG(3, q) Singer parameters.  Nothing is built when s is even."""
+    tower_base(q, s)
     rep = TheoremReport("cor3.2", {"q": q, "s": s})
     if not rep.hyp("s odd", s % 2 == 1, s):
         return rep
@@ -394,7 +396,7 @@ def check_dintk(D: DifferenceSet, q: int) -> TheoremReport:
     in_k = dec.coset_index(x_star) == dec.coset_index(0)
     if q % 2 == 0:
         rep.con("distinguished coset is K itself (q even)", in_k, x_star)
-        hits = sorted(set(D.elements) & K._element_set)
+        hits = sorted(set(D.elements) & K.element_set)
         rep.con("D ∩ K = {identity}", hits == [0], hits)
     else:
         # any order-4 element w with w^2 in K marks the other fixed coset
@@ -422,7 +424,7 @@ def check_hk(D: DifferenceSet, q: int, s: int) -> TheoremReport:
     rep.con("H contained in D", hprof.counts[0] == H.order)
     rep.con("other H-cosets meet D once",
             hprof.multiset() == sorted([Q + 1] + [1] * (Q * Q)))
-    hits = sorted(set(D.elements) & K._element_set)
+    hits = sorted(set(D.elements) & K.element_set)
     rep.con("D ∩ K = {identity}", hits == [0], hits)
     kprof = intersection_profile(D, K)
     rep.con("other K-cosets meet D in q^s + 1 elements",

@@ -273,11 +273,11 @@ def cmd_search(args):
                        "multiplier": spec.multiplier},
               **result.as_dict()}
     if args.out_dir:
+        # each class file holds a set that verify has just accepted
+        classes = [ds.make_difference_set(G, s) for s in result.class_reps]
         os.makedirs(args.out_dir, exist_ok=True)
         files = []
-        for i, rep_set in enumerate(result.class_reps):
-            D = ds.DifferenceSet(G, rep_set, ds.Params(G.order, spec.k, spec.lam),
-                                 verified=True)
+        for i, D in enumerate(classes):
             path = os.path.join(args.out_dir, f"class_{i:03d}.dset")
             ds.write_set_file(path, D)
             files.append(path)

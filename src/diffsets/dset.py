@@ -31,6 +31,7 @@ point anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd
 
 import numpy as np
@@ -89,13 +90,9 @@ class DifferenceSet:
         if len(self.elements) != self.params.k:
             raise ValueError("element count does not match k")
 
-    @property
-    def element_set(self):
-        es = self.__dict__.get("_es")
-        if es is None:
-            es = frozenset(self.elements)
-            self.__dict__["_es"] = es
-        return es
+    @cached_property
+    def element_set(self) -> frozenset:
+        return frozenset(self.elements)
 
     def __repr__(self):
         tag = "verified" if self.verified else "candidate"
@@ -649,16 +646,15 @@ class Restriction:
     group: AbelianGroup                  # M in invariant-factor form
     elements: tuple[int, ...]            # sorted ranks within M
     mapping: tuple[tuple[int, int], ...]  # (rank in parent, rank in M)
-    presentation: object = field(repr=False, default=None)
 
 
 def restrict(D: DifferenceSet, M: Subgroup) -> Restriction:
     """D intersected with M, re-coordinatized into M's own presentation."""
     pres = subgroup_as_group(M)
-    hits = sorted(set(D.elements) & M._element_set)
+    hits = sorted(set(D.elements) & M.element_set)
     mapping = tuple((e, pres.to_sub[e]) for e in hits)
     els = tuple(sorted(pres.to_sub[e] for e in hits))
-    return Restriction(pres.group, els, mapping, pres)
+    return Restriction(pres.group, els, mapping)
 
 
 # -- set-file interchange format ---------------------------------------------------

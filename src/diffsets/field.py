@@ -118,15 +118,15 @@ def _is_primitive_root(a: int, p: int) -> bool:
 class LinearMap:
     """Z_p-linear map on a field, stored columnwise.
 
-    cols[j] is the (packed) image of the basis element x^j, so applying
-    the map costs one matrix-vector product over Z_p.
+    cols[j] is the (packed) image of the basis element x^j, kept as its
+    coefficient row, so applying the map costs one matrix-vector product
+    over Z_p.
     """
 
-    __slots__ = ("field", "cols", "_rows")
+    __slots__ = ("field", "_rows")
 
     def __init__(self, field: "FiniteField", cols: list[int]):
         self.field = field
-        self.cols = cols
         self._rows = [field.coeffs(col) for col in cols]
 
     def __call__(self, x: int) -> int:

@@ -14,10 +14,13 @@ scans elsewhere broadcast it over whole rank arrays.
 Factor lists are not required to be in invariant-factor form (Z_3 x Z_5
 is accepted as written); :func:`subgroup_as_group` always emits a proper
 invariant-factor presentation, from a greedy basis of maximal orders.
+Subgroups of order m are looked up in the m-torsion of any group, which
+holds them all; only its subgroups are ever enumerated, not all of G's.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd, lcm, prod
 
 import numpy as np
@@ -31,8 +34,8 @@ MATERIALIZE_LIMIT = 1 << 24
 #: buffers of this length.
 _KEY_SLICE = 1 << 16
 
-#: Exhaustive subgroup enumeration is only attempted below this order
-#: for non-cyclic groups.
+#: Subgroup enumeration is refused over more elements than this: all of G
+#: for all_subgroups, the m-torsion for subgroups_of_order.
 ENUMERATION_LIMIT = 10**5
 
 
@@ -157,15 +160,11 @@ class Subgroup:
         return len(self.elements)
 
     def __contains__(self, r: int) -> bool:
-        return r in self._element_set
+        return r in self.element_set
 
-    @property
-    def _element_set(self):
-        es = self.__dict__.get("_es")
-        if es is None:
-            es = frozenset(self.elements)
-            self.__dict__["_es"] = es
-        return es
+    @cached_property
+    def element_set(self) -> frozenset:
+        return frozenset(self.elements)
 
     def __repr__(self):
         return f"Subgroup(order={self.order} of {self.group.descriptor()})"
@@ -209,13 +208,6 @@ def generated_subgroup(G: AbelianGroup, gens) -> Subgroup:
     return Subgroup(G, _closure(G, gens))
 
 
-def _check_order(G: AbelianGroup, m: int):
-    if m < 1:
-        raise ValueError(f"subgroup order must be positive, got {m}")
-    if G.order % m != 0:
-        raise ValueError(f"{m} does not divide the group order {G.order}")
-
-
 def _torsion(G: AbelianGroup, m: int) -> Subgroup:
     """{x : m*x = 0}, built per factor Z_d from the multiples of d/gcd(m, d).
 
@@ -238,26 +230,34 @@ def cyclic_subgroup_of_order(G: AbelianGroup, m: int) -> Subgroup:
     """The unique subgroup of order m of a cyclic group: its m-torsion."""
     if not G.is_cyclic:
         raise ValueError("group is not cyclic")
-    _check_order(G, m)
-    return _torsion(G, m)
+    return subgroups_of_order(G, m)[0]
 
 
 def subgroups_of_order(G: AbelianGroup, m: int) -> list[Subgroup]:
-    """All subgroups of order m; exactly one for cyclic G."""
-    _check_order(G, m)
-    if G.is_cyclic:
-        return [cyclic_subgroup_of_order(G, m)]
-    if G.order > ENUMERATION_LIMIT:
-        raise GroupSizeError(
-            f"subgroup enumeration limited to non-cyclic orders <= {ENUMERATION_LIMIT}")
-    return [S for S in all_subgroups(G) if S.order == m]
+    """All subgroups of order m, ascending by element tuple.  Each lies in
+    the m-torsion T, the only one when |T| = m (always so for cyclic G)."""
+    if m < 1:
+        raise ValueError(f"subgroup order must be positive, got {m}")
+    if G.order % m != 0:
+        raise ValueError(f"{m} does not divide the group order {G.order}")
+    T = _torsion(G, m)
+    if T.order == m:
+        return [T]
+    return [S for S in _subgroups_within(G, T.elements) if S.order == m]
 
 
 def all_subgroups(G: AbelianGroup) -> list[Subgroup]:
-    """Every subgroup, by closing the set of cyclic subgroups under joins."""
-    if G.order > ENUMERATION_LIMIT:
-        raise GroupSizeError("group too large for exhaustive subgroup enumeration")
-    cyclics = {_closure(G, (r,)) for r in G.elements()}
+    """Every subgroup, by order and then element tuple."""
+    return _subgroups_within(G, G.elements())
+
+
+def _subgroups_within(G: AbelianGroup, members) -> list[Subgroup]:
+    """Every subgroup of G inside the subgroup with these elements, by
+    closing its cyclic subgroups under joins."""
+    if len(members) > ENUMERATION_LIMIT:
+        raise GroupSizeError(f"subgroup enumeration over {len(members)} elements "
+                             f"exceeds the limit {ENUMERATION_LIMIT}")
+    cyclics = {_closure(G, (r,)) for r in members}
     subs = set(cyclics)
     frontier = set(cyclics)
     while frontier:
@@ -298,7 +298,7 @@ def cosets(G: AbelianGroup, H: Subgroup) -> CosetDecomposition:
 
 def quotient_exponent(G: AbelianGroup, U: Subgroup) -> int:
     """Least m >= 1 with m*x in U for every x in G."""
-    uset = U._element_set
+    uset = U.element_set
     for d in divisors(G.exponent):
         # G._weights are the generators of the direct factors
         if all(G.scale(d, w) in uset for w in G._weights):

@@ -21,7 +21,8 @@ from math import comb, gcd
 import numpy as np
 
 from . import dset as ds
-from .groups import AbelianGroup, GroupSizeError, multiplier_orbits
+from .groups import (MATERIALIZE_LIMIT, AbelianGroup, GroupSizeError,
+                     _multiplier_orbit_ids)
 
 #: The orbit-pair table holds 4*r^3 bytes for r multiplier orbits
 #: (r = v for the multiplier 1).
@@ -87,9 +88,10 @@ def _units(v: int) -> list[int]:
 def _least_images(G: AbelianGroup, rows) -> list[tuple[int, ...]]:
     """Each row's least image under the power maps x -> m*x, m a unit, as
     a sorted tuple; a unit's sorted images replace the best rows that are
-    larger at the first column where the two differ."""
+    larger at the first column where the two differ.  The units mod the
+    exponent of G give each distinct power map once."""
     rows = np.asarray(rows, dtype=np.int64)
-    units = _units(G.order)
+    units = _units(G.exponent)
     best = np.sort(G.scale(units[0], rows), axis=1)
     for m in units[1:]:
         image = np.sort(G.scale(m, rows), axis=1)
@@ -133,30 +135,28 @@ def _class_representatives(G: AbelianGroup, sets) -> list:
     return sorted(canonical_class(G, s) for s in members.values())
 
 
-def _orbit_pair_table(G: AbelianGroup, orbits) -> np.ndarray:
-    """table[i, j, t]: how many times the representative of orbit t
-    (its least element) occurs as a difference between orbits i and j.
+def _orbit_pair_table(G: AbelianGroup, ids, reps) -> np.ndarray:
+    """table[i, j, t]: how many times reps[t], the least element of orbit
+    t, occurs as a difference between orbits i and j, where ids[x] is the
+    number of the orbit of x.
 
     Differences are counted both ways, a - b and b - a for a in orbit i
     and b in orbit j, when j != i; table[i, i] counts the ordered pairs
     of distinct elements of orbit i.  One bincount of the orbit pairs
     (a, a - rep) over all a per representative rep.
     """
-    r = len(orbits)
+    r = len(reps)
     nbytes = 4 * r**3
     if nbytes > ORBIT_TABLE_BYTE_LIMIT:
         raise GroupSizeError(
             f"orbit-pair table for {r} multiplier orbits needs {nbytes} bytes "
             f"> limit {ORBIT_TABLE_BYTE_LIMIT}; choose a multiplier with "
             "fewer orbits")
-    orbit_of = np.empty(G.order, dtype=np.int64)
-    for i, o in enumerate(orbits):
-        orbit_of[o] = i
     a = np.arange(G.order, dtype=np.int64)
-    first = orbit_of * r
+    first = ids * r
     table = np.zeros((r, r, r), dtype=np.int32)
     for t in range(1, r):
-        pairs = first + orbit_of[G.sub(a, orbits[t][0])]
+        pairs = first + ids[G.sub(a, reps[t])]
         counts = np.bincount(pairs, minlength=r * r).reshape(r, r)
         table[:, :, t] = counts + counts.T - np.diag(counts.diagonal())
     return table
@@ -168,25 +168,27 @@ def orbit_union_search(spec: SearchSpec) -> SearchResult:
     A union of m-orbits has difference counts that are constant on
     m-orbits, so the search keeps one count per orbit.  pending[i] holds
     what adding orbit i would add to those counts; counts only grow, so a
-    branch dies as soon as one exceeds lambda.
+    branch dies as soon as one exceeds lambda.  Bit s of reachable[i] is
+    set when some orbits from i on have s elements in all, s <= k.
     """
     G = spec.group
     k, lam = spec.k, spec.lam
     t0 = time.perf_counter()
-    orbits = multiplier_orbits(G, spec.multiplier)
-    table = _orbit_pair_table(G, orbits)
-    sizes = [len(o) for o in orbits]
-    # reachable subset sums of the orbit-size suffix, for pruning
-    reachable = [set() for _ in range(len(orbits) + 1)]
-    reachable[len(orbits)] = {0}
-    for i in range(len(orbits) - 1, -1, -1):
-        prev = reachable[i + 1]
-        reachable[i] = {s for s in prev if s <= k} | \
-                       {s + sizes[i] for s in prev if s + sizes[i] <= k}
+    if G.order > MATERIALIZE_LIMIT:
+        raise GroupSizeError("orbit decomposition needs a materializable group")
+    ids, sizes = _multiplier_orbit_ids(G, spec.multiplier)
+    reps = np.unique(ids, return_index=True)[1]
+    table = _orbit_pair_table(G, ids, reps)
+    r = len(reps)
+    sizes = sizes.tolist()
+    reachable = [0] * r + [1]
+    for i in range(r - 1, -1, -1):
+        below = reachable[i + 1]
+        reachable[i] = (below | (below << sizes[i])) & ((2 << k) - 1)
 
-    diag = np.arange(len(orbits))
+    diag = np.arange(r)
     pending = table[diag, diag]         # a copy; row i is table[i, i]
-    chosen: list[int] = []              # indices of the chosen orbits
+    chosen = np.zeros(r, dtype=bool)    # the orbits in the union
     results = []
     nodes = 0
 
@@ -197,24 +199,23 @@ def orbit_union_search(spec: SearchSpec) -> SearchResult:
             raise BudgetExceeded
         if size == k:
             if (counts[1:] == lam).all():
-                results.append(tuple(sorted(
-                    e for j in chosen for e in orbits[j])))
+                results.append(tuple(np.flatnonzero(chosen[ids]).tolist()))
             return
-        if i == len(orbits) or (k - size) not in reachable[i]:
+        if i == r or not (reachable[i] >> (k - size)) & 1:
             return
         if size + sizes[i] <= k:
             grown = counts + pending[i]
             if grown.max() <= lam:
                 pending += table[i]
-                chosen.append(i)
+                chosen[i] = True
                 dfs(i + 1, size + sizes[i], grown)
-                chosen.pop()
+                chosen[i] = False
                 pending -= table[i]
         dfs(i + 1, size, counts)
 
     complete = True
     try:
-        dfs(0, 0, np.zeros(len(orbits), dtype=np.int32))
+        dfs(0, 0, np.zeros(r, dtype=np.int32))
     except BudgetExceeded:
         complete = False
     results.sort()

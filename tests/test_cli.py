@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from diffsets import dset, singer
+from diffsets import dset, search, singer
 from diffsets.cli import build_parser, check_instance_flags, run
 from diffsets.dset import read_set_file
 from diffsets.singer import singer_construct
@@ -433,6 +433,10 @@ def test_check_missing_flag(capsys):
     "search --group Z_3 --k 4 --lambda 6",
     "search --group Z_7 --k 3 --lambda 1 --budget 0",
     "search --group Z_7 --k 3 --lambda 1 --budget -5",
+    "check thm4.3 --q 2 --s 0",
+    "check thm4.3 --q 2 --s -3",
+    "check thm4.3 --q 6 --s 3",
+    "check cor3.2 --q 6 --s 2",
 ])
 def test_misuse_is_one_line_error(capsys, tmp_path, monkeypatch, argv):
     # a missing flag, or one the verb or check id does not read, is an error
@@ -475,6 +479,22 @@ def test_search_writes_class_files(capsys, tmp_path):
     assert summary["classes"] == 1
     D = read_set_file(os.path.join(out_dir, "class_000.dset"))
     assert D.params.as_tuple() == (7, 3, 1)
+
+
+def test_search_writes_only_verified_class_files(capsys, tmp_path, monkeypatch):
+    # a class representative that is no difference set is an error, and
+    # no file is written for it
+    def wrong_search(spec):
+        return search.SearchResult(spec, [(0, 1, 2)], [(0, 1, 2)], 1, 0.0)
+
+    monkeypatch.setattr(search, "orbit_union_search", wrong_search)
+    out_dir = tmp_path / "res"
+    code = run(["search", "--group", "Z_7", "--k", "3", "--lambda", "1",
+                "--out-dir", str(out_dir)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out_dir.exists()
 
 
 def test_scan(capsys):

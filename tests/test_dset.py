@@ -14,7 +14,8 @@ from diffsets.dset import (DifferenceSet, Params, SetFileError,
                            make_difference_set, normalize, read_set_file,
                            restrict, translate, verify, write_set_file)
 from diffsets.groups import (AbelianGroup, cyclic_subgroup_of_order,
-                             generated_subgroup, multiplier_orbits)
+                             generated_subgroup, multiplier_orbits,
+                             subgroup_as_group)
 from diffsets.numth import multiplicative_order
 from diffsets.search import SearchSpec, orbit_union_search
 from diffsets.singer import singer_construct
@@ -525,7 +526,7 @@ def test_restrict_to_subgroup(d15):
     assert len(res.elements) == 1           # profile says D meets M once
     for parent, inner in res.mapping:
         assert parent in M
-        assert res.presentation.to_sub[parent] == inner
+        assert subgroup_as_group(M).to_sub[parent] == inner
 
 
 def test_restrict_noncyclic_parent():

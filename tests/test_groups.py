@@ -134,6 +134,25 @@ def test_subgroups_of_order_2x4():
         subgroups_of_order(G, 3)
 
 
+@pytest.mark.parametrize("factors", [[3, 195], [2, 78], [2, 2, 10], [4, 4],
+                                     [2, 4, 8], [6, 6], [3, 3, 3]])
+def test_subgroups_of_order_match_all_subgroups(factors):
+    # same list in the same order: profile and mann report subgroups[0]
+    G = AbelianGroup(factors)
+    subs = all_subgroups(G)
+    for m in divisors(G.order):
+        assert subgroups_of_order(G, m) == [S for S in subs if S.order == m]
+
+
+def test_subgroups_of_order_enumerate_the_torsion_only():
+    # |G| = 1.2e5 is over ENUMERATION_LIMIT, its 2-torsion has 4 elements
+    G = AbelianGroup([2, 60000])
+    assert G.order > groups.ENUMERATION_LIMIT
+    subs = subgroups_of_order(G, 2)
+    assert [S.elements for S in subs] == [(0, 30000), (0, 60000),
+                                          (0, 90000)]
+
+
 def test_generated_subgroup_matches_closure():
     G = AbelianGroup([4, 6])
     H = generated_subgroup(G, [G.rank((2, 0)), G.rank((0, 3))])

@@ -10,7 +10,8 @@ import pytest
 from diffsets.analysis import conjecture_scan
 from diffsets.cli import run
 from diffsets.dset import apply_power_map, read_set_file, verify
-from diffsets.groups import AbelianGroup, GroupSizeError, multiplier_orbits
+from diffsets.groups import (AbelianGroup, GroupSizeError, _multiplier_orbit_ids,
+                             multiplier_orbits)
 from diffsets.search import (SearchSpec, _orbit_pair_table, brute_force_search,
                              canonical_class, orbit_union_search)
 
@@ -198,9 +199,21 @@ def scalar_orbit_pair_table(G, orbits):
                                         ([15], 2)])
 def test_orbit_pair_table_matches_scalar_reference(factors, m):
     G = AbelianGroup(factors)
-    orbits = multiplier_orbits(G, m)
-    assert _orbit_pair_table(G, orbits).tolist() == \
-        scalar_orbit_pair_table(G, orbits)
+    ids, _ = _multiplier_orbit_ids(G, m)
+    reps = [o[0] for o in multiplier_orbits(G, m)]
+    assert _orbit_pair_table(G, ids, reps).tolist() == \
+        scalar_orbit_pair_table(G, multiplier_orbits(G, m))
+
+
+@pytest.mark.parametrize("k, lam", [(0, 0), (1, 0), (7, 6), (8, 8)])
+def test_search_matches_brute_at_the_size_edges(k, lam):
+    # multiplier 1: every orbit is a single element; k = 0 and k = v are
+    # the lowest and highest bits of the reachable-size masks
+    G = AbelianGroup([2, 4])
+    orbit = orbit_union_search(SearchSpec(G, k, lam))
+    brute = brute_force_search(G, k, lam)
+    assert orbit.complete and orbit.sets == brute.sets
+    assert orbit.class_reps == brute.class_reps
 
 
 def test_orbit_table_guard_raises_before_allocating():
