@@ -243,29 +243,37 @@ def subgroups_of_order(G: AbelianGroup, m: int) -> list[Subgroup]:
     T = _torsion(G, m)
     if T.order == m:
         return [T]
-    return [S for S in _subgroups_within(G, T.elements) if S.order == m]
+    return [S for S in _subgroups_within(G, T.elements, m) if S.order == m]
 
 
 def all_subgroups(G: AbelianGroup) -> list[Subgroup]:
     """Every subgroup, by order and then element tuple."""
-    return _subgroups_within(G, G.elements())
+    return _subgroups_within(G, G.elements(), G.order)
 
 
-def _subgroups_within(G: AbelianGroup, members) -> list[Subgroup]:
-    """Every subgroup of G inside the subgroup with these elements, by
-    closing its cyclic subgroups under joins."""
+def _subgroups_within(G: AbelianGroup, members, m: int) -> list[Subgroup]:
+    """Every subgroup of G of order dividing m inside the subgroup with
+    these elements, by closing its cyclic subgroups under joins.
+
+    A subgroup of order dividing m is the join of its cyclic subgroups,
+    and every partial join lies in it, so joins whose order does not
+    divide m are never closed: |S + C| = |S| |C| / |S n C| is read off
+    before the closure."""
     if len(members) > ENUMERATION_LIMIT:
         raise GroupSizeError(f"subgroup enumeration over {len(members)} elements "
                              f"exceeds the limit {ENUMERATION_LIMIT}")
-    cyclics = {_closure(G, (r,)) for r in members}
+    cyclics = {c for c in {_closure(G, (r,)) for r in members}
+               if m % len(c) == 0}
     subs = set(cyclics)
     frontier = set(cyclics)
     while frontier:
         nxt = set()
         for s in frontier:
+            within = set(s)
             for c in cyclics:
-                if not set(c) <= set(s):
-                    j = _closure(G, set(s) | set(c))
+                common = sum(x in within for x in c)
+                if common < len(c) and m % (len(s) * len(c) // common) == 0:
+                    j = _closure(G, within | set(c))
                     if j not in subs:
                         subs.add(j)
                         nxt.add(j)

@@ -81,58 +81,77 @@ class SearchResult:
                 "complete": self.complete}
 
 
-def _units(v: int) -> list[int]:
-    return [m for m in range(1, max(v, 2)) if gcd(m, v) == 1]
+def _power_maps(e: int, m: int) -> list[int]:
+    """One unit per coset of <m> in the units mod e, the least of each."""
+    units = [u for u in range(1, max(e, 2)) if gcd(u, e) == 1]
+    covered = set()
+    reps = []
+    for u in units:
+        if u not in covered:
+            reps.append(u)
+            while u not in covered:
+                covered.add(u)
+                u = u * m % e
+    return reps
 
 
-def _least_images(G: AbelianGroup, rows) -> list[tuple[int, ...]]:
-    """Each row's least image under the power maps x -> m*x, m a unit, as
-    a sorted tuple; a unit's sorted images replace the best rows that are
-    larger at the first column where the two differ.  The units mod the
-    exponent of G give each distinct power map once."""
+def _least_images(G: AbelianGroup, rows, m: int) -> list[tuple[int, ...]]:
+    """Each row's least image under the power maps x -> u*x, as a sorted
+    tuple, for u in one unit per coset of <m> in the units mod the
+    exponent of G (with m = 1, each distinct power map once); a unit's
+    sorted images replace the best rows that are larger at the first
+    column where the two differ.  Callers pass m != 1 only when u*m
+    gives no image of a row that u does not give of some row."""
     rows = np.asarray(rows, dtype=np.int64)
-    units = _units(G.exponent)
+    units = _power_maps(G.exponent, m)
     best = np.sort(G.scale(units[0], rows), axis=1)
-    for m in units[1:]:
-        image = np.sort(G.scale(m, rows), axis=1)
+    for u in units[1:]:
+        image = np.sort(G.scale(u, rows), axis=1)
         first = (image != best).argmax(axis=1)[:, None]
         smaller = np.take_along_axis(image < best, first, axis=1)[:, 0]
         best[smaller] = image[smaller]
     return [tuple(row) for row in best.tolist()]
 
 
-def canonical_class(G: AbelianGroup, elements) -> tuple[int, ...]:
-    """Lexicographically least image under all translates and power maps."""
+def canonical_class(G: AbelianGroup, elements, m: int = 1) -> tuple[int, ...]:
+    """Lexicographically least image under all translates and power maps.
+
+    A multiplier m that fixes the set (m*D = D; 1 always does) lets the
+    power maps run over one unit per coset of <m>: the row D - e is
+    mapped by u*m onto the image of the row D - m*e by u.
+    """
     if not elements:
         return ()
-    # The least image contains 0, so only the k translates of m*D by -m*e
-    # compete, and m*x - m*e = m*(x - e): the row D - e maps onto one.
+    # The least image contains 0, so only the k translates of u*D by -u*e
+    # compete, and u*x - u*e = u*(x - e): the row D - e maps onto one.
     els = np.asarray(elements, dtype=np.int64)
-    return min(_least_images(G, G.sub(els, els[:, None])))
+    return min(_least_images(G, G.sub(els, els[:, None]), m))
 
 
-def _class_keys(G: AbelianGroup, sets) -> list[tuple[int, ...]]:
+def _class_keys(G: AbelianGroup, sets, m: int) -> list[tuple[int, ...]]:
     """Least power-map image of the normalized translate N of each set.
 
-    Needs gcd(k, v) = 1.  N is unique and N(m*D + g) = m*N(D), so two
-    sets share a key exactly when they share a class.
+    Needs gcd(k, v) = 1.  N is unique and N(u*D + g) = u*N(D), so two
+    sets share a key exactly when they share a class, and m*N = N when
+    m fixes the set.
     """
     shifts = np.array([ds.normalizing_shift(G, s) for s in sets], dtype=np.int64)
     return _least_images(G, G.add(np.asarray(sets, dtype=np.int64),
-                                  shifts[:, None]))
+                                  shifts[:, None]), m)
 
 
-def _class_representatives(G: AbelianGroup, sets) -> list:
+def _class_representatives(G: AbelianGroup, sets, m: int) -> list:
     """Sorted canonical_class forms of the classes met by k-subsets `sets`,
-    computing each form once per class when gcd(k, v) = 1."""
+    each fixed by the multiplier m, computing each form once per class
+    when gcd(k, v) = 1."""
     if not sets:
         return []
     if gcd(len(sets[0]), G.order) != 1:
-        return sorted({canonical_class(G, s) for s in sets})
+        return sorted({canonical_class(G, s, m) for s in sets})
     members = {}
-    for key, s in zip(_class_keys(G, sets), sets):
+    for key, s in zip(_class_keys(G, sets, m), sets):
         members.setdefault(key, s)
-    return sorted(canonical_class(G, s) for s in members.values())
+    return sorted(canonical_class(G, s, m) for s in members.values())
 
 
 def _orbit_pair_table(G: AbelianGroup, ids, reps) -> np.ndarray:
@@ -162,14 +181,28 @@ def _orbit_pair_table(G: AbelianGroup, ids, reps) -> np.ndarray:
     return table
 
 
+def _pack(rows: np.ndarray, width: int) -> int:
+    """The entries of rows, in C order, as fields of `width` bits of one
+    int, the first entry in the lowest field."""
+    return int.from_bytes(rows.astype(f"<u{width // 8}").tobytes(), "little")
+
+
 def orbit_union_search(spec: SearchSpec) -> SearchResult:
     """All unions of multiplier orbits of size k with difference counts lambda.
 
     A union of m-orbits has difference counts that are constant on
-    m-orbits, so the search keeps one count per orbit.  pending[i] holds
-    what adding orbit i would add to those counts; counts only grow, so a
-    branch dies as soon as one exceeds lambda.  Bit s of reachable[i] is
-    set when some orbits from i on have s elements in all, s <= k.
+    m-orbits, so the search keeps one count per orbit, each a field of
+    `width` bits of one int `counts` (field 0, the identity, stays 0).
+    What adding orbit i would add to them is the lowest block of r fields
+    of the int `pending`, which holds that row for orbits i, i+1, ... in
+    order; adding orbit i adds table[i, j] to the row of every later
+    orbit j.  Counts only grow, so a branch dies as soon as one exceeds
+    lambda: adding `bias` carries a field into its top bit exactly then,
+    and `guard` holds the top bits.  No field overflows: a pending entry
+    is at most the sum of its column of the table, which is symmetric in
+    i and j, and `width` leaves a bit above that sum plus lambda.  Bit s
+    of reachable[i] is set when some orbits from i on have s elements in
+    all, s <= k.
     """
     G = spec.group
     k, lam = spec.k, spec.lam
@@ -186,43 +219,51 @@ def orbit_union_search(spec: SearchSpec) -> SearchResult:
         below = reachable[i + 1]
         reachable[i] = (below | (below << sizes[i])) & ((2 << k) - 1)
 
+    need = (int(table.sum(axis=1).max()) + lam).bit_length() + 1
+    width = next(w for w in (8, 16, 32, 64) if w >= need)
+    block_bits = r * width
+    block_mask = (1 << block_bits) - 1
+    ones = _pack(np.ones(r), width)
+    bias = ((1 << (width - 1)) - 1 - lam) * ones
+    guard = ones << (width - 1)
+    full = lam * (ones - 1)
     diag = np.arange(r)
-    pending = table[diag, diag]         # a copy; row i is table[i, i]
+    tail = [_pack(table[i, i + 1:], width) for i in range(r)]
     chosen = np.zeros(r, dtype=bool)    # the orbits in the union
     results = []
     nodes = 0
 
-    def dfs(i, size, counts):
-        nonlocal nodes, pending
+    def dfs(i, size, counts, pending):
+        nonlocal nodes
         nodes += 1
         if nodes > spec.node_budget:
             raise BudgetExceeded
         if size == k:
-            if (counts[1:] == lam).all():
+            if counts == full:
                 results.append(tuple(np.flatnonzero(chosen[ids]).tolist()))
             return
         if i == r or not (reachable[i] >> (k - size)) & 1:
             return
+        later = pending >> block_bits
         if size + sizes[i] <= k:
-            grown = counts + pending[i]
-            if grown.max() <= lam:
-                pending += table[i]
+            grown = counts + (pending & block_mask)
+            if not (grown + bias) & guard:
                 chosen[i] = True
-                dfs(i + 1, size + sizes[i], grown)
+                dfs(i + 1, size + sizes[i], grown, later + tail[i])
                 chosen[i] = False
-                pending -= table[i]
-        dfs(i + 1, size, counts)
+        dfs(i + 1, size, counts, later)
 
     complete = True
     try:
-        dfs(0, 0, np.zeros(r, dtype=np.int32))
+        dfs(0, 0, 0, _pack(table[diag, diag], width))
     except BudgetExceeded:
         complete = False
     results.sort()
     if len(results) > RESULT_CAP:
         results = results[:RESULT_CAP]
         complete = False
-    return SearchResult(spec, results, _class_representatives(G, results),
+    return SearchResult(spec, results,
+                        _class_representatives(G, results, spec.multiplier),
                         nodes, time.perf_counter() - t0, complete)
 
 
@@ -254,6 +295,6 @@ def brute_force_search(G: AbelianGroup, k: int, lam: int) -> SearchResult:
                 break
         if ok and (k == v or all(c == lam for c in counts[1:])):
             results.append(cand)
-    return SearchResult(spec, results, _class_representatives(G, results),
+    return SearchResult(spec, results, _class_representatives(G, results, 1),
                         nodes, time.perf_counter() - t0)
 

@@ -135,13 +135,30 @@ def test_subgroups_of_order_2x4():
 
 
 @pytest.mark.parametrize("factors", [[3, 195], [2, 78], [2, 2, 10], [4, 4],
-                                     [2, 4, 8], [6, 6], [3, 3, 3]])
+                                     [2, 4, 8], [6, 6], [3, 3, 3],
+                                     [2, 2, 2, 2, 2]])
 def test_subgroups_of_order_match_all_subgroups(factors):
     # same list in the same order: profile and mann report subgroups[0]
     G = AbelianGroup(factors)
     subs = all_subgroups(G)
     for m in divisors(G.order):
         assert subgroups_of_order(G, m) == [S for S in subs if S.order == m]
+
+
+def test_subgroups_of_order_close_no_larger_join(monkeypatch):
+    # Z_2^5 with m = 2: the 32 cyclic closures and one join per cyclic
+    # with the trivial subgroup; no join of order 4 or more is closed
+    calls = []
+    closure = groups._closure
+
+    def counted(G, gens):
+        calls.append(len(gens))
+        return closure(G, gens)
+
+    monkeypatch.setattr(groups, "_closure", counted)
+    subs = subgroups_of_order(AbelianGroup([2, 2, 2, 2, 2]), 2)
+    assert len(subs) == 31
+    assert len(calls) == 63
 
 
 def test_subgroups_of_order_enumerate_the_torsion_only():

@@ -3,7 +3,7 @@ import json
 import os
 import random
 import tracemalloc
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
@@ -12,8 +12,9 @@ from diffsets.cli import run
 from diffsets.dset import apply_power_map, read_set_file, verify
 from diffsets.groups import (AbelianGroup, GroupSizeError, _multiplier_orbit_ids,
                              multiplier_orbits)
-from diffsets.search import (SearchSpec, _orbit_pair_table, brute_force_search,
-                             canonical_class, orbit_union_search)
+from diffsets.search import (SearchSpec, _orbit_pair_table, _power_maps,
+                             brute_force_search, canonical_class,
+                             orbit_union_search)
 
 
 def hand_enumerate(G, k, lam):
@@ -216,6 +217,67 @@ def test_search_matches_brute_at_the_size_edges(k, lam):
     assert orbit.class_reps == brute.class_reps
 
 
+def feasible_parameters(v, subset_limit=10**5):
+    """Every (k, lambda) with lambda(v-1) = k(k-1) and C(v, k) <= the limit."""
+    return [(k, k * (k - 1) // (v - 1)) for k in range(v + 1)
+            if k * (k - 1) % (v - 1) == 0 and comb(v, k) <= subset_limit]
+
+
+@pytest.mark.parametrize("factors", [[v] for v in range(2, 17)]
+                         + [[4, 4], [2, 8], [2, 2, 4]],
+                         ids=lambda f: "x".join(map(str, f)))
+def test_orbit_search_matches_brute_for_every_unit(factors):
+    # the sets fixed by m among all sets, and their classes, for every
+    # feasible (v, k, lambda) with v <= 16 and every unit m
+    G = AbelianGroup(factors)
+    v = G.order
+    for k, lam in feasible_parameters(v):
+        brute = brute_force_search(G, k, lam)
+        canon = {s: canonical_class(G, s) for s in brute.sets}
+        for m in range(1, v):
+            if gcd(m, v) != 1:
+                continue
+            orbit = orbit_union_search(SearchSpec(G, k, lam, multiplier=m))
+            fixed = [s for s in brute.sets if apply_power_map(G, s, m) == s]
+            assert orbit.complete
+            assert orbit.sets == fixed, (k, lam, m)
+            assert orbit.class_reps == sorted({canon[s] for s in fixed}), \
+                (k, lam, m)
+
+
+@pytest.mark.parametrize("k, lam, expected", [(130, 129, range(1, 131)),
+                                              (131, 131, range(131))])
+def test_packed_counts_take_wider_fields(k, lam, expected):
+    # 2 is a primitive root mod 131: one orbit of 130 elements, whose
+    # pending count 131 plus lambda needs 16-bit fields
+    res = orbit_union_search(SearchSpec(AbelianGroup([131]), k, lam,
+                                        multiplier=2))
+    assert res.complete and res.sets == [tuple(expected)]
+
+
+@pytest.mark.parametrize("group, k, lam, m, nodes, sets, classes", [
+    ([127], 63, 31, 2, 131904, 80, 6),
+    ([133], 12, 1, 11, 40011, 36, 1),
+])
+def test_search_node_counts_are_pinned(group, k, lam, m, nodes, sets, classes):
+    res = orbit_union_search(SearchSpec(AbelianGroup(group), k, lam,
+                                        multiplier=m))
+    assert res.complete
+    assert (res.nodes, len(res.sets), res.classes) == (nodes, sets, classes)
+
+
+@pytest.mark.parametrize("e, m", [(2, 1), (15, 2), (15, 4), (16, 3),
+                                  (127, 2), (133, 11), (40, 3)])
+def test_power_maps_are_a_transversal_of_the_multiplier(e, m):
+    units = {u for u in range(1, e) if gcd(u, e) == 1}
+    powers = {pow(m, j, e) for j in range(e)}
+    reps = _power_maps(e, m)
+    cosets = [frozenset(u * p % e for p in powers) for u in reps]
+    assert reps[0] == 1 and reps == sorted(reps)
+    assert sum(map(len, cosets)) == len(units)
+    assert set().union(*cosets) == units
+
+
 def test_orbit_table_guard_raises_before_allocating():
     # m = 1 on Z_1023 would need a 1023^3 int32 table (about 4.3 GB)
     spec = SearchSpec(AbelianGroup([1023]), 511, 255)
@@ -240,6 +302,8 @@ def test_cli_orbit_table_guard(capsys):
 @pytest.mark.parametrize("group,k,lam,m", [
     ("Z_31", 15, 7, 2),          # gcd(k, v) = 1: class keys
     ("Z_4xZ_4", 6, 2, 1),        # gcd(k, v) = 2: canonical_class per set
+    ("Z_133", 12, 1, 11),        # power maps over the cosets of <11>
+    ("Z_40", 13, 4, 3),
 ])
 def test_cli_class_files_match_naive_classes(capsys, tmp_path, group, k, lam, m):
     out_dir = str(tmp_path / "out")
