@@ -19,7 +19,8 @@ from .groups import (AbelianGroup, Subgroup, fixed_subgroup,
                      generated_subgroup, subgroups_of_order, sylow)
 from .numth import (factorize, is_prime, is_prime_power, multiplicative_order,
                     prime_divisors)
-from .singer import singer_restriction, tower_base, tower_shift
+from .singer import (hyperplane_containment, singer_restriction, tower_base,
+                     tower_shift)
 
 
 @dataclass(frozen=True)
@@ -206,21 +207,12 @@ def _unique_subgroup(G: AbelianGroup, order: int):
     return subs[0], len(subs) == 1
 
 
-def _restriction(D: DifferenceSet, M: Subgroup, expected: tuple):
-    """(D ∩ M, its exact VerificationReport, ok): ok when D ∩ M verifies
-    in M with (v, k, lambda) == expected."""
-    res = restrict(D, M)
-    vrep = ds.verify(res.group, res.elements)
-    return res, vrep, vrep.confirms(expected)
-
-
-def _tower_restriction(q: int, s: int, ceiling: int | None):
-    """(R, its exact VerificationReport, ok) for R = singer_restriction(q,
-    s, ceiling), the normalized PG(3, q^s) Singer set met with M of order
-    (q+1)(q^2+1): ok when R verifies in M with the PG(3, q) parameters."""
-    R = singer_restriction(q, s, ceiling)
+def _restriction(R, expected: tuple) -> tuple[bool, dict]:
+    """(ok, report) for R = D ∩ M in M, a dset.Restriction or a
+    singer.TowerRestriction: its exact VerificationReport as a dict, and
+    whether it verifies with (v, k, lambda) == expected."""
     vrep = ds.verify(R.group, R.elements)
-    return R, vrep, vrep.confirms(ds.classical_params(q, 4).as_tuple())
+    return vrep.confirms(expected), vrep.as_dict()
 
 
 #: The note of the checks that read D through singer_restriction: their
@@ -272,9 +264,10 @@ def _sylow_side_condition(G: AbelianGroup, q: int, s: int):
     return b, c, side
 
 
-def check_lemma_mfix(G: AbelianGroup, q: int, s: int) -> TheoremReport:
-    """Fixed points of x -> x^(q^4) contain (and often equal) the subgroup
-    of order (q+1)(q^2+1)."""
+def check_lemma_mfix(q: int, s: int) -> TheoremReport:
+    """Fixed points of x -> x^(q^4) in Z_(q^s+1)(q^2s+1), which alone is
+    built, contain (and often equal) the subgroup of order (q+1)(q^2+1)."""
+    G = AbelianGroup([ds.classical_params(tower_base(q, s), 4).v])
     rep = TheoremReport("lem4.1", {"q": q, "s": s, "group": G.descriptor()})
     rep.hyp("|G| = (q^s+1)(q^2s+1)", G.order == (q**s + 1) * (q**(2 * s) + 1))
     rep.hyp("s odd", s % 2 == 1)
@@ -340,16 +333,31 @@ def check_main(q: int, s: int, ceiling: int | None = None) -> TheoremReport:
     if not rep.hypotheses_ok:
         rep.notes.append("construction skipped: hypotheses fail on (q, s) alone")
         return rep
-    R, vrep, ok = _tower_restriction(q, s, ceiling)
+    R = singer_restriction(q, s, ceiling)
     rep.instance["params"] = R.params.as_tuple()
     rep.hyp("classical d=4 parameters", True, str(R.params))
     rep.hyp("difference set normalized", True, R.shift)
     rep.notes.append(_CONSTRUCTION_FACTS)
-    rep.con("D ∩ M verifies with classical parameters", ok, vrep.as_dict())
+    rep.con("D ∩ M verifies with classical parameters",
+            *_restriction(R, ds.classical_params(q, 4).as_tuple()))
     rep.con("D ∩ M is normalized in M", ds.is_normalized(R.group, R.elements))
     rep.con("lambda = q^s + 1 = q + 1 mod s",
             (q**s + 1) % s == (q + 1) % s,
             {"lambda": q**s + 1, "mod": s})
+    return rep
+
+
+def check_hyperplane_containment(q: int, a: int, b: int,
+                                 ceiling: int | None = None) -> TheoremReport:
+    """Theorem 3.1 on the traces of GF(q^(ab)), read by
+    singer.hyperplane_containment."""
+    crep = hyperplane_containment(q, a, b, ceiling=ceiling)
+    rep = TheoremReport("thm3.1", crep.as_dict())
+    rep.hyp("gcd(a, b) = 1", crep.gcd_ab == 1, crep.gcd_ab)
+    rep.con("E contained in D", crep.contained, crep.witness)
+    if crep.gcd_ab != 1:
+        rep.notes.append("gcd(a,b) != 1: containment status reported by "
+                         "brute force, no theorem claim at stake")
     return rep
 
 
@@ -362,10 +370,11 @@ def check_tower_restriction(q: int, s: int,
     rep = TheoremReport("cor3.2", {"q": q, "s": s})
     if not rep.hyp("s odd", s % 2 == 1, s):
         return rep
-    R, vrep, ok = _tower_restriction(q, s, ceiling)
+    R = singer_restriction(q, s, ceiling)
     rep.instance["params"] = list(R.params.as_tuple())
     rep.instance["field_descriptor"] = R.field_descriptor
-    rep.con("D ∩ R verifies as the small Singer parameters", ok, vrep.as_dict())
+    rep.con("D ∩ R verifies as the small Singer parameters",
+            *_restriction(R, ds.classical_params(q, 4).as_tuple()))
     return rep
 
 
@@ -470,8 +479,8 @@ def check_minimal_embedding(D: DifferenceSet) -> TheoremReport:
     rep.con("M = <hk> has order 15", M.order == 15, M.order)
     if M.order != 15:
         return rep
-    res, vrep, ok = _restriction(D, M, (15, 7, 3))
-    rep.con("D ∩ M verifies as (15,7,3)", ok, vrep.as_dict())
+    res = restrict(D, M)
+    rep.con("D ∩ M verifies as (15,7,3)", *_restriction(res, (15, 7, 3)))
     structure = {0, h, G.scale(2, h),
                  d, G.scale(2, d), G.scale(4, d), G.scale(8, d)}
     rep.con("D ∩ M = {1, h, h^2, hk, h^2k^2, hk^4, h^2k^3}",
@@ -491,8 +500,9 @@ def check_planar_subset(D: DifferenceSet, m: int) -> TheoremReport:
     h_order = m * m + m + 1
     H, unique = _unique_subgroup(D.group, h_order)
     rep.con("unique subgroup of order m^2+m+1", unique)
-    res, vrep, ok = _restriction(D, H, (h_order, m + 1, 1))
-    rep.con("D ∩ H is a planar difference set of order m", ok, vrep.as_dict())
+    res = restrict(D, H)
+    rep.con("D ∩ H is a planar difference set of order m",
+            *_restriction(res, (h_order, m + 1, 1)))
     rep.con("D ∩ H is normalized in H",
             ds.is_normalized(res.group, res.elements))
     return rep
@@ -515,7 +525,7 @@ def check_ho(D: DifferenceSet, m: int, s: int) -> TheoremReport:
                          "the theorem's premise names a subgroup that does not exist")
         return rep
     H, _ = _unique_subgroup(D.group, h_order)
-    _, _, contained = _restriction(D, H, (h_order, m + 1, 1))
+    contained, _ = _restriction(restrict(D, H), (h_order, m + 1, 1))
     expected = s % 3 != 0
     rep.con("containment outcome matches the 3 ∤ s criterion",
             contained == expected,
@@ -559,11 +569,12 @@ def conjecture_scan(q: int, s_list, ceiling: int | None = None) -> list[ScanRow]
             rows.append(ScanRow(q, s, v, target, "subgroup-absent"))
             continue
         try:
-            _, vrep, ok = _tower_restriction(q, s, ceiling)
+            ok, restriction = _restriction(singer_restriction(q, s, ceiling),
+                                           ds.classical_params(q, 4).as_tuple())
         except (FieldSizeError, MemoryError) as e:
             rows.append(ScanRow(q, s, 0, target, f"error: {e}"))
             continue
-        detail = {"restriction": vrep.as_dict(),
+        detail = {"restriction": restriction,
                   "q_is_p^(2^i)": (pe[1] & (pe[1] - 1)) == 0} if ok else {}
         rows.append(ScanRow(q, s, v, target,
                             "embedded" if ok else "not-embedded", detail))

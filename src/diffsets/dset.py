@@ -1,15 +1,17 @@
 """Difference-set core: parameters, verification, translates, profiles.
 
 Verification computes the coefficients of D D^(-1) in the group ring,
-the numbers of differences a - b with a, b in D, and succeeds iff the
-identity coefficient is k and every other coefficient is a common
-lambda.  Ranks outside [0, v) are refused, never reduced.  In Z_v a set
-is first read through its images in the quotients Z_m, m | v,
-m^2 <= k: a difference set maps to c with c c^(-1) = n +
-lambda*(v/m)*Z_m, so a failed image (or a repeated element, or a
-non-integral lambda) rejects it exactly in O(k) time.
-Acceptance always takes the full count, by one of three exact
-strategies, whichever `_costs` prices lowest in ordered pairs counted:
+the numbers of differences a - b with a, b in D, in one order of checks.
+Ranks outside [0, v) are refused, never reduced.  With k the number of
+distinct ranks, a repeated rank or a non-integral lambda = k(k-1)/(v-1)
+rejects D in every group.  In Z_v a set is next read through its images
+in the quotients Z_m, m | v, m^2 <= k: a difference set maps to c with
+c c^(-1) = n + lambda*(v/m)*Z_m, so a failed image rejects it exactly in
+O(k) time.  Acceptance always takes the full count, which must give
+lambda at every non-identity element.  The counting kernels take sorted
+distinct ranks only, and `_plan` alone picks the one that runs, by one
+of three exact strategies, whichever `_costs` prices lowest in ordered
+pairs counted:
 
 - pair counting, all k^2 pairs (k^2); the only one for groups written
   as products, and the oracle of the other two;
@@ -22,8 +24,9 @@ strategies, whichever `_costs` prices lowest in ordered pairs counted:
   (v*ceil(log2 e) + k^2/e);
 - the cyclic autocorrelation in Z_v by a number-theoretic transform of
   length L = 2^ceil(log2(2v - 1)) modulo the prime 15*2^27 + 1
-  (8/5*L*log2(L) + 40000, calibrated against the pair cost), taken
-  only when no coefficient can reach the prime; O(v log v) whatever k.
+  (8/5*L*log2(L) + 40000, calibrated against the pair cost); distinct
+  ranks keep every coefficient at most k, below the prime; O(v log v)
+  whatever k.
 
 All counts and bound checks are exact integer arithmetic; no floating
 point anywhere.
@@ -54,9 +57,6 @@ class Params:
     @property
     def n(self) -> int:
         return self.k - self.lam
-
-    def fundamental_ok(self) -> bool:
-        return self.lam * (self.v - 1) == self.k * (self.k - 1)
 
     def as_tuple(self):
         return (self.v, self.k, self.lam)
@@ -106,8 +106,7 @@ class VerificationReport:
     k: int
     lambda_observed: int | None
     identity_count: int
-    fundamental_ok: bool
-    mode: str = "full"                  # the one mode: every difference counted
+    mode = "full"           # the one mode: every difference counted to accept
 
     def confirms(self, expected: tuple) -> bool:
         """Whether the set verified with exactly these (v, k, lambda)."""
@@ -120,24 +119,29 @@ class VerificationReport:
             "k": self.k,
             "lambda_observed": self.lambda_observed,
             "identity_count": self.identity_count,
-            "fundamental_ok": self.fundamental_ok,
+            "fundamental_ok": self.ok,          # lambda(v-1) = k(k-1) when ok
             "mode": self.mode,
         }
 
 
 def difference_counts(G: AbelianGroup, elements) -> np.ndarray:
-    """Coefficient vector of D D^(-1) in the group ring, indexed by rank.
-
-    Raises ValueError for a rank outside [0, v); elements may repeat.
-    """
-    counts, ids = _counts(G, *_ranks(G, elements))
+    """Coefficient vector of D D^(-1) in the group ring, indexed by rank,
+    for a set D: ValueError for a rank outside [0, v) or a repeated one,
+    MemoryError for v > FULL_VERIFY_ORDER_LIMIT.  Counted by the strategy
+    `_plan` picks without a multiplier, as D need have no integral
+    lambda."""
+    ranks = _ranks(G, elements)
+    if (ranks[1:] == ranks[:-1]).any():
+        raise ValueError("difference-set elements must be distinct")
+    counts, ids = _counts(G, ranks, *_plan(G, ranks, 0))
     return counts if ids is None else counts[ids]
 
 
-def _ranks(G: AbelianGroup, elements) -> tuple[np.ndarray, np.ndarray]:
-    """The element ranks as a sorted int64 array, and the multiplicity of
-    each distinct rank; ValueError for a rank outside [0, v), which no
-    counting strategy may reduce or wrap."""
+def _ranks(G: AbelianGroup, elements) -> np.ndarray:
+    """The element ranks as a sorted int64 array: ValueError for a rank
+    outside [0, v), which no counting strategy may reduce or wrap, then
+    MemoryError for v > FULL_VERIFY_ORDER_LIMIT, where no dense counter
+    is built."""
     try:
         ranks = np.sort(np.asarray(list(elements), dtype=np.int64))
     except OverflowError:
@@ -145,27 +149,42 @@ def _ranks(G: AbelianGroup, elements) -> tuple[np.ndarray, np.ndarray]:
     if len(ranks) and (ranks[0] < 0 or ranks[-1] >= G.order):
         bad = ranks[0] if ranks[0] < 0 else ranks[-1]
         raise ValueError(f"element rank {bad} outside [0, {G.order})")
-    return ranks, np.unique(ranks, return_counts=True)[1]
-
-
-def _counts(G: AbelianGroup, ranks: np.ndarray, mult: np.ndarray):
-    """The coefficients of D D^(-1) for sorted in-range ranks with
-    multiplicities `mult`, by the cheapest exact strategy (`_strategy`;
-    products keep the pair count), as (counts, ids): the coefficient of
-    x is counts[ids[x]], or counts[x] when ids is None.  Only the orbit
-    count has ids; either way counts[0] is the identity coefficient
-    alone."""
-    v = G.order
-    if v > FULL_VERIFY_ORDER_LIMIT:
+    if G.order > FULL_VERIFY_ORDER_LIMIT:
         raise MemoryError(
             f"full difference counting limited to group order {FULL_VERIFY_ORDER_LIMIT}")
+    return ranks
+
+
+def _plan(G: AbelianGroup, ranks: np.ndarray, n: int) -> tuple[str, int | None]:
+    """The one choice of the exact strategy that counts D D^(-1) for the
+    sorted distinct ranks of D, as (strategy, t), t the multiplier of
+    "orbit".  Product presentations take the pair count.  In Z_v it is
+    the cheapest by `_costs` ("pair" on a tie) of "pair", "ntt" and
+    "orbit" with a prime t | n = k - lambda, gcd(t, v) = 1 (the first
+    multiplier theorem's candidates; none for n = 0), checked to fix D.
+    """
     if len(G.factors) != 1:
-        return _pair_counts(G, ranks), None
-    t = _fixing_multiplier(G, ranks)
-    if t is not None:
+        return "pair", None
+    v, k = G.order, len(ranks)
+    plan, best_cost = (_strategy(v, k), None), min(_costs(v, k).values())
+    for t in prime_divisors(n) if n > 1 else ():
+        if gcd(t, v) != 1:
+            continue
+        cost = _costs(v, k, multiplicative_order(t, v))["orbit"]
+        if cost < best_cost and (np.sort(G.scale(t, ranks)) == ranks).all():
+            plan, best_cost = ("orbit", t), cost
+    return plan
+
+
+def _counts(G: AbelianGroup, ranks: np.ndarray, strategy: str, t: int | None):
+    """The coefficients of D D^(-1) for sorted distinct in-range ranks by
+    the `_plan` (strategy, t), as (counts, ids): the coefficient of x is
+    counts[ids[x]], or counts[x] when ids is None.  Only the orbit count
+    has ids; either way counts[0] is the identity coefficient alone."""
+    if strategy == "orbit":
         return _orbit_counts(G, ranks, t)
-    if _strategy(v, len(ranks)) == "ntt" and _ntt_exact(mult):
-        return _ntt_counts(v, ranks), None
+    if strategy == "ntt":
+        return _ntt_counts(G.order, ranks), None
     return _pair_counts(G, ranks), None
 
 
@@ -262,40 +281,16 @@ def _pair_counts(G: AbelianGroup, ranks: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _fixing_multiplier(G: AbelianGroup, ranks: np.ndarray) -> int | None:
-    """A prime t with t*D = D for which counting per t-orbit is the
-    cheapest exact strategy (`_costs`), or None.
-
-    Candidates are the primes t | n = k - lambda, lambda = k(k-1)/(v-1),
-    with gcd(t, v) = 1 (the first multiplier theorem's candidates); each
-    is checked, not assumed.  With e = ord_v(t), t = 1 mod v (e = 1)
-    never wins.  Only for G = Z_v written with one factor, where t acts
-    on ranks as multiplication mod v.
-    """
-    v, k = G.order, len(ranks)
-    if len(G.factors) != 1 or v < 3 or k * (k - 1) % (v - 1):
-        return None
-    n = k - k * (k - 1) // (v - 1)
-    best, best_cost = None, min(_costs(v, k).values())
-    for t in prime_divisors(n) if n > 1 else ():
-        if gcd(t, v) != 1:
-            continue
-        cost = _costs(v, k, multiplicative_order(t, v))["orbit"]
-        if cost < best_cost and (np.sort(G.scale(t, ranks)) == ranks).all():
-            best, best_cost = t, cost
-    return best
-
-
 def _orbit_counts(G: AbelianGroup, ranks: np.ndarray, t: int):
-    """The coefficients of D D^(-1) per t-orbit, for sorted ranks of D in
-    G = Z_v with t*D = D: (counts, ids), ids the int32 orbit numbers of
-    `_multiplier_orbit_ids` (the identity alone is orbit 0) and counts[i]
-    the coefficient of every x in orbit i, so difference_counts is
-    counts[ids].
+    """The coefficients of D D^(-1) per t-orbit, for sorted distinct ranks
+    of D in G = Z_v with t*D = D: (counts, ids), ids the int32 orbit
+    numbers of `_multiplier_orbit_ids` (the identity alone is orbit 0)
+    and counts[i] the coefficient of every x in orbit i, so
+    difference_counts is counts[ids].
 
     N(x) = #{(a, b) in D^2 : a - b = x} is constant on t-orbits, and
     |O| N(O) = sum over orbit representatives a in D (the least rank of D
-    in each orbit, with its multiplicity) of |orbit(a)| times
+    in each orbit) of |orbit(a)| times
     #{b in D : a - b in O}.  So only about k^2/e pairs are counted, a
     block of int32 differences at a time (`_difference_blocks`), into one
     int64 counter entry per orbit; the counter of each representative
@@ -304,8 +299,7 @@ def _orbit_counts(G: AbelianGroup, ranks: np.ndarray, t: int):
     """
     v = G.order
     ids, sizes = _multiplier_orbit_ids(G, t)
-    _, first, which = np.unique(ids[ranks], return_index=True, return_inverse=True)
-    reps = ranks[ranks == ranks[first][which]]
+    reps = ranks[np.unique(ids[ranks], return_index=True)[1]]
     rep_sizes = sizes[ids[reps]]
     orbits = len(sizes)
     counts = np.zeros(orbits, dtype=np.int64)
@@ -337,9 +331,11 @@ def _ntt_length(v: int) -> int:
     return 2 << (v - 1).bit_length()
 
 
-def _verify_bytes(v: int, k: int, strategy: str, t: int | None = None) -> int:
+def _verify_bytes(v: int, k: int, strategy: str | None = None,
+                  t: int | None = None) -> int:
     """Estimated peak bytes of `verify` on k distinct ranks of Z_v by
-    `strategy` (for "orbit", with the multiplier t): the rank arrays and
+    `strategy`, by default the one `_plan` picks for a set fixed by the
+    multiplier t (for "orbit", t is that multiplier): the rank arrays and
     the strategy's own buffers.
 
     - pair: the length-v counter and a block's bincount, and three int64
@@ -352,6 +348,9 @@ def _verify_bytes(v: int, k: int, strategy: str, t: int | None = None) -> int:
       block;
     - ntt: four NTT buffers of L words and the length-v fold.
     """
+    if strategy is None:
+        e = None if t is None else multiplicative_order(t, v)
+        strategy = _strategy(v, k, e)
     if strategy == "orbit":
         orbits = _orbit_number(v, t)
         own = (4 * v + 37 * min(v, _KEY_SLICE) + 32 * orbits
@@ -373,14 +372,6 @@ def _orbit_number(v: int, t: int) -> int:
             phi -= phi // p
         total += phi // multiplicative_order(t, d)
     return total
-
-
-def _ntt_exact(mult: np.ndarray) -> bool:
-    """Whether `_ntt_counts` is exact for ranks of multiplicities `mult`:
-    by Cauchy-Schwarz no correlation coefficient exceeds the identity
-    count sum(mult^2), which must stay below the prime; for distinct ranks
-    it is k <= v."""
-    return int(mult @ mult) < _NTT_PRIME
 
 
 def _ntt(a: np.ndarray) -> np.ndarray:
@@ -426,16 +417,17 @@ def _ntt(a: np.ndarray) -> np.ndarray:
 
 
 def _ntt_counts(v: int, ranks: np.ndarray) -> np.ndarray:
-    """difference_counts for ranks of D in G = Z_v, from the cyclic
-    autocorrelation of the multiplicity vector a of D, zero-padded to
-    L = `_ntt_length(v)`.
+    """difference_counts for the sorted distinct ranks of D in G = Z_v,
+    from the cyclic autocorrelation of the indicator vector a of D,
+    zero-padded to L = `_ntt_length(v)`.
 
     With A the transform of a, the transform of j -> a[-j] is A[-j], so
     c = transform^(-1)(A[j] A[-j]) is the correlation c[x] = #{(a, b) :
     a - b = x mod L}.  A[j] A[-j] is even in j, so the inverse is the
     forward transform divided by L.  Differences lie in (-v, v), so
     N(x) = c[x] + c[L - v + x] = c[x] + c[v - x] (c is even and c[v] = 0).
-    Exact when `_ntt_exact(ranks)`: every c[x] is below the prime.
+    Exact: as the ranks are distinct, every c[x] is at most k <= v <=
+    2^26, below the prime 15*2^27 + 1.
     """
     P = np.uint64(_NTT_PRIME)
     L = _ntt_length(v)
@@ -449,63 +441,48 @@ def _ntt_counts(v: int, ranks: np.ndarray) -> np.ndarray:
     return c[:v] + c[v:0:-1]
 
 
-def _quotient_obstruction(G: AbelianGroup, ranks: np.ndarray,
-                          mult: np.ndarray) -> VerificationReport | None:
-    """The report of `verify` when small images of D already prove that it
-    is not a difference set, else None; never a proof that it is one.
-
-    A (v, k, lambda) difference set has D D^(-1) = n + lambda*G.  So the
-    identity coefficient sum(mult^2) is k, lambda = k(k-1)/(v-1) is an
-    integer, and for m | v the image c = bincount(D mod m) has cyclic
-    autocorrelation n*delta_0 + lambda*(v/m): the intersection numbers
-    of D with the cosets of the subgroup of order v/m.  Each divisor
-    2 <= m with m^2 <= k costs at most k.  Only for G = Z_v written with
-    one factor, up to the dense-counter limit where `verify` would count,
-    and for ranks in [0, v) with multiplicities `mult` (`_ranks`).
-    """
-    v = G.order
-    if len(G.factors) != 1 or not 2 <= v <= FULL_VERIFY_ORDER_LIMIT:
-        return None
-    k = len(mult)
-    identity_count = int(mult @ mult)
-    rejected = VerificationReport(False, v, k, None, identity_count, False)
-    if identity_count != k or k * (k - 1) % (v - 1):
-        return rejected
-    lam = k * (k - 1) // (v - 1)
-    for m in divisors(v)[1:]:
-        if m * m > k:
-            break
-        c = np.bincount(ranks % m, minlength=m)
-        auto = c[(np.arange(m)[:, None] + np.arange(m)) % m] @ c
-        auto[0] -= k - lam
-        if (auto != lam * (v // m)).any():
-            return rejected
-    return None
+def _quotient_obstruction(image: np.ndarray, n: int, lam: int) -> bool:
+    """Whether an image vector c in Z_m, m = len(c), has a cyclic
+    autocorrelation other than n*delta_0 + lam.  The image bincount(D mod
+    m), m | v, of a difference set with D D^(-1) = n + lambda*G meets that
+    with lam = lambda*(v/m), so True rejects D; False proves nothing.
+    Costs m^2."""
+    m = len(image)
+    auto = image[(np.arange(m)[:, None] + np.arange(m)) % m] @ image
+    auto[0] -= n
+    return bool((auto != lam).any())
 
 
 def verify(G: AbelianGroup, elements) -> VerificationReport:
     """Full group-ring verification of a candidate element set.
 
-    Raises ValueError for a rank outside [0, v).  Rejects from
-    `_quotient_obstruction` when that suffices; accepts only after
-    counting every difference.  The verdict reads the counts as `_counts`
-    returns them, per orbit on the orbit path: the identity's count
-    counts[0] must be k and every other entry one common lambda.
+    Raises ValueError for a rank outside [0, v), then MemoryError for
+    v > FULL_VERIFY_ORDER_LIMIT.  Rejects a repeated rank (the identity
+    count sum(mult^2) exceeds k) or a non-integral lambda, then, in Z_v
+    written with one factor, a failed image (`_quotient_obstruction`);
+    accepts only after counting every difference by the `_plan` strategy,
+    iff every non-identity count, per orbit on the orbit path, is lambda
+    (reported as k in Z_1).
     """
-    ranks, mult = _ranks(G, elements)
-    rejected = _quotient_obstruction(G, ranks, mult)
-    if rejected is not None:
+    ranks = _ranks(G, elements)
+    v = G.order
+    mult = np.unique(ranks, return_counts=True)[1]
+    k, identity_count = len(mult), int(mult @ mult)
+    rejected = VerificationReport(False, v, k, None, identity_count)
+    if identity_count != k or (v > 1 and k * (k - 1) % (v - 1)):
         return rejected
-    counts, _ = _counts(G, ranks, mult)
-    v, k = G.order, len(mult)
-    identity_count = int(counts[0])
-    if v == 1:
-        return VerificationReport(True, 1, k, k, identity_count, True)
-    lam = int(counts[1])
-    if identity_count == k and (counts[1:] == lam).all():
-        return VerificationReport(True, v, k, lam, identity_count,
-                                  Params(v, k, lam).fundamental_ok())
-    return VerificationReport(False, v, k, None, identity_count, False)
+    lam = k * (k - 1) // (v - 1) if v > 1 else k
+    if len(G.factors) == 1:
+        for m in divisors(v)[1:]:
+            if m * m > k:
+                break
+            image = np.bincount(ranks % m, minlength=m)
+            if _quotient_obstruction(image, k - lam, lam * (v // m)):
+                return rejected
+    counts, _ = _counts(G, ranks, *_plan(G, ranks, k - lam))
+    if (counts[1:] != lam).any():
+        return rejected
+    return VerificationReport(True, v, k, lam, identity_count)
 
 
 def make_difference_set(G: AbelianGroup, elements) -> DifferenceSet:

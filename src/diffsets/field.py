@@ -30,7 +30,7 @@ class FieldSizeError(ValueError):
 
 # ---------------------------------------------------------------------------
 # polynomial arithmetic over Z_p (list coefficients, constant term first),
-# shared by the primitivity search and FiniteField.mul
+# shared by the primitivity search and FiniteField.mul and .pow
 
 def _pmul_mod(p: int, n: int, mod: Sequence[int], a: Sequence[int],
               b: Sequence[int]) -> list[int]:
@@ -46,10 +46,11 @@ def _pmul_mod(p: int, n: int, mod: Sequence[int], a: Sequence[int],
     return [r % p for r in res[:n]]
 
 
-def _ppow_x_mod(p: int, n: int, mod: tuple[int, ...], e: int) -> list[int]:
-    """x^e modulo the degree-n polynomial mod, over Z_p."""
+def _ppow_mod(p: int, n: int, mod: Sequence[int], base: Sequence[int],
+              e: int) -> list[int]:
+    """base^e modulo the monic degree-n polynomial mod, over Z_p, for
+    e >= 0, by square and multiply."""
     result = [1] + [0] * (n - 1)
-    base = ([0, 1] + [0] * (n - 2)) if n > 1 else [(-mod[0]) % p]
     while e:
         if e & 1:
             result = _pmul_mod(p, n, mod, result, base)
@@ -88,9 +89,10 @@ def _is_primitive(p: int, n: int, f: tuple[int, ...], mult_order: int,
             if sum(c * a**i for i, c in enumerate(f)) % p == 0:
                 return False
     one = [1] + [0] * (n - 1)
-    if _ppow_x_mod(p, n, f, mult_order) != one:
+    x = [0, 1] + [0] * (n - 2) if n > 1 else [-f[0] % p]
+    if _ppow_mod(p, n, f, x, mult_order) != one:
         return False
-    return all(_ppow_x_mod(p, n, f, e) != one for e in cofactors)
+    return all(_ppow_mod(p, n, f, x, e) != one for e in cofactors)
 
 
 @functools.lru_cache(maxsize=None)
@@ -206,15 +208,8 @@ class FiniteField:
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            e >>= 1
-            if e:
-                base = self.mul(base, base)
-        return result
+        return self.from_coeffs(_ppow_mod(self.p, self.n, self.modulus,
+                                          self.coeffs(a), e))
 
     # -- Galois structure ----------------------------------------------------
 

@@ -28,7 +28,7 @@ from . import dset
 from .dset import DifferenceSet, Params, classical_params, normalize
 from .field import FiniteField, _basis_traces, make_field
 from .groups import AbelianGroup
-from .numth import is_prime_power, multiplicative_order
+from .numth import is_prime_power
 
 
 #: Blocks whose values are looked up at once; bounds the accumulator.
@@ -137,11 +137,9 @@ def _construct_bytes(p: int, n: int, sub_degree: int, v: int, k: int) -> int:
     """Estimated peak bytes of singer_construct over GF(p^n): the
     enumeration (`_enumeration_bytes`), the sorted and normalized copies of
     its index list (Python ints, about 96 bytes an element), and
-    `dset.verify` by the strategy it will pick, as the set is fixed by the
-    multiplier p."""
-    strategy = dset._strategy(v, k, multiplicative_order(p, v))
+    `dset.verify`, as the set is fixed by the multiplier p."""
     return (_enumeration_bytes(p, n, sub_degree, v, k) + 96 * k
-            + dset._verify_bytes(v, k, strategy, p))
+            + dset._verify_bytes(v, k, t=p))
 
 
 def singer_construct(q: int, d: int, ceiling: int | None = None) -> DifferenceSet:

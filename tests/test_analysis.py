@@ -136,7 +136,7 @@ def test_classical_profile_checker(d15, d40, d585):
 
 
 def test_fixed_subgroup_lemma(d585):
-    rep = check_lemma_mfix(d585.group, 2, 3)
+    rep = check_lemma_mfix(2, 3)
     assert rep.status == "verified"
 
 

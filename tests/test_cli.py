@@ -97,7 +97,7 @@ def test_full_verify_rejects_one_element_corruption(capsys, tmp_path):
 
     def fixing_multiplier():
         D = read_set_file(out)
-        return dset._fixing_multiplier(D.group, np.asarray(D.elements))
+        return dset._plan(D.group, np.asarray(D.elements), D.params.n)[1]
 
     assert fixing_multiplier() == 2
     _replace_last_element(out, 33825)
@@ -116,11 +116,9 @@ def test_quotient_image_rejects_without_counting_pairs(capsys, tmp_path,
     _replace_last_element(out, 33825)
 
     def no_counting(*args):
-        raise AssertionError("difference counting ran")
+        raise AssertionError("difference counting was planned")
 
-    monkeypatch.setattr(dset, "_pair_counts", no_counting)
-    monkeypatch.setattr(dset, "_orbit_counts", no_counting)
-    monkeypatch.setattr(dset, "_ntt_counts", no_counting)
+    monkeypatch.setattr(dset, "_plan", no_counting)
     code, rep = invoke_json(capsys, "verify", "--set", out,
                             "--ceiling", "268435456")
     assert code == 3

@@ -34,8 +34,7 @@ def brute_counts(G, elements):
 
 def test_params():
     p = Params(15, 7, 3)
-    assert p.n == 4 and p.fundamental_ok()
-    assert not Params(15, 7, 2).fundamental_ok()
+    assert p.n == 4 and p.as_tuple() == (15, 7, 3) and str(p) == "(15,7,3)"
     assert classical_params(2, 4) == Params(15, 7, 3)
     assert classical_params(3, 4) == Params(40, 13, 4)
     assert classical_params(4, 3) == Params(21, 5, 1)
@@ -63,8 +62,24 @@ def _orbit_and_pair_counts(G, elements, t):
     return orbit_counts(G, ranks, t), dset._pair_counts(G, ranks)
 
 
-def quotient_obstruction(G, elements):
-    return dset._quotient_obstruction(G, *dset._ranks(G, elements))
+class _Planned(Exception):
+    pass
+
+
+def rejected_before_counting(G, elements):
+    """Whether `verify` rejects the set before it plans a count: for a
+    repeated rank, a non-integral lambda or a failed quotient image."""
+    def plan(*args):
+        raise _Planned
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dset, "_plan", plan)
+        try:
+            rep = verify(G, elements)
+        except _Planned:
+            return False
+    assert not rep.ok
+    return True
 
 
 @pytest.mark.parametrize("q, d, t", [(2, 4, 2), (4, 3, 2), (3, 4, 3),
@@ -90,23 +105,13 @@ def test_orbit_path_on_orbit_union_that_is_not_a_difference_set(monkeypatch):
     els = sorted([0] + [x for o in orbits[1:6] for x in o])
     assert len(els) == 36
     ranks = np.asarray(els, dtype=np.int64)
-    assert dset._fixing_multiplier(G, ranks) == 2
+    assert dset._plan(G, ranks, 26) == ("orbit", 2)
     orbit, pair = _orbit_and_pair_counts(G, els, 2)
     assert np.array_equal(orbit, pair)
     by_orbits = verify(G, els)
-    monkeypatch.setattr(dset, "_fixing_multiplier", lambda G, ranks: None)
+    monkeypatch.setattr(dset, "_plan", lambda G, ranks, n: ("pair", None))
     by_pairs = verify(G, els)
     assert by_orbits == by_pairs and not by_pairs.ok
-
-
-def test_orbit_counts_with_duplicate_elements():
-    # PG32's 2-orbits are {0}, {5, 10}, {7, 11, 13, 14}; repeating whole
-    # orbits keeps the multiset fixed by 2
-    G = AbelianGroup([15])
-    for extra in [(0,), (5, 10), (0, 7, 11, 13, 14, 7, 11, 13, 14)]:
-        orbit, pair = _orbit_and_pair_counts(G, PG32 + extra, 2)
-        assert np.array_equal(orbit, pair)
-        assert list(pair) == brute_counts(G, PG32 + extra)
 
 
 def test_orbit_counts_reject_a_multiplier_that_does_not_fix_the_set():
@@ -121,14 +126,11 @@ SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
 def forced_reports(G, elements, t):
     """`verify` forced onto the orbit count with the multiplier t and onto
-    the pair count, with the quotient certificate off in both."""
+    the pair count."""
     reports = []
-    for fixing, strategy in [(lambda G, ranks: t, dset._strategy),
-                             (lambda G, ranks: None, lambda v, k, e=None: "pair")]:
+    for plan in [("orbit", t), ("pair", None)]:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dset, "_quotient_obstruction", lambda G, ranks, mult: None)
-            mp.setattr(dset, "_fixing_multiplier", fixing)
-            mp.setattr(dset, "_strategy", strategy)
+            mp.setattr(dset, "_plan", lambda G, ranks, n: plan)
             reports.append(verify(G, elements))
     return reports
 
@@ -136,24 +138,23 @@ def forced_reports(G, elements, t):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_orbit_kernel_matches_pair_counts(data):
-    # D is a union of t-orbits: always {0}, random orbits, one short orbit
-    # of elements with gcd(x, v) > 1 when there is one, and whole orbits
-    # repeated, which keeps the multiset fixed by t
+    # D is a union of t-orbits: always {0}, random orbits and one short
+    # orbit of elements with gcd(x, v) > 1 when there is one
     v = data.draw(st.one_of(st.sampled_from([x for x in EDGE_ORDERS if x >= 2]),
                             st.integers(2, 3000)), label="v")
     t = data.draw(st.sampled_from([p for p in SMALL_PRIMES if v % p]), label="t")
     G = AbelianGroup([v])
     orbits = multiplier_orbits(G, t)
-    picked = data.draw(st.lists(st.integers(1, len(orbits) - 1), max_size=12)
+    picked = data.draw(st.lists(st.integers(1, len(orbits) - 1), max_size=12,
+                                unique=True)
                        if len(orbits) > 1 else st.just([]), label="orbits")
     shared = [i for i, o in enumerate(orbits) if i and gcd(o[0], v) > 1]
     if shared:
         picked.append(data.draw(st.sampled_from(shared), label="short orbit"))
     kept = []
-    for i in picked:                        # at most 600 elements
+    for i in dict.fromkeys(picked):         # at most 600 elements
         if sum(len(orbits[j]) for j in kept) + len(orbits[i]) < 600:
             kept.append(i)
-    kept += kept[:data.draw(st.integers(0, 2), label="repeats")]
     els = [0] + [x for i in kept for x in orbits[i]]
     ranks = np.sort(np.asarray(els, dtype=np.int64))
     counts, ids = dset._orbit_counts(G, ranks, t)
@@ -171,7 +172,8 @@ def test_orbit_kernel_matches_pair_counts(data):
     (8, 3, [0, 1, 3], 3)])                  # (3, 1, 1, 0, 1), {4} missed
 def test_orbit_verdict_sees_one_orbit_off(v, t, els, off):
     # t-fixed sets whose non-identity orbit counts agree except at the
-    # orbit numbered `off`, so only the whole per-orbit comparison rejects
+    # orbit numbered `off`; their lambda is not an integer, so verify
+    # rejects them before it counts, whatever the strategy
     G = AbelianGroup([v])
     counts, ids = dset._orbit_counts(G, np.asarray(els, dtype=np.int64), t)
     others = np.delete(counts, [0, off])
@@ -187,7 +189,7 @@ def test_orbit_verify_peak_within_estimate(q, s):
     D = singer_construct(q**s, 4)
     G, (v, k, _) = D.group, D.params.as_tuple()
     els = list(D.elements)
-    assert dset._fixing_multiplier(G, np.asarray(els, dtype=np.int64)) == q
+    assert dset._plan(G, np.asarray(els, dtype=np.int64), D.params.n) == ("orbit", q)
     tracemalloc.start()
     try:
         rep = verify(G, els)
@@ -195,7 +197,7 @@ def test_orbit_verify_peak_within_estimate(q, s):
     finally:
         tracemalloc.stop()
     assert rep.ok and rep.identity_count == k
-    assert peak <= dset._verify_bytes(v, k, "orbit", q)
+    assert peak <= dset._verify_bytes(v, k, t=q)
 
 
 @pytest.mark.parametrize("factors, els, lam", [
@@ -209,8 +211,8 @@ def test_product_presentations_use_pair_count(factors, els, lam):
     G = AbelianGroup(factors)
     rep = verify(G, els)
     assert rep.ok == (lam is not None) and rep.lambda_observed == lam
-    assert dset._fixing_multiplier(G, np.asarray(els, dtype=np.int64)) is None
-    assert quotient_obstruction(G, els) is None
+    assert dset._plan(G, np.asarray(els, dtype=np.int64), 4) == ("pair", None)
+    assert not rejected_before_counting(G, els)
     assert list(difference_counts(G, els)) == brute_counts(G, els)
 
 
@@ -233,21 +235,24 @@ def test_pair_counts_reuse_their_blocks(factors, blocks):
 
 @pytest.mark.parametrize("factors", [[10007], [97, 103]])
 def test_pair_verify_peak_within_estimate(monkeypatch, factors):
-    # verify forced onto the pair count: 2100 random ranks of Z_10007 fail
-    # the O(k) lambda test and would otherwise choose the transform
-    monkeypatch.setattr(dset, "_quotient_obstruction", lambda G, ranks, mult: None)
-    monkeypatch.setattr(dset, "_strategy", lambda v, k, e=None: "pair")
+    # verify forced onto the pair count: k random ranks with an integral
+    # lambda pass the O(k) tests (Z_10007 has no proper quotient, the
+    # product presentation takes none), and Z_10007 would otherwise
+    # choose the transform
+    monkeypatch.setattr(dset, "_plan", lambda G, ranks, n: ("pair", None))
     G = AbelianGroup(factors)
+    v = G.order
+    k = next(k for k in range(2100, v) if k * (k - 1) % (v - 1) == 0)
     rng = np.random.default_rng(7)
-    els = rng.choice(G.order, 2100, replace=False).tolist()
+    els = rng.choice(v, k, replace=False).tolist()
     tracemalloc.start()
     try:
         rep = verify(G, els)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rep.identity_count == 2100 and not rep.ok
-    assert peak <= dset._verify_bytes(G.order, 2100, "pair")
+    assert rep.identity_count == k and not rep.ok
+    assert peak <= dset._verify_bytes(v, k, "pair")
 
 
 # -- the NTT counter and the cost-chosen strategy ----------------------------------
@@ -265,10 +270,9 @@ def test_ntt_counts_match_pair_counts(data):
     if data.draw(st.booleans(), label="D = G"):
         els = list(range(v))
     else:
-        els = data.draw(st.lists(st.integers(0, v - 1), max_size=300), label="multiset")
-        els += els[:data.draw(st.integers(0, 20), label="repeats")]
+        els = data.draw(st.lists(st.integers(0, v - 1), max_size=300, unique=True),
+                        label="set")
     ranks = np.sort(np.asarray(els, dtype=np.int64))
-    assert dset._ntt_exact(dset._ranks(AbelianGroup([v]), els)[1])
     assert np.array_equal(dset._ntt_counts(v, ranks),
                           dset._pair_counts(AbelianGroup([v]), ranks))
 
@@ -292,13 +296,6 @@ def test_ntt_counts_on_the_pg10_3_set():
     assert np.array_equal(counts, orbit_counts(G, ranks, 3))
 
 
-def test_ntt_exact_below_the_prime():
-    # one rank repeated r times has identity count r^2, and 44869^2 <
-    # 2013265921 < 44870^2
-    assert dset._ntt_exact(np.array([44869]))
-    assert not dset._ntt_exact(np.array([44870]))
-
-
 @pytest.mark.parametrize("v, k, e, strategy", [
     (2113665, 16513, 28, "orbit"),      # the q=2 s=7 tower
     (538084, 6643, 16, "orbit"),        # the q=3 s=4 tower
@@ -313,36 +310,28 @@ def test_strategy_from_the_cost_model(v, k, e, strategy):
     assert dset._strategy(v, k, e) == strategy
 
 
-def _forbid(monkeypatch, *names):
-    def no_counting(*args):
-        raise AssertionError("this counter must not run")
-
-    for name in names:
-        monkeypatch.setattr(dset, name, no_counting)
-
-
-def test_product_groups_take_the_pair_count(monkeypatch):
+def test_product_groups_take_the_pair_count():
     # dense enough that Z_4096 would take the NTT
     G = AbelianGroup([64, 64])
     assert dset._strategy(G.order, 2048) == "ntt"
-    els = np.random.default_rng(3).choice(G.order, 2048, replace=False)
-    expected = dset._pair_counts(G, np.sort(els))
-    _forbid(monkeypatch, "_ntt_counts", "_orbit_counts")
-    assert np.array_equal(difference_counts(G, els.tolist()), expected)
+    ranks = np.sort(np.random.default_rng(3).choice(G.order, 2048, replace=False))
+    assert dset._plan(G, ranks, 1024) == ("pair", None)
+    assert np.array_equal(difference_counts(G, ranks.tolist()),
+                          dset._pair_counts(G, ranks))
 
 
-def test_verify_by_ntt_accepts_and_rejects_unfixed_sets(monkeypatch):
+def test_verify_by_ntt_accepts_and_rejects_unfixed_sets():
     # PG(12, 2) in Z_8191: v is prime, so no quotient image decides, and
     # neither a translate nor a one-element corruption is fixed by 2, so
     # both are counted by the NTT
     D = singer_construct(2, 13)
-    G = D.group
+    G, n = D.group, D.params.n
     shifted = translate(D, 1).elements
     bad = D.elements[1:] + (next(x for x in range(G.order) if x not in D.element_set),)
-    expected = [verify(G, shifted), pair_count_report(G, bad)]
-    assert expected[0].ok and not expected[1].ok
-    _forbid(monkeypatch, "_pair_counts", "_orbit_counts")
-    assert [verify(G, shifted), verify(G, bad)] == expected
+    for els in (shifted, bad):
+        assert dset._plan(G, np.asarray(els, dtype=np.int64), n) == ("ntt", None)
+    assert verify(G, shifted).ok
+    assert verify(G, bad) == pair_count_report(G, bad) and not verify(G, bad).ok
 
 
 @pytest.mark.parametrize("factors, els", [([7], [8, 9, 11]), ([7], [-1, 1, 3]),
@@ -364,8 +353,8 @@ def pair_count_report(G, elements):
     k, v = len(set(elements)), G.order
     lam = int(counts[1])
     if counts[0] == k and (counts[1:] == lam).all():
-        return VerificationReport(True, v, k, lam, k, Params(v, k, lam).fundamental_ok())
-    return VerificationReport(False, v, k, None, int(counts[0]), False)
+        return VerificationReport(True, v, k, lam, k)
+    return VerificationReport(False, v, k, None, int(counts[0]))
 
 
 def test_quotient_obstruction_passes_every_genuine_set():
@@ -379,7 +368,7 @@ def test_quotient_obstruction_passes_every_genuine_set():
         assert found
         sets += [(G, els) for els in found]
     for G, els in sets:
-        assert quotient_obstruction(G, els) is None
+        assert not rejected_before_counting(G, els)
     G, els = sets[4]                            # the q=2 s=5 tower
     assert G.order == 33825 and verify(G, els).ok
 
@@ -388,21 +377,30 @@ def test_quotient_obstruction_steps():
     D = singer_construct(2, 6)                  # (63,31,15), image in Z_3
     G, els = D.group, list(D.elements)
     # 1: a repeated element, so the identity coefficient is 29 + 4 != 30
-    assert quotient_obstruction(G, els[:-1] + els[:1]).identity_count == 33
+    repeated = els[:-1] + els[:1]
+    assert rejected_before_counting(G, repeated)
+    assert verify(G, repeated).identity_count == 33
     # 2: k = 30 and 30*29 is not a multiple of 62
-    assert quotient_obstruction(G, els[:-1]) == verify(G, els[:-1])
-    # 3: the image in Z_3 counts (13, 9, 9) elements per class; moving one
-    # element to another class changes its autocorrelation at 0
+    assert rejected_before_counting(G, els[:-1])
+    assert verify(G, els[:-1]) == pair_count_report(G, els[:-1])
+    # 3: the image in Z_3 counts (13, 9, 9) elements per class, with
+    # autocorrelation n + lambda*21 = 16 + 315 at 0 and 315 elsewhere;
+    # moving one element to another class changes its autocorrelation at 0
+    image = np.bincount(np.asarray(els) % 3, minlength=3)
+    assert image.tolist() == [13, 9, 9]
+    assert not dset._quotient_obstruction(image, 16, 15 * 21)
     x = els[-1]
     outside = [y for y in range(63) if y not in D.element_set]
     moved = els[:-1] + [next(y for y in outside if (y - x) % 3)]
-    rep = quotient_obstruction(G, moved)
-    assert rep == verify(G, moved) == pair_count_report(G, moved)
+    assert dset._quotient_obstruction(np.bincount(np.asarray(moved) % 3), 16, 15 * 21)
+    assert rejected_before_counting(G, moved)
+    rep = verify(G, moved)
+    assert rep == pair_count_report(G, moved)
     assert not rep.ok and rep.identity_count == 31
     # staying in its class leaves every image as it was: no certificate,
     # and only the full count rejects the set
     kept = els[:-1] + [next(y for y in outside if (y - x) % 3 == 0)]
-    assert quotient_obstruction(G, kept) is None
+    assert not rejected_before_counting(G, kept)
     assert verify(G, kept) == pair_count_report(G, kept)
     assert not verify(G, kept).ok
 
@@ -428,14 +426,71 @@ def test_verify_equals_pair_count_oracle(data):
         els = data.draw(st.lists(st.integers(0, v - 1), max_size=v + 4))
     rep = verify(G, els)
     assert rep == pair_count_report(G, els)
-    rejected = quotient_obstruction(G, els)
-    assert rejected is None or rejected == rep
+    assert not (rejected_before_counting(G, els) and rep.ok)
+
+
+def _singer_63_corrupted(same_class: bool):
+    """The (63,31,15) Singer set with its last element replaced by the
+    least rank outside it in the same class mod 3, or in another one."""
+    D = singer_construct(2, 6)
+    els = list(D.elements)
+    x = els[-1]
+    y = next(y for y in range(63) if y not in D.element_set
+             and ((y - x) % 3 == 0) == same_class)
+    return els[:-1] + [y]
+
+
+def _report(verified, v, k, lam, identity_count, fundamental_ok, mode):
+    return {"verified": verified, "v": v, "k": k, "lambda_observed": lam,
+            "identity_count": identity_count, "fundamental_ok": fundamental_ok,
+            "mode": mode}
+
+
+@pytest.mark.parametrize("factors, elements, expected", [
+    ([7], [], _report(True, 7, 0, 0, 0, True, "full")),
+    ([2, 4], [], _report(True, 8, 0, 0, 0, True, "full")),
+    ([1], [], _report(True, 1, 0, 0, 0, True, "full")),
+    ([1], [0], _report(True, 1, 1, 1, 1, True, "full")),
+    ([6], list(range(6)), _report(True, 6, 6, 6, 6, True, "full")),
+    ([2, 3], list(range(6)), _report(True, 6, 6, 6, 6, True, "full")),
+    ([7], [1, 2, 4], _report(True, 7, 3, 1, 3, True, "full")),
+    ([3, 5], [0, 5, 6, 9, 10, 12, 13], _report(True, 15, 7, 3, 7, True, "full")),
+    ([63], [1, 2, 4, 4], _report(False, 63, 3, None, 6, False, "full")),
+    ([2, 4], [0, 1, 1], _report(False, 8, 2, None, 5, False, "full")),
+    ([1], [0, 0], _report(False, 1, 1, None, 4, False, "full")),
+    ([2, 8], [0, 1, 3], _report(False, 16, 3, None, 3, False, "full")),
+    ([63], "image", _report(False, 63, 31, None, 31, False, "full")),
+    ([63], "count", _report(False, 63, 31, None, 31, False, "full"))],
+    ids=["empty", "empty-product", "v1-empty", "v1", "D=G", "D=G-product",
+         "fano", "product", "repeat", "repeat-product", "v1-repeat",
+         "lambda-product", "image-rejects", "count-rejects"])
+def test_verify_report_table(factors, elements, expected):
+    # the reports of the verifier as it stood before the counting kernels
+    # took distinct ranks only, except "v1-repeat": a repeated rank is
+    # rejected in every group, Z_1 included
+    if isinstance(elements, str):
+        elements = _singer_63_corrupted(same_class=elements == "count")
+    assert verify(AbelianGroup(factors), elements).as_dict() == expected
+
+
+@pytest.mark.parametrize("elements", [[0, 0], [0, 1, 3]])
+def test_verify_refuses_large_orders_before_judging(elements):
+    with pytest.raises(MemoryError):
+        verify(AbelianGroup([1 << 27]), elements)
+
+
+def test_repeated_ranks_are_no_set():
+    for G in (AbelianGroup([7]), AbelianGroup([2, 4])):
+        with pytest.raises(ValueError, match="distinct"):
+            difference_counts(G, [0, 1, 1])
+        with pytest.raises(ValueError, match="outside"):
+            verify(G, [0, 1, G.order])
 
 
 def test_verify_fano():
     rep = verify(AbelianGroup([7]), FANO)
     assert rep.ok and rep.lambda_observed == 1 and rep.mode == "full"
-    assert rep.identity_count == 3 and rep.fundamental_ok
+    assert rep.identity_count == 3 and rep.as_dict()["fundamental_ok"]
 
 
 def test_verify_mixed_coordinates():

@@ -133,13 +133,20 @@ def test_generator_order_gf16(gf16):
     assert len(seen) == 15 and x == 1
 
 
-def test_pow_against_repeated_mul(gf16):
-    F = gf16
-    for a in range(1, 16):
-        acc = 1
-        for e in range(20):
-            assert F.pow(a, e) == acc
-            acc = F.mul(acc, a)
+def test_pow_against_repeated_mul():
+    for p, n in [(2, 1), (3, 1), (7, 1), (2, 2), (2, 4), (2, 5), (3, 2),
+                 (3, 3), (5, 2), (7, 2)]:
+        F = make_field(p, n)
+        for a in range(F.order):
+            # the inverse by search, so that no pow enters the oracle
+            inv = next((b for b in range(F.order) if F.mul(a, b) == 1), None)
+            acc = inv_acc = 1
+            for e in range(F.order + 2):
+                assert F.pow(a, e) == acc
+                acc = F.mul(acc, a)
+                if inv is not None:
+                    assert F.pow(a, -e) == inv_acc
+                    inv_acc = F.mul(inv_acc, inv)
 
 
 def test_trace_to_prime_field_gf16(gf16):
