@@ -9,7 +9,7 @@ from .analysis import (MannWitness, MultiplierReport, TheoremReport,
                        check_thm_classical_profile, check_tower_restriction,
                        conjecture_scan, hall_check, is_multiplier,
                        main_theorem_hypotheses, mann_test)
-from .dset import (DifferenceSet, Params, Restriction, VerificationReport,
+from .dset import (DifferenceSet, Params, VerificationReport,
                    classical_params, difference_counts,
                    distribution_bound_check, intersection_profile,
                    make_difference_set, normalize, read_set_file, restrict,
@@ -28,7 +28,7 @@ __version__ = "1.0.0"
 __all__ = [
     "AbelianGroup", "DifferenceSet", "FieldSizeError", "FiniteField",
     "GroupSizeError", "MannWitness", "MultiplierReport", "Params",
-    "Restriction", "SearchResult", "SearchSpec", "Subgroup", "TheoremReport",
+    "SearchResult", "SearchSpec", "Subgroup", "TheoremReport",
     "VerificationReport", "brute_force_search", "canonical_class",
     "check_dintk", "check_hk", "check_ho", "check_lemma_mfix",
     "check_lemma_size", "check_main", "check_minimal_embedding",

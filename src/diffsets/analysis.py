@@ -207,14 +207,6 @@ def _unique_subgroup(G: AbelianGroup, order: int):
     return subs[0], len(subs) == 1
 
 
-def _restriction(R, expected: tuple) -> tuple[bool, dict]:
-    """(ok, report) for R = D ∩ M in M, a dset.Restriction or a
-    singer.TowerRestriction: its exact VerificationReport as a dict, and
-    whether it verifies with (v, k, lambda) == expected."""
-    vrep = ds.verify(R.group, R.elements)
-    return vrep.confirms(expected), vrep.as_dict()
-
-
 #: The note of the checks that read D through singer_restriction: their
 #: hypotheses on D hold by construction, not by a count.
 _CONSTRUCTION_FACTS = ("classical d=4 parameters and difference set normalized "
@@ -334,12 +326,13 @@ def check_main(q: int, s: int, ceiling: int | None = None) -> TheoremReport:
         rep.notes.append("construction skipped: hypotheses fail on (q, s) alone")
         return rep
     R = singer_restriction(q, s, ceiling)
-    rep.instance["params"] = R.params.as_tuple()
-    rep.hyp("classical d=4 parameters", True, str(R.params))
-    rep.hyp("difference set normalized", True, R.shift)
+    params = ds.classical_params(q**s, 4)           # of D, in Z_v
+    rep.instance["params"] = params.as_tuple()
+    rep.hyp("classical d=4 parameters", True, str(params))
+    rep.hyp("difference set normalized", True, tower_shift(q, s))
     rep.notes.append(_CONSTRUCTION_FACTS)
     rep.con("D ∩ M verifies with classical parameters",
-            *_restriction(R, ds.classical_params(q, 4).as_tuple()))
+            R.verified, R.report.as_dict())
     rep.con("D ∩ M is normalized in M", ds.is_normalized(R.group, R.elements))
     rep.con("lambda = q^s + 1 = q + 1 mod s",
             (q**s + 1) % s == (q + 1) % s,
@@ -371,10 +364,10 @@ def check_tower_restriction(q: int, s: int,
     if not rep.hyp("s odd", s % 2 == 1, s):
         return rep
     R = singer_restriction(q, s, ceiling)
-    rep.instance["params"] = list(R.params.as_tuple())
+    rep.instance["params"] = list(ds.classical_params(q**s, 4).as_tuple())
     rep.instance["field_descriptor"] = R.field_descriptor
     rep.con("D ∩ R verifies as the small Singer parameters",
-            *_restriction(R, ds.classical_params(q, 4).as_tuple()))
+            R.verified, R.report.as_dict())
     return rep
 
 
@@ -479,12 +472,12 @@ def check_minimal_embedding(D: DifferenceSet) -> TheoremReport:
     rep.con("M = <hk> has order 15", M.order == 15, M.order)
     if M.order != 15:
         return rep
-    res = restrict(D, M)
-    rep.con("D ∩ M verifies as (15,7,3)", *_restriction(res, (15, 7, 3)))
+    res = restrict(D, M, ds.Params(15, 7, 3))
+    rep.con("D ∩ M verifies as (15,7,3)", res.verified, res.report.as_dict())
     structure = {0, h, G.scale(2, h),
                  d, G.scale(2, d), G.scale(4, d), G.scale(8, d)}
     rep.con("D ∩ M = {1, h, h^2, hk, h^2k^2, hk^4, h^2k^3}",
-            set(e for e, _ in res.mapping) == structure)
+            eset & M.element_set == structure)
     return rep
 
 
@@ -500,9 +493,9 @@ def check_planar_subset(D: DifferenceSet, m: int) -> TheoremReport:
     h_order = m * m + m + 1
     H, unique = _unique_subgroup(D.group, h_order)
     rep.con("unique subgroup of order m^2+m+1", unique)
-    res = restrict(D, H)
+    res = restrict(D, H, ds.Params(h_order, m + 1, 1))
     rep.con("D ∩ H is a planar difference set of order m",
-            *_restriction(res, (h_order, m + 1, 1)))
+            res.verified, res.report.as_dict())
     rep.con("D ∩ H is normalized in H",
             ds.is_normalized(res.group, res.elements))
     return rep
@@ -525,7 +518,7 @@ def check_ho(D: DifferenceSet, m: int, s: int) -> TheoremReport:
                          "the theorem's premise names a subgroup that does not exist")
         return rep
     H, _ = _unique_subgroup(D.group, h_order)
-    contained, _ = _restriction(restrict(D, H), (h_order, m + 1, 1))
+    contained = restrict(D, H, ds.Params(h_order, m + 1, 1)).verified
     expected = s % 3 != 0
     rep.con("containment outcome matches the 3 ∤ s criterion",
             contained == expected,
@@ -569,13 +562,12 @@ def conjecture_scan(q: int, s_list, ceiling: int | None = None) -> list[ScanRow]
             rows.append(ScanRow(q, s, v, target, "subgroup-absent"))
             continue
         try:
-            ok, restriction = _restriction(singer_restriction(q, s, ceiling),
-                                           ds.classical_params(q, 4).as_tuple())
+            R = singer_restriction(q, s, ceiling)
         except (FieldSizeError, MemoryError) as e:
             rows.append(ScanRow(q, s, 0, target, f"error: {e}"))
             continue
-        detail = {"restriction": restriction,
-                  "q_is_p^(2^i)": (pe[1] & (pe[1] - 1)) == 0} if ok else {}
+        detail = {"restriction": R.report.as_dict(),
+                  "q_is_p^(2^i)": (pe[1] & (pe[1] - 1)) == 0} if R.verified else {}
         rows.append(ScanRow(q, s, v, target,
-                            "embedded" if ok else "not-embedded", detail))
+                            "embedded" if R.verified else "not-embedded", detail))
     return rows

@@ -98,10 +98,9 @@ def _set_report(D) -> dict:
         "verified": D.verified,
         "normalized": ds.is_normalized(D.group, D.elements),
     }
-    if "field_descriptor" in D.meta:
-        rep["field_descriptor"] = D.meta["field_descriptor"]
-    if "verification_mode" in D.meta:
-        rep["verification_mode"] = D.meta["verification_mode"]
+    if D.field_descriptor is not None:          # built here, not read from a file
+        rep["field_descriptor"] = D.field_descriptor
+        rep["verification_mode"] = D.report.mode
     return rep
 
 
@@ -127,7 +126,7 @@ def cmd_verify(args):
     report = {"command": "verify", "set_file": args.set,
               "group": D.group.descriptor(),
               "params": list(D.params.as_tuple()),
-              **D.meta["verification"].as_dict(), "verified": D.verified}
+              **D.report.as_dict(), "verified": D.verified}
     return (EXIT_OK if D.verified else EXIT_FALSIFIED), report
 
 

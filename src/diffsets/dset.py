@@ -33,7 +33,7 @@ point anywhere.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import cached_property
 from math import gcd
 
@@ -78,17 +78,19 @@ def classical_params(q: int, d: int) -> Params:
 
 @dataclass(frozen=True)
 class DifferenceSet:
+    """Distinct ranks, their declared (v, k, lambda) and the `verify`
+    report on them, made by `make_difference_set` alone; `verified` when
+    the report confirms the declared parameters.  `field_descriptor`
+    names the field of a Singer construction."""
     group: AbelianGroup
     elements: tuple[int, ...]           # sorted ranks, distinct
     params: Params
-    verified: bool = False              # False = candidate
-    meta: dict = field(default_factory=dict, compare=False, repr=False)
+    report: VerificationReport
+    field_descriptor: str | None = None
 
-    def __post_init__(self):
-        if len(set(self.elements)) != len(self.elements):
-            raise ValueError("difference-set elements must be distinct")
-        if len(self.elements) != self.params.k:
-            raise ValueError("element count does not match k")
+    @property
+    def verified(self) -> bool:
+        return self.report.confirms(self.params.as_tuple())
 
     @cached_property
     def element_set(self) -> frozenset:
@@ -130,9 +132,7 @@ def difference_counts(G: AbelianGroup, elements) -> np.ndarray:
     MemoryError for v > FULL_VERIFY_ORDER_LIMIT.  Counted by the strategy
     `_plan` picks without a multiplier, as D need have no integral
     lambda."""
-    ranks = _ranks(G, elements)
-    if (ranks[1:] == ranks[:-1]).any():
-        raise ValueError("difference-set elements must be distinct")
+    ranks = _distinct_ranks(G, elements)
     counts, ids = _counts(G, ranks, *_plan(G, ranks, 0))
     return counts if ids is None else counts[ids]
 
@@ -141,9 +141,11 @@ def _ranks(G: AbelianGroup, elements) -> np.ndarray:
     """The element ranks as a sorted int64 array: ValueError for a rank
     outside [0, v), which no counting strategy may reduce or wrap, then
     MemoryError for v > FULL_VERIFY_ORDER_LIMIT, where no dense counter
-    is built."""
+    is built.  An array is read as it is, not one numpy scalar per rank."""
+    if not isinstance(elements, np.ndarray):
+        elements = list(elements)
     try:
-        ranks = np.sort(np.asarray(list(elements), dtype=np.int64))
+        ranks = np.sort(np.asarray(elements, dtype=np.int64))
     except OverflowError:
         raise ValueError(f"element rank outside [0, {G.order})") from None
     if len(ranks) and (ranks[0] < 0 or ranks[-1] >= G.order):
@@ -152,6 +154,14 @@ def _ranks(G: AbelianGroup, elements) -> np.ndarray:
     if G.order > FULL_VERIFY_ORDER_LIMIT:
         raise MemoryError(
             f"full difference counting limited to group order {FULL_VERIFY_ORDER_LIMIT}")
+    return ranks
+
+
+def _distinct_ranks(G: AbelianGroup, elements) -> np.ndarray:
+    """`_ranks`, then ValueError for a repeated rank."""
+    ranks = _ranks(G, elements)
+    if (ranks[1:] == ranks[:-1]).any():
+        raise ValueError("difference-set elements must be distinct")
     return ranks
 
 
@@ -485,22 +495,28 @@ def verify(G: AbelianGroup, elements) -> VerificationReport:
     return VerificationReport(True, v, k, lam, identity_count)
 
 
-def make_difference_set(G: AbelianGroup, elements) -> DifferenceSet:
-    """Verify an element set and wrap it; raises if it is not a difference set."""
-    rep = verify(G, elements)
-    if not rep.ok:
-        raise ValueError("element set is not a difference set: "
-                         f"{rep.as_dict()}")
-    return DifferenceSet(G, tuple(sorted(set(elements))),
-                         Params(rep.v, rep.k, rep.lambda_observed), True)
+def make_difference_set(G: AbelianGroup, elements, params: Params | None = None,
+                        field_descriptor: str | None = None) -> DifferenceSet:
+    """The DifferenceSet of these ranks, read and sorted once (ValueError
+    for one outside [0, v) or repeated) and verified once by `verify`.
+    `params` are the declared (v, k, lambda); without them the set must
+    verify (ValueError otherwise) and takes the observed ones."""
+    ranks = _distinct_ranks(G, elements)
+    rep = verify(G, ranks)
+    if params is None:
+        if not rep.ok:
+            raise ValueError("element set is not a difference set: "
+                             f"{rep.as_dict()}")
+        params = Params(rep.v, rep.k, rep.lambda_observed)
+    return DifferenceSet(G, tuple(ranks.tolist()), params, rep, field_descriptor)
 
 
 # -- translates and power maps -------------------------------------------------
 
 def translate(D: DifferenceSet, g: int) -> DifferenceSet:
+    """D + g; a translate has D's difference counts, so D's report."""
     image = D.group.add(np.asarray(D.elements, dtype=np.int64), g)
-    els = tuple(np.sort(image).tolist())
-    return DifferenceSet(D.group, els, D.params, D.verified, dict(D.meta))
+    return replace(D, elements=tuple(np.sort(image).tolist()))
 
 
 def apply_power_map(G: AbelianGroup, elements, m: int) -> tuple[int, ...]:
@@ -618,20 +634,13 @@ def distribution_bound_check(D: DifferenceSet, H: Subgroup) -> BoundCheck:
 
 # -- restriction to a subgroup ---------------------------------------------------
 
-@dataclass(frozen=True)
-class Restriction:
-    group: AbelianGroup                  # M in invariant-factor form
-    elements: tuple[int, ...]            # sorted ranks within M
-    mapping: tuple[tuple[int, int], ...]  # (rank in parent, rank in M)
-
-
-def restrict(D: DifferenceSet, M: Subgroup) -> Restriction:
-    """D intersected with M, re-coordinatized into M's own presentation."""
+def restrict(D: DifferenceSet, M: Subgroup, params: Params) -> DifferenceSet:
+    """D ∩ M as a DifferenceSet of M in its own invariant-factor
+    presentation (`subgroup_as_group`), checked against the declared
+    `params`, the ones D ∩ M is expected to have."""
     pres = subgroup_as_group(M)
-    hits = sorted(set(D.elements) & M.element_set)
-    mapping = tuple((e, pres.to_sub[e]) for e in hits)
-    els = tuple(sorted(pres.to_sub[e] for e in hits))
-    return Restriction(pres.group, els, mapping)
+    return make_difference_set(
+        pres.group, [pres.to_sub[e] for e in D.element_set & M.element_set], params)
 
 
 # -- set-file interchange format ---------------------------------------------------
@@ -651,8 +660,10 @@ class SetFileError(ValueError):
 
 
 def read_set_file(path) -> DifferenceSet:
-    """The set in a set file, `verified` when it verifies with the declared
-    (v, k, lambda); meta["verification"] holds the VerificationReport."""
+    """The set in a set file, made by `make_difference_set` with the
+    declared (v, k, lambda): `verified` when it verifies with them.
+    SetFileError names the line of a malformed entry, a rank out of range
+    or a repeated one."""
     from .groups import parse_group
     with open(path) as fh:
         raw = fh.read().splitlines()
@@ -685,6 +696,11 @@ def read_set_file(path) -> DifferenceSet:
         els.append(e)
     if len(els) != k:
         raise SetFileError(path, len(raw), f"expected {k} elements, found {len(els)}")
-    rep = verify(G, els)
-    return DifferenceSet(G, tuple(sorted(els)), Params(v, k, lam),
-                         rep.confirms((v, k, lam)), {"verification": rep})
+    try:
+        return make_difference_set(G, els, Params(v, k, lam))
+    except ValueError:                  # refused before verifying: a rank repeats
+        first = {}                      # rank -> the line it is first on
+        for (lno, _), e in zip(lines[2:], els):
+            if first.setdefault(e, lno) != lno:
+                raise SetFileError(path, lno, f"element rank {e} repeats line {first[e]}") from None
+        raise

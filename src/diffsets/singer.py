@@ -15,6 +15,8 @@ singer_construct(q^s, 4): the field is GF(q^(4s)) and the trace goes onto
 GF(q^s).  tower_base(q, s) checks q and s and returns q^s.
 singer_restriction(q, s) reads the normalized tower set only on the
 subgroup M of order (q+1)(q^2+1), from |M| traces, and never builds Z_v.
+Both return a dset.DifferenceSet with its exact verification report and
+the descriptor of its field; D ∩ M has the PG(3, q) parameters in Z_|M|.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from math import isqrt
 import numpy as np
 
 from . import dset
-from .dset import DifferenceSet, Params, classical_params, normalize
+from .dset import DifferenceSet, classical_params, normalize
 from .field import FiniteField, _basis_traces, make_field
 from .groups import AbelianGroup
 from .numth import is_prime_power
@@ -167,14 +169,10 @@ def singer_construct(q: int, d: int, ceiling: int | None = None) -> DifferenceSe
     F = make_field(p, e * d, ceiling=ceiling)
     G = AbelianGroup([params.v])
     indices = _trace_zero_exponents(F, e, params.v)
-    if len(indices) != params.k:
-        raise RuntimeError(f"construction produced {len(indices)} elements, "
-                           f"expected {params.k}")
-    rep = dset.verify(G, indices)
-    if not rep.ok or rep.lambda_observed != params.lam:
-        raise RuntimeError(f"constructed set failed verification: {rep.as_dict()}")
-    meta = {"field_descriptor": F.descriptor(), "verification_mode": rep.mode}
-    return normalize(DifferenceSet(G, tuple(sorted(indices)), params, True, meta))
+    D = dset.make_difference_set(G, indices, params, F.descriptor())
+    if not D.verified:
+        raise RuntimeError(f"constructed set failed verification: {D.report.as_dict()}")
+    return normalize(D)
 
 
 def tower_base(q: int, s: int) -> int:
@@ -188,18 +186,6 @@ def tower_base(q: int, s: int) -> int:
     if s < 1:
         raise ValueError("field degree must be positive")
     return q**s
-
-
-@dataclass(frozen=True)
-class TowerRestriction:
-    """The normalized PG(3, q^s) Singer set D in Z_v met with the subgroup
-    M of order (q+1)(q^2+1), in M = Z_|M| coordinates: the element
-    j*(v/|M|) of Z_v is j here."""
-    params: Params                  # of D in Z_v
-    group: AbelianGroup             # M
-    elements: tuple[int, ...]       # D ∩ M, sorted ranks in M
-    shift: int                      # D's normalizing shift t, in Z_v
-    field_descriptor: str
 
 
 def tower_shift(q: int, s: int) -> int:
@@ -221,8 +207,10 @@ def tower_shift(q: int, s: int) -> int:
 
 
 def singer_restriction(q: int, s: int,
-                       ceiling: int | None = None) -> TowerRestriction:
-    """D ∩ M for D = normalize(singer_construct(q^s, 4)), from |M| traces.
+                       ceiling: int | None = None) -> DifferenceSet:
+    """D ∩ M for D = normalize(singer_construct(q^s, 4)), from |M| traces:
+    a DifferenceSet in M = Z_|M|, the element j*(v/|M|) of Z_v being j,
+    declared with the PG(3, q) parameters and verified against them.
 
     With g the generator of F = GF(q^(4s)) and h = g^(v/|M|), the raw D
     meets M in E = {j < |M| : Tr(h^j) = 0}, Tr onto GF(q^s): |M|
@@ -231,25 +219,22 @@ def singer_restriction(q: int, s: int,
     s) lies in M: for odd q, |M| is even and t = v/2 = (|M|/2)(v/|M|).
     So (D + t) ∩ M = E + t, which is E + |M|/2 in M's coordinates.
     """
-    Q = tower_base(q, s)
+    v = classical_params(tower_base(q, s), 4).v
     p, e = is_prime_power(q)
-    params = classical_params(Q, 4)
     order = (q + 1) * (q * q + 1)
-    if params.v % order:
-        raise ValueError(f"no subgroup of order {order} in Z_{params.v}")
+    if v % order:
+        raise ValueError(f"no subgroup of order {order} in Z_{v}")
     F = make_field(p, 4 * e * s, ceiling=ceiling)
     trace = F.trace_map(e * s)
-    h = F.pow(F.gen, params.v // order)
-    raw, x = [], 1
+    h = F.pow(F.gen, v // order)
+    t = tower_shift(q, s) // (v // order)
+    shifted, x = [], 1                  # E + t
     for j in range(order):
         if trace(x) == 0:
-            raw.append(j)
+            shifted.append((j + t) % order)
         x = F.mul(x, h)
-    shift = tower_shift(q, s)
-    t = shift // (params.v // order)
-    return TowerRestriction(params, AbelianGroup([order]),
-                            tuple(sorted((j + t) % order for j in raw)),
-                            shift, F.descriptor())
+    return dset.make_difference_set(AbelianGroup([order]), shifted,
+                                    classical_params(q, 4), F.descriptor())
 
 
 @dataclass(frozen=True)

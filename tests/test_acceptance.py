@@ -8,14 +8,15 @@ import itertools
 import json
 import os
 import time
+from pathlib import Path
 
 import pytest
 
 from diffsets.analysis import check_hk, check_main, hall_check, mann_test
 from diffsets.cli import run as cli_run
-from diffsets.dset import (apply_power_map, distribution_bound_check,
-                           intersection_profile, normalize, read_set_file,
-                           restrict)
+from diffsets.dset import (apply_power_map, classical_params,
+                           distribution_bound_check, intersection_profile,
+                           normalize, read_set_file, restrict)
 from diffsets.groups import cyclic_subgroup_of_order
 from diffsets.numth import divisors
 from diffsets.search import SearchSpec, brute_force_search, orbit_union_search
@@ -159,15 +160,16 @@ def test_a6_gf2_28(big_q2_s7, capsys):
     D, elapsed = big_q2_s7
     checks = {"v": D.params.v == 2_113_665,
               "k": D.params.k == 16_513,
-              "field GF(2^28)": D.meta["field_descriptor"].startswith("2 28 "),
+              "field GF(2^28)": D.field_descriptor.startswith("2 28 "),
               "construction <60s": elapsed < 60.0,
               "exact verification by default":
-                  D.verified and D.meta["verification_mode"] == "full"}
+                  D.verified and D.report.mode == "full"}
     rep = check_main(2, 7)
     checks["thm4.3 verified (D cap M is (15,7,3))"] = rep.status == "verified"
     M = cyclic_subgroup_of_order(D.group, 15)
     checks["D cap M read from 15 traces = restriction of D"] = \
-        singer_restriction(2, 7).elements == restrict(D, M).elements
+        singer_restriction(2, 7).elements == \
+        restrict(D, M, classical_params(2, 4)).elements
     gate("A6", all(checks.values()), checks, capsys=capsys)
 
 
@@ -240,7 +242,7 @@ def test_a10_search_oracle_equivalence(capsys, tmp_path):
         cli_run(["search", "--group", "Z_15", "--k", "7", "--lambda", "3",
                  "--m", "2", "--out-dir", d, "--json", "--no-timestamps"])
         capsys.readouterr()
-        outs.append({name: open(os.path.join(d, name), "rb").read()
+        outs.append({name: Path(d, name).read_bytes()
                      for name in sorted(os.listdir(d))})
     checks["two runs byte-identical"] = outs[0] == outs[1]
     gate("A10", all(checks.values()), checks, capsys=capsys)

@@ -6,8 +6,9 @@ from diffsets.analysis import (check_dintk, check_hk, check_ho,
                                check_thm_classical_profile, hall_check,
                                is_multiplier, main_theorem_hypotheses,
                                mann_test)
-from diffsets.dset import (DifferenceSet, Params, make_difference_set,
-                           restrict, verify)
+from diffsets.dset import (DifferenceSet, Params, VerificationReport,
+                           classical_params, make_difference_set, restrict,
+                           verify)
 from diffsets.groups import AbelianGroup, cyclic_subgroup_of_order
 from diffsets.singer import singer_construct
 
@@ -85,9 +86,11 @@ def test_hall_check_fano():
 
 def test_hall_check_falsified_on_fake_set():
     # (13,4,1) parameters but not a difference set; hall_check takes the
-    # verified flag on trust, so the Hall conclusion is checked and fails
+    # report on trust, so with a forged accepting report the Hall
+    # conclusion is checked and fails
     D = DifferenceSet(AbelianGroup([13]), (0, 1, 2, 5), Params(13, 4, 1),
-                      verified=True)
+                      VerificationReport(True, 13, 4, 1, 4))
+    assert D.verified
     rep = hall_check(D)
     assert rep.status == "FALSIFIED"
 
@@ -96,7 +99,7 @@ def test_mann_counts_empty_cosets():
     # (15,5,1) parameters, all of D in one coset of the order-5 subgroup:
     # the profile {5, 0, 0} is not congruent mod 2 (p = 2, u* = 3, j = 1)
     D = DifferenceSet(AbelianGroup([15]), (0, 3, 6, 9, 12), Params(15, 5, 1),
-                      verified=True)
+                      VerificationReport(True, 15, 5, 1, 5))
     rep = mann_test(D, cyclic_subgroup_of_order(D.group, 5))
     assert rep.status == "FALSIFIED"
     congruent = rep.conclusions[1]
@@ -161,8 +164,9 @@ def test_main_theorem_q2_s3(d585):
     assert rep.status == "verified"
     # oracle: D ∩ M of the built set verifies to the same report
     M = cyclic_subgroup_of_order(d585.group, 15)
-    res = restrict(d585, M)
-    assert rep.conclusions[0].witness == verify(res.group, res.elements).as_dict()
+    res = restrict(d585, M, classical_params(2, 4))
+    assert res.verified and res.report == verify(res.group, res.elements)
+    assert rep.conclusions[0].witness == res.report.as_dict()
 
 
 def test_dintk(d15, d40):

@@ -4,6 +4,7 @@ import re
 import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,11 +54,22 @@ def test_verify_roundtrip(capsys, tmp_path):
 def test_verify_detects_tampering(capsys, tmp_path):
     out = str(tmp_path / "d.dset")
     invoke_json(capsys, "construct", "--q", "2", "--d", "4", "--out", out)
-    text = open(out).read().splitlines()
+    path = Path(out)
+    text = path.read_text().splitlines()
     text[-1] = "1"                          # swap 14 -> 1
-    open(out, "w").write("\n".join(text) + "\n")
+    path.write_text("\n".join(text) + "\n")
     code, rep = invoke_json(capsys, "verify", "--set", out)
     assert code == 3 and not rep["verified"]
+
+
+def test_verify_names_the_line_of_a_repeated_rank(capsys, tmp_path):
+    # the second 2 (line 5) repeats line 4; refused before any verification
+    path = tmp_path / "rep.dset"
+    path.write_text("group Z_7\n7 3 1\n1\n2\n2\n")
+    assert run(["verify", "--set", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {path}:5: element rank 2 repeats line 4\n"
 
 
 def test_verify_rejects_a_wrong_declared_lambda(capsys, tmp_path):
@@ -65,8 +77,8 @@ def test_verify_rejects_a_wrong_declared_lambda(capsys, tmp_path):
     # the checks that need a verified set all read it as unverified
     out = str(tmp_path / "d.dset")
     invoke_json(capsys, "construct", "--q", "2", "--d", "4", "--out", out)
-    text = open(out).read().replace("\n15 7 3\n", "\n15 7 5\n")
-    open(out, "w").write(text)
+    path = Path(out)
+    path.write_text(path.read_text().replace("\n15 7 3\n", "\n15 7 5\n"))
     code, rep = invoke_json(capsys, "verify", "--set", out)
     assert code == 3 and not rep["verified"]
     assert rep["lambda_observed"] == 3 and rep["params"] == [15, 7, 5]
@@ -79,10 +91,10 @@ def test_verify_rejects_a_wrong_declared_lambda(capsys, tmp_path):
 
 def _replace_last_element(path, v):
     """Replace the last element of a set file by the least non-member."""
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     members = {int(x) for x in lines[2:]}
     lines[-1] = str(min(set(range(v)) - members))
-    open(path, "w").write("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def test_full_verify_rejects_one_element_corruption(capsys, tmp_path):
@@ -174,7 +186,7 @@ def test_verify_rejects_corruption_off_the_sample_points(capsys, tmp_path):
              if b not in D.element_set and off_samples(b, ranks))
     bad = str(tmp_path / "bad.dset")
     els = sorted(set(D.elements) - {a} | {b})
-    dset.write_set_file(bad, dset.DifferenceSet(D.group, tuple(els), D.params))
+    dset.write_set_file(bad, dset.make_difference_set(D.group, els, D.params))
     code, rep = invoke_json(capsys, "verify", "--set", bad)
     assert code == 3 and rep["verified"] is False and rep["mode"] == "full"
 
@@ -456,7 +468,7 @@ def test_package_exports_exist():
 def test_readme_commands_parse():
     # every `diffset` line of README's sh blocks names flags its verb (and
     # check id) reads, so a removed or renamed flag cannot leave stale docs
-    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
     blocks = re.findall(r"```sh\n(.*?)```", readme, re.S)
     lines = [ln.split("#")[0] for b in blocks for ln in b.splitlines()
              if ln.startswith("diffset ")]
@@ -473,7 +485,7 @@ def test_search_writes_class_files(capsys, tmp_path):
                             "--lambda", "1", "--m", "2", "--out-dir", out_dir)
     assert code == 0
     assert rep["classes"] == 1 and rep["sets"] == [[1, 2, 4], [3, 5, 6]]
-    summary = json.load(open(os.path.join(out_dir, "summary.json")))
+    summary = json.loads(Path(out_dir, "summary.json").read_text())
     assert summary["classes"] == 1
     D = read_set_file(os.path.join(out_dir, "class_000.dset"))
     assert D.params.as_tuple() == (7, 3, 1)

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffsets import dset
-from diffsets.dset import (DifferenceSet, Params, SetFileError,
-                           VerificationReport, classical_params, difference_counts,
+from diffsets.dset import (Params, SetFileError, VerificationReport,
+                           classical_params, difference_counts,
                            distribution_bound_check, element_sum,
                            intersection_profile, is_normalized,
                            make_difference_set, normalize, read_set_file,
@@ -214,6 +214,18 @@ def test_product_presentations_use_pair_count(factors, els, lam):
     assert dset._plan(G, np.asarray(els, dtype=np.int64), 4) == ("pair", None)
     assert not rejected_before_counting(G, els)
     assert list(difference_counts(G, els)) == brute_counts(G, els)
+
+
+def test_plan_skips_a_multiplier_prime_that_divides_v():
+    # Z_16, k = 6, lambda = 2, n = 4: the prime t = 2 | n also divides v,
+    # so it is no multiplier candidate; the Z_2 image (2, 4) passes, so
+    # verify plans the pair count, which rejects D
+    G, els = AbelianGroup([16]), (0, 1, 2, 3, 5, 7)
+    ranks = np.asarray(els, dtype=np.int64)
+    assert dset._plan(G, ranks, 4) == ("pair", None)
+    assert not rejected_before_counting(G, els)
+    rep = verify(G, els)
+    assert rep == pair_count_report(G, els) and not rep.ok
 
 
 @pytest.mark.parametrize("factors, blocks", [([10007], 1), ([97, 103], 2)])
@@ -508,6 +520,9 @@ def test_verify_rejects_non_difference_set():
 def test_make_difference_set_verifies():
     D = make_difference_set(AbelianGroup([7]), FANO)
     assert D.verified and D.params == Params(7, 3, 1)
+    # a one-pass iterable is read once
+    E = make_difference_set(AbelianGroup([7]), (x for x in FANO))
+    assert E.verified and E.params == Params(7, 3, 1) and E.elements == FANO
     with pytest.raises(ValueError):
         make_difference_set(AbelianGroup([7]), (0, 1, 2))
 
@@ -566,7 +581,8 @@ def test_distribution_bound(d15):
 def test_distribution_bound_flags_violation():
     # a skewed non-design: all elements inside one coset of H
     G = AbelianGroup([15])
-    D = DifferenceSet(G, (0, 3, 6, 9, 12), Params(15, 5, 1), verified=False)
+    D = make_difference_set(G, (0, 3, 6, 9, 12), Params(15, 5, 1))
+    assert not D.verified
     H = cyclic_subgroup_of_order(G, 5)
     chk = distribution_bound_check(D, H)
     assert not chk.ok
@@ -576,22 +592,23 @@ def test_distribution_bound_flags_violation():
 
 def test_restrict_to_subgroup(d15):
     M = cyclic_subgroup_of_order(d15.group, 5)
-    res = restrict(d15, M)
+    res = restrict(d15, M, Params(5, 1, 0))
     assert res.group.order == 5
     assert len(res.elements) == 1           # profile says D meets M once
-    for parent, inner in res.mapping:
-        assert parent in M
-        assert subgroup_as_group(M).to_sub[parent] == inner
+    assert res.verified                     # one element: a (5,1,0) set
+    to_sub = subgroup_as_group(M).to_sub
+    assert res.elements == tuple(sorted(to_sub[e] for e in d15.elements if e in M))
 
 
 def test_restrict_noncyclic_parent():
     G = AbelianGroup([3, 5])
     D = make_difference_set(G, (0, 5, 6, 9, 10, 12, 13))
     M = generated_subgroup(G, [G.rank((0, 1))])
-    res = restrict(D, M)
+    res = restrict(D, M, Params(5, 1, 0))
     assert res.group.order == 5
     assert len(res.elements) == len(set(D.elements)
                                     & set(M.elements))
+    assert res.verified
 
 
 def test_set_file_roundtrip(tmp_path, d15):

@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from diffsets.analysis import _restriction, check_tower_restriction
+from diffsets.analysis import check_tower_restriction
 from diffsets.cli import run
 from diffsets.dset import classical_params, normalizing_shift, restrict, verify
 from diffsets.field import make_field
@@ -34,7 +34,8 @@ def test_q2_d4_frozen():
     D = singer_construct(2, 4)
     assert D.params.as_tuple() == (15, 7, 3)
     assert D.elements == (0, 5, 7, 10, 11, 13, 14)
-    assert D.verified and D.meta["verification_mode"] == "full"
+    assert D.verified and D.report.mode == "full"
+    assert D.field_descriptor.startswith("2 4 ")
 
 
 def test_q3_d4_frozen():
@@ -176,9 +177,8 @@ def test_restriction_check_q2_s3():
     w = rep.conclusions[0].witness
     assert w["verified"] and (w["v"], w["k"], w["lambda_observed"]) == (15, 7, 3)
     R = cyclic_subgroup_of_order(D.group, 15)
-    res = restrict(D, R)
-    ok, report = _restriction(res, expected.as_tuple())
-    assert ok and report == w
+    res = restrict(D, R, expected)
+    assert res.verified and res.report.as_dict() == w
     assert res.elements == (0, 1, 2, 4, 5, 8, 10)
 
 
@@ -191,10 +191,11 @@ def test_singer_restriction_matches_full_construction(q, s):
     R = singer_restriction(q, s)
     D = singer_construct(q**s, 4)
     M = cyclic_subgroup_of_order(D.group, (q + 1) * (q * q + 1))
-    assert R.elements == restrict(D, M).elements
+    small = classical_params(q, 4)
+    assert R.elements == restrict(D, M, small).elements
     assert R.group == AbelianGroup([M.order])
-    assert R.params == D.params
-    assert R.field_descriptor == D.meta["field_descriptor"]
+    assert R.params == small and R.verified
+    assert R.field_descriptor == D.field_descriptor
 
 
 @pytest.mark.parametrize("q,s", [(2, 1), (2, 3), (2, 5), (3, 1), (3, 2), (3, 3),
