@@ -143,7 +143,7 @@ def cmd_profile(args):
     D = _load_or_construct(args)
     H, named = _dissected_subgroup(D, args.subgroup_order)
     prof = ds.intersection_profile(D, H)
-    bound = ds.distribution_bound_check(D, H)
+    bound = ds.distribution_bound_check(prof)
     ok = prof.sum_ok() and prof.sum_sq_ok() and bound.ok
     report = {"command": "profile", **_set_report(D),
               "subgroup_order": H.order, **named,
@@ -262,6 +262,8 @@ def cmd_search(args):
               "spec": {"k": spec.k, "lambda": spec.lam,
                        "multiplier": spec.multiplier},
               **result.as_dict()}
+    if args.no_timestamps:              # wall time differs from run to run
+        del report["seconds"]
     if args.out_dir:
         # each class file holds a set that verify has just accepted
         classes = [ds.make_difference_set(G, s) for s in result.class_reps]

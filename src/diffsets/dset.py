@@ -17,11 +17,12 @@ pairs counted:
   as products, and the oracle of the other two;
 - orbit counting in Z_v, when a prime t | k - lambda fixes D (t*D = D,
   checked, never assumed: Hall's multiplier theorem predicts it): the
-  coefficients are constant on the orbits of x -> t*x, so only the
-  ~k^2/e pairs whose first element is an orbit representative are
-  counted, e = ord_v(t), into one counter per orbit, from which the
-  verdict is read without expanding to one count per group element
-  (v*ceil(log2 e) + k^2/e);
+  coefficients are constant on the orbits of x -> t*x, so only pairs
+  whose first element is an orbit representative are counted, e =
+  ord_v(t), and of two orbits of D only one against the other, the
+  count of the other order read off at -x: ~k^2/(2e) pairs into one
+  counter per orbit, from which the verdict is read without expanding to
+  one count per group element (v*ceil(log2 e) + k^2/(2e));
 - the cyclic autocorrelation in Z_v by a number-theoretic transform of
   length L = 2^ceil(log2(2v - 1)) modulo the prime 15*2^27 + 1
   (8/5*L*log2(L) + 40000, calibrated against the pair cost); distinct
@@ -40,7 +41,8 @@ from math import gcd
 import numpy as np
 
 from .groups import (_KEY_SLICE, AbelianGroup, CosetDecomposition, Subgroup,
-                     _multiplier_orbit_ids, cosets, subgroup_as_group)
+                     _multiplier_orbit_ids, cosets, parse_group,
+                     subgroup_as_group)
 from .numth import (divisors, is_prime_power, multiplicative_order,
                     prime_divisors)
 
@@ -141,13 +143,19 @@ def _ranks(G: AbelianGroup, elements) -> np.ndarray:
     """The element ranks as a sorted int64 array: ValueError for a rank
     outside [0, v), which no counting strategy may reduce or wrap, then
     MemoryError for v > FULL_VERIFY_ORDER_LIMIT, where no dense counter
-    is built.  An array is read as it is, not one numpy scalar per rank."""
+    is built.  An array is read as it is, not one numpy scalar per rank,
+    and a sorted int64 array is returned itself, so ranks sorted once by
+    `make_difference_set` are not copied again by `verify`."""
     if not isinstance(elements, np.ndarray):
         elements = list(elements)
     try:
-        ranks = np.sort(np.asarray(elements, dtype=np.int64))
+        ranks = np.asarray(elements, dtype=np.int64)
     except OverflowError:
         raise ValueError(f"element rank outside [0, {G.order})") from None
+    if ranks is not elements:
+        ranks.sort()                    # made here, so sorted in place
+    elif (ranks[1:] < ranks[:-1]).any():
+        ranks = np.sort(ranks)
     if len(ranks) and (ranks[0] < 0 or ranks[-1] >= G.order):
         bad = ranks[0] if ranks[0] < 0 else ranks[-1]
         raise ValueError(f"element rank {bad} outside [0, {G.order})")
@@ -207,13 +215,13 @@ def _costs(v: int, k: int, e: int | None = None) -> dict[str, int]:
     ordered pairs counted: "pair" k^2; "ntt" 8/5*L*log2(L) for the
     transform length L plus _NTT_CALL_COST; and, when a multiplier of
     order e fixes D, "orbit" v*ceil(log2 e) for the orbit numbers plus
-    k^2/e pairs.
+    k^2/(2e) pairs.
 
     Calibrated on a 2 vCPU Intel Xeon (Python 3.11, numpy 2.4.6): the
     pair and orbit counters took 8-13 ns per unit of their cost, the NTT
     14-20 ns per L*log2(L) for L = 2^14 to 2^22 and 0.1-0.4 ms per call
     for L up to 2^8.  Since the counters reuse their block buffers and
-    the orbit count keeps one counter entry per orbit, the same machine
+    the orbit count keeps two counter entries per orbit, the same machine
     measures, warm, 4-10 ns per unit for the orbit counter (the Singer
     sets of v = 3906 to 2113665), 4-8 ns for the pair counter and 6-13
     ns for the NTT (random sets of v = 10007 to 1000003).  The constants
@@ -224,7 +232,7 @@ def _costs(v: int, k: int, e: int | None = None) -> dict[str, int]:
     costs = {"pair": k * k,
              "ntt": 8 * L * (L.bit_length() - 1) // 5 + _NTT_CALL_COST}
     if e is not None:
-        costs["orbit"] = v * (e - 1).bit_length() + k * k // e
+        costs["orbit"] = v * (e - 1).bit_length() + k * k // (2 * e)
     return costs
 
 
@@ -234,8 +242,8 @@ def _strategy(v: int, k: int, e: int | None = None) -> str:
     return min(costs, key=costs.get)
 
 
-#: Least ordered pairs per row block of differences: `_difference_blocks`
-#: reuses 16 bytes a pair, and the product presentations' `G.sub` makes
+#: Least ordered pairs per row block of differences: `_block_buffers`
+#: holds 16 bytes a pair, and the product presentations' `G.sub` makes
 #: at most three int64 temporaries of a block.
 _PAIR_BLOCK = 1 << 18
 
@@ -247,44 +255,47 @@ def _block_pairs(k: int, bins: int) -> int:
     return max(_PAIR_BLOCK, k, bins // 2)
 
 
-def _difference_blocks(v: int, firsts: np.ndarray, ranks: np.ndarray, bins: int):
-    """Pairs (diffs, spare) for row blocks of `_block_pairs(k, bins)`
-    ordered pairs: diffs is the int64 array of (a - b) mod v for a in the
-    block of `firsts` and b in `ranks`, and spare an int32 array of its
-    shape; both are buffers reused from one block to the next.
+def _block_buffers(pairs: int):
+    """Two int32 buffers and one int64 buffer of `pairs` entries, for
+    `_differences`."""
+    return (np.empty(pairs, dtype=np.int32), np.empty(pairs, dtype=np.int32),
+            np.empty(pairs, dtype=np.int64))
+
+
+def _differences(v: int, firsts: np.ndarray, cols: np.ndarray, buffers):
+    """(diffs, spare): diffs the int64 (a - b) mod v for a in `firsts` and
+    b in `cols` (both int32), a len(firsts) x len(cols) view of
+    `buffers` (`_block_buffers`), and spare a free int32 view of its shape.
 
     The differences are formed in int32: v <= FULL_VERIFY_ORDER_LIMIT =
     2^26 < 2^31 keeps a - b in (-2^31, 2^31), so d += (d >> 31) & v adds v
     exactly to the negative ones.
     """
-    k = len(ranks)
-    rows = _block_pairs(k, bins) // max(1, k)
-    shape = (min(rows, len(firsts)), k)
-    d, spare = np.empty(shape, dtype=np.int32), np.empty(shape, dtype=np.int32)
-    diffs = np.empty(shape, dtype=np.int64)
-    firsts, cols = firsts.astype(np.int32), ranks.astype(np.int32)
-    for i in range(0, len(firsts), rows):
-        a = firsts[i:i + rows, None]
-        block, low, out = d[:len(a)], spare[:len(a)], diffs[:len(a)]
-        np.subtract(a, cols, out=block)
-        np.right_shift(block, 31, out=low)      # -1 where a - b < 0, else 0
-        low &= v
-        block += low                            # the wrap: a - b mod v
-        np.copyto(out, block)
-        yield out, low
+    shape = (len(firsts), len(cols))
+    d, low, out = (b[:shape[0] * shape[1]].reshape(shape) for b in buffers)
+    np.subtract(firsts[:, None], cols, out=d)
+    np.right_shift(d, 31, out=low)      # -1 where a - b < 0, else 0
+    low &= v
+    d += low                            # the wrap: a - b mod v
+    np.copyto(out, d)
+    return out, low
 
 
 def _pair_counts(G: AbelianGroup, ranks: np.ndarray) -> np.ndarray:
     """difference_counts by counting all k^2 ordered pairs of the sorted
-    ranks, a row block at a time; the fallback and the oracle of
-    `_orbit_counts` and `_ntt_counts`."""
+    ranks, a row block of `_block_pairs(k, v)` pairs at a time in reused
+    buffers; the fallback and the oracle of `_orbit_counts` and
+    `_ntt_counts`."""
     v, k = G.order, len(ranks)
     counts = np.zeros(v, dtype=np.int64)
+    rows = _block_pairs(k, v) // max(1, k)
     if len(G.factors) == 1:
-        for diffs, _ in _difference_blocks(v, ranks, ranks, v):
+        cols = ranks.astype(np.int32)
+        buffers = _block_buffers(min(rows, k) * k)
+        for i in range(0, k, rows):
+            diffs, _ = _differences(v, cols[i:i + rows], cols, buffers)
             counts += np.bincount(diffs.ravel(), minlength=v)
         return counts
-    rows = _block_pairs(k, v) // max(1, k)
     for i in range(0, k, rows):
         counts += np.bincount(G.sub(ranks[i:i + rows, None], ranks).ravel(),
                               minlength=v)
@@ -298,29 +309,49 @@ def _orbit_counts(G: AbelianGroup, ranks: np.ndarray, t: int):
     and counts[i] the coefficient of every x in orbit i, so
     difference_counts is counts[ids].
 
-    N(x) = #{(a, b) in D^2 : a - b = x} is constant on t-orbits, and
-    |O| N(O) = sum over orbit representatives a in D (the least rank of D
-    in each orbit) of |orbit(a)| times
-    #{b in D : a - b in O}.  So only about k^2/e pairs are counted, a
-    block of int32 differences at a time (`_difference_blocks`), into one
-    int64 counter entry per orbit; the counter of each representative
-    size class is weighted by that size once, and the sum is divided by
-    |O|.  RuntimeError if t does not fix D.
+    N(x) = #{(a, b) in D^2 : a - b = x} is constant on t-orbits, and for
+    orbits P, Q of D the pairs of P x Q with a - b in O number
+    c(P, Q, O) = |P| #{b in Q : rep(P) - b in O}, rep(P) the least
+    element of P; so |O| N(O) is the sum of c(P, Q, O) over all P, Q.
+    Swapping a and b gives c(Q, P, O) = c(P, Q, -O), -O the orbit of -x.
+    So D is ordered by orbit size, then orbit number, and cut into bands
+    of representatives of one size: a band counts its own orbits against
+    each other in both orders, into `own`, and every later orbit once,
+    into `later`; then the total is own + later + later at -O.  That is
+    about k^2/(2e) pairs, a block of int32 differences at a time
+    (`_differences`), each band weighted by its size once, and the sum
+    is divided by |O|.  RuntimeError if t does not fix D.
     """
     v = G.order
-    ids, sizes = _multiplier_orbit_ids(G, t)
-    reps = ranks[np.unique(ids[ranks], return_index=True)[1]]
-    rep_sizes = sizes[ids[reps]]
+    ids, sizes, least = _multiplier_orbit_ids(G, t)
     orbits = len(sizes)
-    counts = np.zeros(orbits, dtype=np.int64)
-    for size in np.unique(rep_sizes).tolist():
-        of_size, firsts = np.zeros(orbits, dtype=np.int64), reps[rep_sizes == size]
-        for diffs, spare in _difference_blocks(v, firsts, ranks, orbits):
-            np.take(ids, diffs, out=spare, mode="wrap")     # "wrap": no copy
-            np.copyto(diffs, spare)
-            of_size += np.bincount(diffs.ravel(), minlength=orbits)
-        of_size *= size
-        counts += of_size
+    of = ids[ranks]
+    order = np.lexsort((of, sizes[of]))         # by orbit size, then number
+    cols, of = ranks[order].astype(np.int32), of[order]
+    starts = np.flatnonzero(np.diff(of, prepend=-1))    # each orbit's first
+    reps, rep_sizes = cols[starts], sizes[of[starts]]
+    k, bins = len(cols), 2 * orbits
+    pairs = _block_pairs(k, bins)
+    buffers = _block_buffers(pairs)
+    total = np.zeros(bins, dtype=np.int64)      # later orbits, then own
+    i = 0
+    while i < len(starts):
+        first, size = starts[i], rep_sizes[i]
+        end = min(i + max(1, pairs // (k - first)),
+                  np.searchsorted(rep_sizes, size, side="right"))
+        own = (starts[end] if end < len(starts) else k) - first
+        diffs, spare = _differences(v, reps[i:end], cols[first:], buffers)
+        np.take(ids, diffs, out=spare, mode="wrap")     # "wrap": no copy
+        np.copyto(diffs, spare)
+        diffs[:, :own] += orbits
+        hits = np.bincount(diffs.ravel(), minlength=bins)
+        hits *= size
+        total += hits
+        del hits                        # before the next band's bincount
+        i = end
+    later = total[:orbits]
+    counts = total[orbits:] + later
+    counts += later[ids[(v - least) % v]]       # later at -O
     if (counts % sizes).any():
         raise RuntimeError("orbit counts not divisible by orbit sizes: "
                            f"t={t} does not fix D")
@@ -352,10 +383,11 @@ def _verify_bytes(v: int, k: int, strategy: str | None = None,
       temporaries of a row block (`G.sub` on a product presentation; the
       int32 block buffers of one factor take 16 bytes a pair);
     - orbit: the int32 orbit numbers and the slice buffers of
-      `_multiplier_orbit_ids` (37 bytes a slice element), four int64
-      arrays of one entry per orbit (the sizes, the counter, a size
-      class's counter and a block's bincount) and 16 bytes a pair of a
-      block;
+      `_multiplier_orbit_ids` (37 bytes a slice element), 56 bytes an
+      orbit (the int64 sizes, the int32 least elements, the two-halved
+      counter and a band's bincount of it, then the verdict's counter
+      with the -O gather), 24 bytes an element of D in its orbit order
+      and 16 bytes a pair of a block;
     - ntt: four NTT buffers of L words and the length-v fold.
     """
     if strategy is None:
@@ -363,8 +395,8 @@ def _verify_bytes(v: int, k: int, strategy: str | None = None,
         strategy = _strategy(v, k, e)
     if strategy == "orbit":
         orbits = _orbit_number(v, t)
-        own = (4 * v + 37 * min(v, _KEY_SLICE) + 32 * orbits
-               + 16 * _block_pairs(k, orbits))
+        own = (4 * v + 37 * min(v, _KEY_SLICE) + 56 * orbits + 24 * k
+               + 16 * _block_pairs(k, 2 * orbits))
     else:
         own = {"pair": 16 * v + 24 * _block_pairs(k, v),
                "ntt": 16 * v + 32 * _ntt_length(v)}[strategy]
@@ -528,10 +560,8 @@ def apply_power_map(G: AbelianGroup, elements, m: int) -> tuple[int, ...]:
 
 
 def element_sum(G: AbelianGroup, elements) -> int:
-    s = 0
-    for e in elements:
-        s = G.add(s, e)
-    return s
+    """The rank of the group sum of the elements (`AbelianGroup.sum`)."""
+    return G.sum(np.asarray(elements, dtype=np.int64))
 
 
 def normalizing_shift(G: AbelianGroup, elements) -> int:
@@ -615,15 +645,13 @@ class BoundCheck:
                 "violations": list(self.violations)}
 
 
-def distribution_bound_check(D: DifferenceSet, H: Subgroup) -> BoundCheck:
-    """Exact check of |s_i - k/r| <= sqrt(n)(r-1)/r for every coset.
+def distribution_bound_check(prof: IntersectionProfile) -> BoundCheck:
+    """Exact check of |s_i - k/r| <= sqrt(n)(r-1)/r for every coset of an
+    intersection profile.
 
     Compared with cleared denominators: (r*s_i - k)^2 <= n*(r-1)^2.
     """
-    prof = intersection_profile(D, H)
-    r = prof.index
-    k = D.params.k
-    n = D.params.n
+    r, k, n = prof.index, prof.k, prof.n
     rhs = n * (r - 1) * (r - 1)
     bad = [(rep, s) for rep, s in zip(prof.decomposition.representatives,
                                       prof.counts) if s and (r * s - k) ** 2 > rhs]
@@ -663,10 +691,63 @@ def read_set_file(path) -> DifferenceSet:
     """The set in a set file, made by `make_difference_set` with the
     declared (v, k, lambda): `verified` when it verifies with them.
     SetFileError names the line of a malformed entry, a rank out of range
-    or a repeated one."""
-    from .groups import parse_group
+    or a repeated one.
+
+    A plain file (`_plain_set_file`) is parsed in one numpy call; any
+    other file, and a plain one whose ranks repeat, is read line by line
+    (`_set_file_lines`), which finds the line that an error names."""
     with open(path) as fh:
-        raw = fh.read().splitlines()
+        text = fh.read()
+    plain = _plain_set_file(text)
+    if plain is not None:
+        try:
+            return make_difference_set(*plain)
+        except ValueError:              # a rank repeats: the walk names its line
+            pass
+    return _set_file_lines(path, text)
+
+
+#: The bytes of a plain set file's body.
+_PLAIN_BODY = b"0123456789\n"
+
+
+def _plain_set_file(text: str):
+    """(G, ranks, params) of a plain set file, else None: its header lines
+    are the first two that are neither blank nor comments, split at line
+    feeds alone, and parse; v <= FULL_VERIFY_ORDER_LIMIT; and the body holds one
+    decimal rank a line (blank lines allowed), k of them, all below v.
+    Such a file reads as `_set_file_lines` reads it; any other gets None."""
+    header, pos = [], 0
+    while len(header) < 2:
+        end = text.find("\n", pos)
+        if end < 0:
+            return None
+        line = text[pos:end].strip()
+        pos = end + 1
+        if line and not line.startswith("#"):
+            header.append(line)
+    if len(text[:pos].splitlines()) != text.count("\n", 0, pos):
+        return None                     # another line boundary in the header
+    try:
+        body = text[pos:].encode("ascii")
+        G = parse_group(header[0][6:])
+        v, k, lam = (int(x) for x in header[1].split())
+    except ValueError:
+        return None
+    if (not header[0].startswith("group ") or v != G.order
+            or v > FULL_VERIFY_ORDER_LIMIT or body.translate(None, _PLAIN_BODY)
+            or not body.strip()):       # fromstring reads a blank body as [0]
+        return None
+    ranks = np.fromstring(body, dtype=np.int64, sep=" ")
+    if len(ranks) != k or ranks.max() >= v:
+        return None
+    return G, ranks, Params(v, k, lam)
+
+
+def _set_file_lines(path, text: str) -> DifferenceSet:
+    """`read_set_file` line by line: SetFileError for the first malformed,
+    out-of-range or repeated entry, or a wrong count, at its line."""
+    raw = text.splitlines()
     lines = [(i + 1, ln.strip()) for i, ln in enumerate(raw)
              if ln.strip() and not ln.strip().startswith("#")]
     if len(lines) < 2:

@@ -9,7 +9,8 @@ multiplicative language for difference sets maps onto this as
 The rank encoding is known only here: `AbelianGroup.add`, `sub`, `neg`
 and `scale` are one group law on ranks, written once for Python ints
 and int64 arrays alike, so pair counts, power maps, translates and coset
-scans elsewhere broadcast it over whole rank arrays.
+scans elsewhere broadcast it over whole rank arrays; `sum` adds up an
+array of ranks.
 
 Factor lists are not required to be in invariant-factor form (Z_3 x Z_5
 is accepted as written); :func:`subgroup_as_group` always emits a proper
@@ -126,6 +127,17 @@ class AbelianGroup:
 
     def neg(self, r):
         return self.scale(-1, r)
+
+    def sum(self, r) -> int:
+        """The rank of the sum of an int64 array of ranks: one integer
+        reduction per coordinate, in int64 partial sums of at most
+        (2^63 - 1) // d coordinates of Z_d, so every partial sum is exact."""
+        total = 0
+        for d, w in zip(self.factors, self._weights):
+            coords, step = r // w % d, max(1, (2**63 - 1) // d)
+            s = sum(int(coords[i:i + step].sum()) for i in range(0, len(coords), step))
+            total += s % d * w
+        return total
 
     def element_order(self, r: int) -> int:
         o = 1
@@ -411,11 +423,11 @@ def _scaled_slices(G: AbelianGroup, m: int):
         yield lo, image[s]
 
 
-def _multiplier_orbit_ids(G: AbelianGroup, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _multiplier_orbit_ids(G: AbelianGroup, m: int):
     """The orbits of x -> m*x on G, numbered in the order of their least
-    elements: an int32 array whose entry x is the number of the orbit of
-    x, and the int64 array of orbit sizes.  The identity is orbit 0,
-    alone.
+    elements: (ids, sizes, least), ids an int32 array whose entry x is the
+    number of the orbit of x, sizes the int64 orbit sizes and least the
+    int32 least element of each orbit.  The identity is orbit 0, alone.
 
     With e the order of m modulo the exponent of G, ceil(log2 e) doubling
     passes key(x) = min(key(x), key(m^j x)), j = 1, 2, 4, ..., cover
@@ -423,9 +435,9 @@ def _multiplier_orbit_ids(G: AbelianGroup, m: int) -> tuple[np.ndarray, np.ndarr
     orbit of x.  Updating in place only lowers an entry to another element
     of the same orbit, so the passes may run over fixed slices.  A last
     pass, slice by slice in increasing order, numbers the least elements
-    (key(x) = x) and then replaces each entry x by the number already
-    written at key(x) <= x, so the numbers overwrite the key; one more
-    pass counts them.  Every slice pass reuses the same buffers, and the
+    (key(x) = x), which it keeps, and then replaces each entry x by the
+    number already written at key(x) <= x, so the numbers overwrite the
+    key; one more pass counts them.  Every slice pass reuses the same buffers, and the
     gathers are np.take(mode="wrap"), which unlike the default mode makes
     no copy.  Needs an order below 2^31.
     """
@@ -445,13 +457,14 @@ def _multiplier_orbit_ids(G: AbelianGroup, m: int) -> tuple[np.ndarray, np.ndarr
         step *= 2
     offsets = np.arange(n, dtype=np.int32)
     is_least, index = np.empty(n, dtype=bool), np.empty(n, dtype=np.int64)
-    count = 0
+    count, least = 0, []
     for lo in range(0, v, n):
         seg, s = key[lo:lo + n], slice(0, min(n, v - lo))
         np.subtract(seg, lo, out=low[s])
         np.equal(low[s], offsets[s], out=is_least[s])
         np.copyto(index[s], seg)
         firsts = np.flatnonzero(is_least[s])
+        least.append((firsts + lo).astype(np.int32))
         seg[firsts] = np.arange(count, count + len(firsts), dtype=np.int32)
         count += len(firsts)
         np.take(key, index[s], out=low[s], mode="wrap")
@@ -461,13 +474,13 @@ def _multiplier_orbit_ids(G: AbelianGroup, m: int) -> tuple[np.ndarray, np.ndarr
         s = slice(0, min(n, v - lo))
         np.copyto(index[s], key[lo:lo + n])
         sizes += np.bincount(index[s], minlength=count)
-    return key, sizes
+    return key, sizes, np.concatenate(least)
 
 
 def multiplier_orbits(G: AbelianGroup, m: int) -> list[list[int]]:
     """Orbits of x -> m*x on G, each sorted, ordered by minimal element."""
     if G.order > MATERIALIZE_LIMIT:
         raise GroupSizeError("orbit decomposition needs a materializable group")
-    ids, sizes = _multiplier_orbit_ids(G, m)
+    ids, sizes, _ = _multiplier_orbit_ids(G, m)
     members = np.argsort(ids, kind="stable")
     return [o.tolist() for o in np.split(members, np.cumsum(sizes)[:-1])]

@@ -209,8 +209,7 @@ def orbit_union_search(spec: SearchSpec) -> SearchResult:
     t0 = time.perf_counter()
     if G.order > MATERIALIZE_LIMIT:
         raise GroupSizeError("orbit decomposition needs a materializable group")
-    ids, sizes = _multiplier_orbit_ids(G, spec.multiplier)
-    reps = np.unique(ids, return_index=True)[1]
+    ids, sizes, reps = _multiplier_orbit_ids(G, spec.multiplier)
     table = _orbit_pair_table(G, ids, reps)
     r = len(reps)
     sizes = sizes.tolist()

@@ -6,8 +6,9 @@ membership is K*-invariant because the relative trace is K-linear, so
 the construction reads the zeros of the linear recurring sequence
 Tr(g^t) and never materializes a log table or a field element per index.
 The sequence is read in blocks of L ~ sqrt(m*v) terms (m the subfield
-degree), each block as a sum of rows of chunked digit tables; memory is
-O(ceil(n/c) * p^c * L + m*v), c the digits of a chunk, and
+degree), each block as a sum of rows of chunked digit tables, and its
+zeros are ANDed into one length-v mask; memory is
+O(ceil(n/c) * p^c * L + v), c the digits of a chunk, and
 _enumeration_bytes prices it before anything is built.
 
 The tower family of the paper, PG(3, q^s) over GF(q), is
@@ -54,43 +55,52 @@ def _lookup_layout(p: int, n: int) -> tuple[int, np.dtype]:
     return c, dtype
 
 
-def _trace_zero_exponents(F: FiniteField, sub_degree: int, v: int) -> list[int]:
-    """Indices i in [0, v) with Tr(g^i) = 0 onto the degree-sub_degree subfield.
+def _power_rows(modulus: tuple[int, ...], p: int, count: int) -> np.ndarray:
+    """The coefficient vectors of x^r mod the monic degree-n modulus over
+    Z_p for r < count (count > n), as the rows of an int64 array C.
 
-    With m = sub_degree, g^v is primitive in M = GF(p^m), so the powers
-    g^(jv), j < m, form a GF(p)-basis of M and Tr_{F/M}(g^i) = 0 exactly
-    when a_(i+jv) = 0 for every j < m, where a_t = Tr_{F/GF(p)}(g^t).  The
-    sequence a_t obeys the recurrence of F.modulus and starts with the basis
-    traces a_0, ..., a_(n-1), which Newton's identities read off the
-    modulus.  It is evaluated for t < m*v in blocks of L ~ sqrt(m*v) terms:
-    row r of C holds x^r mod the modulus, so a_(s+r) = C[r] . (a_s, ...,
-    a_(s+n-1)), and C's last n rows step that window W[b] from one block
-    start to the next.
-
-    The block values W[b] . C[r], r < L, are read from tables (the method
-    of Four Russians): the n window coordinates fall into chunks of c
-    digits (`_lookup_layout`), and the table of a chunk holds, for each of
-    its p^c digit values w, the L partial sums sum_i w_i * C[r, lo+i] mod p.
-    A block's values are then the sum of one table row per chunk, mod p.
-    Integer numpy only, no field-element arithmetic, and a block costs
-    ceil(n/c) row gathers instead of n*L multiply-adds; memory is
-    O(ceil(n/c) * p^c * L + m*v), priced by `_enumeration_bytes`.
+    C[:n] is the identity and C[n] = -(c_0, ..., c_(n-1)).  Then, by
+    doubling, x^(M+j) = x^(n+j) * x^(M-n) gives C[M+j] = C[n+j] @
+    C[M-n:M] for j < M - n: O(log count) matrix products, each entry a sum
+    of n products below p^2.
     """
-    n, p, m = F.n, F.p, sub_degree
-    total = m * v
-    L = isqrt(total) + 1
-    mod = np.array(F.modulus[:n], dtype=np.int64)
-    C = np.zeros((L + n, n), dtype=np.int64)
+    n = len(modulus) - 1
+    C = np.empty((count, n), dtype=np.int64)
     C[:n] = np.eye(n, dtype=np.int64)
-    for r in range(n, L + n):
-        C[r, 1:] = C[r - 1, :-1]
-        C[r] = (C[r] - C[r - 1, -1] * mod) % p
-    blocks = -(-total // L)
-    W = np.empty((blocks, n), dtype=np.int64)
-    W[0] = _basis_traces(F.modulus, p)
-    step = C[L:]
-    for b in range(1, blocks):
-        W[b] = step @ W[b - 1] % p
+    C[n] = np.negative(modulus[:n]) % p
+    M = n + 1
+    while M < count:
+        g = min(M - n, count - M)
+        np.matmul(C[n:n + g], C[M - n:M], out=C[M:M + g])
+        C[M:M + g] %= p
+        M += g
+    return C
+
+
+def _windows(step: np.ndarray, first, p: int, count: int) -> np.ndarray:
+    """W[b] = step^b @ first mod p for b < count, as the rows of an int64
+    array, by doubling: W[d:d+g] = W[:g] @ (step^d)^T, squaring step^d
+    each round."""
+    W = np.empty((count, len(first)), dtype=np.int64)
+    W[0] = first
+    power, d = step.T, 1                # power = (step^d)^T
+    while d < count:
+        g = min(d, count - d)
+        np.matmul(W[:g], power, out=W[d:d + g])
+        W[d:d + g] %= p
+        d += g
+        if d < count:
+            power = power @ power % p
+    return W
+
+
+def _lookup_tables(F: FiniteField, L: int, blocks: int):
+    """(tables, rows): for each chunk of c window digits (`_lookup_layout`),
+    the table of its p^c digit values by L partial sums and, per block,
+    the table row its window selects; see `_trace_zero_exponents`."""
+    n, p = F.n, F.p
+    C = _power_rows(F.modulus, p, L + n)
+    W = _windows(C[L:], _basis_traces(F.modulus, p), p, blocks)
     c, acc = _lookup_layout(p, n)
     digits = np.arange(p, dtype=np.int64)[:, None]
     tables, rows = [], []
@@ -106,24 +116,61 @@ def _trace_zero_exponents(F: FiniteField, sub_degree: int, v: int) -> list[int]:
         tables.append(T)
         rows.append(w)
     assert len(tables) * (p - 1) <= np.iinfo(acc).max
-    nz = np.empty(blocks * L, dtype=bool)
+    return tables, rows
+
+
+def _trace_zero_exponents(F: FiniteField, sub_degree: int, v: int) -> np.ndarray:
+    """Indices i in [0, v) with Tr(g^i) = 0 onto the degree-sub_degree
+    subfield, ascending, as an int64 array.
+
+    With m = sub_degree, g^v is primitive in M = GF(p^m), so the powers
+    g^(jv), j < m, form a GF(p)-basis of M and Tr_{F/M}(g^i) = 0 exactly
+    when a_(i+jv) = 0 for every j < m, where a_t = Tr_{F/GF(p)}(g^t).  The
+    sequence a_t obeys the recurrence of F.modulus and starts with the basis
+    traces a_0, ..., a_(n-1), which Newton's identities read off the
+    modulus.  It is evaluated for t < m*v in blocks of L ~ sqrt(m*v) terms:
+    row r of C holds x^r mod the modulus (`_power_rows`), so a_(s+r) =
+    C[r] . (a_s, ..., a_(s+n-1)), and C's last n rows step that window W[b]
+    from one block start to the next (`_windows`).
+
+    The block values W[b] . C[r], r < L, are read from tables (the method
+    of Four Russians): the n window coordinates fall into chunks of c
+    digits (`_lookup_layout`), and the table of a chunk holds, for each of
+    its p^c digit values w, the L partial sums sum_i w_i * C[r, lo+i] mod p.
+    A block's values are then the sum of one table row per chunk, mod p.
+    Each group of blocks ANDs its zero flags into one length-v mask, a
+    block split where t crosses a multiple of v.  Integer numpy only, no
+    field-element arithmetic, and a block costs ceil(n/c) row gathers
+    instead of n*L multiply-adds; memory is O(ceil(n/c) * p^c * L + v),
+    priced by `_enumeration_bytes`.
+    """
+    p, total = F.p, sub_degree * v
+    L = isqrt(total) + 1
+    blocks = -(-total // L)
+    tables, rows = _lookup_tables(F, L, blocks)
+    zero = np.ones(v, dtype=bool)       # a_(i+jv) = 0 for every j read so far
     for r in range(0, blocks, _BLOCK_ROWS):
         s = tables[0][rows[0][r:r + _BLOCK_ROWS]]
         for T, w in zip(tables[1:], rows[1:]):
             s += T[w[r:r + _BLOCK_ROWS]]
         s %= p
-        nz[r * L:(r + _BLOCK_ROWS) * L] = s.ravel() != 0
-    return np.flatnonzero(~nz[:total].reshape(m, v).any(0)).tolist()
+        values = s.ravel()              # a_t for t from r*L on
+        t, stop = r * L, min((r + len(s)) * L, total)
+        while t < stop:
+            i, end = t % v, min(stop, t - t % v + v)
+            zero[i:i + end - t] &= values[t - r * L:end - r * L] == 0
+            t = end
+    return np.flatnonzero(zero)
 
 
 def _enumeration_bytes(p: int, n: int, sub_degree: int, v: int, k: int) -> int:
     """Estimated peak bytes of `_trace_zero_exponents` over GF(p^n): the
     tables (ceil(n/c) * p^c * L entries at the accumulator width, plus the
     table being built and two p * L int64 digit products), the lookup
-    accumulator and its gathered rows, the int64 rows C and windows W with
-    their chunk row indices, the trace-zero flags (about 2*m*v + v bytes,
-    m = sub_degree) and the k returned indices (an int64 array and a list
-    of Python ints)."""
+    accumulator, its gathered rows and a block's zero flags, the int64
+    rows C and windows W with one more copy of each for the doubling
+    products and the chunk row indices, the length-v trace-zero mask and
+    the k returned indices (int64)."""
     m = sub_degree
     L = isqrt(m * v) + 1
     blocks = -(-m * v // L)
@@ -131,8 +178,8 @@ def _enumeration_bytes(p: int, n: int, sub_degree: int, v: int, k: int) -> int:
     chunks = -(-n // c)
     tables = (chunks + 1) * p**c * L * acc.itemsize + 16 * p * L
     lookup = _BLOCK_ROWS * L * (3 * acc.itemsize + 1)
-    windows = 8 * ((L + n) * n + blocks * (n + chunks))
-    return tables + lookup + windows + (2 * m * v + v) + 48 * k
+    windows = 8 * (2 * (L + n) * n + blocks * (2 * n + chunks))
+    return tables + lookup + windows + v + 8 * k
 
 
 def _construct_bytes(p: int, n: int, sub_degree: int, v: int, k: int) -> int:
@@ -167,9 +214,9 @@ def singer_construct(q: int, d: int, ceiling: int | None = None) -> DifferenceSe
                           f"{need >> 20} MiB, over the "
                           f"{CONSTRUCT_BYTE_LIMIT >> 20} MiB limit")
     F = make_field(p, e * d, ceiling=ceiling)
-    G = AbelianGroup([params.v])
-    indices = _trace_zero_exponents(F, e, params.v)
-    D = dset.make_difference_set(G, indices, params, F.descriptor())
+    D = dset.make_difference_set(AbelianGroup([params.v]),
+                                 _trace_zero_exponents(F, e, params.v),
+                                 params, F.descriptor())
     if not D.verified:
         raise RuntimeError(f"constructed set failed verification: {D.report.as_dict()}")
     return normalize(D)

@@ -263,7 +263,7 @@ def test_a11_property_suite(d15, d40, d85, d585, d33825, big_q2_s7, capsys):
             prof = intersection_profile(D, H)
             if not (prof.sum_ok() and prof.sum_sq_ok()):
                 failures.append(f"{tag}: profile sums fail for |H|={m}")
-            if not distribution_bound_check(D, H).ok:
+            if not distribution_bound_check(prof).ok:
                 failures.append(f"{tag}: distribution bound fails for |H|={m}")
     gate("A11", not failures,
          failures or f"{len(sets)} sets, all subgroups checked", capsys=capsys)

@@ -231,7 +231,7 @@ def test_product_group_profile_mann_and_bound():
             bad = [(x, s) for x, s in brute if s and (r * s - k) ** 2 > rhs]
             if any(s == 0 for _, s in brute) and k * k > rhs:
                 bad.append((-1, 0))
-            chk = distribution_bound_check(D, H)
+            chk = distribution_bound_check(prof)
             assert chk.violations == tuple(bad) and chk.ok == (not bad)
             u_star = min(m for m in range(1, 9)
                          if all(G.scale(m, x) in H for x in range(G.order)))

@@ -249,6 +249,23 @@ def test_profile(capsys):
     assert rep["distribution_bound"]["ok"]
 
 
+def test_profile_decomposes_into_cosets_once(capsys, tmp_path, monkeypatch):
+    # the bound check reads the profile's coset decomposition; on Z_2 x Z_8
+    # that decomposition is a scan of G
+    out = str(tmp_path / "d.dset")
+    Path(out).write_text("group Z_2xZ_8\n16 6 2\n0\n1\n2\n5\n8\n14\n")
+    calls, cosets = [], dset.cosets
+
+    def counted(G, H):
+        calls.append(H.order)
+        return cosets(G, H)
+
+    monkeypatch.setattr(dset, "cosets", counted)
+    code, rep = invoke_json(capsys, "profile", "--set", out, "--subgroup-order", "4")
+    assert code == 0 and rep["distribution_bound"]["ok"]
+    assert calls == [4]
+
+
 def test_mann(capsys):
     code, rep = invoke_json(capsys, "mann", "--q", "3",
                             "--subgroup-order", "10")
@@ -489,6 +506,43 @@ def test_search_writes_class_files(capsys, tmp_path):
     assert summary["classes"] == 1
     D = read_set_file(os.path.join(out_dir, "class_000.dset"))
     assert D.params.as_tuple() == (7, 3, 1)
+
+
+def test_search_stdout_is_byte_stable(capsys, tmp_path):
+    # without timestamps the search's wall time is left out, so two runs of
+    # one search print the same bytes; summary.json never carries it
+    out_dir = str(tmp_path / "res")
+    argv = ["search", "--group", "Z_15", "--k", "7", "--lambda", "3", "--m", "2",
+            "--out-dir", out_dir, "--json", "--no-timestamps"]
+    first, second = invoke(capsys, *argv), invoke(capsys, *argv)
+    assert first == second and first[0] == 0
+    assert "seconds" not in json.loads(first[1])
+    assert "seconds" not in json.loads(Path(out_dir, "summary.json").read_text())
+    code, out = invoke(capsys, *argv[:-1])
+    assert "seconds" in json.loads(out) and "timestamp" in json.loads(out)
+
+
+def test_orbit_path_verify_leaves_numpy_ma_unimported(tmp_path):
+    # the plain np.unique imports numpy.ma (13 ms, 0.6 MB); a construction
+    # and a verify on the orbit path use none
+    env = {**os.environ, "PYTHONPATH": os.path.join(
+        os.path.dirname(__file__), "..", "src")}
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from diffsets import dset\n"
+        "from diffsets.cli import run\n"
+        "path = sys.argv[1]\n"
+        "assert run(['construct', '--q', '2', '--s', '3', '--out', path]) == 0\n"
+        "assert run(['verify', '--set', path]) == 0\n"
+        "D = dset.read_set_file(path)\n"
+        "ranks = np.asarray(D.elements)\n"
+        "assert dset._plan(D.group, ranks, D.params.n) == ('orbit', 2)\n"
+        "print('numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "d.dset")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_search_writes_only_verified_class_files(capsys, tmp_path, monkeypatch):

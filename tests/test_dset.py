@@ -3,7 +3,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diffsets import dset
@@ -135,14 +135,28 @@ def forced_reports(G, elements, t):
     return reports
 
 
+def minus_one_in_powers(t, v):
+    """Whether -1 is a power of t mod v, so that every t-orbit is its own
+    negative."""
+    return any(pow(t, j, v) == (v - 1) % v
+               for j in range(multiplicative_order(t, v)))
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_orbit_kernel_matches_pair_counts(data):
     # D is a union of t-orbits: always {0}, random orbits and one short
-    # orbit of elements with gcd(x, v) > 1 when there is one
+    # orbit of elements with gcd(x, v) > 1 when there is one; -1 is a
+    # power of t (Z_13, t = 2: -O = O for every orbit) or it is not (each
+    # orbit's negative is another orbit)
     v = data.draw(st.one_of(st.sampled_from([x for x in EDGE_ORDERS if x >= 2]),
+                            st.sampled_from([13, 585, 2 * 3 * 5 * 7 * 11]),
                             st.integers(2, 3000)), label="v")
-    t = data.draw(st.sampled_from([p for p in SMALL_PRIMES if v % p]), label="t")
+    self_negative = data.draw(st.booleans(), label="-1 in <t>")
+    primes = [p for p in SMALL_PRIMES
+              if v % p and minus_one_in_powers(p, v) == self_negative]
+    assume(primes)
+    t = data.draw(st.sampled_from(primes), label="t")
     G = AbelianGroup([v])
     orbits = multiplier_orbits(G, t)
     picked = data.draw(st.lists(st.integers(1, len(orbits) - 1), max_size=12,
@@ -548,6 +562,48 @@ def test_normalize_known_example():
     assert normalize(N).elements == N.elements          # idempotent
 
 
+def scalar_element_sum(G, elements):
+    s = 0
+    for e in elements:
+        s = G.add(s, e)
+    return s
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=3), st.data())
+def test_element_sum_matches_scalar_loop(factors, data):
+    # one integer reduction per coordinate against k scalar group additions,
+    # on Z_v and on products in any presentation
+    G = AbelianGroup(factors)
+    els = data.draw(st.lists(st.integers(0, G.order - 1), max_size=200),
+                    label="elements")
+    assert element_sum(G, els) == scalar_element_sum(G, els)
+    assert element_sum(G, np.asarray(els, dtype=np.int64)) == \
+        scalar_element_sum(G, els)
+    assert is_normalized(G, els) == (scalar_element_sum(G, els) == 0)
+
+
+def test_element_sum_exact_past_int64_partial_sums():
+    # 2^62 + 1 coordinates of Z_(2^62 + 1) would overflow one int64 sum;
+    # partial sums of at most (2^63 - 1) // d coordinates do not
+    d = 2**62 + 1
+    G = AbelianGroup([d])
+    els = [d - 1] * 5
+    assert element_sum(G, els) == scalar_element_sum(G, els) == (5 * (d - 1)) % d
+
+
+def test_ranks_sort_once():
+    # a sorted int64 array is read as it is; any other input is sorted
+    # without touching the caller's array
+    G = AbelianGroup([15])
+    ranks = np.array([0, 5, 7, 10, 11, 13, 14], dtype=np.int64)
+    assert dset._ranks(G, ranks) is ranks
+    shuffled = ranks[::-1].copy()
+    assert np.array_equal(dset._ranks(G, shuffled), ranks)
+    assert shuffled[0] == 14
+    assert np.array_equal(dset._ranks(G, (14, 0, 5, 13, 7, 11, 10)), ranks)
+
+
 def test_normalize_requires_coprime_k():
     # k = 3 shares a factor with v = 9: no normalizing translate exists
     from diffsets.dset import normalizing_shift
@@ -574,7 +630,7 @@ def test_intersection_profile_order3(d15):
 def test_distribution_bound(d15):
     for order in (1, 3, 5, 15):
         H = cyclic_subgroup_of_order(d15.group, order)
-        chk = distribution_bound_check(d15, H)
+        chk = distribution_bound_check(intersection_profile(d15, H))
         assert chk.ok, chk.violations
 
 
@@ -584,7 +640,7 @@ def test_distribution_bound_flags_violation():
     D = make_difference_set(G, (0, 3, 6, 9, 12), Params(15, 5, 1))
     assert not D.verified
     H = cyclic_subgroup_of_order(G, 5)
-    chk = distribution_bound_check(D, H)
+    chk = distribution_bound_check(intersection_profile(D, H))
     assert not chk.ok
     # the full coset, then one entry for the empty cosets
     assert chk.violations == ((0, 5), (-1, 0))
@@ -632,6 +688,84 @@ def test_set_file_errors(tmp_path):
     bad.write_text("group Z_15\n14 7 3\n")
     with pytest.raises(SetFileError):
         read_set_file(bad)
+
+
+#: The (40,13,4) set file: a header and one rank a line.
+S40 = ["group Z_40", "40 13 4", "0", "2", "5", "6", "11", "14", "15", "17", "18",
+       "19", "25", "33", "35"]
+
+
+@pytest.mark.parametrize("lines, message", [
+    (S40[:3] + ["x1"] + S40[3:], "4: bad element rank 'x1'"),
+    (S40[:3] + ["40"] + S40[4:], "4: element rank 40 out of range"),
+    (S40[:2] + ["-1"] + S40[3:], "3: element rank -1 out of range"),
+    (S40[:2] + ["99999999999999999999999"] + S40[3:],
+     "3: element rank 99999999999999999999999 out of range"),
+    (S40[:2] + ["0 2"] + S40[4:], "3: bad element rank '0 2'"),
+    (S40[:-1], "14: expected 13 elements, found 12"),
+    (S40 + ["39"], "16: expected 13 elements, found 14"),
+    (S40[:1] + ["40 1 0", ""], "3: expected 1 elements, found 0"),
+    (S40[:2], "2: expected 13 elements, found 0"),
+    (S40[:3] + ["0"] + S40[4:], "4: element rank 0 repeats line 3"),
+    (S40[:2] + ["# c"] + S40[2:4] + [""] + ["0"] + S40[5:],
+     "7: element rank 0 repeats line 4"),
+    (S40[:2] + ["# c", ""] + S40[2:4] + ["  # x", "40"] + S40[5:],
+     "8: element rank 40 out of range"),
+    (["grp Z_40"] + S40[1:], '1: first line must be "group Z_..."'),
+    (S40[:1] + ["40 13"] + S40[2:], '2: expected "v k lambda"'),
+    (S40[:1] + ["41 13 4"] + S40[2:], "2: v = 41 does not match group order 40"),
+    (S40[:1], "1: expected a group line and a parameter line")],
+    ids=["bad rank", "rank out of range", "negative rank", "huge rank",
+         "two ranks a line", "too few", "too many", "blank body", "no body",
+         "repeated rank", "repeat past comments", "range past comments",
+         "group line", "parameter line", "v of another group", "header only"])
+def test_set_file_error_table(tmp_path, lines, message):
+    # each message names the line of the first fault, byte for byte as the
+    # line-by-line reader gives it
+    path = tmp_path / "bad.dset"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SetFileError) as ei:
+        read_set_file(path)
+    assert str(ei.value) == f"{path}:{message}"
+
+
+@pytest.mark.parametrize("lines, plain", [
+    (S40, True),
+    (["# top", "", S40[0], "# mid", S40[1]] + S40[2:] + ["", ""], True),
+    (S40[:2] + ["00" + x for x in S40[2:]], True),
+    (S40[:2] + ["# c", ""] + S40[2:5] + ["  # x", "   "] + S40[5:], False),
+    (S40[:2] + [" " + x + "\t" for x in S40[2:]], False),
+    (S40[:2] + ["+0"] + S40[3:], False),
+    (["group Z_40\x0c40 13 4"] + S40[2:], False)],
+    ids=["written", "header comments", "leading zeros", "body comments",
+         "padded", "signed", "form feed"])
+def test_set_file_plain_and_line_readers_agree(tmp_path, lines, plain):
+    # a plain body is parsed by one numpy call, any other line by line;
+    # both read the same set
+    text = "\n".join(lines) + "\n"
+    assert (dset._plain_set_file(text) is not None) == plain
+    path = tmp_path / "d.dset"
+    path.write_text(text)
+    D = read_set_file(path)
+    assert D == dset._set_file_lines(path, text) and D.verified
+    assert D.elements == tuple(int(x) for x in S40[2:])
+
+
+def test_tower_set_file_read_and_verify_peak(tmp_path):
+    # PG(3, 128) in Z_2113665 verified on the orbit path: the file's ranks
+    # in one int64 array, then 16 bytes a pair of a block and the orbit
+    # numbers
+    D = singer_construct(2**7, 4)
+    path = tmp_path / "d.dset"
+    write_set_file(path, D)
+    tracemalloc.start()
+    try:
+        back = read_set_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.verified and back.elements == D.elements
+    assert peak <= 16.5 * 2**20
 
 
 def test_set_file_comments_ignored(tmp_path, d15):

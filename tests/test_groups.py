@@ -337,9 +337,10 @@ def test_orbit_ids_across_slices(monkeypatch, factors, m):
     # same one, and the last slice is partial
     monkeypatch.setattr(groups, "_KEY_SLICE", 7)
     G = AbelianGroup(factors)
-    ids, sizes = groups._multiplier_orbit_ids(G, m)
+    ids, sizes, least = groups._multiplier_orbit_ids(G, m)
     orbits = naive_orbits(G, m)
-    assert ids.dtype == np.int32
+    assert ids.dtype == least.dtype == np.int32
+    assert least.tolist() == [min(o) for o in orbits]
     assert [ids[o].tolist() for o in orbits] == [[i] * len(o)
                                                  for i, o in enumerate(orbits)]
     assert sizes.tolist() == [len(o) for o in orbits]

@@ -200,8 +200,9 @@ def scalar_orbit_pair_table(G, orbits):
                                         ([15], 2)])
 def test_orbit_pair_table_matches_scalar_reference(factors, m):
     G = AbelianGroup(factors)
-    ids, _ = _multiplier_orbit_ids(G, m)
+    ids, _, least = _multiplier_orbit_ids(G, m)
     reps = [o[0] for o in multiplier_orbits(G, m)]
+    assert least.tolist() == reps
     assert _orbit_pair_table(G, ids, reps).tolist() == \
         scalar_orbit_pair_table(G, multiplier_orbits(G, m))
 

@@ -1,12 +1,14 @@
 import json
 import tracemalloc
+from math import isqrt
 
+import numpy as np
 import pytest
 
 from diffsets.analysis import check_tower_restriction
 from diffsets.cli import run
 from diffsets.dset import classical_params, normalizing_shift, restrict, verify
-from diffsets.field import make_field
+from diffsets.field import _basis_traces, make_field
 from diffsets.groups import AbelianGroup, cyclic_subgroup_of_order
 from diffsets.numth import is_prime_power
 from diffsets import singer
@@ -94,7 +96,47 @@ def test_enumeration_memory_below_dense_matrix():
     assert peak < v * 11 * 2
 
 
-@pytest.mark.parametrize("p,e,d", [(2, 5, 4), (3, 1, 11), (131, 1, 3)])
+def serial_power_rows(modulus, p, count):
+    """x^r mod the modulus for r < count, one shift-and-reduce a row."""
+    n = len(modulus) - 1
+    mod = np.array(modulus[:n], dtype=np.int64)
+    C = np.zeros((count, n), dtype=np.int64)
+    C[:n] = np.eye(n, dtype=np.int64)
+    for r in range(n, count):
+        C[r, 1:] = C[r - 1, :-1]
+        C[r] = (C[r] - C[r - 1, -1] * mod) % p
+    return C
+
+
+def serial_windows(step, first, p, count):
+    """W[b] = step @ W[b-1] mod p, one block at a time."""
+    W = np.empty((count, len(first)), dtype=np.int64)
+    W[0] = first
+    for b in range(1, count):
+        W[b] = step @ W[b - 1] % p
+    return W
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2),
+                                 (5, 3), (7, 2), (2, 8), (3, 5), (2, 12),
+                                 (131, 1), (257, 2)])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_doubled_rows_and_windows_match_serial_loops(p, n, m):
+    # the enumeration's own sizes: L = isqrt(m*v) + 1 rows past n and
+    # ceil(m*v / L) windows, v = (p^n - 1)/(p - 1) or 2 for n = 1
+    F = make_field(p, n)
+    v = max(2, (p**n - 1) // (p - 1))
+    L = isqrt(m * v) + 1
+    blocks = -(-m * v // L)
+    C = singer._power_rows(F.modulus, p, L + n)
+    assert np.array_equal(C, serial_power_rows(F.modulus, p, L + n))
+    first = _basis_traces(F.modulus, p)
+    for count in sorted({1, 2, 3, blocks, blocks + 5}):
+        assert np.array_equal(singer._windows(C[L:], first, p, count),
+                              serial_windows(C[L:], first, p, count))
+
+
+@pytest.mark.parametrize("p,e,d", [(2, 5, 4), (3, 1, 11), (131, 1, 3), (2, 7, 4)])
 def test_enumeration_estimate_bounds_traced_peak(p, e, d):
     params = classical_params(p**e, d)
     F = make_field(p, e * d)
@@ -106,6 +148,9 @@ def test_enumeration_estimate_bounds_traced_peak(p, e, d):
         tracemalloc.stop()
     assert len(indices) == params.k
     assert peak <= _enumeration_bytes(p, e * d, e, params.v, params.k)
+    if (p, e, d) == (2, 7, 4):
+        # GF(2^28) onto GF(2^7): a length-v mask, not m*v = 14.8M flags
+        assert peak <= 9 << 20
 
 
 def test_streamed_gf2_path_is_large_capable():
