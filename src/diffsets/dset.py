@@ -30,7 +30,11 @@ pairs counted:
   whatever k.
 
 All counts and bound checks are exact integer arithmetic; no floating
-point anywhere.
+point anywhere.  One guard bounds memory, `_guard`: v at most
+FULL_VERIFY_ORDER_LIMIT, and the strategy's estimated peak bytes
+(`_verify_bytes`), plus a caller's own, at most BYTE_LIMIT.  Every count
+(`verify`, `difference_counts`, so set files, restrictions and search
+class files) and `singer.singer_construct` pass it before they allocate.
 """
 from __future__ import annotations
 
@@ -40,14 +44,18 @@ from math import gcd
 
 import numpy as np
 
-from .groups import (_KEY_SLICE, AbelianGroup, CosetDecomposition, Subgroup,
-                     _multiplier_orbit_ids, cosets, parse_group,
-                     subgroup_as_group)
+from .groups import (AbelianGroup, CosetDecomposition, Subgroup,
+                     _multiplier_orbit_ids, _orbit_ids_price, cosets,
+                     parse_group, subgroup_as_group)
 from .numth import (divisors, is_prime_power, multiplicative_order,
                     prime_divisors)
 
 #: Full difference counting keeps a dense length-v counter.
 FULL_VERIFY_ORDER_LIMIT = 1 << 26
+
+#: Estimated peak bytes (`_guard`) above which a count, or a construction
+#: with its count, is refused before anything is allocated.
+BYTE_LIMIT = 1 << 31
 
 
 @dataclass(frozen=True)
@@ -131,9 +139,9 @@ class VerificationReport:
 def difference_counts(G: AbelianGroup, elements) -> np.ndarray:
     """Coefficient vector of D D^(-1) in the group ring, indexed by rank,
     for a set D: ValueError for a rank outside [0, v) or a repeated one,
-    MemoryError for v > FULL_VERIFY_ORDER_LIMIT.  Counted by the strategy
-    `_plan` picks without a multiplier, as D need have no integral
-    lambda."""
+    MemoryError for v > FULL_VERIFY_ORDER_LIMIT or, before counting, an
+    estimate over BYTE_LIMIT (`_guard`).  Counted by the strategy `_plan`
+    picks without a multiplier, as D need have no integral lambda."""
     ranks = _distinct_ranks(G, elements)
     counts, ids = _counts(G, ranks, *_plan(G, ranks, 0))
     return counts if ids is None else counts[ids]
@@ -184,7 +192,8 @@ def _plan(G: AbelianGroup, ranks: np.ndarray, n: int) -> tuple[str, int | None]:
     if len(G.factors) != 1:
         return "pair", None
     v, k = G.order, len(ranks)
-    plan, best_cost = (_strategy(v, k), None), min(_costs(v, k).values())
+    costs = _costs(v, k)
+    plan, best_cost = (min(costs, key=costs.get), None), min(costs.values())
     for t in prime_divisors(n) if n > 1 else ():
         if gcd(t, v) != 1:
             continue
@@ -198,7 +207,9 @@ def _counts(G: AbelianGroup, ranks: np.ndarray, strategy: str, t: int | None):
     """The coefficients of D D^(-1) for sorted distinct in-range ranks by
     the `_plan` (strategy, t), as (counts, ids): the coefficient of x is
     counts[ids[x]], or counts[x] when ids is None.  Only the orbit count
-    has ids; either way counts[0] is the identity coefficient alone."""
+    has ids; either way counts[0] is the identity coefficient alone.
+    MemoryError (`_guard`) before any counter is allocated."""
+    _guard(G.order, len(ranks), strategy, t)
     if strategy == "orbit":
         return _orbit_counts(G, ranks, t)
     if strategy == "ntt":
@@ -377,25 +388,25 @@ def _verify_bytes(v: int, k: int, strategy: str | None = None,
     """Estimated peak bytes of `verify` on k distinct ranks of Z_v by
     `strategy`, by default the one `_plan` picks for a set fixed by the
     multiplier t (for "orbit", t is that multiplier): the rank arrays and
-    the strategy's own buffers.
+    the strategy's own buffers.  `_guard` holds it against BYTE_LIMIT
+    before every count and every Singer construction.
 
     - pair: the length-v counter and a block's bincount, and three int64
       temporaries of a row block (`G.sub` on a product presentation; the
       int32 block buffers of one factor take 16 bytes a pair);
-    - orbit: the int32 orbit numbers and the slice buffers of
-      `_multiplier_orbit_ids` (37 bytes a slice element), 56 bytes an
-      orbit (the int64 sizes, the int32 least elements, the two-halved
-      counter and a band's bincount of it, then the verdict's counter
-      with the -O gather), 24 bytes an element of D in its orbit order
-      and 16 bytes a pair of a block;
+    - orbit: the orbit numbering as `groups._orbit_ids_price` prices it,
+      then 44 bytes an orbit (the two-halved counter and a band's
+      bincount of it, then the verdict's counter with the -O gather), 24
+      bytes an element of D in its orbit order and 16 bytes a pair of a
+      block;
     - ntt: four NTT buffers of L words and the length-v fold.
     """
     if strategy is None:
         e = None if t is None else multiplicative_order(t, v)
         strategy = _strategy(v, k, e)
     if strategy == "orbit":
-        orbits = _orbit_number(v, t)
-        own = (4 * v + 37 * min(v, _KEY_SLICE) + 56 * orbits + 24 * k
+        orbits, numbering = _orbit_ids_price(v, t)
+        own = (numbering + 44 * orbits + 24 * k
                + 16 * _block_pairs(k, 2 * orbits))
     else:
         own = {"pair": 16 * v + 24 * _block_pairs(k, v),
@@ -403,17 +414,18 @@ def _verify_bytes(v: int, k: int, strategy: str | None = None,
     return 48 * k + own
 
 
-def _orbit_number(v: int, t: int) -> int:
-    """The number of orbits of x -> t*x on Z_v, gcd(t, v) = 1: the phi(d)
-    elements of order d are the units of the subgroup of order d, on
-    which t acts by multiplication in orbits of ord_d(t) elements."""
-    total = 0
-    for d in divisors(v):
-        phi = d
-        for p in prime_divisors(d):
-            phi -= phi // p
-        total += phi // multiplicative_order(t, d)
-    return total
+def _guard(v: int, k: int, strategy: str | None = None, t: int | None = None,
+           extra: int = 0, what: str = "difference counting") -> None:
+    """The one memory guard of a count and of a construction: MemoryError
+    for v > FULL_VERIFY_ORDER_LIMIT, or when a caller's `extra` bytes plus
+    `_verify_bytes(v, k, strategy, t)` are over BYTE_LIMIT."""
+    if v > FULL_VERIFY_ORDER_LIMIT:
+        raise MemoryError("full difference counting limited to group order "
+                          f"{FULL_VERIFY_ORDER_LIMIT}; v = {v}")
+    need = extra + _verify_bytes(v, k, strategy, t)
+    if need > BYTE_LIMIT:
+        raise MemoryError(f"{what} of v = {v} needs about {need >> 20} MiB, "
+                          f"over the {BYTE_LIMIT >> 20} MiB limit")
 
 
 def _ntt(a: np.ndarray) -> np.ndarray:
@@ -499,17 +511,18 @@ def verify(G: AbelianGroup, elements) -> VerificationReport:
     """Full group-ring verification of a candidate element set.
 
     Raises ValueError for a rank outside [0, v), then MemoryError for
-    v > FULL_VERIFY_ORDER_LIMIT.  Rejects a repeated rank (the identity
-    count sum(mult^2) exceeds k) or a non-integral lambda, then, in Z_v
-    written with one factor, a failed image (`_quotient_obstruction`);
-    accepts only after counting every difference by the `_plan` strategy,
-    iff every non-identity count, per orbit on the orbit path, is lambda
-    (reported as k in Z_1).
+    v > FULL_VERIFY_ORDER_LIMIT, and before counting for an estimate over
+    BYTE_LIMIT (`_guard`).  Rejects a repeated rank (the identity count
+    sum(mult^2), over the runs of equal sorted ranks, exceeds k) or a
+    non-integral lambda, then, in Z_v written with one factor, a failed
+    image (`_quotient_obstruction`); accepts only after counting every
+    difference by the `_plan` strategy, iff every non-identity count, per
+    orbit on the orbit path, is lambda (reported as k in Z_1).
     """
     ranks = _ranks(G, elements)
     v = G.order
-    mult = np.unique(ranks, return_counts=True)[1]
-    k, identity_count = len(mult), int(mult @ mult)
+    runs = np.diff(np.flatnonzero(np.diff(ranks, prepend=-1)), append=len(ranks))
+    k, identity_count = len(runs), int(runs @ runs)     # runs of equal ranks
     rejected = VerificationReport(False, v, k, None, identity_count)
     if identity_count != k or (v > 1 and k * (k - 1) % (v - 1)):
         return rejected
@@ -714,8 +727,8 @@ _PLAIN_BODY = b"0123456789\n"
 def _plain_set_file(text: str):
     """(G, ranks, params) of a plain set file, else None: its header lines
     are the first two that are neither blank nor comments, split at line
-    feeds alone, and parse; v <= FULL_VERIFY_ORDER_LIMIT; and the body holds one
-    decimal rank a line (blank lines allowed), k of them, all below v.
+    feeds alone, and parse; and the body holds one decimal rank a line
+    (blank lines allowed), k of them, all below v.
     Such a file reads as `_set_file_lines` reads it; any other gets None."""
     header, pos = [], 0
     while len(header) < 2:
@@ -735,7 +748,7 @@ def _plain_set_file(text: str):
     except ValueError:
         return None
     if (not header[0].startswith("group ") or v != G.order
-            or v > FULL_VERIFY_ORDER_LIMIT or body.translate(None, _PLAIN_BODY)
+            or body.translate(None, _PLAIN_BODY)
             or not body.strip()):       # fromstring reads a blank body as [0]
         return None
     ranks = np.fromstring(body, dtype=np.int64, sep=" ")

@@ -95,7 +95,6 @@ def _is_primitive(p: int, n: int, f: tuple[int, ...], mult_order: int,
     return all(_ppow_mod(p, n, f, x, e) != one for e in cofactors)
 
 
-@functools.lru_cache(maxsize=None)
 def _lex_smallest_primitive(p: int, n: int) -> tuple[int, ...]:
     mult_order = p**n - 1
     cofactors = [mult_order // r for r in prime_divisors(mult_order)]

@@ -26,7 +26,7 @@ from math import gcd, lcm, prod
 
 import numpy as np
 
-from .numth import divisors, factorize, multiplicative_order
+from .numth import divisors, factorize, multiplicative_order, totient
 
 #: Orders up to this are safe to materialize element-by-element.
 MATERIALIZE_LIMIT = 1 << 24
@@ -475,6 +475,23 @@ def _multiplier_orbit_ids(G: AbelianGroup, m: int):
         np.copyto(index[s], key[lo:lo + n])
         sizes += np.bincount(index[s], minlength=count)
     return key, sizes, np.concatenate(least)
+
+
+def _orbit_number(v: int, t: int) -> int:
+    """The number of orbits of x -> t*x on Z_v, gcd(t, v) = 1: the phi(d)
+    elements of order d are the units of the subgroup of order d, on
+    which t acts by multiplication in orbits of ord_d(t) elements."""
+    return sum(totient(d) // multiplicative_order(t, d) for d in divisors(v))
+
+
+def _orbit_ids_price(v: int, t: int) -> tuple[int, int]:
+    """(orbits, bytes): the number of orbits of x -> t*x on Z_v
+    (`_orbit_number`) and the estimated peak bytes of numbering them by
+    `_multiplier_orbit_ids`: the int32 orbit numbers, the slice buffers
+    (37 bytes a slice element), the int64 sizes and the int32 least
+    elements."""
+    orbits = _orbit_number(v, t)
+    return orbits, 4 * v + 37 * min(v, _KEY_SLICE) + 12 * orbits
 
 
 def multiplier_orbits(G: AbelianGroup, m: int) -> list[list[int]]:

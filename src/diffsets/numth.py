@@ -118,6 +118,13 @@ def divisors(n: int) -> list[int]:
     return sorted(ds)
 
 
+def totient(n: int) -> int:
+    """Euler's phi(n), the number of units mod n."""
+    for p in factorize(n):
+        n -= n // p
+    return n
+
+
 def multiplicative_order(a: int, m: int) -> int:
     """Order of a in (Z/m)^*; m = 1 gives 1.
 
@@ -128,9 +135,7 @@ def multiplicative_order(a: int, m: int) -> int:
         return 1
     if gcd(a, m) != 1:
         raise ValueError(f"{a} is not a unit mod {m}")
-    order = m
-    for p in factorize(m):
-        order -= order // p
+    order = totient(m)
     for p, e in factorize(order).items():
         for _ in range(e):
             if pow(a, order // p, m) != 1:

@@ -37,10 +37,6 @@ from .numth import is_prime_power
 #: Blocks whose values are looked up at once; bounds the accumulator.
 _BLOCK_ROWS = 64
 
-#: Estimated peak bytes (`_construct_bytes`) above which singer_construct
-#: refuses to start.
-CONSTRUCT_BYTE_LIMIT = 1 << 31
-
 
 def _lookup_layout(p: int, n: int) -> tuple[int, np.dtype]:
     """(c, dtype) of the block lookup over GF(p^n): c digits a chunk, the
@@ -182,37 +178,22 @@ def _enumeration_bytes(p: int, n: int, sub_degree: int, v: int, k: int) -> int:
     return tables + lookup + windows + v + 8 * k
 
 
-def _construct_bytes(p: int, n: int, sub_degree: int, v: int, k: int) -> int:
-    """Estimated peak bytes of singer_construct over GF(p^n): the
-    enumeration (`_enumeration_bytes`), the sorted and normalized copies of
-    its index list (Python ints, about 96 bytes an element), and
-    `dset.verify`, as the set is fixed by the multiplier p."""
-    return (_enumeration_bytes(p, n, sub_degree, v, k) + 96 * k
-            + dset._verify_bytes(v, k, t=p))
-
-
 def singer_construct(q: int, d: int, ceiling: int | None = None) -> DifferenceSet:
     """The Singer difference set of PG(d-1, q) in Z_v, v = (q^d-1)/(q-1),
     verified exactly and normalized.
 
-    `ceiling` overrides the field-order bound SIZE_CEILING.  A v above
-    dset.FULL_VERIFY_ORDER_LIMIT, where the exact check cannot run, or an
-    estimate above CONSTRUCT_BYTE_LIMIT is refused before the field is
-    built.
+    `ceiling` overrides the field-order bound SIZE_CEILING.  `dset._guard`
+    refuses, before the field is built, a v where the exact check cannot
+    run or an estimate over dset.BYTE_LIMIT: the enumeration
+    (`_enumeration_bytes`), the sorted and normalized copies of its index
+    list (Python ints, about 96 bytes an element) and `dset.verify`, as
+    the set is fixed by the multiplier p.
     """
-    pe = is_prime_power(q)
-    if pe is None:
-        raise ValueError(f"{q} is not a prime power")
-    p, e = pe
     params = classical_params(q, d)
-    if params.v > dset.FULL_VERIFY_ORDER_LIMIT:
-        raise MemoryError("full difference counting limited to group order "
-                          f"{dset.FULL_VERIFY_ORDER_LIMIT}; v = {params.v}")
-    need = _construct_bytes(p, e * d, e, params.v, params.k)
-    if need > CONSTRUCT_BYTE_LIMIT:
-        raise MemoryError(f"construction of v = {params.v} needs about "
-                          f"{need >> 20} MiB, over the "
-                          f"{CONSTRUCT_BYTE_LIMIT >> 20} MiB limit")
+    p, e = is_prime_power(q)
+    dset._guard(params.v, params.k, t=p, what="construction",
+                extra=_enumeration_bytes(p, e * d, e, params.v, params.k)
+                + 96 * params.k)
     F = make_field(p, e * d, ceiling=ceiling)
     D = dset.make_difference_set(AbelianGroup([params.v]),
                                  _trace_zero_exponents(F, e, params.v),

@@ -231,6 +231,29 @@ def test_construct_over_byte_limit_fails_before_building(capsys, monkeypatch,
     assert limit in err
 
 
+@pytest.mark.parametrize("d, err", [
+    (25, "construction of v = 33554431 needs about 5037 MiB, over the 2048 MiB limit"),
+    (28, "full difference counting limited to group order 67108864; v = 268435455")],
+    ids=["bytes", "order"])
+def test_construct_refusals_keep_their_text(capsys, d, err):
+    assert run(["construct", "--q", "2", "--d", str(d)]) == 1
+    assert capsys.readouterr() == ("", f"resource limit: {err}\n")
+
+
+def test_counts_over_the_byte_limit_exit_1(capsys, monkeypatch, tmp_path):
+    # the q=2 s=5 tower's orbit count needs about 5.75 MB and the
+    # (15,7,3) D ∩ M of q=2 s=3 about 6.3 MB, both over a 256 KiB limit
+    path = str(tmp_path / "d.dset")
+    assert run(["construct", "--q", "2", "--s", "5", "--out", path]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(dset, "BYTE_LIMIT", 1 << 18)
+    assert run(["verify", "--set", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("resource limit: ") and err.count("\n") == 1
+    code, rep = invoke_json(capsys, "scan", "--q", "2", "--s", "3")
+    assert code == 3 and rep["rows"][0]["status"].startswith("error: ")
+
+
 def test_tower_errors_name_the_given_q_and_s(capsys):
     for argv, err in [(["--q", "6", "--s", "2"], "error: 6 is not a prime power\n"),
                       (["--q", "2", "--s", "0"],

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from diffsets import dset
+from diffsets import dset, groups
 from diffsets.dset import (Params, SetFileError, VerificationReport,
                            classical_params, difference_counts,
                            distribution_bound_check, element_sum,
@@ -173,7 +173,7 @@ def test_orbit_kernel_matches_pair_counts(data):
     ranks = np.sort(np.asarray(els, dtype=np.int64))
     counts, ids = dset._orbit_counts(G, ranks, t)
     assert ids[0] == 0 and (ids[1:] != 0).all()
-    assert len(counts) == len(orbits) == dset._orbit_number(v, t)
+    assert len(counts) == len(orbits) == groups._orbit_number(v, t)
     assert np.array_equal(counts[ids], dset._pair_counts(G, ranks))
     by_orbits, by_pairs = forced_reports(G, els, t)
     assert by_orbits == by_pairs
@@ -212,6 +212,46 @@ def test_orbit_verify_peak_within_estimate(q, s):
         tracemalloc.stop()
     assert rep.ok and rep.identity_count == k
     assert peak <= dset._verify_bytes(v, k, t=q)
+
+
+def test_orbit_verify_peak_within_estimate_at_a_wide_slice(monkeypatch):
+    # groups prices its own orbit-numbering buffers: with slices of 2^20
+    # elements they take 37 MiB, which the estimate reads at call time
+    D = singer_construct(2**7, 4)
+    G, (v, k, _) = D.group, D.params.as_tuple()
+    els = list(D.elements)
+    monkeypatch.setattr(groups, "_KEY_SLICE", 1 << 20)
+    tracemalloc.start()
+    try:
+        rep = verify(G, els)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and peak > 32 * 2**20
+    assert peak <= dset._verify_bytes(v, k, t=2)
+
+
+def test_counts_over_the_byte_limit_refused_before_counting(monkeypatch):
+    # the q=2 s=5 tower (orbit count, about 5.75 MB) and a translate of
+    # PG(12, 2) (NTT, about 0.85 MB) against a 256 KiB limit: MemoryError
+    # before any counter runs
+    tower = singer_construct(2**5, 4)
+    D = singer_construct(2, 13)
+    shifted = translate(D, 1).elements
+
+    def no_counting(*args, **kw):
+        raise AssertionError("counted")
+
+    for name in ("_orbit_counts", "_ntt_counts", "_pair_counts"):
+        monkeypatch.setattr(dset, name, no_counting)
+    monkeypatch.setattr(dset, "BYTE_LIMIT", 1 << 18)
+    for G, els, n, plan in [(tower.group, tower.elements, tower.params.n, ("orbit", 2)),
+                            (D.group, shifted, D.params.n, ("ntt", None))]:
+        assert dset._plan(G, np.asarray(els, dtype=np.int64), n) == plan
+        with pytest.raises(MemoryError, match="MiB limit"):
+            verify(G, els)
+    with pytest.raises(MemoryError, match="MiB limit"):
+        difference_counts(D.group, shifted)
 
 
 @pytest.mark.parametrize("factors, els, lam", [
@@ -472,7 +512,8 @@ def _report(verified, v, k, lam, identity_count, fundamental_ok, mode):
             "mode": mode}
 
 
-@pytest.mark.parametrize("factors, elements, expected", [
+#: (factors, elements, expected report) of `test_verify_report_table`.
+VERIFY_TABLE = [
     ([7], [], _report(True, 7, 0, 0, 0, True, "full")),
     ([2, 4], [], _report(True, 8, 0, 0, 0, True, "full")),
     ([1], [], _report(True, 1, 0, 0, 0, True, "full")),
@@ -486,10 +527,13 @@ def _report(verified, v, k, lam, identity_count, fundamental_ok, mode):
     ([1], [0, 0], _report(False, 1, 1, None, 4, False, "full")),
     ([2, 8], [0, 1, 3], _report(False, 16, 3, None, 3, False, "full")),
     ([63], "image", _report(False, 63, 31, None, 31, False, "full")),
-    ([63], "count", _report(False, 63, 31, None, 31, False, "full"))],
-    ids=["empty", "empty-product", "v1-empty", "v1", "D=G", "D=G-product",
-         "fano", "product", "repeat", "repeat-product", "v1-repeat",
-         "lambda-product", "image-rejects", "count-rejects"])
+    ([63], "count", _report(False, 63, 31, None, 31, False, "full"))]
+
+
+@pytest.mark.parametrize("factors, elements, expected", VERIFY_TABLE, ids=[
+    "empty", "empty-product", "v1-empty", "v1", "D=G", "D=G-product", "fano",
+    "product", "repeat", "repeat-product", "v1-repeat", "lambda-product",
+    "image-rejects", "count-rejects"])
 def test_verify_report_table(factors, elements, expected):
     # the reports of the verifier as it stood before the counting kernels
     # took distinct ranks only, except "v1-repeat": a repeated rank is
@@ -503,6 +547,19 @@ def test_verify_report_table(factors, elements, expected):
 def test_verify_refuses_large_orders_before_judging(elements):
     with pytest.raises(MemoryError):
         verify(AbelianGroup([1 << 27]), elements)
+
+
+def test_verify_reads_runs_of_sorted_ranks(monkeypatch):
+    # k and sum(mult^2) come from the runs of equal sorted ranks; no
+    # np.unique sorts them again
+    def no_unique(*args, **kw):
+        raise AssertionError("np.unique called")
+
+    monkeypatch.setattr(np, "unique", no_unique)
+    for factors, elements, expected in VERIFY_TABLE:
+        test_verify_report_table(factors, elements, expected)
+    for elements in ([0, 0], [0, 1, 3]):
+        test_verify_refuses_large_orders_before_judging(elements)
 
 
 def test_repeated_ranks_are_no_set():

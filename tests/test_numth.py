@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from diffsets.numth import (divisors, factorize, is_prime, is_prime_power,
-                            multiplicative_order, prime_divisors)
+                            multiplicative_order, prime_divisors, totient)
 
 
 def sieve(limit):
@@ -52,6 +52,11 @@ def test_multiplicative_order_brute(m):
             x = x * a % m
             t += 1
         assert multiplicative_order(a, m) == t
+
+
+def test_totient_counts_units():
+    for n in range(1, 500):
+        assert totient(n) == sum(math.gcd(a, n) == 1 for a in range(n))
 
 
 def test_multiplicative_order_large_against_pow():
