@@ -2,16 +2,19 @@
 
 Verification computes the coefficients of D D^(-1) in the group ring,
 the numbers of differences a - b with a, b in D, in one order of checks.
-Ranks outside [0, v) are refused, never reduced.  With k the number of
-distinct ranks, a repeated rank or a non-integral lambda = k(k-1)/(v-1)
-rejects D in every group.  In Z_v a set is next read through its images
-in the quotients Z_m, m | v, m^2 <= k: a difference set maps to c with
-c c^(-1) = n + lambda*(v/m)*Z_m, so a failed image rejects it exactly in
-O(k) time.  Acceptance always takes the full count, which must give
-lambda at every non-identity element.  The counting kernels take sorted
-distinct ranks only, and `_plan` alone picks the one that runs, by one
-of three exact strategies, whichever `_costs` prices lowest in ordered
-pairs counted:
+Ranks that are not integers or lie outside [0, v) are refused, never
+reduced.  With k the number of distinct ranks, a repeated rank or a
+non-integral lambda = k(k-1)/(v-1) rejects D in every group.  In Z_v a
+set is next read through its images in the quotients Z_m, m | v,
+m^2 <= k: a difference set maps to c with c c^(-1) = n +
+lambda*(v/m)*Z_m, so a failed image rejects it exactly in O(k) time.
+Acceptance always takes the full count, which must give lambda at every
+non-identity element.
+
+The count is planned once, by `_plan`, from one price list (`_prices`):
+each exact strategy with its price in ordered pairs counted and its
+estimated peak bytes.  The cheapest runs ("pair" on a tie, then "ntt"),
+an orbit plan only when its multiplier is checked to fix D:
 
 - pair counting, all k^2 pairs (k^2); the only one for groups written
   as products, and the oracle of the other two;
@@ -30,17 +33,22 @@ pairs counted:
   whatever k.
 
 All counts and bound checks are exact integer arithmetic; no floating
-point anywhere.  One guard bounds memory, `_guard`: v at most
-FULL_VERIFY_ORDER_LIMIT, and the strategy's estimated peak bytes
-(`_verify_bytes`), plus a caller's own, at most BYTE_LIMIT.  Every count
-(`verify`, `difference_counts`, so set files, restrictions and search
-class files) and `singer.singer_construct` pass it before they allocate.
+point anywhere.  Memory is bounded twice, each test in one function: the
+order test (`_order_test`, v at most FULL_VERIFY_ORDER_LIMIT, one
+message that names v) runs before a set is judged and before a plan is
+priced, and the byte guard (`_guard`) holds the plan's bytes, plus a
+caller's own, against BYTE_LIMIT.  Every count (`verify`,
+`difference_counts`, so set files, restrictions and search class files)
+passes the guard before it allocates, and `singer.singer_construct`
+passes it with the plan `verify` will run on the set it builds.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
 from math import gcd
+from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,28 +146,42 @@ class VerificationReport:
 
 def difference_counts(G: AbelianGroup, elements) -> np.ndarray:
     """Coefficient vector of D D^(-1) in the group ring, indexed by rank,
-    for a set D: ValueError for a rank outside [0, v) or a repeated one,
-    MemoryError for v > FULL_VERIFY_ORDER_LIMIT or, before counting, an
-    estimate over BYTE_LIMIT (`_guard`).  Counted by the strategy `_plan`
-    picks without a multiplier, as D need have no integral lambda."""
+    for a set D: ValueError for a rank that is not an integer, outside
+    [0, v) or repeated, MemoryError for v > FULL_VERIFY_ORDER_LIMIT or,
+    before counting, an estimate over BYTE_LIMIT (`_guard`).  Counted by
+    the plan `_plan` makes without a multiplier, as D need have no
+    integral lambda."""
     ranks = _distinct_ranks(G, elements)
-    counts, ids = _counts(G, ranks, *_plan(G, ranks, 0))
+    counts, ids = _counts(G, ranks, _plan(G, len(ranks), 0))
     return counts if ids is None else counts[ids]
+
+
+def _order_test(v: int) -> None:
+    """MemoryError for v > FULL_VERIFY_ORDER_LIMIT, where no dense counter
+    is built: the one order test, of every count and every construction."""
+    if v > FULL_VERIFY_ORDER_LIMIT:
+        raise MemoryError("full difference counting limited to group order "
+                          f"{FULL_VERIFY_ORDER_LIMIT}; v = {v}")
 
 
 def _ranks(G: AbelianGroup, elements) -> np.ndarray:
     """The element ranks as a sorted int64 array: ValueError for a rank
-    outside [0, v), which no counting strategy may reduce or wrap, then
-    MemoryError for v > FULL_VERIFY_ORDER_LIMIT, where no dense counter
-    is built.  An array is read as it is, not one numpy scalar per rank,
-    and a sorted int64 array is returned itself, so ranks sorted once by
-    `make_difference_set` are not copied again by `verify`."""
+    that is not an integer (a float or a string is neither truncated nor
+    parsed) or lies outside [0, v), which no counting strategy may reduce
+    or wrap, then MemoryError (`_order_test`).  An array is read as it
+    is, not one numpy scalar per rank, and a sorted int64 array is
+    returned itself, so ranks sorted once by `make_difference_set` are not
+    copied again by `verify`."""
     if not isinstance(elements, np.ndarray):
         elements = list(elements)
-    try:
-        ranks = np.asarray(elements, dtype=np.int64)
-    except OverflowError:
-        raise ValueError(f"element rank outside [0, {G.order})") from None
+    ranks = np.asarray(elements)
+    if ranks.dtype.kind not in "biu":       # floats, strings, Python ints past int64
+        if not all(isinstance(x, Integral) for x in elements):
+            raise ValueError("element ranks must be integers")
+        try:
+            ranks = np.asarray(elements, dtype=np.int64)
+        except OverflowError:
+            raise ValueError(f"element rank outside [0, {G.order})") from None
     if ranks is not elements:
         ranks.sort()                    # made here, so sorted in place
     elif (ranks[1:] < ranks[:-1]).any():
@@ -167,10 +189,8 @@ def _ranks(G: AbelianGroup, elements) -> np.ndarray:
     if len(ranks) and (ranks[0] < 0 or ranks[-1] >= G.order):
         bad = ranks[0] if ranks[0] < 0 else ranks[-1]
         raise ValueError(f"element rank {bad} outside [0, {G.order})")
-    if G.order > FULL_VERIFY_ORDER_LIMIT:
-        raise MemoryError(
-            f"full difference counting limited to group order {FULL_VERIFY_ORDER_LIMIT}")
-    return ranks
+    _order_test(G.order)
+    return ranks.astype(np.int64, copy=False)
 
 
 def _distinct_ranks(G: AbelianGroup, elements) -> np.ndarray:
@@ -181,52 +201,38 @@ def _distinct_ranks(G: AbelianGroup, elements) -> np.ndarray:
     return ranks
 
 
-def _plan(G: AbelianGroup, ranks: np.ndarray, n: int) -> tuple[str, int | None]:
-    """The one choice of the exact strategy that counts D D^(-1) for the
-    sorted distinct ranks of D, as (strategy, t), t the multiplier of
-    "orbit".  Product presentations take the pair count.  In Z_v it is
-    the cheapest by `_costs` ("pair" on a tie) of "pair", "ntt" and
-    "orbit" with a prime t | n = k - lambda, gcd(t, v) = 1 (the first
-    multiplier theorem's candidates; none for n = 0), checked to fix D.
-    """
-    if len(G.factors) != 1:
-        return "pair", None
-    v, k = G.order, len(ranks)
-    costs = _costs(v, k)
-    plan, best_cost = (min(costs, key=costs.get), None), min(costs.values())
-    for t in prime_divisors(n) if n > 1 else ():
-        if gcd(t, v) != 1:
-            continue
-        cost = _costs(v, k, multiplicative_order(t, v))["orbit"]
-        if cost < best_cost and (np.sort(G.scale(t, ranks)) == ranks).all():
-            plan, best_cost = ("orbit", t), cost
-    return plan
+class Plan(NamedTuple):
+    """How `_counts` counts D D^(-1): the exact strategy, its multiplier t
+    (for "orbit" only) and the estimated peak bytes of `verify` by it."""
+    strategy: str
+    t: int | None
+    nbytes: int
 
 
-def _counts(G: AbelianGroup, ranks: np.ndarray, strategy: str, t: int | None):
-    """The coefficients of D D^(-1) for sorted distinct in-range ranks by
-    the `_plan` (strategy, t), as (counts, ids): the coefficient of x is
-    counts[ids[x]], or counts[x] when ids is None.  Only the orbit count
-    has ids; either way counts[0] is the identity coefficient alone.
-    MemoryError (`_guard`) before any counter is allocated."""
-    _guard(G.order, len(ranks), strategy, t)
-    if strategy == "orbit":
-        return _orbit_counts(G, ranks, t)
-    if strategy == "ntt":
-        return _ntt_counts(G.order, ranks), None
-    return _pair_counts(G, ranks), None
-
-
-#: `_ntt_counts` cost per call, in ordered pairs (see `_costs`).
+#: `_ntt_counts` cost per call, in ordered pairs (see `_prices`).
 _NTT_CALL_COST = 40_000
 
 
-def _costs(v: int, k: int, e: int | None = None) -> dict[str, int]:
-    """Estimated cost of each exact strategy for k elements of Z_v, in
-    ordered pairs counted: "pair" k^2; "ntt" 8/5*L*log2(L) for the
-    transform length L plus _NTT_CALL_COST; and, when a multiplier of
-    order e fixes D, "orbit" v*ceil(log2 e) for the orbit numbers plus
-    k^2/(2e) pairs.
+def _prices(G: AbelianGroup, k: int, n: int) -> list[tuple[int, Plan]]:
+    """The price list of counting D D^(-1) for k distinct ranks of G, n =
+    k - lambda: MemoryError (`_order_test`) before anything is priced,
+    else (ordered pairs counted, plan) for each exact strategy, the plan
+    carrying the estimated peak bytes of `verify` by it: the rank arrays
+    (48 bytes an element) and
+
+    - "pair": k^2 pairs; the length-v counter and a block's bincount, and
+      three int64 temporaries of a row block (`G.sub` on a product
+      presentation; the int32 block buffers of one factor take 16 bytes a
+      pair).  The only entry for a product presentation;
+    - "ntt": 8/5*L*log2(L) for the transform length L plus _NTT_CALL_COST;
+      four NTT buffers of L words and the length-v fold;
+    - "orbit" by t, for each prime t | n with gcd(t, v) = 1 (the first
+      multiplier theorem's candidates; none for n <= 1): v*ceil(log2 e)
+      for the orbit numbers plus k^2/(2e) pairs, e = ord_v(t); the orbit
+      numbering as `groups._orbit_ids_price` prices it, then 44 bytes an
+      orbit (the two-halved counter and a band's bincount of it, then the
+      verdict's counter with the -O gather), 24 bytes an element of D in
+      its orbit order and 16 bytes a pair of a block.
 
     Calibrated on a 2 vCPU Intel Xeon (Python 3.11, numpy 2.4.6): the
     pair and orbit counters took 8-13 ns per unit of their cost, the NTT
@@ -239,18 +245,62 @@ def _costs(v: int, k: int, e: int | None = None) -> dict[str, int]:
     are kept, so a unit of pair or orbit cost now takes about half the
     time of a unit of NTT cost.
     """
-    L = _ntt_length(v)
-    costs = {"pair": k * k,
-             "ntt": 8 * L * (L.bit_length() - 1) // 5 + _NTT_CALL_COST}
-    if e is not None:
-        costs["orbit"] = v * (e - 1).bit_length() + k * k // (2 * e)
-    return costs
+    v = G.order
+    _order_test(v)
+    sets = 48 * k
+    prices = [(k * k, Plan("pair", None, sets + 16 * v + 24 * _block_pairs(k, v)))]
+    if len(G.factors) == 1:
+        L = _ntt_length(v)
+        prices.append((8 * L * (L.bit_length() - 1) // 5 + _NTT_CALL_COST,
+                       Plan("ntt", None, sets + 16 * v + 32 * L)))
+        for t in prime_divisors(n) if n > 1 else ():
+            if gcd(t, v) == 1:
+                e = multiplicative_order(t, v)
+                orbits, numbering = _orbit_ids_price(v, t, e)
+                prices.append((v * (e - 1).bit_length() + k * k // (2 * e), Plan(
+                    "orbit", t, sets + numbering + 44 * orbits + 24 * k
+                    + 16 * _block_pairs(k, 2 * orbits))))
+    return prices
 
 
-def _strategy(v: int, k: int, e: int | None = None) -> str:
-    """The cheapest exact strategy by `_costs`; "pair" on a tie."""
-    costs = _costs(v, k, e)
-    return min(costs, key=costs.get)
+def _plan(G: AbelianGroup, k: int, n: int,
+          ranks: np.ndarray | None = None) -> Plan:
+    """The one choice of the exact strategy that counts D D^(-1) for k
+    distinct ranks of G, n = k - lambda: the cheapest entry of
+    `_prices(G, k, n)`, the earlier one on a tie, skipping an orbit entry
+    whose t does not fix the sorted `ranks` of D (t*D = D, checked only
+    for an entry priced below all before it).  Without ranks, every
+    candidate is taken to fix D: the question `singer.singer_construct`
+    asks before it builds a Singer set, which p fixes."""
+    for _, plan in sorted(_prices(G, k, n), key=lambda price: price[0]):
+        if (plan.t is None or ranks is None
+                or (np.sort(G.scale(plan.t, ranks)) == ranks).all()):
+            return plan
+
+
+def _guard(v: int, plan: Plan, extra: int = 0,
+           what: str = "difference counting") -> None:
+    """The one byte guard of a count and of a construction: MemoryError
+    when a caller's `extra` bytes plus the `_plan` estimate are over
+    BYTE_LIMIT."""
+    need = extra + plan.nbytes
+    if need > BYTE_LIMIT:
+        raise MemoryError(f"{what} of v = {v} needs about {need >> 20} MiB, "
+                          f"over the {BYTE_LIMIT >> 20} MiB limit")
+
+
+def _counts(G: AbelianGroup, ranks: np.ndarray, plan: Plan):
+    """The coefficients of D D^(-1) for sorted distinct in-range ranks by
+    the `_plan` plan, as (counts, ids): the coefficient of x is
+    counts[ids[x]], or counts[x] when ids is None.  Only the orbit count
+    has ids; either way counts[0] is the identity coefficient alone.
+    MemoryError (`_guard`) before any counter is allocated."""
+    _guard(G.order, plan)
+    if plan.strategy == "orbit":
+        return _orbit_counts(G, ranks, plan.t)
+    if plan.strategy == "ntt":
+        return _ntt_counts(G.order, ranks), None
+    return _pair_counts(G, ranks), None
 
 
 #: Least ordered pairs per row block of differences: `_block_buffers`
@@ -383,51 +433,6 @@ def _ntt_length(v: int) -> int:
     return 2 << (v - 1).bit_length()
 
 
-def _verify_bytes(v: int, k: int, strategy: str | None = None,
-                  t: int | None = None) -> int:
-    """Estimated peak bytes of `verify` on k distinct ranks of Z_v by
-    `strategy`, by default the one `_plan` picks for a set fixed by the
-    multiplier t (for "orbit", t is that multiplier): the rank arrays and
-    the strategy's own buffers.  `_guard` holds it against BYTE_LIMIT
-    before every count and every Singer construction.
-
-    - pair: the length-v counter and a block's bincount, and three int64
-      temporaries of a row block (`G.sub` on a product presentation; the
-      int32 block buffers of one factor take 16 bytes a pair);
-    - orbit: the orbit numbering as `groups._orbit_ids_price` prices it,
-      then 44 bytes an orbit (the two-halved counter and a band's
-      bincount of it, then the verdict's counter with the -O gather), 24
-      bytes an element of D in its orbit order and 16 bytes a pair of a
-      block;
-    - ntt: four NTT buffers of L words and the length-v fold.
-    """
-    if strategy is None:
-        e = None if t is None else multiplicative_order(t, v)
-        strategy = _strategy(v, k, e)
-    if strategy == "orbit":
-        orbits, numbering = _orbit_ids_price(v, t)
-        own = (numbering + 44 * orbits + 24 * k
-               + 16 * _block_pairs(k, 2 * orbits))
-    else:
-        own = {"pair": 16 * v + 24 * _block_pairs(k, v),
-               "ntt": 16 * v + 32 * _ntt_length(v)}[strategy]
-    return 48 * k + own
-
-
-def _guard(v: int, k: int, strategy: str | None = None, t: int | None = None,
-           extra: int = 0, what: str = "difference counting") -> None:
-    """The one memory guard of a count and of a construction: MemoryError
-    for v > FULL_VERIFY_ORDER_LIMIT, or when a caller's `extra` bytes plus
-    `_verify_bytes(v, k, strategy, t)` are over BYTE_LIMIT."""
-    if v > FULL_VERIFY_ORDER_LIMIT:
-        raise MemoryError("full difference counting limited to group order "
-                          f"{FULL_VERIFY_ORDER_LIMIT}; v = {v}")
-    need = extra + _verify_bytes(v, k, strategy, t)
-    if need > BYTE_LIMIT:
-        raise MemoryError(f"{what} of v = {v} needs about {need >> 20} MiB, "
-                          f"over the {BYTE_LIMIT >> 20} MiB limit")
-
-
 def _ntt(a: np.ndarray) -> np.ndarray:
     """Cyclic number-theoretic transform A[j] = sum_i a[i] w^(ij) mod the
     NTT prime, w a primitive L-th root of unity, in natural order.
@@ -510,14 +515,15 @@ def _quotient_obstruction(image: np.ndarray, n: int, lam: int) -> bool:
 def verify(G: AbelianGroup, elements) -> VerificationReport:
     """Full group-ring verification of a candidate element set.
 
-    Raises ValueError for a rank outside [0, v), then MemoryError for
-    v > FULL_VERIFY_ORDER_LIMIT, and before counting for an estimate over
-    BYTE_LIMIT (`_guard`).  Rejects a repeated rank (the identity count
-    sum(mult^2), over the runs of equal sorted ranks, exceeds k) or a
-    non-integral lambda, then, in Z_v written with one factor, a failed
-    image (`_quotient_obstruction`); accepts only after counting every
-    difference by the `_plan` strategy, iff every non-identity count, per
-    orbit on the orbit path, is lambda (reported as k in Z_1).
+    Raises ValueError for a rank that is not an integer or lies outside
+    [0, v), then MemoryError for v > FULL_VERIFY_ORDER_LIMIT, and before
+    counting for an estimate over BYTE_LIMIT (`_guard`).  Rejects a
+    repeated rank (the identity count sum(mult^2), over the runs of equal
+    sorted ranks, exceeds k) or a non-integral lambda, then, in Z_v
+    written with one factor, a failed image (`_quotient_obstruction`);
+    accepts only after counting every difference by the `_plan` plan, iff
+    every non-identity count, per orbit on the orbit path, is lambda
+    (reported as k in Z_1).
     """
     ranks = _ranks(G, elements)
     v = G.order
@@ -534,7 +540,7 @@ def verify(G: AbelianGroup, elements) -> VerificationReport:
             image = np.bincount(ranks % m, minlength=m)
             if _quotient_obstruction(image, k - lam, lam * (v // m)):
                 return rejected
-    counts, _ = _counts(G, ranks, *_plan(G, ranks, k - lam))
+    counts, _ = _counts(G, ranks, _plan(G, k, k - lam, ranks))
     if (counts[1:] != lam).any():
         return rejected
     return VerificationReport(True, v, k, lam, identity_count)
@@ -543,9 +549,10 @@ def verify(G: AbelianGroup, elements) -> VerificationReport:
 def make_difference_set(G: AbelianGroup, elements, params: Params | None = None,
                         field_descriptor: str | None = None) -> DifferenceSet:
     """The DifferenceSet of these ranks, read and sorted once (ValueError
-    for one outside [0, v) or repeated) and verified once by `verify`.
-    `params` are the declared (v, k, lambda); without them the set must
-    verify (ValueError otherwise) and takes the observed ones."""
+    for one that is not an integer, outside [0, v) or repeated) and
+    verified once by `verify`.  `params` are the declared (v, k, lambda);
+    without them the set must verify (ValueError otherwise) and takes the
+    observed ones."""
     ranks = _distinct_ranks(G, elements)
     rep = verify(G, ranks)
     if params is None:
@@ -706,95 +713,100 @@ def read_set_file(path) -> DifferenceSet:
     SetFileError names the line of a malformed entry, a rank out of range
     or a repeated one.
 
-    A plain file (`_plain_set_file`) is parsed in one numpy call; any
-    other file, and a plain one whose ranks repeat, is read line by line
-    (`_set_file_lines`), which finds the line that an error names."""
+    One reader takes the header (`_set_file_header`).  A plain body
+    (`_plain_ranks`) is then parsed in one numpy call; any other body, and
+    a plain one whose ranks repeat, is read line by line
+    (`_set_file_body`), which finds the line that an error names."""
     with open(path) as fh:
         text = fh.read()
-    plain = _plain_set_file(text)
-    if plain is not None:
+    G, params, start, pos = _set_file_header(path, text)
+    ranks = _plain_ranks(text[pos:], params)
+    if ranks is not None:
         try:
-            return make_difference_set(*plain)
+            return make_difference_set(G, ranks, params)
         except ValueError:              # a rank repeats: the walk names its line
             pass
-    return _set_file_lines(path, text)
+    return _set_file_body(path, text.splitlines(), start, G, params)
 
 
-#: The bytes of a plain set file's body.
-_PLAIN_BODY = b"0123456789\n"
-
-
-def _plain_set_file(text: str):
-    """(G, ranks, params) of a plain set file, else None: its header lines
-    are the first two that are neither blank nor comments, split at line
-    feeds alone, and parse; and the body holds one decimal rank a line
-    (blank lines allowed), k of them, all below v.
-    Such a file reads as `_set_file_lines` reads it; any other gets None."""
-    header, pos = [], 0
-    while len(header) < 2:
-        end = text.find("\n", pos)
-        if end < 0:
-            return None
-        line = text[pos:end].strip()
-        pos = end + 1
-        if line and not line.startswith("#"):
-            header.append(line)
-    if len(text[:pos].splitlines()) != text.count("\n", 0, pos):
-        return None                     # another line boundary in the header
-    try:
-        body = text[pos:].encode("ascii")
-        G = parse_group(header[0][6:])
-        v, k, lam = (int(x) for x in header[1].split())
-    except ValueError:
-        return None
-    if (not header[0].startswith("group ") or v != G.order
-            or body.translate(None, _PLAIN_BODY)
-            or not body.strip()):       # fromstring reads a blank body as [0]
-        return None
-    ranks = np.fromstring(body, dtype=np.int64, sep=" ")
-    if len(ranks) != k or ranks.max() >= v:
-        return None
-    return G, ranks, Params(v, k, lam)
-
-
-def _set_file_lines(path, text: str) -> DifferenceSet:
-    """`read_set_file` line by line: SetFileError for the first malformed,
-    out-of-range or repeated entry, or a wrong count, at its line."""
-    raw = text.splitlines()
-    lines = [(i + 1, ln.strip()) for i, ln in enumerate(raw)
-             if ln.strip() and not ln.strip().startswith("#")]
-    if len(lines) < 2:
+def _set_file_header(path, text: str) -> tuple[AbelianGroup, Params, int, int]:
+    """(G, params, start, pos) of a set file's text: the header is its
+    first two lines, as str.splitlines splits them, that are neither blank
+    nor comments, "group Z_..." and "v k lambda", and the body, text[pos:],
+    starts at line start + 1.  SetFileError names the line of a missing or
+    malformed header line.  Only the header is split, a line feed at a
+    time, so that no \r\n is cut and no line of the body is made."""
+    header, start, pos = [], 0, 0
+    while len(header) < 2 and pos < len(text):
+        end = text.find("\n", pos) + 1 or len(text)
+        for line in text[pos:end].splitlines(keepends=True):
+            start, pos = start + 1, pos + len(line)
+            if line.strip() and not line.strip().startswith("#"):
+                header.append((start, line.strip()))
+                if len(header) == 2:
+                    break
+    if len(header) < 2:
         raise SetFileError(path, 1, "expected a group line and a parameter line")
-    lno, gline = lines[0]
+    (lno, gline), (start, pline) = header
     if not gline.startswith("group "):
         raise SetFileError(path, lno, 'first line must be "group Z_..."')
     try:
         G = parse_group(gline[6:])
     except ValueError as e:
         raise SetFileError(path, lno, str(e)) from None
-    lno, pline = lines[1]
     try:
         v, k, lam = (int(x) for x in pline.split())
     except ValueError:
-        raise SetFileError(path, lno, 'expected "v k lambda"') from None
+        raise SetFileError(path, start, 'expected "v k lambda"') from None
     if v != G.order:
-        raise SetFileError(path, lno, f"v = {v} does not match group order {G.order}")
+        raise SetFileError(path, start, f"v = {v} does not match group order {G.order}")
+    return G, Params(v, k, lam), start, pos
+
+
+#: The bytes of a plain set file's body.
+_PLAIN_BODY = b"0123456789\n"
+
+
+def _plain_ranks(body: str, params: Params) -> np.ndarray | None:
+    """The ranks of a plain set-file body as an int64 array, else None: one
+    decimal rank a line (blank lines allowed), k of them, all below v.
+    Such a body reads as `_set_file_body` reads it; any other gets None."""
+    try:
+        body = body.encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    if body.translate(None, _PLAIN_BODY) or not body.strip():
+        return None                     # fromstring reads a blank body as [0]
+    ranks = np.fromstring(body, dtype=np.int64, sep=" ")
+    if len(ranks) != params.k or ranks.max() >= params.v:
+        return None
+    return ranks
+
+
+def _set_file_body(path, lines: list[str], start: int, G: AbelianGroup,
+                   params: Params) -> DifferenceSet:
+    """The body lines[start:] of a set file line by line: SetFileError for
+    the first malformed, out-of-range or repeated entry, or a wrong count,
+    at its line."""
+    entries = [(i + 1, ln.strip()) for i, ln in enumerate(lines[start:], start)
+               if ln.strip() and not ln.strip().startswith("#")]
     els = []
-    for lno, ln in lines[2:]:
+    for lno, ln in entries:
         try:
             e = int(ln)
         except ValueError:
             raise SetFileError(path, lno, f"bad element rank {ln!r}") from None
-        if not 0 <= e < v:
+        if not 0 <= e < params.v:
             raise SetFileError(path, lno, f"element rank {e} out of range")
         els.append(e)
-    if len(els) != k:
-        raise SetFileError(path, len(raw), f"expected {k} elements, found {len(els)}")
+    if len(els) != params.k:
+        raise SetFileError(path, len(lines),
+                           f"expected {params.k} elements, found {len(els)}")
     try:
-        return make_difference_set(G, els, Params(v, k, lam))
+        return make_difference_set(G, els, params)
     except ValueError:                  # refused before verifying: a rank repeats
         first = {}                      # rank -> the line it is first on
-        for (lno, _), e in zip(lines[2:], els):
+        for (lno, _), e in zip(entries, els):
             if first.setdefault(e, lno) != lno:
                 raise SetFileError(path, lno, f"element rank {e} repeats line {first[e]}") from None
         raise

@@ -477,20 +477,22 @@ def _multiplier_orbit_ids(G: AbelianGroup, m: int):
     return key, sizes, np.concatenate(least)
 
 
-def _orbit_number(v: int, t: int) -> int:
-    """The number of orbits of x -> t*x on Z_v, gcd(t, v) = 1: the phi(d)
-    elements of order d are the units of the subgroup of order d, on
-    which t acts by multiplication in orbits of ord_d(t) elements."""
-    return sum(totient(d) // multiplicative_order(t, d) for d in divisors(v))
+def _orbit_number(v: int, t: int, e: int) -> int:
+    """The number of orbits of x -> t*x on Z_v, gcd(t, v) = 1 and e =
+    ord_v(t), by Burnside's lemma: t^j fixes the gcd(t^j - 1, v) solutions
+    of (t^j - 1)x = 0, which depend only on f = gcd(j, e), and phi(e/f) of
+    the j < e have gcd(j, e) = f."""
+    return sum(totient(e // f) * gcd(pow(t, f, v) - 1, v)
+               for f in divisors(e)) // e
 
 
-def _orbit_ids_price(v: int, t: int) -> tuple[int, int]:
-    """(orbits, bytes): the number of orbits of x -> t*x on Z_v
-    (`_orbit_number`) and the estimated peak bytes of numbering them by
-    `_multiplier_orbit_ids`: the int32 orbit numbers, the slice buffers
-    (37 bytes a slice element), the int64 sizes and the int32 least
-    elements."""
-    orbits = _orbit_number(v, t)
+def _orbit_ids_price(v: int, t: int, e: int) -> tuple[int, int]:
+    """(orbits, bytes): the number of orbits of x -> t*x on Z_v, e =
+    ord_v(t) (`_orbit_number`), and the estimated peak bytes of numbering
+    them by `_multiplier_orbit_ids`: the int32 orbit numbers, the slice
+    buffers (37 bytes a slice element), the int64 sizes and the int32
+    least elements."""
+    orbits = _orbit_number(v, t, e)
     return orbits, 4 * v + 37 * min(v, _KEY_SLICE) + 12 * orbits
 
 

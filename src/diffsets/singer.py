@@ -182,21 +182,22 @@ def singer_construct(q: int, d: int, ceiling: int | None = None) -> DifferenceSe
     """The Singer difference set of PG(d-1, q) in Z_v, v = (q^d-1)/(q-1),
     verified exactly and normalized.
 
-    `ceiling` overrides the field-order bound SIZE_CEILING.  `dset._guard`
-    refuses, before the field is built, a v where the exact check cannot
-    run or an estimate over dset.BYTE_LIMIT: the enumeration
-    (`_enumeration_bytes`), the sorted and normalized copies of its index
-    list (Python ints, about 96 bytes an element) and `dset.verify`, as
-    the set is fixed by the multiplier p.
+    `ceiling` overrides the field-order bound SIZE_CEILING.  Before the
+    field is built, `dset._plan` prices the count that `dset.verify` will
+    run on the set, k ranks of Z_v fixed by p (MemoryError where the exact
+    check cannot run), and `dset._guard` refuses an estimate over
+    dset.BYTE_LIMIT: that plan's bytes, the enumeration
+    (`_enumeration_bytes`) and the sorted and normalized copies of its
+    index list (Python ints, about 96 bytes an element).
     """
     params = classical_params(q, d)
     p, e = is_prime_power(q)
-    dset._guard(params.v, params.k, t=p, what="construction",
+    G = AbelianGroup([params.v])
+    dset._guard(params.v, dset._plan(G, params.k, params.n), what="construction",
                 extra=_enumeration_bytes(p, e * d, e, params.v, params.k)
                 + 96 * params.k)
     F = make_field(p, e * d, ceiling=ceiling)
-    D = dset.make_difference_set(AbelianGroup([params.v]),
-                                 _trace_zero_exponents(F, e, params.v),
+    D = dset.make_difference_set(G, _trace_zero_exponents(F, e, params.v),
                                  params, F.descriptor())
     if not D.verified:
         raise RuntimeError(f"constructed set failed verification: {D.report.as_dict()}")

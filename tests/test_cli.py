@@ -109,7 +109,8 @@ def test_full_verify_rejects_one_element_corruption(capsys, tmp_path):
 
     def fixing_multiplier():
         D = read_set_file(out)
-        return dset._plan(D.group, np.asarray(D.elements), D.params.n)[1]
+        return dset._plan(D.group, len(D.elements), D.params.n,
+                          np.asarray(D.elements)).t
 
     assert fixing_multiplier() == 2
     _replace_last_element(out, 33825)
@@ -233,11 +234,27 @@ def test_construct_over_byte_limit_fails_before_building(capsys, monkeypatch,
 
 @pytest.mark.parametrize("d, err", [
     (25, "construction of v = 33554431 needs about 5037 MiB, over the 2048 MiB limit"),
-    (28, "full difference counting limited to group order 67108864; v = 268435455")],
-    ids=["bytes", "order"])
+    (28, "full difference counting limited to group order 67108864; v = 268435455"),
+    (127, "full difference counting limited to group order 67108864; "
+          "v = 170141183460469231731687303715884105727")],
+    ids=["bytes", "order", "order-prime-v"])
 def test_construct_refusals_keep_their_text(capsys, d, err):
+    # v = 2^127 - 1 is refused by its order before the plan is priced,
+    # which would factor v
     assert run(["construct", "--q", "2", "--d", str(d)]) == 1
     assert capsys.readouterr() == ("", f"resource limit: {err}\n")
+
+
+def test_order_refusals_share_one_text(capsys, tmp_path):
+    # a set file of Z_(2^27) is refused by the same order test, naming v,
+    # as the construction of PG(26, 2)
+    path = tmp_path / "big.dset"
+    path.write_text("group Z_134217728\n134217728 3 0\n0\n1\n3\n")
+    limit = "resource limit: full difference counting limited to group order 67108864"
+    assert run(["verify", "--set", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"{limit}; v = 134217728\n")
+    assert run(["construct", "--q", "2", "--d", "27"]) == 1
+    assert capsys.readouterr() == ("", f"{limit}; v = 134217727\n")
 
 
 def test_counts_over_the_byte_limit_exit_1(capsys, monkeypatch, tmp_path):
@@ -560,7 +577,7 @@ def test_orbit_path_verify_leaves_numpy_ma_unimported(tmp_path):
         "assert run(['verify', '--set', path]) == 0\n"
         "D = dset.read_set_file(path)\n"
         "ranks = np.asarray(D.elements)\n"
-        "assert dset._plan(D.group, ranks, D.params.n) == ('orbit', 2)\n"
+        "assert dset._plan(D.group, len(ranks), D.params.n, ranks).t == 2\n"
         "print('numpy.ma' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "d.dset")],
                           capture_output=True, text=True, env=env, timeout=60)

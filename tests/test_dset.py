@@ -62,6 +62,26 @@ def _orbit_and_pair_counts(G, elements, t):
     return orbit_counts(G, ranks, t), dset._pair_counts(G, ranks)
 
 
+def plan_of(G, elements, n):
+    """The `_plan` of `verify` for the set `elements` with n = k - lambda."""
+    ranks = np.sort(np.asarray(elements, dtype=np.int64))
+    return dset._plan(G, len(ranks), n, ranks)
+
+
+def listed_plan(G, k, strategy, t=None):
+    """The entry of `strategy` (by the multiplier t) in the price list of
+    k ranks of G."""
+    return next(plan for _, plan in dset._prices(G, k, t or 0)
+                if plan.strategy == strategy)
+
+
+def force(mp, strategy, t=None):
+    """Force `verify` onto `strategy` (by the multiplier t) at its listed
+    price."""
+    mp.setattr(dset, "_plan",
+               lambda G, k, n, ranks=None: listed_plan(G, k, strategy, t))
+
+
 class _Planned(Exception):
     pass
 
@@ -104,12 +124,11 @@ def test_orbit_path_on_orbit_union_that_is_not_a_difference_set(monkeypatch):
     orbits = multiplier_orbits(G, 2)
     els = sorted([0] + [x for o in orbits[1:6] for x in o])
     assert len(els) == 36
-    ranks = np.asarray(els, dtype=np.int64)
-    assert dset._plan(G, ranks, 26) == ("orbit", 2)
+    assert plan_of(G, els, 26)[:2] == ("orbit", 2)
     orbit, pair = _orbit_and_pair_counts(G, els, 2)
     assert np.array_equal(orbit, pair)
     by_orbits = verify(G, els)
-    monkeypatch.setattr(dset, "_plan", lambda G, ranks, n: ("pair", None))
+    force(monkeypatch, "pair")
     by_pairs = verify(G, els)
     assert by_orbits == by_pairs and not by_pairs.ok
 
@@ -128,9 +147,9 @@ def forced_reports(G, elements, t):
     """`verify` forced onto the orbit count with the multiplier t and onto
     the pair count."""
     reports = []
-    for plan in [("orbit", t), ("pair", None)]:
+    for strategy in ["orbit", "pair"]:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dset, "_plan", lambda G, ranks, n: plan)
+            force(mp, strategy, t)
             reports.append(verify(G, elements))
     return reports
 
@@ -173,7 +192,8 @@ def test_orbit_kernel_matches_pair_counts(data):
     ranks = np.sort(np.asarray(els, dtype=np.int64))
     counts, ids = dset._orbit_counts(G, ranks, t)
     assert ids[0] == 0 and (ids[1:] != 0).all()
-    assert len(counts) == len(orbits) == groups._orbit_number(v, t)
+    assert len(counts) == len(orbits) == \
+        groups._orbit_number(v, t, multiplicative_order(t, v))
     assert np.array_equal(counts[ids], dset._pair_counts(G, ranks))
     by_orbits, by_pairs = forced_reports(G, els, t)
     assert by_orbits == by_pairs
@@ -203,7 +223,8 @@ def test_orbit_verify_peak_within_estimate(q, s):
     D = singer_construct(q**s, 4)
     G, (v, k, _) = D.group, D.params.as_tuple()
     els = list(D.elements)
-    assert dset._plan(G, np.asarray(els, dtype=np.int64), D.params.n) == ("orbit", q)
+    plan = plan_of(G, els, D.params.n)
+    assert plan[:2] == ("orbit", q)
     tracemalloc.start()
     try:
         rep = verify(G, els)
@@ -211,7 +232,7 @@ def test_orbit_verify_peak_within_estimate(q, s):
     finally:
         tracemalloc.stop()
     assert rep.ok and rep.identity_count == k
-    assert peak <= dset._verify_bytes(v, k, t=q)
+    assert peak <= plan.nbytes
 
 
 def test_orbit_verify_peak_within_estimate_at_a_wide_slice(monkeypatch):
@@ -228,7 +249,7 @@ def test_orbit_verify_peak_within_estimate_at_a_wide_slice(monkeypatch):
     finally:
         tracemalloc.stop()
     assert rep.ok and peak > 32 * 2**20
-    assert peak <= dset._verify_bytes(v, k, t=2)
+    assert peak <= plan_of(G, els, D.params.n).nbytes
 
 
 def test_counts_over_the_byte_limit_refused_before_counting(monkeypatch):
@@ -247,7 +268,7 @@ def test_counts_over_the_byte_limit_refused_before_counting(monkeypatch):
     monkeypatch.setattr(dset, "BYTE_LIMIT", 1 << 18)
     for G, els, n, plan in [(tower.group, tower.elements, tower.params.n, ("orbit", 2)),
                             (D.group, shifted, D.params.n, ("ntt", None))]:
-        assert dset._plan(G, np.asarray(els, dtype=np.int64), n) == plan
+        assert plan_of(G, els, n)[:2] == plan
         with pytest.raises(MemoryError, match="MiB limit"):
             verify(G, els)
     with pytest.raises(MemoryError, match="MiB limit"):
@@ -265,7 +286,7 @@ def test_product_presentations_use_pair_count(factors, els, lam):
     G = AbelianGroup(factors)
     rep = verify(G, els)
     assert rep.ok == (lam is not None) and rep.lambda_observed == lam
-    assert dset._plan(G, np.asarray(els, dtype=np.int64), 4) == ("pair", None)
+    assert plan_of(G, els, 4)[:2] == ("pair", None)
     assert not rejected_before_counting(G, els)
     assert list(difference_counts(G, els)) == brute_counts(G, els)
 
@@ -275,8 +296,7 @@ def test_plan_skips_a_multiplier_prime_that_divides_v():
     # so it is no multiplier candidate; the Z_2 image (2, 4) passes, so
     # verify plans the pair count, which rejects D
     G, els = AbelianGroup([16]), (0, 1, 2, 3, 5, 7)
-    ranks = np.asarray(els, dtype=np.int64)
-    assert dset._plan(G, ranks, 4) == ("pair", None)
+    assert plan_of(G, els, 4)[:2] == ("pair", None)
     assert not rejected_before_counting(G, els)
     rep = verify(G, els)
     assert rep == pair_count_report(G, els) and not rep.ok
@@ -305,7 +325,7 @@ def test_pair_verify_peak_within_estimate(monkeypatch, factors):
     # lambda pass the O(k) tests (Z_10007 has no proper quotient, the
     # product presentation takes none), and Z_10007 would otherwise
     # choose the transform
-    monkeypatch.setattr(dset, "_plan", lambda G, ranks, n: ("pair", None))
+    force(monkeypatch, "pair")
     G = AbelianGroup(factors)
     v = G.order
     k = next(k for k in range(2100, v) if k * (k - 1) % (v - 1) == 0)
@@ -318,7 +338,7 @@ def test_pair_verify_peak_within_estimate(monkeypatch, factors):
     finally:
         tracemalloc.stop()
     assert rep.identity_count == k and not rep.ok
-    assert peak <= dset._verify_bytes(v, k, "pair")
+    assert peak <= listed_plan(G, k, "pair").nbytes
 
 
 # -- the NTT counter and the cost-chosen strategy ----------------------------------
@@ -373,15 +393,18 @@ def test_ntt_counts_on_the_pg10_3_set():
     (15, 7, 4, "orbit"),
     (7, 3, None, "pair")])
 def test_strategy_from_the_cost_model(v, k, e, strategy):
-    assert dset._strategy(v, k, e) == strategy
+    # read through the price list with the multiplier t behind each e
+    t = {28: 2, 16: 3, 11: 3, 13: 3, 7: 2, 3: 11, 4: 2}.get(e)
+    assert e is None or multiplicative_order(t, v) == e
+    assert dset._plan(AbelianGroup([v]), k, t or 0).strategy == strategy
 
 
 def test_product_groups_take_the_pair_count():
     # dense enough that Z_4096 would take the NTT
     G = AbelianGroup([64, 64])
-    assert dset._strategy(G.order, 2048) == "ntt"
+    assert dset._plan(AbelianGroup([G.order]), 2048, 0).strategy == "ntt"
     ranks = np.sort(np.random.default_rng(3).choice(G.order, 2048, replace=False))
-    assert dset._plan(G, ranks, 1024) == ("pair", None)
+    assert plan_of(G, ranks, 1024)[:2] == ("pair", None)
     assert np.array_equal(difference_counts(G, ranks.tolist()),
                           dset._pair_counts(G, ranks))
 
@@ -395,20 +418,36 @@ def test_verify_by_ntt_accepts_and_rejects_unfixed_sets():
     shifted = translate(D, 1).elements
     bad = D.elements[1:] + (next(x for x in range(G.order) if x not in D.element_set),)
     for els in (shifted, bad):
-        assert dset._plan(G, np.asarray(els, dtype=np.int64), n) == ("ntt", None)
+        assert plan_of(G, els, n)[:2] == ("ntt", None)
     assert verify(G, shifted).ok
     assert verify(G, bad) == pair_count_report(G, bad) and not verify(G, bad).ok
 
 
-@pytest.mark.parametrize("factors, els", [([7], [8, 9, 11]), ([7], [-1, 1, 3]),
-                                          ([2, 2], [0, 5, 6]), ([7], [2**70])])
+@pytest.mark.parametrize("factors, els", [
+    ([7], [8, 9, 11]), ([7], [-1, 1, 3]), ([2, 2], [0, 5, 6]), ([7], [2**70]),
+    ([7], [1.5, 2.5, 4.5]), ([7], ["1", "2", "4"]), ([7], [1.9, 2.2, 4.0]),
+    ([7], [1, 2, 4.0]), ([7], np.array([1.0, 2.0, 4.0])), ([7], [2**63]),
+    ([7], [-1, 2**63])])
 def test_ranks_outside_the_group_are_refused(factors, els):
     # reduced mod v, [8, 9, 11] would be (7,3,1) and [0, 5, 6] the (4,3,2)
-    # set {0, 1, 2} of Z_2 x Z_2
+    # set {0, 1, 2} of Z_2 x Z_2; truncated or parsed, the floats and the
+    # strings would be the (7,3,1) set {1, 2, 4}
     G = AbelianGroup(factors)
+    integral = all(isinstance(x, int) for x in els)
     for check in (verify, make_difference_set, difference_counts):
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match="outside" if integral else "integers"):
             check(G, els)
+
+
+@pytest.mark.parametrize("els", [
+    [1, 2, 4], (x for x in [4, 2, 1]), np.array([1, 2, 4], dtype=np.int32),
+    np.array([4, 1, 2], dtype=np.uint8), np.array([1, 2, 4], dtype=object),
+    [np.int64(1), np.int16(2), 4]])
+def test_integer_ranks_are_read(els):
+    # Python ints, numpy integers and integer arrays of any width
+    G = AbelianGroup([7])
+    assert make_difference_set(G, els).elements == FANO
+    assert verify(G, []).ok and len(difference_counts(G, [])) == 7
 
 
 # -- the quotient certificate against the pair count -------------------------------
@@ -793,18 +832,27 @@ def test_set_file_error_table(tmp_path, lines, message):
     (S40[:2] + ["# c", ""] + S40[2:5] + ["  # x", "   "] + S40[5:], False),
     (S40[:2] + [" " + x + "\t" for x in S40[2:]], False),
     (S40[:2] + ["+0"] + S40[3:], False),
-    (["group Z_40\x0c40 13 4"] + S40[2:], False)],
+    (["group Z_40\x0c40 13 4"] + S40[2:], True),
+    (["# a\r\n", "group Z_40\r", "\u2028# b\x85", "40 13 4\r"] + S40[2:], True),
+    (S40[:2] + ["0\r2"] + S40[4:], False)],
     ids=["written", "header comments", "leading zeros", "body comments",
-         "padded", "signed", "form feed"])
+         "padded", "signed", "form feed", "other line ends", "carriage return"])
 def test_set_file_plain_and_line_readers_agree(tmp_path, lines, plain):
-    # a plain body is parsed by one numpy call, any other line by line;
-    # both read the same set
+    # one reader takes the header, at str.splitlines boundaries (a form
+    # feed among them); then a plain body is parsed by one numpy call, any
+    # other line by line; both read the same set
     text = "\n".join(lines) + "\n"
-    assert (dset._plain_set_file(text) is not None) == plain
     path = tmp_path / "d.dset"
     path.write_text(text)
+    G, params, start, pos = dset._set_file_header(path, text)
+    lines = text.splitlines(keepends=True)
+    header = [i for i, ln in enumerate(lines)
+              if ln.strip() and not ln.strip().startswith("#")][:2]
+    assert start == header[1] + 1 and pos == len("".join(lines[:start]))
+    assert (dset._plain_ranks(text[pos:], params) is not None) == plain
     D = read_set_file(path)
-    assert D == dset._set_file_lines(path, text) and D.verified
+    assert D == dset._set_file_body(path, text.splitlines(), start, G, params)
+    assert D.verified
     assert D.elements == tuple(int(x) for x in S40[2:])
 
 

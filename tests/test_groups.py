@@ -12,7 +12,7 @@ from diffsets.groups import (AbelianGroup, GroupSizeError, Subgroup,
                              fixed_subgroup, generated_subgroup,
                              multiplier_orbits, parse_group, quotient_exponent,
                              subgroup_as_group, subgroups_of_order, sylow)
-from diffsets.numth import divisors
+from diffsets.numth import divisors, multiplicative_order, totient
 
 SMALL_FACTORS = st.lists(st.integers(min_value=2, max_value=12),
                          min_size=1, max_size=3)
@@ -344,6 +344,33 @@ def test_orbit_ids_across_slices(monkeypatch, factors, m):
     assert [ids[o].tolist() for o in orbits] == [[i] * len(o)
                                                  for i, o in enumerate(orbits)]
     assert sizes.tolist() == [len(o) for o in orbits]
+
+
+def orbit_number_by_orders(v, t):
+    """The orbits of x -> t*x on Z_v counted per divisor d of v: the
+    phi(d) elements of order d fall into orbits of ord_d(t) elements."""
+    return sum(totient(d) // multiplicative_order(t, d) for d in divisors(v))
+
+
+#: Orders of the benchmark instances: the q=2 s=7 and q=3 s=4 towers,
+#: PG(12, 3), PG(10, 3), the q=2 s=5 and q=3 s=3 towers, and the
+#: search groups Z_585 and Z_255.
+BENCH_ORDERS = [2113665, 538084, 797161, 88573, 33825, 20440, 585, 255]
+
+
+def test_orbit_number_by_burnside_matches_the_sum_over_divisors():
+    for v in range(1, 400):
+        for t in range(1, 60):
+            if gcd(t, v) == 1:
+                e = multiplicative_order(t, v)
+                assert groups._orbit_number(v, t, e) == orbit_number_by_orders(v, t)
+    for v in BENCH_ORDERS:
+        for t in (2, 3, 5, 7):
+            if gcd(t, v) == 1:
+                e = multiplicative_order(t, v)
+                assert groups._orbit_number(v, t, e) == orbit_number_by_orders(v, t)
+    # the q=2 s=7 tower has 75,497 orbits of x -> 2x
+    assert groups._orbit_number(2113665, 2, 28) == 75497
 
 
 def test_multiplier_orbits_require_unit():

@@ -11,7 +11,7 @@ from diffsets.dset import classical_params, normalizing_shift, restrict, verify
 from diffsets.field import _basis_traces, make_field
 from diffsets.groups import AbelianGroup, cyclic_subgroup_of_order
 from diffsets.numth import is_prime_power
-from diffsets import singer
+from diffsets import dset, singer
 from diffsets.singer import (_enumeration_bytes, _trace_zero_exponents,
                              hyperplane_containment, singer_construct,
                              singer_restriction, tower_shift)
@@ -157,6 +157,36 @@ def test_streamed_gf2_path_is_large_capable():
     D = singer_construct(2**5, 4)           # GF(2^20), v = 33825
     assert D.params.as_tuple() == (33825, 1057, 33)
     assert D.verified
+
+
+#: PG(d-1, 2) for d <= 13, PG(d-1, 3) for d <= 11 and the towers PG(3, q^s)
+#: for q = 2, s in {1, 3, 5} and q = 3, s in {1, 3}: pair, NTT and orbit
+#: plans.
+PLANNED = sorted({(2, d) for d in range(3, 14)} | {(3, d) for d in range(3, 12)}
+                 | {(2**s, 4) for s in (1, 3, 5)} | {(3**s, 4) for s in (1, 3)})
+
+
+def test_construction_prices_the_plan_verify_runs(monkeypatch):
+    # singer_construct guards the plan dset._plan prices for k ranks of
+    # Z_v fixed by p; verify then plans the count of the set it built,
+    # which must be that plan: the same strategy, t and bytes
+    plans = []
+    guard = dset._guard
+
+    def spy(v, plan, *args, **kw):
+        plans.append(plan)
+        return guard(v, plan, *args, **kw)
+
+    monkeypatch.setattr(dset, "_guard", spy)
+    strategies = set()
+    for q, d in PLANNED:
+        plans.clear()
+        D = singer_construct(q, d)
+        assert D.verified
+        priced, counted = plans
+        assert priced == counted, (q, d)
+        strategies.add(priced.strategy)
+    assert strategies == {"pair", "ntt", "orbit"}
 
 
 def test_rejects_non_prime_power():
