@@ -20,12 +20,14 @@ an orbit plan only when its multiplier is checked to fix D:
   as products, and the oracle of the other two;
 - orbit counting in Z_v, when a prime t | k - lambda fixes D (t*D = D,
   checked, never assumed: Hall's multiplier theorem predicts it): the
-  coefficients are constant on the orbits of x -> t*x, so only pairs
-  whose first element is an orbit representative are counted, e =
-  ord_v(t), and of two orbits of D only one against the other, the
-  count of the other order read off at -x: ~k^2/(2e) pairs into one
-  counter per orbit, from which the verdict is read without expanding to
-  one count per group element (v*ceil(log2 e) + k^2/(2e));
+  coefficients are constant on the orbits of x -> t*x and equal at x and
+  -x, so on the orbits of <t, -1>, numbered over the folded half
+  {0, ..., floor(v/2)} of Z_v, x read as min(x, v - x).  Only pairs whose
+  first element represents a t-orbit of D are counted, e = ord_v(t), and
+  of two t-orbits of D only one against the other, at twice the weight,
+  as every orbit of <t, -1> is its own negative: ~k^2/(2e) pairs into
+  one counter per orbit, from which the verdict is read without expanding
+  to one count per group element (v*ceil(log2 e) + k^2/(2e));
 - the cyclic autocorrelation in Z_v by a number-theoretic transform of
   length L = 2^ceil(log2(2v - 1)) modulo the prime 15*2^27 + 1
   (8/5*L*log2(L) + 40000, calibrated against the pair cost); distinct
@@ -150,10 +152,9 @@ def difference_counts(G: AbelianGroup, elements) -> np.ndarray:
     [0, v) or repeated, MemoryError for v > FULL_VERIFY_ORDER_LIMIT or,
     before counting, an estimate over BYTE_LIMIT (`_guard`).  Counted by
     the plan `_plan` makes without a multiplier, as D need have no
-    integral lambda."""
+    integral lambda, so never by the orbit count."""
     ranks = _distinct_ranks(G, elements)
-    counts, ids = _counts(G, ranks, _plan(G, len(ranks), 0))
-    return counts if ids is None else counts[ids]
+    return _counts(G, ranks, _plan(G, len(ranks), 0))[0]
 
 
 def _order_test(v: int) -> None:
@@ -212,6 +213,11 @@ class Plan(NamedTuple):
 #: `_ntt_counts` cost per call, in ordered pairs (see `_prices`).
 _NTT_CALL_COST = 40_000
 
+#: Bytes of the buffers numpy's iterator allocates for one ufunc call on
+#: a broadcast or strided block (8192 elements an operand), which the
+#: orbit count's short counters leave no room to absorb.
+_ITER_BUFFERS = 1 << 17
+
 
 def _prices(G: AbelianGroup, k: int, n: int) -> list[tuple[int, Plan]]:
     """The price list of counting D D^(-1) for k distinct ranks of G, n =
@@ -228,11 +234,12 @@ def _prices(G: AbelianGroup, k: int, n: int) -> list[tuple[int, Plan]]:
       four NTT buffers of L words and the length-v fold;
     - "orbit" by t, for each prime t | n with gcd(t, v) = 1 (the first
       multiplier theorem's candidates; none for n <= 1): v*ceil(log2 e)
-      for the orbit numbers plus k^2/(2e) pairs, e = ord_v(t); the orbit
-      numbering as `groups._orbit_ids_price` prices it, then 44 bytes an
-      orbit (the two-halved counter and a band's bincount of it, then the
-      verdict's counter with the -O gather), 24 bytes an element of D in
-      its orbit order and 16 bytes a pair of a block.
+      for the orbit numbers plus k^2/(2e) pairs, e = ord_v(t); the
+      numbering of the orbits of <t, -1> over the folded half as
+      `groups._orbit_ids_price` prices it, then 40 bytes an orbit (the
+      two-halved counter, a band's bincount of it and the sizes), 80
+      bytes an element of D (its t-orbits by `_orbit_firsts` and its
+      orbit order), 16 bytes a pair of a block and _ITER_BUFFERS.
 
     Calibrated on a 2 vCPU Intel Xeon (Python 3.11, numpy 2.4.6): the
     pair and orbit counters took 8-13 ns per unit of their cost, the NTT
@@ -243,7 +250,10 @@ def _prices(G: AbelianGroup, k: int, n: int) -> list[tuple[int, Plan]]:
     sets of v = 3906 to 2113665), 4-8 ns for the pair counter and 6-13
     ns for the NTT (random sets of v = 10007 to 1000003).  The constants
     are kept, so a unit of pair or orbit cost now takes about half the
-    time of a unit of NTT cost.
+    time of a unit of NTT cost.  The orbit cost counts v*ceil(log2 e)
+    for the numbering although its passes cover only floor(v/2) + 1
+    elements: the term is kept so that every plan stays the one these
+    constants were fitted to.
     """
     v = G.order
     _order_test(v)
@@ -258,8 +268,9 @@ def _prices(G: AbelianGroup, k: int, n: int) -> list[tuple[int, Plan]]:
                 e = multiplicative_order(t, v)
                 orbits, numbering = _orbit_ids_price(v, t, e)
                 prices.append((v * (e - 1).bit_length() + k * k // (2 * e), Plan(
-                    "orbit", t, sets + numbering + 44 * orbits + 24 * k
-                    + 16 * _block_pairs(k, 2 * orbits))))
+                    "orbit", t, sets + numbering + 40 * orbits + 80 * k
+                    + 16 * _block_pairs(k, 2 * orbits, _ORBIT_BLOCK)
+                    + _ITER_BUFFERS)))
     return prices
 
 
@@ -292,9 +303,9 @@ def _guard(v: int, plan: Plan, extra: int = 0,
 def _counts(G: AbelianGroup, ranks: np.ndarray, plan: Plan):
     """The coefficients of D D^(-1) for sorted distinct in-range ranks by
     the `_plan` plan, as (counts, ids): the coefficient of x is
-    counts[ids[x]], or counts[x] when ids is None.  Only the orbit count
-    has ids; either way counts[0] is the identity coefficient alone.
-    MemoryError (`_guard`) before any counter is allocated."""
+    counts[ids[min(x, v - x)]], or counts[x] when ids is None.  Only the
+    orbit count has ids; either way counts[0] is the identity coefficient
+    alone.  MemoryError (`_guard`) before any counter is allocated."""
     _guard(G.order, plan)
     if plan.strategy == "orbit":
         return _orbit_counts(G, ranks, plan.t)
@@ -308,12 +319,16 @@ def _counts(G: AbelianGroup, ranks: np.ndarray, plan: Plan):
 #: at most three int64 temporaries of a block.
 _PAIR_BLOCK = 1 << 18
 
+#: Least ordered pairs per row block of the orbit count, whose counter
+#: (two entries an orbit of <t, -1>) is far shorter than v.
+_ORBIT_BLOCK = 1 << 16
 
-def _block_pairs(k: int, bins: int) -> int:
+
+def _block_pairs(k: int, bins: int, least: int = _PAIR_BLOCK) -> int:
     """Ordered pairs per row block of k columns binned into a counter of
-    `bins` entries: at least _PAIR_BLOCK, k and bins/2, so that a block's
+    `bins` entries: at least `least`, k and bins/2, so that a block's
     bincount spends at most as much on the counter as on its pairs."""
-    return max(_PAIR_BLOCK, k, bins // 2)
+    return max(least, k, bins // 2)
 
 
 def _block_buffers(pairs: int):
@@ -323,21 +338,29 @@ def _block_buffers(pairs: int):
             np.empty(pairs, dtype=np.int64))
 
 
-def _differences(v: int, firsts: np.ndarray, cols: np.ndarray, buffers):
+def _differences(v: int, firsts: np.ndarray, cols: np.ndarray, buffers,
+                 fold: bool = False):
     """(diffs, spare): diffs the int64 (a - b) mod v for a in `firsts` and
-    b in `cols` (both int32), a len(firsts) x len(cols) view of
+    b in `cols` (both int32), or with `fold` the folded difference
+    min(x, v - x) of x = (a - b) mod v, a len(firsts) x len(cols) view of
     `buffers` (`_block_buffers`), and spare a free int32 view of its shape.
 
     The differences are formed in int32: v <= FULL_VERIFY_ORDER_LIMIT =
     2^26 < 2^31 keeps a - b in (-2^31, 2^31), so d += (d >> 31) & v adds v
-    exactly to the negative ones.
+    exactly to the negative ones.  The fold needs no wrap: with d = |a - b|
+    in [0, v), x is d or v - d, so min(x, v - x) = min(d, v - d).
     """
     shape = (len(firsts), len(cols))
     d, low, out = (b[:shape[0] * shape[1]].reshape(shape) for b in buffers)
     np.subtract(firsts[:, None], cols, out=d)
-    np.right_shift(d, 31, out=low)      # -1 where a - b < 0, else 0
-    low &= v
-    d += low                            # the wrap: a - b mod v
+    if fold:
+        np.abs(d, out=d)
+        np.subtract(v, d, out=low)
+        np.minimum(d, low, out=d)       # the fold: min(d, v - d)
+    else:
+        np.right_shift(d, 31, out=low)  # -1 where a - b < 0, else 0
+        low &= v
+        d += low                        # the wrap: a - b mod v
     np.copyto(out, d)
     return out, low
 
@@ -363,37 +386,62 @@ def _pair_counts(G: AbelianGroup, ranks: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _orbit_counts(G: AbelianGroup, ranks: np.ndarray, t: int):
-    """The coefficients of D D^(-1) per t-orbit, for sorted distinct ranks
-    of D in G = Z_v with t*D = D: (counts, ids), ids the int32 orbit
-    numbers of `_multiplier_orbit_ids` (the identity alone is orbit 0)
-    and counts[i] the coefficient of every x in orbit i, so
-    difference_counts is counts[ids].
+def _orbit_firsts(v: int, ranks: np.ndarray, t: int) -> np.ndarray:
+    """For sorted distinct ranks of D in Z_v, the index in `ranks` of the
+    least element of the t-orbit of each, from D alone: ceil(log2 e)
+    doubling passes first(i) = min(first(i), first(j)) with ranks[j] =
+    t^s ranks[i], s = 1, 2, 4, ..., e = ord_v(t), each found by
+    np.searchsorted.  RuntimeError if some t^s ranks[i] is not in D, that
+    is if t does not fix D."""
+    k = len(ranks)
+    first = np.arange(k)
+    e, step = multiplicative_order(t, v), 1
+    while step < e:
+        image = ranks * pow(t, step, v) % v     # below 2^52: exact in int64
+        at = np.searchsorted(ranks, image)
+        np.minimum(at, k - 1, out=at)
+        if (ranks[at] != image).any():
+            raise RuntimeError(f"t={t} does not fix D")
+        np.minimum(first, first[at], out=first)
+        step *= 2
+    return first
 
-    N(x) = #{(a, b) in D^2 : a - b = x} is constant on t-orbits, and for
-    orbits P, Q of D the pairs of P x Q with a - b in O number
-    c(P, Q, O) = |P| #{b in Q : rep(P) - b in O}, rep(P) the least
+
+def _orbit_counts(G: AbelianGroup, ranks: np.ndarray, t: int):
+    """The coefficients of D D^(-1) per orbit of <t, -1>, for sorted
+    distinct ranks of D in G = Z_v with t*D = D: (counts, ids), ids the
+    int32 orbit numbers of `_multiplier_orbit_ids(fold=True)` over the
+    folded half {0, ..., floor(v/2)} (the identity alone is orbit 0) and
+    counts[i] the coefficient of every x in orbit i, so the coefficient of
+    x is counts[ids[min(x, v - x)]].  RuntimeError if t does not fix D
+    (`_orbit_firsts`).
+
+    N(x) = #{(a, b) in D^2 : a - b = x} is constant on t-orbits, and
+    N(-x) = N(x) (swap a and b), so it is constant on the orbits O of
+    <t, -1>.  For t-orbits P, Q of D the pairs of P x Q with a - b in O
+    number c(P, Q, O) = |P| #{b in Q : rep(P) - b in O}, rep(P) the least
     element of P; so |O| N(O) is the sum of c(P, Q, O) over all P, Q.
-    Swapping a and b gives c(Q, P, O) = c(P, Q, -O), -O the orbit of -x.
-    So D is ordered by orbit size, then orbit number, and cut into bands
-    of representatives of one size: a band counts its own orbits against
-    each other in both orders, into `own`, and every later orbit once,
-    into `later`; then the total is own + later + later at -O.  That is
-    about k^2/(2e) pairs, a block of int32 differences at a time
-    (`_differences`), each band weighted by its size once, and the sum
-    is divided by |O|.  RuntimeError if t does not fix D.
+    Swapping a and b gives c(Q, P, O) = c(P, Q, -O) = c(P, Q, O), as
+    every O is its own negative.  So D is ordered by t-orbit size, then
+    least element, and cut into bands of representatives of one size: a
+    band counts its own orbits against each other in both orders, into
+    `own`, and every later orbit once, into `later`; then the total is own
+    + 2 later.  That is about k^2/(2e) pairs, e = ord_v(t), a block of
+    folded int32 differences at a time (`_differences`), each band
+    weighted by its size once, and the sum is divided by |O|.
     """
     v = G.order
-    ids, sizes, least = _multiplier_orbit_ids(G, t)
+    rep_of = _orbit_firsts(v, ranks, t)
+    ids, sizes, _ = _multiplier_orbit_ids(G, t, fold=True)
     orbits = len(sizes)
-    of = ids[ranks]
-    order = np.lexsort((of, sizes[of]))         # by orbit size, then number
-    cols, of = ranks[order].astype(np.int32), of[order]
-    starts = np.flatnonzero(np.diff(of, prepend=-1))    # each orbit's first
-    reps, rep_sizes = cols[starts], sizes[of[starts]]
+    own_sizes = np.bincount(rep_of, minlength=len(ranks))[rep_of]   # |P| of each
+    order = np.lexsort((rep_of, own_sizes))     # by t-orbit size, then least
+    cols, of = ranks[order].astype(np.int32), rep_of[order]
+    starts = np.flatnonzero(np.diff(of, prepend=-1))    # each t-orbit's first
+    reps, rep_sizes = cols[starts], own_sizes[order[starts]]
     k, bins = len(cols), 2 * orbits
-    pairs = _block_pairs(k, bins)
-    buffers = _block_buffers(pairs)
+    pairs = _block_pairs(k, bins, _ORBIT_BLOCK)
+    buffers = _block_buffers(min(pairs, len(starts) * k))
     total = np.zeros(bins, dtype=np.int64)      # later orbits, then own
     i = 0
     while i < len(starts):
@@ -401,7 +449,7 @@ def _orbit_counts(G: AbelianGroup, ranks: np.ndarray, t: int):
         end = min(i + max(1, pairs // (k - first)),
                   np.searchsorted(rep_sizes, size, side="right"))
         own = (starts[end] if end < len(starts) else k) - first
-        diffs, spare = _differences(v, reps[i:end], cols[first:], buffers)
+        diffs, spare = _differences(v, reps[i:end], cols[first:], buffers, fold=True)
         np.take(ids, diffs, out=spare, mode="wrap")     # "wrap": no copy
         np.copyto(diffs, spare)
         diffs[:, :own] += orbits
@@ -410,12 +458,9 @@ def _orbit_counts(G: AbelianGroup, ranks: np.ndarray, t: int):
         total += hits
         del hits                        # before the next band's bincount
         i = end
-    later = total[:orbits]
-    counts = total[orbits:] + later
-    counts += later[ids[(v - least) % v]]       # later at -O
-    if (counts % sizes).any():
-        raise RuntimeError("orbit counts not divisible by orbit sizes: "
-                           f"t={t} does not fix D")
+    counts = total[:orbits]
+    counts *= 2                         # later orbits, in both orders
+    counts += total[orbits:]
     counts //= sizes
     return counts, ids
 

@@ -397,7 +397,7 @@ def subgroup_as_group(H: Subgroup) -> SubgroupPresentation:
     return SubgroupPresentation(AbelianGroup(orders[::-1] or [1]), to_sub)
 
 
-def _scaled_slices(G: AbelianGroup, m: int):
+def _scaled_slices(G: AbelianGroup, m: int, fold: bool = False):
     """Pairs (lo, image) over consecutive slices of the ranks of G, with
     image[i] in [0, 2v) the rank of m*(lo + i) or that plus v, as int64
     in a buffer reused from one slice to the next; np.take(..., mode=
@@ -405,10 +405,15 @@ def _scaled_slices(G: AbelianGroup, m: int):
 
     In Z_v written with one factor the images of a slice are the
     progression (m*lo mod v) + (m*i mod v): one addition per element
-    instead of a product and a remainder.
+    instead of a product and a remainder.  With `fold` (one factor only)
+    the slices cover the folded half H = {0, ..., floor(v/2)} of Z_v, and
+    image[i] is fold(m*(lo + i)), fold(x) = min(x, v - x) for x in [0, v):
+    for y in [0, 2v) the progression gives d = |y - v|, which is y mod v
+    or v minus it, so fold(y mod v) = min(d, v - d), three more operations.
     """
     v = G.order
-    n = min(v, _KEY_SLICE)
+    stop = v // 2 + 1 if fold else v
+    n = min(stop, _KEY_SLICE)
     if len(G.factors) != 1:
         for lo in range(0, v, n):
             yield lo, G.scale(m, np.arange(lo, min(v, lo + n), dtype=np.int64))
@@ -416,84 +421,118 @@ def _scaled_slices(G: AbelianGroup, m: int):
     steps = np.arange(n, dtype=np.int64)
     steps *= m % v
     steps %= v
+    if fold:
+        steps -= v                      # y - v: |y - v| is one np.abs away
+        steps = steps.astype(np.int32)  # |y - v| <= v < 2^31
+        spare = np.empty(n, dtype=np.int32)
     image = np.empty(n, dtype=np.int64)
-    for lo in range(0, v, n):
-        s = slice(0, min(n, v - lo))
+    for lo in range(0, stop, n):
+        s = slice(0, min(n, stop - lo))
         np.add(steps[s], m * lo % v, out=image[s])
+        if fold:
+            np.abs(image[s], out=image[s])
+            np.subtract(v, image[s], out=spare[s])
+            np.minimum(image[s], spare[s], out=image[s])
         yield lo, image[s]
 
 
-def _multiplier_orbit_ids(G: AbelianGroup, m: int):
+def _multiplier_orbit_ids(G: AbelianGroup, m: int, fold: bool = False):
     """The orbits of x -> m*x on G, numbered in the order of their least
     elements: (ids, sizes, least), ids an int32 array whose entry x is the
     number of the orbit of x, sizes the int64 orbit sizes and least the
     int32 least element of each orbit.  The identity is orbit 0, alone.
 
+    With `fold`, for G = Z_v written with one factor, the orbits are those
+    of the group <m, -1>, generated by x -> m*x and x -> -x, and ids is
+    kept over the folded half H = {0, ..., floor(v/2)} alone: the orbit of
+    x is ids[min(x, v - x)], half the table.  sizes still counts each
+    orbit in Z_v, where every x of H stands for x and v - x, two elements
+    except 0 and (v even) v/2.  least is then None: no caller reads it.
+
     With e the order of m modulo the exponent of G, ceil(log2 e) doubling
-    passes key(x) = min(key(x), key(m^j x)), j = 1, 2, 4, ..., cover
-    x, m x, ..., m^(e-1) x, so key(x) ends as the least element of the
-    orbit of x.  Updating in place only lowers an entry to another element
-    of the same orbit, so the passes may run over fixed slices.  A last
-    pass, slice by slice in increasing order, numbers the least elements
-    (key(x) = x), which it keeps, and then replaces each entry x by the
-    number already written at key(x) <= x, so the numbers overwrite the
-    key; one more pass counts them.  Every slice pass reuses the same buffers, and the
-    gathers are np.take(mode="wrap"), which unlike the default mode makes
-    no copy.  Needs an order below 2^31.
+    passes key(x) = min(key(x), key(f(m^j x))), j = 1, 2, 4, ..., f the
+    identity or the fold, cover x, m x, ..., m^(e-1) x (and so their
+    negatives when folded, f(-y) = f(y)), so key(x) ends as the least
+    element of the orbit of x.  Updating in place only lowers an entry to
+    another element of the same orbit, so the passes may run over fixed
+    slices.  A last pass, slice by slice in increasing order, numbers the
+    least elements (key(x) = x), which it keeps, and then replaces each
+    entry x by the number already written at key(x) <= x, so the numbers
+    overwrite the key; one more pass counts them.  Every slice pass reuses
+    the same buffers, and the gathers are np.take(mode="wrap"), which
+    unlike the default mode makes no copy.  Needs an order below 2^31.
     """
     if gcd(m, G.order) != 1:
         raise ValueError(f"gcd({m}, {G.order}) != 1: not an automorphism")
     v = G.order
-    key = np.arange(v, dtype=np.int32)
-    n = min(v, _KEY_SLICE)
+    size = v // 2 + 1 if fold else v
+    key = np.arange(size, dtype=np.int32)
+    n = min(size, _KEY_SLICE)
     low = np.empty(n, dtype=np.int32)
     e = multiplicative_order(m % G.exponent, G.exponent)
     step = 1
     while step < e:
-        for lo, image in _scaled_slices(G, pow(m, step, G.exponent)):
+        for lo, image in _scaled_slices(G, pow(m, step, G.exponent), fold):
             seg, s = key[lo:lo + n], slice(0, len(image))
             np.take(key, image, out=low[s], mode="wrap")
             np.minimum(seg, low[s], out=seg)
+        del image           # the pass's last slice, before the next allocates
         step *= 2
     offsets = np.arange(n, dtype=np.int32)
     is_least, index = np.empty(n, dtype=bool), np.empty(n, dtype=np.int64)
     count, least = 0, []
-    for lo in range(0, v, n):
-        seg, s = key[lo:lo + n], slice(0, min(n, v - lo))
+    for lo in range(0, size, n):
+        seg, s = key[lo:lo + n], slice(0, min(n, size - lo))
         np.subtract(seg, lo, out=low[s])
         np.equal(low[s], offsets[s], out=is_least[s])
         np.copyto(index[s], seg)
         firsts = np.flatnonzero(is_least[s])
-        least.append((firsts + lo).astype(np.int32))
+        if not fold:
+            least.append((firsts + lo).astype(np.int32))
         seg[firsts] = np.arange(count, count + len(firsts), dtype=np.int32)
         count += len(firsts)
         np.take(key, index[s], out=low[s], mode="wrap")
         seg[:] = low[s]
     sizes = np.zeros(count, dtype=np.int64)
-    for lo in range(0, v, n):
-        s = slice(0, min(n, v - lo))
+    for lo in range(0, size, n):
+        s = slice(0, min(n, size - lo))
         np.copyto(index[s], key[lo:lo + n])
         sizes += np.bincount(index[s], minlength=count)
-    return key, sizes, np.concatenate(least)
+    if not fold:
+        return key, sizes, np.concatenate(least)
+    sizes *= 2
+    sizes[key[0]] -= 1                  # 0 = -0
+    if v % 2 == 0:
+        sizes[key[v // 2]] -= 1         # v/2 = -v/2
+    return key, sizes, None
 
 
-def _orbit_number(v: int, t: int, e: int) -> int:
+def _orbit_number(v: int, t: int, e: int, fold: bool = False) -> int:
     """The number of orbits of x -> t*x on Z_v, gcd(t, v) = 1 and e =
     ord_v(t), by Burnside's lemma: t^j fixes the gcd(t^j - 1, v) solutions
     of (t^j - 1)x = 0, which depend only on f = gcd(j, e), and phi(e/f) of
-    the j < e have gcd(j, e) = f."""
-    return sum(totient(e // f) * gcd(pow(t, f, v) - 1, v)
-               for f in divisors(e)) // e
+    the j < e have gcd(j, e) = f.
+
+    With `fold`, the orbits of <t, -1>, averaged over the 2e maps +-t^j
+    (each element of <t, -1> is hit equally often, so this is Burnside's
+    lemma too): -t^j fixes gcd(t^j + 1, v) points, also a function of
+    f = gcd(j, e), since t^j = -1 mod a divisor m of v, m > 2, exactly
+    when ord_m(t)/2 divides j and ord_m(t) does not, and ord_m(t) | e."""
+    signs = (1, -1) if fold else (1,)
+    return sum(totient(e // f) * sum(gcd(pow(t, f, v) - s, v) for s in signs)
+               for f in divisors(e)) // (e * len(signs))
 
 
 def _orbit_ids_price(v: int, t: int, e: int) -> tuple[int, int]:
-    """(orbits, bytes): the number of orbits of x -> t*x on Z_v, e =
+    """(orbits, bytes): the number of orbits of <t, -1> on Z_v, e =
     ord_v(t) (`_orbit_number`), and the estimated peak bytes of numbering
-    them by `_multiplier_orbit_ids`: the int32 orbit numbers, the slice
-    buffers (37 bytes a slice element), the int64 sizes and the int32
-    least elements."""
-    orbits = _orbit_number(v, t, e)
-    return orbits, 4 * v + 37 * min(v, _KEY_SLICE) + 12 * orbits
+    them over the folded half by `_multiplier_orbit_ids(fold=True)`: the
+    int32 orbit numbers of floor(v/2) + 1 elements, the slice buffers (20
+    bytes a slice element in the doubling passes, at most 29 in the
+    numbering pass) and the int64 sizes with a slice's bincount."""
+    orbits = _orbit_number(v, t, e, fold=True)
+    half = v // 2 + 1
+    return orbits, 4 * half + 29 * min(half, _KEY_SLICE) + 16 * orbits
 
 
 def multiplier_orbits(G: AbelianGroup, m: int) -> list[list[int]]:

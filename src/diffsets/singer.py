@@ -182,14 +182,18 @@ def singer_construct(q: int, d: int, ceiling: int | None = None) -> DifferenceSe
     """The Singer difference set of PG(d-1, q) in Z_v, v = (q^d-1)/(q-1),
     verified exactly and normalized.
 
-    `ceiling` overrides the field-order bound SIZE_CEILING.  Before the
-    field is built, `dset._plan` prices the count that `dset.verify` will
-    run on the set, k ranks of Z_v fixed by p (MemoryError where the exact
-    check cannot run), and `dset._guard` refuses an estimate over
-    dset.BYTE_LIMIT: that plan's bytes, the enumeration
-    (`_enumeration_bytes`) and the sorted and normalized copies of its
-    index list (Python ints, about 96 bytes an element).
+    `ceiling` overrides the field-order bound SIZE_CEILING.  v is held to
+    the order test (`dset._order_test`, MemoryError) before anything
+    factors q, which for a large prime q can take as long as trial
+    division to sqrt(q).  Before the field is built, `dset._plan` prices
+    the count that `dset.verify` will run on the set, k ranks of Z_v fixed
+    by p, and `dset._guard` refuses an estimate over dset.BYTE_LIMIT: that
+    plan's bytes, the enumeration (`_enumeration_bytes`) and the sorted
+    and normalized copies of its index list (Python ints, about 96 bytes
+    an element).
     """
+    if q > 1 and d >= 3:
+        dset._order_test((q**d - 1) // (q - 1))
     params = classical_params(q, d)
     p, e = is_prime_power(q)
     G = AbelianGroup([params.v])

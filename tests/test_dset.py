@@ -51,10 +51,16 @@ def test_difference_counts_match_brute(factors, data):
     assert list(difference_counts(G, sorted(els))) == brute_counts(G, els)
 
 
+def unfold(counts, ids, v):
+    """Per-orbit counts over the folded half expanded to one count a
+    group element: the count of x is counts[ids[min(x, v - x)]]."""
+    x = np.arange(v)
+    return counts[ids[np.minimum(x, v - x)]]
+
+
 def orbit_counts(G, ranks, t):
     """`_orbit_counts` expanded to one count a group element."""
-    counts, ids = dset._orbit_counts(G, ranks, t)
-    return counts[ids]
+    return unfold(*dset._orbit_counts(G, ranks, t), G.order)
 
 
 def _orbit_and_pair_counts(G, elements, t):
@@ -116,6 +122,45 @@ def test_orbit_counts_match_pair_counts_on_singer_sets(q, d, t):
     assert np.array_equal(orbit, pair)
 
 
+@pytest.mark.parametrize("q, d", [(3, 4), (3**4, 4)])
+def test_orbit_counts_at_the_self_negative_half(q, d):
+    # v even, so v/2 is its own negative and, as 3 is odd, an orbit of
+    # <3, -1> of one element: PG(3, 3) in Z_40 and the q=3 s=4 tower in
+    # Z_538084
+    D = singer_construct(q, d)
+    G, v, (_, k, lam) = D.group, D.group.order, D.params.as_tuple()
+    ranks = np.asarray(D.elements, dtype=np.int64)
+    counts, ids = dset._orbit_counts(G, ranks, 3)
+    sizes = groups._multiplier_orbit_ids(G, 3, fold=True)[1]
+    assert v % 2 == 0 and sizes[ids[v // 2]] == sizes[ids[0]] == 1
+    assert sizes.sum() == v
+    assert counts[0] == k and (counts[1:] == lam).all()
+    assert np.array_equal(unfold(counts, ids, v), dset._pair_counts(G, ranks))
+
+
+@pytest.mark.parametrize("v, t, met", [
+    (31, 2, [0, 1, 30]),        # P = {1, 2, 4, 8, 16} and -P both in D
+    (31, 2, [1, 3]),            # P in D, -P not
+    (41, 3, [0, 1, 2]),         # -1 = 3^4 mod 41: every orbit is its own negative
+    (13, 5, [4, 2]),            # -1 = 5^2 mod 13
+    (40, 3, [0, 1, 20]),        # v/2 = 20 in D
+    (40, 3, [5, 8, 10]),        # v even, v/2 not in D
+    (40, 7, [1, 2, 4, 20]),     # orbits of 7 and their negatives
+    (2, 3, [1]), (1, 2, [0])])
+def test_orbit_counts_on_the_fold(v, t, met):
+    # D is the union of the t-orbits that meet `met`
+    G = AbelianGroup([v])
+    orbits = multiplier_orbits(G, t)
+    els = sorted(x for o in orbits if set(o) & set(met) for x in o)
+    ranks = np.asarray(els, dtype=np.int64)
+    counts, ids = dset._orbit_counts(G, ranks, t)
+    assert len(ids) == v // 2 + 1
+    assert len(counts) == len(negation_merged(orbits, v))
+    assert np.array_equal(unfold(counts, ids, v), brute_counts(G, els))
+    by_orbits, by_pairs = forced_reports(G, els, t)
+    assert by_orbits == by_pairs
+
+
 def test_orbit_path_on_orbit_union_that_is_not_a_difference_set(monkeypatch):
     # {0} and five 2-orbits of Z_127: k = 36, so lambda = 36*35/126 = 10 and
     # n = 26 are integers, t = 2 | n fixes the set, and the cost model
@@ -152,6 +197,15 @@ def forced_reports(G, elements, t):
             force(mp, strategy, t)
             reports.append(verify(G, elements))
     return reports
+
+
+def negation_merged(orbits, v):
+    """The orbits of <t, -1>: each t-orbit joined with its negative."""
+    merged = {}
+    for o in orbits:
+        neg = [(v - x) % v for x in o]
+        merged.setdefault(min(o + neg), set()).update(o + neg)
+    return [sorted(m) for _, m in sorted(merged.items())]
 
 
 def minus_one_in_powers(t, v):
@@ -191,10 +245,13 @@ def test_orbit_kernel_matches_pair_counts(data):
     els = [0] + [x for i in kept for x in orbits[i]]
     ranks = np.sort(np.asarray(els, dtype=np.int64))
     counts, ids = dset._orbit_counts(G, ranks, t)
+    assert len(ids) == v // 2 + 1
     assert ids[0] == 0 and (ids[1:] != 0).all()
-    assert len(counts) == len(orbits) == \
-        groups._orbit_number(v, t, multiplicative_order(t, v))
-    assert np.array_equal(counts[ids], dset._pair_counts(G, ranks))
+    assert len(counts) == len(negation_merged(orbits, v)) == \
+        groups._orbit_number(v, t, multiplicative_order(t, v), fold=True)
+    if self_negative:
+        assert len(counts) == len(orbits)
+    assert np.array_equal(unfold(counts, ids, v), dset._pair_counts(G, ranks))
     by_orbits, by_pairs = forced_reports(G, els, t)
     assert by_orbits == by_pairs
 
@@ -203,15 +260,18 @@ def test_orbit_kernel_matches_pair_counts(data):
     (6, 5, [0, 2, 4], 2),                   # per orbit (3, 0, 3, 0)
     (8, 7, [0, 1, 3, 4, 5, 7], 4),          # (6, 4, 4, 4, 6): the last orbit
     (13, 5, [0, 4, 6, 7, 9], 1),            # (5, 1, 2, 2): the first one
-    (8, 3, [0, 1, 3], 3)])                  # (3, 1, 1, 0, 1), {4} missed
+    (8, 3, [0, 1, 3], 3)])                  # (3, 1, 1, 0), {4} missed
 def test_orbit_verdict_sees_one_orbit_off(v, t, els, off):
-    # t-fixed sets whose non-identity orbit counts agree except at the
-    # orbit numbered `off`; their lambda is not an integer, so verify
-    # rejects them before it counts, whatever the strategy
+    # t-fixed sets whose non-identity counts per orbit of <t, -1> agree
+    # except at the orbit numbered `off`; their lambda is not an integer,
+    # so verify rejects them before it counts, whatever the strategy.  In
+    # the first three -1 is a power of t; in Z_8 the orbits {1, 3} and
+    # {5, 7} of 3 are one orbit of <3, -1>
     G = AbelianGroup([v])
     counts, ids = dset._orbit_counts(G, np.asarray(els, dtype=np.int64), t)
     others = np.delete(counts, [0, off])
     assert (others == others[0]).all() and counts[off] != others[0]
+    assert np.array_equal(unfold(counts, ids, v), brute_counts(G, els))
     by_orbits, by_pairs = forced_reports(G, els, t)
     assert by_orbits == by_pairs == pair_count_report(G, els)
     assert not by_orbits.ok and by_orbits.identity_count == len(els)
@@ -237,7 +297,8 @@ def test_orbit_verify_peak_within_estimate(q, s):
 
 def test_orbit_verify_peak_within_estimate_at_a_wide_slice(monkeypatch):
     # groups prices its own orbit-numbering buffers: with slices of 2^20
-    # elements they take 37 MiB, which the estimate reads at call time
+    # elements they take 20 MiB (the default slices keep the whole verify
+    # under 8 MiB), which the estimate reads at call time
     D = singer_construct(2**7, 4)
     G, (v, k, _) = D.group, D.params.as_tuple()
     els = list(D.elements)
@@ -248,7 +309,7 @@ def test_orbit_verify_peak_within_estimate_at_a_wide_slice(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rep.ok and peak > 32 * 2**20
+    assert rep.ok and peak > 20 * 2**20
     assert peak <= plan_of(G, els, D.params.n).nbytes
 
 
@@ -858,8 +919,8 @@ def test_set_file_plain_and_line_readers_agree(tmp_path, lines, plain):
 
 def test_tower_set_file_read_and_verify_peak(tmp_path):
     # PG(3, 128) in Z_2113665 verified on the orbit path: the file's ranks
-    # in one int64 array, then 16 bytes a pair of a block and the orbit
-    # numbers
+    # in one int64 array, then the int32 orbit numbers of the folded half
+    # (4 MiB), the numbering's slice buffers and a 1 MiB block of pairs
     D = singer_construct(2**7, 4)
     path = tmp_path / "d.dset"
     write_set_file(path, D)
@@ -870,7 +931,7 @@ def test_tower_set_file_read_and_verify_peak(tmp_path):
     finally:
         tracemalloc.stop()
     assert back.verified and back.elements == D.elements
-    assert peak <= 16.5 * 2**20
+    assert peak <= 8.5 * 2**20
 
 
 def test_set_file_comments_ignored(tmp_path, d15):

@@ -346,6 +346,33 @@ def test_orbit_ids_across_slices(monkeypatch, factors, m):
     assert sizes.tolist() == [len(o) for o in orbits]
 
 
+def negation_merged(orbits, v):
+    """The orbits of <m, -1> on Z_v from those of x -> m*x: each joined
+    with its negative, in the order of their least elements."""
+    merged = {}
+    for o in orbits:
+        joined = set(o) | {(v - x) % v for x in o}
+        merged[min(joined)] = sorted(joined)
+    return [merged[x] for x in sorted(merged)]
+
+
+@pytest.mark.parametrize("v, m", [(585, 2), (585, 7), (1000, 3), (997, 5),
+                                  (40, 3), (40, -1), (13, 5), (8, 3), (2, 1),
+                                  (1, 1), (15, 2)])
+def test_folded_orbit_ids_across_slices(monkeypatch, v, m):
+    # the orbits of <m, -1> over the folded half {0, ..., v // 2} in slices
+    # of 7 elements: v even and odd, -1 a power of m (Z_13, m = 5; Z_40,
+    # m = -1) or not, and a last slice that is partial or a single element
+    monkeypatch.setattr(groups, "_KEY_SLICE", 7)
+    G = AbelianGroup([v])
+    ids, sizes, least = groups._multiplier_orbit_ids(G, m, fold=True)
+    orbits = negation_merged(naive_orbits(G, m), v)
+    assert ids.dtype == np.int32 and len(ids) == v // 2 + 1 and least is None
+    assert [ids[[min(x, v - x) for x in o]].tolist() for o in orbits] == \
+        [[i] * len(o) for i, o in enumerate(orbits)]
+    assert sizes.tolist() == [len(o) for o in orbits]
+
+
 def orbit_number_by_orders(v, t):
     """The orbits of x -> t*x on Z_v counted per divisor d of v: the
     phi(d) elements of order d fall into orbits of ord_d(t) elements."""
@@ -371,6 +398,21 @@ def test_orbit_number_by_burnside_matches_the_sum_over_divisors():
                 assert groups._orbit_number(v, t, e) == orbit_number_by_orders(v, t)
     # the q=2 s=7 tower has 75,497 orbits of x -> 2x
     assert groups._orbit_number(2113665, 2, 28) == 75497
+
+
+def test_orbit_number_of_t_and_minus_one_by_burnside():
+    for v in range(1, 400):
+        G = AbelianGroup([v])
+        for t in range(1, 60):
+            if gcd(t, v) == 1:
+                e = multiplicative_order(t, v)
+                merged = negation_merged(multiplier_orbits(G, t), v)
+                assert groups._orbit_number(v, t, e, fold=True) == len(merged)
+    # the q=2 s=7 tower: 75,497 orbits of x -> 2x, 38,047 of <2, -1>,
+    # as the folded numbering finds
+    G = AbelianGroup([2113665])
+    assert groups._orbit_number(2113665, 2, 28, fold=True) == 38047 == \
+        len(groups._multiplier_orbit_ids(G, 2, fold=True)[1])
 
 
 def test_multiplier_orbits_require_unit():

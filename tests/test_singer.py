@@ -11,7 +11,7 @@ from diffsets.dset import classical_params, normalizing_shift, restrict, verify
 from diffsets.field import _basis_traces, make_field
 from diffsets.groups import AbelianGroup, cyclic_subgroup_of_order
 from diffsets.numth import is_prime_power
-from diffsets import dset, singer
+from diffsets import dset, numth, singer
 from diffsets.singer import (_enumeration_bytes, _trace_zero_exponents,
                              hyperplane_containment, singer_construct,
                              singer_restriction, tower_shift)
@@ -187,6 +187,23 @@ def test_construction_prices_the_plan_verify_runs(monkeypatch):
         assert priced == counted, (q, d)
         strategies.add(priced.strategy)
     assert strategies == {"pair", "ntt", "orbit"}
+
+
+def test_order_refused_before_q_is_factored(monkeypatch, capsys):
+    # q = 2^127 - 1 is prime, and confirming that factors it by trial
+    # division to sqrt(q); v = q^2 + q + 1 is refused by its order first
+    def no_factoring(*args, **kw):
+        raise AssertionError("q factored")
+
+    monkeypatch.setattr(numth, "_trial", no_factoring)
+    q = 2**127 - 1
+    message = (f"full difference counting limited to group order 67108864; "
+               f"v = {q * q + q + 1}")
+    with pytest.raises(MemoryError) as err:
+        singer_construct(q, 3)
+    assert str(err.value) == message
+    assert run(["construct", "--q", str(q), "--d", "3"]) == 1
+    assert capsys.readouterr() == ("", f"resource limit: {message}\n")
 
 
 def test_rejects_non_prime_power():
