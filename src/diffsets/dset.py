@@ -86,8 +86,20 @@ class Params:
 
 
 def classical_params(q: int, d: int) -> Params:
-    """Parameters ((q^d-1)/(q-1), (q^(d-1)-1)/(q-1), (q^(d-2)-1)/(q-1))."""
+    """Parameters ((q^d-1)/(q-1), (q^(d-1)-1)/(q-1), (q^(d-2)-1)/(q-1)):
+    ValueError unless d >= 3 (`_projective_params`) and q is a prime
+    power."""
+    params = _projective_params(q, d)
     if is_prime_power(q) is None:
+        raise ValueError(f"{q} is not a prime power")
+    return params
+
+
+def _projective_params(q: int, d: int) -> Params:
+    """The parameters of classical_params without factoring q, which for
+    a large prime q can take as long as trial division to sqrt(q):
+    ValueError only for q < 2 (not a prime power) or d < 3."""
+    if q < 2:
         raise ValueError(f"{q} is not a prime power")
     if d < 3:
         raise ValueError("dimension must be at least 3")
@@ -333,34 +345,26 @@ def _block_pairs(k: int, bins: int, least: int = _PAIR_BLOCK) -> int:
 
 def _block_buffers(pairs: int):
     """Two int32 buffers and one int64 buffer of `pairs` entries, for
-    `_differences`."""
+    `_differences` and the folded differences of `_orbit_counts`."""
     return (np.empty(pairs, dtype=np.int32), np.empty(pairs, dtype=np.int32),
             np.empty(pairs, dtype=np.int64))
 
 
-def _differences(v: int, firsts: np.ndarray, cols: np.ndarray, buffers,
-                 fold: bool = False):
+def _differences(v: int, firsts: np.ndarray, cols: np.ndarray, buffers):
     """(diffs, spare): diffs the int64 (a - b) mod v for a in `firsts` and
-    b in `cols` (both int32), or with `fold` the folded difference
-    min(x, v - x) of x = (a - b) mod v, a len(firsts) x len(cols) view of
+    b in `cols` (both int32), a len(firsts) x len(cols) view of
     `buffers` (`_block_buffers`), and spare a free int32 view of its shape.
 
     The differences are formed in int32: v <= FULL_VERIFY_ORDER_LIMIT =
     2^26 < 2^31 keeps a - b in (-2^31, 2^31), so d += (d >> 31) & v adds v
-    exactly to the negative ones.  The fold needs no wrap: with d = |a - b|
-    in [0, v), x is d or v - d, so min(x, v - x) = min(d, v - d).
+    exactly to the negative ones.
     """
     shape = (len(firsts), len(cols))
     d, low, out = (b[:shape[0] * shape[1]].reshape(shape) for b in buffers)
     np.subtract(firsts[:, None], cols, out=d)
-    if fold:
-        np.abs(d, out=d)
-        np.subtract(v, d, out=low)
-        np.minimum(d, low, out=d)       # the fold: min(d, v - d)
-    else:
-        np.right_shift(d, 31, out=low)  # -1 where a - b < 0, else 0
-        low &= v
-        d += low                        # the wrap: a - b mod v
+    np.right_shift(d, 31, out=low)      # -1 where a - b < 0, else 0
+    low &= v
+    d += low                            # the wrap: a - b mod v
     np.copyto(out, d)
     return out, low
 
@@ -427,8 +431,10 @@ def _orbit_counts(G: AbelianGroup, ranks: np.ndarray, t: int):
     band counts its own orbits against each other in both orders, into
     `own`, and every later orbit once, into `later`; then the total is own
     + 2 later.  That is about k^2/(2e) pairs, e = ord_v(t), a block of
-    folded int32 differences at a time (`_differences`), each band
-    weighted by its size once, and the sum is divided by |O|.
+    `_block_buffers` at a time, each band weighted by its size once, and
+    the sum is divided by |O|.  The differences are folded in int32: with
+    v < 2^31, d = |a - b| lies in [0, v), (a - b) mod v is d or v - d, and
+    either way its fold is min(d, v - d).
     """
     v = G.order
     rep_of = _orbit_firsts(v, ranks, t)
@@ -449,7 +455,13 @@ def _orbit_counts(G: AbelianGroup, ranks: np.ndarray, t: int):
         end = min(i + max(1, pairs // (k - first)),
                   np.searchsorted(rep_sizes, size, side="right"))
         own = (starts[end] if end < len(starts) else k) - first
-        diffs, spare = _differences(v, reps[i:end], cols[first:], buffers, fold=True)
+        shape = (end - i, k - first)
+        d, spare, diffs = (b[:shape[0] * shape[1]].reshape(shape) for b in buffers)
+        np.subtract(reps[i:end, None], cols[first:], out=d)
+        np.abs(d, out=d)
+        np.subtract(v, d, out=spare)
+        np.minimum(d, spare, out=d)     # the fold: min(d, v - d)
+        np.copyto(diffs, d)
         np.take(ids, diffs, out=spare, mode="wrap")     # "wrap": no copy
         np.copyto(diffs, spare)
         diffs[:, :own] += orbits

@@ -507,20 +507,20 @@ def _multiplier_orbit_ids(G: AbelianGroup, m: int, fold: bool = False):
     return key, sizes, None
 
 
-def _orbit_number(v: int, t: int, e: int, fold: bool = False) -> int:
-    """The number of orbits of x -> t*x on Z_v, gcd(t, v) = 1 and e =
-    ord_v(t), by Burnside's lemma: t^j fixes the gcd(t^j - 1, v) solutions
-    of (t^j - 1)x = 0, which depend only on f = gcd(j, e), and phi(e/f) of
-    the j < e have gcd(j, e) = f.
-
-    With `fold`, the orbits of <t, -1>, averaged over the 2e maps +-t^j
-    (each element of <t, -1> is hit equally often, so this is Burnside's
-    lemma too): -t^j fixes gcd(t^j + 1, v) points, also a function of
-    f = gcd(j, e), since t^j = -1 mod a divisor m of v, m > 2, exactly
-    when ord_m(t)/2 divides j and ord_m(t) does not, and ord_m(t) | e."""
-    signs = (1, -1) if fold else (1,)
-    return sum(totient(e // f) * sum(gcd(pow(t, f, v) - s, v) for s in signs)
-               for f in divisors(e)) // (e * len(signs))
+def _orbit_number(v: int, t: int, e: int) -> int:
+    """The number of orbits of the group <t, -1> on Z_v, generated by x ->
+    t*x and x -> -x, gcd(t, v) = 1 and e = ord_v(t), by Burnside's lemma
+    over the 2e maps +-t^j, j < e (each element of <t, -1> is hit equally
+    often): t^j fixes the gcd(t^j - 1, v) solutions of (t^j - 1)x = 0 and
+    -t^j the gcd(t^j + 1, v) of (t^j + 1)x = 0.  Both depend only on f =
+    gcd(j, e), since t^j = -1 mod a divisor m of v, m > 2, exactly when
+    ord_m(t)/2 divides j and ord_m(t) does not, and ord_m(t) | e; phi(e/f)
+    of the j < e have gcd(j, e) = f."""
+    fixed = 0
+    for f in divisors(e):
+        tf = pow(t, f, v)
+        fixed += totient(e // f) * (gcd(tf - 1, v) + gcd(tf + 1, v))
+    return fixed // (2 * e)
 
 
 def _orbit_ids_price(v: int, t: int, e: int) -> tuple[int, int]:
@@ -530,7 +530,7 @@ def _orbit_ids_price(v: int, t: int, e: int) -> tuple[int, int]:
     int32 orbit numbers of floor(v/2) + 1 elements, the slice buffers (20
     bytes a slice element in the doubling passes, at most 29 in the
     numbering pass) and the int64 sizes with a slice's bincount."""
-    orbits = _orbit_number(v, t, e, fold=True)
+    orbits = _orbit_number(v, t, e)
     half = v // 2 + 1
     return orbits, 4 * half + 29 * min(half, _KEY_SLICE) + 16 * orbits
 

@@ -182,20 +182,23 @@ def singer_construct(q: int, d: int, ceiling: int | None = None) -> DifferenceSe
     """The Singer difference set of PG(d-1, q) in Z_v, v = (q^d-1)/(q-1),
     verified exactly and normalized.
 
-    `ceiling` overrides the field-order bound SIZE_CEILING.  v is held to
-    the order test (`dset._order_test`, MemoryError) before anything
-    factors q, which for a large prime q can take as long as trial
-    division to sqrt(q).  Before the field is built, `dset._plan` prices
+    `ceiling` overrides the field-order bound SIZE_CEILING.  ValueError
+    for d < 3; then v is held to the order test (`dset._order_test`,
+    MemoryError) before anything factors q, which for a large prime q can
+    take as long as trial division to sqrt(q), and only then is q checked
+    to be a prime power.  Before the field is built, `dset._plan` prices
     the count that `dset.verify` will run on the set, k ranks of Z_v fixed
     by p, and `dset._guard` refuses an estimate over dset.BYTE_LIMIT: that
     plan's bytes, the enumeration (`_enumeration_bytes`) and the sorted
     and normalized copies of its index list (Python ints, about 96 bytes
     an element).
     """
-    if q > 1 and d >= 3:
-        dset._order_test((q**d - 1) // (q - 1))
-    params = classical_params(q, d)
-    p, e = is_prime_power(q)
+    params = dset._projective_params(q, d)
+    dset._order_test(params.v)
+    pe = is_prime_power(q)
+    if pe is None:
+        raise ValueError(f"{q} is not a prime power")
+    p, e = pe
     G = AbelianGroup([params.v])
     dset._guard(params.v, dset._plan(G, params.k, params.n), what="construction",
                 extra=_enumeration_bytes(p, e * d, e, params.v, params.k)

@@ -232,17 +232,31 @@ def test_construct_over_byte_limit_fails_before_building(capsys, monkeypatch,
     assert limit in err
 
 
-@pytest.mark.parametrize("d, err", [
-    (25, "construction of v = 33554431 needs about 5037 MiB, over the 2048 MiB limit"),
-    (28, "full difference counting limited to group order 67108864; v = 268435455"),
-    (127, "full difference counting limited to group order 67108864; "
-          "v = 170141183460469231731687303715884105727")],
-    ids=["bytes", "order", "order-prime-v"])
-def test_construct_refusals_keep_their_text(capsys, d, err):
+@pytest.mark.parametrize("q, d, err", [
+    (2, 25, "construction of v = 33554431 needs about 5037 MiB, over the 2048 MiB limit"),
+    (2, 28, "full difference counting limited to group order 67108864; v = 268435455"),
+    (2, 127, "full difference counting limited to group order 67108864; "
+             "v = 170141183460469231731687303715884105727"),
+    (10000, 3, "full difference counting limited to group order 67108864; "
+               "v = 100010001")],
+    ids=["bytes", "order", "order-prime-v", "order-not-prime-power"])
+def test_construct_refusals_keep_their_text(capsys, q, d, err):
     # v = 2^127 - 1 is refused by its order before the plan is priced,
-    # which would factor v
-    assert run(["construct", "--q", "2", "--d", str(d)]) == 1
+    # which would factor v; and v is tested before q is factored, so a q
+    # that is not a prime power is refused by its order when v is too large
+    assert run(["construct", "--q", str(q), "--d", str(d)]) == 1
     assert capsys.readouterr() == ("", f"resource limit: {err}\n")
+
+
+@pytest.mark.parametrize("q, d, err", [
+    (6, 2, "dimension must be at least 3"), (2, 2, "dimension must be at least 3"),
+    (6, 4, "6 is not a prime power"), (1, 2, "1 is not a prime power"),
+    (0, 3, "0 is not a prime power")])
+def test_construct_argument_errors_in_order(capsys, q, d, err):
+    # q < 2 first, then the dimension, then (after the order test) the
+    # factoring of q
+    assert run(["construct", "--q", str(q), "--d", str(d)]) == 1
+    assert capsys.readouterr() == ("", f"error: {err}\n")
 
 
 def test_order_refusals_share_one_text(capsys, tmp_path):

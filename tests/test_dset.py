@@ -248,7 +248,7 @@ def test_orbit_kernel_matches_pair_counts(data):
     assert len(ids) == v // 2 + 1
     assert ids[0] == 0 and (ids[1:] != 0).all()
     assert len(counts) == len(negation_merged(orbits, v)) == \
-        groups._orbit_number(v, t, multiplicative_order(t, v), fold=True)
+        groups._orbit_number(v, t, multiplicative_order(t, v))
     if self_negative:
         assert len(counts) == len(orbits)
     assert np.array_equal(unfold(counts, ids, v), dset._pair_counts(G, ranks))

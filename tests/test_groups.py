@@ -374,9 +374,16 @@ def test_folded_orbit_ids_across_slices(monkeypatch, v, m):
 
 
 def orbit_number_by_orders(v, t):
-    """The orbits of x -> t*x on Z_v counted per divisor d of v: the
-    phi(d) elements of order d fall into orbits of ord_d(t) elements."""
-    return sum(totient(d) // multiplicative_order(t, d) for d in divisors(v))
+    """The orbits of <t, -1> on Z_v counted per divisor d of v: the
+    phi(d) elements of order d fall into orbits of |<t, -1> mod d|
+    elements, ord_d(t) when -1 is a power of t mod d (always for d <= 2)
+    and twice that otherwise."""
+    def orbit_size(d):
+        e = multiplicative_order(t, d)
+        if d <= 2 or (e % 2 == 0 and pow(t, e // 2, d) == d - 1):
+            return e
+        return 2 * e
+    return sum(totient(d) // orbit_size(d) for d in divisors(v))
 
 
 #: Orders of the benchmark instances: the q=2 s=7 and q=3 s=4 towers,
@@ -396,8 +403,8 @@ def test_orbit_number_by_burnside_matches_the_sum_over_divisors():
             if gcd(t, v) == 1:
                 e = multiplicative_order(t, v)
                 assert groups._orbit_number(v, t, e) == orbit_number_by_orders(v, t)
-    # the q=2 s=7 tower has 75,497 orbits of x -> 2x
-    assert groups._orbit_number(2113665, 2, 28) == 75497
+    # the q=2 s=7 tower has 38,047 orbits of <2, -1>
+    assert groups._orbit_number(2113665, 2, 28) == 38047
 
 
 def test_orbit_number_of_t_and_minus_one_by_burnside():
@@ -407,11 +414,11 @@ def test_orbit_number_of_t_and_minus_one_by_burnside():
             if gcd(t, v) == 1:
                 e = multiplicative_order(t, v)
                 merged = negation_merged(multiplier_orbits(G, t), v)
-                assert groups._orbit_number(v, t, e, fold=True) == len(merged)
-    # the q=2 s=7 tower: 75,497 orbits of x -> 2x, 38,047 of <2, -1>,
-    # as the folded numbering finds
+                assert groups._orbit_number(v, t, e) == len(merged)
+    # the q=2 s=7 tower: 38,047 orbits of <2, -1>, as the folded
+    # numbering finds
     G = AbelianGroup([2113665])
-    assert groups._orbit_number(2113665, 2, 28, fold=True) == 38047 == \
+    assert groups._orbit_number(2113665, 2, 28) == 38047 == \
         len(groups._multiplier_orbit_ids(G, 2, fold=True)[1])
 
 
