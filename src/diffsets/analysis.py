@@ -285,12 +285,12 @@ def check_lemma_mfix(q: int, s: int) -> TheoremReport:
 def check_lemma_size(q: int, s: int, ceiling: int | None = None) -> TheoremReport:
     """|D ∩ M| = q^2 + q + 1 for D the normalized PG(3, q^s) Singer set in
     G = Z_v and M of order (q+1)(q^2+1), read by singer_restriction."""
-    params = ds.classical_params(tower_base(q, s), 4)
+    params = ds._projective_params(tower_base(q, s), 4)     # q checked
     v = params.v
     rep = TheoremReport("lem4.2", {"q": q, "s": s, "params": params.as_tuple()})
     rep.hyp("|G| = (q^s+1)(q^2s+1)", v == (q**s + 1) * (q**(2 * s) + 1))
     rep.hyp("s odd", s % 2 == 1)
-    rep.hyp("difference set normalized", True, tower_shift(q, s))
+    rep.hyp("difference set normalized", True, tower_shift(v))
     rep.notes.append("using c = gcd(q^2+1, s) for the side conditions")
     rep.notes.append(_CONSTRUCTION_FACTS)
     if rep.hypotheses_ok:
@@ -326,10 +326,10 @@ def check_main(q: int, s: int, ceiling: int | None = None) -> TheoremReport:
         rep.notes.append("construction skipped: hypotheses fail on (q, s) alone")
         return rep
     R = singer_restriction(q, s, ceiling)
-    params = ds.classical_params(q**s, 4)           # of D, in Z_v
+    params = ds._projective_params(q**s, 4)         # of D, in Z_v
     rep.instance["params"] = params.as_tuple()
     rep.hyp("classical d=4 parameters", True, str(params))
-    rep.hyp("difference set normalized", True, tower_shift(q, s))
+    rep.hyp("difference set normalized", True, tower_shift(params.v))
     rep.notes.append(_CONSTRUCTION_FACTS)
     rep.con("D ∩ M verifies with classical parameters",
             R.verified, R.report.as_dict())

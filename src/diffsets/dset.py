@@ -22,8 +22,10 @@ an orbit plan only when its multiplier is checked to fix D:
   checked, never assumed: Hall's multiplier theorem predicts it): the
   coefficients are constant on the orbits of x -> t*x and equal at x and
   -x, so on the orbits of <t, -1>, numbered over the folded half
-  {0, ..., floor(v/2)} of Z_v, x read as min(x, v - x).  Only pairs whose
-  first element represents a t-orbit of D are counted, e = ord_v(t), and
+  {0, ..., floor(v/2)} of Z_v, x read as min(x, v - x)
+  (`groups._folded_orbit_ids`).  Only pairs whose first element
+  represents a t-orbit of D (`groups._orbit_firsts`, the multiplier-orbit
+  routine of the whole package) are counted, e = ord_v(t), and
   of two t-orbits of D only one against the other, at twice the weight,
   as every orbit of <t, -1> is its own negative: ~k^2/(2e) pairs into
   one counter per orbit, from which the verdict is read without expanding
@@ -55,8 +57,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .groups import (AbelianGroup, CosetDecomposition, Subgroup,
-                     _multiplier_orbit_ids, _orbit_ids_price, cosets,
-                     parse_group, subgroup_as_group)
+                     _folded_orbit_ids, _orbit_firsts, _orbit_ids_price,
+                     cosets, parse_group, subgroup_as_group)
 from .numth import (divisors, is_prime_power, multiplicative_order,
                     prime_divisors)
 
@@ -390,35 +392,14 @@ def _pair_counts(G: AbelianGroup, ranks: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _orbit_firsts(v: int, ranks: np.ndarray, t: int) -> np.ndarray:
-    """For sorted distinct ranks of D in Z_v, the index in `ranks` of the
-    least element of the t-orbit of each, from D alone: ceil(log2 e)
-    doubling passes first(i) = min(first(i), first(j)) with ranks[j] =
-    t^s ranks[i], s = 1, 2, 4, ..., e = ord_v(t), each found by
-    np.searchsorted.  RuntimeError if some t^s ranks[i] is not in D, that
-    is if t does not fix D."""
-    k = len(ranks)
-    first = np.arange(k)
-    e, step = multiplicative_order(t, v), 1
-    while step < e:
-        image = ranks * pow(t, step, v) % v     # below 2^52: exact in int64
-        at = np.searchsorted(ranks, image)
-        np.minimum(at, k - 1, out=at)
-        if (ranks[at] != image).any():
-            raise RuntimeError(f"t={t} does not fix D")
-        np.minimum(first, first[at], out=first)
-        step *= 2
-    return first
-
-
 def _orbit_counts(G: AbelianGroup, ranks: np.ndarray, t: int):
     """The coefficients of D D^(-1) per orbit of <t, -1>, for sorted
     distinct ranks of D in G = Z_v with t*D = D: (counts, ids), ids the
-    int32 orbit numbers of `_multiplier_orbit_ids(fold=True)` over the
-    folded half {0, ..., floor(v/2)} (the identity alone is orbit 0) and
-    counts[i] the coefficient of every x in orbit i, so the coefficient of
-    x is counts[ids[min(x, v - x)]].  RuntimeError if t does not fix D
-    (`_orbit_firsts`).
+    int32 orbit numbers of `groups._folded_orbit_ids` over the folded half
+    {0, ..., floor(v/2)} (the identity alone is orbit 0) and counts[i] the
+    coefficient of every x in orbit i, so the coefficient of x is
+    counts[ids[min(x, v - x)]].  RuntimeError if t does not fix D: the
+    t-orbits of D are read by `groups._orbit_firsts` from D alone.
 
     N(x) = #{(a, b) in D^2 : a - b = x} is constant on t-orbits, and
     N(-x) = N(x) (swap a and b), so it is constant on the orbits O of
@@ -437,8 +418,8 @@ def _orbit_counts(G: AbelianGroup, ranks: np.ndarray, t: int):
     either way its fold is min(d, v - d).
     """
     v = G.order
-    rep_of = _orbit_firsts(v, ranks, t)
-    ids, sizes, _ = _multiplier_orbit_ids(G, t, fold=True)
+    rep_of = _orbit_firsts(G, ranks, t)
+    ids, sizes = _folded_orbit_ids(v, t)
     orbits = len(sizes)
     own_sizes = np.bincount(rep_of, minlength=len(ranks))[rep_of]   # |P| of each
     order = np.lexsort((rep_of, own_sizes))     # by t-orbit size, then least

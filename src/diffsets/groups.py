@@ -17,6 +17,14 @@ is accepted as written); :func:`subgroup_as_group` always emits a proper
 invariant-factor presentation, from a greedy basis of maximal orders.
 Subgroups of order m are looked up in the m-torsion of any group, which
 holds them all; only its subgroups are ever enumerated, not all of G's.
+
+The orbits of a numerical multiplier x -> t*x on a set that t fixes are
+found by one routine, `_orbit_firsts`, in any presentation: on a
+difference set D for the verifier's orbit count, on all of G for the
+orbit search and `multiplier_orbits`, and on the units mod the exponent
+for the power maps of the class forms.  Only the verifier's orbits of
+<t, -1> on Z_v are numbered apart, over half of Z_v in slices
+(`_folded_orbit_ids`), which keeps its peak memory at half a table.
 """
 from __future__ import annotations
 
@@ -31,8 +39,8 @@ from .numth import divisors, factorize, multiplicative_order, totient
 #: Orders up to this are safe to materialize element-by-element.
 MATERIALIZE_LIMIT = 1 << 24
 
-#: Elements per slice in the orbit-number passes, which reuse a few
-#: buffers of this length.
+#: Elements per slice in the passes of `_folded_orbit_ids`, which reuse a
+#: few buffers of this length.
 _KEY_SLICE = 1 << 16
 
 #: Subgroup enumeration is refused over more elements than this: all of G
@@ -397,82 +405,115 @@ def subgroup_as_group(H: Subgroup) -> SubgroupPresentation:
     return SubgroupPresentation(AbelianGroup(orders[::-1] or [1]), to_sub)
 
 
-def _scaled_slices(G: AbelianGroup, m: int, fold: bool = False):
-    """Pairs (lo, image) over consecutive slices of the ranks of G, with
-    image[i] in [0, 2v) the rank of m*(lo + i) or that plus v, as int64
-    in a buffer reused from one slice to the next; np.take(..., mode=
-    "wrap") reads it mod v without a copy.
+def _orbit_firsts(G: AbelianGroup, ranks: np.ndarray, t: int) -> np.ndarray:
+    """For a sorted array of distinct ranks S with t*S = S, the int32
+    index in `ranks` of the least element of the orbit of x -> t*x through
+    each element: ValueError unless t is a unit, RuntimeError if some t*x
+    is not in S, that is if t does not fix S.
 
-    In Z_v written with one factor the images of a slice are the
-    progression (m*lo mod v) + (m*i mod v): one addition per element
-    instead of a product and a remainder.  With `fold` (one factor only)
-    the slices cover the folded half H = {0, ..., floor(v/2)} of Z_v, and
-    image[i] is fold(m*(lo + i)), fold(x) = min(x, v - x) for x in [0, v):
-    for y in [0, 2v) the progression gives d = |y - v|, which is y mod v
-    or v minus it, so fold(y mod v) = min(d, v - d), three more operations.
+    The index map a of x -> t*x on S is found once, by np.searchsorted.
+    With e the order of t modulo the exponent of G, ceil(log2 e) doubling
+    passes first = min(first, first[a]), then a = a[a], cover t^j x for j
+    below 2, 4, 8, ... >= e, the whole orbit of x; S is sorted, so the
+    least index is that of the least element.
     """
-    v = G.order
-    stop = v // 2 + 1 if fold else v
-    n = min(stop, _KEY_SLICE)
-    if len(G.factors) != 1:
-        for lo in range(0, v, n):
-            yield lo, G.scale(m, np.arange(lo, min(v, lo + n), dtype=np.int64))
-        return
-    steps = np.arange(n, dtype=np.int64)
-    steps *= m % v
-    steps %= v
-    if fold:
-        steps -= v                      # y - v: |y - v| is one np.abs away
-        steps = steps.astype(np.int32)  # |y - v| <= v < 2^31
-        spare = np.empty(n, dtype=np.int32)
-    image = np.empty(n, dtype=np.int64)
-    for lo in range(0, stop, n):
-        s = slice(0, min(n, stop - lo))
-        np.add(steps[s], m * lo % v, out=image[s])
-        if fold:
-            np.abs(image[s], out=image[s])
-            np.subtract(v, image[s], out=spare[s])
-            np.minimum(image[s], spare[s], out=image[s])
-        yield lo, image[s]
+    e, step = multiplicative_order(t % G.exponent, G.exponent), 1
+    image = G.scale(t, ranks)
+    a = np.searchsorted(ranks, image)
+    if (ranks[np.minimum(a, len(ranks) - 1)] != image).any():
+        raise RuntimeError(f"t={t} does not fix the set")
+    a = a.astype(np.int32)
+    first = np.arange(len(ranks), dtype=np.int32)
+    while step < e:
+        np.minimum(first, first[a], out=first)
+        a = a[a]
+        step *= 2
+    return first
 
 
-def _multiplier_orbit_ids(G: AbelianGroup, m: int, fold: bool = False):
+def _multiplier_orbit_ids(G: AbelianGroup, m: int):
     """The orbits of x -> m*x on G, numbered in the order of their least
     elements: (ids, sizes, least), ids an int32 array whose entry x is the
     number of the orbit of x, sizes the int64 orbit sizes and least the
     int32 least element of each orbit.  The identity is orbit 0, alone.
+    GroupSizeError over MATERIALIZE_LIMIT elements, ValueError unless m
+    is a unit.
 
-    With `fold`, for G = Z_v written with one factor, the orbits are those
-    of the group <m, -1>, generated by x -> m*x and x -> -x, and ids is
-    kept over the folded half H = {0, ..., floor(v/2)} alone: the orbit of
-    x is ids[min(x, v - x)], half the table.  sizes still counts each
-    orbit in Z_v, where every x of H stands for x and v - x, two elements
-    except 0 and (v even) v/2.  least is then None: no caller reads it.
-
-    With e the order of m modulo the exponent of G, ceil(log2 e) doubling
-    passes key(x) = min(key(x), key(f(m^j x))), j = 1, 2, 4, ..., f the
-    identity or the fold, cover x, m x, ..., m^(e-1) x (and so their
-    negatives when folded, f(-y) = f(y)), so key(x) ends as the least
-    element of the orbit of x.  Updating in place only lowers an entry to
-    another element of the same orbit, so the passes may run over fixed
-    slices.  A last pass, slice by slice in increasing order, numbers the
-    least elements (key(x) = x), which it keeps, and then replaces each
-    entry x by the number already written at key(x) <= x, so the numbers
-    overwrite the key; one more pass counts them.  Every slice pass reuses
-    the same buffers, and the gathers are np.take(mode="wrap"), which
-    unlike the default mode makes no copy.  Needs an order below 2^31.
+    From `_orbit_firsts` on all of G: x is the least element of its orbit
+    when it is its own first, and the count of least elements up to
+    first(x) numbers the orbit of x.
     """
-    if gcd(m, G.order) != 1:
-        raise ValueError(f"gcd({m}, {G.order}) != 1: not an automorphism")
     v = G.order
-    size = v // 2 + 1 if fold else v
-    key = np.arange(size, dtype=np.int32)
-    n = min(size, _KEY_SLICE)
+    if v > MATERIALIZE_LIMIT:
+        raise GroupSizeError("orbit decomposition needs a materializable group")
+    first = _orbit_firsts(G, np.arange(v, dtype=np.int64), m)
+    is_least = first == np.arange(v, dtype=np.int32)
+    number = np.cumsum(is_least, dtype=np.int32)
+    number -= 1
+    ids = number[first]
+    least = np.flatnonzero(is_least).astype(np.int32)
+    return ids, np.bincount(ids, minlength=len(least)), least
+
+
+def _scaled_slices(v: int, m: int):
+    """Pairs (lo, image) over consecutive slices of the folded half H =
+    {0, ..., floor(v/2)} of Z_v, image[i] = fold(m*(lo + i)), fold(x) =
+    min(x, v - x) for x in [0, v), as int64 in a buffer reused from one
+    slice to the next.
+
+    The products of a slice are the progression (m*lo mod v) + (m*i mod
+    v) in [0, 2v): one addition per element instead of a product and a
+    remainder.  For y in [0, 2v), d = |y - v| is y mod v or v minus it, so
+    fold(y mod v) = min(d, v - d), three more operations.
+    """
+    stop = v // 2 + 1
+    n = min(stop, _KEY_SLICE)
+    steps = np.arange(n, dtype=np.int64)
+    steps *= m % v
+    steps %= v
+    steps -= v                          # y - v: |y - v| is one np.abs away
+    steps = steps.astype(np.int32)      # |y - v| <= v < 2^31
+    spare = np.empty(n, dtype=np.int32)
+    image = np.empty(n, dtype=np.int64)
+    for lo in range(0, stop, n):
+        s = slice(0, min(n, stop - lo))
+        np.add(steps[s], m * lo % v, out=image[s])
+        np.abs(image[s], out=image[s])
+        np.subtract(v, image[s], out=spare[s])
+        np.minimum(image[s], spare[s], out=image[s])
+        yield lo, image[s]
+
+
+def _folded_orbit_ids(v: int, t: int):
+    """The orbits on Z_v of the group <t, -1>, generated by x -> t*x and
+    x -> -x, numbered in the order of their least elements: (ids, sizes),
+    ids an int32 array over the folded half H = {0, ..., floor(v/2)}
+    alone, the orbit of x being ids[min(x, v - x)], and sizes the int64
+    orbit sizes in Z_v, where every x of H stands for x and v - x, two
+    elements except 0 and (v even) v/2.  The identity is orbit 0, alone.
+    ValueError unless t is a unit mod v.
+
+    The verifier's numbering (`dset._orbit_counts`), kept to half the
+    table and a few slice buffers.  With e = ord_v(t), ceil(log2 e)
+    doubling passes key(x) = min(key(x), key(fold(t^j x))), j = 1, 2, 4,
+    ..., cover x, t x, ..., t^(e-1) x and their negatives, as fold(-y) =
+    fold(y), so key(x) ends as the least element of the orbit of x.
+    Updating in place only lowers an entry to another element of the same
+    orbit, so the passes may run over fixed slices.  A last pass, slice by
+    slice in increasing order, numbers the least elements (key(x) = x),
+    which it keeps, and then replaces each entry x by the number already
+    written at key(x) <= x, so the numbers overwrite the key; one more
+    pass counts them.  Every slice pass reuses the same buffers, and the
+    gathers are np.take(mode="wrap"), which unlike the default mode makes
+    no copy.  Needs v below 2^31.
+    """
+    half = v // 2 + 1
+    key = np.arange(half, dtype=np.int32)
+    n = min(half, _KEY_SLICE)
     low = np.empty(n, dtype=np.int32)
-    e = multiplicative_order(m % G.exponent, G.exponent)
-    step = 1
+    e, step = multiplicative_order(t % v, v), 1
     while step < e:
-        for lo, image in _scaled_slices(G, pow(m, step, G.exponent), fold):
+        for lo, image in _scaled_slices(v, pow(t, step, v)):
             seg, s = key[lo:lo + n], slice(0, len(image))
             np.take(key, image, out=low[s], mode="wrap")
             np.minimum(seg, low[s], out=seg)
@@ -480,31 +521,27 @@ def _multiplier_orbit_ids(G: AbelianGroup, m: int, fold: bool = False):
         step *= 2
     offsets = np.arange(n, dtype=np.int32)
     is_least, index = np.empty(n, dtype=bool), np.empty(n, dtype=np.int64)
-    count, least = 0, []
-    for lo in range(0, size, n):
-        seg, s = key[lo:lo + n], slice(0, min(n, size - lo))
+    count = 0
+    for lo in range(0, half, n):
+        seg, s = key[lo:lo + n], slice(0, min(n, half - lo))
         np.subtract(seg, lo, out=low[s])
         np.equal(low[s], offsets[s], out=is_least[s])
         np.copyto(index[s], seg)
         firsts = np.flatnonzero(is_least[s])
-        if not fold:
-            least.append((firsts + lo).astype(np.int32))
         seg[firsts] = np.arange(count, count + len(firsts), dtype=np.int32)
         count += len(firsts)
         np.take(key, index[s], out=low[s], mode="wrap")
         seg[:] = low[s]
     sizes = np.zeros(count, dtype=np.int64)
-    for lo in range(0, size, n):
-        s = slice(0, min(n, size - lo))
+    for lo in range(0, half, n):
+        s = slice(0, min(n, half - lo))
         np.copyto(index[s], key[lo:lo + n])
         sizes += np.bincount(index[s], minlength=count)
-    if not fold:
-        return key, sizes, np.concatenate(least)
     sizes *= 2
     sizes[key[0]] -= 1                  # 0 = -0
     if v % 2 == 0:
         sizes[key[v // 2]] -= 1         # v/2 = -v/2
-    return key, sizes, None
+    return key, sizes
 
 
 def _orbit_number(v: int, t: int, e: int) -> int:
@@ -526,10 +563,10 @@ def _orbit_number(v: int, t: int, e: int) -> int:
 def _orbit_ids_price(v: int, t: int, e: int) -> tuple[int, int]:
     """(orbits, bytes): the number of orbits of <t, -1> on Z_v, e =
     ord_v(t) (`_orbit_number`), and the estimated peak bytes of numbering
-    them over the folded half by `_multiplier_orbit_ids(fold=True)`: the
-    int32 orbit numbers of floor(v/2) + 1 elements, the slice buffers (20
-    bytes a slice element in the doubling passes, at most 29 in the
-    numbering pass) and the int64 sizes with a slice's bincount."""
+    them over the folded half by `_folded_orbit_ids`: the int32 orbit
+    numbers of floor(v/2) + 1 elements, the slice buffers (20 bytes a
+    slice element in the doubling passes, at most 29 in the numbering
+    pass) and the int64 sizes with a slice's bincount."""
     orbits = _orbit_number(v, t, e)
     half = v // 2 + 1
     return orbits, 4 * half + 29 * min(half, _KEY_SLICE) + 16 * orbits
@@ -537,8 +574,6 @@ def _orbit_ids_price(v: int, t: int, e: int) -> tuple[int, int]:
 
 def multiplier_orbits(G: AbelianGroup, m: int) -> list[list[int]]:
     """Orbits of x -> m*x on G, each sorted, ordered by minimal element."""
-    if G.order > MATERIALIZE_LIMIT:
-        raise GroupSizeError("orbit decomposition needs a materializable group")
     ids, sizes, _ = _multiplier_orbit_ids(G, m)
     members = np.argsort(ids, kind="stable")
     return [o.tolist() for o in np.split(members, np.cumsum(sizes)[:-1])]

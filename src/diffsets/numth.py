@@ -4,13 +4,15 @@
 left with Brent's variant of Pollard's rho, so a cofactor such as
 2^62 - 1 = 3 * 715827883 * 2147483647 (a factor of the field order
 behind the tower q = 2, s = 31) takes milliseconds.  Primality is
-decided exactly: deterministic Miller-Rabin below _MR_LIMIT, trial
-division above it.
+decided exactly by deterministic Miller-Rabin below _MR_LIMIT; above it
+a number that passes every base is refused with a ValueError, as no
+proof of its primality is at hand (trial division to its square root
+would not finish), so no answer is wrong and none hangs.
 """
 from __future__ import annotations
 
 from itertools import count
-from math import gcd, isqrt
+from math import gcd
 
 #: Primes below this bound are divided out before Pollard's rho runs.
 _TRIAL_BOUND = 1 << 10
@@ -41,8 +43,8 @@ def _trial(n: int, bound: int) -> tuple[dict[int, int], int]:
 
 def is_prime(n: int) -> bool:
     """Exact: Miller-Rabin with the bases _MR_BASES, which no composite
-    below _MR_LIMIT passes; above it a pass is confirmed by trial
-    division."""
+    below _MR_LIMIT passes.  ValueError for an n >= _MR_LIMIT that passes
+    every base: probably prime, but not proven so."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -61,7 +63,10 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return n < _MR_LIMIT or _trial(n, isqrt(n) + 1)[1] == n
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} passes Miller-Rabin but is too large to be "
+                         "proven prime")
+    return True
 
 
 def _rho(n: int) -> int:

@@ -21,8 +21,8 @@ from math import comb, gcd
 import numpy as np
 
 from . import dset as ds
-from .groups import (MATERIALIZE_LIMIT, AbelianGroup, GroupSizeError,
-                     _multiplier_orbit_ids)
+from .groups import (AbelianGroup, GroupSizeError, _multiplier_orbit_ids,
+                     _orbit_firsts)
 
 #: The orbit-pair table holds 4*r^3 bytes for r multiplier orbits
 #: (r = v for the multiplier 1).
@@ -82,17 +82,14 @@ class SearchResult:
 
 
 def _power_maps(e: int, m: int) -> list[int]:
-    """One unit per coset of <m> in the units mod e, the least of each."""
-    units = [u for u in range(1, max(e, 2)) if gcd(u, e) == 1]
-    covered = set()
-    reps = []
-    for u in units:
-        if u not in covered:
-            reps.append(u)
-            while u not in covered:
-                covered.add(u)
-                u = u * m % e
-    return reps
+    """One unit per coset of <m> in the units mod e, the least of each:
+    the least elements of the orbits of x -> m*x on the units, a set that
+    m fixes (`groups._orbit_firsts` in Z_e); [1] for e = 1."""
+    if e == 1:
+        return [1]
+    units = np.flatnonzero(np.gcd(np.arange(e), e) == 1)
+    first = _orbit_firsts(AbelianGroup([e]), units, m)
+    return units[first == np.arange(len(units))].tolist()
 
 
 def _least_images(G: AbelianGroup, rows, m: int) -> list[tuple[int, ...]]:
@@ -207,8 +204,6 @@ def orbit_union_search(spec: SearchSpec) -> SearchResult:
     G = spec.group
     k, lam = spec.k, spec.lam
     t0 = time.perf_counter()
-    if G.order > MATERIALIZE_LIMIT:
-        raise GroupSizeError("orbit decomposition needs a materializable group")
     ids, sizes, reps = _multiplier_orbit_ids(G, spec.multiplier)
     table = _orbit_pair_table(G, ids, reps)
     r = len(reps)

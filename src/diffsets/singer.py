@@ -28,7 +28,7 @@ from math import isqrt
 import numpy as np
 
 from . import dset
-from .dset import DifferenceSet, classical_params, normalize
+from .dset import DifferenceSet, normalize
 from .field import FiniteField, _basis_traces, make_field
 from .groups import AbelianGroup
 from .numth import is_prime_power
@@ -224,22 +224,21 @@ def tower_base(q: int, s: int) -> int:
     return q**s
 
 
-def tower_shift(q: int, s: int) -> int:
-    """The normalizing shift t of the raw PG(3, q^s) Singer set D in Z_v
-    (`dset.normalizing_shift` of its trace-zero indices): 0 for p = 2 and
-    v/2 for odd p.
+def tower_shift(v: int) -> int:
+    """The normalizing shift t of the raw PG(3, Q) Singer set D in Z_v, v
+    = (Q+1)(Q^2+1), Q = q^s the field of the tower (`dset.normalizing_shift`
+    of its trace-zero indices): 0 for p = 2 and v/2 for odd p, that is 0
+    for odd v and v/2 for even v, as v is odd exactly when Q is even.
 
-    With Q = q^s, Tr(X) = X^(Q^3) + X^(Q^2) + X^Q + X has the kernel of
-    the trace onto GF(Q) as its root set and X-coefficient 1, so the
-    Q^3 - 1 nonzero kernel elements multiply to (-1)^(Q^3-1) = 1.  They
-    are g^(i + jv), i in D, j < Q-1, as GF(Q)* = <g^v>; summing exponents
-    mod Q^4 - 1 = (Q-1)v gives (Q-1)*sum(D) + k*v*(Q-1)(Q-2)/2 = 0.  So
-    sum(D) = 0 mod v for even Q, and v/2 for odd Q, where k = Q^2+Q+1 and
-    Q-2 are odd.  Since k*t = -sum(D), k is odd and gcd(k, v) = 1, t is 0
-    or v/2.
+    Tr(X) = X^(Q^3) + X^(Q^2) + X^Q + X has the kernel of the trace onto
+    GF(Q) as its root set and X-coefficient 1, so the Q^3 - 1 nonzero
+    kernel elements multiply to (-1)^(Q^3-1) = 1.  They are g^(i + jv), i
+    in D, j < Q-1, as GF(Q)* = <g^v>; summing exponents mod Q^4 - 1 =
+    (Q-1)v gives (Q-1)*sum(D) + k*v*(Q-1)(Q-2)/2 = 0.  So sum(D) = 0 mod v
+    for even Q, and v/2 for odd Q, where k = Q^2+Q+1 and Q-2 are odd.
+    Since k*t = -sum(D), k is odd and gcd(k, v) = 1, t is 0 or v/2.
     """
-    Q = tower_base(q, s)
-    return 0 if Q % 2 == 0 else classical_params(Q, 4).v // 2
+    return 0 if v % 2 else v // 2
 
 
 def singer_restriction(q: int, s: int,
@@ -251,11 +250,11 @@ def singer_restriction(q: int, s: int,
     With g the generator of F = GF(q^(4s)) and h = g^(v/|M|), the raw D
     meets M in E = {j < |M| : Tr(h^j) = 0}, Tr onto GF(q^s): |M|
     multiplications and trace maps in F.  Neither D nor Z_v is built, and
-    `ceiling` bounds the field order alone.  The shift t = tower_shift(q,
-    s) lies in M: for odd q, |M| is even and t = v/2 = (|M|/2)(v/|M|).
+    `ceiling` bounds the field order alone.  The shift t = tower_shift(v)
+    lies in M: for odd q, |M| is even and t = v/2 = (|M|/2)(v/|M|).
     So (D + t) ∩ M = E + t, which is E + |M|/2 in M's coordinates.
     """
-    v = classical_params(tower_base(q, s), 4).v
+    v = dset._projective_params(tower_base(q, s), 4).v    # q checked
     p, e = is_prime_power(q)
     order = (q + 1) * (q * q + 1)
     if v % order:
@@ -263,14 +262,14 @@ def singer_restriction(q: int, s: int,
     F = make_field(p, 4 * e * s, ceiling=ceiling)
     trace = F.trace_map(e * s)
     h = F.pow(F.gen, v // order)
-    t = tower_shift(q, s) // (v // order)
+    t = tower_shift(v) // (v // order)
     shifted, x = [], 1                  # E + t
     for j in range(order):
         if trace(x) == 0:
             shifted.append((j + t) % order)
         x = F.mul(x, h)
     return dset.make_difference_set(AbelianGroup([order]), shifted,
-                                    classical_params(q, 4), F.descriptor())
+                                    dset._projective_params(q, 4), F.descriptor())
 
 
 @dataclass(frozen=True)

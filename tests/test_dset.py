@@ -131,7 +131,7 @@ def test_orbit_counts_at_the_self_negative_half(q, d):
     G, v, (_, k, lam) = D.group, D.group.order, D.params.as_tuple()
     ranks = np.asarray(D.elements, dtype=np.int64)
     counts, ids = dset._orbit_counts(G, ranks, 3)
-    sizes = groups._multiplier_orbit_ids(G, 3, fold=True)[1]
+    sizes = groups._folded_orbit_ids(v, 3)[1]
     assert v % 2 == 0 and sizes[ids[v // 2]] == sizes[ids[0]] == 1
     assert sizes.sum() == v
     assert counts[0] == k and (counts[1:] == lam).all()

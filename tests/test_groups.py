@@ -329,12 +329,49 @@ def test_multiplier_orbits_match_naive_walk(factors, m):
     assert multiplier_orbits(G, m) == naive_orbits(G, m)
 
 
+ORBIT_CASES = [([1], 1), ([15], 2), ([585], 2), ([40], -1), ([4, 4], 3),
+               ([2, 8], 5), ([3, 15], 2), ([2, 2, 2, 2], 1)]
+
+
+def least_mates(ranks, orbits):
+    """The index in `ranks` of the least orbit-mate of each rank."""
+    at = {x: i for i, x in enumerate(ranks)}
+    least = {x: min(o) for o in orbits for x in o}
+    return [at[least[x]] for x in ranks]
+
+
+@pytest.mark.parametrize("factors, t", ORBIT_CASES)
+def test_orbit_firsts_match_naive_walk(factors, t):
+    # the one multiplier-orbit routine on all of G and on t-fixed subsets:
+    # the empty set, {0}, and the unions of every second or third orbit
+    G = AbelianGroup(factors)
+    orbits = naive_orbits(G, t)
+    subsets = [list(range(G.order)), [], [0]]
+    subsets += [sorted(x for o in orbits[j::step] for x in o)
+                for step in (2, 3) for j in range(step)]
+    for ranks in subsets:
+        first = groups._orbit_firsts(G, np.asarray(ranks, dtype=np.int64), t)
+        assert first.dtype == np.int32
+        assert first.tolist() == least_mates(ranks, orbits)
+
+
+@pytest.mark.parametrize("factors, t", [case for case in ORBIT_CASES
+                                        if case[1] != 1])
+def test_orbit_firsts_refuse_a_set_that_t_moves(factors, t):
+    # in-range ranks that t does not fix: an orbit of more than one element
+    # with its largest element left out
+    G = AbelianGroup(factors)
+    orbit = next(o for o in naive_orbits(G, t) if len(o) > 1)
+    with pytest.raises(RuntimeError, match="does not fix"):
+        groups._orbit_firsts(G, np.asarray(orbit[:-1], dtype=np.int64), t)
+
+
 @pytest.mark.parametrize("factors, m", [([585], 2), ([585], 7), ([1000], 3),
                                         ([997], 5), ([3, 15], 2), ([40], -1)])
 def test_orbit_ids_across_slices(monkeypatch, factors, m):
-    # slices of 7 elements: the progression of m*x wraps past v inside
-    # most slices, a least element may sit in an earlier slice or in the
-    # same one, and the last slice is partial
+    # the numbering of all of G reads no slice length: with slices of 7
+    # elements for the folded numbering, it still numbers every orbit of
+    # x -> m*x by its least element
     monkeypatch.setattr(groups, "_KEY_SLICE", 7)
     G = AbelianGroup(factors)
     ids, sizes, least = groups._multiplier_orbit_ids(G, m)
@@ -365,9 +402,9 @@ def test_folded_orbit_ids_across_slices(monkeypatch, v, m):
     # m = -1) or not, and a last slice that is partial or a single element
     monkeypatch.setattr(groups, "_KEY_SLICE", 7)
     G = AbelianGroup([v])
-    ids, sizes, least = groups._multiplier_orbit_ids(G, m, fold=True)
+    ids, sizes = groups._folded_orbit_ids(v, m)
     orbits = negation_merged(naive_orbits(G, m), v)
-    assert ids.dtype == np.int32 and len(ids) == v // 2 + 1 and least is None
+    assert ids.dtype == np.int32 and len(ids) == v // 2 + 1
     assert [ids[[min(x, v - x) for x in o]].tolist() for o in orbits] == \
         [[i] * len(o) for i, o in enumerate(orbits)]
     assert sizes.tolist() == [len(o) for o in orbits]
@@ -417,9 +454,8 @@ def test_orbit_number_of_t_and_minus_one_by_burnside():
                 assert groups._orbit_number(v, t, e) == len(merged)
     # the q=2 s=7 tower: 38,047 orbits of <2, -1>, as the folded
     # numbering finds
-    G = AbelianGroup([2113665])
     assert groups._orbit_number(2113665, 2, 28) == 38047 == \
-        len(groups._multiplier_orbit_ids(G, 2, fold=True)[1])
+        len(groups._folded_orbit_ids(2113665, 2)[1])
 
 
 def test_multiplier_orbits_require_unit():

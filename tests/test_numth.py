@@ -2,9 +2,13 @@ import math
 import random
 import time
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from diffsets import numth
+from diffsets.cli import run
+from diffsets.field import make_field
 from diffsets.numth import (divisors, factorize, is_prime, is_prime_power,
                             multiplicative_order, prime_divisors, totient)
 
@@ -132,3 +136,45 @@ def test_is_prime_rejects_strong_pseudoprimes():
         assert not is_prime(n)
     for p in (2147483647, 2**61 - 1):
         assert is_prime(p)
+
+
+#: 2^127 - 1 and 2^89 - 1, primes above _MR_LIMIT.
+M127, M89 = 2**127 - 1, 2**89 - 1
+
+
+@pytest.fixture
+def no_long_trial(monkeypatch):
+    """Trial division only up to the factoring bound: a deeper one, such as
+    a primality proof to the square root, fails the test at once."""
+    trial = numth._trial
+
+    def bounded(n, bound):
+        assert bound <= 1 << 10, f"trial division of {n} to {bound}"
+        return trial(n, bound)
+    monkeypatch.setattr(numth, "_trial", bounded)
+
+
+def test_is_prime_refuses_what_it_cannot_prove(no_long_trial):
+    # a Miller-Rabin pass above _MR_LIMIT is refused, naming n; composites
+    # there are still rejected
+    for n in (M127, M89):
+        with pytest.raises(ValueError, match=str(n)):
+            is_prime(n)
+    assert not is_prime(M89 * (2**61 - 1)) and not is_prime(M127 + 2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--q", str(M127), "--s", "1"],
+    ["check", "thm4.3", "--q", str(M127), "--s", "1"]])
+def test_large_prime_q_is_one_error_line(capsys, no_long_trial, argv):
+    # q = 2^127 - 1 used to be factored by trial division to its root
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {M127} passes Miller-Rabin but " \
+        "is too large to be proven prime\n"
+
+
+def test_field_over_a_large_prime_order_is_refused(no_long_trial):
+    # the multiplicative group of GF(2^89) has the prime order 2^89 - 1
+    with pytest.raises(ValueError, match=str(M89)):
+        make_field(2, 89, ceiling=2**90)

@@ -267,16 +267,41 @@ def test_search_node_counts_are_pinned(group, k, lam, m, nodes, sets, classes):
     assert (res.nodes, len(res.sets), res.classes) == (nodes, sets, classes)
 
 
-@pytest.mark.parametrize("e, m", [(2, 1), (15, 2), (15, 4), (16, 3),
+def power_maps_by_walk(e, m):
+    """Oracle: the least unit of each coset of <m> in the units mod e,
+    walking u, u*m, u*m^2, ... from each unit not yet covered."""
+    units = [u for u in range(1, max(e, 2)) if gcd(u, e) == 1]
+    covered = set()
+    reps = []
+    for u in units:
+        if u not in covered:
+            reps.append(u)
+            while u not in covered:
+                covered.add(u)
+                u = u * m % e
+    return reps
+
+
+@pytest.mark.parametrize("e, m", [(1, 1), (2, 1), (15, 2), (15, 4), (16, 3),
                                   (127, 2), (133, 11), (40, 3)])
 def test_power_maps_are_a_transversal_of_the_multiplier(e, m):
+    # Z_1 has the one power map x -> 1*x
+    reps = _power_maps(e, m)
+    assert reps[0] == 1 and reps == sorted(reps) == power_maps_by_walk(e, m)
+    if e == 1:
+        return
     units = {u for u in range(1, e) if gcd(u, e) == 1}
     powers = {pow(m, j, e) for j in range(e)}
-    reps = _power_maps(e, m)
     cosets = [frozenset(u * p % e for p in powers) for u in reps]
-    assert reps[0] == 1 and reps == sorted(reps)
     assert sum(map(len, cosets)) == len(units)
     assert set().union(*cosets) == units
+
+
+def test_power_maps_match_the_walk_for_every_unit():
+    for e in range(1, 60):
+        for m in range(1, max(e, 2)):
+            if gcd(m, e) == 1:
+                assert _power_maps(e, m) == power_maps_by_walk(e, m), (e, m)
 
 
 def test_orbit_table_guard_raises_before_allocating():

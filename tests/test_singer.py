@@ -294,12 +294,13 @@ def test_singer_restriction_matches_full_construction(q, s):
                                  (4, 1), (4, 3), (5, 1), (5, 2), (5, 3), (7, 1),
                                  (8, 1), (9, 1), (11, 1), (13, 1)])
 def test_tower_shift_is_the_normalizing_shift(q, s):
-    # the closed form 0 (p = 2) or v/2 (odd p) against the shift that
-    # dset computes from the raw trace-zero list, even s included
+    # the closed form 0 (p = 2) or v/2 (odd p), read off the parity of v,
+    # against the shift that dset computes from the raw trace-zero list,
+    # even s included
     p, e = is_prime_power(q)
     v = classical_params(q**s, 4).v
     raw = _trace_zero_exponents(make_field(p, 4 * e * s), e * s, v)
-    t = tower_shift(q, s)
+    t = tower_shift(v)
     assert t == normalizing_shift(AbelianGroup([v]), raw)
     assert t == (0 if p == 2 else v // 2)
 
