@@ -259,7 +259,7 @@ def _sylow_side_condition(G: AbelianGroup, q: int, s: int):
 def check_lemma_mfix(q: int, s: int) -> TheoremReport:
     """Fixed points of x -> x^(q^4) in Z_(q^s+1)(q^2s+1), which alone is
     built, contain (and often equal) the subgroup of order (q+1)(q^2+1)."""
-    G = AbelianGroup([ds.classical_params(tower_base(q, s), 4).v])
+    G = AbelianGroup([ds._projective_params(tower_base(q, s), 4).v])  # q checked
     rep = TheoremReport("lem4.1", {"q": q, "s": s, "group": G.descriptor()})
     rep.hyp("|G| = (q^s+1)(q^2s+1)", G.order == (q**s + 1) * (q**(2 * s) + 1))
     rep.hyp("s odd", s % 2 == 1)
@@ -364,7 +364,7 @@ def check_tower_restriction(q: int, s: int,
     if not rep.hyp("s odd", s % 2 == 1, s):
         return rep
     R = singer_restriction(q, s, ceiling)
-    rep.instance["params"] = list(ds.classical_params(q**s, 4).as_tuple())
+    rep.instance["params"] = list(ds._projective_params(q**s, 4).as_tuple())
     rep.instance["field_descriptor"] = R.field_descriptor
     rep.con("D ∩ R verifies as the small Singer parameters",
             R.verified, R.report.as_dict())
@@ -557,7 +557,7 @@ def conjecture_scan(q: int, s_list, ceiling: int | None = None) -> list[ScanRow]
     pe = is_prime_power(q)
     rows = []
     for s in s_list:
-        v = ds.classical_params(tower_base(q, s), 4).v
+        v = ds._projective_params(tower_base(q, s), 4).v     # q checked
         if v % target:
             rows.append(ScanRow(q, s, v, target, "subgroup-absent"))
             continue

@@ -14,15 +14,21 @@ non-identity element.
 The count is planned once, by `_plan`, from one price list (`_prices`):
 each exact strategy with its price in ordered pairs counted and its
 estimated peak bytes.  The cheapest runs ("pair" on a tie, then "ntt"),
-an orbit plan only when its multiplier is checked to fix D:
+an orbit plan only when its multiplier is checked to fix D.  In Z_v
+every strategy reads D D^(-1) on the folded half {0, ..., floor(v/2)},
+x read as min(x, v - x): the number of differences a - b = x is the
+number at -x (swap a and b), so the half holds every coefficient, and
+one int32 block kernel (`_folded_differences`) folds the differences of
+the pair and orbit counts:
 
-- pair counting, all k^2 pairs (k^2); the only one for groups written
-  as products, and the oracle of the other two;
+- pair counting, all k^2 pairs (k^2), in Z_v into floor(v/2) + 1 bins,
+  the bins of x != -x then halved; the only one for groups written as
+  products, where it counts over all of G, and the oracle of the other
+  two;
 - orbit counting in Z_v, when a prime t | k - lambda fixes D (t*D = D,
   checked, never assumed: Hall's multiplier theorem predicts it): the
   coefficients are constant on the orbits of x -> t*x and equal at x and
   -x, so on the orbits of <t, -1>, numbered over the folded half
-  {0, ..., floor(v/2)} of Z_v, x read as min(x, v - x)
   (`groups._folded_orbit_ids`).  Only pairs whose first element
   represents a t-orbit of D (`groups._orbit_firsts`, the multiplier-orbit
   routine of the whole package) are counted, e = ord_v(t), and
@@ -30,11 +36,14 @@ an orbit plan only when its multiplier is checked to fix D:
   as every orbit of <t, -1> is its own negative: ~k^2/(2e) pairs into
   one counter per orbit, from which the verdict is read without expanding
   to one count per group element (v*ceil(log2 e) + k^2/(2e));
-- the cyclic autocorrelation in Z_v by a number-theoretic transform of
+- the cyclic autocorrelation c in Z_v by a number-theoretic transform of
   length L = 2^ceil(log2(2v - 1)) modulo the prime 15*2^27 + 1
-  (8/5*L*log2(L) + 40000, calibrated against the pair cost); distinct
-  ranks keep every coefficient at most k, below the prime; O(v log v)
-  whatever k.
+  (8/5*L*log2(L) + 40000, calibrated against the pair cost), read as
+  c[x] + c[v - x] on the folded half; distinct ranks keep every
+  coefficient at most k, below the prime; O(v log v) whatever k.
+
+Only the public `difference_counts` unfolds the half to one coefficient
+per element of Z_v.
 
 All counts and bound checks are exact integer arithmetic; no floating
 point anywhere.  Memory is bounded twice, each test in one function: the
@@ -166,9 +175,13 @@ def difference_counts(G: AbelianGroup, elements) -> np.ndarray:
     [0, v) or repeated, MemoryError for v > FULL_VERIFY_ORDER_LIMIT or,
     before counting, an estimate over BYTE_LIMIT (`_guard`).  Counted by
     the plan `_plan` makes without a multiplier, as D need have no
-    integral lambda, so never by the orbit count."""
+    integral lambda, so never by the orbit count.  In Z_v the folded half
+    of `_counts` is unfolded: x > floor(v/2) reads the count at v - x."""
     ranks = _distinct_ranks(G, elements)
-    return _counts(G, ranks, _plan(G, len(ranks), 0))[0]
+    counts = _counts(G, ranks, _plan(G, len(ranks), 0))
+    if len(G.factors) > 1:
+        return counts
+    return np.concatenate((counts, counts[(G.order - 1) // 2:0:-1]))
 
 
 def _order_test(v: int) -> None:
@@ -240,12 +253,13 @@ def _prices(G: AbelianGroup, k: int, n: int) -> list[tuple[int, Plan]]:
     carrying the estimated peak bytes of `verify` by it: the rank arrays
     (48 bytes an element) and
 
-    - "pair": k^2 pairs; the length-v counter and a block's bincount, and
+    - "pair": k^2 pairs; the counter and a block's bincount, of
+      floor(v/2) + 1 entries in Z_v and v on a product presentation, and
       three int64 temporaries of a row block (`G.sub` on a product
       presentation; the int32 block buffers of one factor take 16 bytes a
       pair).  The only entry for a product presentation;
     - "ntt": 8/5*L*log2(L) for the transform length L plus _NTT_CALL_COST;
-      four NTT buffers of L words and the length-v fold;
+      four NTT buffers of L words and the folded half;
     - "orbit" by t, for each prime t | n with gcd(t, v) = 1 (the first
       multiplier theorem's candidates; none for n <= 1): v*ceil(log2 e)
       for the orbit numbers plus k^2/(2e) pairs, e = ord_v(t); the
@@ -267,24 +281,25 @@ def _prices(G: AbelianGroup, k: int, n: int) -> list[tuple[int, Plan]]:
     time of a unit of NTT cost.  The orbit cost counts v*ceil(log2 e)
     for the numbering although its passes cover only floor(v/2) + 1
     elements: the term is kept so that every plan stays the one these
-    constants were fitted to.
+    constants were fitted to.  The pair and NTT bytes also cover
+    `difference_counts` unfolding the half, 12 bytes an element of Z_v.
     """
     v = G.order
     _order_test(v)
     sets = 48 * k
-    prices = [(k * k, Plan("pair", None, sets + 16 * v + 24 * _block_pairs(k, v)))]
+    bins = v // 2 + 1 if len(G.factors) == 1 else v     # `_pair_counts`' counter
+    prices = [(k * k, Plan("pair", None, sets + 16 * bins + 24 * _block_pairs(k, bins)))]
     if len(G.factors) == 1:
         L = _ntt_length(v)
         prices.append((8 * L * (L.bit_length() - 1) // 5 + _NTT_CALL_COST,
-                       Plan("ntt", None, sets + 16 * v + 32 * L)))
+                       Plan("ntt", None, sets + 4 * v + 32 * L)))
         for t in prime_divisors(n) if n > 1 else ():
             if gcd(t, v) == 1:
                 e = multiplicative_order(t, v)
                 orbits, numbering = _orbit_ids_price(v, t, e)
                 prices.append((v * (e - 1).bit_length() + k * k // (2 * e), Plan(
                     "orbit", t, sets + numbering + 40 * orbits + 80 * k
-                    + 16 * _block_pairs(k, 2 * orbits, _ORBIT_BLOCK)
-                    + _ITER_BUFFERS)))
+                    + 16 * _block_pairs(k, 2 * orbits) + _ITER_BUFFERS)))
     return prices
 
 
@@ -314,77 +329,82 @@ def _guard(v: int, plan: Plan, extra: int = 0,
                           f"over the {BYTE_LIMIT >> 20} MiB limit")
 
 
-def _counts(G: AbelianGroup, ranks: np.ndarray, plan: Plan):
+def _counts(G: AbelianGroup, ranks: np.ndarray, plan: Plan) -> np.ndarray:
     """The coefficients of D D^(-1) for sorted distinct in-range ranks by
-    the `_plan` plan, as (counts, ids): the coefficient of x is
-    counts[ids[min(x, v - x)]], or counts[x] when ids is None.  Only the
-    orbit count has ids; either way counts[0] is the identity coefficient
-    alone.  MemoryError (`_guard`) before any counter is allocated."""
+    the `_plan` plan: per orbit of <t, -1> by the orbit count
+    (`_orbit_counts`), else per element of the folded half of Z_v, the
+    coefficient of x at min(x, v - x), or per rank of a product
+    presentation.  Either way counts[0] is the identity coefficient alone
+    and every other entry a non-identity one.  MemoryError (`_guard`)
+    before any counter is allocated."""
     _guard(G.order, plan)
     if plan.strategy == "orbit":
         return _orbit_counts(G, ranks, plan.t)
     if plan.strategy == "ntt":
-        return _ntt_counts(G.order, ranks), None
-    return _pair_counts(G, ranks), None
+        return _ntt_counts(G.order, ranks)
+    return _pair_counts(G, ranks)
 
 
 #: Least ordered pairs per row block of differences: `_block_buffers`
 #: holds 16 bytes a pair, and the product presentations' `G.sub` makes
 #: at most three int64 temporaries of a block.
-_PAIR_BLOCK = 1 << 18
-
-#: Least ordered pairs per row block of the orbit count, whose counter
-#: (two entries an orbit of <t, -1>) is far shorter than v.
-_ORBIT_BLOCK = 1 << 16
+_BLOCK = 1 << 16
 
 
-def _block_pairs(k: int, bins: int, least: int = _PAIR_BLOCK) -> int:
+def _block_pairs(k: int, bins: int) -> int:
     """Ordered pairs per row block of k columns binned into a counter of
-    `bins` entries: at least `least`, k and bins/2, so that a block's
+    `bins` entries: at least _BLOCK, k and bins/2, so that a block's
     bincount spends at most as much on the counter as on its pairs."""
-    return max(least, k, bins // 2)
+    return max(_BLOCK, k, bins // 2)
 
 
 def _block_buffers(pairs: int):
     """Two int32 buffers and one int64 buffer of `pairs` entries, for
-    `_differences` and the folded differences of `_orbit_counts`."""
+    `_folded_differences`."""
     return (np.empty(pairs, dtype=np.int32), np.empty(pairs, dtype=np.int32),
             np.empty(pairs, dtype=np.int64))
 
 
-def _differences(v: int, firsts: np.ndarray, cols: np.ndarray, buffers):
-    """(diffs, spare): diffs the int64 (a - b) mod v for a in `firsts` and
-    b in `cols` (both int32), a len(firsts) x len(cols) view of
-    `buffers` (`_block_buffers`), and spare a free int32 view of its shape.
+def _folded_differences(v: int, rows: np.ndarray, cols: np.ndarray, buffers):
+    """(diffs, spare): diffs the int64 folds min(x, v - x) of x = (a - b)
+    mod v for a in `rows` and b in `cols` (both int32), a len(rows) x
+    len(cols) view of `buffers` (`_block_buffers`), and spare a free int32
+    view of its shape.
 
     The differences are formed in int32: v <= FULL_VERIFY_ORDER_LIMIT =
-    2^26 < 2^31 keeps a - b in (-2^31, 2^31), so d += (d >> 31) & v adds v
-    exactly to the negative ones.
+    2^26 < 2^31 keeps d = |a - b| in [0, v), and x is d or v - d, either
+    way with the fold min(d, v - d).
     """
-    shape = (len(firsts), len(cols))
-    d, low, out = (b[:shape[0] * shape[1]].reshape(shape) for b in buffers)
-    np.subtract(firsts[:, None], cols, out=d)
-    np.right_shift(d, 31, out=low)      # -1 where a - b < 0, else 0
-    low &= v
-    d += low                            # the wrap: a - b mod v
-    np.copyto(out, d)
-    return out, low
+    shape = (len(rows), len(cols))
+    d, spare, diffs = (b[:shape[0] * shape[1]].reshape(shape) for b in buffers)
+    np.subtract(rows[:, None], cols, out=d)
+    np.abs(d, out=d)
+    np.subtract(v, d, out=spare)
+    np.minimum(d, spare, out=d)
+    np.copyto(diffs, d)
+    return diffs, spare
 
 
 def _pair_counts(G: AbelianGroup, ranks: np.ndarray) -> np.ndarray:
-    """difference_counts by counting all k^2 ordered pairs of the sorted
-    ranks, a row block of `_block_pairs(k, v)` pairs at a time in reused
-    buffers; the fallback and the oracle of `_orbit_counts` and
-    `_ntt_counts`."""
+    """The coefficients of D D^(-1) by counting all k^2 ordered pairs of
+    the sorted ranks, a row block of `_block_pairs` pairs at a time; the
+    fallback and the oracle of `_orbit_counts` and `_ntt_counts`.  In Z_v
+    the folded differences (`_folded_differences`, in reused buffers) go
+    into the floor(v/2) + 1 bins of the folded half, where x and v - x
+    meet unless x = -x (0, and v/2 for even v), so the bins 1, ...,
+    ceil(v/2) - 1 are halved.  A product presentation counts `G.sub` into
+    v bins, one a rank."""
     v, k = G.order, len(ranks)
-    counts = np.zeros(v, dtype=np.int64)
-    rows = _block_pairs(k, v) // max(1, k)
+    bins = v // 2 + 1 if len(G.factors) == 1 else v
+    counts = np.zeros(bins, dtype=np.int64)
+    rows = _block_pairs(k, bins) // max(1, k)
     if len(G.factors) == 1:
         cols = ranks.astype(np.int32)
         buffers = _block_buffers(min(rows, k) * k)
         for i in range(0, k, rows):
-            diffs, _ = _differences(v, cols[i:i + rows], cols, buffers)
-            counts += np.bincount(diffs.ravel(), minlength=v)
+            diffs, _ = _folded_differences(v, cols[i:i + rows], cols, buffers)
+            counts += np.bincount(diffs.ravel(), minlength=bins)
+        counts[1:(v + 1) // 2] //= 2
         return counts
     for i in range(0, k, rows):
         counts += np.bincount(G.sub(ranks[i:i + rows, None], ranks).ravel(),
@@ -392,14 +412,14 @@ def _pair_counts(G: AbelianGroup, ranks: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _orbit_counts(G: AbelianGroup, ranks: np.ndarray, t: int):
+def _orbit_counts(G: AbelianGroup, ranks: np.ndarray, t: int) -> np.ndarray:
     """The coefficients of D D^(-1) per orbit of <t, -1>, for sorted
-    distinct ranks of D in G = Z_v with t*D = D: (counts, ids), ids the
-    int32 orbit numbers of `groups._folded_orbit_ids` over the folded half
-    {0, ..., floor(v/2)} (the identity alone is orbit 0) and counts[i] the
-    coefficient of every x in orbit i, so the coefficient of x is
-    counts[ids[min(x, v - x)]].  RuntimeError if t does not fix D: the
-    t-orbits of D are read by `groups._orbit_firsts` from D alone.
+    distinct ranks of D in G = Z_v with t*D = D: counts[i] is the
+    coefficient of every x in orbit i of `groups._folded_orbit_ids`, whose
+    int32 numbers ids over the folded half give x the coefficient
+    counts[ids[min(x, v - x)]] (the identity alone is orbit 0).
+    RuntimeError if t does not fix D: the t-orbits of D are read by
+    `groups._orbit_firsts` from D alone.
 
     N(x) = #{(a, b) in D^2 : a - b = x} is constant on t-orbits, and
     N(-x) = N(x) (swap a and b), so it is constant on the orbits O of
@@ -412,10 +432,8 @@ def _orbit_counts(G: AbelianGroup, ranks: np.ndarray, t: int):
     band counts its own orbits against each other in both orders, into
     `own`, and every later orbit once, into `later`; then the total is own
     + 2 later.  That is about k^2/(2e) pairs, e = ord_v(t), a block of
-    `_block_buffers` at a time, each band weighted by its size once, and
-    the sum is divided by |O|.  The differences are folded in int32: with
-    v < 2^31, d = |a - b| lies in [0, v), (a - b) mod v is d or v - d, and
-    either way its fold is min(d, v - d).
+    `_folded_differences` at a time, each band weighted by its size once,
+    and the sum is divided by |O|.
     """
     v = G.order
     rep_of = _orbit_firsts(G, ranks, t)
@@ -427,7 +445,7 @@ def _orbit_counts(G: AbelianGroup, ranks: np.ndarray, t: int):
     starts = np.flatnonzero(np.diff(of, prepend=-1))    # each t-orbit's first
     reps, rep_sizes = cols[starts], own_sizes[order[starts]]
     k, bins = len(cols), 2 * orbits
-    pairs = _block_pairs(k, bins, _ORBIT_BLOCK)
+    pairs = _block_pairs(k, bins)
     buffers = _block_buffers(min(pairs, len(starts) * k))
     total = np.zeros(bins, dtype=np.int64)      # later orbits, then own
     i = 0
@@ -436,13 +454,7 @@ def _orbit_counts(G: AbelianGroup, ranks: np.ndarray, t: int):
         end = min(i + max(1, pairs // (k - first)),
                   np.searchsorted(rep_sizes, size, side="right"))
         own = (starts[end] if end < len(starts) else k) - first
-        shape = (end - i, k - first)
-        d, spare, diffs = (b[:shape[0] * shape[1]].reshape(shape) for b in buffers)
-        np.subtract(reps[i:end, None], cols[first:], out=d)
-        np.abs(d, out=d)
-        np.subtract(v, d, out=spare)
-        np.minimum(d, spare, out=d)     # the fold: min(d, v - d)
-        np.copyto(diffs, d)
+        diffs, spare = _folded_differences(v, reps[i:end], cols[first:], buffers)
         np.take(ids, diffs, out=spare, mode="wrap")     # "wrap": no copy
         np.copyto(diffs, spare)
         diffs[:, :own] += orbits
@@ -455,7 +467,7 @@ def _orbit_counts(G: AbelianGroup, ranks: np.ndarray, t: int):
     counts *= 2                         # later orbits, in both orders
     counts += total[orbits:]
     counts //= sizes
-    return counts, ids
+    return counts
 
 
 #: The NTT prime 15*2^27 + 1 and a primitive root: transform lengths up
@@ -514,28 +526,31 @@ def _ntt(a: np.ndarray) -> np.ndarray:
 
 
 def _ntt_counts(v: int, ranks: np.ndarray) -> np.ndarray:
-    """difference_counts for the sorted distinct ranks of D in G = Z_v,
-    from the cyclic autocorrelation of the indicator vector a of D,
-    zero-padded to L = `_ntt_length(v)`.
+    """The coefficients of D D^(-1) on the folded half {0, ..., floor(v/2)}
+    of G = Z_v, for the sorted distinct ranks of D, from the cyclic
+    autocorrelation of the indicator vector a of D, zero-padded to L =
+    `_ntt_length(v)`.
 
     With A the transform of a, the transform of j -> a[-j] is A[-j], so
     c = transform^(-1)(A[j] A[-j]) is the correlation c[x] = #{(a, b) :
     a - b = x mod L}.  A[j] A[-j] is even in j, so the inverse is the
     forward transform divided by L.  Differences lie in (-v, v), so
-    N(x) = c[x] + c[L - v + x] = c[x] + c[v - x] (c is even and c[v] = 0).
-    Exact: as the ranks are distinct, every c[x] is at most k <= v <=
-    2^26, below the prime 15*2^27 + 1.
+    N(x) = c[x] + c[L - v + x] = c[x] + c[v - x] (c is even and c[v] = 0),
+    which is summed for x <= floor(v/2) as residues below 2P, then divided
+    by L.  Exact: as the ranks are distinct, every N(x) is at most k <= v
+    <= 2^26, below the prime P = 15*2^27 + 1, so the residues are the
+    counts, and read as int64 unchanged.
     """
     P = np.uint64(_NTT_PRIME)
     L = _ntt_length(v)
     A = _ntt(np.bincount(ranks, minlength=L).astype(np.uint64))
     A *= np.roll(A[::-1], 1)                    # A[j] A[-j]
     A %= P
-    c = _ntt(A)[:v + 1]
+    c = _ntt(A)
+    c = c[:v // 2 + 1] + c[v - v // 2:v + 1][::-1]      # c[x] + c[v - x]
     c *= np.uint64(pow(L, -1, _NTT_PRIME))
     c %= P
-    c = c.astype(np.int64)
-    return c[:v] + c[v:0:-1]
+    return c.view(np.int64)
 
 
 def _quotient_obstruction(image: np.ndarray, n: int, lam: int) -> bool:
@@ -560,8 +575,9 @@ def verify(G: AbelianGroup, elements) -> VerificationReport:
     sorted ranks, exceeds k) or a non-integral lambda, then, in Z_v
     written with one factor, a failed image (`_quotient_obstruction`);
     accepts only after counting every difference by the `_plan` plan, iff
-    every non-identity count, per orbit on the orbit path, is lambda
-    (reported as k in Z_1).
+    every non-identity count of `_counts` (per orbit on the orbit path,
+    per element of the folded half of Z_v otherwise) is lambda (reported
+    as k in Z_1).
     """
     ranks = _ranks(G, elements)
     v = G.order
@@ -578,7 +594,7 @@ def verify(G: AbelianGroup, elements) -> VerificationReport:
             image = np.bincount(ranks % m, minlength=m)
             if _quotient_obstruction(image, k - lam, lam * (v // m)):
                 return rejected
-    counts, _ = _counts(G, ranks, _plan(G, k, k - lam, ranks))
+    counts = _counts(G, ranks, _plan(G, k, k - lam, ranks))
     if (counts[1:] != lam).any():
         return rejected
     return VerificationReport(True, v, k, lam, identity_count)

@@ -51,21 +51,32 @@ def test_difference_counts_match_brute(factors, data):
     assert list(difference_counts(G, sorted(els))) == brute_counts(G, els)
 
 
-def unfold(counts, ids, v):
-    """Per-orbit counts over the folded half expanded to one count a
-    group element: the count of x is counts[ids[min(x, v - x)]]."""
+def unfold(counts, v):
+    """Counts over the folded half {0, ..., floor(v/2)} of Z_v expanded to
+    one count a group element: the count of x is counts[min(x, v - x)]."""
     x = np.arange(v)
-    return counts[ids[np.minimum(x, v - x)]]
+    return counts[np.minimum(x, v - x)]
+
+
+def orbit_ids(v, t):
+    """The numbers over the folded half of the orbits of <t, -1> that
+    `_orbit_counts` counts on."""
+    return groups._folded_orbit_ids(v, t)[0]
 
 
 def orbit_counts(G, ranks, t):
     """`_orbit_counts` expanded to one count a group element."""
-    return unfold(*dset._orbit_counts(G, ranks, t), G.order)
+    return unfold(dset._orbit_counts(G, ranks, t)[orbit_ids(G.order, t)], G.order)
+
+
+def pair_counts(G, ranks):
+    """`_pair_counts` in Z_v expanded to one count a group element."""
+    return unfold(dset._pair_counts(G, ranks), G.order)
 
 
 def _orbit_and_pair_counts(G, elements, t):
     ranks = np.asarray(sorted(elements), dtype=np.int64)
-    return orbit_counts(G, ranks, t), dset._pair_counts(G, ranks)
+    return orbit_counts(G, ranks, t), pair_counts(G, ranks)
 
 
 def plan_of(G, elements, n):
@@ -130,12 +141,12 @@ def test_orbit_counts_at_the_self_negative_half(q, d):
     D = singer_construct(q, d)
     G, v, (_, k, lam) = D.group, D.group.order, D.params.as_tuple()
     ranks = np.asarray(D.elements, dtype=np.int64)
-    counts, ids = dset._orbit_counts(G, ranks, 3)
-    sizes = groups._folded_orbit_ids(v, 3)[1]
+    counts = dset._orbit_counts(G, ranks, 3)
+    ids, sizes = groups._folded_orbit_ids(v, 3)
     assert v % 2 == 0 and sizes[ids[v // 2]] == sizes[ids[0]] == 1
     assert sizes.sum() == v
     assert counts[0] == k and (counts[1:] == lam).all()
-    assert np.array_equal(unfold(counts, ids, v), dset._pair_counts(G, ranks))
+    assert np.array_equal(unfold(counts[ids], v), pair_counts(G, ranks))
 
 
 @pytest.mark.parametrize("v, t, met", [
@@ -153,10 +164,10 @@ def test_orbit_counts_on_the_fold(v, t, met):
     orbits = multiplier_orbits(G, t)
     els = sorted(x for o in orbits if set(o) & set(met) for x in o)
     ranks = np.asarray(els, dtype=np.int64)
-    counts, ids = dset._orbit_counts(G, ranks, t)
+    counts, ids = dset._orbit_counts(G, ranks, t), orbit_ids(v, t)
     assert len(ids) == v // 2 + 1
     assert len(counts) == len(negation_merged(orbits, v))
-    assert np.array_equal(unfold(counts, ids, v), brute_counts(G, els))
+    assert np.array_equal(unfold(counts[ids], v), brute_counts(G, els))
     by_orbits, by_pairs = forced_reports(G, els, t)
     assert by_orbits == by_pairs
 
@@ -244,14 +255,14 @@ def test_orbit_kernel_matches_pair_counts(data):
             kept.append(i)
     els = [0] + [x for i in kept for x in orbits[i]]
     ranks = np.sort(np.asarray(els, dtype=np.int64))
-    counts, ids = dset._orbit_counts(G, ranks, t)
+    counts, ids = dset._orbit_counts(G, ranks, t), orbit_ids(v, t)
     assert len(ids) == v // 2 + 1
     assert ids[0] == 0 and (ids[1:] != 0).all()
     assert len(counts) == len(negation_merged(orbits, v)) == \
         groups._orbit_number(v, t, multiplicative_order(t, v))
     if self_negative:
         assert len(counts) == len(orbits)
-    assert np.array_equal(unfold(counts, ids, v), dset._pair_counts(G, ranks))
+    assert np.array_equal(unfold(counts[ids], v), pair_counts(G, ranks))
     by_orbits, by_pairs = forced_reports(G, els, t)
     assert by_orbits == by_pairs
 
@@ -268,10 +279,10 @@ def test_orbit_verdict_sees_one_orbit_off(v, t, els, off):
     # the first three -1 is a power of t; in Z_8 the orbits {1, 3} and
     # {5, 7} of 3 are one orbit of <3, -1>
     G = AbelianGroup([v])
-    counts, ids = dset._orbit_counts(G, np.asarray(els, dtype=np.int64), t)
+    counts = dset._orbit_counts(G, np.asarray(els, dtype=np.int64), t)
     others = np.delete(counts, [0, off])
     assert (others == others[0]).all() and counts[off] != others[0]
-    assert np.array_equal(unfold(counts, ids, v), brute_counts(G, els))
+    assert np.array_equal(unfold(counts[orbit_ids(v, t)], v), brute_counts(G, els))
     by_orbits, by_pairs = forced_reports(G, els, t)
     assert by_orbits == by_pairs == pair_count_report(G, els)
     assert not by_orbits.ok and by_orbits.identity_count == len(els)
@@ -314,8 +325,8 @@ def test_orbit_verify_peak_within_estimate_at_a_wide_slice(monkeypatch):
 
 
 def test_counts_over_the_byte_limit_refused_before_counting(monkeypatch):
-    # the q=2 s=5 tower (orbit count, about 5.75 MB) and a translate of
-    # PG(12, 2) (NTT, about 0.85 MB) against a 256 KiB limit: MemoryError
+    # the q=2 s=5 tower (orbit count, about 1.9 MB) and a translate of
+    # PG(12, 2) (NTT, about 0.75 MB) against a 256 KiB limit: MemoryError
     # before any counter runs
     tower = singer_construct(2**5, 4)
     D = singer_construct(2, 13)
@@ -365,8 +376,9 @@ def test_plan_skips_a_multiplier_prime_that_divides_v():
 
 @pytest.mark.parametrize("factors, blocks", [([10007], 1), ([97, 103], 2)])
 def test_pair_counts_reuse_their_blocks(factors, blocks):
-    # k = 2100 needs two row blocks of about 4M int64 differences each;
-    # the one-factor count holds one block, the product count two
+    # k = 2100 is counted in row blocks of 31 rows, 65,100 pairs: the
+    # one-factor count holds one block of buffers, 16 bytes a pair (1 MiB),
+    # the product count the int64 temporaries of `G.sub`, at most 24
     G = AbelianGroup(factors)
     rng = np.random.default_rng(7)
     ranks = np.sort(rng.choice(G.order, 2100, replace=False)).astype(np.int64)
@@ -376,8 +388,27 @@ def test_pair_counts_reuse_their_blocks(factors, blocks):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    if len(factors) == 1:
+        counts = unfold(counts, G.order)
     assert counts[0] == 2100 and counts.sum() == 2100**2
-    assert peak < (blocks + 0.25) * 4_000_000 * 8
+    assert peak < (blocks + 0.25) * 2**20
+
+
+def test_cyclic_pair_count_peak_on_the_folded_half():
+    # Z_1000003, k = 1000: the counter and a block's bincount of v/2 + 1
+    # entries take 8 bytes an element of Z_v, the block buffers of v/4
+    # pairs 4 more, below the 16 of a length-v counter and bincount alone
+    G = AbelianGroup([1000003])
+    ranks = np.sort(np.random.default_rng(7).choice(G.order, 1000, replace=False))
+    tracemalloc.start()
+    try:
+        counts = dset._pair_counts(G, ranks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    counts = unfold(counts, G.order)
+    assert counts[0] == 1000 and counts.sum() == 1000**2
+    assert peak <= listed_plan(G, 1000, "pair").nbytes and peak < 16 * G.order
 
 
 @pytest.mark.parametrize("factors", [[10007], [97, 103]])
@@ -420,16 +451,52 @@ def test_ntt_counts_match_pair_counts(data):
         els = data.draw(st.lists(st.integers(0, v - 1), max_size=300, unique=True),
                         label="set")
     ranks = np.sort(np.asarray(els, dtype=np.int64))
-    assert np.array_equal(dset._ntt_counts(v, ranks),
-                          dset._pair_counts(AbelianGroup([v]), ranks))
+    assert np.array_equal(unfold(dset._ntt_counts(v, ranks), v),
+                          pair_counts(AbelianGroup([v]), ranks))
 
 
 @pytest.mark.parametrize("q, d", [(2, 12), (5, 6)])
 def test_ntt_counts_match_pair_counts_on_singer_sets(q, d):
     D = singer_construct(q, d)
     ranks = np.asarray(D.elements, dtype=np.int64)
-    assert np.array_equal(dset._ntt_counts(D.group.order, ranks),
-                          dset._pair_counts(D.group, ranks))
+    assert np.array_equal(unfold(dset._ntt_counts(D.group.order, ranks), D.group.order),
+                          pair_counts(D.group, ranks))
+
+
+@pytest.mark.parametrize("v, t, els", [
+    (1, 2, []), (1, 2, [0]), (2, 3, []), (2, 3, [1]), (2, 3, [0, 1]),
+    (7, 2, []), (7, 2, [0]), (7, 2, [1, 2, 4]), (7, None, [0, 1, 3]),
+    (7, 2, list(range(7))), (8, 3, []), (8, 3, [4]), (8, 3, [1, 3, 4]),
+    (8, None, [0, 1, 5]), (8, 3, list(range(8))),
+    (40, 3, [0, 1, 3, 5, 9, 15, 20, 27]), (40, None, [0, 2, 5, 20, 21])])
+def test_folded_counts_unfold_to_the_brute_force_vector(v, t, els):
+    # odd and even v (v/2 its own negative), v in {1, 2}, k in {0, 1, v};
+    # the orbit count only where t fixes D; difference_counts unfolds
+    G = AbelianGroup([v])
+    ranks = np.asarray(els, dtype=np.int64)
+    brute = brute_counts(G, els)
+    assert len(dset._pair_counts(G, ranks)) == v // 2 + 1
+    assert np.array_equal(pair_counts(G, ranks), brute)
+    assert np.array_equal(unfold(dset._ntt_counts(v, ranks), v), brute)
+    if t is not None:
+        assert np.array_equal(orbit_counts(G, ranks, t), brute)
+    assert len(difference_counts(G, els)) == v
+    assert list(difference_counts(G, els)) == brute
+
+
+def test_ntt_verify_peak_within_estimate():
+    # PG(10, 3) in Z_88573, verified by the transform of length 2^18
+    D = singer_construct(3, 11)
+    G, els = D.group, list(D.elements)
+    plan = plan_of(G, els, D.params.n)
+    assert plan[:2] == ("ntt", None)
+    tracemalloc.start()
+    try:
+        rep = verify(G, els)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and peak <= plan.nbytes
 
 
 def test_ntt_counts_on_the_pg10_3_set():
@@ -440,7 +507,7 @@ def test_ntt_counts_on_the_pg10_3_set():
     ranks = np.asarray(D.elements, dtype=np.int64)
     counts = dset._ntt_counts(v, ranks)
     assert counts[0] == k and (counts[1:] == lam).all()
-    assert np.array_equal(counts, orbit_counts(G, ranks, 3))
+    assert np.array_equal(unfold(counts, v), orbit_counts(G, ranks, 3))
 
 
 @pytest.mark.parametrize("v, k, e, strategy", [
