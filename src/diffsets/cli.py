@@ -287,8 +287,7 @@ def cmd_search(args):
 
 
 def cmd_scan(args):
-    s_values = [int(x) for x in args.s_list.split(",")]
-    rows = an.conjecture_scan(args.q, s_values, ceiling=args.ceiling)
+    rows = an.conjecture_scan(args.q, args.s_list, ceiling=args.ceiling)
     report = {"command": "scan", "q": args.q,
               "rows": [r.as_dict() for r in rows]}
     # 3 for a not-embedded or error row, else 2 for a subgroup-absent one
@@ -314,6 +313,15 @@ def positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value
+
+
+def int_list(text: str) -> list[int]:
+    """The argparse type of a comma-separated list of integers."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -383,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verb("scan", cmd_scan, "conjecture evidence scan over s values")
     p.add_argument("--q", type=int, required=True, help="base prime power")
-    p.add_argument("--s", dest="s_list", required=True,
+    p.add_argument("--s", dest="s_list", type=int_list, required=True,
                    help="comma-separated s values")
 
     return parser

@@ -259,7 +259,8 @@ def _prices(G: AbelianGroup, k: int, n: int) -> list[tuple[int, Plan]]:
       presentation; the int32 block buffers of one factor take 16 bytes a
       pair).  The only entry for a product presentation;
     - "ntt": 8/5*L*log2(L) for the transform length L plus _NTT_CALL_COST;
-      four NTT buffers of L words and the folded half;
+      two uint32 buffers of L words and L/2 uint32 twiddles, and
+      _ITER_BUFFERS;
     - "orbit" by t, for each prime t | n with gcd(t, v) = 1 (the first
       multiplier theorem's candidates; none for n <= 1): v*ceil(log2 e)
       for the orbit numbers plus k^2/(2e) pairs, e = ord_v(t); the
@@ -275,10 +276,9 @@ def _prices(G: AbelianGroup, k: int, n: int) -> list[tuple[int, Plan]]:
     for L up to 2^8.  Since the counters reuse their block buffers and
     the orbit count keeps two counter entries per orbit, the same machine
     measures, warm, 4-10 ns per unit for the orbit counter (the Singer
-    sets of v = 3906 to 2113665), 4-8 ns for the pair counter and 6-13
-    ns for the NTT (random sets of v = 10007 to 1000003).  The constants
-    are kept, so a unit of pair or orbit cost now takes about half the
-    time of a unit of NTT cost.  The orbit cost counts v*ceil(log2 e)
+    sets of v = 3906 to 2113665), 4-8 ns for the pair counter and 6-7.5
+    ns for the uint32 NTT (random sets of v = 10007 to 1000003).  The
+    constants are kept, so that no plan moves.  The orbit cost counts v*ceil(log2 e)
     for the numbering although its passes cover only floor(v/2) + 1
     elements: the term is kept so that every plan stays the one these
     constants were fitted to.  The pair and NTT bytes also cover
@@ -292,7 +292,7 @@ def _prices(G: AbelianGroup, k: int, n: int) -> list[tuple[int, Plan]]:
     if len(G.factors) == 1:
         L = _ntt_length(v)
         prices.append((8 * L * (L.bit_length() - 1) // 5 + _NTT_CALL_COST,
-                       Plan("ntt", None, sets + 4 * v + 32 * L)))
+                       Plan("ntt", None, sets + 10 * L + _ITER_BUFFERS)))
         for t in prime_divisors(n) if n > 1 else ():
             if gcd(t, v) == 1:
                 e = multiplicative_order(t, v)
@@ -483,46 +483,62 @@ def _ntt_length(v: int) -> int:
     return 2 << (v - 1).bit_length()
 
 
-def _ntt(a: np.ndarray) -> np.ndarray:
-    """Cyclic number-theoretic transform A[j] = sum_i a[i] w^(ij) mod the
-    NTT prime, w a primitive L-th root of unity, in natural order.
+def _ntt_twiddles(L: int) -> np.ndarray:
+    """w^j mod the NTT prime for j < L/2 as uint32, w = `_NTT_ROOT`^((P-1)/L)
+    a primitive L-th root of unity."""
+    P = np.uint64(_NTT_PRIME)
+    w = pow(_NTT_ROOT, (_NTT_PRIME - 1) // L, _NTT_PRIME)
+    twiddles = np.ones(max(1, L // 2), dtype=np.uint64)
+    m = 1
+    while m < L // 2:
+        np.multiply(twiddles[:m], np.uint64(pow(w, m, _NTT_PRIME)), out=twiddles[m:2 * m])
+        twiddles[m:2 * m] %= P
+        m *= 2
+    return twiddles.astype(np.uint32)
+
+
+def _pass_view(buffer: np.ndarray, rows: int, cols: int, by_column: bool):
+    """`buffer` as a rows x cols matrix, stored by rows or by columns."""
+    return buffer.reshape(cols, rows).T if by_column else buffer.reshape(rows, cols)
+
+
+def _ntt(a: np.ndarray, spare: np.ndarray, twiddles: np.ndarray):
+    """(A, free): the cyclic transform A[j] = sum_i a[i] w^(ij) mod the NTT
+    prime P of the uint32 residues `a`, in natural order, and the other of
+    the pass buffers `a` and `spare` (L words each, both overwritten).
 
     Radix 2, one pass per doubling: the rows of X are the transforms of
     the stride-(L/rows) subsequences, and row r of the next pass is
-    even[r] + w_(2 rows)^r odd[r], row r + rows the same with minus.
-    uint64 throughout: residues are below 2^31, a product below 2^62, and
-    a sum below 2P is reduced by min(s, s - P), as s - P wraps when s < P.
-    `a` is uint64 and is overwritten: it is one of the two pass buffers.
+    even[r] + t, row r + rows even[r] - t, t = w_(2 rows)^r odd[r].  Each
+    entry is formed apart, so rows under 8 words are stored by columns,
+    for numpy's loops to run along the longer side.  t, below 2^62, is
+    formed in the destination read as uint64, reduced mod P and narrowed
+    into the spent odd half; a sum s < 2P < 2^32 is reduced by min(s, s -
+    P), as s - P wraps when s < P.
     """
-    P = np.uint64(_NTT_PRIME)
+    P = np.uint32(_NTT_PRIME)
     L = len(a)
-    w = pow(_NTT_ROOT, (_NTT_PRIME - 1) // L, _NTT_PRIME)
-    twiddles = np.ones(max(1, L // 2), dtype=np.uint64)   # w^j for j < L/2
-    m = 1
-    while m < L // 2:
-        twiddles[m:2 * m] = twiddles[:m] * np.uint64(pow(w, m, _NTT_PRIME)) % P
-        m *= 2
-    src, dst = a, np.empty(L, dtype=np.uint64)
-    odd_t = np.empty(L // 2, dtype=np.uint64)
+    src, dst = a, spare
     rows = 1
     while rows < L:
         half = L // (2 * rows)
-        X = src.reshape(rows, 2 * half)
-        Y = dst.reshape(2 * rows, half)
-        even, lo, hi = X[:, :half], Y[:rows], Y[rows:]
-        t = odd_t.reshape(rows, half)
-        np.multiply(X[:, half:], twiddles[::half][:, None], out=t)
-        t %= P
-        np.add(even, t, out=lo)                 # even + t
-        np.subtract(even, t, out=hi)            # even - t + P
+        X = _pass_view(src, rows, 2 * half, half < 8)
+        t = _pass_view(dst.view(np.uint64), rows, half, half < 8)
+        even, odd = X[:, :half], X[:, half:]
+        np.multiply(odd, twiddles[::half][:, None], out=t, dtype=np.uint64)
+        np.remainder(t, np.uint64(_NTT_PRIME), out=odd, casting="unsafe")
+        Y = _pass_view(dst, 2 * rows, half, half < 16)
+        lo, hi = Y[:rows], Y[rows:]
+        np.add(even, odd, out=lo)               # even + t
+        np.subtract(even, odd, out=hi)          # even - t + P
         hi += P
-        np.subtract(lo, P, out=t)
-        np.minimum(lo, t, out=lo)
-        np.subtract(hi, P, out=t)
-        np.minimum(hi, t, out=hi)
+        np.subtract(lo, P, out=odd)
+        np.minimum(lo, odd, out=lo)
+        np.subtract(hi, P, out=odd)
+        np.minimum(hi, odd, out=hi)
         src, dst = dst, src
         rows *= 2
-    return src
+    return src, dst
 
 
 def _ntt_counts(v: int, ranks: np.ndarray) -> np.ndarray:
@@ -534,22 +550,32 @@ def _ntt_counts(v: int, ranks: np.ndarray) -> np.ndarray:
     With A the transform of a, the transform of j -> a[-j] is A[-j], so
     c = transform^(-1)(A[j] A[-j]) is the correlation c[x] = #{(a, b) :
     a - b = x mod L}.  A[j] A[-j] is even in j, so the inverse is the
-    forward transform divided by L.  Differences lie in (-v, v), so
+    forward transform divided by L; it is formed for j <= L/2, in the free
+    buffer read as uint64, and mirrored.  Both transforms share one set of
+    buffers (`_ntt`).  Differences lie in (-v, v), so
     N(x) = c[x] + c[L - v + x] = c[x] + c[v - x] (c is even and c[v] = 0),
     which is summed for x <= floor(v/2) as residues below 2P, then divided
     by L.  Exact: as the ranks are distinct, every N(x) is at most k <= v
     <= 2^26, below the prime P = 15*2^27 + 1, so the residues are the
     counts, and read as int64 unchanged.
     """
-    P = np.uint64(_NTT_PRIME)
     L = _ntt_length(v)
-    A = _ntt(np.bincount(ranks, minlength=L).astype(np.uint64))
-    A *= np.roll(A[::-1], 1)                    # A[j] A[-j]
-    A %= P
-    c = _ntt(A)
-    c = c[:v // 2 + 1] + c[v - v // 2:v + 1][::-1]      # c[x] + c[v - x]
+    a = np.zeros(L, dtype=np.uint32)
+    a[ranks] = 1
+    twiddles = _ntt_twiddles(L)
+    A, free = _ntt(a, np.empty(L, dtype=np.uint32), twiddles)
+    h = L // 2
+    prod = free.view(np.uint64)                 # A[j] A[L - j], j < L/2
+    np.multiply(A[1:h], A[:h:-1], out=prod[1:], dtype=np.uint64)
+    prod[0] = int(A[0]) ** 2
+    A[h] = int(A[h]) ** 2 % _NTT_PRIME
+    np.remainder(prod, np.uint64(_NTT_PRIME), out=A[:h], casting="unsafe")
+    A[h + 1:] = A[h - 1:0:-1]
+    c, _ = _ntt(A, free, twiddles)
+    del twiddles                                # before the folded half
+    c = np.add(c[:v // 2 + 1], c[v - v // 2:v + 1][::-1], dtype=np.uint64)
     c *= np.uint64(pow(L, -1, _NTT_PRIME))
-    c %= P
+    c %= np.uint64(_NTT_PRIME)
     return c.view(np.int64)
 
 

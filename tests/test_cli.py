@@ -218,9 +218,10 @@ def test_construct_over_verify_limit_fails_before_building(capsys, monkeypatch):
 def test_construct_over_byte_limit_fails_before_building(capsys, monkeypatch,
                                                          q, d, limit):
     # v = 64570081 for (3, 17) and 2^26 - 1 for (2, 26) are under the order
-    # limit, but their exact NTT check alone needs 2^27-word buffers; the
-    # byte estimate refuses them before the field is built, as the order
-    # limit refuses (2, 28)
+    # limit, but their exact NTT check on 2^27-word buffers and their sets
+    # of 2.2e7 and 3.4e7 ranks together are over the byte limit, which
+    # refuses them before the field is built, as the order limit refuses
+    # (2, 28)
     def no_building(*args, **kw):
         raise AssertionError("field built or enumerated")
 
@@ -233,7 +234,7 @@ def test_construct_over_byte_limit_fails_before_building(capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("q, d, err", [
-    (2, 25, "construction of v = 33554431 needs about 4653 MiB, over the 2048 MiB limit"),
+    (2, 25, "construction of v = 33554431 needs about 3117 MiB, over the 2048 MiB limit"),
     (2, 28, "full difference counting limited to group order 67108864; v = 268435455"),
     (2, 127, "full difference counting limited to group order 67108864; "
              "v = 170141183460469231731687303715884105727"),
@@ -626,6 +627,16 @@ def test_scan_even_s_is_one_subgroup_absent_row(capsys):
     assert code == 2
     assert [(r["s"], r["v"], r["status"]) for r in rep["rows"]] == \
         [(1, 15, "embedded"), (2, 85, "subgroup-absent"), (3, 585, "embedded")]
+
+
+@pytest.mark.parametrize("s", ["x", "1,,3", "1,3,", "2.5", ""])
+def test_scan_malformed_s_names_the_flag(capsys, s):
+    # a value that is no comma-separated list of integers is refused by
+    # the parser before any row is computed; a non-positive s is an
+    # integer, refused by the scan as by construct
+    assert run(["scan", "--q", "2", "--s", s]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: argument --s: expected comma-separated integers, got {s!r}\n")
 
 
 def test_text_and_json_agree(capsys):

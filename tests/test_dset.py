@@ -510,6 +510,52 @@ def test_ntt_counts_on_the_pg10_3_set():
     assert np.array_equal(unfold(counts, v), orbit_counts(G, ranks, 3))
 
 
+@pytest.mark.parametrize("L", [2**j for j in range(1, 7)])
+def test_ntt_matches_the_direct_transform(L):
+    # any residues in [0, P), P - 1 among them, against the O(L^2) sum
+    # A[j] = sum_i a[i] w^(ij) mod P in Python integers
+    P = dset._NTT_PRIME
+    w = pow(dset._NTT_ROOT, (P - 1) // L, P)
+    a = np.random.default_rng(L).integers(0, P, L, dtype=np.uint32)
+    a[L // 2] = P - 1
+    direct = [sum(int(x) * pow(w, i * j, P) for i, x in enumerate(a)) % P
+              for j in range(L)]
+    A, _ = dset._ntt(a.copy(), np.empty(L, dtype=np.uint32), dset._ntt_twiddles(L))
+    assert A.dtype == np.uint32 and A.tolist() == direct
+
+
+def test_ntt_count_peak_per_transform_word():
+    # PG(10, 3), L = 2^18: two uint32 pass buffers and the uint32
+    # twiddles are 10 bytes a transform word, about 10.5 with numpy's
+    # cast buffers
+    D = singer_construct(3, 11)
+    v = D.group.order
+    L = dset._ntt_length(v)
+    ranks = np.asarray(D.elements, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        counts = dset._ntt_counts(v, ranks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts[0] == D.params.k and (counts[1:] == D.params.lam).all()
+    assert peak <= 11 * L
+
+
+def test_ntt_counts_exact_at_length_2_to_the_21():
+    # v = 1000003 and PG(12, 3) (v = 797161) both take L = 2^21
+    v = 1000003
+    G = AbelianGroup([v])
+    ranks = np.sort(np.random.default_rng(21).choice(v, 3000, replace=False))
+    assert dset._ntt_length(v) == 2**21
+    assert np.array_equal(dset._ntt_counts(v, ranks), dset._pair_counts(G, ranks))
+    D = singer_construct(3, 13)
+    v, k, lam = D.params.as_tuple()
+    assert dset._ntt_length(v) == 2**21
+    counts = dset._ntt_counts(v, np.asarray(D.elements, dtype=np.int64))
+    assert len(counts) == v // 2 + 1 and counts[0] == k and (counts[1:] == lam).all()
+
+
 @pytest.mark.parametrize("v, k, e, strategy", [
     (2113665, 16513, 28, "orbit"),      # the q=2 s=7 tower
     (538084, 6643, 16, "orbit"),        # the q=3 s=4 tower
