@@ -263,12 +263,12 @@ def _prices(G: AbelianGroup, k: int, n: int) -> list[tuple[int, Plan]]:
       _ITER_BUFFERS;
     - "orbit" by t, for each prime t | n with gcd(t, v) = 1 (the first
       multiplier theorem's candidates; none for n <= 1): v*ceil(log2 e)
-      for the orbit numbers plus k^2/(2e) pairs, e = ord_v(t); the
-      numbering of the orbits of <t, -1> over the folded half as
-      `groups._orbit_ids_price` prices it, then 40 bytes an orbit (the
-      two-halved counter, a band's bincount of it and the sizes), 80
-      bytes an element of D (its t-orbits by `_orbit_firsts` and its
-      orbit order), 16 bytes a pair of a block and _ITER_BUFFERS.
+      for the orbit numbers plus k^2/(2e) pairs, e = ord_v(t); 80 bytes
+      an element of D (its t-orbits by `_orbit_firsts` and its orbit
+      order), then the numbering of the orbits of <t, -1> as
+      `groups._orbit_ids_price` prices it or, if more, the count: the ids
+      it returns, the int64 counter, 16 bytes a pair of a block and
+      _ITER_BUFFERS.
 
     Calibrated on a 2 vCPU Intel Xeon (Python 3.11, numpy 2.4.6): the
     pair and orbit counters took 8-13 ns per unit of their cost, the NTT
@@ -296,10 +296,10 @@ def _prices(G: AbelianGroup, k: int, n: int) -> list[tuple[int, Plan]]:
         for t in prime_divisors(n) if n > 1 else ():
             if gcd(t, v) == 1:
                 e = multiplicative_order(t, v)
-                orbits, numbering = _orbit_ids_price(v, t, e)
+                orbits, numbering, held = _orbit_ids_price(v, t, e)
+                counting = held + 8 * orbits + 16 * max(_BLOCK, k) + _ITER_BUFFERS
                 prices.append((v * (e - 1).bit_length() + k * k // (2 * e), Plan(
-                    "orbit", t, sets + numbering + 40 * orbits + 80 * k
-                    + 16 * _block_pairs(k, 2 * orbits) + _ITER_BUFFERS)))
+                    "orbit", t, sets + 80 * k + max(numbering, counting))))
     return prices
 
 
@@ -348,7 +348,7 @@ def _counts(G: AbelianGroup, ranks: np.ndarray, plan: Plan) -> np.ndarray:
 #: Least ordered pairs per row block of differences: `_block_buffers`
 #: holds 16 bytes a pair, and the product presentations' `G.sub` makes
 #: at most three int64 temporaries of a block.
-_BLOCK = 1 << 16
+_BLOCK = 1 << 15
 
 
 def _block_pairs(k: int, bins: int) -> int:
@@ -366,10 +366,9 @@ def _block_buffers(pairs: int):
 
 
 def _folded_differences(v: int, rows: np.ndarray, cols: np.ndarray, buffers):
-    """(diffs, spare): diffs the int64 folds min(x, v - x) of x = (a - b)
-    mod v for a in `rows` and b in `cols` (both int32), a len(rows) x
-    len(cols) view of `buffers` (`_block_buffers`), and spare a free int32
-    view of its shape.
+    """The int64 folds min(x, v - x) of x = (a - b) mod v for a in `rows`
+    and b in `cols` (both int32), a len(rows) x len(cols) view of the last
+    of `buffers` (`_block_buffers`); the second is then free.
 
     The differences are formed in int32: v <= FULL_VERIFY_ORDER_LIMIT =
     2^26 < 2^31 keeps d = |a - b| in [0, v), and x is d or v - d, either
@@ -382,7 +381,7 @@ def _folded_differences(v: int, rows: np.ndarray, cols: np.ndarray, buffers):
     np.subtract(v, d, out=spare)
     np.minimum(d, spare, out=d)
     np.copyto(diffs, d)
-    return diffs, spare
+    return diffs
 
 
 def _pair_counts(G: AbelianGroup, ranks: np.ndarray) -> np.ndarray:
@@ -402,7 +401,7 @@ def _pair_counts(G: AbelianGroup, ranks: np.ndarray) -> np.ndarray:
         cols = ranks.astype(np.int32)
         buffers = _block_buffers(min(rows, k) * k)
         for i in range(0, k, rows):
-            diffs, _ = _folded_differences(v, cols[i:i + rows], cols, buffers)
+            diffs = _folded_differences(v, cols[i:i + rows], cols, buffers)
             counts += np.bincount(diffs.ravel(), minlength=bins)
         counts[1:(v + 1) // 2] //= 2
         return counts
@@ -416,7 +415,7 @@ def _orbit_counts(G: AbelianGroup, ranks: np.ndarray, t: int) -> np.ndarray:
     """The coefficients of D D^(-1) per orbit of <t, -1>, for sorted
     distinct ranks of D in G = Z_v with t*D = D: counts[i] is the
     coefficient of every x in orbit i of `groups._folded_orbit_ids`, whose
-    int32 numbers ids over the folded half give x the coefficient
+    numbers ids over the folded half give x the coefficient
     counts[ids[min(x, v - x)]] (the identity alone is orbit 0).
     RuntimeError if t does not fix D: the t-orbits of D are read by
     `groups._orbit_firsts` from D alone.
@@ -429,11 +428,13 @@ def _orbit_counts(G: AbelianGroup, ranks: np.ndarray, t: int) -> np.ndarray:
     Swapping a and b gives c(Q, P, O) = c(P, Q, -O) = c(P, Q, O), as
     every O is its own negative.  So D is ordered by t-orbit size, then
     least element, and cut into bands of representatives of one size: a
-    band counts its own orbits against each other in both orders, into
-    `own`, and every later orbit once, into `later`; then the total is own
-    + 2 later.  That is about k^2/(2e) pairs, e = ord_v(t), a block of
-    `_folded_differences` at a time, each band weighted by its size once,
-    and the sum is divided by |O|.
+    band counts its own orbits against each other in both orders, at
+    weight |P|, and every later orbit once, at 2|P|.  That is about
+    k^2/(2e) pairs, e = ord_v(t), a block of `_folded_differences` at a
+    time, added into one counter an orbit by np.add.at, which unlike a
+    bincount makes no array of the counter's length; the sum is divided
+    by |O|.  The orbit numbers of a block are gathered into a view of the
+    free buffer in the dtype of ids, as np.take casts no `out`.
     """
     v = G.order
     rep_of = _orbit_firsts(G, ranks, t)
@@ -444,28 +445,23 @@ def _orbit_counts(G: AbelianGroup, ranks: np.ndarray, t: int) -> np.ndarray:
     cols, of = ranks[order].astype(np.int32), rep_of[order]
     starts = np.flatnonzero(np.diff(of, prepend=-1))    # each t-orbit's first
     reps, rep_sizes = cols[starts], own_sizes[order[starts]]
-    k, bins = len(cols), 2 * orbits
-    pairs = _block_pairs(k, bins)
+    k = len(cols)
+    pairs = max(_BLOCK, k)
     buffers = _block_buffers(min(pairs, len(starts) * k))
-    total = np.zeros(bins, dtype=np.int64)      # later orbits, then own
+    counts = np.zeros(orbits, dtype=np.int64)
     i = 0
     while i < len(starts):
         first, size = starts[i], rep_sizes[i]
         end = min(i + max(1, pairs // (k - first)),
                   np.searchsorted(rep_sizes, size, side="right"))
         own = (starts[end] if end < len(starts) else k) - first
-        diffs, spare = _folded_differences(v, reps[i:end], cols[first:], buffers)
-        np.take(ids, diffs, out=spare, mode="wrap")     # "wrap": no copy
-        np.copyto(diffs, spare)
-        diffs[:, :own] += orbits
-        hits = np.bincount(diffs.ravel(), minlength=bins)
-        hits *= size
-        total += hits
-        del hits                        # before the next band's bincount
+        diffs = _folded_differences(v, reps[i:end], cols[first:], buffers)
+        got = buffers[1].view(ids.dtype)[:diffs.size].reshape(diffs.shape)
+        np.take(ids, diffs, out=got, mode="wrap")       # "wrap": no copy
+        np.copyto(diffs, got)           # add.at copies indices of other dtypes
+        np.add.at(counts, diffs[:, :own], size)
+        np.add.at(counts, diffs[:, own:], 2 * size)
         i = end
-    counts = total[:orbits]
-    counts *= 2                         # later orbits, in both orders
-    counts += total[orbits:]
     counts //= sizes
     return counts
 
@@ -774,11 +770,12 @@ def restrict(D: DifferenceSet, M: Subgroup, params: Params) -> DifferenceSet:
 # -- set-file interchange format ---------------------------------------------------
 
 def write_set_file(path, D: DifferenceSet):
-    lines = [f"group {D.group.descriptor().replace(' ', '')}",
-             f"{D.params.v} {D.params.k} {D.params.lam}"]
-    lines += [str(e) for e in D.elements]
+    """The header, then one rank a line, written 4096 ranks at a time."""
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"group {D.group.descriptor().replace(' ', '')}\n"
+                 f"{D.params.v} {D.params.k} {D.params.lam}\n")
+        for i in range(0, len(D.elements), 4096):
+            fh.write("\n".join(map(str, D.elements[i:i + 4096])) + "\n")
 
 
 class SetFileError(ValueError):

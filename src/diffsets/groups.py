@@ -41,7 +41,7 @@ MATERIALIZE_LIMIT = 1 << 24
 
 #: Elements per slice in the passes of `_folded_orbit_ids`, which reuse a
 #: few buffers of this length.
-_KEY_SLICE = 1 << 16
+_KEY_SLICE = 1 << 14
 
 #: Subgroup enumeration is refused over more elements than this: all of G
 #: for all_subgroups, the m-torsion for subgroups_of_order.
@@ -484,14 +484,19 @@ def _scaled_slices(v: int, m: int):
         yield lo, image[s]
 
 
+def _orbit_id_dtype(orbits: int) -> np.dtype:
+    """The dtype of orbit numbers below `orbits`: uint16 if it fits."""
+    return np.dtype(np.uint16 if orbits <= 1 << 16 else np.int32)
+
+
 def _folded_orbit_ids(v: int, t: int):
     """The orbits on Z_v of the group <t, -1>, generated by x -> t*x and
     x -> -x, numbered in the order of their least elements: (ids, sizes),
-    ids an int32 array over the folded half H = {0, ..., floor(v/2)}
-    alone, the orbit of x being ids[min(x, v - x)], and sizes the int64
-    orbit sizes in Z_v, where every x of H stands for x and v - x, two
-    elements except 0 and (v even) v/2.  The identity is orbit 0, alone.
-    ValueError unless t is a unit mod v.
+    ids an `_orbit_id_dtype` array over the folded half H = {0, ...,
+    floor(v/2)} alone, the orbit of x being ids[min(x, v - x)], and sizes
+    the int64 orbit sizes in Z_v, where every x of H stands for x and v -
+    x, two elements except 0 and (v even) v/2.  The identity is orbit 0,
+    alone.  ValueError unless t is a unit mod v.
 
     The verifier's numbering (`dset._orbit_counts`), kept to half the
     table and a few slice buffers.  With e = ord_v(t), ceil(log2 e)
@@ -500,18 +505,20 @@ def _folded_orbit_ids(v: int, t: int):
     fold(y), so key(x) ends as the least element of the orbit of x.
     Updating in place only lowers an entry to another element of the same
     orbit, so the passes may run over fixed slices.  A last pass, slice by
-    slice in increasing order, numbers the least elements (key(x) = x),
-    which it keeps, and then replaces each entry x by the number already
-    written at key(x) <= x, so the numbers overwrite the key; one more
-    pass counts them.  Every slice pass reuses the same buffers, and the
-    gathers are np.take(mode="wrap"), which unlike the default mode makes
-    no copy.  Needs v below 2^31.
+    slice in increasing order, numbers the least elements (key(x) = x)
+    and gives each entry x the number written at key(x) <= x, into the
+    key read in the narrow dtype: its entry x lies in key[:x + 1], read
+    by then.  The key is shrunk in place to the numbers, and one more
+    pass counts them.  The doubling and numbering passes reuse the same
+    buffers, and their gathers are np.take(mode="wrap"), which unlike the
+    default mode makes no copy.  Needs v below 2^31.
     """
     half = v // 2 + 1
+    e, step = multiplicative_order(t % v, v), 1
+    narrow = _orbit_id_dtype(_orbit_number(v, t, e))
     key = np.arange(half, dtype=np.int32)
     n = min(half, _KEY_SLICE)
     low = np.empty(n, dtype=np.int32)
-    e, step = multiplicative_order(t % v, v), 1
     while step < e:
         for lo, image in _scaled_slices(v, pow(t, step, v)):
             seg, s = key[lo:lo + n], slice(0, len(image))
@@ -519,6 +526,7 @@ def _folded_orbit_ids(v: int, t: int):
             np.minimum(seg, low[s], out=seg)
         del image           # the pass's last slice, before the next allocates
         step *= 2
+    ids, got = key.view(narrow)[:half], low.view(narrow)
     offsets = np.arange(n, dtype=np.int32)
     is_least, index = np.empty(n, dtype=bool), np.empty(n, dtype=np.int64)
     count = 0
@@ -528,20 +536,21 @@ def _folded_orbit_ids(v: int, t: int):
         np.equal(low[s], offsets[s], out=is_least[s])
         np.copyto(index[s], seg)
         firsts = np.flatnonzero(is_least[s])
-        seg[firsts] = np.arange(count, count + len(firsts), dtype=np.int32)
+        ids[lo:lo + n][firsts] = np.arange(count, count + len(firsts), dtype=narrow)
         count += len(firsts)
-        np.take(key, index[s], out=low[s], mode="wrap")
-        seg[:] = low[s]
+        np.take(ids, index[s], out=got[s], mode="wrap")
+        ids[lo:lo + n] = got[s]
+    del ids, seg                        # no view of key is left
+    key.resize((half * narrow.itemsize + 3) // 4)
+    ids = key.view(narrow)[:half]
     sizes = np.zeros(count, dtype=np.int64)
     for lo in range(0, half, n):
-        s = slice(0, min(n, half - lo))
-        np.copyto(index[s], key[lo:lo + n])
-        sizes += np.bincount(index[s], minlength=count)
+        sizes += np.bincount(ids[lo:lo + n], minlength=count)
     sizes *= 2
-    sizes[key[0]] -= 1                  # 0 = -0
+    sizes[0] -= 1                       # 0 = -0
     if v % 2 == 0:
-        sizes[key[v // 2]] -= 1         # v/2 = -v/2
-    return key, sizes
+        sizes[ids[v // 2]] -= 1         # v/2 = -v/2
+    return ids, sizes
 
 
 def _orbit_number(v: int, t: int, e: int) -> int:
@@ -560,16 +569,17 @@ def _orbit_number(v: int, t: int, e: int) -> int:
     return fixed // (2 * e)
 
 
-def _orbit_ids_price(v: int, t: int, e: int) -> tuple[int, int]:
-    """(orbits, bytes): the number of orbits of <t, -1> on Z_v, e =
+def _orbit_ids_price(v: int, t: int, e: int) -> tuple[int, int, int]:
+    """(orbits, peak, held): the number of orbits of <t, -1> on Z_v, e =
     ord_v(t) (`_orbit_number`), and the estimated peak bytes of numbering
-    them over the folded half by `_folded_orbit_ids`: the int32 orbit
-    numbers of floor(v/2) + 1 elements, the slice buffers (20 bytes a
-    slice element in the doubling passes, at most 29 in the numbering
-    pass) and the int64 sizes with a slice's bincount."""
+    them over the folded half by `_folded_orbit_ids` and of the ids and
+    sizes it returns: the slice buffers (at most 29 bytes a slice element)
+    and the int32 keys of floor(v/2) + 1 elements, or the held ids with a
+    slice's bincount of the sizes."""
     orbits = _orbit_number(v, t, e)
     half = v // 2 + 1
-    return orbits, 4 * half + 29 * min(half, _KEY_SLICE) + 16 * orbits
+    held = _orbit_id_dtype(orbits).itemsize * half + 8 * orbits
+    return orbits, 29 * min(half, _KEY_SLICE) + max(4 * half, held + 8 * orbits), held
 
 
 def multiplier_orbits(G: AbelianGroup, m: int) -> list[list[int]]:

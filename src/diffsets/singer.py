@@ -40,10 +40,11 @@ _BLOCK_ROWS = 64
 
 def _lookup_layout(p: int, n: int) -> tuple[int, np.dtype]:
     """(c, dtype) of the block lookup over GF(p^n): c digits a chunk, the
-    largest c <= n with p^c <= 256 (at least 1), and the narrowest unsigned
-    dtype that holds a sum of max(ceil(n/c), 2) residues mod p."""
+    largest c <= n with p^c <= 16 (at least 1), and the narrowest unsigned
+    dtype that holds a sum of max(ceil(n/c), 2) residues mod p.  Small
+    tables stay in cache."""
     c = 1
-    while c < n and p ** (c + 1) <= 256:
+    while c < n and p ** (c + 1) <= 16:
         c += 1
     top = max(-(-n // c), 2) * (p - 1)
     dtype = next(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32, np.uint64)

@@ -234,7 +234,7 @@ def test_construct_over_byte_limit_fails_before_building(capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("q, d, err", [
-    (2, 25, "construction of v = 33554431 needs about 3117 MiB, over the 2048 MiB limit"),
+    (2, 25, "construction of v = 33554431 needs about 3111 MiB, over the 2048 MiB limit"),
     (2, 28, "full difference counting limited to group order 67108864; v = 268435455"),
     (2, 127, "full difference counting limited to group order 67108864; "
              "v = 170141183460469231731687303715884105727"),

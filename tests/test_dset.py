@@ -1,4 +1,3 @@
-import tracemalloc
 from math import gcd
 
 import numpy as np
@@ -149,6 +148,18 @@ def test_orbit_counts_at_the_self_negative_half(q, d):
     assert np.array_equal(unfold(counts[ids], v), pair_counts(G, ranks))
 
 
+@pytest.mark.parametrize("v, dtype", [(131071, np.uint16), (131073, np.int32)])
+def test_orbit_counts_at_the_uint16_boundary(v, dtype):
+    # t = -1 fixes a set D = -D, and its orbits are the pairs {x, -x}:
+    # 65,536 numbered in uint16 in Z_131071, up to 65535 at v // 2 (the
+    # difference of 0 and v // 2), and 65,537 in int32 in Z_131073
+    G = AbelianGroup([v])
+    xs = np.random.default_rng(v).choice(np.arange(1, v // 2), 200, replace=False)
+    ranks = np.unique(np.concatenate(([0, v // 2, v - v // 2], xs, v - xs)))
+    assert orbit_ids(v, -1).dtype == dtype
+    assert np.array_equal(orbit_counts(G, ranks, -1), pair_counts(G, ranks))
+
+
 @pytest.mark.parametrize("v, t, met", [
     (31, 2, [0, 1, 30]),        # P = {1, 2, 4, 8, 16} and -P both in D
     (31, 2, [1, 3]),            # P in D, -P not
@@ -289,24 +300,19 @@ def test_orbit_verdict_sees_one_orbit_off(v, t, els, off):
 
 
 @pytest.mark.parametrize("q, s", [(2, 5), (3, 3)])
-def test_orbit_verify_peak_within_estimate(q, s):
+def test_orbit_verify_peak_within_estimate(q, s, traced_peak):
     # the towers PG(3, 32) in Z_33825 and PG(3, 27) in Z_20440, fixed by p
     D = singer_construct(q**s, 4)
     G, (v, k, _) = D.group, D.params.as_tuple()
     els = list(D.elements)
     plan = plan_of(G, els, D.params.n)
     assert plan[:2] == ("orbit", q)
-    tracemalloc.start()
-    try:
-        rep = verify(G, els)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rep, peak = traced_peak(verify, G, els)
     assert rep.ok and rep.identity_count == k
     assert peak <= plan.nbytes
 
 
-def test_orbit_verify_peak_within_estimate_at_a_wide_slice(monkeypatch):
+def test_orbit_verify_peak_within_estimate_at_a_wide_slice(monkeypatch, traced_peak):
     # groups prices its own orbit-numbering buffers: with slices of 2^20
     # elements they take 20 MiB (the default slices keep the whole verify
     # under 8 MiB), which the estimate reads at call time
@@ -314,12 +320,7 @@ def test_orbit_verify_peak_within_estimate_at_a_wide_slice(monkeypatch):
     G, (v, k, _) = D.group, D.params.as_tuple()
     els = list(D.elements)
     monkeypatch.setattr(groups, "_KEY_SLICE", 1 << 20)
-    tracemalloc.start()
-    try:
-        rep = verify(G, els)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rep, peak = traced_peak(verify, G, els)
     assert rep.ok and peak > 20 * 2**20
     assert peak <= plan_of(G, els, D.params.n).nbytes
 
@@ -375,44 +376,34 @@ def test_plan_skips_a_multiplier_prime_that_divides_v():
 
 
 @pytest.mark.parametrize("factors, blocks", [([10007], 1), ([97, 103], 2)])
-def test_pair_counts_reuse_their_blocks(factors, blocks):
-    # k = 2100 is counted in row blocks of 31 rows, 65,100 pairs: the
-    # one-factor count holds one block of buffers, 16 bytes a pair (1 MiB),
-    # the product count the int64 temporaries of `G.sub`, at most 24
+def test_pair_counts_reuse_their_blocks(factors, blocks, traced_peak):
+    # k = 2100 is counted in row blocks of 15 rows, 31,500 pairs: the
+    # one-factor count holds one block of buffers, 16 bytes a pair (0.5
+    # MiB), the product count the int64 temporaries of `G.sub`, at most 24
     G = AbelianGroup(factors)
     rng = np.random.default_rng(7)
     ranks = np.sort(rng.choice(G.order, 2100, replace=False)).astype(np.int64)
-    tracemalloc.start()
-    try:
-        counts = dset._pair_counts(G, ranks)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    counts, peak = traced_peak(dset._pair_counts, G, ranks)
     if len(factors) == 1:
         counts = unfold(counts, G.order)
     assert counts[0] == 2100 and counts.sum() == 2100**2
     assert peak < (blocks + 0.25) * 2**20
 
 
-def test_cyclic_pair_count_peak_on_the_folded_half():
+def test_cyclic_pair_count_peak_on_the_folded_half(traced_peak):
     # Z_1000003, k = 1000: the counter and a block's bincount of v/2 + 1
     # entries take 8 bytes an element of Z_v, the block buffers of v/4
     # pairs 4 more, below the 16 of a length-v counter and bincount alone
     G = AbelianGroup([1000003])
     ranks = np.sort(np.random.default_rng(7).choice(G.order, 1000, replace=False))
-    tracemalloc.start()
-    try:
-        counts = dset._pair_counts(G, ranks)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    counts, peak = traced_peak(dset._pair_counts, G, ranks)
     counts = unfold(counts, G.order)
     assert counts[0] == 1000 and counts.sum() == 1000**2
     assert peak <= listed_plan(G, 1000, "pair").nbytes and peak < 16 * G.order
 
 
 @pytest.mark.parametrize("factors", [[10007], [97, 103]])
-def test_pair_verify_peak_within_estimate(monkeypatch, factors):
+def test_pair_verify_peak_within_estimate(monkeypatch, factors, traced_peak):
     # verify forced onto the pair count: k random ranks with an integral
     # lambda pass the O(k) tests (Z_10007 has no proper quotient, the
     # product presentation takes none), and Z_10007 would otherwise
@@ -423,12 +414,7 @@ def test_pair_verify_peak_within_estimate(monkeypatch, factors):
     k = next(k for k in range(2100, v) if k * (k - 1) % (v - 1) == 0)
     rng = np.random.default_rng(7)
     els = rng.choice(v, k, replace=False).tolist()
-    tracemalloc.start()
-    try:
-        rep = verify(G, els)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rep, peak = traced_peak(verify, G, els)
     assert rep.identity_count == k and not rep.ok
     assert peak <= listed_plan(G, k, "pair").nbytes
 
@@ -484,18 +470,13 @@ def test_folded_counts_unfold_to_the_brute_force_vector(v, t, els):
     assert list(difference_counts(G, els)) == brute
 
 
-def test_ntt_verify_peak_within_estimate():
+def test_ntt_verify_peak_within_estimate(traced_peak):
     # PG(10, 3) in Z_88573, verified by the transform of length 2^18
     D = singer_construct(3, 11)
     G, els = D.group, list(D.elements)
     plan = plan_of(G, els, D.params.n)
     assert plan[:2] == ("ntt", None)
-    tracemalloc.start()
-    try:
-        rep = verify(G, els)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rep, peak = traced_peak(verify, G, els)
     assert rep.ok and peak <= plan.nbytes
 
 
@@ -524,7 +505,7 @@ def test_ntt_matches_the_direct_transform(L):
     assert A.dtype == np.uint32 and A.tolist() == direct
 
 
-def test_ntt_count_peak_per_transform_word():
+def test_ntt_count_peak_per_transform_word(traced_peak):
     # PG(10, 3), L = 2^18: two uint32 pass buffers and the uint32
     # twiddles are 10 bytes a transform word, about 10.5 with numpy's
     # cast buffers
@@ -532,12 +513,7 @@ def test_ntt_count_peak_per_transform_word():
     v = D.group.order
     L = dset._ntt_length(v)
     ranks = np.asarray(D.elements, dtype=np.int64)
-    tracemalloc.start()
-    try:
-        counts = dset._ntt_counts(v, ranks)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    counts, peak = traced_peak(dset._ntt_counts, v, ranks)
     assert counts[0] == D.params.k and (counts[1:] == D.params.lam).all()
     assert peak <= 11 * L
 
@@ -1030,21 +1006,17 @@ def test_set_file_plain_and_line_readers_agree(tmp_path, lines, plain):
     assert D.elements == tuple(int(x) for x in S40[2:])
 
 
-def test_tower_set_file_read_and_verify_peak(tmp_path):
+def test_tower_set_file_read_and_verify_peak(tmp_path, traced_peak):
     # PG(3, 128) in Z_2113665 verified on the orbit path: the file's ranks
-    # in one int64 array, then the int32 orbit numbers of the folded half
-    # (4 MiB), the numbering's slice buffers and a 1 MiB block of pairs
+    # in one int64 array, then the int32 keys of the folded half (4 MiB)
+    # and the numbering's slice buffers, later its uint16 orbit numbers
+    # (2 MiB) and a 0.5 MiB block of pairs
     D = singer_construct(2**7, 4)
     path = tmp_path / "d.dset"
     write_set_file(path, D)
-    tracemalloc.start()
-    try:
-        back = read_set_file(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    back, peak = traced_peak(read_set_file, path)
     assert back.verified and back.elements == D.elements
-    assert peak <= 8.5 * 2**20
+    assert peak <= 5.5 * 2**20
 
 
 def test_set_file_comments_ignored(tmp_path, d15):

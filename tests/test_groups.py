@@ -404,10 +404,29 @@ def test_folded_orbit_ids_across_slices(monkeypatch, v, m):
     G = AbelianGroup([v])
     ids, sizes = groups._folded_orbit_ids(v, m)
     orbits = negation_merged(naive_orbits(G, m), v)
-    assert ids.dtype == np.int32 and len(ids) == v // 2 + 1
+    assert ids.dtype == narrow_ids(len(orbits)) and len(ids) == v // 2 + 1
     assert [ids[[min(x, v - x) for x in o]].tolist() for o in orbits] == \
         [[i] * len(o) for i, o in enumerate(orbits)]
     assert sizes.tolist() == [len(o) for o in orbits]
+
+
+def narrow_ids(orbits):
+    """The dtype of the numbers of this many orbits: uint16 while they fit."""
+    return np.uint16 if orbits <= 2**16 else np.int32
+
+
+@pytest.mark.parametrize("v, dtype", [(131071, np.uint16), (131073, np.int32)])
+def test_folded_orbit_ids_at_the_uint16_boundary(v, dtype):
+    # with t = -1 the orbits are forced to be the pairs {x, -x}, one for
+    # each x of the folded half: 65,536 in Z_131071, numbered 0 to 65535
+    # in uint16 over four full slices, and 65,537 in Z_131073, past uint16,
+    # whose last slice is a single element
+    half = v // 2 + 1
+    ids, sizes = groups._folded_orbit_ids(v, -1)
+    assert groups._orbit_number(v, v - 1, 2) == len(sizes) == half
+    assert ids.dtype == dtype == narrow_ids(half)
+    assert np.array_equal(ids, np.arange(half))
+    assert sizes[0] == 1 and (sizes[1:] == 2).all()
 
 
 def orbit_number_by_orders(v, t):

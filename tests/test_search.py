@@ -2,7 +2,6 @@ import itertools
 import json
 import os
 import random
-import tracemalloc
 from math import comb, gcd
 
 import pytest
@@ -304,16 +303,15 @@ def test_power_maps_match_the_walk_for_every_unit():
                 assert _power_maps(e, m) == power_maps_by_walk(e, m), (e, m)
 
 
-def test_orbit_table_guard_raises_before_allocating():
+def test_orbit_table_guard_raises_before_allocating(traced_peak):
     # m = 1 on Z_1023 would need a 1023^3 int32 table (about 4.3 GB)
     spec = SearchSpec(AbelianGroup([1023]), 511, 255)
-    tracemalloc.start()
-    try:
+
+    def refused():
         with pytest.raises(GroupSizeError, match="orbit-pair table"):
             orbit_union_search(spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    _, peak = traced_peak(refused)
     assert peak < 1 << 20
 
 

@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 from math import isqrt
 
 import numpy as np
@@ -68,10 +67,12 @@ def test_matches_naive_trace_oracle(q, d):
 
 
 @pytest.mark.parametrize("rows", [1, 5])
-@pytest.mark.parametrize("q,d", [(2**3, 4), (9, 3)])
+@pytest.mark.parametrize("q,d", [(2**3, 4), (9, 3), (2**5, 3), (27, 3)])
 def test_lookup_block_and_chunk_boundaries(monkeypatch, rows, q, d):
-    # n = 12 falls into chunks of 8 + 4 digits and n = 6 into 5 + 1; with
-    # 5 blocks a group the last group is partial
+    # n = 12 falls into whole chunks of 4 binary digits and n = 6 of 2
+    # ternary ones; n = 15 into 4 + 4 + 4 + 3 and n = 9 into 2 + 2 + 2 +
+    # 2 + 1, a partial last chunk; with 5 blocks a group the last group is
+    # partial
     monkeypatch.setattr(singer, "_BLOCK_ROWS", rows)
     assert_matches_oracle(singer_construct(q, d), brute_singer(q, d))
 
@@ -82,16 +83,11 @@ def test_streamed_matches_naive_trace_oracle(q, s):
     assert_matches_oracle(singer_construct(q**s, 4), brute_singer(q**s, 4))
 
 
-def test_enumeration_memory_below_dense_matrix():
+def test_enumeration_memory_below_dense_matrix(traced_peak):
     # q = 3, d = 11: a v x n int16 matrix alone would take v * 11 * 2 bytes
     F = make_field(3, 11)
     v = classical_params(3, 11).v
-    tracemalloc.start()
-    try:
-        indices = _trace_zero_exponents(F, 1, v)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    indices, peak = traced_peak(_trace_zero_exponents, F, 1, v)
     assert len(indices) == classical_params(3, 11).k
     assert peak < v * 11 * 2
 
@@ -137,20 +133,16 @@ def test_doubled_rows_and_windows_match_serial_loops(p, n, m):
 
 
 @pytest.mark.parametrize("p,e,d", [(2, 5, 4), (3, 1, 11), (131, 1, 3), (2, 7, 4)])
-def test_enumeration_estimate_bounds_traced_peak(p, e, d):
+def test_enumeration_estimate_bounds_traced_peak(p, e, d, traced_peak):
     params = classical_params(p**e, d)
     F = make_field(p, e * d)
-    tracemalloc.start()
-    try:
-        indices = _trace_zero_exponents(F, e, params.v)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    indices, peak = traced_peak(_trace_zero_exponents, F, e, params.v)
     assert len(indices) == params.k
     assert peak <= _enumeration_bytes(p, e * d, e, params.v, params.k)
     if (p, e, d) == (2, 7, 4):
-        # GF(2^28) onto GF(2^7): a length-v mask, not m*v = 14.8M flags
-        assert peak <= 9 << 20
+        # GF(2^28) onto GF(2^7): a length-v mask, not m*v = 14.8M flags,
+        # and seven tables of 16 rows
+        assert peak <= 4 << 20
 
 
 def test_streamed_gf2_path_is_large_capable():
