@@ -10,7 +10,7 @@ conflated with refutation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, isqrt
 
 from . import dset as ds
 from .dset import DifferenceSet, apply_power_map, intersection_profile, restrict
@@ -147,6 +147,15 @@ class MannWitness:
                 "p": self.p, "f": self.f, "j": self.j, "n_prime": self.n_prime}
 
 
+def _minus_one_exponent(p: int, u_star: int) -> int | None:
+    """The least f >= 1 with p^f = -1 mod u* > 1, p a unit mod u*, else
+    None.  With e = ord(p): for u* = 2, -1 = 1 and f = e; otherwise p^f =
+    -1 gives p^(2f) = 1 but p^f != 1, so f is an odd multiple of e/2 and
+    p^f = p^(e/2), the least f being e/2 when p^(e/2) = -1."""
+    e = multiplicative_order(p, u_star)
+    return next((f for f in (e // 2, e) if f and pow(p, f, u_star) == u_star - 1), None)
+
+
 def mann_test(D: DifferenceSet, U: Subgroup) -> TheoremReport:
     """Abridged Mann test relative to a subgroup U.
 
@@ -169,13 +178,7 @@ def mann_test(D: DifferenceSet, U: Subgroup) -> TheoremReport:
     for p in prime_divisors(n):
         if u_star % p == 0:
             continue
-        f = None
-        t = p % u_star
-        for cand in range(1, multiplicative_order(p, u_star) + 1):
-            if t == u_star - 1:
-                f = cand
-                break
-            t = t * p % u_star
+        f = _minus_one_exponent(p, u_star)
         if f is None:
             continue
         vp = factorize(n).get(p, 0)
@@ -434,19 +437,22 @@ def check_hk(D: DifferenceSet, q: int, s: int) -> TheoremReport:
     return rep
 
 
+def _tower_exponent(v: int, params: ds.Params) -> int | None:
+    """s >= 1 when params are those of PG(3, 2^s) in a group of order v,
+    else None: then n = Q^2 for Q = 2^s, so Q = isqrt(n)."""
+    Q = isqrt(max(params.n, 0))
+    if Q >= 2 and Q & (Q - 1) == 0 and v == params.v and \
+            params == ds.classical_params(Q, 4):
+        return Q.bit_length() - 1
+    return None
+
+
 def check_minimal_embedding(D: DifferenceSet) -> TheoremReport:
     """Locate the order-15 subgroup M through the proof's h*k construction
     and verify D ∩ M as a (15,7,3) difference set."""
     rep = TheoremReport("thm6.1", {"params": D.params.as_tuple()})
     G = D.group
-    s = None
-    t = 1
-    while (2**t + 1) * (2**(2 * t) + 1) <= G.order:
-        if (2**t + 1) * (2**(2 * t) + 1) == G.order and \
-                D.params == ds.classical_params(2**t, 4):
-            s = t
-            break
-        t += 1
+    s = _tower_exponent(G.order, D.params)
     rep.hyp("parameters match the q = 2^s family", s is not None)
     if s is None:
         return rep

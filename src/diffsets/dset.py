@@ -29,9 +29,9 @@ the pair and orbit counts:
   checked, never assumed: Hall's multiplier theorem predicts it): the
   coefficients are constant on the orbits of x -> t*x and equal at x and
   -x, so on the orbits of <t, -1>, numbered over the folded half
-  (`groups._folded_orbit_ids`).  Only pairs whose first element
-  represents a t-orbit of D (`groups._orbit_firsts`, the multiplier-orbit
-  routine of the whole package) are counted, e = ord_v(t), and
+  (`_folded_orbit_ids`).  Only pairs whose first element represents a
+  t-orbit of D (`groups._orbit_firsts`, the multiplier-orbit routine of
+  the whole package) are counted, e = ord_v(t), and
   of two t-orbits of D only one against the other, at twice the weight,
   as every orbit of <t, -1> is its own negative: ~k^2/(2e) pairs into
   one counter per orbit, from which the verdict is read without expanding
@@ -66,10 +66,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .groups import (AbelianGroup, CosetDecomposition, Subgroup,
-                     _folded_orbit_ids, _orbit_firsts, _orbit_ids_price,
-                     cosets, parse_group, subgroup_as_group)
+                     _orbit_firsts, cosets, parse_group, subgroup_as_group)
 from .numth import (divisors, is_prime_power, multiplicative_order,
-                    prime_divisors)
+                    prime_divisors, totient)
 
 #: Full difference counting keeps a dense length-v counter.
 FULL_VERIFY_ORDER_LIMIT = 1 << 26
@@ -265,10 +264,13 @@ def _prices(G: AbelianGroup, k: int, n: int) -> list[tuple[int, Plan]]:
       multiplier theorem's candidates; none for n <= 1): v*ceil(log2 e)
       for the orbit numbers plus k^2/(2e) pairs, e = ord_v(t); 80 bytes
       an element of D (its t-orbits by `_orbit_firsts` and its orbit
-      order), then the numbering of the orbits of <t, -1> as
-      `groups._orbit_ids_price` prices it or, if more, the count: the ids
-      it returns, the int64 counter, 16 bytes a pair of a block and
-      _ITER_BUFFERS.
+      order), then the numbering of the `_orbit_number` orbits of <t, -1>
+      by `_folded_orbit_ids` or, if more, the count.  The numbering takes
+      its slice buffers (at most 29 bytes a slice element) and the int32
+      keys of the floor(v/2) + 1 elements of the folded half or, if more,
+      the held ids and sizes (`_orbit_id_dtype` ids, int64 sizes) with a
+      slice's bincount of the sizes; the count the held ids and sizes,
+      the int64 counter, 16 bytes a pair of a block and _ITER_BUFFERS.
 
     Calibrated on a 2 vCPU Intel Xeon (Python 3.11, numpy 2.4.6): the
     pair and orbit counters took 8-13 ns per unit of their cost, the NTT
@@ -295,8 +297,10 @@ def _prices(G: AbelianGroup, k: int, n: int) -> list[tuple[int, Plan]]:
                        Plan("ntt", None, sets + 10 * L + _ITER_BUFFERS)))
         for t in prime_divisors(n) if n > 1 else ():
             if gcd(t, v) == 1:
-                e = multiplicative_order(t, v)
-                orbits, numbering, held = _orbit_ids_price(v, t, e)
+                e, half = multiplicative_order(t, v), v // 2 + 1
+                orbits = _orbit_number(v, t, e)
+                held = _orbit_id_dtype(orbits).itemsize * half + 8 * orbits
+                numbering = 29 * min(half, _KEY_SLICE) + max(4 * half, held + 8 * orbits)
                 counting = held + 8 * orbits + 16 * max(_BLOCK, k) + _ITER_BUFFERS
                 prices.append((v * (e - 1).bit_length() + k * k // (2 * e), Plan(
                     "orbit", t, sets + 80 * k + max(numbering, counting))))
@@ -411,10 +415,131 @@ def _pair_counts(G: AbelianGroup, ranks: np.ndarray) -> np.ndarray:
     return counts
 
 
+#: Elements per slice in the passes of `_folded_orbit_ids`, which reuse a
+#: few buffers of this length.
+_KEY_SLICE = 1 << 14
+
+
+def _scaled_slices(v: int, m: int):
+    """Pairs (lo, image) over consecutive slices of the folded half H =
+    {0, ..., floor(v/2)} of Z_v, image[i] = fold(m*(lo + i)), fold(x) =
+    min(x, v - x) for x in [0, v), as int64 in a buffer reused from one
+    slice to the next.
+
+    The products of a slice are the progression (m*lo mod v) + (m*i mod
+    v) in [0, 2v): one addition per element instead of a product and a
+    remainder.  For y in [0, 2v), d = |y - v| is y mod v or v minus it, so
+    fold(y mod v) = min(d, v - d), three more operations.
+    """
+    stop = v // 2 + 1
+    n = min(stop, _KEY_SLICE)
+    steps = np.arange(n, dtype=np.int64)
+    steps *= m % v
+    steps %= v
+    steps -= v                          # y - v: |y - v| is one np.abs away
+    steps = steps.astype(np.int32)      # |y - v| <= v < 2^31
+    spare = np.empty(n, dtype=np.int32)
+    image = np.empty(n, dtype=np.int64)
+    for lo in range(0, stop, n):
+        s = slice(0, min(n, stop - lo))
+        np.add(steps[s], m * lo % v, out=image[s])
+        np.abs(image[s], out=image[s])
+        np.subtract(v, image[s], out=spare[s])
+        np.minimum(image[s], spare[s], out=image[s])
+        yield lo, image[s]
+
+
+def _orbit_id_dtype(orbits: int) -> np.dtype:
+    """The dtype of orbit numbers below `orbits`: uint16 if it fits."""
+    return np.dtype(np.uint16 if orbits <= 1 << 16 else np.int32)
+
+
+def _folded_orbit_ids(v: int, t: int):
+    """The orbits on Z_v of the group <t, -1>, generated by x -> t*x and
+    x -> -x, numbered in the order of their least elements: (ids, sizes),
+    ids an `_orbit_id_dtype` array over the folded half H = {0, ...,
+    floor(v/2)} alone, the orbit of x being ids[min(x, v - x)], and sizes
+    the int64 orbit sizes in Z_v, where every x of H stands for x and v -
+    x, two elements except 0 and (v even) v/2.  The identity is orbit 0,
+    alone.  ValueError unless t is a unit mod v.
+
+    The numbering of `_orbit_counts`, kept to half the table and a few
+    slice buffers.  With e = ord_v(t), ceil(log2 e) doubling passes key(x)
+    = min(key(x), key(fold(t^j x))), j = 1, 2, 4, ..., cover x, t x, ...,
+    t^(e-1) x and their negatives, as fold(-y) = fold(y), so key(x) ends
+    as the least element of the orbit of x.  Updating in place only lowers
+    an entry to another element of the same orbit, so the passes may run
+    over fixed slices.  A last pass, slice by slice in increasing order,
+    numbers the least elements (key(x) = x) and gives each entry x the
+    number written at key(x) <= x, into the key read in the narrow dtype:
+    its entry x lies in key[:x + 1], read by then.  The key is shrunk in
+    place to the numbers, with no view of it left, so without numpy's
+    reference check, which a trace or profile hook's own reference to the
+    key would fail; one more pass counts them.  The doubling and numbering
+    passes reuse the same buffers, and their gathers are
+    np.take(mode="wrap"), which unlike the default mode makes no copy.
+    Needs v below 2^31.
+    """
+    half = v // 2 + 1
+    e, step = multiplicative_order(t % v, v), 1
+    narrow = _orbit_id_dtype(_orbit_number(v, t, e))
+    key = np.arange(half, dtype=np.int32)
+    n = min(half, _KEY_SLICE)
+    low = np.empty(n, dtype=np.int32)
+    while step < e:
+        for lo, image in _scaled_slices(v, pow(t, step, v)):
+            seg, s = key[lo:lo + n], slice(0, len(image))
+            np.take(key, image, out=low[s], mode="wrap")
+            np.minimum(seg, low[s], out=seg)
+        del image           # the pass's last slice, before the next allocates
+        step *= 2
+    ids, got = key.view(narrow)[:half], low.view(narrow)
+    offsets = np.arange(n, dtype=np.int32)
+    is_least, index = np.empty(n, dtype=bool), np.empty(n, dtype=np.int64)
+    count = 0
+    for lo in range(0, half, n):
+        seg, s = key[lo:lo + n], slice(0, min(n, half - lo))
+        np.subtract(seg, lo, out=low[s])
+        np.equal(low[s], offsets[s], out=is_least[s])
+        np.copyto(index[s], seg)
+        firsts = np.flatnonzero(is_least[s])
+        ids[lo:lo + n][firsts] = np.arange(count, count + len(firsts), dtype=narrow)
+        count += len(firsts)
+        np.take(ids, index[s], out=got[s], mode="wrap")
+        ids[lo:lo + n] = got[s]
+    del ids, seg                        # no view of key is left
+    key.resize((half * narrow.itemsize + 3) // 4, refcheck=False)
+    ids = key.view(narrow)[:half]
+    sizes = np.zeros(count, dtype=np.int64)
+    for lo in range(0, half, n):
+        sizes += np.bincount(ids[lo:lo + n], minlength=count)
+    sizes *= 2
+    sizes[0] -= 1                       # 0 = -0
+    if v % 2 == 0:
+        sizes[ids[v // 2]] -= 1         # v/2 = -v/2
+    return ids, sizes
+
+
+def _orbit_number(v: int, t: int, e: int) -> int:
+    """The number of orbits of the group <t, -1> on Z_v, generated by x ->
+    t*x and x -> -x, gcd(t, v) = 1 and e = ord_v(t), by Burnside's lemma
+    over the 2e maps +-t^j, j < e (each element of <t, -1> is hit equally
+    often): t^j fixes the gcd(t^j - 1, v) solutions of (t^j - 1)x = 0 and
+    -t^j the gcd(t^j + 1, v) of (t^j + 1)x = 0.  Both depend only on f =
+    gcd(j, e), since t^j = -1 mod a divisor m of v, m > 2, exactly when
+    ord_m(t)/2 divides j and ord_m(t) does not, and ord_m(t) | e; phi(e/f)
+    of the j < e have gcd(j, e) = f."""
+    fixed = 0
+    for f in divisors(e):
+        tf = pow(t, f, v)
+        fixed += totient(e // f) * (gcd(tf - 1, v) + gcd(tf + 1, v))
+    return fixed // (2 * e)
+
+
 def _orbit_counts(G: AbelianGroup, ranks: np.ndarray, t: int) -> np.ndarray:
     """The coefficients of D D^(-1) per orbit of <t, -1>, for sorted
     distinct ranks of D in G = Z_v with t*D = D: counts[i] is the
-    coefficient of every x in orbit i of `groups._folded_orbit_ids`, whose
+    coefficient of every x in orbit i of `_folded_orbit_ids`, whose
     numbers ids over the folded half give x the coefficient
     counts[ids[min(x, v - x)]] (the identity alone is orbit 0).
     RuntimeError if t does not fix D: the t-orbits of D are read by
@@ -792,18 +917,16 @@ def read_set_file(path) -> DifferenceSet:
 
     One reader takes the header (`_set_file_header`).  A plain body
     (`_plain_ranks`) is then parsed in one numpy call; any other body, and
-    a plain one whose ranks repeat, is read line by line
-    (`_set_file_body`), which finds the line that an error names."""
+    a plain one whose sorted ranks repeat, is read line by line
+    (`_set_file_body`), which finds the line that an error names.  The
+    ranks are verified once."""
     with open(path) as fh:
         text = fh.read()
     G, params, start, pos = _set_file_header(path, text)
     ranks = _plain_ranks(text[pos:], params)
-    if ranks is not None:
-        try:
-            return make_difference_set(G, ranks, params)
-        except ValueError:              # a rank repeats: the walk names its line
-            pass
-    return _set_file_body(path, text.splitlines(), start, G, params)
+    if ranks is None or (ranks[1:] == ranks[:-1]).any():
+        ranks = _set_file_body(path, text.splitlines(), start, params)
+    return make_difference_set(G, ranks, params)
 
 
 def _set_file_header(path, text: str) -> tuple[AbelianGroup, Params, int, int]:
@@ -845,9 +968,10 @@ _PLAIN_BODY = b"0123456789\n"
 
 
 def _plain_ranks(body: str, params: Params) -> np.ndarray | None:
-    """The ranks of a plain set-file body as an int64 array, else None: one
-    decimal rank a line (blank lines allowed), k of them, all below v.
-    Such a body reads as `_set_file_body` reads it; any other gets None."""
+    """The ranks of a plain set-file body as a sorted int64 array, else
+    None: one decimal rank a line (blank lines allowed), k of them, all
+    below v.  Such a body reads as `_set_file_body` reads it; any other
+    gets None."""
     try:
         body = body.encode("ascii")
     except UnicodeEncodeError:
@@ -857,14 +981,14 @@ def _plain_ranks(body: str, params: Params) -> np.ndarray | None:
     ranks = np.fromstring(body, dtype=np.int64, sep=" ")
     if len(ranks) != params.k or ranks.max() >= params.v:
         return None
+    ranks.sort()
     return ranks
 
 
-def _set_file_body(path, lines: list[str], start: int, G: AbelianGroup,
-                   params: Params) -> DifferenceSet:
-    """The body lines[start:] of a set file line by line: SetFileError for
-    the first malformed, out-of-range or repeated entry, or a wrong count,
-    at its line."""
+def _set_file_body(path, lines: list[str], start: int, params: Params) -> list[int]:
+    """The ranks of the body lines[start:] of a set file, read line by
+    line: SetFileError for the first malformed or out-of-range entry, then
+    for a wrong count, then for the first repeated entry, at its line."""
     entries = [(i + 1, ln.strip()) for i, ln in enumerate(lines[start:], start)
                if ln.strip() and not ln.strip().startswith("#")]
     els = []
@@ -879,11 +1003,8 @@ def _set_file_body(path, lines: list[str], start: int, G: AbelianGroup,
     if len(els) != params.k:
         raise SetFileError(path, len(lines),
                            f"expected {params.k} elements, found {len(els)}")
-    try:
-        return make_difference_set(G, els, params)
-    except ValueError:                  # refused before verifying: a rank repeats
-        first = {}                      # rank -> the line it is first on
-        for (lno, _), e in zip(entries, els):
-            if first.setdefault(e, lno) != lno:
-                raise SetFileError(path, lno, f"element rank {e} repeats line {first[e]}") from None
-        raise
+    first = {}                          # rank -> the line it is first on
+    for (lno, _), e in zip(entries, els):
+        if first.setdefault(e, lno) != lno:
+            raise SetFileError(path, lno, f"element rank {e} repeats line {first[e]}")
+    return els

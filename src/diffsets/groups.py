@@ -22,9 +22,8 @@ The orbits of a numerical multiplier x -> t*x on a set that t fixes are
 found by one routine, `_orbit_firsts`, in any presentation: on a
 difference set D for the verifier's orbit count, on all of G for the
 orbit search and `multiplier_orbits`, and on the units mod the exponent
-for the power maps of the class forms.  Only the verifier's orbits of
-<t, -1> on Z_v are numbered apart, over half of Z_v in slices
-(`_folded_orbit_ids`), which keeps its peak memory at half a table.
+for the power maps of the class forms.  The verifier numbers the orbits
+of <t, -1> on Z_v apart, in `dset` beside its orbit count.
 """
 from __future__ import annotations
 
@@ -34,14 +33,10 @@ from math import gcd, lcm, prod
 
 import numpy as np
 
-from .numth import divisors, factorize, multiplicative_order, totient
+from .numth import divisors, factorize, multiplicative_order
 
 #: Orders up to this are safe to materialize element-by-element.
 MATERIALIZE_LIMIT = 1 << 24
-
-#: Elements per slice in the passes of `_folded_orbit_ids`, which reuse a
-#: few buffers of this length.
-_KEY_SLICE = 1 << 14
 
 #: Subgroup enumeration is refused over more elements than this: all of G
 #: for all_subgroups, the m-torsion for subgroups_of_order.
@@ -453,133 +448,6 @@ def _multiplier_orbit_ids(G: AbelianGroup, m: int):
     ids = number[first]
     least = np.flatnonzero(is_least).astype(np.int32)
     return ids, np.bincount(ids, minlength=len(least)), least
-
-
-def _scaled_slices(v: int, m: int):
-    """Pairs (lo, image) over consecutive slices of the folded half H =
-    {0, ..., floor(v/2)} of Z_v, image[i] = fold(m*(lo + i)), fold(x) =
-    min(x, v - x) for x in [0, v), as int64 in a buffer reused from one
-    slice to the next.
-
-    The products of a slice are the progression (m*lo mod v) + (m*i mod
-    v) in [0, 2v): one addition per element instead of a product and a
-    remainder.  For y in [0, 2v), d = |y - v| is y mod v or v minus it, so
-    fold(y mod v) = min(d, v - d), three more operations.
-    """
-    stop = v // 2 + 1
-    n = min(stop, _KEY_SLICE)
-    steps = np.arange(n, dtype=np.int64)
-    steps *= m % v
-    steps %= v
-    steps -= v                          # y - v: |y - v| is one np.abs away
-    steps = steps.astype(np.int32)      # |y - v| <= v < 2^31
-    spare = np.empty(n, dtype=np.int32)
-    image = np.empty(n, dtype=np.int64)
-    for lo in range(0, stop, n):
-        s = slice(0, min(n, stop - lo))
-        np.add(steps[s], m * lo % v, out=image[s])
-        np.abs(image[s], out=image[s])
-        np.subtract(v, image[s], out=spare[s])
-        np.minimum(image[s], spare[s], out=image[s])
-        yield lo, image[s]
-
-
-def _orbit_id_dtype(orbits: int) -> np.dtype:
-    """The dtype of orbit numbers below `orbits`: uint16 if it fits."""
-    return np.dtype(np.uint16 if orbits <= 1 << 16 else np.int32)
-
-
-def _folded_orbit_ids(v: int, t: int):
-    """The orbits on Z_v of the group <t, -1>, generated by x -> t*x and
-    x -> -x, numbered in the order of their least elements: (ids, sizes),
-    ids an `_orbit_id_dtype` array over the folded half H = {0, ...,
-    floor(v/2)} alone, the orbit of x being ids[min(x, v - x)], and sizes
-    the int64 orbit sizes in Z_v, where every x of H stands for x and v -
-    x, two elements except 0 and (v even) v/2.  The identity is orbit 0,
-    alone.  ValueError unless t is a unit mod v.
-
-    The verifier's numbering (`dset._orbit_counts`), kept to half the
-    table and a few slice buffers.  With e = ord_v(t), ceil(log2 e)
-    doubling passes key(x) = min(key(x), key(fold(t^j x))), j = 1, 2, 4,
-    ..., cover x, t x, ..., t^(e-1) x and their negatives, as fold(-y) =
-    fold(y), so key(x) ends as the least element of the orbit of x.
-    Updating in place only lowers an entry to another element of the same
-    orbit, so the passes may run over fixed slices.  A last pass, slice by
-    slice in increasing order, numbers the least elements (key(x) = x)
-    and gives each entry x the number written at key(x) <= x, into the
-    key read in the narrow dtype: its entry x lies in key[:x + 1], read
-    by then.  The key is shrunk in place to the numbers, and one more
-    pass counts them.  The doubling and numbering passes reuse the same
-    buffers, and their gathers are np.take(mode="wrap"), which unlike the
-    default mode makes no copy.  Needs v below 2^31.
-    """
-    half = v // 2 + 1
-    e, step = multiplicative_order(t % v, v), 1
-    narrow = _orbit_id_dtype(_orbit_number(v, t, e))
-    key = np.arange(half, dtype=np.int32)
-    n = min(half, _KEY_SLICE)
-    low = np.empty(n, dtype=np.int32)
-    while step < e:
-        for lo, image in _scaled_slices(v, pow(t, step, v)):
-            seg, s = key[lo:lo + n], slice(0, len(image))
-            np.take(key, image, out=low[s], mode="wrap")
-            np.minimum(seg, low[s], out=seg)
-        del image           # the pass's last slice, before the next allocates
-        step *= 2
-    ids, got = key.view(narrow)[:half], low.view(narrow)
-    offsets = np.arange(n, dtype=np.int32)
-    is_least, index = np.empty(n, dtype=bool), np.empty(n, dtype=np.int64)
-    count = 0
-    for lo in range(0, half, n):
-        seg, s = key[lo:lo + n], slice(0, min(n, half - lo))
-        np.subtract(seg, lo, out=low[s])
-        np.equal(low[s], offsets[s], out=is_least[s])
-        np.copyto(index[s], seg)
-        firsts = np.flatnonzero(is_least[s])
-        ids[lo:lo + n][firsts] = np.arange(count, count + len(firsts), dtype=narrow)
-        count += len(firsts)
-        np.take(ids, index[s], out=got[s], mode="wrap")
-        ids[lo:lo + n] = got[s]
-    del ids, seg                        # no view of key is left
-    key.resize((half * narrow.itemsize + 3) // 4)
-    ids = key.view(narrow)[:half]
-    sizes = np.zeros(count, dtype=np.int64)
-    for lo in range(0, half, n):
-        sizes += np.bincount(ids[lo:lo + n], minlength=count)
-    sizes *= 2
-    sizes[0] -= 1                       # 0 = -0
-    if v % 2 == 0:
-        sizes[ids[v // 2]] -= 1         # v/2 = -v/2
-    return ids, sizes
-
-
-def _orbit_number(v: int, t: int, e: int) -> int:
-    """The number of orbits of the group <t, -1> on Z_v, generated by x ->
-    t*x and x -> -x, gcd(t, v) = 1 and e = ord_v(t), by Burnside's lemma
-    over the 2e maps +-t^j, j < e (each element of <t, -1> is hit equally
-    often): t^j fixes the gcd(t^j - 1, v) solutions of (t^j - 1)x = 0 and
-    -t^j the gcd(t^j + 1, v) of (t^j + 1)x = 0.  Both depend only on f =
-    gcd(j, e), since t^j = -1 mod a divisor m of v, m > 2, exactly when
-    ord_m(t)/2 divides j and ord_m(t) does not, and ord_m(t) | e; phi(e/f)
-    of the j < e have gcd(j, e) = f."""
-    fixed = 0
-    for f in divisors(e):
-        tf = pow(t, f, v)
-        fixed += totient(e // f) * (gcd(tf - 1, v) + gcd(tf + 1, v))
-    return fixed // (2 * e)
-
-
-def _orbit_ids_price(v: int, t: int, e: int) -> tuple[int, int, int]:
-    """(orbits, peak, held): the number of orbits of <t, -1> on Z_v, e =
-    ord_v(t) (`_orbit_number`), and the estimated peak bytes of numbering
-    them over the folded half by `_folded_orbit_ids` and of the ids and
-    sizes it returns: the slice buffers (at most 29 bytes a slice element)
-    and the int32 keys of floor(v/2) + 1 elements, or the held ids with a
-    slice's bincount of the sizes."""
-    orbits = _orbit_number(v, t, e)
-    half = v // 2 + 1
-    held = _orbit_id_dtype(orbits).itemsize * half + 8 * orbits
-    return orbits, 29 * min(half, _KEY_SLICE) + max(4 * half, held + 8 * orbits), held
 
 
 def multiplier_orbits(G: AbelianGroup, m: int) -> list[list[int]]:

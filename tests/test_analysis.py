@@ -1,5 +1,6 @@
 import pytest
 
+from diffsets import analysis
 from diffsets.analysis import (check_dintk, check_hk, check_ho,
                                check_lemma_mfix, check_lemma_size, check_main,
                                check_minimal_embedding, check_planar_subset,
@@ -10,6 +11,7 @@ from diffsets.dset import (DifferenceSet, Params, VerificationReport,
                            classical_params, make_difference_set, restrict,
                            verify)
 from diffsets.groups import AbelianGroup, cyclic_subgroup_of_order
+from diffsets.numth import is_prime, multiplicative_order
 from diffsets.singer import singer_construct
 
 
@@ -132,6 +134,29 @@ def test_mann_whole_group_degenerate():
     assert rep.status == "hypothesis-not-met"
 
 
+def minus_one_exponent_by_walk(p, u_star):
+    """The least f >= 1 with p^f = -1 mod u*, by stepping through the
+    powers of p up to its order, else None."""
+    t = p % u_star
+    for f in range(1, multiplicative_order(p, u_star) + 1):
+        if t == u_star - 1:
+            return f
+        t = t * p % u_star
+    return None
+
+
+def test_mann_exponent_matches_the_walk():
+    # every prime p < 80 against every u* < 400 that p does not divide
+    found = 0
+    for p in filter(is_prime, range(2, 80)):
+        for u_star in range(2, 400):
+            if u_star % p:
+                f = analysis._minus_one_exponent(p, u_star)
+                assert f == minus_one_exponent_by_walk(p, u_star)
+                found += f is not None
+    assert found > 1000
+
+
 def test_classical_profile_checker(d15, d40, d585):
     assert check_thm_classical_profile(d15, 2, 1).status == "verified"
     assert check_thm_classical_profile(d40, 3, 1).status == "verified"
@@ -187,6 +212,36 @@ def test_hk_odd_q_hypothesis(d40):
 def test_minimal_embedding(d585):
     rep = check_minimal_embedding(d585)
     assert rep.status == "verified"
+
+
+def tower_exponent_by_loop(v, params):
+    """s with params those of PG(3, 2^s) in a group of order v, found by
+    trying every t with (2^t + 1)(2^(2t) + 1) <= v, else None."""
+    t = 1
+    while (2**t + 1) * (2**(2 * t) + 1) <= v:
+        if (2**t + 1) * (2**(2 * t) + 1) == v and params == classical_params(2**t, 4):
+            return t
+        t += 1
+    return None
+
+
+def test_tower_exponent_matches_the_loop():
+    # PG(3, 2^t) for t <= 8 in its own group, with k one more and in a
+    # group one larger; PG(3, q) for q not a power of 2, PG(d - 1, 2)
+    # (n = 16 for d = 6), and n = 0 and n < 0
+    cases = []
+    for t in range(1, 9):
+        v, k, lam = classical_params(2**t, 4).as_tuple()
+        cases += [(v, Params(v, k, lam)), (v, Params(v, k + 1, lam)),
+                  (v + 1, Params(v, k, lam))]
+    cases += [(P.v, P) for P in [classical_params(q, 4) for q in (3, 5, 7, 9)]
+              + [classical_params(2, d) for d in (3, 5, 6)]
+              + [Params(1, 0, 0), Params(15, 3, 7)]]
+    assert len(cases) == 33
+    assert [analysis._tower_exponent(v, P) for v, P in cases] == \
+        [tower_exponent_by_loop(v, P) for v, P in cases]
+    assert [analysis._tower_exponent(v, P) for v, P in cases[:24:3]] == \
+        list(range(1, 9))
 
 
 def test_planar_subset_m2():

@@ -37,11 +37,25 @@ def test_construct_writes_verified_set(capsys, tmp_path):
     assert list(D.elements) == rep["elements"]
 
 
-def test_construct_streamed_flag(capsys, tmp_path):
+def test_construct_tower_by_s(capsys, tmp_path):
     out = str(tmp_path / "d.dset")
     code, rep = invoke_json(capsys, "construct", "--q", "2", "--s", "3",
                             "--out", out)
     assert code == 0 and rep["params"] == [585, 73, 9]
+
+
+def test_tower_verbs_under_profile_and_trace_hooks(hooked_runs, tmp_path):
+    # the orbit count in Z_15 and on the q=2 s=5 tower, reached by
+    # construct, verify --set and profile --set: a profile or trace hook
+    # changes no exit code and no byte of the report
+    small, tower = str(tmp_path / "d4.dset"), str(tmp_path / "s5.dset")
+    for argv in (["construct", "--q", "2", "--d", "4", "--out", small],
+                 ["construct", "--q", "2", "--s", "5", "--out", tower],
+                 ["verify", "--set", tower],
+                 ["profile", "--set", tower, "--subgroup-order", "33"]):
+        plain, profiled, traced = hooked_runs(*argv, "--json", "--no-timestamps")
+        assert plain[0] == 0 and json.loads(plain[1])["verified"]
+        assert profiled == plain and traced == plain
 
 
 def test_verify_roundtrip(capsys, tmp_path):
@@ -145,7 +159,7 @@ def test_quotient_image_rejects_without_counting_pairs(capsys, tmp_path,
 @pytest.mark.parametrize("verb", [["scan", "--q", "4", "--s", "3"],
                                   ["check", "cor3.2", "--q", "4", "--s", "3"]],
                          ids=["scan", "cor3.2"])
-def test_ceiling_forces_exact_verification(capsys, monkeypatch, verb):
+def test_ceiling_changes_no_verification(capsys, monkeypatch, verb):
     # PG(3, 4^3) has v = 266305; D ∩ M, M of order 85, is counted exactly
     # whether or not --ceiling is given, nothing of order v is counted,
     # and the ceiling changes no report

@@ -1,3 +1,4 @@
+import sys
 from math import gcd
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from diffsets import dset, groups
+from diffsets import dset
 from diffsets.dset import (Params, SetFileError, VerificationReport,
                            classical_params, difference_counts,
                            distribution_bound_check, element_sum,
@@ -60,7 +61,7 @@ def unfold(counts, v):
 def orbit_ids(v, t):
     """The numbers over the folded half of the orbits of <t, -1> that
     `_orbit_counts` counts on."""
-    return groups._folded_orbit_ids(v, t)[0]
+    return dset._folded_orbit_ids(v, t)[0]
 
 
 def orbit_counts(G, ranks, t):
@@ -141,7 +142,7 @@ def test_orbit_counts_at_the_self_negative_half(q, d):
     G, v, (_, k, lam) = D.group, D.group.order, D.params.as_tuple()
     ranks = np.asarray(D.elements, dtype=np.int64)
     counts = dset._orbit_counts(G, ranks, 3)
-    ids, sizes = groups._folded_orbit_ids(v, 3)
+    ids, sizes = dset._folded_orbit_ids(v, 3)
     assert v % 2 == 0 and sizes[ids[v // 2]] == sizes[ids[0]] == 1
     assert sizes.sum() == v
     assert counts[0] == k and (counts[1:] == lam).all()
@@ -270,7 +271,7 @@ def test_orbit_kernel_matches_pair_counts(data):
     assert len(ids) == v // 2 + 1
     assert ids[0] == 0 and (ids[1:] != 0).all()
     assert len(counts) == len(negation_merged(orbits, v)) == \
-        groups._orbit_number(v, t, multiplicative_order(t, v))
+        dset._orbit_number(v, t, multiplicative_order(t, v))
     if self_negative:
         assert len(counts) == len(orbits)
     assert np.array_equal(unfold(counts[ids], v), pair_counts(G, ranks))
@@ -299,6 +300,21 @@ def test_orbit_verdict_sees_one_orbit_off(v, t, els, off):
     assert not by_orbits.ok and by_orbits.identity_count == len(els)
 
 
+@pytest.mark.parametrize("v", [131071, 131073])
+def test_folded_orbit_ids_under_a_profile_hook(v):
+    # a profile hook reads the frame's locals, so it holds one more
+    # reference to the key that the numbering shrinks in place: uint16
+    # numbers in Z_131071, int32 in Z_131073, the pairs {x, -x} of t = -1
+    before = sys.getprofile()
+    sys.setprofile(lambda frame, event, arg: None)
+    try:
+        ids, sizes = dset._folded_orbit_ids(v, -1)
+    finally:
+        sys.setprofile(before)
+    half = v // 2 + 1
+    assert np.array_equal(ids, np.arange(half)) and len(sizes) == half
+
+
 @pytest.mark.parametrize("q, s", [(2, 5), (3, 3)])
 def test_orbit_verify_peak_within_estimate(q, s, traced_peak):
     # the towers PG(3, 32) in Z_33825 and PG(3, 27) in Z_20440, fixed by p
@@ -313,13 +329,13 @@ def test_orbit_verify_peak_within_estimate(q, s, traced_peak):
 
 
 def test_orbit_verify_peak_within_estimate_at_a_wide_slice(monkeypatch, traced_peak):
-    # groups prices its own orbit-numbering buffers: with slices of 2^20
-    # elements they take 20 MiB (the default slices keep the whole verify
-    # under 8 MiB), which the estimate reads at call time
+    # the orbit numbering's buffers are priced beside it: with slices of
+    # 2^20 elements they take 20 MiB (the default slices keep the whole
+    # verify under 8 MiB), which the estimate reads at call time
     D = singer_construct(2**7, 4)
     G, (v, k, _) = D.group, D.params.as_tuple()
     els = list(D.elements)
-    monkeypatch.setattr(groups, "_KEY_SLICE", 1 << 20)
+    monkeypatch.setattr(dset, "_KEY_SLICE", 1 << 20)
     rep, peak = traced_peak(verify, G, els)
     assert rep.ok and peak > 20 * 2**20
     assert peak <= plan_of(G, els, D.params.n).nbytes
@@ -1001,9 +1017,60 @@ def test_set_file_plain_and_line_readers_agree(tmp_path, lines, plain):
     assert start == header[1] + 1 and pos == len("".join(lines[:start]))
     assert (dset._plain_ranks(text[pos:], params) is not None) == plain
     D = read_set_file(path)
-    assert D == dset._set_file_body(path, text.splitlines(), start, G, params)
+    ranks = dset._set_file_body(path, text.splitlines(), start, params)
+    assert sorted(ranks) == list(D.elements)
     assert D.verified
     assert D.elements == tuple(int(x) for x in S40[2:])
+
+
+def counted_verify(monkeypatch, error=None):
+    """Wrap `dset.verify` to record the order of each group it verifies
+    in, raising `error` instead of verifying when one is given."""
+    calls, verify = [], dset.verify
+
+    def counted(G, elements):
+        calls.append(G.order)
+        if error is not None:
+            raise error
+        return verify(G, elements)
+
+    monkeypatch.setattr(dset, "verify", counted)
+    return calls
+
+
+@pytest.mark.parametrize("lines", [
+    S40, S40[:2] + ["# c", ""] + S40[2:5] + ["  # x", "   "] + S40[5:]],
+    ids=["plain", "body comments"])
+def test_set_file_verified_once(tmp_path, monkeypatch, lines):
+    # a plain body and one read line by line are verified once each
+    calls = counted_verify(monkeypatch)
+    path = tmp_path / "d.dset"
+    path.write_text("\n".join(lines) + "\n")
+    assert read_set_file(path).verified and calls == [40]
+
+
+def test_set_file_repeat_named_before_verifying(tmp_path, monkeypatch):
+    # a repeated rank in a plain body keeps its message, and nothing is
+    # verified
+    calls = counted_verify(monkeypatch)
+    path = tmp_path / "bad.dset"
+    path.write_text("\n".join(S40[:3] + ["0"] + S40[4:]) + "\n")
+    with pytest.raises(SetFileError) as ei:
+        read_set_file(path)
+    assert str(ei.value) == f"{path}:4: element rank 0 repeats line 3"
+    assert calls == []
+
+
+def test_set_file_verification_error_propagates(tmp_path, monkeypatch):
+    # a ValueError raised in verification is not taken for a bad body: it
+    # reaches the caller unchanged after one call
+    calls = counted_verify(monkeypatch, ValueError("boom"))
+    path = tmp_path / "d.dset"
+    path.write_text("\n".join(S40) + "\n")
+    with pytest.raises(ValueError) as ei:
+        read_set_file(path)
+    assert type(ei.value) is ValueError and str(ei.value) == "boom"
+    assert calls == [40]
 
 
 def test_tower_set_file_read_and_verify_peak(tmp_path, traced_peak):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from diffsets import groups
+from diffsets import dset, groups
 from diffsets.groups import (AbelianGroup, GroupSizeError, Subgroup,
                              all_subgroups, cosets, cyclic_subgroup_of_order,
                              fixed_subgroup, generated_subgroup,
@@ -368,11 +368,10 @@ def test_orbit_firsts_refuse_a_set_that_t_moves(factors, t):
 
 @pytest.mark.parametrize("factors, m", [([585], 2), ([585], 7), ([1000], 3),
                                         ([997], 5), ([3, 15], 2), ([40], -1)])
-def test_orbit_ids_across_slices(monkeypatch, factors, m):
-    # the numbering of all of G reads no slice length: with slices of 7
-    # elements for the folded numbering, it still numbers every orbit of
-    # x -> m*x by its least element
-    monkeypatch.setattr(groups, "_KEY_SLICE", 7)
+def test_orbit_ids_across_slices(factors, m):
+    # the numbering of all of G reads no slice length (only the folded
+    # numbering of dset slices its passes): every orbit of x -> m*x is
+    # numbered by its least element
     G = AbelianGroup(factors)
     ids, sizes, least = groups._multiplier_orbit_ids(G, m)
     orbits = naive_orbits(G, m)
@@ -400,9 +399,9 @@ def test_folded_orbit_ids_across_slices(monkeypatch, v, m):
     # the orbits of <m, -1> over the folded half {0, ..., v // 2} in slices
     # of 7 elements: v even and odd, -1 a power of m (Z_13, m = 5; Z_40,
     # m = -1) or not, and a last slice that is partial or a single element
-    monkeypatch.setattr(groups, "_KEY_SLICE", 7)
+    monkeypatch.setattr(dset, "_KEY_SLICE", 7)
     G = AbelianGroup([v])
-    ids, sizes = groups._folded_orbit_ids(v, m)
+    ids, sizes = dset._folded_orbit_ids(v, m)
     orbits = negation_merged(naive_orbits(G, m), v)
     assert ids.dtype == narrow_ids(len(orbits)) and len(ids) == v // 2 + 1
     assert [ids[[min(x, v - x) for x in o]].tolist() for o in orbits] == \
@@ -422,8 +421,8 @@ def test_folded_orbit_ids_at_the_uint16_boundary(v, dtype):
     # in uint16 over four full slices, and 65,537 in Z_131073, past uint16,
     # whose last slice is a single element
     half = v // 2 + 1
-    ids, sizes = groups._folded_orbit_ids(v, -1)
-    assert groups._orbit_number(v, v - 1, 2) == len(sizes) == half
+    ids, sizes = dset._folded_orbit_ids(v, -1)
+    assert dset._orbit_number(v, v - 1, 2) == len(sizes) == half
     assert ids.dtype == dtype == narrow_ids(half)
     assert np.array_equal(ids, np.arange(half))
     assert sizes[0] == 1 and (sizes[1:] == 2).all()
@@ -453,14 +452,14 @@ def test_orbit_number_by_burnside_matches_the_sum_over_divisors():
         for t in range(1, 60):
             if gcd(t, v) == 1:
                 e = multiplicative_order(t, v)
-                assert groups._orbit_number(v, t, e) == orbit_number_by_orders(v, t)
+                assert dset._orbit_number(v, t, e) == orbit_number_by_orders(v, t)
     for v in BENCH_ORDERS:
         for t in (2, 3, 5, 7):
             if gcd(t, v) == 1:
                 e = multiplicative_order(t, v)
-                assert groups._orbit_number(v, t, e) == orbit_number_by_orders(v, t)
+                assert dset._orbit_number(v, t, e) == orbit_number_by_orders(v, t)
     # the q=2 s=7 tower has 38,047 orbits of <2, -1>
-    assert groups._orbit_number(2113665, 2, 28) == 38047
+    assert dset._orbit_number(2113665, 2, 28) == 38047
 
 
 def test_orbit_number_of_t_and_minus_one_by_burnside():
@@ -470,11 +469,11 @@ def test_orbit_number_of_t_and_minus_one_by_burnside():
             if gcd(t, v) == 1:
                 e = multiplicative_order(t, v)
                 merged = negation_merged(multiplier_orbits(G, t), v)
-                assert groups._orbit_number(v, t, e) == len(merged)
+                assert dset._orbit_number(v, t, e) == len(merged)
     # the q=2 s=7 tower: 38,047 orbits of <2, -1>, as the folded
     # numbering finds
-    assert groups._orbit_number(2113665, 2, 28) == 38047 == \
-        len(groups._folded_orbit_ids(2113665, 2)[1])
+    assert dset._orbit_number(2113665, 2, 28) == 38047 == \
+        len(dset._folded_orbit_ids(2113665, 2)[1])
 
 
 def test_multiplier_orbits_require_unit():

@@ -78,7 +78,7 @@ def test_lookup_block_and_chunk_boundaries(monkeypatch, rows, q, d):
 
 
 @pytest.mark.parametrize("q,s", [(2, 3), (2, 5)])
-def test_streamed_matches_naive_trace_oracle(q, s):
+def test_subfield_trace_matches_naive_oracle(q, s):
     # GF(q^(4s)) traced onto GF(q^s): subfield degree s > 1
     assert_matches_oracle(singer_construct(q**s, 4), brute_singer(q**s, 4))
 
@@ -145,7 +145,7 @@ def test_enumeration_estimate_bounds_traced_peak(p, e, d, traced_peak):
         assert peak <= 4 << 20
 
 
-def test_streamed_gf2_path_is_large_capable():
+def test_gf2_tower_at_s5_verifies():
     D = singer_construct(2**5, 4)           # GF(2^20), v = 33825
     assert D.params.as_tuple() == (33825, 1057, 33)
     assert D.verified
