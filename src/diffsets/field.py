@@ -1,9 +1,15 @@
 """Exact arithmetic in GF(p^n) with a fixed primitive element.
 
 A field element is a plain Python int encoding its coefficient vector
-(c0, c1, ..., c_{n-1}) in the power basis as sum(c_i * p**i).  One
-digit-wise arithmetic serves every p, GF(2^n) included.  Use
+(c0, c1, ..., c_{n-1}) in the power basis as sum(c_i * p**i).  Use
 :meth:`FiniteField.coeffs` and :meth:`FiniteField.from_coeffs` to convert.
+
+All polynomial arithmetic mod the modulus f reads one table, the rows
+x^r mod f of one integer array, built by one doubling routine
+(`_power_rows` over `_windows`): a product is the convolution of two
+coefficient vectors times the rows r < 2n - 1, the basis traces are
+traces of n x n blocks of it, and the Singer kernel reads its longer
+rows.  One arithmetic serves every p, GF(2^n) included.
 
 The modulus is the lexicographically smallest primitive monic polynomial
 of degree n over Z_p (coefficients compared constant-term first), found
@@ -16,7 +22,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Sequence
+
+import numpy as np
 
 from .numth import is_prime, multiplicative_order, prime_divisors
 
@@ -29,51 +36,71 @@ class FieldSizeError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# polynomial arithmetic over Z_p (list coefficients, constant term first),
-# shared by the primitivity search and FiniteField.mul and .pow
+# polynomial arithmetic over Z_p (coefficient vectors, constant term first),
+# read from one table of the powers x^r mod the modulus
 
-def _pmul_mod(p: int, n: int, mod: Sequence[int], a: Sequence[int],
-              b: Sequence[int]) -> list[int]:
-    """a*b modulo the monic degree-n polynomial mod, over Z_p."""
-    res = [0] * (2 * n - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            res[i:i + n] = [r + ai * bj for r, bj in zip(res[i:i + n], b)]
-    for d in range(2 * n - 2, n - 1, -1):
-        c = res[d] % p
-        if c:
-            res[d - n:d] = [r - c * m for r, m in zip(res[d - n:d], mod)]
-    return [r % p for r in res[:n]]
+def _windows(step: np.ndarray, first, p: int, count: int) -> np.ndarray:
+    """W[b] = step^b @ first mod p for b < count, as the rows of an array
+    of step's dtype, by doubling: W[d:d+g] = W[:g] @ (step^d)^T, squaring
+    step^d each round."""
+    W = np.empty((count, len(first)), dtype=step.dtype)
+    W[0] = first
+    power, d = step.T, 1                # power = (step^d)^T
+    while d < count:
+        g = min(d, count - d)
+        np.matmul(W[:g], power, out=W[d:d + g])
+        W[d:d + g] %= p
+        d += g
+        if d < count:
+            power = power @ power % p
+    return W
 
 
-def _ppow_mod(p: int, n: int, mod: Sequence[int], base: Sequence[int],
-              e: int) -> list[int]:
-    """base^e modulo the monic degree-n polynomial mod, over Z_p, for
-    e >= 0, by square and multiply."""
-    result = [1] + [0] * (n - 1)
+def _power_rows(modulus: tuple[int, ...], p: int, count: int) -> np.ndarray:
+    """The coefficient vectors of x^r mod the monic degree-n modulus over
+    Z_p for r < count, as the rows of one array: `_windows` on the
+    companion matrix of the modulus (multiplication by x), from e_0.
+
+    The dtype is int64 while a sum of 2n products of residues fits in it,
+    2n(p-1)^2 < 2^63, and object (Python ints) beyond.
+    """
+    n = len(modulus) - 1
+    dtype = np.int64 if 2 * n * (p - 1) ** 2 < 1 << 63 else object
+    companion = np.eye(n, k=-1, dtype=dtype)
+    companion[:, -1] = [-c % p for c in modulus[:n]]
+    return _windows(companion, [1] + [0] * (n - 1), p, count)
+
+
+def _pmul_mod(p: int, R: np.ndarray, a, b) -> np.ndarray:
+    """a*b modulo the monic degree-n modulus over Z_p, for R =
+    _power_rows(modulus, p, 2n - 1): the 2n - 1 coefficients of the
+    product weight the rows x^r mod the modulus."""
+    return np.convolve(np.asarray(a, R.dtype), np.asarray(b, R.dtype)) % p @ R % p
+
+
+def _ppow_mod(p: int, R: np.ndarray, base, e: int) -> np.ndarray:
+    """base^e modulo the modulus of R (`_pmul_mod`), for e >= 0, by square
+    and multiply."""
+    result = R[0]
     while e:
         if e & 1:
-            result = _pmul_mod(p, n, mod, result, base)
+            result = _pmul_mod(p, R, result, base)
         e >>= 1
         if e:
-            base = _pmul_mod(p, n, mod, base, base)
+            base = _pmul_mod(p, R, base, base)
     return result
 
 
 def _basis_traces(modulus: tuple[int, ...], p: int) -> list[int]:
     """Tr(x^j) for j < n, where x is a root of the monic modulus over Z_p.
 
-    These are the power sums of the roots of the modulus, so Newton's
-    identities give them from its coefficients: with
-    f = x^n + c_(n-1) x^(n-1) + ... + c_0,
-    s_k = -(k c_(n-k) + sum_(i<k) c_(n-i) s_(k-i)) and s_0 = n.
+    Column i of multiplication by x^j is x^(i+j), so Tr(x^j) is the trace
+    of the n x n block of rows j, ..., j+n-1 of the table x^r mod the
+    modulus.
     """
     n = len(modulus) - 1
-    s = [n % p]
-    for k in range(1, n):
-        t = k * modulus[n - k] + sum(modulus[n - i] * s[k - i] for i in range(1, k))
-        s.append(-t % p)
-    return s
+    R = _power_rows(modulus, p, 2 * n - 1)
+    return [int(R[j:j + n].trace()) % p for j in range(n)]
 
 
 def _is_primitive(p: int, n: int, f: tuple[int, ...], mult_order: int,
@@ -88,22 +115,21 @@ def _is_primitive(p: int, n: int, f: tuple[int, ...], mult_order: int,
         for a in range(p):
             if sum(c * a**i for i, c in enumerate(f)) % p == 0:
                 return False
-    one = [1] + [0] * (n - 1)
-    x = [0, 1] + [0] * (n - 2) if n > 1 else [-f[0] % p]
-    if _ppow_mod(p, n, f, x, mult_order) != one:
+    R = _power_rows(f, p, 2 * n - 1)
+    one = R[0]
+    x = R[1] if n > 1 else one * -f[0] % p
+    if not np.array_equal(_ppow_mod(p, R, x, mult_order), one):
         return False
-    return all(_ppow_mod(p, n, f, x, e) != one for e in cofactors)
+    return not any(np.array_equal(_ppow_mod(p, R, x, e), one) for e in cofactors)
 
 
 def _lex_smallest_primitive(p: int, n: int) -> tuple[int, ...]:
     mult_order = p**n - 1
     cofactors = [mult_order // r for r in prime_divisors(mult_order)]
-    # the norm of a primitive element is (-1)^n * c0 and must itself be a
-    # primitive root mod p, which rules out most constant terms up front
-    good_c0 = [c0 for c0 in range(1, p)
-               if _is_primitive_root((-1) ** n * c0 % p, p)]
     for c0 in range(1, p):
-        if c0 not in good_c0:
+        # the norm of a primitive element is (-1)^n * c0 and must itself be
+        # a primitive root mod p, which rules out most constant terms
+        if not _is_primitive_root((-1) ** n * c0 % p, p):
             continue
         for rest in itertools.product(range(p), repeat=n - 1):
             f = (c0,) + rest + (1,)
@@ -117,26 +143,22 @@ def _is_primitive_root(a: int, p: int) -> bool:
 
 
 class LinearMap:
-    """Z_p-linear map on a field, stored columnwise.
-
-    cols[j] is the (packed) image of the basis element x^j, kept as its
-    coefficient row, so applying the map costs one matrix-vector product
-    over Z_p.
+    """Z_p-linear map on a field, stored as one array whose row j holds
+    the coefficients of the image of the basis element x^j, in the dtype
+    of the field's power table, so applying the map costs one
+    vector-matrix product over Z_p.
     """
 
     __slots__ = ("field", "_rows")
 
-    def __init__(self, field: "FiniteField", cols: list[int]):
+    def __init__(self, field: "FiniteField", rows: np.ndarray):
         self.field = field
-        self._rows = [field.coeffs(col) for col in cols]
+        self._rows = rows
 
     def __call__(self, x: int) -> int:
         F = self.field
-        acc = [0] * F.n
-        for c, row in zip(F.coeffs(x), self._rows):
-            if c:
-                acc = [a + c * r for a, r in zip(acc, row)]
-        return F.from_coeffs(acc)
+        return F.from_coeffs((np.asarray(F.coeffs(x), self._rows.dtype)
+                              @ self._rows).tolist())
 
 
 class FiniteField:
@@ -144,7 +166,8 @@ class FiniteField:
 
     Immutable after construction apart from a cache of trace maps; every
     operation is a pure function of its inputs.  One arithmetic serves
-    every characteristic.
+    every characteristic: products read the table of x^r mod the modulus,
+    r < 2n - 1 (`_power_rows`).
     """
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...]):
@@ -157,11 +180,15 @@ class FiniteField:
             self.gen = p                            # residue of x
         else:
             self.gen = (-modulus[0]) % p
+        self._R = _power_rows(modulus, p, 2 * n - 1)
         self._trace_maps: dict[int, LinearMap] = {}
 
     # -- representation -----------------------------------------------------
 
     def coeffs(self, a: int) -> tuple[int, ...]:
+        """The coefficients of the element a, ValueError outside [0, p^n)."""
+        if not 0 <= a < self.order:
+            raise ValueError(f"{a} is not an element of {self!r}")
         out = []
         for _ in range(self.n):
             a, c = divmod(a, self.p)
@@ -183,10 +210,6 @@ class FiniteField:
     def __repr__(self):
         return f"GF({self.p}^{self.n})" if self.n > 1 else f"GF({self.p})"
 
-    def _check(self, a: int):
-        if not 0 <= a < self.order:
-            raise ValueError(f"{a} is not an element of {self!r}")
-
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
@@ -196,8 +219,8 @@ class FiniteField:
         return self.from_coeffs([-x for x in self.coeffs(a)])
 
     def mul(self, a: int, b: int) -> int:
-        return self.from_coeffs(_pmul_mod(self.p, self.n, self.modulus,
-                                          self.coeffs(a), self.coeffs(b)))
+        return self.from_coeffs(_pmul_mod(self.p, self._R, self.coeffs(a),
+                                          self.coeffs(b)).tolist())
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -207,27 +230,25 @@ class FiniteField:
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)
-        return self.from_coeffs(_ppow_mod(self.p, self.n, self.modulus,
-                                          self.coeffs(a), e))
+        return self.from_coeffs(_ppow_mod(self.p, self._R, self.coeffs(a), e).tolist())
 
     # -- Galois structure ----------------------------------------------------
 
     def conjugate_sum_map(self, m: int, count: int) -> LinearMap:
         """x -> x + x^(p^m) + ... + x^(p^(m*(count-1))), as a linear map.
 
-        Column j is the sum of the powers y^j over the conjugates y of the
+        Row j is the sum of the powers y^j over the conjugates y of the
         generator, so the map costs count pows and count*n multiplications.
         """
-        conj = [self.pow(self.gen, self.p**(m * i)) for i in range(count)]
-        powers = [1] * count
-        cols = []
+        p, R = self.p, self._R
+        x = self.coeffs(self.gen)
+        conj = [_ppow_mod(p, R, x, p**(m * i)) for i in range(count)]
+        powers = [R[0]] * count
+        rows = []
         for _ in range(self.n):
-            acc = 0
-            for i, y in enumerate(conj):
-                acc = self.add(acc, powers[i])
-                powers[i] = self.mul(powers[i], y)
-            cols.append(acc)
-        return LinearMap(self, cols)
+            rows.append(sum(powers) % p)
+            powers = [_pmul_mod(p, R, y, c) for y, c in zip(powers, conj)]
+        return LinearMap(self, np.array(rows, R.dtype))
 
     def trace_map(self, m: int) -> LinearMap:
         """Tr_{F/M} onto the degree-m subfield, as a single linear map."""
@@ -239,7 +260,6 @@ class FiniteField:
 
     def rel_trace(self, m: int, x: int) -> int:
         """Tr_{F/M}(x) = sum of the Galois conjugates of x over M."""
-        self._check(x)
         return self.trace_map(m)(x)
 
 @functools.lru_cache(maxsize=None)
@@ -256,8 +276,10 @@ def make_field(p: int, n: int, ceiling: int | None = None) -> FiniteField:
         raise ValueError(f"characteristic {p} is not prime")
     if n < 1:
         raise ValueError("field degree must be positive")
-    if p**n > ceiling:
+    # p^n >= 2^n > ceiling once n reaches the ceiling's bit length, and
+    # the test then forms no p^n: a far tower is refused at once
+    if n >= ceiling.bit_length() or p**n > ceiling:
         raise FieldSizeError(
-            f"GF({p}^{n}) has order {p**n} > ceiling {ceiling}; "
+            f"GF({p}^{n}) is larger than the ceiling {ceiling}; "
             "pass a larger ceiling to override")
     return _make_field_cached(p, n)

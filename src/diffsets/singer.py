@@ -9,7 +9,10 @@ The sequence is read in blocks of L ~ sqrt(m*v) terms (m the subfield
 degree), each block as a sum of rows of chunked digit tables, and its
 zeros are ANDed into one length-v mask; memory is
 O(ceil(n/c) * p^c * L + v), c the digits of a chunk, and
-_enumeration_bytes prices it before anything is built.
+_enumeration_bytes prices it before anything is built.  The rows x^r mod
+the modulus, the block windows and the basis traces come from the one
+doubling routine of field (`_power_rows`, `_windows`); this module does
+no polynomial arithmetic of its own.
 
 The tower family of the paper, PG(3, q^s) over GF(q), is
 singer_construct(q^s, 4): the field is GF(q^(4s)) and the trace goes onto
@@ -29,7 +32,7 @@ import numpy as np
 
 from . import dset
 from .dset import DifferenceSet, normalize
-from .field import FiniteField, _basis_traces, make_field
+from .field import FiniteField, _basis_traces, _power_rows, _windows, make_field
 from .groups import AbelianGroup
 from .numth import is_prime_power
 
@@ -50,45 +53,6 @@ def _lookup_layout(p: int, n: int) -> tuple[int, np.dtype]:
     dtype = next(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32, np.uint64)
                  if top <= np.iinfo(t).max)
     return c, dtype
-
-
-def _power_rows(modulus: tuple[int, ...], p: int, count: int) -> np.ndarray:
-    """The coefficient vectors of x^r mod the monic degree-n modulus over
-    Z_p for r < count (count > n), as the rows of an int64 array C.
-
-    C[:n] is the identity and C[n] = -(c_0, ..., c_(n-1)).  Then, by
-    doubling, x^(M+j) = x^(n+j) * x^(M-n) gives C[M+j] = C[n+j] @
-    C[M-n:M] for j < M - n: O(log count) matrix products, each entry a sum
-    of n products below p^2.
-    """
-    n = len(modulus) - 1
-    C = np.empty((count, n), dtype=np.int64)
-    C[:n] = np.eye(n, dtype=np.int64)
-    C[n] = np.negative(modulus[:n]) % p
-    M = n + 1
-    while M < count:
-        g = min(M - n, count - M)
-        np.matmul(C[n:n + g], C[M - n:M], out=C[M:M + g])
-        C[M:M + g] %= p
-        M += g
-    return C
-
-
-def _windows(step: np.ndarray, first, p: int, count: int) -> np.ndarray:
-    """W[b] = step^b @ first mod p for b < count, as the rows of an int64
-    array, by doubling: W[d:d+g] = W[:g] @ (step^d)^T, squaring step^d
-    each round."""
-    W = np.empty((count, len(first)), dtype=np.int64)
-    W[0] = first
-    power, d = step.T, 1                # power = (step^d)^T
-    while d < count:
-        g = min(d, count - d)
-        np.matmul(W[:g], power, out=W[d:d + g])
-        W[d:d + g] %= p
-        d += g
-        if d < count:
-            power = power @ power % p
-    return W
 
 
 def _lookup_tables(F: FiniteField, L: int, blocks: int):
@@ -124,11 +88,12 @@ def _trace_zero_exponents(F: FiniteField, sub_degree: int, v: int) -> np.ndarray
     g^(jv), j < m, form a GF(p)-basis of M and Tr_{F/M}(g^i) = 0 exactly
     when a_(i+jv) = 0 for every j < m, where a_t = Tr_{F/GF(p)}(g^t).  The
     sequence a_t obeys the recurrence of F.modulus and starts with the basis
-    traces a_0, ..., a_(n-1), which Newton's identities read off the
-    modulus.  It is evaluated for t < m*v in blocks of L ~ sqrt(m*v) terms:
-    row r of C holds x^r mod the modulus (`_power_rows`), so a_(s+r) =
-    C[r] . (a_s, ..., a_(s+n-1)), and C's last n rows step that window W[b]
-    from one block start to the next (`_windows`).
+    traces a_0, ..., a_(n-1), read from the field's table of x^r mod the
+    modulus (`_basis_traces`).  It is evaluated for t < m*v in blocks of
+    L ~ sqrt(m*v) terms: row r of C holds x^r mod the modulus
+    (`_power_rows`), so a_(s+r) = C[r] . (a_s, ..., a_(s+n-1)), and C's
+    last n rows step that window W[b] from one block start to the next
+    (`_windows`).
 
     The block values W[b] . C[r], r < L, are read from tables (the method
     of Four Russians): the n window coordinates fall into chunks of c
@@ -255,12 +220,16 @@ def singer_restriction(q: int, s: int,
     lies in M: for odd q, |M| is even and t = v/2 = (|M|/2)(v/|M|).
     So (D + t) ∩ M = E + t, which is E + |M|/2 in M's coordinates.
     """
-    v = dset._projective_params(tower_base(q, s), 4).v    # q checked
+    base = tower_base(q, s)             # q checked
     p, e = is_prime_power(q)
     order = (q + 1) * (q * q + 1)
-    if v % order:
-        raise ValueError(f"no subgroup of order {order} in Z_{v}")
+    # M exists iff |M| divides v = (q^s + 1)(q^2s + 1); tested mod |M|, as
+    # v of a far tower has millions of digits
+    if (pow(q, s, order) + 1) * (pow(q, 2 * s, order) + 1) % order:
+        raise ValueError(f"no subgroup of order {order} in "
+                         f"Z_{(base + 1) * (base * base + 1)}")
     F = make_field(p, 4 * e * s, ceiling=ceiling)
+    v = dset._projective_params(base, 4).v
     trace = F.trace_map(e * s)
     h = F.pow(F.gen, v // order)
     t = tower_shift(v) // (v // order)

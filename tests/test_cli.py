@@ -447,7 +447,10 @@ def test_tower_checks_build_no_set(capsys, monkeypatch, argv, rows):
      [8594130945, 4196353, 2049]),
     (["cor3.2", "--q", "3", "--s", "5", "--ceiling", "3486784401"],
      [14408200, 59293, 244]),
-], ids=["thm4.3-q2-s11", "cor3.2-q3-s5"])
+    (["thm4.3", "--q", "2", "--s", "31", "--ceiling",
+      "21267647932558653966460912964485513216"],       # GF(2^124)
+     [9903520318894728219767865345, 4611686020574871553, 2147483649]),
+], ids=["thm4.3-q2-s11", "cor3.2-q3-s5", "thm4.3-q2-s31"])
 def test_tower_checks_past_the_counting_limit(capsys, argv, params):
     # v = 8594130945 is over dset.FULL_VERIFY_ORDER_LIMIT, where D itself
     # cannot be verified; D ∩ M is, in M of order 15 or 40
@@ -455,6 +458,20 @@ def test_tower_checks_past_the_counting_limit(capsys, argv, params):
     assert code == 0 and rep["status"] == "verified"
     assert rep["instance"]["params"] == params
     assert all(c["ok"] for c in rep["hypotheses"] + rep["conclusions"])
+
+
+@pytest.mark.parametrize("s", [100003, 1000003])
+def test_far_tower_is_refused_by_its_field_degree(capsys, monkeypatch, s):
+    # GF(2^(4s)) is over the ceiling by its degree alone, so it is refused
+    # before v = (2^s + 1)(2^2s + 1) or 2^(4s) is formed or printed
+    def forbidden(q, d):
+        raise AssertionError(f"_projective_params({q}, {d}) was called")
+
+    monkeypatch.setattr(dset, "_projective_params", forbidden)
+    assert run(["check", "thm4.3", "--q", "2", "--s", str(s)]) == 1
+    assert capsys.readouterr().err == (
+        f"resource limit: GF(2^{4 * s}) is larger than the ceiling 268435456; "
+        "pass a larger ceiling to override\n")
 
 
 def test_closed_stdout_is_a_quiet_exit(tmp_path):

@@ -204,7 +204,7 @@ def test_gf343_oracle_mul(a, b):
                                  (3, 11), (3, 16), (5, 6),
                                  (3, 1), (7, 1), (13, 1)])
 def test_basis_traces_match_trace_map(p, n):
-    # Newton's identities on the modulus against the conjugate-sum columns
+    # block traces of the power table against the conjugate-sum columns
     F = make_field(p, n)
     trace = F.trace_map(1)                  # x^j is packed as p^j
     assert _basis_traces(F.modulus, p) == [trace(p**j) for j in range(n)]
@@ -219,3 +219,70 @@ def test_gf2n_mul_oracle(data):
     b = data.draw(st.integers(min_value=0, max_value=F.order - 1))
     assert F.coeffs(F.mul(a, b)) == tuple(
         poly_mul_mod(2, list(F.modulus), list(F.coeffs(a)), list(F.coeffs(b))))
+
+
+@pytest.mark.parametrize("p,n", [(2, 4), (7, 1)])
+def test_every_operation_refuses_a_non_element(p, n):
+    F = make_field(p, n)
+    ops = [lambda a: F.add(a, 0), lambda a: F.add(0, a), F.neg,
+           lambda a: F.mul(a, 1), lambda a: F.mul(1, a), lambda a: F.pow(a, 1),
+           lambda a: F.pow(a, -1), F.inv, F.trace_map(1),
+           lambda a: F.rel_trace(1, a)]
+    for a in (-1, F.order):
+        for op in ops:
+            with pytest.raises(ValueError, match=f"{a} is not an element"):
+                op(a)
+
+
+def poly_pow_mod(p, mod, a, e):
+    """a^e modulo the monic polynomial mod by square and multiply, over
+    poly_mul_mod."""
+    n = len(mod) - 1
+    result = [1] + [0] * (n - 1)
+    while e:
+        if e & 1:
+            result = poly_mul_mod(p, mod, result, a)
+        a = poly_mul_mod(p, mod, a, a)
+        e >>= 1
+    return result
+
+
+@pytest.mark.parametrize("p,modulus", [
+    (2**61 - 1, (2**61 - 1 - 37, 1)),       # x - 37
+    (3037000493, (2, 0, 1)),                # x^2 + 2, (p - 1)^2 < 2^63
+], ids=["p61-n1", "p31.5-n2"])
+def test_products_past_the_int64_bound_match_python_ints(p, modulus):
+    # 2n(p - 1)^2 >= 2^63: the power table holds Python ints, and every
+    # operand is cast to them before a product could wrap in int64
+    n = len(modulus) - 1
+    F = FiniteField(p, n, modulus)
+    elements = [1, 2, p - 1, p - 2, p // 2 + 1, 123456789]
+    if n == 2:
+        elements += [p * c + d for c in (1, p - 1, p - 2) for d in (0, p - 1)]
+    trace = F.trace_map(1)
+    for a in elements:
+        ca = list(F.coeffs(a))
+        # Tr(a) = a + a^p + ... + a^(p^(n-1))
+        conj = [poly_pow_mod(p, modulus, ca, p**i) for i in range(n)]
+        assert trace(a) == F.from_coeffs([sum(c) % p for c in zip(*conj)])
+        for e in (2, 3, p - 2, p**n - 2):
+            assert F.coeffs(F.pow(a, e)) == tuple(poly_pow_mod(p, modulus, ca, e))
+        for b in elements:
+            assert F.coeffs(F.mul(a, b)) == tuple(
+                poly_mul_mod(p, list(modulus), ca, list(F.coeffs(b))))
+            if n == 1:
+                assert F.mul(a, b) == a * b % p
+        if n == 1:
+            assert F.pow(a, p - 2) == pow(a, p - 2, p)
+    # Tr(x^j) is the trace of multiplication by x^j, whose column i is x^(i+j)
+    xs = [[int(i == j) for i in range(n)] for j in range(n)]
+    assert _basis_traces(modulus, p) == [
+        sum(poly_mul_mod(p, list(modulus), xs[i], xs[j])[i] for i in range(n)) % p
+        for j in range(n)]
+
+
+def test_gf2_124_modulus_is_pinned():
+    # 1 + x^117 + x^118 + x^119 + x^124
+    F = make_field(2, 124, ceiling=2**124)
+    assert [i for i, c in enumerate(F.modulus) if c] == [0, 117, 118, 119, 124]
+    assert set(F.modulus) == {0, 1}

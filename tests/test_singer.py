@@ -10,7 +10,7 @@ from diffsets.dset import classical_params, normalizing_shift, restrict, verify
 from diffsets.field import _basis_traces, make_field
 from diffsets.groups import AbelianGroup, cyclic_subgroup_of_order
 from diffsets.numth import is_prime_power
-from diffsets import dset, numth, singer
+from diffsets import dset, field, numth, singer
 from diffsets.singer import (_enumeration_bytes, _trace_zero_exponents,
                              hyperplane_containment, singer_construct,
                              singer_restriction, tower_shift)
@@ -124,11 +124,11 @@ def test_doubled_rows_and_windows_match_serial_loops(p, n, m):
     v = max(2, (p**n - 1) // (p - 1))
     L = isqrt(m * v) + 1
     blocks = -(-m * v // L)
-    C = singer._power_rows(F.modulus, p, L + n)
+    C = field._power_rows(F.modulus, p, L + n)
     assert np.array_equal(C, serial_power_rows(F.modulus, p, L + n))
     first = _basis_traces(F.modulus, p)
     for count in sorted({1, 2, 3, blocks, blocks + 5}):
-        assert np.array_equal(singer._windows(C[L:], first, p, count),
+        assert np.array_equal(field._windows(C[L:], first, p, count),
                               serial_windows(C[L:], first, p, count))
 
 
