@@ -19,8 +19,8 @@ from .groups import (AbelianGroup, Subgroup, fixed_subgroup,
                      generated_subgroup, subgroups_of_order, sylow)
 from .numth import (factorize, is_prime, is_prime_power, multiplicative_order,
                     prime_divisors)
-from .singer import (hyperplane_containment, singer_restriction, tower_base,
-                     tower_shift)
+from .singer import (hyperplane_containment, restriction_exists,
+                     singer_restriction, tower_base, tower_shift)
 
 
 @dataclass(frozen=True)
@@ -288,7 +288,11 @@ def check_lemma_mfix(q: int, s: int) -> TheoremReport:
 def check_lemma_size(q: int, s: int, ceiling: int | None = None) -> TheoremReport:
     """|D ∩ M| = q^2 + q + 1 for D the normalized PG(3, q^s) Singer set in
     G = Z_v and M of order (q+1)(q^2+1), read by singer_restriction."""
-    params = ds._projective_params(tower_base(q, s), 4)     # q checked
+    base = tower_base(q, s)             # q checked
+    # for odd s every hypothesis holds: read D ∩ M first, refusing a far
+    # tower's field by its degree before v is formed
+    R = singer_restriction(q, s, ceiling) if s % 2 else None
+    params = ds._projective_params(base, 4)
     v = params.v
     rep = TheoremReport("lem4.2", {"q": q, "s": s, "params": params.as_tuple()})
     rep.hyp("|G| = (q^s+1)(q^2s+1)", v == (q**s + 1) * (q**(2 * s) + 1))
@@ -302,7 +306,7 @@ def check_lemma_size(q: int, s: int, ceiling: int | None = None) -> TheoremRepor
                 {"b": b, "c": c})
     if not rep.hypotheses_ok:
         return rep
-    hits = len(singer_restriction(q, s, ceiling).elements)
+    hits = len(R.elements)
     rep.con("|D ∩ M| = q^2 + q + 1", hits == q * q + q + 1, hits)
     return rep
 
@@ -563,15 +567,17 @@ def conjecture_scan(q: int, s_list, ceiling: int | None = None) -> list[ScanRow]
     pe = is_prime_power(q)
     rows = []
     for s in s_list:
-        v = ds._projective_params(tower_base(q, s), 4).v     # q checked
-        if v % target:
+        base = tower_base(q, s)         # q checked
+        if not restriction_exists(q, s):
+            v = ds._projective_params(base, 4).v
             rows.append(ScanRow(q, s, v, target, "subgroup-absent"))
             continue
-        try:
+        try:        # refuses a far tower's field before v is formed
             R = singer_restriction(q, s, ceiling)
         except (FieldSizeError, MemoryError) as e:
             rows.append(ScanRow(q, s, 0, target, f"error: {e}"))
             continue
+        v = ds._projective_params(base, 4).v
         detail = {"restriction": R.report.as_dict(),
                   "q_is_p^(2^i)": (pe[1] & (pe[1] - 1)) == 0} if R.verified else {}
         rows.append(ScanRow(q, s, v, target,

@@ -290,10 +290,14 @@ def cmd_scan(args):
     rows = an.conjecture_scan(args.q, args.s_list, ceiling=args.ceiling)
     report = {"command": "scan", "q": args.q,
               "rows": [r.as_dict() for r in rows]}
-    # 3 for a not-embedded or error row, else 2 for a subgroup-absent one
-    codes = [EXIT_OK if r.status == "embedded" else _status_exit(r.status)
-             for r in rows]
-    return max(codes), report
+    statuses = [r.status for r in rows]
+    # 3 for a not-embedded row, else 1 for a refused (error) row, so that a
+    # refusal is no counterexample, else 2 for a subgroup-absent one
+    if "not-embedded" in statuses:
+        return EXIT_FALSIFIED, report
+    if any(status.startswith("error") for status in statuses):
+        return EXIT_USAGE, report
+    return (EXIT_HYPOTHESIS if "subgroup-absent" in statuses else EXIT_OK), report
 
 
 # -- argument parsing -----------------------------------------------------------------

@@ -14,31 +14,24 @@ non-identity element.
 The count is planned once, by `_plan`, from one price list (`_prices`):
 each exact strategy with its price in ordered pairs counted and its
 estimated peak bytes.  The cheapest runs ("pair" on a tie, then "ntt"),
-an orbit plan only when its multiplier is checked to fix D.  In Z_v
-every strategy reads D D^(-1) on the folded half {0, ..., floor(v/2)},
-x read as min(x, v - x): the number of differences a - b = x is the
-number at -x (swap a and b), so the half holds every coefficient, and
-one int32 block kernel (`_folded_differences`) folds the differences of
-the pair and orbit counts:
+an orbit plan only when its multiplier is checked to fix D:
 
-- pair counting, all k^2 pairs (k^2), in Z_v into floor(v/2) + 1 bins,
-  the bins of x != -x then halved; the only one for groups written as
-  products, where it counts over all of G, and the oracle of the other
-  two;
+- pair counting, all k^2 pairs (k^2), in Z_v into the floor(v/2) + 1
+  bins of the folded half {0, ..., floor(v/2)}, x read as min(x, v - x)
+  (the number of differences a - b = x is the number at -x: swap a and
+  b), by one int32 block kernel (`_folded_differences`), the bins of x
+  != -x then halved; the only one for groups written as products, where
+  it counts over all of G, and the oracle of the other two;
 - orbit counting in Z_v, when a prime t | k - lambda fixes D (t*D = D,
   checked, never assumed: Hall's multiplier theorem predicts it): the
-  coefficients are constant on the orbits of x -> t*x and equal at x and
-  -x, so on the orbits of <t, -1>, numbered over the folded half
-  (`_folded_orbit_ids`).  Only pairs whose first element represents a
-  t-orbit of D (`groups._orbit_firsts`, the multiplier-orbit routine of
-  the whole package) are counted, e = ord_v(t), and
-  of two t-orbits of D only one against the other, at twice the weight,
-  as every orbit of <t, -1> is its own negative: ~k^2/(2e) pairs into
-  one counter per orbit, from which the verdict is read without expanding
-  to one count per group element (v*ceil(log2 e) + k^2/(2e));
+  coefficients are constant on the orbits of <t, -1>, generated by x ->
+  t*x and x -> -x, and each of them meets a coset rho + aZ_v, rho the
+  least element of an orbit of <t, -1> on Z_a, for any a | v.  So the
+  counts on those cosets (`_coset_counts`), D grouped by class mod a,
+  hold every coefficient: about k^2 R/a pairs, R the orbits on Z_a, for
+  the divisor 1 < a < v of least price; a prime v has none;
 - the cyclic autocorrelation c in Z_v by a number-theoretic transform of
-  length L = 2^ceil(log2(2v - 1)) modulo the prime 15*2^27 + 1
-  (8/5*L*log2(L) + 40000, calibrated against the pair cost), read as
+  length L = 2^ceil(log2(2v - 1)) modulo the prime 15*2^27 + 1, read as
   c[x] + c[v - x] on the folded half; distinct ranks keep every
   coefficient at most k, below the prime; O(v log v) whatever k.
 
@@ -230,19 +223,22 @@ def _distinct_ranks(G: AbelianGroup, elements) -> np.ndarray:
 
 class Plan(NamedTuple):
     """How `_counts` counts D D^(-1): the exact strategy, its multiplier t
-    (for "orbit" only) and the estimated peak bytes of `verify` by it."""
+    and modulus a (for "orbit" only) and the estimated peak bytes of
+    `verify` by it."""
     strategy: str
     t: int | None
     nbytes: int
+    a: int | None
 
-
-#: `_ntt_counts` cost per call, in ordered pairs (see `_prices`).
-_NTT_CALL_COST = 40_000
 
 #: Bytes of the buffers numpy's iterator allocates for one ufunc call on
-#: a broadcast or strided block (8192 elements an operand), which the
-#: orbit count's short counters leave no room to absorb.
+#: a broadcast or strided block (8192 elements an operand).
 _ITER_BUFFERS = 1 << 17
+
+#: `_ntt_counts` cost per call, and `_coset_counts` cost per call and per
+#: block of a pair of classes, in ordered pairs (see `_prices`).
+_NTT_CALL_COST = 90_000
+_COSET_CALL_COST, _COSET_BLOCK_COST = 24_000, 1_000
 
 
 def _prices(G: AbelianGroup, k: int, n: int) -> list[tuple[int, Plan]]:
@@ -257,54 +253,57 @@ def _prices(G: AbelianGroup, k: int, n: int) -> list[tuple[int, Plan]]:
       three int64 temporaries of a row block (`G.sub` on a product
       presentation; the int32 block buffers of one factor take 16 bytes a
       pair).  The only entry for a product presentation;
-    - "ntt": 8/5*L*log2(L) for the transform length L plus _NTT_CALL_COST;
-      two uint32 buffers of L words and L/2 uint32 twiddles, and
-      _ITER_BUFFERS;
+    - "ntt": 11/3*L*log2(L) for the transform length L plus
+      _NTT_CALL_COST; two uint32 buffers of L words and L/2 uint32
+      twiddles, and _ITER_BUFFERS;
     - "orbit" by t, for each prime t | n with gcd(t, v) = 1 (the first
-      multiplier theorem's candidates; none for n <= 1): v*ceil(log2 e)
-      for the orbit numbers plus k^2/(2e) pairs, e = ord_v(t); 80 bytes
-      an element of D (its t-orbits by `_orbit_firsts` and its orbit
-      order), then the numbering of the `_orbit_number` orbits of <t, -1>
-      by `_folded_orbit_ids` or, if more, the count.  The numbering takes
-      its slice buffers (at most 29 bytes a slice element) and the int32
-      keys of the floor(v/2) + 1 elements of the folded half or, if more,
-      the held ids and sizes (`_orbit_id_dtype` ids, int64 sizes) with a
-      slice's bincount of the sizes; the count the held ids and sizes,
-      the int64 counter, 16 bytes a pair of a block and _ITER_BUFFERS.
+      multiplier theorem's candidates; none for n <= 1): `_coset_counts`
+      modulo the divisor 1 < a < v of least price (`_coset_price`; none
+      for a prime v).  With b = v/a and R the `_orbit_number` orbits of
+      <t, -1> on Z_a, k^2*R/a pairs, _COSET_BLOCK_COST a block for
+      R*min(a, k) blocks, one a bin for b bins each time a coset or a
+      full buffer is binned, and _COSET_CALL_COST; 48 bytes an element of
+      D (its classes, order and quotients), 1000 a class mod a, the
+      buffer, the int64 counts of R cosets, a bincount of 2b bins and
+      _ITER_BUFFERS.
 
-    Calibrated on a 2 vCPU Intel Xeon (Python 3.11, numpy 2.4.6): the
-    pair and orbit counters took 8-13 ns per unit of their cost, the NTT
-    14-20 ns per L*log2(L) for L = 2^14 to 2^22 and 0.1-0.4 ms per call
-    for L up to 2^8.  Since the counters reuse their block buffers and
-    the orbit count keeps two counter entries per orbit, the same machine
-    measures, warm, 4-10 ns per unit for the orbit counter (the Singer
-    sets of v = 3906 to 2113665), 4-8 ns for the pair counter and 6-7.5
-    ns for the uint32 NTT (random sets of v = 10007 to 1000003).  The
-    constants are kept, so that no plan moves.  The orbit cost counts v*ceil(log2 e)
-    for the numbering although its passes cover only floor(v/2) + 1
-    elements: the term is kept so that every plan stays the one these
-    constants were fitted to.  The pair and NTT bytes also cover
+    Fitted to warm in-process timings on a 2 vCPU Intel Xeon (Python
+    3.11, numpy 2.4.6) of 26 Singer sets PG(d-1, q), v = 15 to 2113665,
+    the coset count at every divisor a under 60,000 blocks and 6*10^7
+    pairs.  Least squares gave 2.6 ns a pair (and 12 us a call) for the
+    pair count, 9.4 ns per L*log2(L) and 0.23 ms a call for the NTT, and
+    2.4 ns a pair, 2.3 ns a bin and 61 us a call for the coset count; its
+    fitted 1.65 us a block priced large a too low, which 2.57 us (the
+    blocks of two classes of a few elements took 2.3-4 us) corrects.
+    The constants are these in units of 2.57 ns, the pair count's.  So
+    priced, the plan of each set ran within 1.001 times the fastest
+    count measured on it.  The pair and NTT bytes also cover
     `difference_counts` unfolding the half, 12 bytes an element of Z_v.
     """
     v = G.order
     _order_test(v)
     sets = 48 * k
     bins = v // 2 + 1 if len(G.factors) == 1 else v     # `_pair_counts`' counter
-    prices = [(k * k, Plan("pair", None, sets + 16 * bins + 24 * _block_pairs(k, bins)))]
+    prices = [(k * k, Plan("pair", None, sets + 16 * bins + 24 * _block_pairs(k, bins), None))]
     if len(G.factors) == 1:
         L = _ntt_length(v)
-        prices.append((8 * L * (L.bit_length() - 1) // 5 + _NTT_CALL_COST,
-                       Plan("ntt", None, sets + 10 * L + _ITER_BUFFERS)))
+        prices.append((11 * L * (L.bit_length() - 1) // 3 + _NTT_CALL_COST,
+                       Plan("ntt", None, sets + 10 * L + _ITER_BUFFERS, None)))
         for t in prime_divisors(n) if n > 1 else ():
             if gcd(t, v) == 1:
-                e, half = multiplicative_order(t, v), v // 2 + 1
-                orbits = _orbit_number(v, t, e)
-                held = _orbit_id_dtype(orbits).itemsize * half + 8 * orbits
-                numbering = 29 * min(half, _KEY_SLICE) + max(4 * half, held + 8 * orbits)
-                counting = held + 8 * orbits + 16 * max(_BLOCK, k) + _ITER_BUFFERS
-                prices.append((v * (e - 1).bit_length() + k * k // (2 * e), Plan(
-                    "orbit", t, sets + 80 * k + max(numbering, counting))))
+                prices += sorted(_coset_price(v, k, t, a) for a in divisors(v)[1:-1])[:1]
     return prices
+
+
+def _coset_price(v: int, k: int, t: int, a: int) -> tuple[int, Plan]:
+    """The (price, plan) of `_coset_counts` by t modulo a for k ranks of
+    Z_v, the bytes with D's rank arrays (see `_prices`)."""
+    b, reps = v // a, _orbit_number(a, t, multiplicative_order(t, a))
+    pairs, buffer = k * k * reps // a, max(_COSET_BUFFER, min(k, b))
+    bins = b * (reps + pairs // buffer)
+    price = pairs + _COSET_BLOCK_COST * reps * min(a, k) + bins + _COSET_CALL_COST
+    return price, Plan("orbit", t, 96 * k + 1000 * a + 8 * buffer + 8 * reps * b + 24 * b
+                       + _ITER_BUFFERS, a)
 
 
 def _plan(G: AbelianGroup, k: int, n: int,
@@ -317,8 +316,7 @@ def _plan(G: AbelianGroup, k: int, n: int,
     candidate is taken to fix D: the question `singer.singer_construct`
     asks before it builds a Singer set, which p fixes."""
     for _, plan in sorted(_prices(G, k, n), key=lambda price: price[0]):
-        if (plan.t is None or ranks is None
-                or (np.sort(G.scale(plan.t, ranks)) == ranks).all()):
+        if plan.t is None or ranks is None or _fixed(G, plan.t, ranks):
             return plan
 
 
@@ -335,15 +333,15 @@ def _guard(v: int, plan: Plan, extra: int = 0,
 
 def _counts(G: AbelianGroup, ranks: np.ndarray, plan: Plan) -> np.ndarray:
     """The coefficients of D D^(-1) for sorted distinct in-range ranks by
-    the `_plan` plan: per orbit of <t, -1> by the orbit count
-    (`_orbit_counts`), else per element of the folded half of Z_v, the
-    coefficient of x at min(x, v - x), or per rank of a product
-    presentation.  Either way counts[0] is the identity coefficient alone
-    and every other entry a non-identity one.  MemoryError (`_guard`)
-    before any counter is allocated."""
+    the `_plan` plan: on the cosets above the orbits of <t, -1> on Z_a by
+    the orbit plan (`_coset_counts`), else per element of the folded half
+    of Z_v, the coefficient of x at min(x, v - x), or per rank of a
+    product presentation.  Either way counts[0] is the identity
+    coefficient and every other entry a non-identity one.  MemoryError
+    (`_guard`) before any counter is allocated."""
     _guard(G.order, plan)
     if plan.strategy == "orbit":
-        return _orbit_counts(G, ranks, plan.t)
+        return _coset_counts(G, ranks, plan.t, plan.a)
     if plan.strategy == "ntt":
         return _ntt_counts(G.order, ranks)
     return _pair_counts(G, ranks)
@@ -391,7 +389,7 @@ def _folded_differences(v: int, rows: np.ndarray, cols: np.ndarray, buffers):
 def _pair_counts(G: AbelianGroup, ranks: np.ndarray) -> np.ndarray:
     """The coefficients of D D^(-1) by counting all k^2 ordered pairs of
     the sorted ranks, a row block of `_block_pairs` pairs at a time; the
-    fallback and the oracle of `_orbit_counts` and `_ntt_counts`.  In Z_v
+    fallback and the oracle of `_coset_counts` and `_ntt_counts`.  In Z_v
     the folded differences (`_folded_differences`, in reused buffers) go
     into the floor(v/2) + 1 bins of the folded half, where x and v - x
     meet unless x = -x (0, and v/2 for even v), so the bins 1, ...,
@@ -415,111 +413,6 @@ def _pair_counts(G: AbelianGroup, ranks: np.ndarray) -> np.ndarray:
     return counts
 
 
-#: Elements per slice in the passes of `_folded_orbit_ids`, which reuse a
-#: few buffers of this length.
-_KEY_SLICE = 1 << 14
-
-
-def _scaled_slices(v: int, m: int):
-    """Pairs (lo, image) over consecutive slices of the folded half H =
-    {0, ..., floor(v/2)} of Z_v, image[i] = fold(m*(lo + i)), fold(x) =
-    min(x, v - x) for x in [0, v), as int64 in a buffer reused from one
-    slice to the next.
-
-    The products of a slice are the progression (m*lo mod v) + (m*i mod
-    v) in [0, 2v): one addition per element instead of a product and a
-    remainder.  For y in [0, 2v), d = |y - v| is y mod v or v minus it, so
-    fold(y mod v) = min(d, v - d), three more operations.
-    """
-    stop = v // 2 + 1
-    n = min(stop, _KEY_SLICE)
-    steps = np.arange(n, dtype=np.int64)
-    steps *= m % v
-    steps %= v
-    steps -= v                          # y - v: |y - v| is one np.abs away
-    steps = steps.astype(np.int32)      # |y - v| <= v < 2^31
-    spare = np.empty(n, dtype=np.int32)
-    image = np.empty(n, dtype=np.int64)
-    for lo in range(0, stop, n):
-        s = slice(0, min(n, stop - lo))
-        np.add(steps[s], m * lo % v, out=image[s])
-        np.abs(image[s], out=image[s])
-        np.subtract(v, image[s], out=spare[s])
-        np.minimum(image[s], spare[s], out=image[s])
-        yield lo, image[s]
-
-
-def _orbit_id_dtype(orbits: int) -> np.dtype:
-    """The dtype of orbit numbers below `orbits`: uint16 if it fits."""
-    return np.dtype(np.uint16 if orbits <= 1 << 16 else np.int32)
-
-
-def _folded_orbit_ids(v: int, t: int):
-    """The orbits on Z_v of the group <t, -1>, generated by x -> t*x and
-    x -> -x, numbered in the order of their least elements: (ids, sizes),
-    ids an `_orbit_id_dtype` array over the folded half H = {0, ...,
-    floor(v/2)} alone, the orbit of x being ids[min(x, v - x)], and sizes
-    the int64 orbit sizes in Z_v, where every x of H stands for x and v -
-    x, two elements except 0 and (v even) v/2.  The identity is orbit 0,
-    alone.  ValueError unless t is a unit mod v.
-
-    The numbering of `_orbit_counts`, kept to half the table and a few
-    slice buffers.  With e = ord_v(t), ceil(log2 e) doubling passes key(x)
-    = min(key(x), key(fold(t^j x))), j = 1, 2, 4, ..., cover x, t x, ...,
-    t^(e-1) x and their negatives, as fold(-y) = fold(y), so key(x) ends
-    as the least element of the orbit of x.  Updating in place only lowers
-    an entry to another element of the same orbit, so the passes may run
-    over fixed slices.  A last pass, slice by slice in increasing order,
-    numbers the least elements (key(x) = x) and gives each entry x the
-    number written at key(x) <= x, into the key read in the narrow dtype:
-    its entry x lies in key[:x + 1], read by then.  The key is shrunk in
-    place to the numbers, with no view of it left, so without numpy's
-    reference check, which a trace or profile hook's own reference to the
-    key would fail; one more pass counts them.  The doubling and numbering
-    passes reuse the same buffers, and their gathers are
-    np.take(mode="wrap"), which unlike the default mode makes no copy.
-    Needs v below 2^31.
-    """
-    half = v // 2 + 1
-    e, step = multiplicative_order(t % v, v), 1
-    narrow = _orbit_id_dtype(_orbit_number(v, t, e))
-    key = np.arange(half, dtype=np.int32)
-    n = min(half, _KEY_SLICE)
-    low = np.empty(n, dtype=np.int32)
-    while step < e:
-        for lo, image in _scaled_slices(v, pow(t, step, v)):
-            seg, s = key[lo:lo + n], slice(0, len(image))
-            np.take(key, image, out=low[s], mode="wrap")
-            np.minimum(seg, low[s], out=seg)
-        del image           # the pass's last slice, before the next allocates
-        step *= 2
-    ids, got = key.view(narrow)[:half], low.view(narrow)
-    offsets = np.arange(n, dtype=np.int32)
-    is_least, index = np.empty(n, dtype=bool), np.empty(n, dtype=np.int64)
-    count = 0
-    for lo in range(0, half, n):
-        seg, s = key[lo:lo + n], slice(0, min(n, half - lo))
-        np.subtract(seg, lo, out=low[s])
-        np.equal(low[s], offsets[s], out=is_least[s])
-        np.copyto(index[s], seg)
-        firsts = np.flatnonzero(is_least[s])
-        ids[lo:lo + n][firsts] = np.arange(count, count + len(firsts), dtype=narrow)
-        count += len(firsts)
-        np.take(ids, index[s], out=got[s], mode="wrap")
-        ids[lo:lo + n] = got[s]
-    del ids, seg                        # no view of key is left
-    key.resize((half * narrow.itemsize + 3) // 4, refcheck=False)
-    ids = key.view(narrow)[:half]
-    sizes = np.zeros(count, dtype=np.int64)
-    for lo in range(0, half, n):
-        sizes += np.bincount(ids[lo:lo + n], minlength=count)
-    sizes *= 2
-    sizes[0] -= 1                       # 0 = -0
-    if v % 2 == 0:
-        sizes[ids[v // 2]] -= 1         # v/2 = -v/2
-    return ids, sizes
-
-
 def _orbit_number(v: int, t: int, e: int) -> int:
     """The number of orbits of the group <t, -1> on Z_v, generated by x ->
     t*x and x -> -x, gcd(t, v) = 1 and e = ord_v(t), by Burnside's lemma
@@ -536,59 +429,90 @@ def _orbit_number(v: int, t: int, e: int) -> int:
     return fixed // (2 * e)
 
 
-def _orbit_counts(G: AbelianGroup, ranks: np.ndarray, t: int) -> np.ndarray:
-    """The coefficients of D D^(-1) per orbit of <t, -1>, for sorted
-    distinct ranks of D in G = Z_v with t*D = D: counts[i] is the
-    coefficient of every x in orbit i of `_folded_orbit_ids`, whose
-    numbers ids over the folded half give x the coefficient
-    counts[ids[min(x, v - x)]] (the identity alone is orbit 0).
-    RuntimeError if t does not fix D: the t-orbits of D are read by
-    `groups._orbit_firsts` from D alone.
+def _orbit_representatives(a: int, t: int) -> np.ndarray:
+    """The least elements of the orbits of <t, -1> on Z_a, in increasing
+    order, so 0 first: the x that no element of their t-orbit or of its
+    negative undercuts (`groups._orbit_firsts` on all of Z_a)."""
+    x = np.arange(a, dtype=np.int64)
+    first = _orbit_firsts(AbelianGroup([a]), x, t)
+    return np.flatnonzero(np.minimum(first, first[-x % a]) == x)
 
-    N(x) = #{(a, b) in D^2 : a - b = x} is constant on t-orbits, and
-    N(-x) = N(x) (swap a and b), so it is constant on the orbits O of
-    <t, -1>.  For t-orbits P, Q of D the pairs of P x Q with a - b in O
-    number c(P, Q, O) = |P| #{b in Q : rep(P) - b in O}, rep(P) the least
-    element of P; so |O| N(O) is the sum of c(P, Q, O) over all P, Q.
-    Swapping a and b gives c(Q, P, O) = c(P, Q, -O) = c(P, Q, O), as
-    every O is its own negative.  So D is ordered by t-orbit size, then
-    least element, and cut into bands of representatives of one size: a
-    band counts its own orbits against each other in both orders, at
-    weight |P|, and every later orbit once, at 2|P|.  That is about
-    k^2/(2e) pairs, e = ord_v(t), a block of `_folded_differences` at a
-    time, added into one counter an orbit by np.add.at, which unlike a
-    bincount makes no array of the counter's length; the sum is divided
-    by |O|.  The orbit numbers of a block are gathered into a view of the
-    free buffer in the dtype of ids, as np.take casts no `out`.
+
+#: Entries of the int64 buffer of differences that `_coset_counts` bins
+#: at a time (512 KiB), unless a class of D mod a is longer.
+_COSET_BUFFER = 1 << 16
+
+
+def _coset_counts(G: AbelianGroup, ranks: np.ndarray, t: int, a: int) -> np.ndarray:
+    """The coefficients of D D^(-1) on the cosets rho + aZ_v of the
+    subgroup of order b = v/a, for sorted distinct ranks of D in G = Z_v,
+    a | v and t*D = D, rho over the least elements of the orbits of <t,
+    -1> on Z_a (`_orbit_representatives`, 0 first): counts[i*b + m] is the
+    coefficient of rho_i + a*m, so counts[0] is the identity's.
+    RuntimeError if t does not fix D.
+
+    N(x) = #{(p, c) in D^2 : p - c = x} is constant on the orbits of x ->
+    t*x, as t*D = D, and N(-x) = N(x) (swap p and c), so on the orbits of
+    <t, -1>.  Each of them meets one of these cosets: x mod a lies in the
+    orbit of some rho on Z_a, so some h in <t, -1> takes x into rho + aZ_v.
+    So the counts hold every coefficient of D D^(-1).
+
+    D is grouped by class mod a with one argsort, p = a*p' + j.  A pair
+    of p in class (j + rho) mod a and c in class j has p - c = rho +
+    a*(p' - c' - w), w = 1 where j + rho >= a and 0 otherwise, and y = p'
+    - c' - w + b lies in [0, 2b): y and y - b are the same element of the
+    coset.  The outer differences of the quotients of each pair of
+    classes fill one reused buffer, a row block at a time, and a full
+    buffer is binned into 2b bins, whose halves are added.  That is about
+    k^2 R/a pairs, R the orbits on Z_a, in at most R*min(a, k) blocks.
     """
-    v = G.order
-    rep_of = _orbit_firsts(G, ranks, t)
-    ids, sizes = _folded_orbit_ids(v, t)
-    orbits = len(sizes)
-    own_sizes = np.bincount(rep_of, minlength=len(ranks))[rep_of]   # |P| of each
-    order = np.lexsort((rep_of, own_sizes))     # by t-orbit size, then least
-    cols, of = ranks[order].astype(np.int32), rep_of[order]
-    starts = np.flatnonzero(np.diff(of, prepend=-1))    # each t-orbit's first
-    reps, rep_sizes = cols[starts], own_sizes[order[starts]]
-    k = len(cols)
-    pairs = max(_BLOCK, k)
-    buffers = _block_buffers(min(pairs, len(starts) * k))
-    counts = np.zeros(orbits, dtype=np.int64)
-    i = 0
-    while i < len(starts):
-        first, size = starts[i], rep_sizes[i]
-        end = min(i + max(1, pairs // (k - first)),
-                  np.searchsorted(rep_sizes, size, side="right"))
-        own = (starts[end] if end < len(starts) else k) - first
-        diffs = _folded_differences(v, reps[i:end], cols[first:], buffers)
-        got = buffers[1].view(ids.dtype)[:diffs.size].reshape(diffs.shape)
-        np.take(ids, diffs, out=got, mode="wrap")       # "wrap": no copy
-        np.copyto(diffs, got)           # add.at copies indices of other dtypes
-        np.add.at(counts, diffs[:, :own], size)
-        np.add.at(counts, diffs[:, own:], 2 * size)
-        i = end
-    counts //= sizes
+    if not _fixed(G, t, ranks):
+        raise RuntimeError(f"t={t} does not fix the set")
+    reps = _orbit_representatives(a, t).tolist()
+    b = G.order // a
+    classes = ranks % a
+    sizes = np.bincount(classes, minlength=a)
+    quotients = ranks[np.argsort(classes, kind="stable")]
+    del classes
+    quotients //= a
+    cols, wrapped = quotients - b, quotients - 1     # c' - b, and p' - w at w = 1
+    bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()
+    classes = list(zip(bounds, bounds[1:]))
+    plain_rows = [quotients[lo:hi] if hi > lo else None for lo, hi in classes]
+    wrapped_rows = [wrapped[lo:hi] if hi > lo else None for lo, hi in classes]
+    buffer = np.empty(max(_COSET_BUFFER, int(sizes.max(initial=0))), dtype=np.int64)
+    col_blocks = [(j, cols[lo:hi], hi - lo, len(buffer) // (hi - lo))
+                  for j, (lo, hi) in enumerate(classes) if hi > lo]
+    counts = np.zeros(len(reps) * b, dtype=np.int64)
+
+    def add_bins(coset, fill):
+        bins = np.bincount(buffer[:fill], minlength=2 * b)
+        coset += bins[:b]
+        coset += bins[b:]
+
+    for i, rho in enumerate(reps):
+        coset, fill = counts[i * b:(i + 1) * b], 0
+        rows_of = plain_rows[rho:] + wrapped_rows[:rho]     # class j + rho mod a
+        for j, col, width, step in col_blocks:
+            rows = rows_of[j]
+            if rows is None:
+                continue
+            for lo in range(0, len(rows), step):
+                block = rows[lo:lo + step]
+                n = len(block) * width
+                if fill + n > len(buffer):
+                    add_bins(coset, fill)
+                    fill = 0
+                out = buffer[fill:fill + n].reshape(-1, width)
+                np.subtract.outer(block, col, out=out)
+                fill += n
+        add_bins(coset, fill)
     return counts
+
+
+def _fixed(G: AbelianGroup, t: int, ranks: np.ndarray) -> bool:
+    """Whether x -> t*x fixes the sorted ranks."""
+    return bool((np.sort(G.scale(t, ranks)) == ranks).all())
 
 
 #: The NTT prime 15*2^27 + 1 and a primitive root: transform lengths up
@@ -722,14 +646,16 @@ def verify(G: AbelianGroup, elements) -> VerificationReport:
     sorted ranks, exceeds k) or a non-integral lambda, then, in Z_v
     written with one factor, a failed image (`_quotient_obstruction`);
     accepts only after counting every difference by the `_plan` plan, iff
-    every non-identity count of `_counts` (per orbit on the orbit path,
-    per element of the folded half of Z_v otherwise) is lambda (reported
-    as k in Z_1).
+    every non-identity count of `_counts` (on the cosets of the orbit
+    plan, per element of the folded half of Z_v otherwise) is lambda
+    (reported as k in Z_1).
     """
     ranks = _ranks(G, elements)
     v = G.order
-    runs = np.diff(np.flatnonzero(np.diff(ranks, prepend=-1)), append=len(ranks))
-    k, identity_count = len(runs), int(runs @ runs)     # runs of equal ranks
+    k = identity_count = len(ranks)
+    if (ranks[1:] == ranks[:-1]).any():         # runs of equal ranks, if any
+        runs = np.diff(np.flatnonzero(np.diff(ranks, prepend=-1)), append=len(ranks))
+        k, identity_count = len(runs), int(runs @ runs)
     rejected = VerificationReport(False, v, k, None, identity_count)
     if identity_count != k or (v > 1 and k * (k - 1) % (v - 1)):
         return rejected

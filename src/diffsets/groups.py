@@ -19,11 +19,11 @@ Subgroups of order m are looked up in the m-torsion of any group, which
 holds them all; only its subgroups are ever enumerated, not all of G's.
 
 The orbits of a numerical multiplier x -> t*x on a set that t fixes are
-found by one routine, `_orbit_firsts`, in any presentation: on a
-difference set D for the verifier's orbit count, on all of G for the
-orbit search and `multiplier_orbits`, and on the units mod the exponent
-for the power maps of the class forms.  The verifier numbers the orbits
-of <t, -1> on Z_v apart, in `dset` beside its orbit count.
+found by one routine, `_orbit_firsts`, in any presentation: on all of
+G for the orbit search and `multiplier_orbits`, on all of Z_a for the
+orbits of <t, -1> that the verifier's coset count reads (in `dset`),
+and on the units mod the exponent for the power maps of the class
+forms.
 """
 from __future__ import annotations
 

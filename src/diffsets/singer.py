@@ -207,6 +207,14 @@ def tower_shift(v: int) -> int:
     return 0 if v % 2 else v // 2
 
 
+def restriction_exists(q: int, s: int) -> bool:
+    """Whether Z_v has the subgroup M of order (q+1)(q^2+1), that is
+    whether |M| divides v = (q^s+1)(q^2s+1): tested mod |M|, as v of a
+    far tower has millions of digits."""
+    order = (q + 1) * (q * q + 1)
+    return (pow(q, s, order) + 1) * (pow(q, 2 * s, order) + 1) % order == 0
+
+
 def singer_restriction(q: int, s: int,
                        ceiling: int | None = None) -> DifferenceSet:
     """D ∩ M for D = normalize(singer_construct(q^s, 4)), from |M| traces:
@@ -223,9 +231,7 @@ def singer_restriction(q: int, s: int,
     base = tower_base(q, s)             # q checked
     p, e = is_prime_power(q)
     order = (q + 1) * (q * q + 1)
-    # M exists iff |M| divides v = (q^s + 1)(q^2s + 1); tested mod |M|, as
-    # v of a far tower has millions of digits
-    if (pow(q, s, order) + 1) * (pow(q, 2 * s, order) + 1) % order:
+    if not restriction_exists(q, s):
         raise ValueError(f"no subgroup of order {order} in "
                          f"Z_{(base + 1) * (base * base + 1)}")
     F = make_field(p, 4 * e * s, ceiling=ceiling)

@@ -10,6 +10,7 @@ from diffsets.analysis import (check_dintk, check_hk, check_ho,
 from diffsets.dset import (DifferenceSet, Params, VerificationReport,
                            classical_params, make_difference_set, restrict,
                            verify)
+from diffsets.field import FieldSizeError
 from diffsets.groups import AbelianGroup, cyclic_subgroup_of_order
 from diffsets.numth import is_prime, multiplicative_order
 from diffsets.singer import singer_construct
@@ -174,6 +175,23 @@ def test_size_lemma(d585):
     # oracle: the built set meets M in the counted q^2 + q + 1 elements
     M = cyclic_subgroup_of_order(d585.group, 15)
     assert rep.conclusions[0].witness == len(set(d585.elements) & set(M.elements))
+
+
+def test_far_towers_refused_before_v_is_formed(monkeypatch):
+    # s = 1000003 asks for GF(2^4000012): lem4.2 and the scan's row are
+    # refused by the field degree, with make_field's text, before v, a
+    # number of three million digits, is formed
+    def no_params(*args):
+        raise AssertionError("v formed")
+
+    monkeypatch.setattr(analysis.ds, "_projective_params", no_params)
+    text = ("GF(2^4000012) is larger than the ceiling 268435456; "
+            "pass a larger ceiling to override")
+    with pytest.raises(FieldSizeError) as err:
+        check_lemma_size(2, 1000003)
+    assert str(err.value) == text
+    rows = analysis.conjecture_scan(2, [1000003])
+    assert [(r.v, r.status) for r in rows] == [(0, f"error: {text}")]
 
 
 def test_main_theorem_hypotheses_precheck():

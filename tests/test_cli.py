@@ -286,8 +286,9 @@ def test_order_refusals_share_one_text(capsys, tmp_path):
 
 
 def test_counts_over_the_byte_limit_exit_1(capsys, monkeypatch, tmp_path):
-    # the q=2 s=5 tower's orbit count needs about 5.75 MB and the
-    # (15,7,3) D ∩ M of q=2 s=3 about 6.3 MB, both over a 256 KiB limit
+    # the q=2 s=5 tower's coset count needs about 0.8 MB and the
+    # (15,7,3) D ∩ M of q=2 s=3 about 6.3 MB, both over a 256 KiB limit:
+    # the scan's row is refused, which exits 1
     path = str(tmp_path / "d.dset")
     assert run(["construct", "--q", "2", "--s", "5", "--out", path]) == 0
     capsys.readouterr()
@@ -296,7 +297,7 @@ def test_counts_over_the_byte_limit_exit_1(capsys, monkeypatch, tmp_path):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("resource limit: ") and err.count("\n") == 1
     code, rep = invoke_json(capsys, "scan", "--q", "2", "--s", "3")
-    assert code == 3 and rep["rows"][0]["status"].startswith("error: ")
+    assert code == 1 and rep["rows"][0]["status"].startswith("error: ")
 
 
 def test_tower_errors_name_the_given_q_and_s(capsys):
@@ -618,7 +619,7 @@ def test_orbit_path_verify_leaves_numpy_ma_unimported(tmp_path):
         "from diffsets import dset\n"
         "from diffsets.cli import run\n"
         "path = sys.argv[1]\n"
-        "assert run(['construct', '--q', '2', '--s', '3', '--out', path]) == 0\n"
+        "assert run(['construct', '--q', '2', '--s', '5', '--out', path]) == 0\n"
         "assert run(['verify', '--set', path]) == 0\n"
         "D = dset.read_set_file(path)\n"
         "ranks = np.asarray(D.elements)\n"
@@ -658,6 +659,31 @@ def test_scan_even_s_is_one_subgroup_absent_row(capsys):
     assert code == 2
     assert [(r["s"], r["v"], r["status"]) for r in rep["rows"]] == \
         [(1, 15, "embedded"), (2, 85, "subgroup-absent"), (3, 585, "embedded")]
+
+
+@pytest.mark.parametrize("statuses, code", [
+    (["embedded", "embedded"], 0),
+    (["embedded", "subgroup-absent"], 2),
+    (["subgroup-absent", "error: refused"], 1),
+    (["error: refused", "not-embedded", "subgroup-absent"], 3),
+    (["not-embedded", "embedded"], 3)])
+def test_scan_exit_codes_rank_rows(capsys, monkeypatch, statuses, code):
+    # a not-embedded row exits 3, else a refused (error) row 1, else a
+    # subgroup-absent row 2, so that a script tells a refusal from a
+    # counterexample
+    from diffsets import analysis
+    rows = [analysis.ScanRow(2, s, 0, 15, status) for s, status in enumerate(statuses)]
+    monkeypatch.setattr(analysis, "conjecture_scan", lambda *args, **kw: rows)
+    assert invoke_json(capsys, "scan", "--q", "2", "--s", "1")[0] == code
+
+
+def test_scan_refused_row_exits_1(capsys):
+    # GF(2^4) fits a ceiling of 256, GF(2^12) does not, and M is absent at
+    # s = 2: the refused row outranks the absent one
+    code, rep = invoke_json(capsys, "scan", "--q", "2", "--s", "1,2,3",
+                            "--ceiling", "256")
+    assert code == 1
+    assert [r["status"][:6] for r in rep["rows"]] == ["embedd", "subgro", "error:"]
 
 
 @pytest.mark.parametrize("s", ["x", "1,,3", "1,3,", "2.5", ""])

@@ -1,4 +1,3 @@
-import sys
 from math import gcd
 
 import numpy as np
@@ -6,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from diffsets import dset
+from diffsets import dset, groups
 from diffsets.dset import (Params, SetFileError, VerificationReport,
                            classical_params, difference_counts,
                            distribution_bound_check, element_sum,
@@ -16,7 +15,7 @@ from diffsets.dset import (Params, SetFileError, VerificationReport,
 from diffsets.groups import (AbelianGroup, cyclic_subgroup_of_order,
                              generated_subgroup, multiplier_orbits,
                              subgroup_as_group)
-from diffsets.numth import multiplicative_order
+from diffsets.numth import divisors, multiplicative_order
 from diffsets.search import SearchSpec, orbit_union_search
 from diffsets.singer import singer_construct
 
@@ -58,25 +57,30 @@ def unfold(counts, v):
     return counts[np.minimum(x, v - x)]
 
 
-def orbit_ids(v, t):
-    """The numbers over the folded half of the orbits of <t, -1> that
-    `_orbit_counts` counts on."""
-    return dset._folded_orbit_ids(v, t)[0]
-
-
-def orbit_counts(G, ranks, t):
-    """`_orbit_counts` expanded to one count a group element."""
-    return unfold(dset._orbit_counts(G, ranks, t)[orbit_ids(G.order, t)], G.order)
-
-
 def pair_counts(G, ranks):
     """`_pair_counts` in Z_v expanded to one count a group element."""
     return unfold(dset._pair_counts(G, ranks), G.order)
 
 
-def _orbit_and_pair_counts(G, elements, t):
-    ranks = np.asarray(sorted(elements), dtype=np.int64)
-    return orbit_counts(G, ranks, t), pair_counts(G, ranks)
+def coset_elements(v, t, a):
+    """The elements rho + a*m of Z_v in the order of `_coset_counts` by t
+    modulo a: rho over the least elements of the orbits of <t, -1> on
+    Z_a, m < v/a."""
+    reps = dset._orbit_representatives(a, t)
+    return (reps[:, None] + a * np.arange(v // a)).ravel()
+
+
+def assert_coset_counts(G, ranks, t, expected, moduli=None):
+    """`_coset_counts` by t modulo every divisor a of v (or the given
+    moduli) equals the counts `expected`, one a group element, at every
+    element of its cosets, and has one coset an orbit of <t, -1> on
+    Z_a."""
+    v = G.order
+    for a in moduli or divisors(v):
+        counts = dset._coset_counts(G, ranks, t, a)
+        assert len(counts) == v // a * dset._orbit_number(
+            a, t, multiplicative_order(t, a)), a
+        assert np.array_equal(counts, expected[coset_elements(v, t, a)]), a
 
 
 def plan_of(G, elements, n):
@@ -129,36 +133,25 @@ def test_orbit_counts_match_pair_counts_on_singer_sets(q, d, t):
     short = [o for o in multiplier_orbits(G, t)
              if o[0] in D.element_set and len(o) < e]
     assert short                          # orbits shorter than ord_v(t) occur
-    orbit, pair = _orbit_and_pair_counts(G, D.elements, t)
-    assert np.array_equal(orbit, pair)
+    ranks = np.asarray(D.elements, dtype=np.int64)
+    assert_coset_counts(G, ranks, t, pair_counts(G, ranks))
 
 
 @pytest.mark.parametrize("q, d", [(3, 4), (3**4, 4)])
 def test_orbit_counts_at_the_self_negative_half(q, d):
-    # v even, so v/2 is its own negative and, as 3 is odd, an orbit of
-    # <3, -1> of one element: PG(3, 3) in Z_40 and the q=3 s=4 tower in
-    # Z_538084
+    # v even, so v/2 is its own negative and, as 3 is odd, fixed by 3:
+    # PG(3, 3) in Z_40 and the q=3 s=4 tower in Z_538084.  v/2 mod a is 0
+    # or a/2, each an orbit of <3, -1> on Z_a, so v/2 lies in the cosets
+    # of every modulus
     D = singer_construct(q, d)
     G, v, (_, k, lam) = D.group, D.group.order, D.params.as_tuple()
     ranks = np.asarray(D.elements, dtype=np.int64)
-    counts = dset._orbit_counts(G, ranks, 3)
-    ids, sizes = dset._folded_orbit_ids(v, 3)
-    assert v % 2 == 0 and sizes[ids[v // 2]] == sizes[ids[0]] == 1
-    assert sizes.sum() == v
-    assert counts[0] == k and (counts[1:] == lam).all()
-    assert np.array_equal(unfold(counts[ids], v), pair_counts(G, ranks))
-
-
-@pytest.mark.parametrize("v, dtype", [(131071, np.uint16), (131073, np.int32)])
-def test_orbit_counts_at_the_uint16_boundary(v, dtype):
-    # t = -1 fixes a set D = -D, and its orbits are the pairs {x, -x}:
-    # 65,536 numbered in uint16 in Z_131071, up to 65535 at v // 2 (the
-    # difference of 0 and v // 2), and 65,537 in int32 in Z_131073
-    G = AbelianGroup([v])
-    xs = np.random.default_rng(v).choice(np.arange(1, v // 2), 200, replace=False)
-    ranks = np.unique(np.concatenate(([0, v // 2, v - v // 2], xs, v - xs)))
-    assert orbit_ids(v, -1).dtype == dtype
-    assert np.array_equal(orbit_counts(G, ranks, -1), pair_counts(G, ranks))
+    moduli = divisors(v) if v < 100 else [2, 4, 68]
+    for a in moduli:
+        counts = dset._coset_counts(G, ranks, 3, a)
+        assert v // 2 in coset_elements(v, 3, a)
+        assert counts[0] == k and (counts[1:] == lam).all()
+    assert_coset_counts(G, ranks, 3, pair_counts(G, ranks), moduli)
 
 
 @pytest.mark.parametrize("v, t, met", [
@@ -171,30 +164,31 @@ def test_orbit_counts_at_the_uint16_boundary(v, dtype):
     (40, 7, [1, 2, 4, 20]),     # orbits of 7 and their negatives
     (2, 3, [1]), (1, 2, [0])])
 def test_orbit_counts_on_the_fold(v, t, met):
-    # D is the union of the t-orbits that meet `met`
+    # D is the union of the t-orbits that meet `met`, counted on the
+    # cosets of every modulus a | v, a = 1 and a = v among them
     G = AbelianGroup([v])
     orbits = multiplier_orbits(G, t)
     els = sorted(x for o in orbits if set(o) & set(met) for x in o)
     ranks = np.asarray(els, dtype=np.int64)
-    counts, ids = dset._orbit_counts(G, ranks, t), orbit_ids(v, t)
-    assert len(ids) == v // 2 + 1
-    assert len(counts) == len(negation_merged(orbits, v))
-    assert np.array_equal(unfold(counts[ids], v), brute_counts(G, els))
-    by_orbits, by_pairs = forced_reports(G, els, t)
-    assert by_orbits == by_pairs
+    assert len(dset._coset_counts(G, ranks, t, v)) == len(negation_merged(orbits, v))
+    assert_coset_counts(G, ranks, t, np.asarray(brute_counts(G, els)))
+    reports = forced_reports(G, els, t)
+    assert reports.count(reports[-1]) == len(reports)
 
 
 def test_orbit_path_on_orbit_union_that_is_not_a_difference_set(monkeypatch):
-    # {0} and five 2-orbits of Z_127: k = 36, so lambda = 36*35/126 = 10 and
-    # n = 26 are integers, t = 2 | n fixes the set, and the cost model
-    # picks the orbit path (e = 7).
-    G = AbelianGroup([127])
+    # {0} and the 2-orbits of 1, 5, 25 and 125 in Z_575 = Z_(5^2 * 23):
+    # k = 287, so lambda = 287*286/574 = 143 and n = 144 are integers, t =
+    # 2 | n fixes the set, its images in Z_5, Z_23 and Z_25 pass, and the
+    # cost model counts it on the cosets of 5Z_575
+    G = AbelianGroup([575])
     orbits = multiplier_orbits(G, 2)
-    els = sorted([0] + [x for o in orbits[1:6] for x in o])
-    assert len(els) == 36
-    assert plan_of(G, els, 26)[:2] == ("orbit", 2)
-    orbit, pair = _orbit_and_pair_counts(G, els, 2)
-    assert np.array_equal(orbit, pair)
+    els = sorted(x for o in orbits if o[0] in (0, 1, 5, 25, 125) for x in o)
+    assert len(els) == 287
+    assert plan_of(G, els, 144)[:2] == ("orbit", 2)
+    assert not rejected_before_counting(G, els)
+    ranks = np.asarray(els, dtype=np.int64)
+    assert_coset_counts(G, ranks, 2, pair_counts(G, ranks))
     by_orbits = verify(G, els)
     force(monkeypatch, "pair")
     by_pairs = verify(G, els)
@@ -202,22 +196,25 @@ def test_orbit_path_on_orbit_union_that_is_not_a_difference_set(monkeypatch):
 
 
 def test_orbit_counts_reject_a_multiplier_that_does_not_fix_the_set():
-    # {1, 5} is not fixed by 2 in Z_15: the orbit {1, 2, 4, 8} collects a
-    # weighted count of 2, which its size 4 does not divide
-    with pytest.raises(RuntimeError):
-        dset._orbit_counts(AbelianGroup([15]), np.array([1, 5]), 2)
+    # {1, 5} is not fixed by 2 in Z_15, at any modulus
+    for a in (1, 3, 5, 15):
+        with pytest.raises(RuntimeError, match="does not fix"):
+            dset._coset_counts(AbelianGroup([15]), np.array([1, 5]), 2, a)
 
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
 
 def forced_reports(G, elements, t):
-    """`verify` forced onto the orbit count with the multiplier t and onto
-    the pair count."""
+    """`verify` forced onto the coset count by the multiplier t modulo
+    every divisor of v, then onto the pair count."""
+    v, k = G.order, len(elements)
+    plans = [dset._coset_price(v, k, t, a)[1] for a in divisors(v)]
+    plans.append(listed_plan(G, k, "pair"))
     reports = []
-    for strategy in ["orbit", "pair"]:
+    for plan in plans:
         with pytest.MonkeyPatch.context() as mp:
-            force(mp, strategy, t)
+            mp.setattr(dset, "_plan", lambda *args: plan)
             reports.append(verify(G, elements))
     return reports
 
@@ -244,7 +241,7 @@ def test_orbit_kernel_matches_pair_counts(data):
     # D is a union of t-orbits: always {0}, random orbits and one short
     # orbit of elements with gcd(x, v) > 1 when there is one; -1 is a
     # power of t (Z_13, t = 2: -O = O for every orbit) or it is not (each
-    # orbit's negative is another orbit)
+    # orbit's negative is another orbit); counted modulo every a | v
     v = data.draw(st.one_of(st.sampled_from([x for x in EDGE_ORDERS if x >= 2]),
                             st.sampled_from([13, 585, 2 * 3 * 5 * 7 * 11]),
                             st.integers(2, 3000)), label="v")
@@ -267,16 +264,28 @@ def test_orbit_kernel_matches_pair_counts(data):
             kept.append(i)
     els = [0] + [x for i in kept for x in orbits[i]]
     ranks = np.sort(np.asarray(els, dtype=np.int64))
-    counts, ids = dset._orbit_counts(G, ranks, t), orbit_ids(v, t)
-    assert len(ids) == v // 2 + 1
-    assert ids[0] == 0 and (ids[1:] != 0).all()
-    assert len(counts) == len(negation_merged(orbits, v)) == \
+    assert len(negation_merged(orbits, v)) == \
         dset._orbit_number(v, t, multiplicative_order(t, v))
-    if self_negative:
-        assert len(counts) == len(orbits)
-    assert np.array_equal(unfold(counts[ids], v), pair_counts(G, ranks))
-    by_orbits, by_pairs = forced_reports(G, els, t)
-    assert by_orbits == by_pairs
+    assert_coset_counts(G, ranks, t, pair_counts(G, ranks))
+    reports = forced_reports(G, els, t)
+    assert reports.count(reports[-1]) == len(reports)
+
+
+def test_coset_counts_match_pair_counts_for_every_unit():
+    # every Z_v, v <= 300, and every unit t < v: D is {0} and a random
+    # union of t-orbits, counted modulo one divisor a of v, the divisors
+    # taken in turn as t runs
+    rng = np.random.default_rng(300)
+    for v in range(1, 301):
+        G, moduli, x = AbelianGroup([v]), divisors(v), np.arange(v, dtype=np.int64)
+        units = [t for t in range(1, max(2, v)) if gcd(t, v) == 1]
+        for i, t in enumerate(units):
+            kept = rng.random(v) < 0.1
+            kept[0] = True
+            ranks = np.flatnonzero(kept[groups._orbit_firsts(G, x, t)])
+            a = moduli[i % len(moduli)]
+            expected = pair_counts(G, ranks)[coset_elements(v, t, a)]
+            assert np.array_equal(dset._coset_counts(G, ranks, t, a), expected), (v, t, a)
 
 
 @pytest.mark.parametrize("v, t, els, off", [
@@ -286,38 +295,26 @@ def test_orbit_kernel_matches_pair_counts(data):
     (8, 3, [0, 1, 3], 3)])                  # (3, 1, 1, 0), {4} missed
 def test_orbit_verdict_sees_one_orbit_off(v, t, els, off):
     # t-fixed sets whose non-identity counts per orbit of <t, -1> agree
-    # except at the orbit numbered `off`; their lambda is not an integer,
-    # so verify rejects them before it counts, whatever the strategy.  In
-    # the first three -1 is a power of t; in Z_8 the orbits {1, 3} and
-    # {5, 7} of 3 are one orbit of <3, -1>
+    # except at the orbit numbered `off`, as counted modulo a = v: one
+    # coset of one element an orbit; their lambda is not an integer, so
+    # verify rejects them before it counts, whatever the plan.  In the
+    # first three -1 is a power of t; in Z_8 the orbits {1, 3} and {5, 7}
+    # of 3 are one orbit of <3, -1>
     G = AbelianGroup([v])
-    counts = dset._orbit_counts(G, np.asarray(els, dtype=np.int64), t)
+    ranks = np.asarray(els, dtype=np.int64)
+    counts = dset._coset_counts(G, ranks, t, v)
     others = np.delete(counts, [0, off])
     assert (others == others[0]).all() and counts[off] != others[0]
-    assert np.array_equal(unfold(counts[orbit_ids(v, t)], v), brute_counts(G, els))
-    by_orbits, by_pairs = forced_reports(G, els, t)
-    assert by_orbits == by_pairs == pair_count_report(G, els)
-    assert not by_orbits.ok and by_orbits.identity_count == len(els)
+    assert_coset_counts(G, ranks, t, np.asarray(brute_counts(G, els)))
+    reports = forced_reports(G, els, t)
+    assert reports.count(pair_count_report(G, els)) == len(reports)
+    assert not reports[0].ok and reports[0].identity_count == len(els)
 
 
-@pytest.mark.parametrize("v", [131071, 131073])
-def test_folded_orbit_ids_under_a_profile_hook(v):
-    # a profile hook reads the frame's locals, so it holds one more
-    # reference to the key that the numbering shrinks in place: uint16
-    # numbers in Z_131071, int32 in Z_131073, the pairs {x, -x} of t = -1
-    before = sys.getprofile()
-    sys.setprofile(lambda frame, event, arg: None)
-    try:
-        ids, sizes = dset._folded_orbit_ids(v, -1)
-    finally:
-        sys.setprofile(before)
-    half = v // 2 + 1
-    assert np.array_equal(ids, np.arange(half)) and len(sizes) == half
-
-
-@pytest.mark.parametrize("q, s", [(2, 5), (3, 3)])
+@pytest.mark.parametrize("q, s", [(2, 5), (3, 3), (2, 7), (3, 4)])
 def test_orbit_verify_peak_within_estimate(q, s, traced_peak):
-    # the towers PG(3, 32) in Z_33825 and PG(3, 27) in Z_20440, fixed by p
+    # the towers PG(3, 32) in Z_33825, PG(3, 27) in Z_20440, PG(3, 128) in
+    # Z_2113665 and PG(3, 81) in Z_538084, fixed by p
     D = singer_construct(q**s, 4)
     G, (v, k, _) = D.group, D.params.as_tuple()
     els = list(D.elements)
@@ -328,21 +325,21 @@ def test_orbit_verify_peak_within_estimate(q, s, traced_peak):
     assert peak <= plan.nbytes
 
 
-def test_orbit_verify_peak_within_estimate_at_a_wide_slice(monkeypatch, traced_peak):
-    # the orbit numbering's buffers are priced beside it: with slices of
-    # 2^20 elements they take 20 MiB (the default slices keep the whole
-    # verify under 8 MiB), which the estimate reads at call time
+def test_orbit_verify_peak_within_estimate_at_a_wide_buffer(monkeypatch, traced_peak):
+    # the coset count's buffer is priced beside it: at 2^20 entries it
+    # takes 8 MiB (the default keeps the whole verify near 2 MiB), which
+    # the estimate reads at call time
     D = singer_construct(2**7, 4)
     G, (v, k, _) = D.group, D.params.as_tuple()
     els = list(D.elements)
-    monkeypatch.setattr(dset, "_KEY_SLICE", 1 << 20)
+    monkeypatch.setattr(dset, "_COSET_BUFFER", 1 << 20)
     rep, peak = traced_peak(verify, G, els)
-    assert rep.ok and peak > 20 * 2**20
+    assert rep.ok and peak > 8 * 2**20
     assert peak <= plan_of(G, els, D.params.n).nbytes
 
 
 def test_counts_over_the_byte_limit_refused_before_counting(monkeypatch):
-    # the q=2 s=5 tower (orbit count, about 1.9 MB) and a translate of
+    # the q=2 s=5 tower (coset count, about 1.5 MB) and a translate of
     # PG(12, 2) (NTT, about 0.75 MB) against a 256 KiB limit: MemoryError
     # before any counter runs
     tower = singer_construct(2**5, 4)
@@ -352,7 +349,7 @@ def test_counts_over_the_byte_limit_refused_before_counting(monkeypatch):
     def no_counting(*args, **kw):
         raise AssertionError("counted")
 
-    for name in ("_orbit_counts", "_ntt_counts", "_pair_counts"):
+    for name in ("_coset_counts", "_ntt_counts", "_pair_counts"):
         monkeypatch.setattr(dset, name, no_counting)
     monkeypatch.setattr(dset, "BYTE_LIMIT", 1 << 18)
     for G, els, n, plan in [(tower.group, tower.elements, tower.params.n, ("orbit", 2)),
@@ -481,7 +478,7 @@ def test_folded_counts_unfold_to_the_brute_force_vector(v, t, els):
     assert np.array_equal(pair_counts(G, ranks), brute)
     assert np.array_equal(unfold(dset._ntt_counts(v, ranks), v), brute)
     if t is not None:
-        assert np.array_equal(orbit_counts(G, ranks, t), brute)
+        assert_coset_counts(G, ranks, t, np.asarray(brute))
     assert len(difference_counts(G, els)) == v
     assert list(difference_counts(G, els)) == brute
 
@@ -497,14 +494,15 @@ def test_ntt_verify_peak_within_estimate(traced_peak):
 
 
 def test_ntt_counts_on_the_pg10_3_set():
-    # k^2 = 8.7e8 pairs would take seconds, so the orbit count (checked
-    # against the pair count above) and the Singer parameters are the oracle
+    # k^2 = 8.7e8 pairs would take seconds, so the coset count modulo 3851
+    # (checked against the pair count above) and the Singer parameters
+    # are the oracle
     D = singer_construct(3, 11)
     G, (v, k, lam) = D.group, D.params.as_tuple()
     ranks = np.asarray(D.elements, dtype=np.int64)
     counts = dset._ntt_counts(v, ranks)
     assert counts[0] == k and (counts[1:] == lam).all()
-    assert np.array_equal(unfold(counts, v), orbit_counts(G, ranks, 3))
+    assert_coset_counts(G, ranks, 3, unfold(counts, v), [3851])
 
 
 @pytest.mark.parametrize("L", [2**j for j in range(1, 7)])
@@ -553,14 +551,17 @@ def test_ntt_counts_exact_at_length_2_to_the_21():
     (538084, 6643, 16, "orbit"),        # the q=3 s=4 tower
     (88573, 29524, 11, "ntt"),          # PG(10, 3)
     (797161, 265720, 13, "ntt"),        # PG(12, 3)
-    (127, 63, 7, "orbit"),              # the search sizes
+    (127, 63, 7, "pair"),               # the search sizes: 127 is prime
     (127, 63, None, "pair"),
     (133, 12, 3, "pair"),
-    (15, 7, 4, "orbit"),
-    (7, 3, None, "pair")])
+    (15, 7, 4, "pair"),
+    (7, 3, None, "pair"),
+    (4095, 2047, 12, "ntt"),            # PG(11, 2)
+    (9841, 3280, 9, "ntt"),             # PG(8, 3)
+    (1118481, 69905, 24, "orbit")])     # PG(5, 16)
 def test_strategy_from_the_cost_model(v, k, e, strategy):
     # read through the price list with the multiplier t behind each e
-    t = {28: 2, 16: 3, 11: 3, 13: 3, 7: 2, 3: 11, 4: 2}.get(e)
+    t = {28: 2, 16: 3, 11: 3, 13: 3, 7: 2, 3: 11, 4: 2, 12: 2, 9: 3, 24: 2}.get(e)
     assert e is None or multiplicative_order(t, v) == e
     assert dset._plan(AbelianGroup([v]), k, t or 0).strategy == strategy
 
@@ -1074,16 +1075,17 @@ def test_set_file_verification_error_propagates(tmp_path, monkeypatch):
 
 
 def test_tower_set_file_read_and_verify_peak(tmp_path, traced_peak):
-    # PG(3, 128) in Z_2113665 verified on the orbit path: the file's ranks
-    # in one int64 array, then the int32 keys of the folded half (4 MiB)
-    # and the numbering's slice buffers, later its uint16 orbit numbers
-    # (2 MiB) and a 0.5 MiB block of pairs
+    # PG(3, 128) in Z_2113665 verified by the coset count modulo 339: the
+    # file's text and its ranks in one int64 array, the quotients of D,
+    # a 0.5 MiB buffer of differences and the counts of 10 cosets of 6235
+    # elements (0.5 MiB), about 2 MiB in all; a table of O(v) entries,
+    # 4 MiB for int16 over the folded half, would not fit
     D = singer_construct(2**7, 4)
     path = tmp_path / "d.dset"
     write_set_file(path, D)
     back, peak = traced_peak(read_set_file, path)
     assert back.verified and back.elements == D.elements
-    assert peak <= 5.5 * 2**20
+    assert peak <= 2.5 * 2**20
 
 
 def test_set_file_comments_ignored(tmp_path, d15):

@@ -369,9 +369,7 @@ def test_orbit_firsts_refuse_a_set_that_t_moves(factors, t):
 @pytest.mark.parametrize("factors, m", [([585], 2), ([585], 7), ([1000], 3),
                                         ([997], 5), ([3, 15], 2), ([40], -1)])
 def test_orbit_ids_across_slices(factors, m):
-    # the numbering of all of G reads no slice length (only the folded
-    # numbering of dset slices its passes): every orbit of x -> m*x is
-    # numbered by its least element
+    # every orbit of x -> m*x on all of G is numbered by its least element
     G = AbelianGroup(factors)
     ids, sizes, least = groups._multiplier_orbit_ids(G, m)
     orbits = naive_orbits(G, m)
@@ -395,37 +393,14 @@ def negation_merged(orbits, v):
 @pytest.mark.parametrize("v, m", [(585, 2), (585, 7), (1000, 3), (997, 5),
                                   (40, 3), (40, -1), (13, 5), (8, 3), (2, 1),
                                   (1, 1), (15, 2)])
-def test_folded_orbit_ids_across_slices(monkeypatch, v, m):
-    # the orbits of <m, -1> over the folded half {0, ..., v // 2} in slices
-    # of 7 elements: v even and odd, -1 a power of m (Z_13, m = 5; Z_40,
-    # m = -1) or not, and a last slice that is partial or a single element
-    monkeypatch.setattr(dset, "_KEY_SLICE", 7)
-    G = AbelianGroup([v])
-    ids, sizes = dset._folded_orbit_ids(v, m)
-    orbits = negation_merged(naive_orbits(G, m), v)
-    assert ids.dtype == narrow_ids(len(orbits)) and len(ids) == v // 2 + 1
-    assert [ids[[min(x, v - x) for x in o]].tolist() for o in orbits] == \
-        [[i] * len(o) for i, o in enumerate(orbits)]
-    assert sizes.tolist() == [len(o) for o in orbits]
-
-
-def narrow_ids(orbits):
-    """The dtype of the numbers of this many orbits: uint16 while they fit."""
-    return np.uint16 if orbits <= 2**16 else np.int32
-
-
-@pytest.mark.parametrize("v, dtype", [(131071, np.uint16), (131073, np.int32)])
-def test_folded_orbit_ids_at_the_uint16_boundary(v, dtype):
-    # with t = -1 the orbits are forced to be the pairs {x, -x}, one for
-    # each x of the folded half: 65,536 in Z_131071, numbered 0 to 65535
-    # in uint16 over four full slices, and 65,537 in Z_131073, past uint16,
-    # whose last slice is a single element
-    half = v // 2 + 1
-    ids, sizes = dset._folded_orbit_ids(v, -1)
-    assert dset._orbit_number(v, v - 1, 2) == len(sizes) == half
-    assert ids.dtype == dtype == narrow_ids(half)
-    assert np.array_equal(ids, np.arange(half))
-    assert sizes[0] == 1 and (sizes[1:] == 2).all()
+def test_orbit_representatives_match_naive_orbits(v, m):
+    # the least elements of the orbits of <m, -1> on Z_v, the offsets of
+    # the coset count's cosets: v even and odd, -1 a power of m (Z_13,
+    # m = 5; Z_40, m = -1) or not, m = 1 and Z_1
+    orbits = negation_merged(naive_orbits(AbelianGroup([v]), m), v)
+    reps = dset._orbit_representatives(v, m)
+    assert reps.tolist() == [o[0] for o in orbits]
+    assert len(reps) == dset._orbit_number(v, m, multiplicative_order(m, v))
 
 
 def orbit_number_by_orders(v, t):
@@ -470,10 +445,8 @@ def test_orbit_number_of_t_and_minus_one_by_burnside():
                 e = multiplicative_order(t, v)
                 merged = negation_merged(multiplier_orbits(G, t), v)
                 assert dset._orbit_number(v, t, e) == len(merged)
-    # the q=2 s=7 tower: 38,047 orbits of <2, -1>, as the folded
-    # numbering finds
-    assert dset._orbit_number(2113665, 2, 28) == 38047 == \
-        len(dset._folded_orbit_ids(2113665, 2)[1])
+    # the q=2 s=7 tower: 38,047 orbits of <2, -1>
+    assert dset._orbit_number(2113665, 2, 28) == 38047
 
 
 def test_multiplier_orbits_require_unit():

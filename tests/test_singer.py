@@ -181,6 +181,29 @@ def test_construction_prices_the_plan_verify_runs(monkeypatch):
     assert strategies == {"pair", "ntt", "orbit"}
 
 
+@pytest.mark.parametrize("q, d", [qd for qd in PLANNED if qd != (3, 11)])
+def test_coset_counts_match_pair_counts_on_planned_sets(q, d):
+    # the coset count by p, at the modulus the price list picks and at
+    # the least prime divisor of v, equals the pair count at every element
+    # of its cosets; PG(10, 3) (k^2 = 8.7e8 pairs) is checked against the
+    # NTT in test_dset.  A prime v has no coset plan
+    D = singer_construct(q, d)
+    G, v, (_, k, lam) = D.group, D.group.order, D.params.as_tuple()
+    p = is_prime_power(q)[0]
+    if numth.is_prime(v):
+        assert all(plan.strategy != "orbit" for _, plan in dset._prices(G, k, k - lam))
+        return
+    priced = min(dset._coset_price(v, k, p, a) for a in numth.divisors(v)[1:-1])
+    ranks = np.asarray(D.elements, dtype=np.int64)
+    x = np.arange(v)
+    pairs = dset._pair_counts(G, ranks)[np.minimum(x, v - x)]
+    for a in {priced[1].a, numth.prime_divisors(v)[0]}:
+        reps = dset._orbit_representatives(a, p)
+        counts = dset._coset_counts(G, ranks, p, a)
+        assert np.array_equal(counts, pairs[(reps[:, None] + a * np.arange(v // a)).ravel()])
+        assert counts[0] == k and (counts[1:] == lam).all()
+
+
 def test_order_refused_before_q_is_factored(monkeypatch, capsys):
     # q = 2^127 - 1 is prime, and confirming that factors it by trial
     # division to sqrt(q); v = q^2 + q + 1 is refused by its order first
