@@ -154,6 +154,25 @@ def test_orbit_counts_at_the_self_negative_half(q, d):
     assert_coset_counts(G, ranks, 3, pair_counts(G, ranks), moduli)
 
 
+@pytest.mark.parametrize("v, dtype", [(131071, np.uint16), (131073, np.int32)])
+def test_orbit_counts_at_the_uint16_boundary(v, dtype):
+    # t = -1 fixes a set D = -D, and its orbits are the pairs {x, -x}:
+    # 65,536 in Z_131071, indexed up to 65535 at v // 2 (the difference of
+    # 0 and v // 2) as uint16 reaches, and 65,537 in Z_131073, past it.
+    # Counted modulo every divisor a of v with few orbits on Z_a: Z_131071
+    # is prime, so a = 1; Z_131073 = Z_(3 * 43691) also a = 3
+    G = AbelianGroup([v])
+    xs = np.random.default_rng(v).choice(np.arange(1, v // 2), 200, replace=False)
+    ranks = np.unique(np.concatenate(([0, v // 2, v - v // 2], xs, v - xs)))
+    reps = dset._orbit_representatives(v, -1)
+    assert np.array_equal(reps, np.arange(v // 2 + 1))
+    assert len(reps) == dset._orbit_number(v, -1, 2)
+    assert (len(reps) - 1 <= np.iinfo(np.uint16).max) == (dtype == np.uint16)
+    moduli = [a for a in divisors(v) if a < 100]
+    assert moduli == ([1] if v == 131071 else [1, 3])
+    assert_coset_counts(G, ranks, -1, pair_counts(G, ranks), moduli)
+
+
 @pytest.mark.parametrize("v, t, met", [
     (31, 2, [0, 1, 30]),        # P = {1, 2, 4, 8, 16} and -P both in D
     (31, 2, [1, 3]),            # P in D, -P not
@@ -325,9 +344,9 @@ def test_orbit_verify_peak_within_estimate(q, s, traced_peak):
     assert peak <= plan.nbytes
 
 
-def test_orbit_verify_peak_within_estimate_at_a_wide_buffer(monkeypatch, traced_peak):
-    # the coset count's buffer is priced beside it: at 2^20 entries it
-    # takes 8 MiB (the default keeps the whole verify near 2 MiB), which
+def test_orbit_verify_peak_within_estimate_at_a_wide_slice(monkeypatch, traced_peak):
+    # the coset count's buffer, the slice of differences it bins at a
+    # time, is priced beside it: at 2^20 entries it takes 8 MiB (the default keeps the whole verify near 2 MiB), which
     # the estimate reads at call time
     D = singer_construct(2**7, 4)
     G, (v, k, _) = D.group, D.params.as_tuple()
