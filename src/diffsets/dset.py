@@ -39,14 +39,13 @@ Only the public `difference_counts` unfolds the half to one coefficient
 per element of Z_v.
 
 All counts and bound checks are exact integer arithmetic; no floating
-point anywhere.  Memory is bounded twice, each test in one function: the
-order test (`_order_test`, v at most FULL_VERIFY_ORDER_LIMIT, one
-message that names v) runs before a set is judged and before a plan is
-priced, and the byte guard (`_guard`) holds the plan's bytes, plus a
-caller's own, against BYTE_LIMIT.  Every count (`verify`,
-`difference_counts`, so set files, restrictions and search class files)
-passes the guard before it allocates, and `singer.singer_construct`
-passes it with the plan `verify` will run on the set it builds.
+point anywhere.  The order test (`_order_test`) refuses v >= 2^31, past
+int32 differences, before a set is judged or v factored.  Memory has one
+bound, BYTE_LIMIT, held by one guard (`_guard`) on estimated bytes
+before anything is allocated: every count (`verify`, `difference_counts`,
+so set files, restrictions and search class files), with its plan's
+bytes; `singer.singer_construct`, with the plan `verify` will run on the
+set it builds; and the search's orbit-pair table.
 """
 from __future__ import annotations
 
@@ -63,11 +62,8 @@ from .groups import (AbelianGroup, CosetDecomposition, Subgroup,
 from .numth import (divisors, is_prime_power, multiplicative_order,
                     prime_divisors, totient)
 
-#: Full difference counting keeps a dense length-v counter.
-FULL_VERIFY_ORDER_LIMIT = 1 << 26
-
-#: Estimated peak bytes (`_guard`) above which a count, or a construction
-#: with its count, is refused before anything is allocated.
+#: Estimated peak bytes (`_guard`) above which a count, a construction or
+#: a search table is refused before anything is allocated.
 BYTE_LIMIT = 1 << 31
 
 
@@ -164,7 +160,7 @@ class VerificationReport:
 def difference_counts(G: AbelianGroup, elements) -> np.ndarray:
     """Coefficient vector of D D^(-1) in the group ring, indexed by rank,
     for a set D: ValueError for a rank that is not an integer, outside
-    [0, v) or repeated, MemoryError for v > FULL_VERIFY_ORDER_LIMIT or,
+    [0, v) or repeated, MemoryError for v >= 2^31 (`_order_test`) or,
     before counting, an estimate over BYTE_LIMIT (`_guard`).  Counted by
     the plan `_plan` makes without a multiplier, as D need have no
     integral lambda, so never by the orbit count.  In Z_v the folded half
@@ -177,11 +173,12 @@ def difference_counts(G: AbelianGroup, elements) -> np.ndarray:
 
 
 def _order_test(v: int) -> None:
-    """MemoryError for v > FULL_VERIFY_ORDER_LIMIT, where no dense counter
-    is built: the one order test, of every count and every construction."""
-    if v > FULL_VERIFY_ORDER_LIMIT:
-        raise MemoryError("full difference counting limited to group order "
-                          f"{FULL_VERIFY_ORDER_LIMIT}; v = {v}")
+    """MemoryError for v >= 2^31, past the int32 differences of
+    `_folded_differences`: the one order test, of every count and every
+    construction, run before v is factored."""
+    if v >= 1 << 31:
+        raise MemoryError("difference counting needs v < 2^31 for int32 "
+                          f"differences; v = {v}")
 
 
 def _ranks(G: AbelianGroup, elements) -> np.ndarray:
@@ -255,7 +252,7 @@ def _prices(G: AbelianGroup, k: int, n: int) -> list[tuple[int, Plan]]:
       pair).  The only entry for a product presentation;
     - "ntt": 11/3*L*log2(L) for the transform length L plus
       _NTT_CALL_COST; two uint32 buffers of L words and L/2 uint32
-      twiddles, and _ITER_BUFFERS;
+      twiddles, and _ITER_BUFFERS; offered while L divides P - 1;
     - "orbit" by t, for each prime t | n with gcd(t, v) = 1 (the first
       multiplier theorem's candidates; none for n <= 1): `_coset_counts`
       modulo the divisor 1 < a < v of least price (`_coset_price`; none
@@ -287,8 +284,9 @@ def _prices(G: AbelianGroup, k: int, n: int) -> list[tuple[int, Plan]]:
     prices = [(k * k, Plan("pair", None, sets + 16 * bins + 24 * _block_pairs(k, bins), None))]
     if len(G.factors) == 1:
         L = _ntt_length(v)
-        prices.append((11 * L * (L.bit_length() - 1) // 3 + _NTT_CALL_COST,
-                       Plan("ntt", None, sets + 10 * L + _ITER_BUFFERS, None)))
+        if (_NTT_PRIME - 1) % L == 0:
+            prices.append((11 * L * (L.bit_length() - 1) // 3 + _NTT_CALL_COST,
+                           Plan("ntt", None, sets + 10 * L + _ITER_BUFFERS, None)))
         for t in prime_divisors(n) if n > 1 else ():
             if gcd(t, v) == 1:
                 prices += sorted(_coset_price(v, k, t, a) for a in divisors(v)[1:-1])[:1]
@@ -320,14 +318,11 @@ def _plan(G: AbelianGroup, k: int, n: int,
             return plan
 
 
-def _guard(v: int, plan: Plan, extra: int = 0,
-           what: str = "difference counting") -> None:
-    """The one byte guard of a count and of a construction: MemoryError
-    when a caller's `extra` bytes plus the `_plan` estimate are over
-    BYTE_LIMIT."""
-    need = extra + plan.nbytes
-    if need > BYTE_LIMIT:
-        raise MemoryError(f"{what} of v = {v} needs about {need >> 20} MiB, "
+def _guard(v: int, nbytes: int, what: str = "difference counting") -> None:
+    """The one memory check of counts, constructions and search tables:
+    MemoryError when the estimated peak `nbytes` exceed BYTE_LIMIT."""
+    if nbytes > BYTE_LIMIT:
+        raise MemoryError(f"{what} of v = {v} needs about {nbytes >> 20} MiB, "
                           f"over the {BYTE_LIMIT >> 20} MiB limit")
 
 
@@ -339,7 +334,7 @@ def _counts(G: AbelianGroup, ranks: np.ndarray, plan: Plan) -> np.ndarray:
     product presentation.  Either way counts[0] is the identity
     coefficient and every other entry a non-identity one.  MemoryError
     (`_guard`) before any counter is allocated."""
-    _guard(G.order, plan)
+    _guard(G.order, plan.nbytes)
     if plan.strategy == "orbit":
         return _coset_counts(G, ranks, plan.t, plan.a)
     if plan.strategy == "ntt":
@@ -372,9 +367,9 @@ def _folded_differences(v: int, rows: np.ndarray, cols: np.ndarray, buffers):
     and b in `cols` (both int32), a len(rows) x len(cols) view of the last
     of `buffers` (`_block_buffers`); the second is then free.
 
-    The differences are formed in int32: v <= FULL_VERIFY_ORDER_LIMIT =
-    2^26 < 2^31 keeps d = |a - b| in [0, v), and x is d or v - d, either
-    way with the fold min(d, v - d).
+    The differences are formed in int32: v < 2^31 (`_order_test`) keeps d
+    = |a - b| in [0, v), and x is d or v - d, either way with the fold
+    min(d, v - d).
     """
     shape = (len(rows), len(cols))
     d, spare, diffs = (b[:shape[0] * shape[1]].reshape(shape) for b in buffers)
@@ -516,7 +511,7 @@ def _fixed(G: AbelianGroup, t: int, ranks: np.ndarray) -> bool:
 
 
 #: The NTT prime 15*2^27 + 1 and a primitive root: transform lengths up
-#: to 2^27, so v up to 2^26, and residue products below 2^62.
+#: to 2^27, so v up to 2^26 (`_prices`), and residue products below 2^62.
 _NTT_PRIME = 2013265921
 _NTT_ROOT = 31
 
@@ -529,8 +524,10 @@ def _ntt_length(v: int) -> int:
 
 
 def _ntt_twiddles(L: int) -> np.ndarray:
-    """w^j mod the NTT prime for j < L/2 as uint32, w = `_NTT_ROOT`^((P-1)/L)
-    a primitive L-th root of unity."""
+    """w^j mod the NTT prime P for j < L/2 as uint32, w = `_NTT_ROOT`^((P-1)/L)
+    a primitive L-th root of unity: ValueError unless L divides P - 1."""
+    if (_NTT_PRIME - 1) % L:
+        raise ValueError(f"no root of unity of order {L} mod {_NTT_PRIME}")
     P = np.uint64(_NTT_PRIME)
     w = pow(_NTT_ROOT, (_NTT_PRIME - 1) // L, _NTT_PRIME)
     twiddles = np.ones(max(1, L // 2), dtype=np.uint64)
@@ -640,7 +637,7 @@ def verify(G: AbelianGroup, elements) -> VerificationReport:
     """Full group-ring verification of a candidate element set.
 
     Raises ValueError for a rank that is not an integer or lies outside
-    [0, v), then MemoryError for v > FULL_VERIFY_ORDER_LIMIT, and before
+    [0, v), then MemoryError for v >= 2^31 (`_order_test`), and before
     counting for an estimate over BYTE_LIMIT (`_guard`).  Rejects a
     repeated rank (the identity count sum(mult^2), over the runs of equal
     sorted ranks, exceeds k) or a non-integral lambda, then, in Z_v

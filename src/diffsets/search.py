@@ -21,12 +21,7 @@ from math import comb, gcd
 import numpy as np
 
 from . import dset as ds
-from .groups import (AbelianGroup, GroupSizeError, _multiplier_orbit_ids,
-                     _orbit_firsts)
-
-#: The orbit-pair table holds 4*r^3 bytes for r multiplier orbits
-#: (r = v for the multiplier 1).
-ORBIT_TABLE_BYTE_LIMIT = 1 << 26
+from .groups import AbelianGroup, _multiplier_orbit_ids, _orbit_firsts
 
 #: orbit_union_search keeps at most this many sets and reports the rest
 #: as incomplete.
@@ -159,15 +154,16 @@ def _orbit_pair_table(G: AbelianGroup, ids, reps) -> np.ndarray:
     Differences are counted both ways, a - b and b - a for a in orbit i
     and b in orbit j, when j != i; table[i, i] counts the ordered pairs
     of distinct elements of orbit i.  One bincount of the orbit pairs
-    (a, a - rep) over all a per representative rep.
+    (a, a - rep) over all a per representative rep.  MemoryError
+    (`dset._guard`) first for its 4*r^3 bytes (r = v for the multiplier
+    1) and four v-sized int64 temporaries.
     """
     r = len(reps)
-    nbytes = 4 * r**3
-    if nbytes > ORBIT_TABLE_BYTE_LIMIT:
-        raise GroupSizeError(
-            f"orbit-pair table for {r} multiplier orbits needs {nbytes} bytes "
-            f"> limit {ORBIT_TABLE_BYTE_LIMIT}; choose a multiplier with "
-            "fewer orbits")
+    try:
+        ds._guard(G.order, 4 * r**3 + 32 * G.order,
+                  f"orbit-pair table for {r} multiplier orbits")
+    except MemoryError as e:
+        raise MemoryError(f"{e}; choose a multiplier with fewer orbits") from None
     a = np.arange(G.order, dtype=np.int64)
     first = ids * r
     table = np.zeros((r, r, r), dtype=np.int32)

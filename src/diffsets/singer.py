@@ -149,15 +149,14 @@ def singer_construct(q: int, d: int, ceiling: int | None = None) -> DifferenceSe
     verified exactly and normalized.
 
     `ceiling` overrides the field-order bound SIZE_CEILING.  ValueError
-    for d < 3; then v is held to the order test (`dset._order_test`,
-    MemoryError) before anything factors q, which for a large prime q can
-    take as long as trial division to sqrt(q), and only then is q checked
-    to be a prime power.  Before the field is built, `dset._plan` prices
-    the count that `dset.verify` will run on the set, k ranks of Z_v fixed
-    by p, and `dset._guard` refuses an estimate over dset.BYTE_LIMIT: that
-    plan's bytes, the enumeration (`_enumeration_bytes`) and the sorted
-    and normalized copies of its index list (Python ints, about 96 bytes
-    an element).
+    for d < 3; then MemoryError for v >= 2^31 (`dset._order_test`) before
+    anything factors q, which for a large prime q can take as long as
+    trial division to sqrt(q), and only then is q checked to be a prime
+    power.  Before the field is built, `dset._guard` refuses an estimate
+    over dset.BYTE_LIMIT: the bytes of the plan (`dset._plan`) that
+    `dset.verify` will run on the set, k ranks of Z_v fixed by p, of the
+    enumeration (`_enumeration_bytes`) and of the sorted and normalized
+    copies of its index list (Python ints, about 96 bytes an element).
     """
     params = dset._projective_params(q, d)
     dset._order_test(params.v)
@@ -166,9 +165,8 @@ def singer_construct(q: int, d: int, ceiling: int | None = None) -> DifferenceSe
         raise ValueError(f"{q} is not a prime power")
     p, e = pe
     G = AbelianGroup([params.v])
-    dset._guard(params.v, dset._plan(G, params.k, params.n), what="construction",
-                extra=_enumeration_bytes(p, e * d, e, params.v, params.k)
-                + 96 * params.k)
+    dset._guard(params.v, dset._plan(G, params.k, params.n).nbytes + 96 * params.k
+                + _enumeration_bytes(p, e * d, e, params.v, params.k), "construction")
     F = make_field(p, e * d, ceiling=ceiling)
     D = dset.make_difference_set(G, _trace_zero_exponents(F, e, params.v),
                                  params, F.descriptor())

@@ -214,28 +214,16 @@ def test_mann_on_q4_s3_verified(capsys, ceiling):
     assert code == 0 and rep["verified"] and rep["verification_mode"] == "full"
 
 
-def test_construct_over_verify_limit_fails_before_building(capsys, monkeypatch):
-    # v = 2^27 - 1 is over dset.FULL_VERIFY_ORDER_LIMIT, where the exact
-    # check cannot run, although GF(2^27) is under the field ceiling
-    def no_building(*args, **kw):
-        raise AssertionError("field built or enumerated")
-
-    monkeypatch.setattr(singer, "make_field", no_building)
-    monkeypatch.setattr(singer, "_trace_zero_exponents", no_building)
-    assert run(["construct", "--q", "2", "--d", "27"]) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("resource limit:") and err.count("\n") == 1
-
-
 @pytest.mark.parametrize("q, d, limit", [(3, 17, "MiB limit"), (2, 26, "MiB limit"),
-                                         (2, 28, "group order")])
+                                         (2, 27, "MiB limit"), (2, 28, "MiB limit")])
 def test_construct_over_byte_limit_fails_before_building(capsys, monkeypatch,
                                                          q, d, limit):
-    # v = 64570081 for (3, 17) and 2^26 - 1 for (2, 26) are under the order
-    # limit, but their exact NTT check on 2^27-word buffers and their sets
-    # of 2.2e7 and 3.4e7 ranks together are over the byte limit, which
-    # refuses them before the field is built, as the order limit refuses
-    # (2, 28)
+    # v = 64570081 for (3, 17) and 2^26 - 1 for (2, 26): their exact NTT
+    # check on 2^27-word buffers and their sets of 2.2e7 and 3.4e7 ranks
+    # together are over the byte limit; v = 2^27 - 1 and 2^28 - 1 are past
+    # the NTT's longest transform, and their sets of 6.7e7 and 1.3e8 ranks
+    # alone are over it.  All are refused before the field is built,
+    # though GF(2^27) and GF(2^28) are within the field ceiling
     def no_building(*args, **kw):
         raise AssertionError("field built or enumerated")
 
@@ -249,11 +237,11 @@ def test_construct_over_byte_limit_fails_before_building(capsys, monkeypatch,
 
 @pytest.mark.parametrize("q, d, err", [
     (2, 25, "construction of v = 33554431 needs about 3111 MiB, over the 2048 MiB limit"),
-    (2, 28, "full difference counting limited to group order 67108864; v = 268435455"),
-    (2, 127, "full difference counting limited to group order 67108864; "
+    (2, 32, "difference counting needs v < 2^31 for int32 differences; v = 4294967295"),
+    (2, 127, "difference counting needs v < 2^31 for int32 differences; "
              "v = 170141183460469231731687303715884105727"),
-    (10000, 3, "full difference counting limited to group order 67108864; "
-               "v = 100010001")],
+    (10**6, 3, "difference counting needs v < 2^31 for int32 differences; "
+               "v = 1000001000001")],
     ids=["bytes", "order", "order-prime-v", "order-not-prime-power"])
 def test_construct_refusals_keep_their_text(capsys, q, d, err):
     # v = 2^127 - 1 is refused by its order before the plan is priced,
@@ -274,15 +262,24 @@ def test_construct_argument_errors_in_order(capsys, q, d, err):
 
 
 def test_order_refusals_share_one_text(capsys, tmp_path):
-    # a set file of Z_(2^27) is refused by the same order test, naming v,
-    # as the construction of PG(26, 2)
+    # a set file of Z_(2^31) is refused by the same order test, naming v,
+    # as the construction of PG(31, 2)
+    path = tmp_path / "big.dset"
+    path.write_text("group Z_2147483648\n2147483648 3 0\n0\n1\n3\n")
+    limit = "resource limit: difference counting needs v < 2^31 for int32 differences"
+    assert run(["verify", "--set", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"{limit}; v = 2147483648\n")
+    assert run(["construct", "--q", "2", "--d", "32"]) == 1
+    assert capsys.readouterr() == ("", f"{limit}; v = 4294967295\n")
+
+
+def test_set_file_past_2_to_the_26_is_judged(capsys, tmp_path):
+    # three ranks of Z_(2^27) give no integral lambda: rejected (exit 3),
+    # not refused by the group's order
     path = tmp_path / "big.dset"
     path.write_text("group Z_134217728\n134217728 3 0\n0\n1\n3\n")
-    limit = "resource limit: full difference counting limited to group order 67108864"
-    assert run(["verify", "--set", str(path)]) == 1
-    assert capsys.readouterr() == ("", f"{limit}; v = 134217728\n")
-    assert run(["construct", "--q", "2", "--d", "27"]) == 1
-    assert capsys.readouterr() == ("", f"{limit}; v = 134217727\n")
+    code, rep = invoke_json(capsys, "verify", "--set", str(path))
+    assert code == 3 and rep["verified"] is False and rep["v"] == 134217728
 
 
 def test_counts_over_the_byte_limit_exit_1(capsys, monkeypatch, tmp_path):
@@ -453,8 +450,8 @@ def test_tower_checks_build_no_set(capsys, monkeypatch, argv, rows):
      [9903520318894728219767865345, 4611686020574871553, 2147483649]),
 ], ids=["thm4.3-q2-s11", "cor3.2-q3-s5", "thm4.3-q2-s31"])
 def test_tower_checks_past_the_counting_limit(capsys, argv, params):
-    # v = 8594130945 is over dset.FULL_VERIFY_ORDER_LIMIT, where D itself
-    # cannot be verified; D ∩ M is, in M of order 15 or 40
+    # v = 8594130945 is past the order test's 2^31, where D itself cannot
+    # be verified; D ∩ M is, in M of order 15 or 40
     code, rep = invoke_json(capsys, "check", *argv)
     assert code == 0 and rep["status"] == "verified"
     assert rep["instance"]["params"] == params

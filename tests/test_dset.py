@@ -538,6 +538,24 @@ def test_ntt_matches_the_direct_transform(L):
     assert A.dtype == np.uint32 and A.tolist() == direct
 
 
+def test_ntt_offered_up_to_length_2_to_the_27():
+    # P - 1 = 15*2^27 has roots of unity of order 2^27 at most: v = 2^26
+    # takes L = 2^27, v = 2^26 + 1 would take 2^28 and gets no NTT entry
+    def strategies(v):
+        return {plan.strategy for _, plan in dset._prices(AbelianGroup([v]), 3, 0)}
+
+    assert dset._ntt_length(2**26) == 2**27 and "ntt" in strategies(2**26)
+    assert "ntt" not in strategies(2**26 + 1)
+    with pytest.raises(ValueError, match="no root of unity of order 268435456"):
+        dset._ntt_twiddles(2**28)
+
+
+def test_s9_tower_plan_is_the_orbit_count():
+    # the q=2 s=9 tower, v = 134480385 past 2^26, k = 262657, n = 2^18
+    plan = dset._plan(AbelianGroup([134480385]), 262657, 262144)
+    assert plan.strategy == "orbit" and plan.t == 2 and plan.nbytes < 64 << 20
+
+
 def test_ntt_count_peak_per_transform_word(traced_peak):
     # PG(10, 3), L = 2^18: two uint32 pass buffers and the uint32
     # twiddles are 10 bytes a transform word, about 10.5 with numpy's
@@ -771,7 +789,7 @@ def test_verify_report_table(factors, elements, expected):
 @pytest.mark.parametrize("elements", [[0, 0], [0, 1, 3]])
 def test_verify_refuses_large_orders_before_judging(elements):
     with pytest.raises(MemoryError):
-        verify(AbelianGroup([1 << 27]), elements)
+        verify(AbelianGroup([1 << 31]), elements)
 
 
 def test_verify_reads_runs_of_sorted_ranks(monkeypatch):

@@ -163,13 +163,13 @@ def test_construction_prices_the_plan_verify_runs(monkeypatch):
     # Z_v fixed by p; verify then plans the count of the set it built,
     # which must be that plan: the same strategy, t and bytes
     plans = []
-    guard = dset._guard
+    plan = dset._plan
 
-    def spy(v, plan, *args, **kw):
-        plans.append(plan)
-        return guard(v, plan, *args, **kw)
+    def spy(*args):
+        plans.append(plan(*args))
+        return plans[-1]
 
-    monkeypatch.setattr(dset, "_guard", spy)
+    monkeypatch.setattr(dset, "_plan", spy)
     strategies = set()
     for q, d in PLANNED:
         plans.clear()
@@ -212,13 +212,28 @@ def test_order_refused_before_q_is_factored(monkeypatch, capsys):
 
     monkeypatch.setattr(numth, "_trial", no_factoring)
     q = 2**127 - 1
-    message = (f"full difference counting limited to group order 67108864; "
+    message = ("difference counting needs v < 2^31 for int32 differences; "
                f"v = {q * q + q + 1}")
     with pytest.raises(MemoryError) as err:
         singer_construct(q, 3)
     assert str(err.value) == message
     assert run(["construct", "--q", str(q), "--d", "3"]) == 1
     assert capsys.readouterr() == ("", f"resource limit: {message}\n")
+
+
+def test_s9_tower_passes_the_guard(monkeypatch):
+    # the q=2 s=9 tower, v = 134480385 past 2^26, is priced at about 254
+    # MiB (its orbit plan, the enumeration and the index lists), under
+    # the byte limit: the field is the next thing built
+    class FieldBuilt(Exception):
+        pass
+
+    def make_field(*args, **kw):
+        raise FieldBuilt
+
+    monkeypatch.setattr(singer, "make_field", make_field)
+    with pytest.raises(FieldBuilt):
+        singer_construct(2**9, 4, ceiling=2**36)
 
 
 def test_rejects_non_prime_power():
