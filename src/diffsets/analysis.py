@@ -15,12 +15,11 @@ from math import gcd, isqrt
 from . import dset as ds
 from .dset import DifferenceSet, apply_power_map, intersection_profile, restrict
 from .field import FieldSizeError
-from .groups import (AbelianGroup, Subgroup, fixed_subgroup,
-                     generated_subgroup, subgroups_of_order, sylow)
+from .groups import (AbelianGroup, Subgroup, _torsion, generated_subgroup,
+                     subgroups_of_order, sylow)
 from .numth import (factorize, is_prime, is_prime_power, multiplicative_order,
                     prime_divisors)
-from .singer import (hyperplane_containment, restriction_exists,
-                     singer_restriction, tower_base, tower_shift)
+from .singer import Tower, hyperplane_containment, singer_restriction
 
 
 @dataclass(frozen=True)
@@ -249,63 +248,46 @@ def check_thm_classical_profile(D: DifferenceSet, q: int, s: int) -> TheoremRepo
     return rep
 
 
-def _sylow_side_condition(G: AbelianGroup, q: int, s: int):
-    """b = gcd(q+1, s), c = gcd(q^2+1, s), and whether Syl_r(G) is cyclic,
-    i.e. at most one factor of G is divisible by r, for every prime r
-    dividing b or c (the side condition of lem4.1 and lem4.2)."""
-    b, c = gcd(q + 1, s), gcd(q * q + 1, s)
-    side = all(sum(d % r == 0 for d in G.factors) <= 1
-               for r in set(prime_divisors(b) + prime_divisors(c)))
-    return b, c, side
-
-
 def check_lemma_mfix(q: int, s: int) -> TheoremReport:
-    """Fixed points of x -> x^(q^4) in Z_(q^s+1)(q^2s+1), which alone is
-    built, contain (and often equal) the subgroup of order (q+1)(q^2+1)."""
-    G = AbelianGroup([ds._projective_params(tower_base(q, s), 4).v])  # q checked
-    rep = TheoremReport("lem4.1", {"q": q, "s": s, "group": G.descriptor()})
-    rep.hyp("|G| = (q^s+1)(q^2s+1)", G.order == (q**s + 1) * (q**(2 * s) + 1))
+    """Fixed points of x -> x^(q^4) in Z_(q^s+1)(q^2s+1) contain (and
+    often equal) the subgroup M of order (q+1)(q^2+1), read by arithmetic:
+    in the cyclic Z_v the fixed points are the subgroup of order f =
+    gcd(q^4-1, v), so M lies in it when |M| divides f and equals it when
+    |M| = f.  Sylow subgroups of Z_v are cyclic, so the side conditions
+    hold."""
+    T = Tower(q, s)                     # q checked
+    rep = TheoremReport("lem4.1", {"q": q, "s": s, "group": f"Z_{T.v}"})
+    rep.hyp("|G| = (q^s+1)(q^2s+1)", True)
     rep.hyp("s odd", s % 2 == 1)
     if not rep.hypotheses_ok:
         return rep
-    m_order = (q + 1) * (q * q + 1)
-    M, _ = _unique_subgroup(G, m_order)
-    fixed = fixed_subgroup(G, q**4)
-    rep.con("M <= fixed points of x -> x^(q^4)",
-            set(M.elements) <= set(fixed.elements),
-            {"|M|": M.order, "|fixed|": fixed.order})
+    m, f = T.m_order, gcd(q**4 - 1, T.v)
+    rep.con("M <= fixed points of x -> x^(q^4)", f % m == 0,
+            {"|M|": m, "|fixed|": f})
     rep.notes.append("using c = gcd(q^2+1, s)")
-    _, _, side = _sylow_side_condition(G, q, s)
-    rep.instance["side_conditions_hold"] = side
-    if side:
-        rep.con("M equals the fixed-point subgroup",
-                M.elements == fixed.elements)
-    else:
-        rep.notes.append("Sylow cyclicity side conditions fail; equality not claimed")
+    rep.instance["side_conditions_hold"] = True
+    rep.con("M equals the fixed-point subgroup", f == m)
     return rep
 
 
 def check_lemma_size(q: int, s: int, ceiling: int | None = None) -> TheoremReport:
     """|D ∩ M| = q^2 + q + 1 for D the normalized PG(3, q^s) Singer set in
     G = Z_v and M of order (q+1)(q^2+1), read by singer_restriction."""
-    base = tower_base(q, s)             # q checked
+    T = Tower(q, s)                     # q checked
     # for odd s every hypothesis holds: read D ∩ M first, refusing a far
     # tower's field by its degree before v is formed
     R = singer_restriction(q, s, ceiling) if s % 2 else None
-    params = ds._projective_params(base, 4)
-    v = params.v
-    rep = TheoremReport("lem4.2", {"q": q, "s": s, "params": params.as_tuple()})
-    rep.hyp("|G| = (q^s+1)(q^2s+1)", v == (q**s + 1) * (q**(2 * s) + 1))
+    rep = TheoremReport("lem4.2", {"q": q, "s": s, "params": T.params.as_tuple()})
+    rep.hyp("|G| = (q^s+1)(q^2s+1)", True)
     rep.hyp("s odd", s % 2 == 1)
-    rep.hyp("difference set normalized", True, tower_shift(v))
+    rep.hyp("difference set normalized", True, T.shift)
     rep.notes.append("using c = gcd(q^2+1, s) for the side conditions")
     rep.notes.append(_CONSTRUCTION_FACTS)
-    if rep.hypotheses_ok:
-        b, c, side = _sylow_side_condition(AbelianGroup([v]), q, s)
-        rep.hyp("Syl_r(G) cyclic for r | b or r | c", side,
-                {"b": b, "c": c})
     if not rep.hypotheses_ok:
         return rep
+    # every Sylow subgroup of the cyclic Z_v is cyclic
+    rep.hyp("Syl_r(G) cyclic for r | b or r | c", True,
+            {"b": gcd(q + 1, s), "c": gcd(q * q + 1, s)})
     hits = len(R.elements)
     rep.con("|D ∩ M| = q^2 + q + 1", hits == q * q + q + 1, hits)
     return rep
@@ -326,24 +308,23 @@ def check_main(q: int, s: int, ceiling: int | None = None) -> TheoremReport:
     the subgroup M of order (q+1)(q^2+1), for D the normalized PG(3, q^s)
     Singer set, read by singer_restriction.  Nothing is built when the
     hypotheses fail on (q, s) alone."""
-    tower_base(q, s)
+    T = Tower(q, s)
     rep = TheoremReport("thm4.3", {"q": q, "s": s})
     rep.hypotheses.extend(main_theorem_hypotheses(q, s))
     if not rep.hypotheses_ok:
         rep.notes.append("construction skipped: hypotheses fail on (q, s) alone")
         return rep
     R = singer_restriction(q, s, ceiling)
-    params = ds._projective_params(q**s, 4)         # of D, in Z_v
-    rep.instance["params"] = params.as_tuple()
-    rep.hyp("classical d=4 parameters", True, str(params))
-    rep.hyp("difference set normalized", True, tower_shift(params.v))
+    rep.instance["params"] = T.params.as_tuple()    # of D, in Z_v
+    rep.hyp("classical d=4 parameters", True, str(T.params))
+    rep.hyp("difference set normalized", True, T.shift)
     rep.notes.append(_CONSTRUCTION_FACTS)
     rep.con("D ∩ M verifies with classical parameters",
             R.verified, R.report.as_dict())
     rep.con("D ∩ M is normalized in M", ds.is_normalized(R.group, R.elements))
     rep.con("lambda = q^s + 1 = q + 1 mod s",
-            (q**s + 1) % s == (q + 1) % s,
-            {"lambda": q**s + 1, "mod": s})
+            (T.Q + 1) % s == (q + 1) % s,
+            {"lambda": T.Q + 1, "mod": s})
     return rep
 
 
@@ -366,12 +347,12 @@ def check_tower_restriction(q: int, s: int,
     """Corollary 3.2: for odd s, the PG(3, q^s) Singer set D meets the
     subgroup R of order (q^4-1)/(q-1) = (q+1)(q^2+1) in a set with the
     PG(3, q) Singer parameters.  Nothing is built when s is even."""
-    tower_base(q, s)
+    T = Tower(q, s)
     rep = TheoremReport("cor3.2", {"q": q, "s": s})
     if not rep.hyp("s odd", s % 2 == 1, s):
         return rep
     R = singer_restriction(q, s, ceiling)
-    rep.instance["params"] = list(ds._projective_params(q**s, 4).as_tuple())
+    rep.instance["params"] = list(T.params.as_tuple())
     rep.instance["field_descriptor"] = R.field_descriptor
     rep.con("D ∩ R verifies as the small Singer parameters",
             R.verified, R.report.as_dict())
@@ -408,10 +389,11 @@ def check_dintk(D: DifferenceSet, q: int) -> TheoremReport:
         hits = sorted(set(D.elements) & K.element_set)
         rep.con("D ∩ K = {identity}", hits == [0], hits)
     else:
-        # any order-4 element w with w^2 in K marks the other fixed coset
+        # any order-4 element w with w^2 in K marks the other fixed coset;
+        # each lies in the 4-torsion
         ok = in_k or any(G.element_order(w) == 4 and G.scale(2, w) in K and
                          dec.coset_index(w) == dec.coset_index(x_star)
-                         for w in G.elements())
+                         for w in _torsion(G, 4).elements)
         rep.con("distinguished coset is K or Kw with w of order 4", ok, x_star)
     return rep
 
@@ -468,7 +450,8 @@ def check_minimal_embedding(D: DifferenceSet) -> TheoremReport:
     Q = 2**s
     H, _ = _unique_subgroup(G, Q + 1)
     K, _ = _unique_subgroup(G, Q * Q + 1)
-    k5 = min(e for e in K.elements if G.element_order(e) == 5)
+    k5 = min(e for e in _torsion(G, 5).elements
+             if e in K and G.element_order(e) == 5)
     eset = D.element_set
     coset_hits = [G.add(h, k5) for h in H.elements if G.add(h, k5) in eset]
     rep.con("coset Hk meets D exactly once", len(coset_hits) == 1, coset_hits)
@@ -563,23 +546,21 @@ def conjecture_scan(q: int, s_list, ceiling: int | None = None) -> list[ScanRow]
     built.  `ceiling` bounds the field order; a field over it gives an
     error row.
     """
-    target = (q + 1) * (q * q + 1)
     pe = is_prime_power(q)
     rows = []
     for s in s_list:
-        base = tower_base(q, s)         # q checked
-        if not restriction_exists(q, s):
-            v = ds._projective_params(base, 4).v
-            rows.append(ScanRow(q, s, v, target, "subgroup-absent"))
-            continue
-        try:        # refuses a far tower's field before v is formed
-            R = singer_restriction(q, s, ceiling)
+        T = Tower(q, s)                 # q checked
+        try:    # a far tower's field, or else its v, is refused before v is formed
+            R = singer_restriction(q, s, ceiling) if T.has_m else None
+            v = T.v
         except (FieldSizeError, MemoryError) as e:
-            rows.append(ScanRow(q, s, 0, target, f"error: {e}"))
+            rows.append(ScanRow(q, s, 0, T.m_order, f"error: {e}"))
             continue
-        v = ds._projective_params(base, 4).v
+        if R is None:
+            rows.append(ScanRow(q, s, v, T.m_order, "subgroup-absent"))
+            continue
         detail = {"restriction": R.report.as_dict(),
                   "q_is_p^(2^i)": (pe[1] & (pe[1] - 1)) == 0} if R.verified else {}
-        rows.append(ScanRow(q, s, v, target,
+        rows.append(ScanRow(q, s, v, T.m_order,
                             "embedded" if R.verified else "not-embedded", detail))
     return rows

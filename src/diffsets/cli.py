@@ -73,8 +73,9 @@ def _construct(args):
     """The Singer set named by --q with --s (PG(3, q^s)) or --d (PG(d-1, q),
     d = 4 by default)."""
     if args.s is not None:
-        return si.singer_construct(si.tower_base(args.q, args.s), 4,
-                                   ceiling=args.ceiling)
+        T = si.Tower(args.q, args.s)
+        ds._order_test(T.v)             # a far tower, by v formed by multiplication
+        return si.singer_construct(T.Q, 4, ceiling=args.ceiling)
     return si.singer_construct(args.q, 4 if args.d is None else args.d,
                                ceiling=args.ceiling)
 

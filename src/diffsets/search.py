@@ -154,16 +154,10 @@ def _orbit_pair_table(G: AbelianGroup, ids, reps) -> np.ndarray:
     Differences are counted both ways, a - b and b - a for a in orbit i
     and b in orbit j, when j != i; table[i, i] counts the ordered pairs
     of distinct elements of orbit i.  One bincount of the orbit pairs
-    (a, a - rep) over all a per representative rep.  MemoryError
-    (`dset._guard`) first for its 4*r^3 bytes (r = v for the multiplier
-    1) and four v-sized int64 temporaries.
+    (a, a - rep) over all a per representative rep.  orbit_union_search
+    prices it before the call.
     """
     r = len(reps)
-    try:
-        ds._guard(G.order, 4 * r**3 + 32 * G.order,
-                  f"orbit-pair table for {r} multiplier orbits")
-    except MemoryError as e:
-        raise MemoryError(f"{e}; choose a multiplier with fewer orbits") from None
     a = np.arange(G.order, dtype=np.int64)
     first = ids * r
     table = np.zeros((r, r, r), dtype=np.int32)
@@ -193,24 +187,38 @@ def orbit_union_search(spec: SearchSpec) -> SearchResult:
     lambda: adding `bias` carries a field into its top bit exactly then,
     and `guard` holds the top bits.  No field overflows: a pending entry
     is at most the sum of its column of the table, which is symmetric in
-    i and j, and `width` leaves a bit above that sum plus lambda.  Bit s
-    of reachable[i] is set when some orbits from i on have s elements in
-    all, s <= k.
+    i and j, and that sum for orbit j is at most 2|orbit j|, as each a
+    in it meets one b with a - b = rep and one with b - a = rep; `width`
+    leaves a bit above twice the largest orbit plus lambda.  Bit s of
+    reachable[i] is set when some orbits from i on have s elements in all,
+    s <= k.
+
+    MemoryError (`dset._guard`) before the table is built, for all that
+    the search holds for r orbits: the int32 table and its temporaries,
+    the r^2(r-1)/2 packed fields of `tail`, `_pack`'s copies of a row and
+    the DFS stack, at most 2(r-i) - 1 blocks of r fields in the frame at
+    depth i.
     """
     G = spec.group
     k, lam = spec.k, spec.lam
     t0 = time.perf_counter()
     ids, sizes, reps = _multiplier_orbit_ids(G, spec.multiplier)
-    table = _orbit_pair_table(G, ids, reps)
     r = len(reps)
     sizes = sizes.tolist()
+    need = (2 * max(sizes) + lam).bit_length() + 1
+    width = next(w for w in (8, 16, 32, 64) if w >= need)
+    fields = r * r * (r - 1) // 2 + 2 * r * r + r**3
+    try:
+        ds._guard(G.order, 4 * r**3 + 32 * r * r + 32 * G.order + fields * width // 8,
+                  f"orbit-pair table and packed rows for {r} multiplier orbits")
+    except MemoryError as e:
+        raise MemoryError(f"{e}; choose a multiplier with fewer orbits") from None
+    table = _orbit_pair_table(G, ids, reps)
     reachable = [0] * r + [1]
     for i in range(r - 1, -1, -1):
         below = reachable[i + 1]
         reachable[i] = (below | (below << sizes[i])) & ((2 << k) - 1)
 
-    need = (int(table.sum(axis=1).max()) + lam).bit_length() + 1
-    width = next(w for w in (8, 16, 32, 64) if w >= need)
     block_bits = r * width
     block_mask = (1 << block_bits) - 1
     ones = _pack(np.ones(r), width)

@@ -16,7 +16,8 @@ no polynomial arithmetic of its own.
 
 The tower family of the paper, PG(3, q^s) over GF(q), is
 singer_construct(q^s, 4): the field is GF(q^(4s)) and the trace goes onto
-GF(q^s).  tower_base(q, s) checks q and s and returns q^s.
+GF(q^s).  Tower(q, s) checks q and s once and gives Q = q^s, |M|, v and
+the normalizing shift of D in closed form.
 singer_restriction(q, s) reads the normalized tower set only on the
 subgroup M of order (q+1)(q^2+1), from |M| traces, and never builds Z_v.
 Both return a dset.DifferenceSet with its exact verification report and
@@ -24,14 +25,16 @@ the descriptor of its field; D ∩ M has the PG(3, q) parameters in Z_|M|.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd as _gcd
 from math import isqrt
 
 import numpy as np
 
 from . import dset
-from .dset import DifferenceSet, normalize
+from .dset import DifferenceSet, Params, normalize
 from .field import FiniteField, _basis_traces, _power_rows, _windows, make_field
 from .groups import AbelianGroup
 from .numth import is_prime_power
@@ -175,42 +178,58 @@ def singer_construct(q: int, d: int, ceiling: int | None = None) -> DifferenceSe
     return normalize(D)
 
 
-def tower_base(q: int, s: int) -> int:
-    """q^s, the q of the PG(3, q^s) Singer set in the tower over GF(q).
-
-    Checks q and s the way singer_construct checks q and its field degree,
-    so that an error names the q and s given here.
+class Tower:
+    """The tower PG(3, Q) over GF(q), Q = q^s, read once from (q, s): the
+    tower checks, the scan and singer_restriction take Q, |M| =
+    (q+1)(q^2+1), v and D's shift from here.  q and s are checked as
+    singer_construct checks q and its field degree.  `has_m` tells whether
+    |M| divides v by a test mod |M|, and v is formed only when read, so a
+    tower whose field is refused by its degree never forms it.
     """
-    if is_prime_power(q) is None:
-        raise ValueError(f"{q} is not a prime power")
-    if s < 1:
-        raise ValueError("field degree must be positive")
-    return q**s
 
+    def __init__(self, q: int, s: int):
+        if is_prime_power(q) is None:
+            raise ValueError(f"{q} is not a prime power")
+        if s < 1:
+            raise ValueError("field degree must be positive")
+        self.q, self.s, self.Q = q, s, q**s
+        self.m_order = m = (q + 1) * (q * q + 1)
+        self.has_m = (pow(q, s, m) + 1) * (pow(q, 2 * s, m) + 1) % m == 0
 
-def tower_shift(v: int) -> int:
-    """The normalizing shift t of the raw PG(3, Q) Singer set D in Z_v, v
-    = (Q+1)(Q^2+1), Q = q^s the field of the tower (`dset.normalizing_shift`
-    of its trace-zero indices): 0 for p = 2 and v/2 for odd p, that is 0
-    for odd v and v/2 for even v, as v is odd exactly when Q is even.
+    @cached_property
+    def v(self) -> int:
+        """(Q+1)(Q^2+1), by multiplication.  MemoryError first, from the bit
+        length b of Q alone, when 2^(3b) > 10^N for CPython's fixed
+        `sys.int_info.default_max_str_digits` N: v < 2^(3b), so only then
+        can v have more digits than a report can print."""
+        bits, digits = 3 * self.Q.bit_length(), sys.int_info.default_max_str_digits
+        if 1 << bits > 10**digits:
+            raise MemoryError(f"v = (q^s+1)(q^2s+1) for q = {self.q}, s = {self.s} "
+                              f"has up to {bits} bits, past the {digits} decimal "
+                              "digits that a report can print")
+        return (self.Q + 1) * (self.Q**2 + 1)
 
-    Tr(X) = X^(Q^3) + X^(Q^2) + X^Q + X has the kernel of the trace onto
-    GF(Q) as its root set and X-coefficient 1, so the Q^3 - 1 nonzero
-    kernel elements multiply to (-1)^(Q^3-1) = 1.  They are g^(i + jv), i
-    in D, j < Q-1, as GF(Q)* = <g^v>; summing exponents mod Q^4 - 1 =
-    (Q-1)v gives (Q-1)*sum(D) + k*v*(Q-1)(Q-2)/2 = 0.  So sum(D) = 0 mod v
-    for even Q, and v/2 for odd Q, where k = Q^2+Q+1 and Q-2 are odd.
-    Since k*t = -sum(D), k is odd and gcd(k, v) = 1, t is 0 or v/2.
-    """
-    return 0 if v % 2 else v // 2
+    @property
+    def params(self) -> Params:
+        """The PG(3, Q) parameters (v, Q^2+Q+1, Q+1)."""
+        return Params(self.v, self.Q**2 + self.Q + 1, self.Q + 1)
 
+    @property
+    def shift(self) -> int:
+        """The normalizing shift t of the raw PG(3, Q) Singer set D in Z_v
+        (`dset.normalizing_shift` of its trace-zero indices): 0 for p = 2
+        and v/2 for odd p.
 
-def restriction_exists(q: int, s: int) -> bool:
-    """Whether Z_v has the subgroup M of order (q+1)(q^2+1), that is
-    whether |M| divides v = (q^s+1)(q^2s+1): tested mod |M|, as v of a
-    far tower has millions of digits."""
-    order = (q + 1) * (q * q + 1)
-    return (pow(q, s, order) + 1) * (pow(q, 2 * s, order) + 1) % order == 0
+        Tr(X) = X^(Q^3) + X^(Q^2) + X^Q + X has the kernel of the trace
+        onto GF(Q) as its root set and X-coefficient 1, so the Q^3 - 1
+        nonzero kernel elements multiply to (-1)^(Q^3-1) = 1.  They are
+        g^(i + jv), i in D, j < Q-1, as GF(Q)* = <g^v>; summing exponents
+        mod Q^4 - 1 = (Q-1)v gives (Q-1)*sum(D) + k*v*(Q-1)(Q-2)/2 = 0.  So
+        sum(D) = 0 mod v for even Q, and v/2 for odd Q, where k = Q^2+Q+1
+        and Q-2 are odd.  Since k*t = -sum(D), k is odd and gcd(k, v) = 1,
+        t is 0 or v/2.
+        """
+        return self.v // 2 if self.q % 2 else 0
 
 
 def singer_restriction(q: int, s: int,
@@ -222,21 +241,20 @@ def singer_restriction(q: int, s: int,
     With g the generator of F = GF(q^(4s)) and h = g^(v/|M|), the raw D
     meets M in E = {j < |M| : Tr(h^j) = 0}, Tr onto GF(q^s): |M|
     multiplications and trace maps in F.  Neither D nor Z_v is built, and
-    `ceiling` bounds the field order alone.  The shift t = tower_shift(v)
+    `ceiling` bounds the field order alone.  The shift t = Tower(q, s).shift
     lies in M: for odd q, |M| is even and t = v/2 = (|M|/2)(v/|M|).
     So (D + t) ∩ M = E + t, which is E + |M|/2 in M's coordinates.
     """
-    base = tower_base(q, s)             # q checked
+    T = Tower(q, s)
+    order = T.m_order
+    if not T.has_m:
+        raise ValueError(f"no subgroup of order {order} in Z_{T.v}")
     p, e = is_prime_power(q)
-    order = (q + 1) * (q * q + 1)
-    if not restriction_exists(q, s):
-        raise ValueError(f"no subgroup of order {order} in "
-                         f"Z_{(base + 1) * (base * base + 1)}")
     F = make_field(p, 4 * e * s, ceiling=ceiling)
-    v = dset._projective_params(base, 4).v
+    step = T.v // order
     trace = F.trace_map(e * s)
-    h = F.pow(F.gen, v // order)
-    t = tower_shift(v) // (v // order)
+    h = F.pow(F.gen, step)
+    t = T.shift // step
     shifted, x = [], 1                  # E + t
     for j in range(order):
         if trace(x) == 0:

@@ -1,6 +1,6 @@
 import pytest
 
-from diffsets import analysis
+from diffsets import analysis, singer
 from diffsets.analysis import (check_dintk, check_hk, check_ho,
                                check_lemma_mfix, check_lemma_size, check_main,
                                check_minimal_embedding, check_planar_subset,
@@ -11,7 +11,8 @@ from diffsets.dset import (DifferenceSet, Params, VerificationReport,
                            classical_params, make_difference_set, restrict,
                            verify)
 from diffsets.field import FieldSizeError
-from diffsets.groups import AbelianGroup, cyclic_subgroup_of_order
+from diffsets.groups import (AbelianGroup, cyclic_subgroup_of_order,
+                             fixed_subgroup)
 from diffsets.numth import is_prime, multiplicative_order
 from diffsets.singer import singer_construct
 
@@ -169,6 +170,23 @@ def test_fixed_subgroup_lemma(d585):
     assert rep.status == "verified"
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_fixed_point_lemma_by_arithmetic_matches_the_subgroups(q):
+    # oracle: M and the fixed points of x -> q^4 x materialized in Z_v and
+    # compared as sets, odd s <= 13
+    for s in range(1, 14, 2):
+        rep = check_lemma_mfix(q, s)
+        G = AbelianGroup([(q**s + 1) * (q**(2 * s) + 1)])
+        M, _ = analysis._unique_subgroup(G, (q + 1) * (q * q + 1))
+        fixed = fixed_subgroup(G, q**4)
+        assert rep.instance["group"] == G.descriptor()
+        assert [(c.name, c.ok, c.witness) for c in rep.conclusions] == [
+            ("M <= fixed points of x -> x^(q^4)",
+             set(M.elements) <= set(fixed.elements),
+             {"|M|": M.order, "|fixed|": fixed.order}),
+            ("M equals the fixed-point subgroup", M.elements == fixed.elements, None)]
+
+
 def test_size_lemma(d585):
     rep = check_lemma_size(2, 3)
     assert rep.status == "verified"
@@ -181,10 +199,10 @@ def test_far_towers_refused_before_v_is_formed(monkeypatch):
     # s = 1000003 asks for GF(2^4000012): lem4.2 and the scan's row are
     # refused by the field degree, with make_field's text, before v, a
     # number of three million digits, is formed
-    def no_params(*args):
+    def no_v(self):
         raise AssertionError("v formed")
 
-    monkeypatch.setattr(analysis.ds, "_projective_params", no_params)
+    monkeypatch.setattr(singer.Tower, "v", property(no_v))
     text = ("GF(2^4000012) is larger than the ceiling 268435456; "
             "pass a larger ceiling to override")
     with pytest.raises(FieldSizeError) as err:
@@ -217,6 +235,27 @@ def test_dintk(d15, d40):
     assert check_dintk(d40, 3).status == "verified"
 
 
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_dintk_reads_order_4_elements_from_the_torsion(monkeypatch, q):
+    # odd q: the distinguished coset is found without a pass over G; the
+    # oracle scans every element of G for the w of order 4
+    D = singer_construct(q, 4)
+    G = D.group
+    monkeypatch.setattr(AbelianGroup, "elements", None)
+    rep = check_dintk(D, q)
+    monkeypatch.undo()
+    last = rep.conclusions[-1]
+    K = cyclic_subgroup_of_order(G, q * q + 1)
+    index = G.order // K.order              # cosets of K in Z_v: x mod index
+    x_star = last.witness
+    ok = x_star % index == 0 or any(
+        G.element_order(w) == 4 and 2 * w % G.order in K.element_set
+        and w % index == x_star % index for w in G.elements())
+    assert rep.status == "verified"
+    assert (last.name, last.ok) == \
+        ("distinguished coset is K or Kw with w of order 4", ok)
+
+
 def test_hk_even_q(d15, d585):
     assert check_hk(d15, 2, 1).status == "verified"
     assert check_hk(d585, 2, 3).status == "verified"
@@ -230,6 +269,29 @@ def test_hk_odd_q_hypothesis(d40):
 def test_minimal_embedding(d585):
     rep = check_minimal_embedding(d585)
     assert rep.status == "verified"
+
+
+@pytest.mark.parametrize("s", [3, 5])
+def test_minimal_embedding_reads_the_5_torsion(monkeypatch, s):
+    # k, the least element of order 5 in K, is read from the 5-torsion:
+    # element orders are asked of its 5 elements and a few more for h, not
+    # of all of K, and the witnesses are those of the least order-5
+    # element of K
+    D = singer_construct(2**s, 4)
+    G = D.group
+    orders = []
+    element_order = AbelianGroup.element_order
+    monkeypatch.setattr(AbelianGroup, "element_order",
+                        lambda self, x: orders.append(x) or element_order(self, x))
+    rep = check_minimal_embedding(D)
+    monkeypatch.undo()
+    assert rep.status == "verified" and len(orders) <= 10
+    Q = 2**s
+    H = cyclic_subgroup_of_order(G, Q + 1)
+    K = cyclic_subgroup_of_order(G, Q * Q + 1)
+    k5 = min(e for e in K.elements if G.element_order(e) == 5)
+    hits = [G.add(h, k5) for h in H.elements if G.add(h, k5) in D.element_set]
+    assert rep.conclusions[0].witness == hits
 
 
 def tower_exponent_by_loop(v, params):

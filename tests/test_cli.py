@@ -462,14 +462,38 @@ def test_tower_checks_past_the_counting_limit(capsys, argv, params):
 def test_far_tower_is_refused_by_its_field_degree(capsys, monkeypatch, s):
     # GF(2^(4s)) is over the ceiling by its degree alone, so it is refused
     # before v = (2^s + 1)(2^2s + 1) or 2^(4s) is formed or printed
-    def forbidden(q, d):
-        raise AssertionError(f"_projective_params({q}, {d}) was called")
+    def forbidden(self):
+        raise AssertionError(f"v of q = {self.q}, s = {self.s} was formed")
 
-    monkeypatch.setattr(dset, "_projective_params", forbidden)
+    monkeypatch.setattr(singer.Tower, "v", property(forbidden))
     assert run(["check", "thm4.3", "--q", "2", "--s", str(s)]) == 1
     assert capsys.readouterr().err == (
         f"resource limit: GF(2^{4 * s}) is larger than the ceiling 268435456; "
         "pass a larger ceiling to override\n")
+
+
+@pytest.mark.parametrize("argv, s", [
+    (["scan", "--q", "2", "--s"], 1000002),
+    (["check", "lem4.2", "--q", "2", "--s"], 1000002),
+    (["check", "lem4.1", "--q", "2", "--s"], 1000003),
+    (["construct", "--q", "2", "--s"], 1000003),
+], ids=["scan", "lem4.2", "lem4.1", "construct"])
+def test_far_tower_v_refused_with_one_line(capsys, argv, s):
+    # v = (2^s + 1)(2^2s + 1) has over 900,000 digits: refused by the bit
+    # length of 2^s before it is formed, as an error row of the scan and
+    # as one resource-limit line of a check or a construction, exit 1
+    # either way
+    text = (f"v = (q^s+1)(q^2s+1) for q = 2, s = {s} has up to {3 * (s + 1)} "
+            "bits, past the 4300 decimal digits that a report can print")
+    code = run([*argv, str(s), "--json", "--no-timestamps"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    if argv[0] == "scan":
+        assert err == ""
+        assert [(r["v"], r["status"]) for r in json.loads(out)["rows"]] == \
+            [(0, f"error: {text}")]
+    else:
+        assert (out, err) == ("", f"resource limit: {text}\n")
 
 
 def test_closed_stdout_is_a_quiet_exit(tmp_path):

@@ -6,6 +6,7 @@ from math import comb, gcd
 
 import pytest
 
+from diffsets import dset
 from diffsets.analysis import conjecture_scan
 from diffsets.cli import run
 from diffsets.dset import apply_power_map, read_set_file, verify
@@ -312,6 +313,20 @@ def test_orbit_table_guard_raises_before_allocating(traced_peak):
 
     _, peak = traced_peak(refused)
     assert peak < 1 << 20
+
+
+def test_search_estimate_bounds_traced_peak(monkeypatch, traced_peak):
+    # m = 1 on Z_131, k = 65, lambda = 32: 131 orbits, a 8.6 MiB table; the
+    # packed rows and the DFS stack add a third to it, and the one guard
+    # call prices them with the table before it is built
+    priced = []
+    guard = dset._guard
+    monkeypatch.setattr(dset, "_guard",
+                        lambda v, nbytes, what: priced.append(nbytes) or guard(v, nbytes, what))
+    spec = SearchSpec(AbelianGroup([131]), 65, 32, node_budget=2000)
+    result, peak = traced_peak(orbit_union_search, spec)
+    assert not result.complete and len(priced) == 1
+    assert 4 * 131**3 + 32 * 131 < peak <= priced[0]
 
 
 def test_cli_orbit_table_guard(capsys):

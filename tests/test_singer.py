@@ -1,4 +1,5 @@
 import json
+import sys
 from math import isqrt
 
 import numpy as np
@@ -11,9 +12,9 @@ from diffsets.field import _basis_traces, make_field
 from diffsets.groups import AbelianGroup, cyclic_subgroup_of_order
 from diffsets.numth import is_prime_power
 from diffsets import dset, field, numth, singer
-from diffsets.singer import (_enumeration_bytes, _trace_zero_exponents,
+from diffsets.singer import (Tower, _enumeration_bytes, _trace_zero_exponents,
                              hyperplane_containment, singer_construct,
-                             singer_restriction, tower_shift)
+                             singer_restriction)
 
 
 def brute_singer(q, d):
@@ -320,19 +321,45 @@ def test_singer_restriction_matches_full_construction(q, s):
     assert R.field_descriptor == D.field_descriptor
 
 
-@pytest.mark.parametrize("q,s", [(2, 1), (2, 3), (2, 5), (3, 1), (3, 2), (3, 3),
-                                 (4, 1), (4, 3), (5, 1), (5, 2), (5, 3), (7, 1),
-                                 (8, 1), (9, 1), (11, 1), (13, 1)])
+@pytest.mark.parametrize("q,s", [(2, s) for s in range(1, 8)] + [
+    (3, 1), (3, 2), (3, 3), (4, 1), (4, 3), (5, 1), (5, 2), (5, 3), (7, 1),
+    (8, 1), (9, 1), (11, 1), (13, 1)])
 def test_tower_shift_is_the_normalizing_shift(q, s):
-    # the closed form 0 (p = 2) or v/2 (odd p), read off the parity of v,
-    # against the shift that dset computes from the raw trace-zero list,
-    # even s included
+    # the closed form 0 (p = 2) or v/2 (odd p) against the shift that dset
+    # computes from the raw trace-zero list, even s included; v by
+    # multiplication and the mod-|M| test against the parameters by long
+    # division
     p, e = is_prime_power(q)
-    v = classical_params(q**s, 4).v
-    raw = _trace_zero_exponents(make_field(p, 4 * e * s), e * s, v)
-    t = tower_shift(v)
-    assert t == normalizing_shift(AbelianGroup([v]), raw)
-    assert t == (0 if p == 2 else v // 2)
+    params = dset._projective_params(q**s, 4)
+    T = Tower(q, s)
+    assert (T.Q, T.params) == (q**s, params)
+    assert T.has_m == (params.v % ((q + 1) * (q * q + 1)) == 0)
+    raw = _trace_zero_exponents(make_field(p, 4 * e * s), e * s, params.v)
+    assert T.shift == normalizing_shift(AbelianGroup([params.v]), raw)
+    assert T.shift == (0 if p == 2 else params.v // 2)
+
+
+def test_tower_subgroup_test_matches_division():
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for s in range(1, 30):
+            T = Tower(q, s)
+            assert T.has_m == (T.v % T.m_order == 0), (q, s)
+
+
+def test_tower_v_refused_by_its_bit_length():
+    # v < 2^(3b), b the bit length of Q: s = 4760 gives 3b = 14283 bits,
+    # under the 14284.3 bits of 10^4300, and v prints; s = 4761 is refused
+    # before v is formed, also when the process lifts its own digit limit
+    v = Tower(2, 4760).v
+    assert len(str(v)) <= sys.int_info.default_max_str_digits
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for q, s in ((2, 4761), (9, 1000003)):
+            with pytest.raises(MemoryError, match=f"q = {q}, s = {s} has up to"):
+                Tower(q, s).v
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def test_singer_restriction_needs_the_subgroup():
