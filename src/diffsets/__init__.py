@@ -18,7 +18,7 @@ from .field import FieldSizeError, FiniteField, make_field
 from .groups import (AbelianGroup, GroupSizeError, Subgroup,
                      cyclic_subgroup_of_order, generated_subgroup,
                      multiplier_orbits, parse_group, subgroup_as_group,
-                     subgroups_of_order, sylow)
+                     subgroup_of_order, sylow)
 from .search import (SearchResult, SearchSpec, brute_force_search,
                      canonical_class, orbit_union_search)
 from .singer import hyperplane_containment, singer_construct, singer_restriction
@@ -40,6 +40,6 @@ __all__ = [
     "main_theorem_hypotheses", "make_difference_set", "make_field",
     "mann_test", "multiplier_orbits", "normalize", "orbit_union_search",
     "parse_group", "read_set_file", "restrict", "singer_construct",
-    "singer_restriction", "subgroup_as_group", "subgroups_of_order", "sylow", "translate",
+    "singer_restriction", "subgroup_as_group", "subgroup_of_order", "sylow", "translate",
     "verify", "write_set_file",
 ]

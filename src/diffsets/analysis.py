@@ -15,8 +15,8 @@ from math import gcd, isqrt
 from . import dset as ds
 from .dset import DifferenceSet, apply_power_map, intersection_profile, restrict
 from .field import FieldSizeError
-from .groups import (AbelianGroup, Subgroup, _torsion, generated_subgroup,
-                     subgroups_of_order, sylow)
+from .groups import (Subgroup, _torsion, generated_subgroup, subgroup_of_order,
+                     sylow)
 from .numth import (factorize, is_prime, is_prime_power, multiplicative_order,
                     prime_divisors)
 from .singer import Tower, hyperplane_containment, singer_restriction
@@ -203,12 +203,6 @@ def mann_test(D: DifferenceSet, U: Subgroup) -> TheoremReport:
 # -- theorem checkers --------------------------------------------------------------
 
 
-def _unique_subgroup(G: AbelianGroup, order: int):
-    """(subgroup, unique flag); ValueError when order does not divide |G|."""
-    subs = subgroups_of_order(G, order)
-    return subs[0], len(subs) == 1
-
-
 #: The note of the checks that read D through singer_restriction: their
 #: hypotheses on D hold by construction, not by a count.
 _CONSTRUCTION_FACTS = ("classical d=4 parameters and difference set normalized "
@@ -231,7 +225,7 @@ def check_thm_classical_profile(D: DifferenceSet, q: int, s: int) -> TheoremRepo
     if not rep.hypotheses_ok:
         return rep
     G = D.group
-    H, unique = _unique_subgroup(G, Q + 1)
+    H, unique = subgroup_of_order(G, Q + 1)
     rep.con("unique subgroup of order q^s + 1", unique)
     S2, cyclic, z = sylow(G, 2)
     rep.con("Syl_2(G) cyclic", cyclic, {"order": S2.order, "generator": z})
@@ -371,7 +365,7 @@ def check_dintk(D: DifferenceSet, q: int) -> TheoremReport:
     rep.hyp("difference set normalized", ds.is_normalized(G, D.elements))
     if not rep.hypotheses_ok:
         return rep
-    K, unique = _unique_subgroup(G, q * q + 1)
+    K, unique = subgroup_of_order(G, q * q + 1)
     rep.con("unique subgroup K of order q^2 + 1", unique)
     prof = intersection_profile(D, K)
     expected = sorted([1] + [q + 1] * q)
@@ -409,8 +403,8 @@ def check_hk(D: DifferenceSet, q: int, s: int) -> TheoremReport:
     rep.hyp("difference set normalized", ds.is_normalized(G, D.elements))
     if not rep.hypotheses_ok:
         return rep
-    H, _ = _unique_subgroup(G, Q + 1)
-    K, _ = _unique_subgroup(G, Q * Q + 1)
+    H, _ = subgroup_of_order(G, Q + 1)
+    K, _ = subgroup_of_order(G, Q * Q + 1)
     hprof = intersection_profile(D, H)
     rep.con("H contained in D", hprof.counts[0] == H.order)
     rep.con("other H-cosets meet D once",
@@ -448,8 +442,8 @@ def check_minimal_embedding(D: DifferenceSet) -> TheoremReport:
     if not rep.hypotheses_ok:
         return rep
     Q = 2**s
-    H, _ = _unique_subgroup(G, Q + 1)
-    K, _ = _unique_subgroup(G, Q * Q + 1)
+    H, _ = subgroup_of_order(G, Q + 1)
+    K, _ = subgroup_of_order(G, Q * Q + 1)
     k5 = min(e for e in _torsion(G, 5).elements
              if e in K and G.element_order(e) == 5)
     eset = D.element_set
@@ -484,7 +478,7 @@ def check_planar_subset(D: DifferenceSet, m: int) -> TheoremReport:
     if not rep.hypotheses_ok:
         return rep
     h_order = m * m + m + 1
-    H, unique = _unique_subgroup(D.group, h_order)
+    H, unique = subgroup_of_order(D.group, h_order)
     rep.con("unique subgroup of order m^2+m+1", unique)
     res = restrict(D, H, ds.Params(h_order, m + 1, 1))
     rep.con("D ∩ H is a planar difference set of order m",
@@ -510,7 +504,7 @@ def check_ho(D: DifferenceSet, m: int, s: int) -> TheoremReport:
         rep.notes.append(f"no subgroup of order {h_order} in Z_{D.params.v}; "
                          "the theorem's premise names a subgroup that does not exist")
         return rep
-    H, _ = _unique_subgroup(D.group, h_order)
+    H, _ = subgroup_of_order(D.group, h_order)
     contained = restrict(D, H, ds.Params(h_order, m + 1, 1)).verified
     expected = s % 3 != 0
     rep.con("containment outcome matches the 3 ∤ s criterion",

@@ -18,7 +18,7 @@ from . import dset as ds
 from . import search as se
 from . import singer as si
 from .field import FieldSizeError
-from .groups import GroupSizeError, parse_group
+from .groups import GroupSizeError, parse_group, subgroup_of_order
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -134,10 +134,9 @@ def cmd_verify(args):
 def _dissected_subgroup(D, order):
     """(H, keys): the subgroup of `order` that profile and mann dissect, and
     the report keys naming it when it is not the only one of its order."""
-    H, unique = an._unique_subgroup(D.group, order)
-    if unique:
-        return H, {}
-    return H, {"subgroup_unique": False, "subgroup_elements": list(H.elements)}
+    H, unique = subgroup_of_order(D.group, order)
+    return H, {} if unique else {"subgroup_unique": False,
+                                 "subgroup_elements": list(H.elements)}
 
 
 def cmd_profile(args):
@@ -215,6 +214,9 @@ def _check_jv(args):
 
 
 def _check_ho(args):
+    if args.s < 1:
+        raise ValueError("field degree must be positive")
+    ds._construction_params(args.m, 3, args.s)     # before m^s is formed
     D = si.singer_construct(args.m**args.s, 3, ceiling=args.ceiling)
     return an.check_ho(D, args.m, args.s)
 

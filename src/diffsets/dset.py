@@ -49,6 +49,7 @@ set it builds; and the search's orbit-pair table.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 from math import gcd
@@ -179,6 +180,32 @@ def _order_test(v: int) -> None:
     if v >= 1 << 31:
         raise MemoryError("difference counting needs v < 2^31 for int32 "
                           f"differences; v = {v}")
+
+
+def _printable(bits: int) -> bool:
+    """Whether every number below 2^bits has at most N decimal digits, N
+    CPython's fixed `sys.int_info.default_max_str_digits`, so that no
+    environment variable changes the outcome: 2^bits <= 10^N."""
+    return bits < (10**sys.int_info.default_max_str_digits).bit_length()
+
+
+def _construction_params(q: int, d: int, e: int = 1) -> Params:
+    """The parameters of PG(d-1, Q), Q = q^e (`_projective_params`, and its
+    ValueError), once v has passed the order test (`_order_test`).
+
+    A v that a report could not print is refused first, from d and the
+    bit length b of q, before any power is formed: 2^(e(b-1)) <= Q <
+    2^(eb), so 2^(e(b-1)(d-1)) <= v < 2 Q^(d-1) < 2^(eb(d-1)+1).  When
+    the upper bound is past what can be printed (over 14,000 bits), the
+    lower one, at least half of it as b >= 2, is far past 2^31, and the
+    MemoryError names v's bits, not v."""
+    b = q.bit_length()
+    if q >= 2 and d >= 3 and not _printable(e * b * (d - 1) + 1):
+        raise MemoryError("difference counting needs v < 2^31 for int32 differences; "
+                          f"v = (q^d-1)/(q-1) has at least {e * (b - 1) * (d - 1) + 1} bits")
+    params = _projective_params(q**e, d)
+    _order_test(params.v)
+    return params
 
 
 def _ranks(G: AbelianGroup, elements) -> np.ndarray:

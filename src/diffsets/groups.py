@@ -15,8 +15,11 @@ array of ranks.
 Factor lists are not required to be in invariant-factor form (Z_3 x Z_5
 is accepted as written); :func:`subgroup_as_group` always emits a proper
 invariant-factor presentation, from a greedy basis of maximal orders.
-Subgroups of order m are looked up in the m-torsion of any group, which
-holds them all; only its subgroups are ever enumerated, not all of G's.
+The subgroup of order m is looked up in the m-torsion T of any group,
+which holds every subgroup of order m (`subgroup_of_order`): T itself
+when |T| = m, and then the only one; otherwise the least one, built
+greedily from a walk of T in ascending rank.  No list of subgroups is
+ever enumerated.
 
 The orbits of a numerical multiplier x -> t*x on a set that t fixes are
 found by one routine, `_orbit_firsts`, in any presentation: on all of
@@ -37,10 +40,6 @@ from .numth import divisors, factorize, multiplicative_order
 
 #: Orders up to this are safe to materialize element-by-element.
 MATERIALIZE_LIMIT = 1 << 24
-
-#: Subgroup enumeration is refused over more elements than this: all of G
-#: for all_subgroups, the m-torsion for subgroups_of_order.
-ENUMERATION_LIMIT = 10**5
 
 
 class GroupSizeError(ValueError):
@@ -241,59 +240,63 @@ def _torsion(G: AbelianGroup, m: int) -> Subgroup:
     return Subgroup(G, tuple(els))
 
 
-def cyclic_subgroup_of_order(G: AbelianGroup, m: int) -> Subgroup:
-    """The unique subgroup of order m of a cyclic group: its m-torsion."""
-    if not G.is_cyclic:
-        raise ValueError("group is not cyclic")
-    return subgroups_of_order(G, m)[0]
+def subgroup_of_order(G: AbelianGroup, m: int) -> tuple[Subgroup, bool]:
+    """(H, unique): the subgroup H of order m whose sorted element tuple
+    is least, and whether it is the only subgroup of order m.  ValueError
+    unless m is a positive divisor of |G|; GroupSizeError when the
+    m-torsion T = {x : m*x = 0} has more than MATERIALIZE_LIMIT elements.
 
+    Uniqueness.  A subgroup of order m is killed by m, so it lies in T.
+    If |T| = m, T is the only one.  If H is the only one, then each x in
+    T lies in H: <x> has order dividing m, and T/<x>, of order divisible
+    by m/|<x>| (m divides |T|, since H <= T), has a subgroup of that order,
+    whose preimage is a subgroup of order m through x.  So |T| = m exactly
+    when the subgroup of order m is unique; then H = T (`_torsion`).
 
-def subgroups_of_order(G: AbelianGroup, m: int) -> list[Subgroup]:
-    """All subgroups of order m, ascending by element tuple.  Each lies in
-    the m-torsion T, the only one when |T| = m (always so for cyclic G)."""
+    Least subgroup.  Otherwise T is walked in ascending rank with S = {0},
+    keeping x whenever x is not in S and |<S, x>| divides m, that is
+    (|<S, x>| = |S| times the order of x modulo S) whenever (m/|S|)*x is
+    in S; S becomes <S, x> until |S| = m.  The walk ends with |S| = m: an
+    S of smaller order lies in a subgroup of order m of T (T/S has one of
+    order m/|S|), whose least element outside S would have been kept.
+    And S is the least subgroup of order m: let H be another, and z the
+    least element in one and not the other.  If z were in H and not in S,
+    the S of z's turn, generated by kept elements below z, all in H,
+    would give <S, z> <= H of order dividing m, and z would have been
+    kept.  So z is in S and not in H, and S's tuple is the lesser.
+
+    The walk runs in T's own coordinates, the group prod Z_gcd(m, d) over
+    G's factors Z_d, whose element c is sum c_i (d_i/gcd(m, d_i)) w_i in
+    G (w_i the weights of G's ranks): that embedding keeps rank order, so
+    only S is built, and mapped into G at the end.  T's ranks are taken
+    in chunks of int64 arrays, a new chunk after each kept element.
+    """
     if m < 1:
         raise ValueError(f"subgroup order must be positive, got {m}")
     if G.order % m != 0:
         raise ValueError(f"{m} does not divide the group order {G.order}")
-    T = _torsion(G, m)
-    if T.order == m:
-        return [T]
-    return [S for S in _subgroups_within(G, T.elements, m) if S.order == m]
+    T = AbelianGroup([gcd(m, d) for d in G.factors])
+    if T.order == m or T.order > MATERIALIZE_LIMIT:
+        return _torsion(G, m), True         # _torsion refuses a T over the limit
+    gens, H, S, lo = [], (0,), np.zeros(1, dtype=np.int64), 0
+    while len(H) < m:                       # a chunk of T from rank lo on
+        x = np.arange(lo, min(T.order, lo + (1 << 16)), dtype=np.int64)
+        keep = np.flatnonzero(np.isin(T.scale(m // len(H), x), S) & ~np.isin(x, S))
+        lo += len(x)
+        if len(keep):
+            gens.append(int(x[keep[0]]))
+            lo, H = gens[-1] + 1, _closure(T, gens)
+            S = np.array(H, dtype=np.int64)
+    steps = [d // t for d, t in zip(G.factors, T.factors)]
+    return Subgroup(G, tuple(G.rank([c * step for c, step in zip(T.unrank(h), steps)])
+                             for h in H)), False
 
 
-def all_subgroups(G: AbelianGroup) -> list[Subgroup]:
-    """Every subgroup, by order and then element tuple."""
-    return _subgroups_within(G, G.elements(), G.order)
-
-
-def _subgroups_within(G: AbelianGroup, members, m: int) -> list[Subgroup]:
-    """Every subgroup of G of order dividing m inside the subgroup with
-    these elements, by closing its cyclic subgroups under joins.
-
-    A subgroup of order dividing m is the join of its cyclic subgroups,
-    and every partial join lies in it, so joins whose order does not
-    divide m are never closed: |S + C| = |S| |C| / |S n C| is read off
-    before the closure."""
-    if len(members) > ENUMERATION_LIMIT:
-        raise GroupSizeError(f"subgroup enumeration over {len(members)} elements "
-                             f"exceeds the limit {ENUMERATION_LIMIT}")
-    cyclics = {c for c in {_closure(G, (r,)) for r in members}
-               if m % len(c) == 0}
-    subs = set(cyclics)
-    frontier = set(cyclics)
-    while frontier:
-        nxt = set()
-        for s in frontier:
-            within = set(s)
-            for c in cyclics:
-                common = sum(x in within for x in c)
-                if common < len(c) and m % (len(s) * len(c) // common) == 0:
-                    j = _closure(G, within | set(c))
-                    if j not in subs:
-                        subs.add(j)
-                        nxt.add(j)
-        frontier = nxt
-    return [Subgroup(G, s) for s in sorted(subs, key=lambda t: (len(t), t))]
+def cyclic_subgroup_of_order(G: AbelianGroup, m: int) -> Subgroup:
+    """The unique subgroup of order m of a cyclic group: its m-torsion."""
+    if not G.is_cyclic:
+        raise ValueError("group is not cyclic")
+    return subgroup_of_order(G, m)[0]
 
 
 def cosets(G: AbelianGroup, H: Subgroup) -> CosetDecomposition:
@@ -340,13 +343,6 @@ def sylow(G: AbelianGroup, p: int):
     if cyclic and S.order > 1:
         generator = min(e for e in S.elements if G.element_order(e) == S.order)
     return S, cyclic, generator
-
-
-def fixed_subgroup(G: AbelianGroup, m: int) -> Subgroup:
-    """Fixed points of the power map x -> m*x; requires gcd(m, v) = 1."""
-    if gcd(m, G.order) != 1:
-        raise ValueError(f"x -> {m}x is not an automorphism of {G.descriptor()}")
-    return _torsion(G, m - 1)
 
 
 # ---------------------------------------------------------------------------

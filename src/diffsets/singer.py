@@ -152,8 +152,8 @@ def singer_construct(q: int, d: int, ceiling: int | None = None) -> DifferenceSe
     verified exactly and normalized.
 
     `ceiling` overrides the field-order bound SIZE_CEILING.  ValueError
-    for d < 3; then MemoryError for v >= 2^31 (`dset._order_test`) before
-    anything factors q, which for a large prime q can take as long as
+    for d < 3; then MemoryError for v >= 2^31 (`dset._construction_params`)
+    before anything factors q, which for a large prime q can take as long as
     trial division to sqrt(q), and only then is q checked to be a prime
     power.  Before the field is built, `dset._guard` refuses an estimate
     over dset.BYTE_LIMIT: the bytes of the plan (`dset._plan`) that
@@ -161,8 +161,7 @@ def singer_construct(q: int, d: int, ceiling: int | None = None) -> DifferenceSe
     enumeration (`_enumeration_bytes`) and of the sorted and normalized
     copies of its index list (Python ints, about 96 bytes an element).
     """
-    params = dset._projective_params(q, d)
-    dset._order_test(params.v)
+    params = dset._construction_params(q, d)
     pe = is_prime_power(q)
     if pe is None:
         raise ValueError(f"{q} is not a prime power")
@@ -183,8 +182,9 @@ class Tower:
     tower checks, the scan and singer_restriction take Q, |M| =
     (q+1)(q^2+1), v and D's shift from here.  q and s are checked as
     singer_construct checks q and its field degree.  `has_m` tells whether
-    |M| divides v by a test mod |M|, and v is formed only when read, so a
-    tower whose field is refused by its degree never forms it.
+    |M| divides v by a test mod |M|, and Q and v are formed only when read:
+    a tower whose field is refused by its degree forms neither, and one
+    whose v is refused by its size forms Q only near the limit (`v`).
     """
 
     def __init__(self, q: int, s: int):
@@ -192,20 +192,32 @@ class Tower:
             raise ValueError(f"{q} is not a prime power")
         if s < 1:
             raise ValueError("field degree must be positive")
-        self.q, self.s, self.Q = q, s, q**s
+        self.q, self.s = q, s
         self.m_order = m = (q + 1) * (q * q + 1)
         self.has_m = (pow(q, s, m) + 1) * (pow(q, 2 * s, m) + 1) % m == 0
+
+    @cached_property
+    def Q(self) -> int:
+        return self.q**self.s
 
     @cached_property
     def v(self) -> int:
         """(Q+1)(Q^2+1), by multiplication.  MemoryError first, from the bit
         length b of Q alone, when 2^(3b) > 10^N for CPython's fixed
-        `sys.int_info.default_max_str_digits` N: v < 2^(3b), so only then
-        can v have more digits than a report can print."""
-        bits, digits = 3 * self.Q.bit_length(), sys.int_info.default_max_str_digits
-        if 1 << bits > 10**digits:
+        `sys.int_info.default_max_str_digits` N (`dset._printable`): v <
+        2^(3b), so only then can v have more digits than a report can
+        print.  b is bounded before Q is formed: with c the bit length of
+        q, s(c-1) + 1 <= b <= sc, exact at s(c-1) + 1 for q a power of 2.
+        Q is formed, for b, only when the lower bound leaves v printable,
+        and then Q has fewer than 10^4 bits."""
+        c = self.q.bit_length()
+        b = self.s * c if self.q & (self.q - 1) else self.s * (c - 1) + 1
+        if dset._printable(3 * (self.s * (c - 1) + 1)):
+            b = self.Q.bit_length()
+        if not dset._printable(3 * b):
             raise MemoryError(f"v = (q^s+1)(q^2s+1) for q = {self.q}, s = {self.s} "
-                              f"has up to {bits} bits, past the {digits} decimal "
+                              f"has up to {3 * b} bits, past the "
+                              f"{sys.int_info.default_max_str_digits} decimal "
                               "digits that a report can print")
         return (self.Q + 1) * (self.Q**2 + 1)
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diffsets import dset, search, singer
+from diffsets import dset, groups, search, singer
 from diffsets.cli import build_parser, check_instance_flags, run
 from diffsets.dset import read_set_file
 from diffsets.singer import singer_construct
@@ -357,6 +357,29 @@ def test_profile_and_mann_name_a_subgroup_that_is_not_unique(capsys, tmp_path):
         assert "subgroup_unique" not in rep and "subgroup_elements" not in rep
 
 
+def test_profile_and_mann_build_one_subgroup_of_z2_to_the_9(capsys, tmp_path,
+                                                           monkeypatch):
+    # Z_2^9 has 10795 subgroups of order 4; the lookup builds the least,
+    # {0, 1, 2, 3}, with one closure per generator kept, never listing
+    # the others (two closures here, at most log2(m) in general)
+    out = str(tmp_path / "d.dset")
+    Path(out).write_text("group " + "x".join(["Z_2"] * 9) +
+                         "\n512 5 0\n0\n1\n2\n4\n8\n")
+    calls, closure = [], groups._closure
+
+    def counted(G, gens):
+        calls.append(len(gens))
+        return closure(G, gens)
+
+    monkeypatch.setattr(groups, "_closure", counted)
+    for verb in ("profile", "mann"):
+        calls.clear()
+        code, rep = invoke_json(capsys, verb, "--set", out, "--subgroup-order", "4")
+        assert rep["subgroup_unique"] is False
+        assert rep["subgroup_elements"] == [0, 1, 2, 3]
+        assert calls == [1, 2], verb
+
+
 @pytest.mark.parametrize("verb", ["profile", "mann"])
 @pytest.mark.parametrize("order", ["0", "-3"])
 def test_nonpositive_subgroup_order_is_one_line_error(capsys, verb, order):
@@ -494,6 +517,61 @@ def test_far_tower_v_refused_with_one_line(capsys, argv, s):
             [(0, f"error: {text}")]
     else:
         assert (out, err) == ("", f"resource limit: {text}\n")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["check", "lem4.1", "--q", "3", "--s", "10000003"],
+     "resource limit: v = (q^s+1)(q^2s+1) for q = 3, s = 10000003 has up to "
+     "60000018 bits, past the 4300 decimal digits that a report can print\n"),
+    (["check", "thm4.3", "--q", "3", "--s", "10000019"],
+     "resource limit: GF(3^40000076) is larger than the ceiling 268435456; "
+     "pass a larger ceiling to override\n"),
+    (["scan", "--q", "3", "--s", "20000002"], ""),
+], ids=["lem4.1", "thm4.3", "scan"])
+def test_far_odd_q_towers_refused_before_q_is_formed(capsys, monkeypatch, argv, err):
+    # the bit length of 3^s lies between s + 1 and 2s, both past the
+    # digit limit of v, so Q = 3^s, millions of digits, is never formed
+    def forbidden(self):
+        raise AssertionError(f"Q of q = {self.q}, s = {self.s} was formed")
+
+    monkeypatch.setattr(singer.Tower, "Q", property(forbidden))
+    assert run([*argv, "--json", "--no-timestamps"]) == 1
+    out, got = capsys.readouterr()
+    assert got == err
+    if argv[0] == "scan":
+        assert [(r["v"], r["status"]) for r in json.loads(out)["rows"]] == [
+            (0, "error: v = (q^s+1)(q^2s+1) for q = 3, s = 20000002 has up to "
+                "120000012 bits, past the 4300 decimal digits that a report "
+                "can print")]
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["construct", "--q", "2", "--d", "20000"],
+     "resource limit: difference counting needs v < 2^31 for int32 "
+     "differences; v = (q^d-1)/(q-1) has at least 20000 bits\n"),
+    (["check", "ho", "--m", "3", "--s", "2000000"],
+     "resource limit: difference counting needs v < 2^31 for int32 "
+     "differences; v = (q^d-1)/(q-1) has at least 4000001 bits\n"),
+    (["check", "ho", "--m", "2", "--s", "0"],
+     "error: field degree must be positive\n"),
+    (["check", "ho", "--m", "2", "--s", "-1"],
+     "error: field degree must be positive\n"),
+], ids=["construct", "ho", "ho-s0", "ho-s-1"])
+def test_far_projective_v_refused_before_it_is_formed(capsys, monkeypatch, argv, err):
+    # v = (q^d - 1)/(q - 1), q = m^s for ho, is refused from d and the bit
+    # length of q (of m for ho), naming its bits, not its digits: neither
+    # v nor m^s is formed
+    def forbidden(*args):
+        raise AssertionError("v formed")
+
+    def construct(q, d, ceiling=None):
+        assert q.bit_length() < 64, "m^s formed"
+        return singer_construct(q, d, ceiling)
+
+    monkeypatch.setattr(dset, "_projective_params", forbidden)
+    monkeypatch.setattr(singer, "singer_construct", construct)
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", err)
 
 
 def test_closed_stdout_is_a_quiet_exit(tmp_path):

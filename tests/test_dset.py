@@ -1131,3 +1131,18 @@ def test_set_file_comments_ignored(tmp_path, d15):
     text = "# header comment\n" + path.read_text()
     path.write_text(text)
     assert read_set_file(path).elements == d15.elements
+
+
+def test_construction_params_refuse_by_bits_only_past_the_print_limit(monkeypatch):
+    # q = 2: v < 2^(2(d-1)+1).  d = 7142 keeps that bound under the 14284
+    # bits of 10^4300, so v = 2^7142 - 1 is formed and named; at d = 7143
+    # v is refused by its bits, unformed
+    with pytest.raises(MemoryError, match=f"; v = {2**7142 - 1}$"):
+        dset._construction_params(2, 7142)
+
+    def forbidden(q, d):
+        raise AssertionError("v formed")
+
+    monkeypatch.setattr(dset, "_projective_params", forbidden)
+    with pytest.raises(MemoryError, match="has at least 7143 bits$"):
+        dset._construction_params(2, 7143)

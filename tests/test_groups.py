@@ -7,12 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from diffsets import dset, groups
-from diffsets.groups import (AbelianGroup, GroupSizeError, Subgroup,
-                             all_subgroups, cosets, cyclic_subgroup_of_order,
-                             fixed_subgroup, generated_subgroup,
-                             multiplier_orbits, parse_group, quotient_exponent,
-                             subgroup_as_group, subgroups_of_order, sylow)
+from diffsets.groups import (AbelianGroup, GroupSizeError, Subgroup, _torsion,
+                             cosets, cyclic_subgroup_of_order,
+                             generated_subgroup, multiplier_orbits, parse_group,
+                             quotient_exponent, subgroup_as_group,
+                             subgroup_of_order, sylow)
 from diffsets.numth import divisors, multiplicative_order, totient
+from subgroup_oracle import (all_subgroups, fixed_subgroup, subgroups_of_order,
+                             subgroups_within)
 
 SMALL_FACTORS = st.lists(st.integers(min_value=2, max_value=12),
                          min_size=1, max_size=3)
@@ -120,6 +122,7 @@ def brute_subgroups(G):
 
 
 def test_all_subgroups_z3xz3():
+    # the oracle's listing against brute force
     G = AbelianGroup([3, 3])
     subs = all_subgroups(G)
     assert sorted(H.order for H in subs) == [1, 3, 3, 3, 3, 9]
@@ -130,24 +133,28 @@ def test_subgroups_of_order_2x4():
     G = AbelianGroup([2, 4])
     assert sorted(H.order for H in subgroups_of_order(G, 2)) == [2, 2, 2]
     assert sorted(H.order for H in subgroups_of_order(G, 4)) == [4, 4, 4]
+    for m in (2, 4):
+        assert subgroup_of_order(G, m) == (subgroups_of_order(G, m)[0], False)
     with pytest.raises(ValueError):
-        subgroups_of_order(G, 3)
+        subgroup_of_order(G, 3)
 
 
 @pytest.mark.parametrize("factors", [[3, 195], [2, 78], [2, 2, 10], [4, 4],
                                      [2, 4, 8], [6, 6], [3, 3, 3],
                                      [2, 2, 2, 2, 2]])
 def test_subgroups_of_order_match_all_subgroups(factors):
-    # same list in the same order: profile and mann report subgroups[0]
+    # profile and mann report the first subgroup of the oracle's list, and
+    # whether it is the only one
     G = AbelianGroup(factors)
     subs = all_subgroups(G)
     for m in divisors(G.order):
-        assert subgroups_of_order(G, m) == [S for S in subs if S.order == m]
+        listed = [S for S in subs if S.order == m]
+        assert subgroup_of_order(G, m) == (listed[0], len(listed) == 1)
 
 
 def test_subgroups_of_order_close_no_larger_join(monkeypatch):
-    # Z_2^5 with m = 2: the 32 cyclic closures and one join per cyclic
-    # with the trivial subgroup; no join of order 4 or more is closed
+    # Z_2^5 with m = 2 has 31 subgroups of order 2; the lookup closes one,
+    # <1>, the first element of its walk
     calls = []
     closure = groups._closure
 
@@ -156,18 +163,49 @@ def test_subgroups_of_order_close_no_larger_join(monkeypatch):
         return closure(G, gens)
 
     monkeypatch.setattr(groups, "_closure", counted)
-    subs = subgroups_of_order(AbelianGroup([2, 2, 2, 2, 2]), 2)
-    assert len(subs) == 31
-    assert len(calls) == 63
+    G = AbelianGroup([2, 2, 2, 2, 2])
+    H, unique = subgroup_of_order(G, 2)
+    assert (H.elements, unique) == ((0, 1), False)
+    assert calls == [1]
+    assert len(subgroups_of_order(G, 2)) == 31
 
 
 def test_subgroups_of_order_enumerate_the_torsion_only():
-    # |G| = 1.2e5 is over ENUMERATION_LIMIT, its 2-torsion has 4 elements
+    # |G| = 1.2e5, its 2-torsion has 4 elements: the oracle lists the
+    # three subgroups of order 2 inside it
     G = AbelianGroup([2, 60000])
-    assert G.order > groups.ENUMERATION_LIMIT
-    subs = subgroups_of_order(G, 2)
+    T = _torsion(G, 2)
+    subs = [S for S in subgroups_within(G, T.elements, 2) if S.order == 2]
     assert [S.elements for S in subs] == [(0, 30000), (0, 60000),
                                           (0, 90000)]
+    assert subgroup_of_order(G, 2) == (subs[0], False)
+
+
+def _presentations(n):
+    """Every factor list, as written, of integers >= 2 with product n."""
+    if n == 1:
+        return [[]]
+    return [[d, *rest] for d in divisors(n) if d > 1
+            for rest in _presentations(n // d)]
+
+
+def test_subgroup_lookup_matches_the_enumeration():
+    # every presentation as written of order 2..48 (1902 (G, m) pairs,
+    # 657 of them with more than one subgroup of order m): the lookup's
+    # subgroup is the oracle's first and its flag says whether the oracle
+    # lists only one
+    pairs = shared = 0
+    for n in range(2, 49):
+        for factors in _presentations(n):
+            G = AbelianGroup(factors)
+            subs = all_subgroups(G)
+            for m in divisors(n):
+                listed = [S for S in subs if S.order == m]
+                assert subgroup_of_order(G, m) == (listed[0], len(listed) == 1), \
+                    (factors, m)
+                pairs += 1
+                shared += len(listed) > 1
+    assert (pairs, shared) == (1902, 657)
 
 
 def test_generated_subgroup_matches_closure():
@@ -228,7 +266,7 @@ def test_cyclic_subgroup_of_order_on_several_factors(factors):
 def test_subgroup_order_must_be_positive(m):
     for G in (AbelianGroup([12]), AbelianGroup([2, 4])):
         with pytest.raises(ValueError, match="must be positive"):
-            subgroups_of_order(G, m)
+            subgroup_of_order(G, m)
     with pytest.raises(ValueError, match="must be positive"):
         cyclic_subgroup_of_order(AbelianGroup([12]), m)
 
@@ -463,6 +501,9 @@ def test_torsion_guard_covers_cyclic_subgroups(monkeypatch):
     # the cyclic-group path materializes its subgroup through the same guard
     monkeypatch.setattr(groups, "MATERIALIZE_LIMIT", 1024)
     G = AbelianGroup([4096])
-    assert subgroups_of_order(G, 1024)[0].order == 1024
+    assert subgroup_of_order(G, 1024)[0].order == 1024
     with pytest.raises(GroupSizeError, match="materialization limit"):
-        subgroups_of_order(G, 2048)
+        subgroup_of_order(G, 2048)
+    # and so does the walk of a torsion with more than one such subgroup
+    with pytest.raises(GroupSizeError, match="subgroup of order 2048 exceeds"):
+        subgroup_of_order(AbelianGroup([2] * 11), 2)

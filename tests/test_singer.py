@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 from math import isqrt
 
@@ -360,6 +361,26 @@ def test_tower_v_refused_by_its_bit_length():
                 Tower(q, s).v
     finally:
         sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25])
+def test_tower_v_refusal_matches_the_bit_length_of_q_to_the_s(q):
+    # oracle: the exact bit length b of Q = q^s, refused when 2^(3b) >
+    # 10^4300, on both sides of that boundary; Tower bounds b by the bit
+    # length of q first and forms Q only near the boundary
+    limit = 10**sys.int_info.default_max_str_digits
+    s0 = int(limit.bit_length() / (3 * math.log2(q)))
+    refused = []
+    for s in range(s0 - 2, s0 + 3):
+        b = (q**s).bit_length()
+        refused.append(1 << 3 * b > limit)
+        if refused[-1]:
+            with pytest.raises(MemoryError,
+                               match=f"q = {q}, s = {s} has up to {3 * b} bits"):
+                Tower(q, s).v
+        else:
+            assert Tower(q, s).v == (q**s + 1) * (q**(2 * s) + 1)
+    assert refused[0] is False and refused[-1] is True
 
 
 def test_singer_restriction_needs_the_subgroup():
