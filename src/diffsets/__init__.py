@@ -15,8 +15,7 @@ from .dset import (DifferenceSet, Params, VerificationReport,
                    make_difference_set, normalize, read_set_file, restrict,
                    translate, verify, write_set_file)
 from .field import FieldSizeError, FiniteField, make_field
-from .groups import (AbelianGroup, GroupSizeError, Subgroup,
-                     cyclic_subgroup_of_order, generated_subgroup,
+from .groups import (AbelianGroup, GroupSizeError, Subgroup, generated_subgroup,
                      multiplier_orbits, parse_group, subgroup_as_group,
                      subgroup_of_order, sylow)
 from .search import (SearchResult, SearchSpec, brute_force_search,
@@ -34,7 +33,7 @@ __all__ = [
     "check_lemma_size", "check_main", "check_minimal_embedding",
     "check_planar_subset", "check_thm_classical_profile",
     "check_tower_restriction", "classical_params",
-    "conjecture_scan", "cyclic_subgroup_of_order", "difference_counts",
+    "conjecture_scan", "difference_counts",
     "distribution_bound_check", "generated_subgroup", "hall_check",
     "hyperplane_containment", "intersection_profile", "is_multiplier",
     "main_theorem_hypotheses", "make_difference_set", "make_field",

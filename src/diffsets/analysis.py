@@ -15,8 +15,8 @@ from math import gcd, isqrt
 from . import dset as ds
 from .dset import DifferenceSet, apply_power_map, intersection_profile, restrict
 from .field import FieldSizeError
-from .groups import (Subgroup, _torsion, generated_subgroup, subgroup_of_order,
-                     sylow)
+from .groups import (Subgroup, _torsion, generated_subgroup, quotient_exponent,
+                     subgroup_of_order, sylow)
 from .numth import (factorize, is_prime, is_prime_power, multiplicative_order,
                     prime_divisors)
 from .singer import Tower, hyperplane_containment, singer_restriction
@@ -162,7 +162,6 @@ def mann_test(D: DifferenceSet, U: Subgroup) -> TheoremReport:
     p^f = -1 mod u*; on success checks the modular congruence of the
     intersection numbers and p^j <= |U|.
     """
-    from .groups import quotient_exponent
     G = D.group
     n = D.params.n
     u_star = quotient_exponent(G, U)

@@ -41,11 +41,11 @@ per element of Z_v.
 All counts and bound checks are exact integer arithmetic; no floating
 point anywhere.  The order test (`_order_test`) refuses v >= 2^31, past
 int32 differences, before a set is judged or v factored.  Memory has one
-bound, BYTE_LIMIT, held by one guard (`_guard`) on estimated bytes
-before anything is allocated: every count (`verify`, `difference_counts`,
-so set files, restrictions and search class files), with its plan's
-bytes; `singer.singer_construct`, with the plan `verify` will run on the
-set it builds; and the search's orbit-pair table.
+bound, BYTE_LIMIT, held by one guard (`_guard`) on estimated bytes before
+anything is allocated: every count (`verify`, `difference_counts`, so set
+files, restrictions and search class files), with its plan's bytes;
+`singer.singer_construct`, with the plan `verify` will run on the set it
+builds; every coset profile (`_profile_bytes`); and the search's table.
 """
 from __future__ import annotations
 
@@ -63,8 +63,8 @@ from .groups import (AbelianGroup, CosetDecomposition, Subgroup,
 from .numth import (divisors, is_prime_power, multiplicative_order,
                     prime_divisors, totient)
 
-#: Estimated peak bytes (`_guard`) above which a count, a construction or
-#: a search table is refused before anything is allocated.
+#: Estimated peak bytes (`_guard`) above which a count, a construction, a
+#: coset profile or a search table is refused before anything is allocated.
 BYTE_LIMIT = 1 << 31
 
 
@@ -346,8 +346,8 @@ def _plan(G: AbelianGroup, k: int, n: int,
 
 
 def _guard(v: int, nbytes: int, what: str = "difference counting") -> None:
-    """The one memory check of counts, constructions and search tables:
-    MemoryError when the estimated peak `nbytes` exceed BYTE_LIMIT."""
+    """The one memory check of counts, constructions, profiles and search
+    tables: MemoryError when the estimated peak `nbytes` exceed BYTE_LIMIT."""
     if nbytes > BYTE_LIMIT:
         raise MemoryError(f"{what} of v = {v} needs about {nbytes >> 20} MiB, "
                           f"over the {BYTE_LIMIT >> 20} MiB limit")
@@ -797,7 +797,16 @@ class IntersectionProfile:
         }
 
 
+def _profile_bytes(G: AbelianGroup, H: Subgroup, k: int) -> int:
+    """Estimated peak bytes of a profile of k elements on the cosets of H
+    and of its report: 160 a coset (representatives, counts, multiset,
+    text), 8(t + 3) an element of D or H (ranks and t coordinates)."""
+    return 160 * (G.order // H.order) + 8 * (len(G.factors) + 3) * (k + H.order)
+
+
 def intersection_profile(D: DifferenceSet, H: Subgroup) -> IntersectionProfile:
+    """D's counts on the cosets of H, refused first over `_profile_bytes`."""
+    _guard(D.group.order, _profile_bytes(D.group, H, len(D.elements)), "coset profile")
     dec = cosets(D.group, H)
     which = dec.coset_index(np.asarray(D.elements, dtype=np.int64))
     counts = np.bincount(which, minlength=dec.index)

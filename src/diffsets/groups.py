@@ -8,18 +8,17 @@ multiplicative language for difference sets maps onto this as
 
 The rank encoding is known only here: `AbelianGroup.add`, `sub`, `neg`
 and `scale` are one group law on ranks, written once for Python ints
-and int64 arrays alike, so pair counts, power maps, translates and coset
-scans elsewhere broadcast it over whole rank arrays; `sum` adds up an
+and int64 arrays alike, so pair counts, power maps and translates
+elsewhere broadcast it over whole rank arrays; `sum` adds up an
 array of ranks.
 
 Factor lists are not required to be in invariant-factor form (Z_3 x Z_5
 is accepted as written); :func:`subgroup_as_group` always emits a proper
 invariant-factor presentation, from a greedy basis of maximal orders.
-The subgroup of order m is looked up in the m-torsion T of any group,
-which holds every subgroup of order m (`subgroup_of_order`): T itself
-when |T| = m, and then the only one; otherwise the least one, built
-greedily from a walk of T in ascending rank.  No list of subgroups is
-ever enumerated.
+Subgroups and cosets are found by arithmetic, in any presentation: the
+least subgroup of order m is a box of one subgroup per factor, of orders
+read off by gcds (`subgroup_of_order`), and cosets come from an echelon
+of H (`cosets`); no subgroup is listed and G is never scanned.
 
 The orbits of a numerical multiplier x -> t*x on a set that t fixes are
 found by one routine, `_orbit_firsts`, in any presentation: on all of
@@ -186,22 +185,37 @@ class Subgroup:
 
 @dataclass(frozen=True)
 class CosetDecomposition:
-    """The cosets representatives[i] + H; x is in coset x mod the index in
-    Z_v, and in coset coset_of[x] in a product."""
+    """The cosets of H: the step s_j and the pivot b_j (its coordinates)
+    of each coordinate j of G, from `cosets`."""
 
     subgroup: Subgroup
-    representatives: tuple[int, ...]   # minimal rank per coset, ascending
-    coset_of: np.ndarray | None = field(default=None, compare=False, repr=False)
+    steps: tuple[int, ...]
+    pivots: tuple[tuple[int, ...], ...]
 
     @property
     def index(self) -> int:
-        return len(self.representatives)
+        return prod(self.steps)
+
+    @cached_property
+    def representatives(self) -> tuple[int, ...]:
+        """The least rank of each coset, ascending: prod [0, s_j)."""
+        reps = np.zeros(1, dtype=np.int64)
+        for s, w in zip(self.steps, self.subgroup.group._weights):
+            reps = (reps[:, None] + np.arange(0, s * w, w, dtype=np.int64)).ravel()
+        return tuple(reps.tolist())
 
     def coset_index(self, r):
-        """The coset index of a rank, or of an int64 array of ranks."""
-        if self.coset_of is None:
-            return r % self.index
-        return self.coset_of[r]
+        """The coset index of a rank, or of an int64 array of ranks: y <-
+        y - floor(y_j/s_j)*b_j for each j, read in radices s_j."""
+        G = self.subgroup.group
+        y = [r // w % d for d, w in zip(G.factors, G._weights)]
+        index = 0
+        for j, (s, b) in enumerate(zip(self.steps, self.pivots)):
+            q, y[j] = divmod(y[j], s)
+            for i in range(j + 1, len(y)):
+                y[i] = (y[i] - q * b[i]) % G.factors[i]
+            index = index * s + y[j]
+        return index
 
 
 def _closure(G: AbelianGroup, gens) -> tuple[int, ...]:
@@ -222,104 +236,84 @@ def generated_subgroup(G: AbelianGroup, gens) -> Subgroup:
     return Subgroup(G, _closure(G, gens))
 
 
-def _torsion(G: AbelianGroup, m: int) -> Subgroup:
-    """{x : m*x = 0}, built per factor Z_d from the multiples of d/gcd(m, d).
-
-    Raises GroupSizeError before materializing more than
-    MATERIALIZE_LIMIT elements.
-    """
-    steps = [d // gcd(m, d) for d in G.factors]
-    order = G.order // prod(steps)
+def _box(G: AbelianGroup, orders) -> Subgroup:
+    """The box prod (d_i/o_i) Z_{d_i}, o_i | d_i, ranks ascending;
+    GroupSizeError over MATERIALIZE_LIMIT elements."""
+    order = prod(orders)
     if order > MATERIALIZE_LIMIT:
         raise GroupSizeError(f"subgroup of order {order} exceeds the "
                              f"materialization limit {MATERIALIZE_LIMIT}")
     els = [0]
-    for d, step, w in zip(G.factors, steps, G._weights):
-        els = [e + c * w for e in els for c in range(0, d, step)]
-    # mixed-radix order, most significant factor first: already ascending
+    for d, o, w in zip(G.factors, orders, G._weights):
+        els = [e + c * w for e in els for c in range(0, d, d // o)]
     return Subgroup(G, tuple(els))
+
+
+def _torsion(G: AbelianGroup, m: int) -> Subgroup:
+    """{x : m*x = 0}: the box of orders gcd(m, d) over the factors Z_d."""
+    return _box(G, [gcd(m, d) for d in G.factors])
 
 
 def subgroup_of_order(G: AbelianGroup, m: int) -> tuple[Subgroup, bool]:
     """(H, unique): the subgroup H of order m whose sorted element tuple
-    is least, and whether it is the only subgroup of order m.  ValueError
-    unless m is a positive divisor of |G|; GroupSizeError when the
-    m-torsion T = {x : m*x = 0} has more than MATERIALIZE_LIMIT elements.
+    is least, and whether it is the only one.  ValueError unless m is a
+    positive divisor of |G|; GroupSizeError when m > MATERIALIZE_LIMIT.
 
-    Uniqueness.  A subgroup of order m is killed by m, so it lies in T.
-    If |T| = m, T is the only one.  If H is the only one, then each x in
-    T lies in H: <x> has order dividing m, and T/<x>, of order divisible
-    by m/|<x>| (m divides |T|, since H <= T), has a subgroup of that order,
-    whose preimage is a subgroup of order m through x.  So |T| = m exactly
-    when the subgroup of order m is unique; then H = T (`_torsion`).
+    H is the box whose orders o_i = gcd(m', d_i) are taken from the last
+    factor to the first, m' the part of m not yet placed (prime by prime,
+    each factor takes all of m' it holds, so prod o_i = m).  It is least,
+    by induction on the factors.  Let K have order m, Z_d be the last
+    factor and A = K n Z_d, of order dividing o = gcd(m, d), so inside
+    the box's B = (d/o)Z_d.  The elements of K with one prefix (the other
+    coordinates) form a block c + A, one element in each [i*g, (i+1)*g),
+    g = d/|A|: elementwise at or above A.  If |A| < o, the box wins at its
+    second element d/o, below g and every nonzero prefix.  Otherwise A = B,
+    the prefixes of K form a subgroup of order m/o, and the box's, least
+    by induction, win at the first that differs, the blocks before it
+    being B in the box and at or above B in K.
 
-    Least subgroup.  Otherwise T is walked in ascending rank with S = {0},
-    keeping x whenever x is not in S and |<S, x>| divides m, that is
-    (|<S, x>| = |S| times the order of x modulo S) whenever (m/|S|)*x is
-    in S; S becomes <S, x> until |S| = m.  The walk ends with |S| = m: an
-    S of smaller order lies in a subgroup of order m of T (T/S has one of
-    order m/|S|), whose least element outside S would have been kept.
-    And S is the least subgroup of order m: let H be another, and z the
-    least element in one and not the other.  If z were in H and not in S,
-    the S of z's turn, generated by kept elements below z, all in H,
-    would give <S, z> <= H of order dividing m, and z would have been
-    kept.  So z is in S and not in H, and S's tuple is the lesser.
-
-    The walk runs in T's own coordinates, the group prod Z_gcd(m, d) over
-    G's factors Z_d, whose element c is sum c_i (d_i/gcd(m, d_i)) w_i in
-    G (w_i the weights of G's ranks): that embedding keeps rank order, so
-    only S is built, and mapped into G at the end.  T's ranks are taken
-    in chunks of int64 arrays, a new chunk after each kept element.
+    Unique.  Every subgroup of order m lies in the m-torsion T, of order
+    prod gcd(m, d_i); if |T| = m, T is the only one.  If H is the only
+    one, each x in T lies in H: T/<x> has a subgroup of order m/|<x>|,
+    whose preimage has order m.  So H is unique iff |T| = m.
     """
     if m < 1:
         raise ValueError(f"subgroup order must be positive, got {m}")
     if G.order % m != 0:
         raise ValueError(f"{m} does not divide the group order {G.order}")
-    T = AbelianGroup([gcd(m, d) for d in G.factors])
-    if T.order == m or T.order > MATERIALIZE_LIMIT:
-        return _torsion(G, m), True         # _torsion refuses a T over the limit
-    gens, H, S, lo = [], (0,), np.zeros(1, dtype=np.int64), 0
-    while len(H) < m:                       # a chunk of T from rank lo on
-        x = np.arange(lo, min(T.order, lo + (1 << 16)), dtype=np.int64)
-        keep = np.flatnonzero(np.isin(T.scale(m // len(H), x), S) & ~np.isin(x, S))
-        lo += len(x)
-        if len(keep):
-            gens.append(int(x[keep[0]]))
-            lo, H = gens[-1] + 1, _closure(T, gens)
-            S = np.array(H, dtype=np.int64)
-    steps = [d // t for d, t in zip(G.factors, T.factors)]
-    return Subgroup(G, tuple(G.rank([c * step for c, step in zip(T.unrank(h), steps)])
-                             for h in H)), False
-
-
-def cyclic_subgroup_of_order(G: AbelianGroup, m: int) -> Subgroup:
-    """The unique subgroup of order m of a cyclic group: its m-torsion."""
-    if not G.is_cyclic:
-        raise ValueError("group is not cyclic")
-    return subgroup_of_order(G, m)[0]
+    orders, rest = [], m
+    for d in reversed(G.factors):
+        orders.append(gcd(rest, d))
+        rest //= orders[-1]
+    return _box(G, orders[::-1]), prod(gcd(m, d) for d in G.factors) == m
 
 
 def cosets(G: AbelianGroup, H: Subgroup) -> CosetDecomposition:
-    """Coset decomposition with minimal-rank representatives, ascending;
-    for a product, the scan that finds them also fills `coset_of`."""
+    """The cosets of H, read through an echelon of H.  The coordinates j
+    of H_j, the elements of H zero before coordinate j, form the subgroup
+    of Z_{d_j} generated by the step s_j = gcd(d_j, those coordinates), so
+    a pivot b_j in H_j has coordinate j equal to s_j (b_j = 0 if s_j = d_j).
+
+    y <- y - floor(y_j/s_j)*b_j for j in turn (`coset_index`) stays in
+    y's coset and leaves every coordinate j below s_j.  The reduced y is
+    least in its coset: adding h != 0 first changes a coordinate j, by a
+    nonzero multiple of s_j, which from below s_j does not wrap.  So the
+    representatives are the ranks in prod [0, s_j), and the index is
+    prod s_j = |G|/|H|.
+    """
     if H.group != G:
         raise ValueError("subgroup belongs to a different group")
-    r = G.order // H.order
-    if len(G.factors) == 1:
-        # difference of two ranks is in H iff ranks agree mod the index
-        return CosetDecomposition(H, tuple(range(r)))
-    if G.order > MATERIALIZE_LIMIT:
-        raise GroupSizeError("coset decomposition needs a materializable group")
-    coset_of = np.full(G.order, -1, dtype=np.int32)
     h = np.asarray(H.elements, dtype=np.int64)
-    reps = []
-    for x in range(G.order):
-        if coset_of[x] < 0:
-            coset_of[G.add(x, h)] = len(reps)
-            reps.append(x)
-            if len(reps) == r:
-                break
-    return CosetDecomposition(H, tuple(reps), coset_of)
+    coords = [h // w % d for d, w in zip(G.factors, G._weights)]
+    live = np.ones(len(h), dtype=bool)          # H_j, from H_0 = H
+    steps, pivots = [], []
+    for d, c in zip(G.factors, coords):
+        s = gcd(d, int(np.gcd.reduce(c[live])))
+        at = int(np.argmax(live & (c == s)))    # 0, the identity, if s = d
+        steps.append(s)
+        pivots.append(tuple(int(x[at]) for x in coords))
+        live &= c == 0
+    return CosetDecomposition(H, tuple(steps), tuple(pivots))
 
 
 def quotient_exponent(G: AbelianGroup, U: Subgroup) -> int:

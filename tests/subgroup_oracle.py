@@ -1,7 +1,9 @@
-"""Reference subgroups for the tests: every subgroup of a finite abelian
-group, by closing and joining its cyclic subgroups, which
+"""Reference subgroups and cosets for the tests: every subgroup of a
+finite abelian group, by closing and joining its cyclic subgroups, which
 `groups.subgroup_of_order` is tested against (it lists subgroups, so it
-is for small groups only); and the fixed points of a power map."""
+is for small groups only); the cosets of a subgroup by a scan of the
+group, which `groups.cosets` is tested against; and the fixed points of
+a power map."""
 from math import gcd
 
 from diffsets.groups import Subgroup, _closure, _torsion
@@ -42,6 +44,19 @@ def all_subgroups(G):
 def subgroups_of_order(G, m):
     """Every subgroup of order m, ascending by element tuple."""
     return [S for S in all_subgroups(G) if S.order == m]
+
+
+def scanned_cosets(G, H):
+    """(representatives, coset_of): the least rank of each coset of H,
+    ascending, and the list of the coset index of every rank of G, by one
+    scan of G that adds H to each rank not yet placed."""
+    coset_of, reps = [-1] * G.order, []
+    for x in G.elements():
+        if coset_of[x] < 0:
+            for h in H.elements:
+                coset_of[G.add(x, h)] = len(reps)
+            reps.append(x)
+    return tuple(reps), coset_of
 
 
 def fixed_subgroup(G, m):

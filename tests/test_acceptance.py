@@ -17,7 +17,7 @@ from diffsets.cli import run as cli_run
 from diffsets.dset import (apply_power_map, classical_params,
                            distribution_bound_check, intersection_profile,
                            normalize, read_set_file, restrict)
-from diffsets.groups import cyclic_subgroup_of_order
+from diffsets.groups import subgroup_of_order
 from diffsets.numth import divisors
 from diffsets.search import SearchSpec, brute_force_search, orbit_union_search
 from diffsets.singer import singer_construct, singer_restriction
@@ -73,11 +73,11 @@ def test_a1_q2_construction(d15, capsys):
     checks = {"params": D.params.as_tuple() == (15, 7, 3),
               "verified": D.verified,
               "runtime<1s": elapsed < 1.0}
-    H = cyclic_subgroup_of_order(D.group, 3)
+    H = subgroup_of_order(D.group, 3)[0]
     checks["H subset of D"] = {0, 5, 10} <= set(D.elements)
     checks["other H-cosets hit once"] = \
         intersection_profile(D, H).multiset() == [1, 1, 1, 1, 3]
-    K = cyclic_subgroup_of_order(D.group, 5)
+    K = subgroup_of_order(D.group, 5)[0]
     checks["D cap K = {0}"] = set(D.elements) & set(K.elements) == {0}
     checks["K-profile {1,3,3}"] = \
         intersection_profile(D, K).multiset() == [1, 3, 3]
@@ -91,12 +91,12 @@ def test_a2_q3_construction(d40, capsys):
               "verified": D.verified,
               "runtime<1s": elapsed < 1.0}
     # one coset of the order-4 subgroup H lies entirely inside D
-    H = cyclic_subgroup_of_order(D.group, 4)
+    H = subgroup_of_order(D.group, 4)[0]
     checks["Hz subset of D, others hit once"] = \
         intersection_profile(D, H).multiset() == [1] * 9 + [4]
     checks["classical profile theorem"] = \
         check_thm_classical_profile(D, 3, 1).status == "verified"
-    K = cyclic_subgroup_of_order(D.group, 10)
+    K = subgroup_of_order(D.group, 10)[0]
     checks["K-profile {1,4,4,4}"] = \
         intersection_profile(D, K).multiset() == [1, 4, 4, 4]
     mrep = mann_test(D, K)
@@ -114,7 +114,7 @@ def test_a3_q4_construction(d85, capsys):
               "verified": D.verified,
               "runtime<5s": elapsed < 5.0,
               "even-q subfield pattern": check_hk(D, 4, 1).status == "verified"}
-    U = cyclic_subgroup_of_order(D.group, 17)
+    U = subgroup_of_order(D.group, 17)[0]
     mrep = mann_test(D, U)
     w = mrep.instance.get("witness", {})
     checks["mann (2,2,2)"] = mrep.status == "verified" and \
@@ -166,7 +166,7 @@ def test_a6_gf2_28(big_q2_s7, capsys):
                   D.verified and D.report.mode == "full"}
     rep = check_main(2, 7)
     checks["thm4.3 verified (D cap M is (15,7,3))"] = rep.status == "verified"
-    M = cyclic_subgroup_of_order(D.group, 15)
+    M = subgroup_of_order(D.group, 15)[0]
     checks["D cap M read from 15 traces = restriction of D"] = \
         singer_restriction(2, 7).elements == \
         restrict(D, M, classical_params(2, 4)).elements
@@ -259,7 +259,7 @@ def test_a11_property_suite(d15, d40, d85, d585, d33825, big_q2_s7, capsys):
         if hall_check(D).status != "verified":
             failures.append(f"{tag}: hall_check failed")
         for m in divisors(D.group.order):
-            H = cyclic_subgroup_of_order(D.group, m)
+            H = subgroup_of_order(D.group, m)[0]
             prof = intersection_profile(D, H)
             if not (prof.sum_ok() and prof.sum_sq_ok()):
                 failures.append(f"{tag}: profile sums fail for |H|={m}")

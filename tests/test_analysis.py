@@ -11,7 +11,7 @@ from diffsets.dset import (DifferenceSet, Params, VerificationReport,
                            classical_params, make_difference_set, restrict,
                            verify)
 from diffsets.field import FieldSizeError
-from diffsets.groups import AbelianGroup, cyclic_subgroup_of_order
+from diffsets.groups import AbelianGroup, subgroup_of_order
 from diffsets.numth import is_prime, multiplicative_order
 from diffsets.singer import singer_construct
 from subgroup_oracle import fixed_subgroup
@@ -104,7 +104,7 @@ def test_mann_counts_empty_cosets():
     # the profile {5, 0, 0} is not congruent mod 2 (p = 2, u* = 3, j = 1)
     D = DifferenceSet(AbelianGroup([15]), (0, 3, 6, 9, 12), Params(15, 5, 1),
                       VerificationReport(True, 15, 5, 1, 5))
-    rep = mann_test(D, cyclic_subgroup_of_order(D.group, 5))
+    rep = mann_test(D, subgroup_of_order(D.group, 5)[0])
     assert rep.status == "FALSIFIED"
     congruent = rep.conclusions[1]
     assert congruent.name == "intersection numbers congruent mod p^j"
@@ -112,7 +112,7 @@ def test_mann_counts_empty_cosets():
 
 
 def test_mann_q3_witness(d40):
-    U = cyclic_subgroup_of_order(d40.group, 10)
+    U = subgroup_of_order(d40.group, 10)[0]
     rep = mann_test(d40, U)
     assert rep.status == "verified"
     w = rep.instance["witness"]
@@ -124,14 +124,14 @@ def test_mann_q3_witness(d40):
 
 def test_mann_no_applicable_prime():
     D = singer_construct(4, 3)      # (21,5,1), n = 4
-    U = cyclic_subgroup_of_order(D.group, 3)
+    U = subgroup_of_order(D.group, 3)[0]
     rep = mann_test(D, U)           # u* = 7 and 2^f is never -1 mod 7
     assert rep.status == "no-applicable-prime"
 
 
 def test_mann_whole_group_degenerate():
     D = make_difference_set(AbelianGroup([7]), (1, 2, 4))
-    U = cyclic_subgroup_of_order(D.group, 7)
+    U = subgroup_of_order(D.group, 7)[0]
     rep = mann_test(D, U)           # G/U trivial: the test says nothing
     assert rep.status == "hypothesis-not-met"
 
@@ -177,7 +177,7 @@ def test_fixed_point_lemma_by_arithmetic_matches_the_subgroups(q):
     for s in range(1, 14, 2):
         rep = check_lemma_mfix(q, s)
         G = AbelianGroup([(q**s + 1) * (q**(2 * s) + 1)])
-        M = cyclic_subgroup_of_order(G, (q + 1) * (q * q + 1))
+        M = subgroup_of_order(G, (q + 1) * (q * q + 1))[0]
         fixed = fixed_subgroup(G, q**4)
         assert rep.instance["group"] == G.descriptor()
         assert [(c.name, c.ok, c.witness) for c in rep.conclusions] == [
@@ -191,7 +191,7 @@ def test_size_lemma(d585):
     rep = check_lemma_size(2, 3)
     assert rep.status == "verified"
     # oracle: the built set meets M in the counted q^2 + q + 1 elements
-    M = cyclic_subgroup_of_order(d585.group, 15)
+    M = subgroup_of_order(d585.group, 15)[0]
     assert rep.conclusions[0].witness == len(set(d585.elements) & set(M.elements))
 
 
@@ -224,7 +224,7 @@ def test_main_theorem_q2_s3(d585):
     rep = check_main(2, 3)
     assert rep.status == "verified"
     # oracle: D ∩ M of the built set verifies to the same report
-    M = cyclic_subgroup_of_order(d585.group, 15)
+    M = subgroup_of_order(d585.group, 15)[0]
     res = restrict(d585, M, classical_params(2, 4))
     assert res.verified and res.report == verify(res.group, res.elements)
     assert rep.conclusions[0].witness == res.report.as_dict()
@@ -245,7 +245,7 @@ def test_dintk_reads_order_4_elements_from_the_torsion(monkeypatch, q):
     rep = check_dintk(D, q)
     monkeypatch.undo()
     last = rep.conclusions[-1]
-    K = cyclic_subgroup_of_order(G, q * q + 1)
+    K = subgroup_of_order(G, q * q + 1)[0]
     index = G.order // K.order              # cosets of K in Z_v: x mod index
     x_star = last.witness
     ok = x_star % index == 0 or any(
@@ -287,8 +287,8 @@ def test_minimal_embedding_reads_the_5_torsion(monkeypatch, s):
     monkeypatch.undo()
     assert rep.status == "verified" and len(orders) <= 10
     Q = 2**s
-    H = cyclic_subgroup_of_order(G, Q + 1)
-    K = cyclic_subgroup_of_order(G, Q * Q + 1)
+    H = subgroup_of_order(G, Q + 1)[0]
+    K = subgroup_of_order(G, Q * Q + 1)[0]
     k5 = min(e for e in K.elements if G.element_order(e) == 5)
     hits = [G.add(h, k5) for h in H.elements if G.add(h, k5) in D.element_set]
     assert rep.conclusions[0].witness == hits

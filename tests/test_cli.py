@@ -360,8 +360,7 @@ def test_profile_and_mann_name_a_subgroup_that_is_not_unique(capsys, tmp_path):
 def test_profile_and_mann_build_one_subgroup_of_z2_to_the_9(capsys, tmp_path,
                                                            monkeypatch):
     # Z_2^9 has 10795 subgroups of order 4; the lookup builds the least,
-    # {0, 1, 2, 3}, with one closure per generator kept, never listing
-    # the others (two closures here, at most log2(m) in general)
+    # {0, 1, 2, 3}, as a box, with no closure, never listing the others
     out = str(tmp_path / "d.dset")
     Path(out).write_text("group " + "x".join(["Z_2"] * 9) +
                          "\n512 5 0\n0\n1\n2\n4\n8\n")
@@ -377,7 +376,26 @@ def test_profile_and_mann_build_one_subgroup_of_z2_to_the_9(capsys, tmp_path,
         code, rep = invoke_json(capsys, verb, "--set", out, "--subgroup-order", "4")
         assert rep["subgroup_unique"] is False
         assert rep["subgroup_elements"] == [0, 1, 2, 3]
-        assert calls == [1, 2], verb
+        assert calls == [], verb
+
+
+def test_profile_over_the_byte_limit_exit_1(capsys, monkeypatch, tmp_path):
+    # Z_2^9 against its subgroup of order 2: 256 cosets, priced at about
+    # 40 KiB against a 16 KiB limit, refused before any coset is read
+    out = str(tmp_path / "d.dset")
+    Path(out).write_text("group " + "x".join(["Z_2"] * 9) +
+                         "\n512 5 0\n0\n1\n2\n4\n8\n")
+
+    def no_cosets(*args):
+        raise AssertionError("cosets read")
+
+    monkeypatch.setattr(dset, "cosets", no_cosets)
+    monkeypatch.setattr(dset, "BYTE_LIMIT", 1 << 14)
+    for verb in ("profile", "mann"):
+        assert run([verb, "--set", out, "--subgroup-order", "2"]) == 1
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and err.count("\n") == 1
+        assert err.startswith("resource limit: coset profile of v = 512 needs")
 
 
 @pytest.mark.parametrize("verb", ["profile", "mann"])

@@ -1,3 +1,4 @@
+import json
 from math import gcd
 
 import numpy as np
@@ -12,9 +13,9 @@ from diffsets.dset import (Params, SetFileError, VerificationReport,
                            intersection_profile, is_normalized,
                            make_difference_set, normalize, read_set_file,
                            restrict, translate, verify, write_set_file)
-from diffsets.groups import (AbelianGroup, cyclic_subgroup_of_order,
-                             generated_subgroup, multiplier_orbits,
-                             subgroup_as_group)
+from diffsets.groups import (AbelianGroup, generated_subgroup,
+                             multiplier_orbits, subgroup_as_group,
+                             subgroup_of_order)
 from diffsets.numth import divisors, multiplicative_order
 from diffsets.search import SearchSpec, orbit_union_search
 from diffsets.singer import singer_construct
@@ -912,7 +913,7 @@ def test_normalize_requires_coprime_k():
 
 
 def test_intersection_profile_order5(d15):
-    H = cyclic_subgroup_of_order(d15.group, 5)
+    H = subgroup_of_order(d15.group, 5)[0]
     prof = intersection_profile(d15, H)
     assert prof.multiset() == [1, 3, 3]
     assert prof.sum_ok() and prof.sum_sq_ok()
@@ -921,15 +922,41 @@ def test_intersection_profile_order5(d15):
 
 
 def test_intersection_profile_order3(d15):
-    H = cyclic_subgroup_of_order(d15.group, 3)
+    H = subgroup_of_order(d15.group, 3)[0]
     prof = intersection_profile(d15, H)
     assert sum(prof.multiset()) == 7
     assert sum(s * s for s in prof.counts) == 3 * 3 + 4
 
 
+@pytest.mark.parametrize("factors, elements, order", [
+    # the q=2 s=5 tower and the trivial subgroup: 33825 cosets
+    (None, None, 1),
+    # Z_2^16 and a subgroup of order 4: 16384 cosets
+    ([2] * 16, (0, 1, 2, 4, 8, 16, 32, 64), 4)])
+def test_profile_bytes_bound_the_traced_peak(traced_peak, factors, elements, order):
+    # the profile, its bound check and their indented JSON report, all
+    # held at once: the estimate is an upper bound, and within a factor 2
+    if factors is None:
+        D = singer_construct(2**5, 4)
+    else:
+        D = make_difference_set(AbelianGroup(factors), elements, Params(1 << 16, 8, 0))
+    H = subgroup_of_order(D.group, order)[0]
+
+    def report():
+        prof = intersection_profile(D, H)
+        bound = distribution_bound_check(prof)
+        return prof, bound, json.dumps({"profile": prof.as_dict(),
+                                        "distribution_bound": bound.as_dict()},
+                                       indent=2)
+
+    _, peak = traced_peak(report)
+    estimate = dset._profile_bytes(D.group, H, len(D.elements))
+    assert estimate / 2 < peak <= estimate
+
+
 def test_distribution_bound(d15):
     for order in (1, 3, 5, 15):
-        H = cyclic_subgroup_of_order(d15.group, order)
+        H = subgroup_of_order(d15.group, order)[0]
         chk = distribution_bound_check(intersection_profile(d15, H))
         assert chk.ok, chk.violations
 
@@ -939,7 +966,7 @@ def test_distribution_bound_flags_violation():
     G = AbelianGroup([15])
     D = make_difference_set(G, (0, 3, 6, 9, 12), Params(15, 5, 1))
     assert not D.verified
-    H = cyclic_subgroup_of_order(G, 5)
+    H = subgroup_of_order(G, 5)[0]
     chk = distribution_bound_check(intersection_profile(D, H))
     assert not chk.ok
     # the full coset, then one entry for the empty cosets
@@ -947,7 +974,7 @@ def test_distribution_bound_flags_violation():
 
 
 def test_restrict_to_subgroup(d15):
-    M = cyclic_subgroup_of_order(d15.group, 5)
+    M = subgroup_of_order(d15.group, 5)[0]
     res = restrict(d15, M, Params(5, 1, 0))
     assert res.group.order == 5
     assert len(res.elements) == 1           # profile says D meets M once

@@ -7,14 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from diffsets import dset, groups
-from diffsets.groups import (AbelianGroup, GroupSizeError, Subgroup, _torsion,
-                             cosets, cyclic_subgroup_of_order,
+from diffsets.groups import (AbelianGroup, GroupSizeError, _torsion, cosets,
                              generated_subgroup, multiplier_orbits, parse_group,
                              quotient_exponent, subgroup_as_group,
                              subgroup_of_order, sylow)
 from diffsets.numth import divisors, multiplicative_order, totient
-from subgroup_oracle import (all_subgroups, fixed_subgroup, subgroups_of_order,
-                             subgroups_within)
+from subgroup_oracle import (all_subgroups, fixed_subgroup, scanned_cosets,
+                             subgroups_of_order, subgroups_within)
 
 SMALL_FACTORS = st.lists(st.integers(min_value=2, max_value=12),
                          min_size=1, max_size=3)
@@ -94,11 +93,11 @@ def test_exponent_and_cyclicity():
 
 def test_cyclic_subgroup_of_order():
     G = AbelianGroup([15])
-    H = cyclic_subgroup_of_order(G, 5)
+    H = subgroup_of_order(G, 5)[0]
     assert sorted(H.elements) == [0, 3, 6, 9, 12]
-    assert cyclic_subgroup_of_order(G, 3).order == 3
+    assert subgroup_of_order(G, 3)[0].order == 3
     with pytest.raises(ValueError):
-        cyclic_subgroup_of_order(G, 4)
+        subgroup_of_order(G, 4)
 
 
 def brute_subgroups(G):
@@ -153,8 +152,9 @@ def test_subgroups_of_order_match_all_subgroups(factors):
 
 
 def test_subgroups_of_order_close_no_larger_join(monkeypatch):
-    # Z_2^5 with m = 2 has 31 subgroups of order 2; the lookup closes one,
-    # <1>, the first element of its walk
+    # Z_2^5 with m = 2 has 31 subgroups of order 2, and Z_2 x Z_3^14 with
+    # m = 6 a 6-torsion of 9.6e6 elements; the lookup builds the least
+    # subgroup of each as a box, with no closure at all
     calls = []
     closure = groups._closure
 
@@ -166,8 +166,11 @@ def test_subgroups_of_order_close_no_larger_join(monkeypatch):
     G = AbelianGroup([2, 2, 2, 2, 2])
     H, unique = subgroup_of_order(G, 2)
     assert (H.elements, unique) == ((0, 1), False)
-    assert calls == [1]
     assert len(subgroups_of_order(G, 2)) == 31
+    G, w = AbelianGroup([2] + [3] * 14), 3**14
+    H, unique = subgroup_of_order(G, 6)
+    assert (H.elements, unique) == ((0, 1, 2, w, w + 1, w + 2), False)
+    assert calls == []
 
 
 def test_subgroups_of_order_enumerate_the_torsion_only():
@@ -193,7 +196,8 @@ def test_subgroup_lookup_matches_the_enumeration():
     # every presentation as written of order 2..48 (1902 (G, m) pairs,
     # 657 of them with more than one subgroup of order m): the lookup's
     # subgroup is the oracle's first and its flag says whether the oracle
-    # lists only one
+    # lists only one; and the cosets of every subgroup have the scan's
+    # representatives and coset indices on all of G
     pairs = shared = 0
     for n in range(2, 49):
         for factors in _presentations(n):
@@ -205,6 +209,12 @@ def test_subgroup_lookup_matches_the_enumeration():
                     (factors, m)
                 pairs += 1
                 shared += len(listed) > 1
+            ranks = np.arange(n, dtype=np.int64)
+            for H in subs:
+                reps, coset_of = scanned_cosets(G, H)
+                dec = cosets(G, H)
+                assert dec.representatives == reps, (factors, H.elements)
+                assert dec.coset_index(ranks).tolist() == coset_of, (factors, H.elements)
     assert (pairs, shared) == (1902, 657)
 
 
@@ -232,11 +242,25 @@ def test_cosets_partition():
                 assert same == (G.sub(r1, r2) in H)
 
 
+def test_cosets_read_the_subgroup_not_the_group(traced_peak):
+    # Z_2^20 and its least subgroup of order 2^10, the last ten
+    # coordinates: the echelon reads the 1024 elements of H, where a rank
+    # -> coset map of all of G would take 4 MiB
+    G = AbelianGroup([2] * 20)
+    H = subgroup_of_order(G, 1 << 10)[0]
+    dec, peak = traced_peak(cosets, G, H)
+    assert peak < 1 << 19
+    assert dec.steps == (2,) * 10 + (1,) * 10 and dec.index == 1 << 10
+    assert dec.representatives == tuple(range(0, 1 << 20, 1 << 10))
+    ranks = np.arange(0, 1 << 20, 997, dtype=np.int64)
+    assert (dec.coset_index(ranks) == ranks >> 10).all()
+
+
 def test_quotient_exponent():
     G = AbelianGroup([12])
-    H = cyclic_subgroup_of_order(G, 2)
+    H = subgroup_of_order(G, 2)[0]
     assert quotient_exponent(G, H) == 6
-    assert quotient_exponent(G, cyclic_subgroup_of_order(G, 12)) == 1
+    assert quotient_exponent(G, subgroup_of_order(G, 12)[0]) == 1
     G2 = AbelianGroup([2, 4])
     K = generated_subgroup(G2, [G2.rank((0, 2))])
     assert quotient_exponent(G2, K) == 2    # quotient is Z_2 x Z_2
@@ -258,7 +282,7 @@ def test_cyclic_subgroup_of_order_on_several_factors(factors):
     for m in range(1, G.order + 1):
         if G.order % m == 0:
             brute = tuple(r for r in range(G.order) if G.scale(m, r) == 0)
-            assert cyclic_subgroup_of_order(G, m).elements == brute
+            assert subgroup_of_order(G, m)[0].elements == brute
             assert len(brute) == m
 
 
@@ -267,8 +291,6 @@ def test_subgroup_order_must_be_positive(m):
     for G in (AbelianGroup([12]), AbelianGroup([2, 4])):
         with pytest.raises(ValueError, match="must be positive"):
             subgroup_of_order(G, m)
-    with pytest.raises(ValueError, match="must be positive"):
-        cyclic_subgroup_of_order(AbelianGroup([12]), m)
 
 
 def test_fixed_subgroup_brute():
@@ -284,7 +306,7 @@ def test_fixed_subgroup_brute():
 
 def test_subgroup_as_group_cyclic():
     G = AbelianGroup([15])
-    H = cyclic_subgroup_of_order(G, 5)
+    H = subgroup_of_order(G, 5)[0]
     pres = subgroup_as_group(H)
     assert pres.group.order == 5 and pres.group.is_cyclic
     for a in H.elements:
@@ -299,7 +321,7 @@ def test_subgroup_as_group_cyclic_coordinates():
     # is v/m, and its multiple j*(v/m) gets coordinate j
     G = AbelianGroup([585])
     for m in divisors(585):
-        pres = subgroup_as_group(cyclic_subgroup_of_order(G, m))
+        pres = subgroup_as_group(subgroup_of_order(G, m)[0])
         assert pres.group.factors == (m,)
         assert pres.to_sub == {e: e // (585 // m)
                                for e in range(0, 585, 585 // m)}
@@ -498,12 +520,15 @@ def test_group_size_guard():
 
 
 def test_torsion_guard_covers_cyclic_subgroups(monkeypatch):
-    # the cyclic-group path materializes its subgroup through the same guard
+    # every subgroup is materialized as a box through one guard on the
+    # box's own order, whatever the order of the m-torsion
     monkeypatch.setattr(groups, "MATERIALIZE_LIMIT", 1024)
     G = AbelianGroup([4096])
     assert subgroup_of_order(G, 1024)[0].order == 1024
     with pytest.raises(GroupSizeError, match="materialization limit"):
         subgroup_of_order(G, 2048)
-    # and so does the walk of a torsion with more than one such subgroup
+    # Z_2^11 has a 2-torsion of 2048 elements, but the box of order 2 is built
+    H, unique = subgroup_of_order(AbelianGroup([2] * 11), 2)
+    assert (H.elements, unique) == ((0, 1), False)
     with pytest.raises(GroupSizeError, match="subgroup of order 2048 exceeds"):
-        subgroup_of_order(AbelianGroup([2] * 11), 2)
+        subgroup_of_order(AbelianGroup([2] * 11), 2048)
