@@ -236,8 +236,7 @@ def check_thm_classical_profile(D: DifferenceSet, q: int, s: int) -> TheoremRepo
     if q % 2 == 0:
         rep.con("H contained in D", prof.counts[0] == H.order)
     else:
-        z_coset = prof.decomposition.coset_index(z)
-        rep.con("Hz contained in D", prof.counts[z_coset] == H.order, {"z": z})
+        rep.con("Hz contained in D", prof.counts[H.coset_index(z)] == H.order, {"z": z})
     return rep
 
 
@@ -370,23 +369,21 @@ def check_dintk(D: DifferenceSet, q: int) -> TheoremReport:
     expected = sorted([1] + [q + 1] * q)
     rep.con("profile is {1, q+1, ..., q+1}", prof.multiset() == expected,
             prof.multiset())
-    dec = prof.decomposition
-    ones = [x for x, s_i in zip(dec.representatives, prof.counts) if s_i == 1]
+    ones = [i for i, s_i in enumerate(prof.counts) if s_i == 1]
     if len(ones) != 1:
-        rep.con("distinguished coset exists", False, ones)
+        rep.con("distinguished coset exists", False, [K.representative(i) for i in ones])
         return rep
-    x_star = ones[0]
-    in_k = dec.coset_index(x_star) == dec.coset_index(0)
+    x_star = K.representative(ones[0])
     if q % 2 == 0:
-        rep.con("distinguished coset is K itself (q even)", in_k, x_star)
-        hits = sorted(set(D.elements) & K.element_set)
+        rep.con("distinguished coset is K itself (q even)", ones[0] == 0, x_star)
+        hits = ds.meet(D, K)
         rep.con("D ∩ K = {identity}", hits == [0], hits)
     else:
         # any order-4 element w with w^2 in K marks the other fixed coset;
         # each lies in the 4-torsion
-        ok = in_k or any(G.element_order(w) == 4 and G.scale(2, w) in K and
-                         dec.coset_index(w) == dec.coset_index(x_star)
-                         for w in _torsion(G, 4).elements)
+        ok = ones[0] == 0 or any(G.element_order(w) == 4 and G.scale(2, w) in K and
+                                 K.coset_index(w) == ones[0]
+                                 for w in _torsion(G, 4).elements)
         rep.con("distinguished coset is K or Kw with w of order 4", ok, x_star)
     return rep
 
@@ -408,7 +405,7 @@ def check_hk(D: DifferenceSet, q: int, s: int) -> TheoremReport:
     rep.con("H contained in D", hprof.counts[0] == H.order)
     rep.con("other H-cosets meet D once",
             hprof.multiset() == sorted([Q + 1] + [1] * (Q * Q)))
-    hits = sorted(set(D.elements) & K.element_set)
+    hits = ds.meet(D, K)
     rep.con("D ∩ K = {identity}", hits == [0], hits)
     kprof = intersection_profile(D, K)
     rep.con("other K-cosets meet D in q^s + 1 elements",
@@ -445,8 +442,8 @@ def check_minimal_embedding(D: DifferenceSet) -> TheoremReport:
     K, _ = subgroup_of_order(G, Q * Q + 1)
     k5 = min(e for e in _torsion(G, 5).elements
              if e in K and G.element_order(e) == 5)
-    eset = D.element_set
-    coset_hits = [G.add(h, k5) for h in H.elements if G.add(h, k5) in eset]
+    # D ∩ (H + k5), by the h of each hit ascending
+    coset_hits = [G.add(h, k5) for h in ds.meet(ds.translate(D, G.neg(k5)), H)]
     rep.con("coset Hk meets D exactly once", len(coset_hits) == 1, coset_hits)
     if len(coset_hits) != 1:
         return rep
@@ -463,7 +460,7 @@ def check_minimal_embedding(D: DifferenceSet) -> TheoremReport:
     structure = {0, h, G.scale(2, h),
                  d, G.scale(2, d), G.scale(4, d), G.scale(8, d)}
     rep.con("D ∩ M = {1, h, h^2, hk, h^2k^2, hk^4, h^2k^3}",
-            eset & M.element_set == structure)
+            set(ds.meet(D, M)) == structure)
     return rep
 
 

@@ -51,15 +51,14 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, replace
-from functools import cached_property
 from math import gcd
 from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 
-from .groups import (AbelianGroup, CosetDecomposition, Subgroup,
-                     _orbit_firsts, cosets, parse_group, subgroup_as_group)
+from .groups import (AbelianGroup, Subgroup, _orbit_firsts, parse_group,
+                     subgroup_as_group)
 from .numth import (divisors, is_prime_power, multiplicative_order,
                     prime_divisors, totient)
 
@@ -123,10 +122,6 @@ class DifferenceSet:
     @property
     def verified(self) -> bool:
         return self.report.confirms(self.params.as_tuple())
-
-    @cached_property
-    def element_set(self) -> frozenset:
-        return frozenset(self.elements)
 
     def __repr__(self):
         tag = "verified" if self.verified else "candidate"
@@ -764,10 +759,9 @@ def is_normalized(G: AbelianGroup, elements) -> bool:
 @dataclass(frozen=True)
 class IntersectionProfile:
     """The intersection numbers of D with the cosets of H: counts[i] is
-    s_i = |D ∩ (x_i + H)| for the i-th coset of `decomposition`, zeros
-    included."""
+    s_i = |D ∩ (x_i + H)| for the coset of index i (`Subgroup.coset_index`),
+    zeros included."""
     subgroup: Subgroup
-    decomposition: CosetDecomposition
     counts: tuple[int, ...]
     k: int
     lam: int
@@ -799,18 +793,19 @@ class IntersectionProfile:
 
 def _profile_bytes(G: AbelianGroup, H: Subgroup, k: int) -> int:
     """Estimated peak bytes of a profile of k elements on the cosets of H
-    and of its report: 160 a coset (representatives, counts, multiset,
-    text), 8(t + 3) an element of D or H (ranks and t coordinates)."""
-    return 160 * (G.order // H.order) + 8 * (len(G.factors) + 3) * (k + H.order)
+    and of its report: 160 a coset (counts, multiset, text), 8(t + 3) an
+    element of D (ranks and t coordinates)."""
+    return 160 * H.index + 8 * (len(G.factors) + 3) * k
 
 
 def intersection_profile(D: DifferenceSet, H: Subgroup) -> IntersectionProfile:
     """D's counts on the cosets of H, refused first over `_profile_bytes`."""
     _guard(D.group.order, _profile_bytes(D.group, H, len(D.elements)), "coset profile")
-    dec = cosets(D.group, H)
-    which = dec.coset_index(np.asarray(D.elements, dtype=np.int64))
-    counts = np.bincount(which, minlength=dec.index)
-    return IntersectionProfile(H, dec, tuple(counts.tolist()), D.params.k,
+    if H.group != D.group:
+        raise ValueError("subgroup belongs to a different group")
+    which = H.coset_index(np.asarray(D.elements, dtype=np.int64))
+    counts = np.bincount(which, minlength=H.index)
+    return IntersectionProfile(H, tuple(counts.tolist()), D.params.k,
                                D.params.lam, D.params.n)
 
 
@@ -833,8 +828,8 @@ def distribution_bound_check(prof: IntersectionProfile) -> BoundCheck:
     """
     r, k, n = prof.index, prof.k, prof.n
     rhs = n * (r - 1) * (r - 1)
-    bad = [(rep, s) for rep, s in zip(prof.decomposition.representatives,
-                                      prof.counts) if s and (r * s - k) ** 2 > rhs]
+    bad = [(prof.subgroup.representative(i), s) for i, s in enumerate(prof.counts)
+           if s and (r * s - k) ** 2 > rhs]
     if 0 in prof.counts and k * k > rhs:
         bad.append((-1, 0))               # some coset misses D entirely
     return BoundCheck(not bad, r, tuple(bad))
@@ -847,8 +842,13 @@ def restrict(D: DifferenceSet, M: Subgroup, params: Params) -> DifferenceSet:
     presentation (`subgroup_as_group`), checked against the declared
     `params`, the ones D ∩ M is expected to have."""
     pres = subgroup_as_group(M)
-    return make_difference_set(
-        pres.group, [pres.to_sub[e] for e in D.element_set & M.element_set], params)
+    return make_difference_set(pres.group, [pres.to_sub[e] for e in meet(D, M)], params)
+
+
+def meet(D: DifferenceSet, H: Subgroup) -> list[int]:
+    """The ranks of D ∩ H, ascending: those of coset index 0."""
+    ranks = np.asarray(D.elements, dtype=np.int64)
+    return ranks[H.coset_index(ranks) == 0].tolist()
 
 
 # -- set-file interchange format ---------------------------------------------------

@@ -1,8 +1,7 @@
 """Finite abelian groups, written additively.
 
 A group is a direct product Z_{d1} x ... x Z_{dt}; elements are handled
-by their mixed-radix rank (most significant coordinate first), which
-keeps subgroup element lists compact and hashable.  The usual
+by their mixed-radix rank (most significant coordinate first).  The usual
 multiplicative language for difference sets maps onto this as
 "product of elements = 1" <-> "coordinate sum = 0".
 
@@ -15,10 +14,11 @@ array of ranks.
 Factor lists are not required to be in invariant-factor form (Z_3 x Z_5
 is accepted as written); :func:`subgroup_as_group` always emits a proper
 invariant-factor presentation, from a greedy basis of maximal orders.
-Subgroups and cosets are found by arithmetic, in any presentation: the
-least subgroup of order m is a box of one subgroup per factor, of orders
-read off by gcds (`subgroup_of_order`), and cosets come from an echelon
-of H (`cosets`); no subgroup is listed and G is never scanned.
+A subgroup is its reduced echelon, a step and a pivot per coordinate
+(`Subgroup`), which membership and cosets read.  It is found by arithmetic
+in any presentation, by Euclid's steps on generators (`generated_subgroup`),
+the least of order m as a box of orders read off by gcds
+(`subgroup_of_order`); only `Subgroup.elements` lists it.
 
 The orbits of a numerical multiplier x -> t*x on a set that t fixes are
 found by one routine, `_orbit_firsts`, in any presentation: on all of
@@ -30,7 +30,6 @@ forms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import gcd, lcm, prod
 
 import numpy as np
@@ -165,88 +164,112 @@ def parse_group(text: str) -> AbelianGroup:
 
 @dataclass(frozen=True)
 class Subgroup:
+    """A subgroup H of G held as its reduced echelon.  The coordinates j
+    of H_j, the elements of H zero before coordinate j, are the multiples
+    of the step s_j | d_j; the pivot b_j (its coordinates) is the element
+    of H_j with coordinate j equal to s_j (b_j = 0 if s_j = d_j) and each
+    coordinate i > j below s_i, the least of its coset of H_{j+1} (below),
+    so `==` compares subgroups by value.  H is every sum c_j b_j,
+    0 <= c_j < d_j/s_j, each once, so |H| = prod d_j/s_j.
+
+    y <- y - floor(y_j/s_j)*b_j for each j in turn (`coset_index`) stays in
+    y's coset and leaves every coordinate j below s_j.  The reduced y is
+    least in its coset: adding h != 0 first changes a coordinate j, by a
+    nonzero multiple of s_j, which from below s_j does not wrap.  So the
+    least elements of the cosets are the ranks in prod [0, s_j), the index
+    is prod s_j, and a rank lies in H when its coset index is 0.
+    """
     group: AbelianGroup
-    elements: tuple[int, ...]          # sorted ranks
+    steps: tuple[int, ...]
+    pivots: tuple[tuple[int, ...], ...]
 
     @property
     def order(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, r: int) -> bool:
-        return r in self.element_set
-
-    @cached_property
-    def element_set(self) -> frozenset:
-        return frozenset(self.elements)
-
-    def __repr__(self):
-        return f"Subgroup(order={self.order} of {self.group.descriptor()})"
-
-
-@dataclass(frozen=True)
-class CosetDecomposition:
-    """The cosets of H: the step s_j and the pivot b_j (its coordinates)
-    of each coordinate j of G, from `cosets`."""
-
-    subgroup: Subgroup
-    steps: tuple[int, ...]
-    pivots: tuple[tuple[int, ...], ...]
+        return prod(d // s for d, s in zip(self.group.factors, self.steps))
 
     @property
     def index(self) -> int:
         return prod(self.steps)
 
-    @cached_property
-    def representatives(self) -> tuple[int, ...]:
-        """The least rank of each coset, ascending: prod [0, s_j)."""
-        reps = np.zeros(1, dtype=np.int64)
-        for s, w in zip(self.steps, self.subgroup.group._weights):
-            reps = (reps[:, None] + np.arange(0, s * w, w, dtype=np.int64)).ravel()
-        return tuple(reps.tolist())
-
     def coset_index(self, r):
-        """The coset index of a rank, or of an int64 array of ranks: y <-
-        y - floor(y_j/s_j)*b_j for each j, read in radices s_j."""
-        G = self.subgroup.group
+        """The coset index of a rank, or of an int64 array of ranks, its
+        y reduced and read in radices s_j; b_j need not be reduced."""
+        G, index = self.group, 0
         y = [r // w % d for d, w in zip(G.factors, G._weights)]
-        index = 0
         for j, (s, b) in enumerate(zip(self.steps, self.pivots)):
-            q, y[j] = divmod(y[j], s)
             for i in range(j + 1, len(y)):
-                y[i] = (y[i] - q * b[i]) % G.factors[i]
+                if b[i]:
+                    y[i] = (y[i] - y[j] // s * b[i]) % G.factors[i]
+            y[j] %= s           # in place on the arrays made here
             index = index * s + y[j]
         return index
 
+    def representative(self, i):
+        """The least rank of coset i, or of an int64 array of coset
+        indices: the digits of i in radices s_j are its coordinates."""
+        r = 0
+        for s, w in zip(reversed(self.steps), reversed(self.group._weights)):
+            i, c = divmod(i, s)
+            r = r + c * w
+        return r
 
-def _closure(G: AbelianGroup, gens) -> tuple[int, ...]:
-    seen = {0}
-    for g in gens:
-        if g not in seen:
-            for s in list(seen):
-                t = G.add(s, g)
-                while t not in seen:
-                    seen.add(t)
-                    t = G.add(t, g)
-        if len(seen) > MATERIALIZE_LIMIT:
-            raise GroupSizeError("subgroup closure exceeds materialization guard")
-    return tuple(sorted(seen))
+    def __contains__(self, r: int) -> bool:
+        return self.coset_index(r) == 0
+
+    @property
+    def elements(self) -> tuple[int, ...]:
+        """The ranks of H, ascending: every sum c_j b_j, 0 <= c_j <
+        d_j/s_j.  GroupSizeError over MATERIALIZE_LIMIT elements."""
+        if self.order > MATERIALIZE_LIMIT:
+            raise GroupSizeError(f"subgroup of order {self.order} exceeds the "
+                                 f"materialization limit {MATERIALIZE_LIMIT}")
+        G = self.group
+        # int64 while every rank and c*b_j[i], c < 2^24, fit; else Python ints
+        els = np.zeros(1, dtype=np.int64 if G.order < 2**39 else object)
+        for j, (s, b) in enumerate(zip(self.steps, self.pivots)):
+            c, shift = np.arange(G.factors[j] // s, dtype=els.dtype), 0
+            for bi, d, w in zip(b[j:], G.factors[j:], G._weights[j:]):
+                if bi:      # the change in rank of coordinate i, y_i -> y_i + c*b_j[i]
+                    y = els[:, None] // w % d
+                    shift = shift + ((y + c * bi % d) % d - y) * w
+            els = (els[:, None] + shift).ravel()
+        return tuple(np.sort(els).tolist())
+
+    def __repr__(self):
+        return f"Subgroup(order={self.order} of {self.group.descriptor()})"
 
 
 def generated_subgroup(G: AbelianGroup, gens) -> Subgroup:
-    return Subgroup(G, _closure(G, gens))
+    """The subgroup generated by these ranks, its echelon built coordinate
+    by coordinate from rows that generate H_j, the gens at j = 0.  The
+    pivot starts as 0 with "coordinate" d_j; Euclid's steps on it and each
+    row in turn keep their span and leave it with coordinate j equal to
+    s_j, the gcd of d_j and the rows' coordinates j, and each row with
+    coordinate j zero.  With (d_j/s_j)*b_j they generate H_{j+1}: a*b_j
+    plus rows is in H_{j+1} when d_j/s_j divides a."""
+    rows, steps, pivots = list(gens), [], []
+    for d, w in zip(G.factors, G._weights):
+        s, b = d, 0
+        for n, r in enumerate(rows):
+            c = r // w % d
+            while c:            # b has coordinate s, r coordinate c (mod d)
+                s, b, c, r = c, r, s % c, G.sub(b, G.scale(s // c, r))
+            rows[n] = r
+        rows.append(G.scale(d // s, b))
+        steps.append(s)
+        pivots.append(b)
+    # reduce each b_j: b_j - s_j e_j is zero up to j, so the least element
+    # of its coset is that of its coset of H_{j+1}
+    H = Subgroup(G, tuple(steps), tuple(map(G.unrank, pivots)))
+    heads = [s % d * w for s, d, w in zip(steps, G.factors, G._weights)]
+    return Subgroup(G, H.steps, tuple(
+        G.unrank(H.representative(H.coset_index(b - e)) + e) for b, e in zip(pivots, heads)))
 
 
 def _box(G: AbelianGroup, orders) -> Subgroup:
-    """The box prod (d_i/o_i) Z_{d_i}, o_i | d_i, ranks ascending;
-    GroupSizeError over MATERIALIZE_LIMIT elements."""
-    order = prod(orders)
-    if order > MATERIALIZE_LIMIT:
-        raise GroupSizeError(f"subgroup of order {order} exceeds the "
-                             f"materialization limit {MATERIALIZE_LIMIT}")
-    els = [0]
-    for d, o, w in zip(G.factors, orders, G._weights):
-        els = [e + c * w for e in els for c in range(0, d, d // o)]
-    return Subgroup(G, tuple(els))
+    """The box prod s_i Z_{d_i}, s_i = d_i/o_i, pivots b_i = s_i e_i."""
+    return generated_subgroup(G, [d // o % d * w
+                                  for d, o, w in zip(G.factors, orders, G._weights)])
 
 
 def _torsion(G: AbelianGroup, m: int) -> Subgroup:
@@ -257,7 +280,7 @@ def _torsion(G: AbelianGroup, m: int) -> Subgroup:
 def subgroup_of_order(G: AbelianGroup, m: int) -> tuple[Subgroup, bool]:
     """(H, unique): the subgroup H of order m whose sorted element tuple
     is least, and whether it is the only one.  ValueError unless m is a
-    positive divisor of |G|; GroupSizeError when m > MATERIALIZE_LIMIT.
+    positive divisor of |G|.
 
     H is the box whose orders o_i = gcd(m', d_i) are taken from the last
     factor to the first, m' the part of m not yet placed (prime by prime,
@@ -288,40 +311,11 @@ def subgroup_of_order(G: AbelianGroup, m: int) -> tuple[Subgroup, bool]:
     return _box(G, orders[::-1]), prod(gcd(m, d) for d in G.factors) == m
 
 
-def cosets(G: AbelianGroup, H: Subgroup) -> CosetDecomposition:
-    """The cosets of H, read through an echelon of H.  The coordinates j
-    of H_j, the elements of H zero before coordinate j, form the subgroup
-    of Z_{d_j} generated by the step s_j = gcd(d_j, those coordinates), so
-    a pivot b_j in H_j has coordinate j equal to s_j (b_j = 0 if s_j = d_j).
-
-    y <- y - floor(y_j/s_j)*b_j for j in turn (`coset_index`) stays in
-    y's coset and leaves every coordinate j below s_j.  The reduced y is
-    least in its coset: adding h != 0 first changes a coordinate j, by a
-    nonzero multiple of s_j, which from below s_j does not wrap.  So the
-    representatives are the ranks in prod [0, s_j), and the index is
-    prod s_j = |G|/|H|.
-    """
-    if H.group != G:
-        raise ValueError("subgroup belongs to a different group")
-    h = np.asarray(H.elements, dtype=np.int64)
-    coords = [h // w % d for d, w in zip(G.factors, G._weights)]
-    live = np.ones(len(h), dtype=bool)          # H_j, from H_0 = H
-    steps, pivots = [], []
-    for d, c in zip(G.factors, coords):
-        s = gcd(d, int(np.gcd.reduce(c[live])))
-        at = int(np.argmax(live & (c == s)))    # 0, the identity, if s = d
-        steps.append(s)
-        pivots.append(tuple(int(x[at]) for x in coords))
-        live &= c == 0
-    return CosetDecomposition(H, tuple(steps), tuple(pivots))
-
-
 def quotient_exponent(G: AbelianGroup, U: Subgroup) -> int:
     """Least m >= 1 with m*x in U for every x in G."""
-    uset = U.element_set
     for d in divisors(G.exponent):
         # G._weights are the generators of the direct factors
-        if all(G.scale(d, w) in uset for w in G._weights):
+        if all(G.scale(d, w) in U for w in G._weights):
             return d
     return G.exponent
 
@@ -335,7 +329,9 @@ def sylow(G: AbelianGroup, p: int):
     cyclic = sum(1 for d in G.factors if d % p == 0) <= 1
     generator = None
     if cyclic and S.order > 1:
-        generator = min(e for e in S.elements if G.element_order(e) == S.order)
+        # S is (d/|S|)Z_d in the one factor Z_d that p divides, least generator (d/|S|)*w
+        generator = next(s * w for s, d, w in zip(S.steps, G.factors, G._weights)
+                         if s < d)
     return S, cyclic, generator
 
 
@@ -363,14 +359,14 @@ def subgroup_as_group(H: Subgroup) -> SubgroupPresentation:
     are the invariant factors.  On a cyclic H the first pick is the
     least-rank generator and rank j*gen maps to j.
     """
-    G = H.group
+    G, elements = H.group, H.elements
     members = [0]               # members[c] is the element of S at coordinate c
     to_sub = {0: 0}
     orders = []
     while len(members) < H.order:
         bound = H.order // len(members)     # no order modulo S exceeds |H/S|
         best, f_best = None, 1
-        for y in H.elements:
+        for y in elements:
             f = G.element_order(y)
             for p in factorize(f):
                 while f % p == 0 and G.scale(f // p, y) in to_sub:

@@ -11,7 +11,7 @@ from diffsets.dset import (DifferenceSet, Params, VerificationReport,
                            classical_params, make_difference_set, restrict,
                            verify)
 from diffsets.field import FieldSizeError
-from diffsets.groups import AbelianGroup, subgroup_of_order
+from diffsets.groups import AbelianGroup, generated_subgroup, subgroup_of_order
 from diffsets.numth import is_prime, multiplicative_order
 from diffsets.singer import singer_construct
 from subgroup_oracle import fixed_subgroup
@@ -249,7 +249,7 @@ def test_dintk_reads_order_4_elements_from_the_torsion(monkeypatch, q):
     index = G.order // K.order              # cosets of K in Z_v: x mod index
     x_star = last.witness
     ok = x_star % index == 0 or any(
-        G.element_order(w) == 4 and 2 * w % G.order in K.element_set
+        G.element_order(w) == 4 and 2 * w % G.order in K
         and w % index == x_star % index for w in G.elements())
     assert rep.status == "verified"
     assert (last.name, last.ok) == \
@@ -290,7 +290,8 @@ def test_minimal_embedding_reads_the_5_torsion(monkeypatch, s):
     H = subgroup_of_order(G, Q + 1)[0]
     K = subgroup_of_order(G, Q * Q + 1)[0]
     k5 = min(e for e in K.elements if G.element_order(e) == 5)
-    hits = [G.add(h, k5) for h in H.elements if G.add(h, k5) in D.element_set]
+    members = set(D.elements)
+    hits = [G.add(h, k5) for h in H.elements if G.add(h, k5) in members]
     assert rep.conclusions[0].witness == hits
 
 
@@ -353,13 +354,12 @@ def test_product_group_profile_mann_and_bound():
     D = make_difference_set(G, (0, 1, 2, 5, 8, 14))
     k, n = D.params.k, D.params.n
     for order in (2, 4, 8):
-        for H in subgroups_of_order(G, order):
-            classes = {frozenset(G.add(x, h) for h in H.elements)
-                       for x in range(G.order)}
-            brute = sorted((min(c), len(c & D.element_set)) for c in classes)
+        for S in subgroups_of_order(G, order):
+            H = generated_subgroup(G, S)
+            classes = {frozenset(G.add(x, h) for h in S) for x in range(G.order)}
+            brute = sorted((min(c), len(c & set(D.elements))) for c in classes)
             prof = intersection_profile(D, H)
-            assert list(zip(prof.decomposition.representatives,
-                            prof.counts)) == brute
+            assert [(H.representative(i), s) for i, s in enumerate(prof.counts)] == brute
             assert prof.sum_ok() and prof.sum_sq_ok()
             r = len(brute)
             rhs = n * (r - 1) ** 2

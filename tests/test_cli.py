@@ -197,8 +197,8 @@ def test_verify_rejects_corruption_off_the_sample_points(capsys, tmp_path):
         return not (hit[(c - xs) % v].any() or hit[(xs - c) % v].any())
 
     a = next(a for a in D.elements if off_samples(a, ranks[ranks != a]))
-    b = next(b for b in range(v)
-             if b not in D.element_set and off_samples(b, ranks))
+    members = set(D.elements)
+    b = next(b for b in range(v) if b not in members and off_samples(b, ranks))
     bad = str(tmp_path / "bad.dset")
     els = sorted(set(D.elements) - {a} | {b})
     dset.write_set_file(bad, dset.make_difference_set(D.group, els, D.params))
@@ -316,20 +316,22 @@ def test_profile(capsys):
 
 
 def test_profile_decomposes_into_cosets_once(capsys, tmp_path, monkeypatch):
-    # the bound check reads the profile's coset decomposition; on Z_2 x Z_8
-    # that decomposition is a scan of G
+    # the profile reduces D's ranks to coset indices once, and the bound
+    # check reads only those counts; on Z_2 x Z_8 the reduction runs over
+    # both coordinates
     out = str(tmp_path / "d.dset")
     Path(out).write_text("group Z_2xZ_8\n16 6 2\n0\n1\n2\n5\n8\n14\n")
-    calls, cosets = [], dset.cosets
+    calls, coset_index = [], groups.Subgroup.coset_index
 
-    def counted(G, H):
-        calls.append(H.order)
-        return cosets(G, H)
+    def counted(H, r):
+        if isinstance(r, np.ndarray):       # single ranks reduce pivots
+            calls.append((H.order, r.size))
+        return coset_index(H, r)
 
-    monkeypatch.setattr(dset, "cosets", counted)
+    monkeypatch.setattr(groups.Subgroup, "coset_index", counted)
     code, rep = invoke_json(capsys, "profile", "--set", out, "--subgroup-order", "4")
     assert code == 0 and rep["distribution_bound"]["ok"]
-    assert calls == [4]
+    assert calls == [(4, 6)]
 
 
 def test_mann(capsys):
@@ -360,23 +362,46 @@ def test_profile_and_mann_name_a_subgroup_that_is_not_unique(capsys, tmp_path):
 def test_profile_and_mann_build_one_subgroup_of_z2_to_the_9(capsys, tmp_path,
                                                            monkeypatch):
     # Z_2^9 has 10795 subgroups of order 4; the lookup builds the least,
-    # {0, 1, 2, 3}, as a box, with no closure, never listing the others
+    # {0, 1, 2, 3}, as a box, never listing the others, and lists it once,
+    # for the report that names it
     out = str(tmp_path / "d.dset")
     Path(out).write_text("group " + "x".join(["Z_2"] * 9) +
                          "\n512 5 0\n0\n1\n2\n4\n8\n")
-    calls, closure = [], groups._closure
+    calls, elements = [], groups.Subgroup.elements
 
-    def counted(G, gens):
-        calls.append(len(gens))
-        return closure(G, gens)
+    def counted(H):
+        calls.append(H.order)
+        return elements.fget(H)
 
-    monkeypatch.setattr(groups, "_closure", counted)
+    monkeypatch.setattr(groups.Subgroup, "elements", property(counted))
     for verb in ("profile", "mann"):
         calls.clear()
         code, rep = invoke_json(capsys, verb, "--set", out, "--subgroup-order", "4")
         assert rep["subgroup_unique"] is False
         assert rep["subgroup_elements"] == [0, 1, 2, 3]
-        assert calls == [], verb
+        assert calls == [4], verb
+
+
+@pytest.mark.parametrize("argv", [["--q", "2", "--subgroup-order", "5"],
+                                  ["--set", "z2xz8", "--subgroup-order", "16"],
+                                  ["--set", "z2xz8", "--subgroup-order", "1"]])
+def test_profile_and_mann_list_no_unique_subgroup(capsys, tmp_path, monkeypatch,
+                                                  argv):
+    # a unique subgroup is dissected through its echelon alone: in Z_15,
+    # and in Z_2 x Z_8 the whole group (index 1) and the trivial subgroup
+    out = tmp_path / "z2xz8"
+    out.write_text("group Z_2xZ_8\n16 6 2\n0\n1\n2\n5\n8\n14\n")
+    argv = [str(out) if a == "z2xz8" else a for a in argv]
+
+    def no_listing(self):
+        raise AssertionError("subgroup listed")
+
+    monkeypatch.setattr(groups.Subgroup, "elements", property(no_listing))
+    code, rep = invoke_json(capsys, "profile", *argv)
+    assert code == 0 and rep["profile"]["sum_sq_ok"]
+    assert "subgroup_elements" not in rep
+    code, rep = invoke_json(capsys, "mann", *argv)
+    assert code in (0, 2) and "subgroup_elements" not in rep
 
 
 def test_profile_over_the_byte_limit_exit_1(capsys, monkeypatch, tmp_path):
@@ -386,10 +411,15 @@ def test_profile_over_the_byte_limit_exit_1(capsys, monkeypatch, tmp_path):
     Path(out).write_text("group " + "x".join(["Z_2"] * 9) +
                          "\n512 5 0\n0\n1\n2\n4\n8\n")
 
-    def no_cosets(*args):
-        raise AssertionError("cosets read")
+    coset_index = groups.Subgroup.coset_index
 
-    monkeypatch.setattr(dset, "cosets", no_cosets)
+    def no_cosets(H, r):
+        # the Mann test reads single ranks for u*; D's ranks are not read
+        if isinstance(r, np.ndarray):
+            raise AssertionError("cosets read")
+        return coset_index(H, r)
+
+    monkeypatch.setattr(groups.Subgroup, "coset_index", no_cosets)
     monkeypatch.setattr(dset, "BYTE_LIMIT", 1 << 14)
     for verb in ("profile", "mann"):
         assert run([verb, "--set", out, "--subgroup-order", "2"]) == 1

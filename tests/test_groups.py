@@ -1,4 +1,6 @@
 import itertools
+import random
+from functools import cache
 from math import gcd, prod
 
 import numpy as np
@@ -7,13 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from diffsets import dset, groups
-from diffsets.groups import (AbelianGroup, GroupSizeError, _torsion, cosets,
+from diffsets.groups import (AbelianGroup, GroupSizeError, _torsion,
                              generated_subgroup, multiplier_orbits, parse_group,
                              quotient_exponent, subgroup_as_group,
                              subgroup_of_order, sylow)
 from diffsets.numth import divisors, multiplicative_order, totient
-from subgroup_oracle import (all_subgroups, fixed_subgroup, scanned_cosets,
-                             subgroups_of_order, subgroups_within)
+from subgroup_oracle import (all_subgroups, closure, fixed_subgroup,
+                             scanned_cosets, subgroups_of_order, subgroups_within)
 
 SMALL_FACTORS = st.lists(st.integers(min_value=2, max_value=12),
                          min_size=1, max_size=3)
@@ -124,16 +126,17 @@ def test_all_subgroups_z3xz3():
     # the oracle's listing against brute force
     G = AbelianGroup([3, 3])
     subs = all_subgroups(G)
-    assert sorted(H.order for H in subs) == [1, 3, 3, 3, 3, 9]
-    assert {tuple(H.elements) for H in subs} == brute_subgroups(G)
+    assert sorted(map(len, subs)) == [1, 3, 3, 3, 3, 9]
+    assert set(subs) == brute_subgroups(G)
 
 
 def test_subgroups_of_order_2x4():
     G = AbelianGroup([2, 4])
-    assert sorted(H.order for H in subgroups_of_order(G, 2)) == [2, 2, 2]
-    assert sorted(H.order for H in subgroups_of_order(G, 4)) == [4, 4, 4]
+    assert sorted(map(len, subgroups_of_order(G, 2))) == [2, 2, 2]
+    assert sorted(map(len, subgroups_of_order(G, 4))) == [4, 4, 4]
     for m in (2, 4):
-        assert subgroup_of_order(G, m) == (subgroups_of_order(G, m)[0], False)
+        H, unique = subgroup_of_order(G, m)
+        assert (H.elements, unique) == (subgroups_of_order(G, m)[0], False)
     with pytest.raises(ValueError):
         subgroup_of_order(G, 3)
 
@@ -147,30 +150,26 @@ def test_subgroups_of_order_match_all_subgroups(factors):
     G = AbelianGroup(factors)
     subs = all_subgroups(G)
     for m in divisors(G.order):
-        listed = [S for S in subs if S.order == m]
-        assert subgroup_of_order(G, m) == (listed[0], len(listed) == 1)
+        listed = [S for S in subs if len(S) == m]
+        H, unique = subgroup_of_order(G, m)
+        assert (H.elements, unique) == (listed[0], len(listed) == 1)
 
 
 def test_subgroups_of_order_close_no_larger_join(monkeypatch):
     # Z_2^5 with m = 2 has 31 subgroups of order 2, and Z_2 x Z_3^14 with
     # m = 6 a 6-torsion of 9.6e6 elements; the lookup builds the least
-    # subgroup of each as a box, with no closure at all
-    calls = []
-    closure = groups._closure
+    # subgroup of each as a box, listing no subgroup at all
+    def no_listing(self):
+        raise AssertionError("subgroup listed")
 
-    def counted(G, gens):
-        calls.append(len(gens))
-        return closure(G, gens)
-
-    monkeypatch.setattr(groups, "_closure", counted)
-    G = AbelianGroup([2, 2, 2, 2, 2])
-    H, unique = subgroup_of_order(G, 2)
-    assert (H.elements, unique) == ((0, 1), False)
-    assert len(subgroups_of_order(G, 2)) == 31
-    G, w = AbelianGroup([2] + [3] * 14), 3**14
-    H, unique = subgroup_of_order(G, 6)
-    assert (H.elements, unique) == ((0, 1, 2, w, w + 1, w + 2), False)
-    assert calls == []
+    monkeypatch.setattr(groups.Subgroup, "elements", property(no_listing))
+    G5, G14 = AbelianGroup([2, 2, 2, 2, 2]), AbelianGroup([2] + [3] * 14)
+    (H5, unique5), (H14, unique14) = subgroup_of_order(G5, 2), subgroup_of_order(G14, 6)
+    monkeypatch.undo()
+    assert (H5.elements, unique5) == ((0, 1), False)
+    assert len(subgroups_of_order(G5, 2)) == 31
+    w = 3**14
+    assert (H14.elements, unique14) == ((0, 1, 2, w, w + 1, w + 2), False)
 
 
 def test_subgroups_of_order_enumerate_the_torsion_only():
@@ -178,10 +177,10 @@ def test_subgroups_of_order_enumerate_the_torsion_only():
     # three subgroups of order 2 inside it
     G = AbelianGroup([2, 60000])
     T = _torsion(G, 2)
-    subs = [S for S in subgroups_within(G, T.elements, 2) if S.order == 2]
-    assert [S.elements for S in subs] == [(0, 30000), (0, 60000),
-                                          (0, 90000)]
-    assert subgroup_of_order(G, 2) == (subs[0], False)
+    subs = [S for S in subgroups_within(G, T.elements, 2) if len(S) == 2]
+    assert subs == [(0, 30000), (0, 60000), (0, 90000)]
+    H, unique = subgroup_of_order(G, 2)
+    assert (H.elements, unique) == (subs[0], False)
 
 
 def _presentations(n):
@@ -192,30 +191,53 @@ def _presentations(n):
             for rest in _presentations(n // d)]
 
 
+@cache
+def _every_subgroup():
+    """(G, the oracle's element tuples of its subgroups) for every
+    presentation as written of order 2..48."""
+    return [(G, all_subgroups(G)) for n in range(2, 49)
+            for G in map(AbelianGroup, _presentations(n))]
+
+
 def test_subgroup_lookup_matches_the_enumeration():
     # every presentation as written of order 2..48 (1902 (G, m) pairs,
     # 657 of them with more than one subgroup of order m): the lookup's
     # subgroup is the oracle's first and its flag says whether the oracle
-    # lists only one; and the cosets of every subgroup have the scan's
-    # representatives and coset indices on all of G
+    # lists only one
     pairs = shared = 0
-    for n in range(2, 49):
-        for factors in _presentations(n):
-            G = AbelianGroup(factors)
-            subs = all_subgroups(G)
-            for m in divisors(n):
-                listed = [S for S in subs if S.order == m]
-                assert subgroup_of_order(G, m) == (listed[0], len(listed) == 1), \
-                    (factors, m)
-                pairs += 1
-                shared += len(listed) > 1
-            ranks = np.arange(n, dtype=np.int64)
-            for H in subs:
-                reps, coset_of = scanned_cosets(G, H)
-                dec = cosets(G, H)
-                assert dec.representatives == reps, (factors, H.elements)
-                assert dec.coset_index(ranks).tolist() == coset_of, (factors, H.elements)
+    for G, subs in _every_subgroup():
+        for m in divisors(G.order):
+            listed = [S for S in subs if len(S) == m]
+            H, unique = subgroup_of_order(G, m)
+            assert (H.elements, unique) == (listed[0], len(listed) == 1), \
+                (G.factors, m)
+            assert H == generated_subgroup(G, listed[0])
+            pairs += 1
+            shared += len(listed) > 1
     assert (pairs, shared) == (1902, 657)
+
+
+def test_generated_subgroups_match_the_enumeration():
+    # every subgroup of every presentation as written of order 2..48, from
+    # a seeded random generating subset: its echelon lists the oracle's
+    # elements, and its coset indices on all of G and the representatives
+    # of its cosets are those of the scan
+    rng = random.Random(43)
+    for G, subs in _every_subgroup():
+        ranks = np.arange(G.order, dtype=np.int64)
+        for S in subs:
+            shuffled, gens, span = list(S), [], (0,)
+            rng.shuffle(shuffled)
+            for x in shuffled:
+                if x not in span:
+                    gens.append(x)
+                    span = closure(G, gens)
+            H = generated_subgroup(G, gens)
+            assert H.elements == S and H.order == len(S), (G.factors, gens)
+            reps, coset_of = scanned_cosets(G, S)
+            assert H.coset_index(ranks).tolist() == coset_of, (G.factors, S)
+            assert tuple(H.representative(np.arange(H.index)).tolist()) == reps
+            assert H.representative(H.index - 1) == reps[-1]
 
 
 def test_generated_subgroup_matches_closure():
@@ -227,33 +249,44 @@ def test_generated_subgroup_matches_closure():
 
 def test_cosets_partition():
     G = AbelianGroup([2, 4])
-    for H in all_subgroups(G):
-        dec = cosets(G, H)
-        assert dec.index * H.order == G.order
+    for S in all_subgroups(G):
+        H = generated_subgroup(G, S)
+        assert H.index * H.order == G.order
         buckets = {}
         for r in range(G.order):
-            buckets.setdefault(dec.coset_index(r), set()).add(r)
-        assert len(buckets) == dec.index
+            buckets.setdefault(H.coset_index(r), set()).add(r)
+        assert len(buckets) == H.index
         assert all(len(b) == H.order for b in buckets.values())
         # same coset iff difference lies in H
         for r1 in range(G.order):
             for r2 in range(G.order):
-                same = dec.coset_index(r1) == dec.coset_index(r2)
-                assert same == (G.sub(r1, r2) in H)
+                same = H.coset_index(r1) == H.coset_index(r2)
+                assert same == (G.sub(r1, r2) in S) == (G.sub(r1, r2) in H)
 
 
 def test_cosets_read_the_subgroup_not_the_group(traced_peak):
     # Z_2^20 and its least subgroup of order 2^10, the last ten
-    # coordinates: the echelon reads the 1024 elements of H, where a rank
-    # -> coset map of all of G would take 4 MiB
+    # coordinates: the lookup and the cosets read the echelon alone, where
+    # a rank -> coset map of all of G would take 4 MiB
     G = AbelianGroup([2] * 20)
-    H = subgroup_of_order(G, 1 << 10)[0]
-    dec, peak = traced_peak(cosets, G, H)
-    assert peak < 1 << 19
-    assert dec.steps == (2,) * 10 + (1,) * 10 and dec.index == 1 << 10
-    assert dec.representatives == tuple(range(0, 1 << 20, 1 << 10))
+    H, peak = traced_peak(lambda: subgroup_of_order(G, 1 << 10)[0])
+    assert peak < 1 << 14
+    assert H.steps == (2,) * 10 + (1,) * 10 and H.index == 1 << 10
+    assert (H.representative(np.arange(H.index)) ==
+            np.arange(0, 1 << 20, 1 << 10)).all()
     ranks = np.arange(0, 1 << 20, 997, dtype=np.int64)
-    assert (dec.coset_index(ranks) == ranks >> 10).all()
+    assert (H.coset_index(ranks) == ranks >> 10).all()
+
+
+def test_a_subgroup_past_the_listing_limit_is_built_unlisted():
+    # Z_2^25 as its own subgroup of order 2^25, twice the listing limit:
+    # the echelon is found at once, and only listing it is refused
+    G = AbelianGroup([2] * 25)
+    H, unique = subgroup_of_order(G, 2**25)
+    assert unique and H.index == 1 and H.order == 2**25
+    assert (1 << 25) - 1 in H
+    with pytest.raises(GroupSizeError, match="subgroup of order 33554432 exceeds"):
+        H.elements
 
 
 def test_quotient_exponent():
@@ -272,6 +305,15 @@ def test_sylow():
     assert S2.order == 4 and cyc2 and G.element_order(g2) == 4
     S3, cyc3, g3 = sylow(G, 3)
     assert S3.order == 3 and cyc3 and G.element_order(g3) == 3
+    # the generator read by arithmetic is the least-rank element of full
+    # order, in cyclic groups written with one factor or several
+    for factors in ([12], [3, 4], [5, 8, 9], [2, 2, 3], [585], [4, 4]):
+        G = AbelianGroup(factors)
+        for p in (2, 3, 5):
+            S, cyclic, g = sylow(G, p)
+            least = min((e for e in S.elements if G.element_order(e) == S.order),
+                        default=None) if cyclic and S.order > 1 else None
+            assert g == least, (factors, p)
 
 
 @pytest.mark.parametrize("factors", [[3, 5], [4, 9], [2, 3, 5]])
@@ -348,14 +390,15 @@ def test_subgroup_as_group_every_subgroup(factors):
     # itself of that order, so the greedy basis must lift it by a
     # non-zero combination of the earlier basis elements
     G = AbelianGroup(factors)
-    for H in all_subgroups(G):
+    for H in (generated_subgroup(G, S) for S in all_subgroups(G)):
         pres = subgroup_as_group(H)
         S = pres.group
         assert all(b % a == 0 for a, b in zip(S.factors, S.factors[1:]))
-        assert sorted(pres.to_sub) == list(H.elements)
+        elements = H.elements
+        assert sorted(pres.to_sub) == list(elements)
         assert sorted(pres.to_sub.values()) == list(range(S.order))
-        for a in H.elements:
-            for b in H.elements:
+        for a in elements:
+            for b in elements:
                 assert S.add(pres.to_sub[a], pres.to_sub[b]) \
                     == pres.to_sub[G.add(a, b)]
 
@@ -520,15 +563,17 @@ def test_group_size_guard():
 
 
 def test_torsion_guard_covers_cyclic_subgroups(monkeypatch):
-    # every subgroup is materialized as a box through one guard on the
-    # box's own order, whatever the order of the m-torsion
+    # every subgroup is built as an echelon whatever its order or that of
+    # its m-torsion; one guard on the subgroup's own order refuses listing
     monkeypatch.setattr(groups, "MATERIALIZE_LIMIT", 1024)
     G = AbelianGroup([4096])
-    assert subgroup_of_order(G, 1024)[0].order == 1024
+    assert len(subgroup_of_order(G, 1024)[0].elements) == 1024
+    H = subgroup_of_order(G, 2048)[0]
+    assert H.order == 2048 and 2 in H and 1 not in H
     with pytest.raises(GroupSizeError, match="materialization limit"):
-        subgroup_of_order(G, 2048)
-    # Z_2^11 has a 2-torsion of 2048 elements, but the box of order 2 is built
+        H.elements
+    # Z_2^11 has a 2-torsion of 2048 elements, but the box of order 2 is listed
     H, unique = subgroup_of_order(AbelianGroup([2] * 11), 2)
     assert (H.elements, unique) == ((0, 1), False)
     with pytest.raises(GroupSizeError, match="subgroup of order 2048 exceeds"):
-        subgroup_of_order(AbelianGroup([2] * 11), 2048)
+        subgroup_of_order(AbelianGroup([2] * 11), 2048)[0].elements
